@@ -142,6 +142,18 @@ def running_posterior_cost(
     )
 
 
+def _worker_count() -> int:
+    """Worker threads from ``QLQG_THREADS``; one when unset or empty."""
+    raw = os.environ.get("QLQG_THREADS") or "1"
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ConfigError(f"QLQG_THREADS must be an integer >= 1, got {raw!r}")
+    return workers
+
+
 def _trajectory_rng(seed: int, index: int) -> np.random.Generator:
     """Independent stream for one trajectory, stable across chunkings."""
     return np.random.Generator(
@@ -269,7 +281,7 @@ def simulate_closed_loop(
         totals[sl] = acc + np.einsum("bi,ij,bj->b", X, Omega_T, X) + terminal_trace
 
     starts = list(range(0, n_traj, _CHUNK))
-    workers = int(os.environ.get("QLQG_THREADS", "1") or "1")
+    workers = _worker_count()
     if workers > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(

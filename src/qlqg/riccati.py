@@ -1,10 +1,23 @@
 """Covariance and value flows: Riccati, Lyapunov and scalar cost terms.
 
-Everything here integrates with a fixed-step classical Runge-Kutta
-scheme.  Fixed steps keep runs bit-reproducible, make the convergence
-order testable and let filter and control paths share one grid, which
-the cost assembly relies on.  Paths are dense: one matrix per grid
-point, symmetrized at every step.
+Each matrix flow ``dS/dt = H21 + H22 S - S H11 - S H12 S`` is the image
+of the linear flow ``d[X; Y]/dt = H [X; Y]`` under ``S = Y X^-1``
+(Davison & Maki, IEEE TAC 18 (1973)); the filter, control (in reversed
+time) and Lyapunov flows differ only in their ``2m x 2m`` lift ``H``.
+One stepper serves them all: classical Runge-Kutta on the lift, i.e. the
+constant map ``Phi = sum_{k<=4} (dt H)^k / k!`` (order four), applied in
+blocks re-anchored at ``[I; S]`` (Kenney & Leipnik, IEEE TAC 30
+(1985)).  Precomputed powers ``Phi^j`` give a whole block from one
+batched determinant and one batched solve; a block ends at the first
+power with an entry of magnitude 2, or after 64 steps.  A pole of ``S``
+between grid points (``det X_j <= 0``, or, for a pair of poles in one
+step, an eigenvalue of that step's ``X`` part on the negative real
+axis) raises :class:`NonFinite`, as do entries beyond ``ESCAPE_LIMIT``.
+
+Fixed steps keep runs bit-reproducible, make the convergence order
+testable and let filter and control paths share one grid, which the
+cost assembly relies on.  Paths are dense: one symmetrized matrix per
+grid point.
 """
 
 from __future__ import annotations
@@ -51,6 +64,11 @@ ESCAPE_LIMIT = 1e12
 
 _PSD_TOL = -1e-10
 
+#: a block of lift steps ends at the first power of the one-step map
+#: with an entry this large, and has at most ``_BLOCK_MAX`` steps
+_POWER_BOUND = 2.0
+_BLOCK_MAX = 64
+
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -61,6 +79,10 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self) -> None:
+        if not (np.isfinite(self.t0) and np.isfinite(self.t1)):
+            raise InvalidParameter(
+                f"endpoints must be finite, got [{self.t0}, {self.t1}]"
+            )
         if not self.t1 > self.t0:
             raise InvalidParameter(f"need t1 > t0, got [{self.t0}, {self.t1}]")
         if self.n_steps < 1:
@@ -179,109 +201,96 @@ def _require_same_grid(*grids: TimeGrid) -> TimeGrid:
     return first
 
 
-def _filter_rhs_factory(coeffs: LinearCoefficients):
-    """Right-hand side S -> A S + S A' + N - (S C' + M)(S C' + M)'."""
+def _filter_lift(coeffs: LinearCoefficients) -> np.ndarray:
+    """Lift of S -> A S + S A' + N - (S C' + M)(S C' + M)'."""
+    C, M = coeffs.C, coeffs.M
+    A = coeffs.A - M @ C
+    return np.block([[-A.T, C.T @ C], [coeffs.N - M @ M.T, A]])
+
+
+def _control_lift(coeffs: LinearCoefficients, cost: CostSpec) -> np.ndarray:
+    """Lift of the control Riccati flow in reversed time."""
+    B, G = coeffs.B, cost.G
+    A = coeffs.A - B @ G
+    return np.block([[-A, B @ B.T], [cost.F - G.T @ G, A.T]])
+
+
+def _lyapunov_lift(coeffs: LinearCoefficients) -> np.ndarray:
+    """Lift of S -> A S + S A' + N (no measurement update)."""
     A = coeffs.A
-    Ct = np.ascontiguousarray(coeffs.C.T)
-    N = coeffs.N
-    M = coeffs.M
-    m, d = M.shape
-    AS = np.empty((m, m))
-    gain = np.empty((m, d))
-    quad = np.empty((m, m))
-
-    def rhs(S: np.ndarray, out: np.ndarray) -> None:
-        np.matmul(A, S, out=AS)
-        np.matmul(S, Ct, out=gain)
-        np.add(gain, M, out=gain)
-        np.matmul(gain, gain.T, out=quad)
-        np.subtract(N, quad, out=out)
-        out += AS
-        out += AS.T
-
-    return rhs
+    return np.block([[-A.T, np.zeros_like(A)], [coeffs.N, A]])
 
 
-def _control_rhs_factory(coeffs: LinearCoefficients, cost: CostSpec):
-    """Right-hand side (in reversed time) of the control Riccati flow."""
-    A = coeffs.A
-    Bt = np.ascontiguousarray(coeffs.B.T)
-    F = cost.F
-    G = cost.G
-    m = A.shape[0]
-    k = Bt.shape[0]
-    OA = np.empty((m, m))
-    gain = np.empty((k, m))
-    quad = np.empty((m, m))
-
-    def rhs(S: np.ndarray, out: np.ndarray) -> None:
-        np.matmul(S, A, out=OA)
-        np.matmul(Bt, S, out=gain)
-        np.add(gain, G, out=gain)
-        np.matmul(gain.T, gain, out=quad)
-        np.subtract(F, quad, out=out)
-        out += OA
-        out += OA.T
-
-    return rhs
+def _lift_drift(H: np.ndarray, S: np.ndarray) -> float:
+    """Largest entry of the flow derivative ``[-S, I] H [I; S]``."""
+    I = np.eye(S.shape[0])
+    return float(np.abs(np.hstack([-S, I]) @ H @ np.vstack([I, S])).max())
 
 
-def _lyapunov_rhs_factory(coeffs: LinearCoefficients):
-    """Right-hand side S -> A S + S A' + N (no measurement update)."""
-    A = coeffs.A
-    N = coeffs.N
-    m = A.shape[0]
-    AS = np.empty((m, m))
+def _lift_powers(H: np.ndarray, dt: float) -> np.ndarray:
+    """Powers ``Phi^1 .. Phi^L`` of the RK4 map of ``d[X; Y]/dt = H [X; Y]``.
 
-    def rhs(S: np.ndarray, out: np.ndarray) -> None:
-        np.matmul(A, S, out=AS)
-        np.add(AS, AS.T, out=out)
-        out += N
-    return rhs
-
-
-def _rk4_symmetric_path(rhs, S0: np.ndarray, dt: float, n_steps: int) -> np.ndarray:
-    """Integrate a symmetric-matrix ODE, storing every grid point.
-
-    Raises NonFinite as soon as any entry passes ``ESCAPE_LIMIT`` (NaN
-    counts as non-finite too).
+    ``L`` is the first power with an entry of magnitude
+    ``_POWER_BOUND``, or ``_BLOCK_MAX``.
     """
-    m = S0.shape[0]
-    path = np.empty((n_steps + 1, m, m))
+    term = np.eye(H.shape[0])
+    phi = term.copy()
+    for k in range(1, 5):
+        term = term @ (dt * H) / k
+        phi += term
+    powers = [phi]
+    while len(powers) < _BLOCK_MAX and np.abs(powers[-1]).max() < _POWER_BOUND:
+        powers.append(powers[-1] @ phi)
+    return np.array(powers)
+
+
+def _lift_block(powers: np.ndarray, S: np.ndarray, step: int) -> np.ndarray:
+    """Flow at the ``len(powers)`` grid points after ``S`` (grid step ``step``).
+
+    Each point is ``Y_j X_j^-1``, symmetrized, with
+    ``[X_j; Y_j] = Phi^j [I; S]``.  Raises NonFinite on an escape.
+    """
+    n, m = len(powers), S.shape[0]
+    Z = powers[:, :, :m] + (powers[:, :, m:].reshape(-1, m) @ S).reshape(n, 2 * m, m)
+    Xt = Z[:, :m].transpose(0, 2, 1)
+    Yt = Z[:, m:].transpose(0, 2, 1)
+    # the solve factorizes the same matrices as det, so a positive
+    # determinant rules out a singular pivot there
+    det = np.linalg.det(Xt)
+    _raise_first(~(np.isfinite(det) & (det > 0)), step, "crossed a pole")
+    T = np.linalg.solve(Xt, Yt)
+    block = 0.5 * (T + T.transpose(0, 2, 1))
+    # A pair of poles inside one step leaves det X_j positive, but puts
+    # eigenvalues of that step's X part, Phi11 + Phi12 S_{j-1}, on the
+    # negative real axis.  None can be there while every entry of the X
+    # parts is within 1/m of I's.  (Transposed here, as one GEMM.)
+    phi = powers[0]
+    prev = np.concatenate([S[None], block[:-1]])
+    steps_t = (prev.reshape(-1, m) @ phi[:m, m:].T).reshape(n, m, m) + phi[:m, :m].T
+    if m * np.abs(steps_t - np.eye(m)).max() >= 1:
+        ev = np.linalg.eigvals(steps_t)
+        _raise_first((np.abs(ev.imag) <= -ev.real).any(axis=1), step, "crossed a pole")
+    size = np.abs(block).max(axis=(1, 2))
+    _raise_first(~(size <= ESCAPE_LIMIT), step, f"passed {ESCAPE_LIMIT:.0e}")
+    return block
+
+
+def _raise_first(bad: np.ndarray, step: int, what: str) -> None:
+    hits = np.flatnonzero(bad)
+    if hits.size:
+        raise NonFinite(
+            f"flow {what} at step {step + int(hits[0]) + 1} (finite-time escape)"
+        )
+
+
+def _lift_path(H: np.ndarray, S0: np.ndarray, dt: float, n_steps: int) -> np.ndarray:
+    """Flow of lift ``H`` from ``S0`` at every grid point, ``S0`` included."""
+    powers = _lift_powers(H, dt)
+    path = np.empty((n_steps + 1,) + S0.shape)
     path[0] = S0
-    S = S0.copy()
-    k1 = np.empty((m, m))
-    k2 = np.empty((m, m))
-    k3 = np.empty((m, m))
-    k4 = np.empty((m, m))
-    stage = np.empty((m, m))
-    half = 0.5 * dt
-    sixth = dt / 6.0
-    for i in range(1, n_steps + 1):
-        rhs(S, k1)
-        np.multiply(k1, half, out=stage)
-        stage += S
-        rhs(stage, k2)
-        np.multiply(k2, half, out=stage)
-        stage += S
-        rhs(stage, k3)
-        np.multiply(k3, dt, out=stage)
-        stage += S
-        rhs(stage, k4)
-        k1 += k4
-        k2 += k3
-        k1 += k2
-        k1 += k2
-        np.multiply(k1, sixth, out=k1)
-        S += k1
-        np.add(S, S.T, out=stage)
-        np.multiply(stage, 0.5, out=S)
-        if not np.abs(S).max() <= ESCAPE_LIMIT:
-            raise NonFinite(
-                f"matrix entry passed {ESCAPE_LIMIT:.0e} at step {i} "
-                f"(finite-time escape)"
-            )
-        path[i] = S
+    for i in range(0, n_steps, len(powers)):
+        n = min(len(powers), n_steps - i)
+        path[i + 1 : i + 1 + n] = _lift_block(powers[:n], path[i], i)
     return path
 
 
@@ -320,8 +329,7 @@ def integrate_filter_riccati(
                 f"Sigma0 violates the Heisenberg bound "
                 f"(min eigenvalue {report.min_eigenvalue:.3e})"
             )
-    rhs = _filter_rhs_factory(coeffs)
-    values = _rk4_symmetric_path(rhs, Sigma0, grid.dt, grid.n_steps)
+    values = _lift_path(_filter_lift(coeffs), Sigma0, grid.dt, grid.n_steps)
     if uncertainty is not None:
         _check_path_uncertainty(values, grid, J, hbar)
     return MatrixPath(grid=grid, values=values)
@@ -366,8 +374,9 @@ def integrate_control_riccati(
         raise ValidationError(
             f"cost expects {cost.k} controls, coefficients have {coeffs.k}"
         )
-    rhs = _control_rhs_factory(coeffs, cost)
-    reversed_path = _rk4_symmetric_path(rhs, cost.Omega_T.copy(), grid.dt, grid.n_steps)
+    reversed_path = _lift_path(
+        _control_lift(coeffs, cost), cost.Omega_T, grid.dt, grid.n_steps
+    )
     return MatrixPath(grid=grid, values=np.ascontiguousarray(reversed_path[::-1]))
 
 
@@ -378,8 +387,7 @@ def lyapunov_unconditional(
 ) -> MatrixPath:
     """Second moments without measurement conditioning (linear flow)."""
     Sigma0 = _symmetrize(_asarray(Sigma0, float, (coeffs.m, coeffs.m), "Sigma0"), "Sigma0")
-    rhs = _lyapunov_rhs_factory(coeffs)
-    values = _rk4_symmetric_path(rhs, Sigma0, grid.dt, grid.n_steps)
+    values = _lift_path(_lyapunov_lift(coeffs), Sigma0, grid.dt, grid.n_steps)
     return MatrixPath(grid=grid, values=values)
 
 
@@ -392,7 +400,8 @@ def stationary_filter_covariance(
 ) -> NDArray[np.float64]:
     """Long-time limit of the filter covariance.
 
-    Integrates forward until the flow derivative satisfies
+    Integrates forward in steps of ``dt``, block by block, until the
+    flow derivative at the end of a block satisfies
     ``max|dSigma/dt| < tol``, then verifies the algebraic fixed-point
     residual is below 1e-8.  Starts from the identity when ``Sigma0`` is
     not given.
@@ -401,49 +410,27 @@ def stationary_filter_covariance(
     ------
     NoConvergence
         If the derivative has not dropped below ``tol`` by ``t_max``.
+    NonFinite
+        If the flow escapes (no stationary point).
     """
     m = coeffs.m
     if Sigma0 is None:
         Sigma0 = np.eye(m)
-    S = _symmetrize(_asarray(Sigma0, float, (m, m), "Sigma0"), "Sigma0").copy()
-    rhs = _filter_rhs_factory(coeffs)
-    k1 = np.empty((m, m))
-    k2 = np.empty((m, m))
-    k3 = np.empty((m, m))
-    k4 = np.empty((m, m))
-    stage = np.empty((m, m))
-    half = 0.5 * dt
-    sixth = dt / 6.0
+    S = _symmetrize(_asarray(Sigma0, float, (m, m), "Sigma0"), "Sigma0")
+    H = _filter_lift(coeffs)
+    powers = _lift_powers(H, dt)
     n_max = int(np.ceil(t_max / dt))
-    for _ in range(n_max):
-        rhs(S, k1)
-        if np.abs(k1).max() < tol:
-            break
-        np.multiply(k1, half, out=stage)
-        stage += S
-        rhs(stage, k2)
-        np.multiply(k2, half, out=stage)
-        stage += S
-        rhs(stage, k3)
-        np.multiply(k3, dt, out=stage)
-        stage += S
-        rhs(stage, k4)
-        k1 += k4
-        k2 += k3
-        k1 += k2
-        k1 += k2
-        np.multiply(k1, sixth, out=k1)
-        S += k1
-        np.add(S, S.T, out=stage)
-        np.multiply(stage, 0.5, out=S)
-        if not np.abs(S).max() <= ESCAPE_LIMIT:
-            raise NonFinite("covariance passed the escape limit; no stationary point")
-    else:
-        raise NoConvergence(
-            f"flow derivative still above {tol:.1e} after t={t_max:g}"
-        )
-    rhs(S, k1)
-    residual = float(np.abs(k1).max())
+    step = 0
+    residual = _lift_drift(H, S)
+    while not residual < tol:
+        if step >= n_max:
+            raise NoConvergence(
+                f"flow derivative still above {tol:.1e} after t={t_max:g}"
+            )
+        n = min(len(powers), n_max - step)
+        S = _lift_block(powers[:n], S, step)[-1]
+        step += n
+        residual = _lift_drift(H, S)
     if residual >= 1e-8:
         raise NoConvergence(
             f"stationary residual {residual:.3e} exceeds 1e-8"

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,7 +22,7 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy.linalg import expm
 
-from .closed_loop import _CHUNK, _trajectory_rng, SimConfig
+from .closed_loop import _CHUNK, _trajectory_rng, _worker_count, SimConfig
 from .errors import (
     DimensionMismatch,
     InvalidParameter,
@@ -407,6 +406,11 @@ def simulate_sme_trajectory(
         expect = np.einsum("ij,cji->c", current.entries, Lsum).real
         dY = expect * dt + rng.standard_normal(d) * sqrt_dt
         current = sme_step(current, model, u, dY, dt)
+        if not np.isfinite(current.entries).all():
+            raise NonFinite(
+                f"state left the finite range at step {step + 1}, "
+                f"t={times[step + 1]:.6g}"
+            )
         block += dY
         if control_policy is not None:
             u = control_policy(times[step + 1], current)
@@ -578,7 +582,7 @@ def simulate_sme_ensemble(
         worst_eig[ci] = low
         worst_trace[ci] = trace_dev
 
-    workers = int(os.environ.get("QLQG_THREADS", "1") or "1")
+    workers = _worker_count()
     if workers > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(run_chunk, range(len(starts))))

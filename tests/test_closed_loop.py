@@ -161,6 +161,13 @@ class TestDeterminism:
         assert np.array_equal(a.means, b.means)
         assert np.array_equal(a.total_costs, b.total_costs)
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+    def test_bad_thread_count_is_a_config_error(self, monkeypatch, value):
+        monkeypatch.setenv("QLQG_THREADS", value)
+        with pytest.raises(ConfigError, match="QLQG_THREADS"):
+            simulate_closed_loop(feedback_coefficients(), tracking_cost(),
+                                 small_config(n_steps=10, t1=0.1), default_belief())
+
     def test_different_seeds_differ(self):
         coeffs = feedback_coefficients()
         ens_a = simulate_closed_loop(

@@ -73,6 +73,9 @@ class TestTimeGrid:
             TimeGrid(1.0, 1.0, 10)
         with pytest.raises(InvalidParameter):
             TimeGrid(0.0, 1.0, 0)
+        for t0, t1 in [(0.0, np.inf), (-np.inf, 1.0), (0.0, np.nan), (np.nan, 1.0)]:
+            with pytest.raises(InvalidParameter):
+                TimeGrid(t0, t1, 10)
 
 
 class TestCostSpec:
@@ -144,6 +147,17 @@ class TestFilterRiccati:
         path = integrate_filter_riccati(coeffs, np.eye(2), TimeGrid(0.0, 2.0, 2000))
         assert np.abs(path.final).max() < 1.0
 
+    @pytest.mark.parametrize("n_steps", [1000, 10, 3])
+    @pytest.mark.parametrize("diag", [(-1.0, -1.0), (-1.0, -2.0)])
+    def test_pole_pair_between_grid_points_detected(self, diag, n_steps):
+        # S' = -4 S^2 from a negative start escapes at t = 1/(4|s0|) in
+        # both directions; two poles inside one step leave det X positive
+        coeffs = LinearCoefficients(A=np.zeros((2, 2)), B=np.zeros((2, 1)),
+                                    C=2.0 * np.eye(2), N=np.zeros((2, 2)),
+                                    M=np.zeros((2, 2)))
+        with pytest.raises(NonFinite):
+            integrate_filter_riccati(coeffs, np.diag(diag), TimeGrid(0.0, 1.0, n_steps))
+
     def test_order_of_convergence(self):
         coeffs = tracking_coefficients()
         S0 = np.diag([2.0, 2.0])
@@ -155,6 +169,24 @@ class TestFilterRiccati:
             errors.append(np.abs(coarse.final - fine.final).max())
         slope = np.polyfit(np.log([1.0 / n for n in steps]), np.log(errors), 1)[0]
         assert slope >= 3.5
+
+    @pytest.mark.parametrize("n", [1000, 200, 100, 50])
+    def test_restart_point_does_not_matter(self, n):
+        # the stepper re-anchors the lift [X; Y] at [I; Sigma] block by
+        # block; splitting the run elsewhere must give the same path,
+        # down to coarse grids where the lift's powers grow fast
+        rng = np.random.default_rng(7)
+        Nh = rng.standard_normal((3, 3))
+        coeffs = LinearCoefficients(A=rng.standard_normal((3, 3)), B=np.zeros((3, 1)),
+                                    C=rng.standard_normal((2, 3)),
+                                    N=Nh @ Nh.T + np.eye(3), M=np.zeros((3, 2)))
+        full = integrate_filter_riccati(coeffs, np.eye(3), TimeGrid(0.0, 20.0, n))
+        k = int(0.37 * n)
+        t_k = full.grid.times()[k]
+        head = integrate_filter_riccati(coeffs, np.eye(3), TimeGrid(0.0, t_k, k))
+        tail = integrate_filter_riccati(coeffs, head.final, TimeGrid(t_k, 20.0, n - k))
+        split = np.concatenate([head.values, tail.values[1:]])
+        assert np.abs(split - full.values).max() <= 1e-12 * np.abs(full.values).max()
 
 
 class TestControlRiccati:
@@ -187,15 +219,17 @@ class TestControlRiccati:
                                          TimeGrid(0.0, 15.0, 15000))
         np.testing.assert_allclose(path.at(0), [[1.0, 0.5], [0.5, 0.5]], atol=1e-6)
 
-    def test_finite_time_escape_detected(self):
+    @pytest.mark.parametrize("n_steps", [5000, 50, 10])
+    def test_finite_time_escape_detected(self, n_steps):
         # cross term makes the running cost unbounded below, so the
-        # value matrix diverges at a finite backward time
+        # value matrix diverges at a finite backward time (about 0.68);
+        # on the coarse grids the pole falls between grid points
         coeffs = LinearCoefficients(A=[[2.0, 0.0], [0.0, 0.0]], B=[[1.0], [0.0]],
                                     C=[[0.0, 0.0]], N=np.zeros((2, 2)),
                                     M=np.zeros((2, 1)))
         cost = CostSpec(F=np.zeros((2, 2)), G=[[3.0, 0.0]], Omega_T=np.zeros((2, 2)))
         with pytest.raises(NonFinite):
-            integrate_control_riccati(coeffs, cost, TimeGrid(0.0, 5.0, 5000))
+            integrate_control_riccati(coeffs, cost, TimeGrid(0.0, 5.0, n_steps))
 
     def test_dimension_checks(self):
         coeffs = feedback_coefficients()

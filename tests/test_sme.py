@@ -8,6 +8,7 @@ from scipy.linalg import expm
 
 from qlqg.closed_loop import SimConfig, running_posterior_cost
 from qlqg.errors import (
+    ConfigError,
     DimensionMismatch,
     InvalidParameter,
     NonFinite,
@@ -450,6 +451,21 @@ class TestEnsemble:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NonFinite, match="t=0.001"):
                 simulate_sme_ensemble(mixed_state(), model, cfg)
+
+    def test_single_trajectory_overflow_raises_non_finite(self):
+        # DensityMatrix accepts a NaN state: every floor check is false
+        model = FiniteModel(H0=np.zeros((2, 2)), L_list=[1e200 * SZ])
+        cfg = SimConfig(grid=TimeGrid(0.0, 0.01, 10), n_traj=1, seed=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFinite, match="t=0.001"):
+                simulate_sme_trajectory(mixed_state(), model, None, cfg)
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+    def test_bad_thread_count_is_a_config_error(self, monkeypatch, value):
+        cfg = SimConfig(grid=TimeGrid(0.0, 0.05, 50), n_traj=8, seed=15)
+        monkeypatch.setenv("QLQG_THREADS", value)
+        with pytest.raises(ConfigError, match="QLQG_THREADS"):
+            simulate_sme_ensemble(mixed_state(), dephasing_model(), cfg)
 
     def test_unraveling_mean_matches_master_diagonal(self):
         # incoherent start: the master flow is constant and the ensemble
