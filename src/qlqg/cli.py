@@ -266,12 +266,11 @@ def cmd_simulate(args) -> int:
             raise ConfigError(f"key 'sim' is missing '{key}'")
     initial = GaussianBelief(mean=sim["initial_mean"], cov=sim["initial_cov"])
 
-    Omega = integrate_control_riccati(coeffs, cost, grid)
-    Sigma = integrate_filter_riccati(coeffs, initial.cov, grid)
-    analytic = total_minimal_cost(
-        initial.mean, initial.cov, Omega, Sigma, coeffs, cost
-    )
     ensemble = simulate_closed_loop(coeffs, cost, config, initial)
+    analytic = total_minimal_cost(
+        initial.mean, initial.cov, ensemble.Omega_path, ensemble.Sigma_path,
+        coeffs, cost,
+    )
     mean, stderr = monte_carlo_expected_cost(ensemble)
     z = (mean - analytic) / stderr if stderr and np.isfinite(stderr) else float("nan")
 

@@ -20,9 +20,11 @@ from numpy.typing import NDArray
 
 from .control import control_gain_path
 from .errors import ConfigError, EmptyEnsemble, InvalidParameter, NonFinite
+from .kalman import mean_step
 from .phase_space import GaussianBelief, LinearCoefficients, _asarray, _frozen
 from .riccati import (
     CostSpec,
+    MatrixPath,
     TimeGrid,
     integrate_control_riccati,
     integrate_filter_riccati,
@@ -93,10 +95,13 @@ class TrajectoryRecord:
 
 @dataclass(frozen=True)
 class ClosedLoopEnsemble:
-    """Stacked trajectory records plus per-trajectory total costs."""
+    """Stacked trajectory records, per-trajectory total costs and the
+    covariance and value flows the loop ran on."""
 
     config: SimConfig
     cost: CostSpec
+    Sigma_path: MatrixPath
+    Omega_path: MatrixPath
     times: NDArray[np.float64]
     means: NDArray[np.float64]
     controls: NDArray[np.float64]
@@ -226,7 +231,6 @@ def simulate_closed_loop(
 
     trace_F = np.einsum("ab,tba->t", cost.F, Sigma_path.values)
     terminal_trace = float(np.trace(cost.Omega_T @ Sigma_path.final))
-    At, Bt, Ct = coeffs.A.T, coeffs.B.T, coeffs.C.T
     G, F, Omega_T = cost.G, cost.F, cost.Omega_T
     sqrt_dt = math.sqrt(dt)
 
@@ -259,8 +263,8 @@ def simulate_closed_loop(
         for step in range(n_steps):
             dYt = noise[:, step]
             block_dYt += dYt
-            block_dY += (X @ Ct) * dt + dYt
-            X = X + (X @ At + u @ Bt) * dt + dYt @ kgains[step].T
+            block_dY += (X @ coeffs.C.T) * dt + dYt
+            X = mean_step(X, u, dYt, kgains[step], coeffs, dt)
             u = -X @ gains[step + 1].T
             c_new = batch_cost(X, u, step + 1)
             acc += 0.5 * dt * (c_prev + c_new)
@@ -295,8 +299,8 @@ def simulate_closed_loop(
     for arr in (means, controls, outputs, innovations, running, totals):
         _frozen(arr)
     return ClosedLoopEnsemble(
-        config=config, cost=cost, times=_frozen(rec_times),
-        means=means, controls=controls, outputs=outputs,
+        config=config, cost=cost, Sigma_path=Sigma_path, Omega_path=Omega_path,
+        times=_frozen(rec_times), means=means, controls=controls, outputs=outputs,
         innovations=innovations, running_costs=running, total_costs=totals,
     )
 

@@ -14,7 +14,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import DimensionMismatch, GridMismatch, InvalidParameter
-from .phase_space import LinearCoefficients, _asarray, _frozen, _symmetrize
+from .phase_space import LinearCoefficients, _asarray, _finite, _frozen, _symmetrize
 from .riccati import (
     CostSpec,
     MatrixPath,
@@ -86,11 +86,11 @@ class FilterProblem:
     horizon: float
 
     def __post_init__(self) -> None:
-        A = np.array(self.A, dtype=float)
+        A = _finite(np.array(self.A, dtype=float), "A")
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise DimensionMismatch(f"A must be square, got {A.shape}")
         m = A.shape[0]
-        C = np.array(self.C, dtype=float)
+        C = _finite(np.array(self.C, dtype=float), "C")
         if C.ndim != 2 or C.shape[1] != m:
             raise DimensionMismatch(f"C must have shape (d, {m}), got {C.shape}")
         N = _symmetrize(_asarray(self.N, float, (m, m), "N"), "N")
@@ -116,11 +116,11 @@ class ControlProblem:
     horizon: float
 
     def __post_init__(self) -> None:
-        A = np.array(self.A, dtype=float)
+        A = _finite(np.array(self.A, dtype=float), "A")
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise DimensionMismatch(f"A must be square, got {A.shape}")
         m = A.shape[0]
-        B = np.array(self.B, dtype=float)
+        B = _finite(np.array(self.B, dtype=float), "B")
         if B.ndim != 2 or B.shape[0] != m:
             raise DimensionMismatch(f"B must have shape ({m}, k), got {B.shape}")
         F = _symmetrize(_asarray(self.F, float, (m, m), "F"), "F")

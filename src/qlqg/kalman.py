@@ -13,9 +13,9 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import DimensionMismatch, InvalidParameter
-from .phase_space import GaussianBelief, LinearCoefficients, _asarray, _frozen
+from .phase_space import GaussianBelief, LinearCoefficients, _asarray, _finite, _frozen
 
-__all__ = ["MeasurementIncrement", "filter_gain", "innovation", "filter_step"]
+__all__ = ["MeasurementIncrement", "filter_gain", "innovation", "mean_step", "filter_step"]
 
 
 @dataclass(frozen=True)
@@ -26,11 +26,11 @@ class MeasurementIncrement:
     dt: float
 
     def __post_init__(self) -> None:
-        dY = np.array(self.dY, dtype=float)
+        dY = _finite(np.array(self.dY, dtype=float), "dY")
         if dY.ndim != 1:
             raise DimensionMismatch(f"dY must be a vector, got shape {dY.shape}")
-        if not self.dt > 0:
-            raise InvalidParameter(f"dt must be positive, got {self.dt}")
+        if not (np.isfinite(self.dt) and self.dt > 0):
+            raise InvalidParameter(f"dt must be finite and positive, got {self.dt}")
         object.__setattr__(self, "dY", _frozen(dY))
 
     @property
@@ -62,6 +62,20 @@ def innovation(
         )
     Xhat = _asarray(Xhat, float, (coeffs.m,), "Xhat")
     return increment.dY - (coeffs.C @ Xhat) * increment.dt
+
+
+def mean_step(
+    Xhat: NDArray[np.float64],
+    u: NDArray[np.float64],
+    dY_tilde: NDArray[np.float64],
+    gain: NDArray[np.float64],
+    coeffs: LinearCoefficients,
+    dt: float,
+) -> NDArray[np.float64]:
+    """Euler step ``Xhat + (A Xhat + B u) dt + gain dY_tilde`` of the
+    conditional mean, row by row on stacked ``(..., m)`` means; unchecked,
+    as the inner step of :func:`filter_step` and the closed loop."""
+    return Xhat + (Xhat @ coeffs.A.T + u @ coeffs.B.T) * dt + dY_tilde @ gain.T
 
 
 def filter_step(
@@ -97,9 +111,5 @@ def filter_step(
     u = _asarray(u, float, (coeffs.k,), "u")
     gain = filter_gain(belief.cov, coeffs)
     dY_tilde = innovation(increment, belief.mean, coeffs)
-    mean = (
-        belief.mean
-        + (coeffs.A @ belief.mean + coeffs.B @ u) * increment.dt
-        + gain @ dY_tilde
-    )
+    mean = mean_step(belief.mean, u, dY_tilde, gain, coeffs, increment.dt)
     return GaussianBelief(mean=mean, cov=Sigma_next)

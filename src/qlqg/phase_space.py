@@ -46,13 +46,21 @@ UNCERTAINTY_TOL = -1e-9
 _DET_TOL = 1e-12
 
 
+def _finite(arr: np.ndarray, name: str) -> np.ndarray:
+    """``arr``, or InvalidParameter on a NaN or inf entry (which would
+    slip past every later ``x > tol`` guard)."""
+    if not np.isfinite(arr).all():
+        raise InvalidParameter(f"{name} has non-finite entries")
+    return arr
+
+
 def _asarray(value, dtype, shape, name: str) -> np.ndarray:
     arr = np.array(value, dtype=dtype)
     if arr.shape != shape:
         raise DimensionMismatch(
             f"{name} must have shape {shape}, got {arr.shape}"
         )
-    return arr
+    return _finite(arr, name)
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -103,7 +111,7 @@ class PhaseSpaceModel:
     hbar: float = 1.0
 
     def __post_init__(self) -> None:
-        J = np.array(self.J, dtype=float)
+        J = _finite(np.array(self.J, dtype=float), "J")
         if J.ndim != 2 or J.shape[0] != J.shape[1]:
             raise DimensionMismatch(f"J must be square, got shape {J.shape}")
         m = J.shape[0]
@@ -117,12 +125,12 @@ class PhaseSpaceModel:
             raise InvalidParameter(f"hbar must be positive, got {self.hbar}")
 
         R = _symmetrize(_asarray(self.R, float, (m, m), "R"), "R")
-        Lam = np.array(self.Lambda, dtype=complex)
+        Lam = _finite(np.array(self.Lambda, dtype=complex), "Lambda")
         if Lam.ndim != 2 or Lam.shape[1] != m:
             raise DimensionMismatch(
                 f"Lambda must have shape (d, {m}), got {Lam.shape}"
             )
-        K = np.array(self.K, dtype=complex)
+        K = _finite(np.array(self.K, dtype=complex), "K")
         if K.ndim != 2 or K.shape[0] != m:
             raise DimensionMismatch(f"K must have shape ({m}, k), got {K.shape}")
 
@@ -163,14 +171,14 @@ class LinearCoefficients:
     M: NDArray[np.float64]
 
     def __post_init__(self) -> None:
-        A = np.array(self.A, dtype=float)
+        A = _finite(np.array(self.A, dtype=float), "A")
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise DimensionMismatch(f"A must be square, got shape {A.shape}")
         m = A.shape[0]
-        B = np.array(self.B, dtype=float)
+        B = _finite(np.array(self.B, dtype=float), "B")
         if B.ndim != 2 or B.shape[0] != m:
             raise DimensionMismatch(f"B must have shape ({m}, k), got {B.shape}")
-        C = np.array(self.C, dtype=float)
+        C = _finite(np.array(self.C, dtype=float), "C")
         if C.ndim != 2 or C.shape[1] != m:
             raise DimensionMismatch(f"C must have shape (d, {m}), got {C.shape}")
         d = C.shape[0]
@@ -202,7 +210,7 @@ class GaussianBelief:
     cov: NDArray[np.float64]
 
     def __post_init__(self) -> None:
-        mean = np.array(self.mean, dtype=float)
+        mean = _finite(np.array(self.mean, dtype=float), "mean")
         if mean.ndim != 1:
             raise DimensionMismatch(f"mean must be a vector, got shape {mean.shape}")
         m = mean.shape[0]

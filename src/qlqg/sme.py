@@ -31,7 +31,7 @@ from .errors import (
     NotUnitary,
     PositivityLoss,
 )
-from .phase_space import _frozen
+from .phase_space import _finite, _frozen
 
 __all__ = [
     "DensityMatrix",
@@ -91,7 +91,7 @@ class DensityMatrix:
     entries: NDArray[np.complex128]
 
     def __post_init__(self) -> None:
-        entries = np.asarray(self.entries, dtype=complex)
+        entries = _finite(np.asarray(self.entries, dtype=complex), "state")
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise DimensionMismatch(
                 f"state must be square, got shape {entries.shape}"
@@ -134,7 +134,7 @@ class DensityMatrix:
 
 
 def _stack_operators(ops, n: int, what: str) -> np.ndarray:
-    arr = np.asarray(ops, dtype=complex)
+    arr = _finite(np.asarray(ops, dtype=complex), what)
     if arr.size == 0:
         return np.zeros((0, n, n), dtype=complex)
     if arr.ndim == 2:
@@ -161,7 +161,7 @@ class FiniteModel:
     hbar: float = 1.0
 
     def __post_init__(self) -> None:
-        H0 = np.asarray(self.H0, dtype=complex)
+        H0 = _finite(np.asarray(self.H0, dtype=complex), "H0")
         if H0.ndim != 2 or H0.shape[0] != H0.shape[1]:
             raise DimensionMismatch(f"H0 must be square, got {H0.shape}")
         n = H0.shape[0]
@@ -248,6 +248,13 @@ def lindblad_schrodinger(
     return out
 
 
+def _stepped_state(entries: np.ndarray) -> DensityMatrix:
+    """State after an integration step; NonFinite if it overflowed."""
+    if not np.isfinite(entries).all():
+        raise NonFinite("state left the finite range")
+    return DensityMatrix(entries)
+
+
 def master_step(
     rho: DensityMatrix, model: FiniteModel, u, dt: float
 ) -> DensityMatrix:
@@ -265,7 +272,7 @@ def master_step(
     k3 = lindblad_schrodinger(y + 0.5 * dt * k2, model, u)
     k4 = lindblad_schrodinger(y + dt * k3, model, u)
     out = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return DensityMatrix(0.5 * (out + out.conj().T))
+    return _stepped_state(0.5 * (out + out.conj().T))
 
 
 def evolve_master(
@@ -322,8 +329,7 @@ def sme_step(
         fluct = y @ Ld + L @ y - e * y
         out = out + fluct * (dY[i] - e * dt)
     out = 0.5 * (out + out.conj().T)
-    out = out / float(np.trace(out).real)
-    return DensityMatrix(out)
+    return _stepped_state(out / float(np.trace(out).real))
 
 
 @dataclass(frozen=True)
@@ -405,12 +411,12 @@ def simulate_sme_trajectory(
     for step in range(grid.n_steps):
         expect = np.einsum("ij,cji->c", current.entries, Lsum).real
         dY = expect * dt + rng.standard_normal(d) * sqrt_dt
-        current = sme_step(current, model, u, dY, dt)
-        if not np.isfinite(current.entries).all():
+        try:
+            current = sme_step(current, model, u, dY, dt)
+        except NonFinite as exc:
             raise NonFinite(
-                f"state left the finite range at step {step + 1}, "
-                f"t={times[step + 1]:.6g}"
-            )
+                f"{exc} at step {step + 1}, t={times[step + 1]:.6g}"
+            ) from None
         block += dY
         if control_policy is not None:
             u = control_policy(times[step + 1], current)

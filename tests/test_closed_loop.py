@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 
@@ -6,7 +7,6 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from qlqg.closed_loop import (
-    ClosedLoopEnsemble,
     SimConfig,
     monte_carlo_expected_cost,
     running_posterior_cost,
@@ -15,6 +15,7 @@ from qlqg.closed_loop import (
 )
 from qlqg.control import control_gain_path
 from qlqg.errors import ConfigError, EmptyEnsemble, NonFinite
+from qlqg.kalman import MeasurementIncrement, filter_step
 from qlqg.phase_space import GaussianBelief, LinearCoefficients
 from qlqg.riccati import CostSpec, TimeGrid, integrate_control_riccati
 
@@ -285,9 +286,8 @@ class TestCostEstimates:
         cfg = small_config(n_steps=10, t1=0.1)
         ens = simulate_closed_loop(coeffs, tracking_cost(), cfg,
                                    default_belief())
-        hollow = ClosedLoopEnsemble(
-            config=ens.config, cost=ens.cost, times=ens.times,
-            means=ens.means[:0], controls=ens.controls[:0],
+        hollow = dataclasses.replace(
+            ens, means=ens.means[:0], controls=ens.controls[:0],
             outputs=ens.outputs[:0], innovations=ens.innovations[:0],
             running_costs=ens.running_costs[:0],
             total_costs=ens.total_costs[:0],
@@ -343,6 +343,23 @@ class TestCostEstimates:
             simulate_closed_loop(
                 coeffs, tracking_cost(), cfg, default_belief(),
                 gain_offset=np.array([[0.0, -50.0]]))
+
+
+class TestKalmanStep:
+    def test_replaying_the_record_through_filter_step(self):
+        # the loop's noisy path, re-filtered from its own outputs and
+        # controls by the public Kalman step, gives back its means
+        coeffs = feedback_coefficients()
+        ens = simulate_closed_loop(
+            coeffs, tracking_cost(), small_config(n_traj=3, seed=5),
+            default_belief())
+        rec, Sigma = ens[1], ens.Sigma_path
+        belief = GaussianBelief(mean=rec.means[0], cov=Sigma.at(0))
+        for k in range(ens.config.grid.n_steps):
+            inc = MeasurementIncrement(dY=rec.outputs[k + 1], dt=ens.config.grid.dt)
+            belief = filter_step(belief, rec.controls[k], inc, coeffs, Sigma.at(k + 1))
+            gap = np.abs(belief.mean - rec.means[k + 1]).max()
+            assert gap <= 1e-12 * np.abs(rec.means).max(), k
 
 
 class TestCsv:

@@ -19,6 +19,8 @@ from qlqg.phase_space import (
     model_from_json,
     _require_real,
 )
+from qlqg.riccati import CostSpec
+from qlqg.sme import DensityMatrix, FiniteModel
 
 J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -261,3 +263,36 @@ class TestLinearCoefficients:
         with pytest.raises(ValidationError):
             LinearCoefficients(A=np.eye(2), B=np.zeros((2, 1)), C=np.zeros((1, 2)),
                                N=np.array([[0.0, 1.0], [0.0, 0.0]]), M=np.zeros((2, 1)))
+
+
+def _coefficients(**bad):
+    parts = dict(A=np.eye(2), B=np.zeros((2, 1)), C=np.zeros((1, 2)),
+                 N=np.eye(2), M=np.zeros((2, 1)))
+    return LinearCoefficients(**{**parts, **bad})
+
+
+# one entry set to the bad value x in each input of each constructor
+NONFINITE_INPUTS = {
+    "GaussianBelief.mean": lambda x: GaussianBelief(mean=[x, 0.0], cov=np.eye(2)),
+    "GaussianBelief.cov": lambda x: GaussianBelief(mean=[0.0, 0.0], cov=[[1.0, 0.0], [0.0, x]]),
+    "CostSpec.F": lambda x: CostSpec(F=[[x, 0.0], [0.0, 1.0]], G=[[0.0, 0.0]], Omega_T=np.eye(2)),
+    "CostSpec.G": lambda x: CostSpec(F=np.eye(2), G=[[x, 0.0]], Omega_T=np.eye(2)),
+    "CostSpec.Omega_T": lambda x: CostSpec(F=np.eye(2), G=[[0.0, 0.0]], Omega_T=[[1.0, 0.0], [0.0, x]]),
+    "LinearCoefficients.A": lambda x: _coefficients(A=[[x, 0.0], [0.0, 1.0]]),
+    "LinearCoefficients.B": lambda x: _coefficients(B=[[x], [0.0]]),
+    "LinearCoefficients.C": lambda x: _coefficients(C=[[x, 0.0]]),
+    "LinearCoefficients.N": lambda x: _coefficients(N=[[1.0, 0.0], [0.0, x]]),
+    "LinearCoefficients.M": lambda x: _coefficients(M=[[x], [0.0]]),
+    "DensityMatrix": lambda x: DensityMatrix([[0.5, x], [x, 0.5]]),
+    "FiniteModel.H0": lambda x: FiniteModel(H0=[[x, 0.0], [0.0, 0.0]], L_list=[np.eye(2)]),
+    "FiniteModel.L_list": lambda x: FiniteModel(H0=np.zeros((2, 2)), L_list=[[[x, 0.0], [0.0, 1.0]]]),
+    "FiniteModel.H_controls": lambda x: FiniteModel(
+        H0=np.zeros((2, 2)), L_list=[np.eye(2)], H_controls=[[[x, 0.0], [0.0, 0.0]]]),
+}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("build", NONFINITE_INPUTS.values(), ids=NONFINITE_INPUTS.keys())
+def test_constructors_reject_non_finite_entries(build, value):
+    with pytest.raises(InvalidParameter, match="non-finite"):
+        build(value)

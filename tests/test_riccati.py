@@ -288,6 +288,14 @@ class TestStationarySolver:
         with pytest.raises(NoConvergence):
             stationary_filter_covariance(coeffs, t_max=5.0)
 
+    @pytest.mark.parametrize("arg,value", [
+        ("dt", 0.0), ("dt", -1e-3), ("dt", np.nan), ("dt", np.inf),
+        ("t_max", 0.0), ("t_max", np.nan), ("t_max", np.inf),
+    ])
+    def test_rejects_bad_step_or_horizon(self, arg, value):
+        with pytest.raises(InvalidParameter, match=arg):
+            stationary_filter_covariance(tracking_coefficients(), **{arg: value})
+
 
 class TestAlpha:
     def test_terminal_value_is_zero(self):
@@ -340,6 +348,38 @@ class TestTotalCost:
         alpha0 = integrate_alpha(Om, Si, coeffs, cost).values[0]
         static = Xbar @ Om0 @ Xbar + np.trace(Om0 @ S0)
         assert abs(total - (static + alpha0)) <= 1e-9 * max(1.0, abs(total))
+
+    @pytest.mark.parametrize("model", ["free-particle", "random-m3-d2"])
+    def test_matches_filter_form_total(self, model):
+        # Xbar' Om_0 Xbar + tr(Om_T Si_T) + int tr(F Si) + tr(Om K K') dt,
+        # K = Si C' + M: the same cost by another quadrature, off by O(dt^2)
+        if model == "free-particle":
+            coeffs, cost, Xbar, S0 = (feedback_coefficients(), quadratic_cost(),
+                                      np.array([1.0, 0.0]), np.diag([0.5, 0.5]))
+            t1, sizes = 5.0, [500, 1000, 2000]
+        else:
+            rng = np.random.default_rng(7)
+            A, B = 0.5 * rng.standard_normal((3, 3)), rng.standard_normal((3, 2))
+            C, M = rng.standard_normal((2, 3)), 0.3 * rng.standard_normal((3, 2))
+            Nh, Fh = rng.standard_normal((3, 3)), rng.standard_normal((3, 3))
+            G = 0.3 * rng.standard_normal((2, 3))
+            coeffs = LinearCoefficients(A=A, B=B, C=C, N=Nh @ Nh.T + M @ M.T, M=M)
+            cost = CostSpec(F=Fh @ Fh.T + G.T @ G, G=G, Omega_T=np.eye(3))
+            Xbar, S0, t1, sizes = rng.standard_normal(3), np.eye(3), 2.0, [200, 400, 800, 1600]
+        gaps = []
+        for n in sizes:
+            grid = TimeGrid(0.0, t1, n)
+            Om = integrate_control_riccati(coeffs, cost, grid)
+            Si = integrate_filter_riccati(coeffs, S0, grid)
+            K = Si.values @ coeffs.C.T + coeffs.M
+            f = (np.einsum("ab,tba->t", cost.F, Si.values)
+                 + np.einsum("tab,tbk,tak->t", Om.values, K, K))
+            other = (Xbar @ Om.at(0) @ Xbar + np.trace(cost.Omega_T @ Si.final)
+                     + np.trapezoid(f, dx=grid.dt))
+            total = total_minimal_cost(Xbar, S0, Om, Si, coeffs, cost)
+            gaps.append(abs(total - other) / abs(total))
+        assert gaps[-1] < 1e-6
+        assert all(a >= 3.5 * b for a, b in zip(gaps, gaps[1:])), gaps
 
     def test_frozen_reference_value(self):
         # value pinned from a converged run; a 10x finer grid moves it

@@ -453,12 +453,14 @@ class TestEnsemble:
                 simulate_sme_ensemble(mixed_state(), model, cfg)
 
     def test_single_trajectory_overflow_raises_non_finite(self):
-        # DensityMatrix accepts a NaN state: every floor check is false
+        # an overflowing step is a numerical failure, not a rejected state
         model = FiniteModel(H0=np.zeros((2, 2)), L_list=[1e200 * SZ])
         cfg = SimConfig(grid=TimeGrid(0.0, 0.01, 10), n_traj=1, seed=1)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NonFinite, match="t=0.001"):
                 simulate_sme_trajectory(mixed_state(), model, None, cfg)
+            with pytest.raises(NonFinite):
+                evolve_master(mixed_state(), model, cfg.grid)
 
     @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
     def test_bad_thread_count_is_a_config_error(self, monkeypatch, value):
