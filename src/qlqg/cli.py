@@ -314,20 +314,14 @@ def _parse_rho0(entry) -> DensityMatrix:
 
 def _mean_path_csv(times, mean_states, fh) -> None:
     n = mean_states.shape[-1]
-    header = ["t"]
-    for i in range(n):
-        for j in range(n):
-            header.append(f"rho_re_{i}{j}")
-    for i in range(n):
-        for j in range(n):
-            header.append(f"rho_im_{i}{j}")
-    fh.write(",".join(header) + "\n")
+    header = ",".join(
+        ["t"]
+        + [f"rho_{part}_{i}{j}" for part in ("re", "im")
+           for i in range(n) for j in range(n)]
+    )
     flat = mean_states.reshape(len(times), n * n)
-    for k, t in enumerate(times):
-        row = [f"{t:.17g}"]
-        row += [f"{v:.17g}" for v in flat[k].real]
-        row += [f"{v:.17g}" for v in flat[k].imag]
-        fh.write(",".join(row) + "\n")
+    data = np.column_stack([times, flat.real, flat.imag])
+    np.savetxt(fh, data, delimiter=",", header=header, comments="", fmt="%.17g")
 
 
 def cmd_sme(args) -> int:

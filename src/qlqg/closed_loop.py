@@ -5,7 +5,7 @@ increments are exogenous Wiener draws, which is exact for the
 conditional dynamics and sidesteps any notion of a hidden point state.
 Each trajectory owns a counter-based random stream derived from
 ``(seed, trajectory index)``, so ensembles are reproducible and
-independent of chunking or thread scheduling.
+independent of thread scheduling.
 """
 
 from __future__ import annotations
@@ -159,11 +159,39 @@ def _worker_count() -> int:
     return workers
 
 
-def _trajectory_rng(seed: int, index: int) -> np.random.Generator:
-    """Independent stream for one trajectory, stable across chunkings."""
-    return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
-    )
+def _at(config: SimConfig, index: int, step: int) -> str:
+    """Where a failure happened, enough to replay it from (seed, index)."""
+    t = config.grid.t0 + step * config.grid.dt
+    return f"trajectory {index} of seed {config.seed} at step {step}, t={t:.6g}"
+
+
+def _run_chunks(config: SimConfig, d: int, run_chunk, zero_noise: bool = False):
+    """The results of ``run_chunk(start, stop, noise)`` over fixed chunks.
+
+    The one chunk loop of every Monte Carlo simulator.  ``noise`` holds the
+    chunk's (B, n_steps, d) Wiener increments; row i comes from the
+    Philox stream of ``(seed, start + i)`` (zeros under ``zero_noise``).
+    Up to ``QLQG_THREADS`` chunks run at once; no chunk's work depends
+    on that, so neither do the results.
+    """
+    n_steps, sqrt_dt = config.grid.n_steps, math.sqrt(config.grid.dt)
+    workers = _worker_count()
+
+    def chunk(start: int):
+        stop = min(start + _CHUNK, config.n_traj)
+        noise = np.zeros((stop - start, n_steps, d))
+        if not zero_noise:
+            for i in range(stop - start):
+                key = np.random.SeedSequence(config.seed, spawn_key=(start + i,))
+                rng = np.random.Generator(np.random.Philox(key))
+                noise[i] = rng.standard_normal((n_steps, d)) * sqrt_dt
+        return run_chunk(start, stop, noise)
+
+    starts = range(0, config.n_traj, _CHUNK)
+    if workers > 1 and len(starts) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(chunk, starts))
+    return [chunk(s) for s in starts]
 
 
 def simulate_closed_loop(
@@ -232,7 +260,6 @@ def simulate_closed_loop(
     trace_F = np.einsum("ab,tba->t", cost.F, Sigma_path.values)
     terminal_trace = float(np.trace(cost.Omega_T @ Sigma_path.final))
     G, F, Omega_T = cost.G, cost.F, cost.Omega_T
-    sqrt_dt = math.sqrt(dt)
 
     def batch_cost(X: np.ndarray, u: np.ndarray, step: int) -> np.ndarray:
         c = np.einsum("bi,ij,bj->b", X, F, X) + trace_F[step]
@@ -240,15 +267,8 @@ def simulate_closed_loop(
         c += np.einsum("bk,bk->b", u, u)
         return c
 
-    def run_chunk(start: int, stop: int) -> None:
+    def run_chunk(start: int, stop: int, noise: np.ndarray) -> None:
         B = stop - start
-        if zero_noise:
-            noise = np.zeros((B, n_steps, d))
-        else:
-            noise = np.empty((B, n_steps, d))
-            for i in range(B):
-                rng = _trajectory_rng(config.seed, start + i)
-                noise[i] = rng.standard_normal((n_steps, d)) * sqrt_dt
         X = np.tile(initial.mean, (B, 1))
         u = -X @ gains[0].T
         c_prev = batch_cost(X, u, 0)
@@ -270,9 +290,9 @@ def simulate_closed_loop(
             acc += 0.5 * dt * (c_prev + c_new)
             c_prev = c_new
             if not np.abs(X).max() <= _ESCAPE:
-                raise NonFinite(
-                    f"posterior mean passed {_ESCAPE:.0e} at step {step + 1}"
-                )
+                b = int(np.argmin((np.abs(X) <= _ESCAPE).all(axis=1)))
+                raise NonFinite(f"posterior mean passed {_ESCAPE:.0e} in "
+                                f"{_at(config, start + b, step + 1)}")
             if (step + 1) % stride == 0:
                 means[sl, row] = X
                 controls[sl, row] = u
@@ -284,17 +304,7 @@ def simulate_closed_loop(
                 row += 1
         totals[sl] = acc + np.einsum("bi,ij,bj->b", X, Omega_T, X) + terminal_trace
 
-    starts = list(range(0, n_traj, _CHUNK))
-    workers = _worker_count()
-    if workers > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(
-                lambda s: run_chunk(s, min(s + _CHUNK, n_traj)), starts
-            ))
-    else:
-        for s in starts:
-            run_chunk(s, min(s + _CHUNK, n_traj))
-
+    _run_chunks(config, d, run_chunk, zero_noise)
     rec_times = grid.times()[::stride].copy()
     for arr in (means, controls, outputs, innovations, running, totals):
         _frozen(arr)

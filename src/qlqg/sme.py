@@ -2,19 +2,21 @@
 
 Lindblad master flow, diffusive filtering of measurement records, and a
 discrete conditioning oracle built from an explicit system-ancilla
-unitary.  The filtering step integrates the unnormalized equation and
-renormalizes by the trace: the fluctuation term is traceless exactly, so
-the correction is second order in the step while the trace invariant
-holds by construction.  Positivity is monitored, never projected;
-eigenvalue clipping would silently mask integration error, so a state
-drifting past the floor raises :class:`PositivityLoss` instead.
+unitary.  One Euler step filters every record: ensembles, single
+trajectories and :func:`sme_step` run it.  Two independent oracles
+check it, the operator-form master flow against the ensemble mean and
+ancilla conditioning against one step.  The step renormalizes by the
+trace; its fluctuation term is traceless, so that is a second-order
+correction.  Positivity is monitored, never projected: clipping would
+mask integration error, so a state past the floor raises
+:class:`PositivityLoss`.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
+from collections import namedtuple
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,7 +24,7 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy.linalg import expm
 
-from .closed_loop import _CHUNK, _trajectory_rng, _worker_count, SimConfig
+from .closed_loop import _at, _run_chunks, SimConfig
 from .errors import (
     DimensionMismatch,
     InvalidParameter,
@@ -305,14 +307,108 @@ def evolve_master(
     return _frozen(grid.times()[::record_stride].copy()), _frozen(states)
 
 
+#: operators of one filtering step; ``*_t`` stacks are transposed and
+#: ``H_t`` is None when the Hamiltonian vanishes
+_SmeOps = namedtuple("_SmeOps", "H_t L_t Ld LdL LdL_t Lsum")
+
+
+def _sme_operators(model: FiniteModel, u) -> _SmeOps:
+    H = model.hamiltonian(u)
+    Ls = np.asarray(model.L_list)
+    Lds = _dagger(Ls)
+    LdLs = np.matmul(Lds, Ls)
+    return _SmeOps(
+        np.ascontiguousarray(H.T) if np.any(H) else None,
+        np.ascontiguousarray(Ls.swapaxes(1, 2)), Lds, LdLs,
+        np.ascontiguousarray(LdLs.swapaxes(1, 2)), Ls + Lds,
+    )
+
+
+def _stack_product(X: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """X_b @ M for every matrix of a (B, n, n) stack, as one GEMM.
+
+    The stack is multiplied as a single (B*n, n) @ (n, n) product, whose
+    row blocks round exactly as the product of each matrix alone, so
+    results do not depend on B.  A single (n, n) @ (n, B*n) product for
+    left multiplication does not: its wide kernel rounds complex entries
+    differently, hence left products go through the transposed stack.
+    """
+    B, n, _ = X.shape
+    return (X.reshape(B * n, n) @ M).reshape(B, n, n)
+
+
+def _sme_update(
+    states: np.ndarray, ops: _SmeOps, hbar: float, dW: np.ndarray, dt: float
+) -> np.ndarray:
+    """One Euler step of the filtering equation on a (B, n, n) stack.
+
+    The Lindblad drift plus, per channel c, the fluctuation
+    rho Lc' + Lc rho - <Lc+Lc'> rho times the Wiener increment dW[:, c];
+    the result is Hermitized and renormalized by its trace.
+    """
+    # left products M @ X_b run as (X_b^T @ M^T)^T
+    states_t = np.ascontiguousarray(states.swapaxes(1, 2))
+    if ops.H_t is not None:
+        HR = _stack_product(states_t, ops.H_t).swapaxes(1, 2)
+        drift = (-1j / hbar) * (HR - _dagger(HR))
+    else:
+        drift = np.zeros_like(states)
+    stoch = np.zeros_like(states)
+    for c in range(ops.Ld.shape[0]):
+        LR = _stack_product(states_t, ops.L_t[c]).swapaxes(1, 2)
+        drift += _stack_product(LR, ops.Ld[c]) - 0.5 * (
+            _stack_product(states_t, ops.LdL_t[c]).swapaxes(1, 2)
+            + _stack_product(states, ops.LdL[c])
+        )
+        fluct = LR + _stack_product(states, ops.Ld[c])
+        e = np.einsum("bij,ji->b", states, ops.Lsum[c]).real
+        fluct -= e[:, None, None] * states
+        stoch += fluct * dW[:, c][:, None, None]
+    states = states + drift * dt + stoch
+    states = 0.5 * (states + _dagger(states))
+    states /= np.einsum("bii->b", states).real[:, None, None]
+    return states
+
+
+def _batched_min_eig(states: np.ndarray) -> float:
+    """Smallest eigenvalue across a batch of Hermitian matrices."""
+    n = states.shape[-1]
+    if n == 2:
+        half_tr = 0.5 * (states[:, 0, 0] + states[:, 1, 1]).real
+        det = (
+            states[:, 0, 0] * states[:, 1, 1]
+            - states[:, 0, 1] * states[:, 1, 0]
+        ).real
+        gap = np.sqrt(np.maximum(half_tr * half_tr - det, 0.0))
+        return float((half_tr - gap).min())
+    return float(np.linalg.eigvalsh(states).min())
+
+
+def _check_stack(states: np.ndarray, where) -> tuple[float, float]:
+    """Largest |Tr - 1| and lowest eigenvalue of a stepped stack.
+
+    Raises NonFinite first (NaN passes every comparison after it), then
+    PositivityLoss below the floor, naming matrix ``b`` as ``where(b)``;
+    the failing matrix is looked for only after a global check fails.
+    """
+    if not np.isfinite(states).all():
+        b = int(np.argmin(np.isfinite(states).all(axis=(1, 2))))
+        raise NonFinite(f"state left the finite range in {where(b)}")
+    trace_dev = float(np.abs(np.einsum("bii->b", states).real - 1.0).max())
+    low = _batched_min_eig(states)
+    if low < POSITIVITY_FLOOR:
+        b = int(np.argmin([_batched_min_eig(s[None]) for s in states]))
+        raise PositivityLoss(f"eigenvalue {low:.3e} below floor in {where(b)}")
+    return trace_dev, low
+
+
 def sme_step(
     rho: DensityMatrix, model: FiniteModel, u, dY, dt: float
 ) -> DensityMatrix:
     """One Euler step of the diffusive filtering equation.
 
-    The record enters through the innovation dY_i - <Li+Li'> dt with
-    fluctuation coefficient rho Li' + Li rho - <Li+Li'> rho; afterwards
-    the state is Hermitized and renormalized by its trace.
+    The record enters through the innovation dY_i - <Li+Li'> dt, which
+    drives the ensemble's step on a stack of one state.
     """
     if not dt > 0:
         raise InvalidParameter(f"dt must be positive, got {dt}")
@@ -321,15 +417,10 @@ def sme_step(
         raise DimensionMismatch(
             f"record has {dY.shape[0]} channels, model has {model.n_channels}"
         )
-    y = rho.entries
-    out = y + dt * lindblad_schrodinger(y, model, u)
-    for i, L in enumerate(model.L_list):
-        Ld = L.conj().T
-        e = float(np.einsum("ij,ji->", y, L + Ld).real)
-        fluct = y @ Ld + L @ y - e * y
-        out = out + fluct * (dY[i] - e * dt)
-    out = 0.5 * (out + out.conj().T)
-    return _stepped_state(out / float(np.trace(out).real))
+    ops = _sme_operators(model, u)
+    dW = dY - np.einsum("ij,cji->c", rho.entries, ops.Lsum).real * dt
+    out = _sme_update(rho.entries[None], ops, model.hbar, dW[None], dt)
+    return _stepped_state(out[0])
 
 
 @dataclass(frozen=True)
@@ -376,7 +467,8 @@ def simulate_sme_trajectory(
     state is exactly the admissible dependence on the output record.
     The record is reconstructed as dY = <L+L'> dt + dW from the
     trajectory's own noise stream, so runs are reproducible from
-    ``config.seed``.
+    ``config.seed``: under a constant control the states are those of
+    trajectory 0 of :func:`simulate_sme_ensemble`, bit for bit.
     """
     if config.n_traj != 1:
         raise InvalidParameter(
@@ -390,43 +482,40 @@ def simulate_sme_trajectory(
     n, d = model.dim, model.n_channels
     grid = config.grid
     dt = grid.dt
-    sqrt_dt = math.sqrt(dt)
     n_rec = config.n_records
-    k = model.n_controls
-
-    rng = _trajectory_rng(config.seed, 0)
     times = grid.times()
-    states = np.empty((n_rec, n, n), dtype=complex)
-    outputs = np.zeros((n_rec, d))
-    controls = np.zeros((n_rec, k))
 
-    current = rho0
-    u = None if control_policy is None else control_policy(times[0], rho0)
-    states[0] = rho0.entries
-    if u is not None:
-        controls[0] = np.asarray(u, dtype=float).reshape(-1)
-    block = np.zeros(d)
-    row = 1
-    Lsum = model.L_list + _dagger(model.L_list)
-    for step in range(grid.n_steps):
-        expect = np.einsum("ij,cji->c", current.entries, Lsum).real
-        dY = expect * dt + rng.standard_normal(d) * sqrt_dt
-        try:
-            current = sme_step(current, model, u, dY, dt)
-        except NonFinite as exc:
-            raise NonFinite(
-                f"{exc} at step {step + 1}, t={times[step + 1]:.6g}"
-            ) from None
-        block += dY
-        if control_policy is not None:
-            u = control_policy(times[step + 1], current)
-        if (step + 1) % config.record_stride == 0:
-            states[row] = current.entries
-            outputs[row] = block
-            if u is not None:
-                controls[row] = np.asarray(u, dtype=float).reshape(-1)
-            block = np.zeros(d)
-            row += 1
+    def run(start: int, stop: int, noise: np.ndarray):
+        states = np.empty((n_rec, n, n), dtype=complex)
+        outputs = np.zeros((n_rec, d))
+        controls = np.zeros((n_rec, model.n_controls))
+        u = None if control_policy is None else control_policy(times[0], rho0)
+        ops = _sme_operators(model, u)
+        rho = rho0.entries[None]
+        states[0] = rho0.entries
+        if u is not None:
+            controls[0] = np.asarray(u, dtype=float).reshape(-1)
+        block = np.zeros(d)
+        row = 1
+        for step in range(grid.n_steps):
+            dW = noise[:, step]
+            block += np.einsum("ij,cji->c", rho[0], ops.Lsum).real * dt + dW[0]
+            rho = _sme_update(rho, ops, model.hbar, dW, dt)
+            _check_stack(rho, lambda b: _at(config, start + b, step + 1))
+            if control_policy is not None:
+                u_next = control_policy(times[step + 1], DensityMatrix(rho[0]))
+                if not np.array_equal(u_next, u):
+                    u, ops = u_next, _sme_operators(model, u_next)
+            if (step + 1) % config.record_stride == 0:
+                states[row] = rho[0]
+                outputs[row] = block
+                if u is not None:
+                    controls[row] = np.asarray(u, dtype=float).reshape(-1)
+                block = np.zeros(d)
+                row += 1
+        return states, outputs, controls
+
+    [(states, outputs, controls)] = _run_chunks(config, d, run)
     for arr in (states, outputs, controls):
         _frozen(arr)
     return SmeTrajectory(
@@ -455,33 +544,6 @@ class SmeEnsemble:
         return self.final_states.shape[0]
 
 
-def _batched_min_eig(states: np.ndarray) -> float:
-    """Smallest eigenvalue across a batch of Hermitian matrices."""
-    n = states.shape[-1]
-    if n == 2:
-        half_tr = 0.5 * (states[:, 0, 0] + states[:, 1, 1]).real
-        det = (
-            states[:, 0, 0] * states[:, 1, 1]
-            - states[:, 0, 1] * states[:, 1, 0]
-        ).real
-        gap = np.sqrt(np.maximum(half_tr * half_tr - det, 0.0))
-        return float((half_tr - gap).min())
-    return float(np.linalg.eigvalsh(states).min())
-
-
-def _stack_product(X: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """X_b @ M for every matrix of a (B, n, n) stack, as one GEMM.
-
-    The stack is multiplied as a single (B*n, n) @ (n, n) product, whose
-    row blocks round exactly as the product of each matrix alone, so
-    results do not depend on B.  A single (n, n) @ (n, B*n) product for
-    left multiplication does not: its wide kernel rounds complex entries
-    differently, hence left products go through the transposed stack.
-    """
-    B, n, _ = X.shape
-    return (X.reshape(B * n, n) @ M).reshape(B, n, n)
-
-
 def simulate_sme_ensemble(
     rho0: DensityMatrix,
     model: FiniteModel,
@@ -501,109 +563,37 @@ def simulate_sme_ensemble(
         raise DimensionMismatch(
             f"state dim {rho0.dim} does not match model dim {model.dim}"
         )
-    n, d = model.dim, model.n_channels
-    grid = config.grid
-    dt, sqrt_dt = grid.dt, math.sqrt(grid.dt)
-    n_steps = grid.n_steps
-    stride = config.record_stride
-    n_rec = config.n_records
-    n_traj = config.n_traj
+    n, grid = model.dim, config.grid
+    ops = _sme_operators(model, u)
+    finals = np.empty((config.n_traj, n, n), dtype=complex)
 
-    H = model.hamiltonian(u)
-    apply_h = bool(np.any(H))
-    Ls = np.asarray(model.L_list)
-    Lds = _dagger(Ls)
-    LdLs = np.matmul(Lds, Ls)
-    Lsums = Ls + Lds
-    H_t = np.ascontiguousarray(H.T)
-    Ls_t = np.ascontiguousarray(Ls.swapaxes(1, 2))
-    LdLs_t = np.ascontiguousarray(LdLs.swapaxes(1, 2))
-
-    starts = list(range(0, n_traj, _CHUNK))
-    sums = np.zeros((len(starts), n_rec, n, n), dtype=complex)
-    finals = np.empty((n_traj, n, n), dtype=complex)
-    worst_eig = np.full(len(starts), np.inf)
-    worst_trace = np.zeros(len(starts))
-
-    def run_chunk(ci: int) -> None:
-        start = starts[ci]
-        stop = min(start + _CHUNK, n_traj)
-        B = stop - start
-        noise = np.empty((B, n_steps, d))
-        for i in range(B):
-            rng = _trajectory_rng(config.seed, start + i)
-            noise[i] = rng.standard_normal((n_steps, d)) * sqrt_dt
-        states = np.tile(rho0.entries, (B, 1, 1))
-        sums[ci, 0] = states.sum(axis=0)
+    def run_chunk(start: int, stop: int, noise: np.ndarray):
+        states = np.tile(rho0.entries, (stop - start, 1, 1))
+        path = np.zeros((config.n_records, n, n), dtype=complex)
+        path[0] = states.sum(axis=0)
         low = _batched_min_eig(states)
         trace_dev = 0.0
         row = 1
-        for step in range(n_steps):
-            dW = noise[:, step]
-            # left products M @ X_b run as (X_b^T @ M^T)^T
-            states_t = np.ascontiguousarray(states.swapaxes(1, 2))
-            if apply_h:
-                HR = _stack_product(states_t, H_t).swapaxes(1, 2)
-                drift = (-1j / model.hbar) * (HR - _dagger(HR))
-            else:
-                drift = np.zeros_like(states)
-            stoch = np.zeros_like(states)
-            for c in range(d):
-                LR = _stack_product(states_t, Ls_t[c]).swapaxes(1, 2)
-                drift += _stack_product(LR, Lds[c]) - 0.5 * (
-                    _stack_product(states_t, LdLs_t[c]).swapaxes(1, 2)
-                    + _stack_product(states, LdLs[c])
-                )
-                fluct = LR + _stack_product(states, Lds[c])
-                e = np.einsum("bij,ji->b", states, Lsums[c]).real
-                fluct -= e[:, None, None] * states
-                stoch += fluct * dW[:, c][:, None, None]
-            states = states + drift * dt + stoch
-            states = 0.5 * (states + _dagger(states))
-            tr = np.einsum("bii->b", states).real
-            states /= tr[:, None, None]
-            t = grid.t0 + (step + 1) * dt
-            # checked before the reductions below, whose max/min and
-            # floor comparison would all pass a NaN over silently
-            if not np.isfinite(states).all():
-                finite = np.isfinite(states).all(axis=(1, 2))
-                raise NonFinite(
-                    f"trajectory {start + int(np.argmin(finite))} left the "
-                    f"finite range at step {step + 1}, t={t:.6g}"
-                )
-            trace_dev = max(
-                trace_dev,
-                float(np.abs(np.einsum("bii->b", states).real - 1.0).max()),
-            )
-            step_low = _batched_min_eig(states)
+        for step in range(grid.n_steps):
+            states = _sme_update(states, ops, model.hbar, noise[:, step], grid.dt)
+            step_dev, step_low = _check_stack(
+                states, lambda b: _at(config, start + b, step + 1))
+            trace_dev = max(trace_dev, step_dev)
             low = min(low, step_low)
-            if step_low < POSITIVITY_FLOOR:
-                raise PositivityLoss(
-                    f"eigenvalue {step_low:.3e} below floor at t={t:.6g}"
-                )
-            if (step + 1) % stride == 0:
-                sums[ci, row] += states.sum(axis=0)
+            if (step + 1) % config.record_stride == 0:
+                path[row] += states.sum(axis=0)
                 row += 1
         finals[start:stop] = states
-        worst_eig[ci] = low
-        worst_trace[ci] = trace_dev
+        return path, low, trace_dev
 
-    workers = _worker_count()
-    if workers > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_chunk, range(len(starts))))
-    else:
-        for ci in range(len(starts)):
-            run_chunk(ci)
-
-    mean_states = sums.sum(axis=0) / n_traj
+    paths, lows, trace_devs = zip(*_run_chunks(config, model.n_channels, run_chunk))
     return SmeEnsemble(
         config=config,
-        times=_frozen(grid.times()[::stride].copy()),
-        mean_states=_frozen(mean_states),
+        times=_frozen(grid.times()[:: config.record_stride].copy()),
+        mean_states=_frozen(np.sum(paths, axis=0) / config.n_traj),
         final_states=_frozen(finals),
-        min_eigenvalue=float(worst_eig.min()),
-        max_trace_deviation=float(worst_trace.max()),
+        min_eigenvalue=float(min(lows)),
+        max_trace_deviation=float(max(trace_devs)),
     )
 
 

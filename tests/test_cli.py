@@ -1,5 +1,6 @@
 """End-to-end checks of the qlqg command line."""
 
+import io
 import json
 import subprocess
 import sys
@@ -317,6 +318,21 @@ class TestSme:
             assert (tmp_path / "a" / name).read_bytes() == (
                 tmp_path / "b" / name
             ).read_bytes()
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_mean_path_csv_rows(self, n):
+        # reference rows: every entry through f"{v:.17g}", real parts first
+        rng = np.random.default_rng(n)
+        times = np.linspace(0.0, 0.1, 6)
+        states = rng.standard_normal((6, n, n)) + 1j * rng.standard_normal((6, n, n))
+        states[1, 0, 0], states[2, 0, 1], states[3, 1, 0] = -0.0, 1e-300, -1e-300j
+        fh = io.StringIO()
+        cli._mean_path_csv(times, states, fh)
+        header = ["t"] + [f"rho_{p}_{i}{j}" for p in ("re", "im")
+                          for i in range(n) for j in range(n)]
+        rows = [",".join(f"{v:.17g}" for v in [t, *s.real.ravel(), *s.imag.ravel()])
+                for t, s in zip(times, states)]
+        assert fh.getvalue() == "\n".join([",".join(header), *rows]) + "\n"
 
     def test_coarse_step_exits_3(self, tmp_path, capsys):
         scenario = write_scenario(

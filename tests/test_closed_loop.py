@@ -339,7 +339,7 @@ class TestCostEstimates:
     def test_diverging_loop_raises(self):
         coeffs = feedback_coefficients()
         cfg = small_config(n_steps=1000, t1=1.0)
-        with pytest.raises(NonFinite, match="at step"):
+        with pytest.raises(NonFinite, match=r"trajectory 0 of seed 11 at step \d+, t="):
             simulate_closed_loop(
                 coeffs, tracking_cost(), cfg, default_belief(),
                 gain_offset=np.array([[0.0, -50.0]]))

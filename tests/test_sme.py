@@ -318,6 +318,18 @@ class TestSmeStep:
         avg = 0.5 * (up.expectation(SZ).real + dn.expectation(SZ).real)
         assert avg == pytest.approx(rho.expectation(SZ).real, abs=1e-12)
 
+    def test_replaying_the_record_through_sme_step(self):
+        # a trajectory's own record dY = <L+L'> dt + dW, fed back through
+        # the public step, gives back its states
+        model = random_model(np.random.default_rng(2), 2)
+        cfg = SimConfig(grid=TimeGrid(0.0, 0.05, 50), n_traj=1, seed=21)
+        traj = simulate_sme_trajectory(mixed_state(), model, None, cfg)
+        rho = mixed_state()
+        for k in range(cfg.grid.n_steps):
+            rho = sme_step(rho, model, None, traj.outputs[k + 1], cfg.grid.dt)
+            np.testing.assert_allclose(rho.entries, traj.states[k + 1],
+                                       rtol=0, atol=1e-12)
+
     def test_rejects_channel_mismatch(self):
         with pytest.raises(DimensionMismatch):
             sme_step(plus_state(), dephasing_model(), None, [0.1, 0.2], 1e-3)
@@ -409,14 +421,18 @@ class TestTrajectory:
 
 
 class TestEnsemble:
-    def test_matches_single_trajectory_stream(self):
-        cfg1 = SimConfig(grid=TimeGrid(0.0, 0.1, 100), n_traj=1, seed=77,
-                         record_stride=100)
-        traj = simulate_sme_trajectory(mixed_state(), dephasing_model(), None,
-                                       cfg1)
-        ens = simulate_sme_ensemble(mixed_state(), dephasing_model(), cfg1)
-        np.testing.assert_allclose(
-            ens.final_states[0], traj.states[-1], atol=1e-12)
+    @pytest.mark.parametrize("complex_model", [False, True],
+                             ids=["dephasing", "random"])
+    def test_matches_single_trajectory_stream(self, complex_model):
+        # both entry points run one kernel, so the path is bit-identical
+        model = dephasing_model()
+        if complex_model:
+            model = random_model(np.random.default_rng(2), 2)
+        cfg1 = SimConfig(grid=TimeGrid(0.0, 0.05, 50), n_traj=1, seed=77)
+        traj = simulate_sme_trajectory(mixed_state(), model, None, cfg1)
+        ens = simulate_sme_ensemble(mixed_state(), model, cfg1)
+        np.testing.assert_array_equal(ens.mean_states, traj.states)
+        np.testing.assert_array_equal(ens.final_states[0], traj.states[-1])
 
     def test_thread_count_does_not_change_results(self, monkeypatch):
         cfg = SimConfig(grid=TimeGrid(0.0, 0.05, 50), n_traj=1300, seed=15)
@@ -449,7 +465,8 @@ class TestEnsemble:
         model = FiniteModel(H0=np.zeros((2, 2)), L_list=[1e200 * SZ])
         cfg = SimConfig(grid=TimeGrid(0.0, 0.01, 10), n_traj=8, seed=1)
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NonFinite, match="t=0.001"):
+            with pytest.raises(NonFinite, match="trajectory 0 of seed 1 at "
+                                                "step 1, t=0.001"):
                 simulate_sme_ensemble(mixed_state(), model, cfg)
 
     def test_single_trajectory_overflow_raises_non_finite(self):
@@ -457,10 +474,26 @@ class TestEnsemble:
         model = FiniteModel(H0=np.zeros((2, 2)), L_list=[1e200 * SZ])
         cfg = SimConfig(grid=TimeGrid(0.0, 0.01, 10), n_traj=1, seed=1)
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NonFinite, match="t=0.001"):
+            with pytest.raises(NonFinite, match="trajectory 0 of seed 1 at "
+                                                "step 1, t=0.001"):
                 simulate_sme_trajectory(mixed_state(), model, None, cfg)
             with pytest.raises(NonFinite):
                 evolve_master(mixed_state(), model, cfg.grid)
+
+    def test_positivity_loss_names_trajectory_and_step(self):
+        # the same failing trajectory, found in ensembles of two sizes,
+        # so it can be replayed from (seed, index)
+        model = random_model(np.random.default_rng(5), 3)
+        rho0 = DensityMatrix(np.eye(3, dtype=complex) / 3.0)
+        messages = []
+        for n_traj in (8, 2):
+            cfg = SimConfig(grid=TimeGrid(0.0, 0.5, 2000), n_traj=n_traj,
+                            seed=300)
+            with pytest.raises(PositivityLoss) as info:
+                simulate_sme_ensemble(rho0, model, cfg)
+            messages.append(str(info.value))
+        assert "trajectory 1 of seed 300 at step 531, t=" in messages[0]
+        assert messages[1] == messages[0]
 
     @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
     def test_bad_thread_count_is_a_config_error(self, monkeypatch, value):
@@ -468,6 +501,9 @@ class TestEnsemble:
         monkeypatch.setenv("QLQG_THREADS", value)
         with pytest.raises(ConfigError, match="QLQG_THREADS"):
             simulate_sme_ensemble(mixed_state(), dephasing_model(), cfg)
+        with pytest.raises(ConfigError, match="QLQG_THREADS"):
+            simulate_sme_trajectory(mixed_state(), dephasing_model(), None,
+                                    SimConfig(grid=cfg.grid, n_traj=1, seed=15))
 
     def test_unraveling_mean_matches_master_diagonal(self):
         # incoherent start: the master flow is constant and the ensemble
