@@ -4,8 +4,11 @@ The loop is simulated in innovations representation: the innovation
 increments are exogenous Wiener draws, which is exact for the
 conditional dynamics and sidesteps any notion of a hidden point state.
 Each trajectory owns a counter-based random stream derived from
-``(seed, trajectory index)``, so ensembles are reproducible and
-independent of thread scheduling.
+``(seed, trajectory index)``, so ensembles are reproducible,
+independent of thread scheduling and independent of batch layout: a
+trajectory's results do not depend on ``n_traj`` or on the chunk that
+carries it.  Streams draw in blocks of steps, so memory does not grow
+with ``n_steps`` beyond the per-step covariance and gain paths.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from numpy.typing import NDArray
 
 from .control import control_gain_path
 from .errors import ConfigError, EmptyEnsemble, InvalidParameter, NonFinite
-from .kalman import mean_step
 from .phase_space import GaussianBelief, LinearCoefficients, _asarray, _frozen
 from .riccati import (
     CostSpec,
@@ -42,6 +44,9 @@ __all__ = [
 
 #: trajectories per batch; fixed so results never depend on thread count
 _CHUNK = 1024
+#: steps of noise each stream draws at a time; bounds a chunk's noise
+#: buffer whatever ``n_steps`` is
+_BLOCK = 256
 
 _ESCAPE = 1e12
 
@@ -165,29 +170,71 @@ def _at(config: SimConfig, index: int, step: int) -> str:
     return f"trajectory {index} of seed {config.seed} at step {step}, t={t:.6g}"
 
 
-def _run_chunks(config: SimConfig, d: int, run_chunk, zero_noise: bool = False):
+def _increments(config: SimConfig, start: int, stop: int, d: int, zero_noise: bool):
+    """Per-step (stop - start, d) Wiener increments of trajectories
+    ``start..stop-1``, each a view valid until the next is drawn.
+
+    Row i comes from the Philox stream of ``(seed, start + i)``.  The
+    streams stay alive and draw ``_BLOCK`` steps at a time into one
+    buffer; a counter-based stream yields the same numbers however its
+    draws are split, so the bytes are those of one bulk draw.
+    """
+    rows, n_steps = stop - start, config.grid.n_steps
+    if zero_noise:
+        zeros = np.zeros((rows, d))
+        for _ in range(n_steps):
+            yield zeros
+        return
+    sqrt_dt = math.sqrt(config.grid.dt)
+    streams = [
+        np.random.Generator(np.random.Philox(
+            np.random.SeedSequence(config.seed, spawn_key=(i,))))
+        for i in range(start, stop)
+    ]
+    block = np.empty((rows, _BLOCK, d))
+    steps = np.empty((_BLOCK, rows, d))
+    for step0 in range(0, n_steps, _BLOCK):
+        width = min(_BLOCK, n_steps - step0)
+        for stream, draws in zip(streams, block):
+            stream.standard_normal(out=draws[:width])
+        np.multiply(block[:, :width].swapaxes(0, 1), sqrt_dt, out=steps[:width])
+        yield from steps[:width]
+
+
+def _padded(M: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """``M`` with its last two axes zero-padded to ``rows`` x ``cols``."""
+    out = np.zeros(M.shape[:-2] + (rows, cols))
+    out[..., : M.shape[-2], : M.shape[-1]] = M
+    return out
+
+
+def _run_chunks(config: SimConfig, d: int, run_chunk, zero_noise: bool = False,
+                first: int = 0):
     """The results of ``run_chunk(start, stop, noise)`` over fixed chunks.
 
-    The one chunk loop of every Monte Carlo simulator.  ``noise`` holds the
-    chunk's (B, n_steps, d) Wiener increments; row i comes from the
-    Philox stream of ``(seed, start + i)`` (zeros under ``zero_noise``).
-    Up to ``QLQG_THREADS`` chunks run at once; no chunk's work depends
-    on that, so neither do the results.
+    The one chunk loop of every Monte Carlo simulator.  Chunks of up to
+    ``_CHUNK`` trajectories cover the indices ``first`` to
+    ``first + n_traj - 1``; ``noise`` yields the chunk's (stop - start, d)
+    Wiener increments step by step, row i from the Philox stream of
+    ``(seed, start + i)`` (zeros under ``zero_noise``), so no buffer grows
+    with ``n_steps``.  Up to ``QLQG_THREADS`` chunks run at once.
+
+    A trajectory's results depend only on ``(seed, index)``: not on
+    ``QLQG_THREADS``, not on the chunk it lands in, and not on
+    ``first``, so any trajectory of an ensemble can be run alone.  That
+    holds because each simulator's batched products round every
+    trajectory the same way whatever the chunk size, as long as no
+    product comes out with a single row or column: those go through BLAS
+    GEMV, so the closed loop pads a one-trajectory chunk and its one-row
+    matrices.
     """
-    n_steps, sqrt_dt = config.grid.n_steps, math.sqrt(config.grid.dt)
     workers = _worker_count()
 
     def chunk(start: int):
-        stop = min(start + _CHUNK, config.n_traj)
-        noise = np.zeros((stop - start, n_steps, d))
-        if not zero_noise:
-            for i in range(stop - start):
-                key = np.random.SeedSequence(config.seed, spawn_key=(start + i,))
-                rng = np.random.Generator(np.random.Philox(key))
-                noise[i] = rng.standard_normal((n_steps, d)) * sqrt_dt
-        return run_chunk(start, stop, noise)
+        stop = min(start + _CHUNK, first + config.n_traj)
+        return run_chunk(start, stop, _increments(config, start, stop, d, zero_noise))
 
-    starts = range(0, config.n_traj, _CHUNK)
+    starts = range(first, first + config.n_traj, _CHUNK)
     if workers > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(chunk, starts))
@@ -211,6 +258,15 @@ def simulate_closed_loop(
     running cost by trapezoid.  The per-trajectory total adds the
     terminal cost at the horizon.
 
+    Under certainty-equivalent feedback ``u = -L_n Xhat`` the step is
+    linear: ``Xhat <- Phi_n Xhat + K_n dW`` with
+    ``Phi_n = I + (A - B L_n) dt`` and the filter gain ``K_n``, and the
+    running cost is ``Xhat' Q_n Xhat + tr(F Sigma_n)`` with
+    ``Q_n = F - L_n'G - G'L_n + L_n'L_n``.  Both are precomputed per
+    step, so a step is one product ``[Phi_n | K_n] @ [Xhat; dW]`` on a
+    chunk held one trajectory per column; controls and outputs are formed
+    only at recorded rows.
+
     Parameters
     ----------
     coeffs, cost, config : model, cost weights, ensemble layout.
@@ -227,9 +283,11 @@ def simulate_closed_loop(
     -----
     Trajectories are processed in fixed-size chunks.  The environment
     variable ``QLQG_THREADS`` caps how many chunks run concurrently
-    (default 1); results are bit-identical for any setting because every
-    trajectory owns its own counter-based stream and lands in a
-    preallocated slot.
+    (default 1).  Every trajectory owns its own counter-based stream and
+    lands in a preallocated slot, and its arithmetic does not depend on
+    the chunk it shares, so results are bit-identical for any thread
+    count and any ``n_traj``: trajectory i is the same in every ensemble
+    of the seed that holds it.
     """
     if initial.m != coeffs.m:
         raise InvalidParameter(
@@ -241,14 +299,29 @@ def simulate_closed_loop(
     gains = control_gain_path(Omega_path, coeffs, cost).gains
     if gain_offset is not None:
         gains = gains + _asarray(gain_offset, float, gains.shape[1:], "gain_offset")
-    # measurement gain at every grid point, from the covariance flow
-    kgains = np.matmul(Sigma_path.values, coeffs.C.T) + coeffs.M
 
     m, d, k = coeffs.m, coeffs.d, coeffs.k
     n_steps, dt = grid.n_steps, grid.dt
     stride = config.record_stride
     n_rec = config.n_records
     n_traj = config.n_traj
+
+    # every matrix that multiplies the chunk from the left gets at least
+    # two rows (zero-padded, so the state gains a zero row when m == 1):
+    # a one-row product goes through BLAS GEMV, which rounds a column
+    # differently depending on how many columns the chunk has
+    mp = max(m, 2)
+    # step maps [Phi_n | K_n], applied to the column [Xhat; dW]
+    step_maps = np.zeros((n_steps, mp, mp + d))
+    step_maps[:, :m, :m] = np.eye(m) + (coeffs.A - coeffs.B @ gains[:-1]) * dt
+    step_maps[:, :m, mp:] = np.matmul(Sigma_path.values[:-1], coeffs.C.T) + coeffs.M
+    LtG = gains.swapaxes(1, 2) @ cost.G
+    Q = _padded(cost.F - LtG - LtG.swapaxes(1, 2) + gains.swapaxes(1, 2) @ gains, mp, mp)
+    Omega_T = _padded(cost.Omega_T, mp, mp)
+    trace_F = np.einsum("ab,tba->t", cost.F, Sigma_path.values)
+    terminal_trace = float(np.trace(cost.Omega_T @ Sigma_path.final))
+    neg_gains = _padded(-gains, max(k, 2), mp)
+    C_dt, half_dt = _padded(coeffs.C * dt, max(d, 2), mp), 0.5 * dt
 
     means = np.empty((n_traj, n_rec, m))
     controls = np.empty((n_traj, n_rec, k))
@@ -257,52 +330,59 @@ def simulate_closed_loop(
     running = np.empty((n_traj, n_rec))
     totals = np.empty(n_traj)
 
-    trace_F = np.einsum("ab,tba->t", cost.F, Sigma_path.values)
-    terminal_trace = float(np.trace(cost.Omega_T @ Sigma_path.final))
-    G, F, Omega_T = cost.G, cost.F, cost.Omega_T
+    def run_chunk(start: int, stop: int, noise) -> None:
+        # the chunk is held transposed, one trajectory per column, so
+        # every elementwise pass runs over contiguous rows of length B
+        rows, sl = stop - start, slice(start, stop)
+        B = max(rows, 2)  # a zero pad column, for the same reason as mp
+        # [Xhat; dW] of this step and the next, alternating
+        XW = np.zeros((2, mp + d, B))
+        XW[0, :m, :rows] = initial.mean[:, None]
+        block = np.zeros((mp + d, B))  # [Xhat; dW] summed over a record block
+        acc, trap = np.zeros(B), np.empty(B)
+        c_prev, c_next = np.empty(B), np.empty(B)
+        QX, absX = np.empty((mp, B)), np.empty((mp, B))
 
-    def batch_cost(X: np.ndarray, u: np.ndarray, step: int) -> np.ndarray:
-        c = np.einsum("bi,ij,bj->b", X, F, X) + trace_F[step]
-        c += 2.0 * np.einsum("bk,bk->b", u, X @ G.T)
-        c += np.einsum("bk,bk->b", u, u)
-        return c
+        def quadratic_cost(X, W, trace, out):
+            # X' W X + trace for every column X
+            np.matmul(W, X, out=QX)
+            np.multiply(QX, X, out=QX)
+            QX.sum(axis=0, out=out)
+            out += trace
 
-    def run_chunk(start: int, stop: int, noise: np.ndarray) -> None:
-        B = stop - start
-        X = np.tile(initial.mean, (B, 1))
-        u = -X @ gains[0].T
-        c_prev = batch_cost(X, u, 0)
-        acc = np.zeros(B)
-        block_dY = np.zeros((B, d))
-        block_dYt = np.zeros((B, d))
-        sl = slice(start, stop)
-        means[sl, 0] = X
-        controls[sl, 0] = u
-        running[sl, 0] = 0.0
+        def record(row, X, n):
+            means[sl, row] = X[:m, :rows].T
+            controls[sl, row] = (neg_gains[n] @ X)[:k, :rows].T
+            running[sl, row] = acc[:rows]
+
+        X = XW[0, :mp]
+        quadratic_cost(X, Q[0], trace_F[0], c_prev)
+        record(0, X, 0)
         row = 1
-        for step in range(n_steps):
-            dYt = noise[:, step]
-            block_dYt += dYt
-            block_dY += (X @ coeffs.C.T) * dt + dYt
-            X = mean_step(X, u, dYt, kgains[step], coeffs, dt)
-            u = -X @ gains[step + 1].T
-            c_new = batch_cost(X, u, step + 1)
-            acc += 0.5 * dt * (c_prev + c_new)
-            c_prev = c_new
-            if not np.abs(X).max() <= _ESCAPE:
-                b = int(np.argmin((np.abs(X) <= _ESCAPE).all(axis=1)))
+        for step, dW in enumerate(noise):
+            XW_now, XW_next = XW[step % 2], XW[(step + 1) % 2]
+            XW_now[mp:, :rows] = dW.T
+            block += XW_now
+            X = XW_next[:mp]
+            np.matmul(step_maps[step], XW_now, out=X)
+            np.abs(X, out=absX)
+            if not absX.max() <= _ESCAPE:
+                b = int(np.argmin((absX[:, :rows] <= _ESCAPE).all(axis=0)))
                 raise NonFinite(f"posterior mean passed {_ESCAPE:.0e} in "
                                 f"{_at(config, start + b, step + 1)}")
+            quadratic_cost(X, Q[step + 1], trace_F[step + 1], c_next)
+            np.add(c_prev, c_next, out=trap)
+            trap *= half_dt
+            acc += trap
+            c_prev, c_next = c_next, c_prev
             if (step + 1) % stride == 0:
-                means[sl, row] = X
-                controls[sl, row] = u
-                outputs[sl, row] = block_dY
-                innovations[sl, row] = block_dYt
-                running[sl, row] = acc
-                block_dY = np.zeros((B, d))
-                block_dYt = np.zeros((B, d))
+                record(row, X, step + 1)
+                outputs[sl, row] = (C_dt @ block[:mp])[:d, :rows].T + block[mp:, :rows].T
+                innovations[sl, row] = block[mp:, :rows].T
+                block[:] = 0.0
                 row += 1
-        totals[sl] = acc + np.einsum("bi,ij,bj->b", X, Omega_T, X) + terminal_trace
+        quadratic_cost(X, Omega_T, terminal_trace, c_next)
+        totals[sl] = (acc + c_next)[:rows]
 
     _run_chunks(config, d, run_chunk, zero_noise)
     rec_times = grid.times()[::stride].copy()

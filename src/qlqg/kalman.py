@@ -74,7 +74,9 @@ def mean_step(
 ) -> NDArray[np.float64]:
     """Euler step ``Xhat + (A Xhat + B u) dt + gain dY_tilde`` of the
     conditional mean, row by row on stacked ``(..., m)`` means; unchecked,
-    as the inner step of :func:`filter_step` and the closed loop."""
+    as the inner step of :func:`filter_step`.  The closed loop folds its
+    feedback into one precomputed map per step instead, and is checked
+    against this step by replaying its record through :func:`filter_step`."""
     return Xhat + (Xhat @ coeffs.A.T + u @ coeffs.B.T) * dt + dY_tilde @ gain.T
 
 

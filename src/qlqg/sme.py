@@ -459,6 +459,7 @@ def simulate_sme_trajectory(
     model: FiniteModel,
     control_policy,
     config: SimConfig,
+    index: int = 0,
 ) -> SmeTrajectory:
     """Drive the filtering equation with simulated innovations.
 
@@ -466,15 +467,18 @@ def simulate_sme_trajectory(
     (``None`` keeps every control off); feedback through the filter
     state is exactly the admissible dependence on the output record.
     The record is reconstructed as dY = <L+L'> dt + dW from the
-    trajectory's own noise stream, so runs are reproducible from
-    ``config.seed``: under a constant control the states are those of
-    trajectory 0 of :func:`simulate_sme_ensemble`, bit for bit.
+    trajectory's own noise stream, that of ``(config.seed, index)``: under
+    a constant control the states are those of trajectory ``index`` of
+    :func:`simulate_sme_ensemble`, bit for bit, so any trajectory a
+    failure names can be replayed alone.
     """
     if config.n_traj != 1:
         raise InvalidParameter(
             "single-trajectory simulation requires n_traj=1; "
             "use simulate_sme_ensemble for ensembles"
         )
+    if not (isinstance(index, (int, np.integer)) and index >= 0):
+        raise InvalidParameter(f"index must be an integer >= 0, got {index!r}")
     if rho0.dim != model.dim:
         raise DimensionMismatch(
             f"state dim {rho0.dim} does not match model dim {model.dim}"
@@ -497,8 +501,7 @@ def simulate_sme_trajectory(
             controls[0] = np.asarray(u, dtype=float).reshape(-1)
         block = np.zeros(d)
         row = 1
-        for step in range(grid.n_steps):
-            dW = noise[:, step]
+        for step, dW in enumerate(noise):
             block += np.einsum("ij,cji->c", rho[0], ops.Lsum).real * dt + dW[0]
             rho = _sme_update(rho, ops, model.hbar, dW, dt)
             _check_stack(rho, lambda b: _at(config, start + b, step + 1))
@@ -515,7 +518,7 @@ def simulate_sme_trajectory(
                 row += 1
         return states, outputs, controls
 
-    [(states, outputs, controls)] = _run_chunks(config, d, run)
+    [(states, outputs, controls)] = _run_chunks(config, d, run, first=int(index))
     for arr in (states, outputs, controls):
         _frozen(arr)
     return SmeTrajectory(
@@ -574,8 +577,8 @@ def simulate_sme_ensemble(
         low = _batched_min_eig(states)
         trace_dev = 0.0
         row = 1
-        for step in range(grid.n_steps):
-            states = _sme_update(states, ops, model.hbar, noise[:, step], grid.dt)
+        for step, dW in enumerate(noise):
+            states = _sme_update(states, ops, model.hbar, dW, grid.dt)
             step_dev, step_low = _check_stack(
                 states, lambda b: _at(config, start + b, step + 1))
             trace_dev = max(trace_dev, step_dev)

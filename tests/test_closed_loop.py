@@ -1,10 +1,13 @@
 import dataclasses
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
+from test_kalman import random_coefficients
 
 from qlqg.closed_loop import (
     SimConfig,
@@ -18,6 +21,7 @@ from qlqg.errors import ConfigError, EmptyEnsemble, NonFinite
 from qlqg.kalman import MeasurementIncrement, filter_step
 from qlqg.phase_space import GaussianBelief, LinearCoefficients
 from qlqg.riccati import CostSpec, TimeGrid, integrate_control_riccati
+from qlqg.sme import DensityMatrix, FiniteModel, simulate_sme_ensemble
 
 
 def feedback_coefficients():
@@ -46,6 +50,16 @@ def default_belief():
     return GaussianBelief(
         mean=np.array([1.0, 0.0]), cov=np.diag([0.5, 0.5])
     )
+
+
+def random_problem(rng, m=4, d=2, k=2):
+    """A random model with a random PSD cost and Gaussian initial belief."""
+    coeffs = random_coefficients(rng, m, d, k)
+    F = rng.standard_normal((m, m))
+    cost = CostSpec(F=F @ F.T, G=0.5 * rng.standard_normal((k, m)), Omega_T=np.eye(m))
+    S = rng.standard_normal((m, m))
+    belief = GaussianBelief(mean=rng.standard_normal(m), cov=S @ S.T + np.eye(m))
+    return coeffs, cost, belief
 
 
 class TestConfig:
@@ -179,6 +193,25 @@ class TestDeterminism:
             default_belief())
         assert not np.array_equal(ens_a.means, ens_b.means)
 
+    @pytest.mark.parametrize("m, d, k", [(4, 2, 2), (4, 1, 1), (1, 1, 1)])
+    @pytest.mark.parametrize("index, n_a, n_b", [(0, 1, 1025), (1024, 1025, 1026)],
+                             ids=["alone", "last-chunk"])
+    def test_results_do_not_depend_on_batch_layout(self, index, n_a, n_b, m, d, k):
+        # random models: their products round differently in a BLAS GEMV
+        # than inside a GEMM, which the free particle's integers hide; one
+        # channel, control or state makes one-row matrices
+        coeffs, cost, belief = random_problem(np.random.default_rng(3), m, d, k)
+        grid = TimeGrid(0.0, 0.2, 200)
+        a, b = (
+            simulate_closed_loop(coeffs, cost, SimConfig(grid=grid, n_traj=n, seed=3),
+                                 belief)
+            for n in (n_a, n_b)
+        )
+        for field in ("means", "controls", "outputs", "innovations",
+                      "running_costs", "total_costs"):
+            np.testing.assert_array_equal(
+                getattr(a, field)[index], getattr(b, field)[index], err_msg=field)
+
     def test_stride_only_thins_the_record(self):
         coeffs = feedback_coefficients()
         fine = simulate_closed_loop(
@@ -271,6 +304,50 @@ class TestStatistics:
             ens.outputs[:, -1] - ens.innovations[:, -1], signal, atol=1e-12)
 
 
+class TestBlockNoise:
+    def test_innovations_are_the_bulk_draws(self):
+        # drawn in blocks of steps, each stream still gives the bytes of
+        # one draw of all its steps; 300 steps end inside a block
+        coeffs, cost, belief = random_problem(np.random.default_rng(4), m=2)
+        cfg = SimConfig(grid=TimeGrid(0.0, 0.3, 300), n_traj=3, seed=17)
+        ens = simulate_closed_loop(coeffs, cost, cfg, belief)
+        for i in range(cfg.n_traj):
+            stream = np.random.Generator(np.random.Philox(
+                np.random.SeedSequence(cfg.seed, spawn_key=(i,))))
+            draws = stream.standard_normal((300, 2)) * math.sqrt(cfg.grid.dt)
+            np.testing.assert_array_equal(ens.innovations[i, 1:], draws)
+
+    @pytest.mark.parametrize("simulator, steps", [
+        ("closed_loop", (2000, 20000)),
+        # a traced SME step costs ~0.3 ms, so fewer steps keep this quick
+        ("sme_ensemble", (200, 2000)),
+    ])
+    def test_ensemble_memory_does_not_grow_with_steps(self, simulator, steps):
+        # the part of the peak that grows with the ensemble (noise and
+        # state buffers) does not grow with n_steps; the covariance and
+        # gain paths do, but they are per step, not per trajectory
+        def peak(n_traj, n_steps):
+            cfg = SimConfig(grid=TimeGrid(0.0, 1e-5 * n_steps, n_steps),
+                            n_traj=n_traj, seed=1, record_stride=n_steps)
+            tracemalloc.start()
+            try:
+                if simulator == "closed_loop":
+                    simulate_closed_loop(feedback_coefficients(), tracking_cost(),
+                                         cfg, default_belief())
+                else:
+                    simulate_sme_ensemble(
+                        DensityMatrix(np.diag([0.6, 0.4]).astype(complex)),
+                        FiniteModel(H0=np.zeros((2, 2)), L_list=[np.diag([1.0, -1.0])]),
+                        cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        short, long = (peak(48, n) - peak(2, n) for n in steps)
+        assert 0 < short
+        assert long <= short
+
+
 class TestCostEstimates:
     def test_single_trajectory_has_nan_stderr(self):
         coeffs = feedback_coefficients()
@@ -360,6 +437,24 @@ class TestKalmanStep:
             belief = filter_step(belief, rec.controls[k], inc, coeffs, Sigma.at(k + 1))
             gap = np.abs(belief.mean - rec.means[k + 1]).max()
             assert gap <= 1e-12 * np.abs(rec.means).max(), k
+
+    @settings(max_examples=20, deadline=None, database=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 4), d=st.integers(1, 2),
+           k=st.integers(1, 2), n_steps=st.integers(1, 40))
+    def test_fused_step_replays_through_filter_step(self, seed, m, d, k, n_steps):
+        # the precomputed per-step map against the oracle step, on any
+        # small model: replaying outputs and controls gives back the means
+        coeffs, cost, belief = random_problem(np.random.default_rng(seed), m, d, k)
+        cfg = SimConfig(grid=TimeGrid(0.0, 0.2, n_steps), n_traj=2, seed=seed)
+        ens = simulate_closed_loop(coeffs, cost, cfg, belief)
+        rec, Sigma = ens[1], ens.Sigma_path
+        replayed = GaussianBelief(mean=rec.means[0], cov=Sigma.at(0))
+        for step in range(n_steps):
+            inc = MeasurementIncrement(dY=rec.outputs[step + 1], dt=cfg.grid.dt)
+            replayed = filter_step(replayed, rec.controls[step], inc, coeffs,
+                                   Sigma.at(step + 1))
+            gap = np.abs(replayed.mean - rec.means[step + 1]).max()
+            assert gap <= 1e-12 * np.abs(rec.means).max(), step
 
 
 class TestCsv:

@@ -345,6 +345,25 @@ class TestTrajectory:
         with pytest.raises(InvalidParameter, match="n_traj=1"):
             simulate_sme_trajectory(plus_state(), dephasing_model(), None, cfg)
 
+    def test_replays_any_ensemble_trajectory(self):
+        # run alone from (seed, index), trajectory 1030 ends where it
+        # ends inside its 1100-trajectory ensemble
+        model = random_model(np.random.default_rng(2), 2)
+        grid = TimeGrid(0.0, 0.05, 50)
+        ens = simulate_sme_ensemble(
+            mixed_state(), model, SimConfig(grid=grid, n_traj=1100, seed=21))
+        traj = simulate_sme_trajectory(
+            mixed_state(), model, None, SimConfig(grid=grid, n_traj=1, seed=21),
+            index=1030)
+        np.testing.assert_array_equal(traj.states[-1], ens.final_states[1030])
+
+    @pytest.mark.parametrize("index", [-1, 1.5, "3"])
+    def test_rejects_bad_index(self, index):
+        cfg = SimConfig(grid=TimeGrid(0.0, 0.01, 10), n_traj=1, seed=0)
+        with pytest.raises(InvalidParameter, match="index"):
+            simulate_sme_trajectory(plus_state(), dephasing_model(), None, cfg,
+                                    index=index)
+
     def test_deterministic_given_seed(self):
         cfg = SimConfig(grid=TimeGrid(0.0, 0.2, 200), n_traj=1, seed=42)
         a = simulate_sme_trajectory(mixed_state(), dephasing_model(), None, cfg)
