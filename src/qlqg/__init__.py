@@ -47,24 +47,21 @@ from .riccati import (
     stationary_filter_covariance,
     total_minimal_cost,
 )
-from .kalman import MeasurementIncrement, filter_gain, filter_step, innovation
+from .kalman import MeasurementIncrement, filter_step
 from .control import (
     ControlGainPath,
     ControlProblem,
     FilterProblem,
-    QuadraticValue,
     control_gain_path,
     control_path_via_duality,
     duality_map,
     hjb_residual,
-    optimal_control,
 )
 from .closed_loop import (
     ClosedLoopEnsemble,
     SimConfig,
     TrajectoryRecord,
     monte_carlo_expected_cost,
-    running_posterior_cost,
     simulate_closed_loop,
 )
 from .sme import (

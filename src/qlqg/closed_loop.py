@@ -37,9 +37,7 @@ __all__ = [
     "TrajectoryRecord",
     "ClosedLoopEnsemble",
     "simulate_closed_loop",
-    "running_posterior_cost",
     "monte_carlo_expected_cost",
-    "trajectory_to_csv",
 ]
 
 #: trajectories per batch; fixed so results never depend on thread count
@@ -104,7 +102,6 @@ class ClosedLoopEnsemble:
     covariance and value flows the loop ran on."""
 
     config: SimConfig
-    cost: CostSpec
     Sigma_path: MatrixPath
     Omega_path: MatrixPath
     times: NDArray[np.float64]
@@ -128,28 +125,6 @@ class ClosedLoopEnsemble:
             running_cost=self.running_costs[i],
             total_cost=float(self.total_costs[i]),
         )
-
-
-def running_posterior_cost(
-    Xhat: NDArray[np.float64],
-    Sigma: NDArray[np.float64],
-    u: NDArray[np.float64],
-    cost: CostSpec,
-) -> float:
-    """Posterior expectation of the running cost at one instant.
-
-    For a Gaussian belief this is
-    ``Xhat' F Xhat + tr[F Sigma] + 2 u' G Xhat + u' u``; it is
-    guaranteed nonnegative when ``F - G'G`` is PSD.
-    """
-    m = cost.m
-    Xhat = _asarray(Xhat, float, (m,), "Xhat")
-    Sigma = _asarray(Sigma, float, (m, m), "Sigma")
-    u = _asarray(u, float, (cost.k,), "u")
-    return float(
-        Xhat @ cost.F @ Xhat + np.trace(cost.F @ Sigma)
-        + 2.0 * u @ cost.G @ Xhat + u @ u
-    )
 
 
 def _worker_count() -> int:
@@ -389,32 +364,21 @@ def simulate_closed_loop(
     for arr in (means, controls, outputs, innovations, running, totals):
         _frozen(arr)
     return ClosedLoopEnsemble(
-        config=config, cost=cost, Sigma_path=Sigma_path, Omega_path=Omega_path,
+        config=config, Sigma_path=Sigma_path, Omega_path=Omega_path,
         times=_frozen(rec_times), means=means, controls=controls, outputs=outputs,
         innovations=innovations, running_costs=running, total_costs=totals,
     )
 
 
-def monte_carlo_expected_cost(
-    ensemble: ClosedLoopEnsemble, cost: CostSpec | None = None
-) -> tuple[float, float]:
+def monte_carlo_expected_cost(ensemble: ClosedLoopEnsemble) -> tuple[float, float]:
     """Sample mean and standard error of the per-trajectory total cost.
 
-    ``cost``, when given, must be the CostSpec the ensemble was
-    simulated with; passing a different one is a configuration error
-    since totals cannot be re-derived from thinned records.  With one
-    trajectory the standard error is NaN.
+    With one trajectory the standard error is NaN.
     """
     totals = ensemble.total_costs
     n = totals.shape[0]
     if n == 0:
         raise EmptyEnsemble("ensemble holds no trajectories")
-    if cost is not None and not (
-        np.array_equal(cost.F, ensemble.cost.F)
-        and np.array_equal(cost.G, ensemble.cost.G)
-        and np.array_equal(cost.Omega_T, ensemble.cost.Omega_T)
-    ):
-        raise ConfigError("cost differs from the one the ensemble was run with")
     # Welford accumulation; trajectory order is fixed, so this is
     # deterministic no matter how the simulation was scheduled
     mean = 0.0
@@ -426,23 +390,3 @@ def monte_carlo_expected_cost(
     if n == 1:
         return float(mean), float("nan")
     return float(mean), math.sqrt(m2 / (n - 1) / n)
-
-
-def trajectory_to_csv(record: TrajectoryRecord, file) -> None:
-    """Write one trajectory as CSV: time, mean, control, output and
-    innovation increments (intervals ending at each row's time)."""
-    m = record.means.shape[1]
-    k = record.controls.shape[1]
-    d = record.outputs.shape[1]
-    header = ",".join(
-        ["t"]
-        + [f"Xhat_{i}" for i in range(m)]
-        + [f"u_{i}" for i in range(k)]
-        + [f"dY_{i}" for i in range(d)]
-        + [f"dYtilde_{i}" for i in range(d)]
-    )
-    data = np.column_stack([
-        record.times, record.means, record.controls,
-        record.outputs, record.innovations,
-    ])
-    np.savetxt(file, data, delimiter=",", header=header, comments="", fmt="%.17g")

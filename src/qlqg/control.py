@@ -14,26 +14,26 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import DimensionMismatch, GridMismatch, InvalidParameter
-from .phase_space import LinearCoefficients, _asarray, _finite, _frozen, _symmetrize
+from .phase_space import (
+    LinearCoefficients, _asarray, _finite, _frozen, _positive, _symmetrize,
+)
 from .riccati import (
     CostSpec,
     MatrixPath,
     ScalarPath,
     TimeGrid,
+    _require_same_grid,
     integrate_filter_riccati,
 )
 
 __all__ = [
     "ControlGainPath",
-    "QuadraticValue",
     "FilterProblem",
     "ControlProblem",
     "control_gain_path",
-    "optimal_control",
     "duality_map",
     "control_path_via_duality",
     "hjb_residual",
-    "gain_path_to_csv",
 ]
 
 
@@ -62,20 +62,6 @@ class ControlGainPath:
 
 
 @dataclass(frozen=True)
-class QuadraticValue:
-    """Value-function data at one instant: matrix part and scalar part."""
-
-    Omega: NDArray[np.float64]
-    alpha: float
-
-    def evaluate(self, Xhat: NDArray[np.float64], Sigma: NDArray[np.float64]) -> float:
-        """Value of the quadratic ansatz at a Gaussian point."""
-        Xhat = np.asarray(Xhat, dtype=float)
-        Sigma = np.asarray(Sigma, dtype=float)
-        return float(Xhat @ self.Omega @ Xhat + np.trace(self.Omega @ Sigma) + self.alpha)
-
-
-@dataclass(frozen=True)
 class FilterProblem:
     """Estimation-side data ``(A, C, N, M)`` with a horizon."""
 
@@ -95,8 +81,7 @@ class FilterProblem:
             raise DimensionMismatch(f"C must have shape (d, {m}), got {C.shape}")
         N = _symmetrize(_asarray(self.N, float, (m, m), "N"), "N")
         M = _asarray(self.M, float, (m, C.shape[0]), "M")
-        if not self.horizon > 0:
-            raise InvalidParameter(f"horizon must be positive, got {self.horizon}")
+        _positive(self.horizon, "horizon")
         for name, arr in (("A", A), ("C", C), ("N", N), ("M", M)):
             object.__setattr__(self, name, _frozen(arr))
 
@@ -125,8 +110,7 @@ class ControlProblem:
             raise DimensionMismatch(f"B must have shape ({m}, k), got {B.shape}")
         F = _symmetrize(_asarray(self.F, float, (m, m), "F"), "F")
         G = _asarray(self.G, float, (B.shape[1], m), "G")
-        if not self.horizon > 0:
-            raise InvalidParameter(f"horizon must be positive, got {self.horizon}")
+        _positive(self.horizon, "horizon")
         for name, arr in (("A", A), ("B", B), ("F", F), ("G", G)):
             object.__setattr__(self, name, _frozen(arr))
 
@@ -147,19 +131,6 @@ def control_gain_path(
         )
     gains = np.matmul(coeffs.B.T, Omega_path.values) + cost.G
     return ControlGainPath(grid=Omega_path.grid, gains=gains)
-
-
-def optimal_control(
-    gain: NDArray[np.float64], Xhat: NDArray[np.float64]
-) -> NDArray[np.float64]:
-    """Certainty-equivalent control ``-gain @ Xhat``."""
-    gain = np.asarray(gain, dtype=float)
-    Xhat = np.asarray(Xhat, dtype=float)
-    if gain.ndim != 2 or Xhat.ndim != 1 or gain.shape[1] != Xhat.shape[0]:
-        raise DimensionMismatch(
-            f"gain {gain.shape} incompatible with mean {Xhat.shape}"
-        )
-    return -gain @ Xhat
 
 
 def _permutation_matrix_indices(permutation, m: int) -> np.ndarray:
@@ -261,13 +232,7 @@ def hjb_residual(
     Returns the signed residual; an exact solution gives zero up to
     discretization error.
     """
-    grid = Omega_path.grid
-    if (grid.t0, grid.t1, grid.n_steps) != (
-        alpha_path.grid.t0,
-        alpha_path.grid.t1,
-        alpha_path.grid.n_steps,
-    ):
-        raise GridMismatch("value paths live on different grids")
+    grid = _require_same_grid(Omega_path.grid, alpha_path.grid)
     n = grid.n_steps
     if not 0 <= index <= n:
         raise InvalidParameter(f"index {index} outside grid of {n + 1} points")
@@ -276,9 +241,9 @@ def hjb_residual(
     Sigma = _symmetrize(_asarray(Sigma, float, (m, m), "Sigma"), "Sigma")
 
     def value(j: int) -> float:
-        return QuadraticValue(
-            Omega=Omega_path.at(j), alpha=float(alpha_path.values[j])
-        ).evaluate(Xhat, Sigma)
+        # the quadratic ansatz Xhat' Omega Xhat + tr[Omega Sigma] + alpha
+        Omega = Omega_path.at(j)
+        return float(Xhat @ Omega @ Xhat + np.trace(Omega @ Sigma) + alpha_path.values[j])
 
     dt = grid.dt
     if 2 <= index <= n - 2:
@@ -311,11 +276,3 @@ def hjb_residual(
         np.trace(gain @ gain.T @ (0.5 * hess_mean - grad_cov))
     )
     return dS_dt + running + mean_drift + cov_drift + innovation_term
-
-
-def gain_path_to_csv(path: ControlGainPath, file) -> None:
-    """Write ``t`` plus row-major gain entries as CSV (headers ``L_ij``)."""
-    n, k, m = path.gains.shape
-    header = ",".join(["t"] + [f"L_{i}{j}" for i in range(k) for j in range(m)])
-    data = np.column_stack([path.grid.times(), path.gains.reshape(n, k * m)])
-    np.savetxt(file, data, delimiter=",", header=header, comments="", fmt="%.17g")

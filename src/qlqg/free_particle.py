@@ -19,15 +19,10 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import InvalidParameter
-from .phase_space import LinearCoefficients, free_particle_model, build_coefficients
+from .phase_space import (
+    LinearCoefficients, _positive, build_coefficients, free_particle_model,
+)
 from .riccati import CostSpec
-
-
-def _positive(value: float, name: str) -> float:
-    value = float(value)
-    if not value > 0:
-        raise InvalidParameter(f"{name} must be positive, got {value}")
-    return value
 
 
 def feedback_coefficients(mass: float = 1.0, hbar: float = 1.0) -> LinearCoefficients:

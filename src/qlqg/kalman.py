@@ -2,7 +2,8 @@
 
 The covariance never depends on the measurement record; it comes from
 the Riccati flow and is supplied to each step.  What this module owns is
-the gain, the innovation and the linear mean update.
+the mean update, :func:`filter_step`: the gain, the innovation and the
+Euler step in one checked call.
 """
 
 from __future__ import annotations
@@ -12,10 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import DimensionMismatch, InvalidParameter
-from .phase_space import GaussianBelief, LinearCoefficients, _asarray, _finite, _frozen
+from .errors import DimensionMismatch
+from .phase_space import (
+    GaussianBelief, LinearCoefficients, _asarray, _finite, _frozen, _positive,
+)
 
-__all__ = ["MeasurementIncrement", "filter_gain", "innovation", "mean_step", "filter_step"]
+__all__ = ["MeasurementIncrement", "filter_step"]
 
 
 @dataclass(frozen=True)
@@ -29,55 +32,12 @@ class MeasurementIncrement:
         dY = _finite(np.array(self.dY, dtype=float), "dY")
         if dY.ndim != 1:
             raise DimensionMismatch(f"dY must be a vector, got shape {dY.shape}")
-        if not (np.isfinite(self.dt) and self.dt > 0):
-            raise InvalidParameter(f"dt must be finite and positive, got {self.dt}")
+        _positive(self.dt, "dt")
         object.__setattr__(self, "dY", _frozen(dY))
 
     @property
     def d(self) -> int:
         return self.dY.shape[0]
-
-
-def filter_gain(
-    Sigma: NDArray[np.float64], coeffs: LinearCoefficients
-) -> NDArray[np.float64]:
-    """Measurement gain ``Sigma C' + M`` for the current covariance."""
-    Sigma = _asarray(Sigma, float, (coeffs.m, coeffs.m), "Sigma")
-    return Sigma @ coeffs.C.T + coeffs.M
-
-
-def innovation(
-    increment: MeasurementIncrement,
-    Xhat: NDArray[np.float64],
-    coeffs: LinearCoefficients,
-) -> NDArray[np.float64]:
-    """Surprise part of the output: ``dY - C Xhat dt``.
-
-    Under the model this is a Wiener increment; its statistics are what
-    closed-loop simulations feed back in place of raw records.
-    """
-    if increment.d != coeffs.d:
-        raise DimensionMismatch(
-            f"increment has {increment.d} channels, coefficients {coeffs.d}"
-        )
-    Xhat = _asarray(Xhat, float, (coeffs.m,), "Xhat")
-    return increment.dY - (coeffs.C @ Xhat) * increment.dt
-
-
-def mean_step(
-    Xhat: NDArray[np.float64],
-    u: NDArray[np.float64],
-    dY_tilde: NDArray[np.float64],
-    gain: NDArray[np.float64],
-    coeffs: LinearCoefficients,
-    dt: float,
-) -> NDArray[np.float64]:
-    """Euler step ``Xhat + (A Xhat + B u) dt + gain dY_tilde`` of the
-    conditional mean, row by row on stacked ``(..., m)`` means; unchecked,
-    as the inner step of :func:`filter_step`.  The closed loop folds its
-    feedback into one precomputed map per step instead, and is checked
-    against this step by replaying its record through :func:`filter_step`."""
-    return Xhat + (Xhat @ coeffs.A.T + u @ coeffs.B.T) * dt + dY_tilde @ gain.T
 
 
 def filter_step(
@@ -88,6 +48,12 @@ def filter_step(
     Sigma_next: NDArray[np.float64],
 ) -> GaussianBelief:
     """One Euler step of the conditional mean.
+
+    ``Xhat + (A Xhat + B u) dt + K (dY - C Xhat dt)`` with the gain
+    ``K = Sigma C' + M`` at the current covariance; under the model the
+    innovation ``dY - C Xhat dt`` is a Wiener increment.  The closed loop
+    folds its feedback into one precomputed map per step instead, and is
+    checked against this step by replaying its record through it.
 
     Parameters
     ----------
@@ -110,8 +76,13 @@ def filter_step(
         raise DimensionMismatch(
             f"belief has dimension {belief.m}, coefficients {coeffs.m}"
         )
+    if increment.d != coeffs.d:
+        raise DimensionMismatch(
+            f"increment has {increment.d} channels, coefficients {coeffs.d}"
+        )
     u = _asarray(u, float, (coeffs.k,), "u")
-    gain = filter_gain(belief.cov, coeffs)
-    dY_tilde = innovation(increment, belief.mean, coeffs)
-    mean = mean_step(belief.mean, u, dY_tilde, gain, coeffs, increment.dt)
+    Xhat, dt = belief.mean, increment.dt
+    gain = belief.cov @ coeffs.C.T + coeffs.M
+    dY_tilde = increment.dY - (coeffs.C @ Xhat) * dt
+    mean = Xhat + (Xhat @ coeffs.A.T + u @ coeffs.B.T) * dt + dY_tilde @ gain.T
     return GaussianBelief(mean=mean, cov=Sigma_next)

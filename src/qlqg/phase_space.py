@@ -12,6 +12,7 @@ modelling error, not rounded away silently.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -52,6 +53,18 @@ def _finite(arr: np.ndarray, name: str) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise InvalidParameter(f"{name} has non-finite entries")
     return arr
+
+
+def _positive(value, name: str) -> float:
+    """``value`` as a float, or InvalidParameter unless it is a finite
+    positive number (``not x > 0`` alone lets ``inf`` through)."""
+    try:
+        value = float(value)
+    except (TypeError, ValueError):
+        raise InvalidParameter(f"{name} must be a number, got {value!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise InvalidParameter(f"{name} must be finite and positive, got {value}")
+    return value
 
 
 def _asarray(value, dtype, shape, name: str) -> np.ndarray:
@@ -121,8 +134,7 @@ class PhaseSpaceModel:
             raise ValidationError("J must be antisymmetric")
         if abs(np.linalg.det(J)) <= _DET_TOL:
             raise ValidationError("J must be nondegenerate")
-        if not self.hbar > 0:
-            raise InvalidParameter(f"hbar must be positive, got {self.hbar}")
+        _positive(self.hbar, "hbar")
 
         R = _symmetrize(_asarray(self.R, float, (m, m), "R"), "R")
         Lam = _finite(np.array(self.Lambda, dtype=complex), "Lambda")
@@ -308,10 +320,8 @@ def free_particle_model(mass: float = 1.0, hbar: float = 1.0) -> PhaseSpaceModel
     mass, hbar : float
         Both must be positive.
     """
-    if not mass > 0:
-        raise InvalidParameter(f"mass must be positive, got {mass}")
-    if not hbar > 0:
-        raise InvalidParameter(f"hbar must be positive, got {hbar}")
+    mass = _positive(mass, "mass")
+    hbar = _positive(hbar, "hbar")
     return PhaseSpaceModel(
         J=np.array([[0.0, 1.0], [-1.0, 0.0]]),
         R=np.array([[0.0, 0.0], [0.0, 1.0 / mass]]),

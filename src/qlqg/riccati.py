@@ -37,11 +37,13 @@ from .errors import (
     ValidationError,
 )
 from .phase_space import (
+    UNCERTAINTY_TOL,
     LinearCoefficients,
     check_uncertainty,
     _asarray,
     _finite,
     _frozen,
+    _positive,
     _symmetrize,
 )
 
@@ -56,8 +58,6 @@ __all__ = [
     "stationary_filter_covariance",
     "lyapunov_unconditional",
     "total_minimal_cost",
-    "matrix_path_to_csv",
-    "scalar_path_to_csv",
 ]
 
 #: entries beyond this magnitude abort integration (finite-time escape)
@@ -86,8 +86,8 @@ class TimeGrid:
             )
         if not self.t1 > self.t0:
             raise InvalidParameter(f"need t1 > t0, got [{self.t0}, {self.t1}]")
-        if self.n_steps < 1:
-            raise InvalidParameter(f"n_steps must be >= 1, got {self.n_steps}")
+        if not (isinstance(self.n_steps, (int, np.integer)) and self.n_steps >= 1):
+            raise InvalidParameter(f"n_steps must be an integer >= 1, got {self.n_steps}")
 
     @property
     def dt(self) -> float:
@@ -332,27 +332,18 @@ def integrate_filter_riccati(
             )
     values = _lift_path(_filter_lift(coeffs), Sigma0, grid.dt, grid.n_steps)
     if uncertainty is not None:
-        _check_path_uncertainty(values, grid, J, hbar)
+        # the same bound along the whole path, in one batched eigvalsh
+        herm = values.astype(complex)
+        herm += 0.5j * hbar * np.asarray(J, dtype=float)
+        worst = np.linalg.eigvalsh(herm)[:, 0]
+        bad = np.nonzero(worst < UNCERTAINTY_TOL)[0]
+        if bad.size:
+            k = int(bad[0])
+            raise UncertaintyViolation(
+                f"covariance broke the Heisenberg bound at t={grid.times()[k]:.6g} "
+                f"(min eigenvalue {worst[k]:.3e})"
+            )
     return MatrixPath(grid=grid, values=values)
-
-
-def _check_path_uncertainty(
-    values: np.ndarray, grid: TimeGrid, J: np.ndarray, hbar: float
-) -> None:
-    """Batched Heisenberg-bound check over a whole stored path."""
-    from .phase_space import UNCERTAINTY_TOL
-
-    herm = values.astype(complex)
-    herm += 0.5j * hbar * np.asarray(J, dtype=float)
-    eigs = np.linalg.eigvalsh(herm)
-    worst = eigs[:, 0]
-    bad = np.nonzero(worst < UNCERTAINTY_TOL)[0]
-    if bad.size:
-        k = int(bad[0])
-        raise UncertaintyViolation(
-            f"covariance broke the Heisenberg bound at t={grid.times()[k]:.6g} "
-            f"(min eigenvalue {worst[k]:.3e})"
-        )
 
 
 def integrate_control_riccati(
@@ -416,9 +407,8 @@ def stationary_filter_covariance(
     NonFinite
         If the flow escapes (no stationary point).
     """
-    for name, value in (("dt", dt), ("t_max", t_max)):
-        if not (np.isfinite(value) and value > 0):
-            raise InvalidParameter(f"{name} must be finite and positive, got {value}")
+    _positive(dt, "dt")
+    _positive(t_max, "t_max")
     m = coeffs.m
     if Sigma0 is None:
         Sigma0 = np.eye(m)
@@ -502,24 +492,3 @@ def total_minimal_cost(
 
     f = _cost_integrands(Omega_path.values, Sigma_path.values, coeffs, cost)
     return static + float(np.trapezoid(f, dx=grid.dt))
-
-
-def matrix_path_to_csv(path: MatrixPath, file, prefix: str) -> None:
-    """Write ``t`` plus row-major matrix entries as CSV.
-
-    Column headers are ``t`` followed by ``{prefix}_ij`` with 0-based
-    row-major indices, e.g. ``S_00,S_01,S_10,S_11``.
-    """
-    m = path.m
-    header = ",".join(
-        ["t"] + [f"{prefix}_{i}{j}" for i in range(m) for j in range(m)]
-    )
-    flat = path.values.reshape(path.grid.n_points, m * m)
-    data = np.column_stack([path.grid.times(), flat])
-    np.savetxt(file, data, delimiter=",", header=header, comments="", fmt="%.17g")
-
-
-def scalar_path_to_csv(path: ScalarPath, file, name: str = "alpha") -> None:
-    """Write a scalar path as two-column CSV."""
-    data = np.column_stack([path.grid.times(), path.values])
-    np.savetxt(file, data, delimiter=",", header=f"t,{name}", comments="", fmt="%.17g")

@@ -33,7 +33,7 @@ from .errors import (
     NotUnitary,
     PositivityLoss,
 )
-from .phase_space import _finite, _frozen
+from .phase_space import _finite, _frozen, _positive
 
 __all__ = [
     "DensityMatrix",
@@ -53,7 +53,6 @@ __all__ = [
     "trace_norm",
     "trace_distance",
     "finite_model_from_json",
-    "sme_trajectory_to_csv",
 ]
 
 HERMITICITY_TOL = 1e-10
@@ -174,8 +173,7 @@ class FiniteModel:
         ]:
             if np.abs(term - term.conj().T).max() > 1e-12:
                 raise InvalidParameter(f"{name} is not Hermitian")
-        if not self.hbar > 0:
-            raise InvalidParameter(f"hbar must be positive, got {self.hbar}")
+        _positive(self.hbar, "hbar")
         object.__setattr__(self, "H0", _frozen(H0))
         object.__setattr__(self, "L_list", _frozen(Ls))
         object.__setattr__(self, "H_controls", _frozen(Hs))
@@ -266,8 +264,7 @@ def master_step(
     result is Hermitized and revalidated, surfacing a coarse step as
     :class:`PositivityLoss`.
     """
-    if not dt > 0:
-        raise InvalidParameter(f"dt must be positive, got {dt}")
+    _positive(dt, "dt")
     y = rho.entries
     k1 = lindblad_schrodinger(y, model, u)
     k2 = lindblad_schrodinger(y + 0.5 * dt * k1, model, u)
@@ -410,8 +407,7 @@ def sme_step(
     The record enters through the innovation dY_i - <Li+Li'> dt, which
     drives the ensemble's step on a stack of one state.
     """
-    if not dt > 0:
-        raise InvalidParameter(f"dt must be positive, got {dt}")
+    _positive(dt, "dt")
     dY = np.asarray(dY, dtype=float).reshape(-1)
     if dY.shape[0] != model.n_channels:
         raise DimensionMismatch(
@@ -683,8 +679,7 @@ def weak_measurement_unitary(
     system (x) two-level ancilla; reading the ancilla quadrature
     reproduces the diffusive filtering step to O(dt^(3/2)).
     """
-    if not dt > 0:
-        raise InvalidParameter(f"dt must be positive, got {dt}")
+    _positive(dt, "dt")
     L = np.asarray(L, dtype=complex)
     if L.ndim != 2 or L.shape[0] != L.shape[1]:
         raise DimensionMismatch(f"coupling must be square, got {L.shape}")
@@ -751,37 +746,4 @@ def finite_model_from_json(source: str | Path | dict) -> FiniteModel:
     Ls = [grab(o, f"L_list[{i}]") for i, o in enumerate(data["L_list"])]
     return FiniteModel(
         H0=H0, L_list=Ls, H_controls=Hs, hbar=float(data["hbar"])
-    )
-
-
-def sme_trajectory_to_csv(
-    traj: SmeTrajectory, file, observables=None, include_state: bool = False
-) -> None:
-    """Write a trajectory as CSV: time, expectation values, record and
-    control columns, optionally the flattened state entries."""
-    names: list[str] = ["t"]
-    columns: list[np.ndarray] = [traj.times]
-    if observables:
-        for name, X in observables.items():
-            X = np.asarray(X, dtype=complex)
-            if np.abs(X - X.conj().T).max() > HERMITICITY_TOL:
-                raise InvalidParameter(f"observable '{name}' is not Hermitian")
-            names.append(f"exp_{name}")
-            columns.append(traj.expectation_path(X).real)
-    d = traj.outputs.shape[1]
-    k = traj.controls.shape[1]
-    names += [f"dY_{i}" for i in range(d)]
-    columns += [traj.outputs[:, i] for i in range(d)]
-    names += [f"u_{i}" for i in range(k)]
-    columns += [traj.controls[:, i] for i in range(k)]
-    if include_state:
-        dim = traj.states.shape[1]
-        for i in range(dim):
-            for j in range(dim):
-                names += [f"rho_re_{i}{j}", f"rho_im_{i}{j}"]
-                columns += [traj.states[:, i, j].real, traj.states[:, i, j].imag]
-    data = np.column_stack(columns)
-    np.savetxt(
-        file, data, delimiter=",", header=",".join(names), comments="",
-        fmt="%.17g",
     )

@@ -4,9 +4,12 @@ import io
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qlqg import cli
 from qlqg.errors import InvalidParameter, NonRealCoefficient
@@ -271,6 +274,71 @@ class TestSimulate:
         assert "n_traj" in capsys.readouterr().err
 
 
+class TestScenarioValues:
+    # each value reaches a number the CLI reads; a wrong type is rejected
+    # input (exit 2), never an exception out of main()
+    MISTYPED = [
+        ("grid", "t0", "abc"), ("grid", "n_steps", [1]), ("grid", "n_steps", 2.5),
+        ("sim", "record_stride", "x"), ("sim", "record_trajectories", "two"),
+        ("sim", "n_traj", 2.5), ("sim", "seed", True), ("cost", "beta", None),
+        ("model", "mass", "heavy"), ("sim", "initial_cov", "x"),
+        ("sim", "initial_mean", [1.0, [0.0]]),
+    ]
+
+    def small_scenario(self):
+        return {
+            "model": {"preset": "free-particle", "feedback": True},
+            "cost": {"preset": "position-tracking", "beta": 1.0},
+            "grid": {"t0": 0.0, "t1": 0.5, "n_steps": 50},
+            "sim": {"n_traj": 4, "seed": 7, "record_stride": 25,
+                    "record_trajectories": 1, "initial_mean": [1.0, 0.0],
+                    "initial_cov": [[0.5, 0.0], [0.0, 0.5]]},
+        }
+
+    @pytest.mark.parametrize("command", ["simulate", "riccati"])
+    @pytest.mark.parametrize("block, key, value", MISTYPED,
+                             ids=[f"{b}.{k}={v!r}" for b, k, v in MISTYPED])
+    def test_mistyped_value_exits_2(self, tmp_path, capsys, command, block, key, value):
+        content = self.small_scenario()
+        content[block][key] = value
+        scenario = write_scenario(tmp_path, out=str(tmp_path / "out"), **content)
+        code = cli.main([command, "--scenario", scenario])
+        if command == "riccati" and key not in ("t0", "n_steps", "beta", "mass",
+                                                "initial_cov"):
+            assert code == 0  # a key riccati does not read
+        else:
+            assert code == 2
+            assert key in capsys.readouterr().err
+
+    @staticmethod
+    def key_paths(content):
+        for key, value in content.items():
+            yield (key,)
+            if isinstance(value, dict):
+                yield from ((key, inner) for inner in value)
+
+    @settings(max_examples=30, deadline=None, database=None, derandomize=True)
+    @given(data=st.data())
+    def test_any_mutated_key_exits_0_2_or_3(self, data):
+        content = self.small_scenario()
+        path = data.draw(st.sampled_from(list(self.key_paths(content))))
+        value = data.draw(st.one_of(
+            st.text(max_size=4), st.none(), st.booleans(),
+            st.lists(st.integers(-2, 2), max_size=3),
+            st.dictionaries(st.text(max_size=2), st.integers(-2, 2), max_size=2),
+            st.floats(allow_nan=False, allow_infinity=False).filter(
+                lambda x: not x.is_integer()),
+        ))
+        target = content
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            scenario = write_scenario(Path(tmp), **content)
+            code = cli.main(["simulate", "--scenario", scenario, "--out", tmp])
+        assert code in (0, 2, 3)
+
+
 QUBIT_MODEL = {
     "dim": 2,
     "hbar": 1.0,
@@ -319,13 +387,21 @@ class TestSme:
                 tmp_path / "b" / name
             ).read_bytes()
 
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_mean_path_csv_rows(self, n):
+    @pytest.mark.parametrize("n, rows", [
+        pytest.param(2, 6, id="2"),
+        pytest.param(3, 6, id="3"),
+        # past two blocks of the writer, extremes at the block edges
+        pytest.param(2, 2 * cli._CSV_BLOCK + 1, id="2-blocks+1"),
+    ])
+    def test_mean_path_csv_rows(self, n, rows):
         # reference rows: every entry through f"{v:.17g}", real parts first
         rng = np.random.default_rng(n)
-        times = np.linspace(0.0, 0.1, 6)
-        states = rng.standard_normal((6, n, n)) + 1j * rng.standard_normal((6, n, n))
+        times = np.linspace(0.0, 0.1, rows)
+        states = rng.standard_normal((rows, n, n)) + 1j * rng.standard_normal((rows, n, n))
         states[1, 0, 0], states[2, 0, 1], states[3, 1, 0] = -0.0, 1e-300, -1e-300j
+        for row, v in ((rows - 2, 5e-324), (rows - 1, 1e300), (cli._CSV_BLOCK, -1e300j)):
+            if row < rows:
+                states[row, 1, 1] = v
         fh = io.StringIO()
         cli._mean_path_csv(times, states, fh)
         header = ["t"] + [f"rho_{p}_{i}{j}" for p in ("re", "im")

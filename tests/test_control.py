@@ -5,16 +5,18 @@ import io
 import numpy as np
 import pytest
 
-from qlqg import LinearCoefficients, build_coefficients, free_particle_model
+from qlqg import (
+    GaussianBelief, LinearCoefficients, build_coefficients, free_particle_model,
+)
+from qlqg.cli import gain_path_to_csv
+from qlqg.closed_loop import SimConfig, simulate_closed_loop
 from qlqg.control import (
     ControlProblem,
     FilterProblem,
     control_gain_path,
     control_path_via_duality,
     duality_map,
-    gain_path_to_csv,
     hjb_residual,
-    optimal_control,
 )
 from qlqg.errors import DimensionMismatch, GridMismatch, InvalidParameter
 from qlqg.riccati import (
@@ -75,13 +77,27 @@ class TestGainPath:
 
 
 class TestOptimalControl:
+    # the certainty-equivalent control -L_t Xhat, as the closed loop forms it
+
+    cost = CostSpec(F=np.eye(2), G=[[0.0, 0.0]], Omega_T=np.eye(2))
+
+    def run(self, **kwargs):
+        cfg = SimConfig(grid=TimeGrid(0.0, 0.1, 10), n_traj=1, seed=0, record_stride=10)
+        belief = GaussianBelief(mean=[3.0, 4.0], cov=np.eye(2))
+        return simulate_closed_loop(feedback_coefficients(), self.cost, cfg, belief,
+                                    zero_noise=True, **kwargs)
+
     def test_hand_value(self):
-        u = optimal_control(np.array([[1.0, 2.0]]), np.array([3.0, 4.0]))
-        np.testing.assert_allclose(u, [-11.0])
+        ens = self.run()
+        gain0 = control_gain_path(ens.Omega_path, feedback_coefficients(), self.cost).at(0)
+        np.testing.assert_allclose(ens.controls[0, 0], -gain0 @ [3.0, 4.0], rtol=1e-14)
+        # at the horizon the gain is B' Omega_T + G = [0, 2]
+        np.testing.assert_allclose(ens.controls[0, -1], [-2.0 * ens.means[0, -1, 1]],
+                                   rtol=1e-15)
 
     def test_shape_check(self):
         with pytest.raises(DimensionMismatch):
-            optimal_control(np.array([[1.0, 2.0]]), np.array([1.0, 2.0, 3.0]))
+            self.run(gain_offset=np.zeros((1, 3)))
 
 
 class TestDualityMap:

@@ -37,10 +37,9 @@ class TestFeedbackCoefficients:
             np.testing.assert_array_equal(ours.B, 2.0 * base.B)
 
     def test_bad_parameters(self):
-        with pytest.raises(InvalidParameter):
-            fp.feedback_coefficients(mass=0.0)
-        with pytest.raises(InvalidParameter):
-            fp.feedback_coefficients(hbar=-1.0)
+        for kwargs in ({"mass": 0.0}, {"hbar": -1.0}, {"mass": np.inf}, {"hbar": np.inf}):
+            with pytest.raises(InvalidParameter):
+                fp.feedback_coefficients(**kwargs)
 
 
 class TestTrackingCost:

@@ -5,7 +5,7 @@ import pytest
 
 from qlqg import GaussianBelief, LinearCoefficients, build_coefficients, free_particle_model
 from qlqg.errors import DimensionMismatch, InvalidParameter
-from qlqg.kalman import MeasurementIncrement, filter_gain, filter_step, innovation
+from qlqg.kalman import MeasurementIncrement, filter_step
 from qlqg.riccati import TimeGrid, integrate_filter_riccati
 
 
@@ -32,32 +32,45 @@ class TestMeasurementIncrement:
             MeasurementIncrement(dY=[[0.1]], dt=1e-3)
 
 
+def gain_response(coeffs, Sigma, dY):
+    """The step of :func:`filter_step` from a zero mean with no control:
+    only the gain term ``(Sigma C' + M) dY`` is left."""
+    belief = GaussianBelief(mean=np.zeros(coeffs.m), cov=Sigma)
+    inc = MeasurementIncrement(dY=dY, dt=1e-3)
+    return filter_step(belief, np.zeros(coeffs.k), inc, coeffs, Sigma).mean
+
+
 class TestFilterGain:
     def test_stationary_free_particle_gain(self):
         coeffs = tracking_coefficients()
         Sigma = np.array([[0.5, 0.5], [0.5, 1.0]])
-        np.testing.assert_allclose(filter_gain(Sigma, coeffs), [[1.0], [1.0]])
+        np.testing.assert_allclose(gain_response(coeffs, Sigma, [1.0]), [1.0, 1.0])
 
     def test_includes_noise_correlation(self):
         rng = np.random.default_rng(5)
         coeffs = random_coefficients(rng)
-        Sigma = np.eye(4)
+        Sigma, dY = np.eye(4), rng.standard_normal(2)
         np.testing.assert_allclose(
-            filter_gain(Sigma, coeffs), Sigma @ coeffs.C.T + coeffs.M)
+            gain_response(coeffs, Sigma, dY), (Sigma @ coeffs.C.T + coeffs.M) @ dY,
+            rtol=1e-14)
 
 
 class TestInnovation:
     def test_subtracts_predicted_output(self):
+        # an output equal to the prediction C Xhat dt leaves no innovation,
+        # so the step is the drift alone: Q += P dt
         coeffs = tracking_coefficients()
-        inc = MeasurementIncrement(dY=[0.05], dt=1e-3)
-        out = innovation(inc, np.array([3.0, -1.0]), coeffs)
-        np.testing.assert_allclose(out, [0.05 - 2.0 * 3.0 * 1e-3])
+        belief = GaussianBelief(mean=[3.0, -1.0], cov=[[0.5, 0.5], [0.5, 1.0]])
+        inc = MeasurementIncrement(dY=[2.0 * 3.0 * 1e-3], dt=1e-3)
+        out = filter_step(belief, np.zeros(1), inc, coeffs, belief.cov)
+        np.testing.assert_allclose(out.mean, [3.0 - 1e-3, -1.0], rtol=1e-15)
 
     def test_channel_count_checked(self):
         coeffs = tracking_coefficients()
-        with pytest.raises(DimensionMismatch):
-            innovation(MeasurementIncrement(dY=[0.0, 0.0], dt=1e-3),
-                       np.zeros(2), coeffs)
+        belief = GaussianBelief(mean=np.zeros(2), cov=np.eye(2))
+        with pytest.raises(DimensionMismatch, match="channels"):
+            filter_step(belief, np.zeros(1),
+                        MeasurementIncrement(dY=[0.0, 0.0], dt=1e-3), coeffs, np.eye(2))
 
 
 class TestFilterStep:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qlqg.errors import (
     DimensionMismatch,
@@ -19,7 +20,9 @@ from qlqg.phase_space import (
     model_from_json,
     _require_real,
 )
-from qlqg.riccati import CostSpec
+from qlqg.control import ControlProblem, FilterProblem
+from qlqg.kalman import MeasurementIncrement
+from qlqg.riccati import CostSpec, TimeGrid
 from qlqg.sme import DensityMatrix, FiniteModel
 
 J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -296,3 +299,48 @@ NONFINITE_INPUTS = {
 def test_constructors_reject_non_finite_entries(build, value):
     with pytest.raises(InvalidParameter, match="non-finite"):
         build(value)
+
+
+# valid inputs of every constructor that takes numbers; the property test
+# below spoils one entry of one of them
+VALID_INPUTS = {
+    LinearCoefficients: dict(A=np.eye(2), B=np.ones((2, 1)), C=np.ones((1, 2)),
+                             N=np.eye(2), M=np.zeros((2, 1))),
+    PhaseSpaceModel: dict(J=J2, R=np.eye(2), Lambda=np.array([[1.0 + 0.5j, 0.0j]]),
+                          K=np.array([[-0.5 + 0.0j], [0.25j]]), hbar=1.0),
+    GaussianBelief: dict(mean=np.array([1.0, 0.0]), cov=np.eye(2)),
+    CostSpec: dict(F=np.eye(2), G=np.zeros((1, 2)), Omega_T=np.eye(2)),
+    TimeGrid: dict(t0=0.0, t1=1.0, n_steps=10),
+    FilterProblem: dict(A=np.eye(2), C=np.ones((1, 2)), N=np.eye(2), M=np.zeros((2, 1)),
+                        horizon=1.0),
+    ControlProblem: dict(A=np.eye(2), B=np.ones((2, 1)), F=np.eye(2), G=np.zeros((1, 2)),
+                         horizon=1.0),
+    MeasurementIncrement: dict(dY=np.array([0.1, -0.2]), dt=1e-3),
+    DensityMatrix: dict(entries=np.array([[0.5, 0.25j], [-0.25j, 0.5]])),
+    FiniteModel: dict(H0=np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex),
+                      L_list=np.array([[[1.0, 0.0], [0.0, -1.0]]], dtype=complex),
+                      H_controls=np.array([[[0.0, -1j], [1j, 0.0]]]), hbar=1.0),
+}
+INPUT_FIELDS = [(ctor, name) for ctor, kwargs in VALID_INPUTS.items() for name in kwargs]
+
+
+@pytest.mark.parametrize("ctor, name", INPUT_FIELDS,
+                         ids=[f"{c.__name__}.{n}" for c, n in INPUT_FIELDS])
+@settings(max_examples=6, deadline=None, database=None, derandomize=True)
+@given(bad=st.sampled_from([np.nan, np.inf, -np.inf]), index=st.integers(0, 7),
+       imaginary=st.booleans())
+def test_any_non_finite_input_is_rejected(ctor, name, bad, index, imaginary):
+    # NaN, +inf or -inf in any entry of any array input, or as any scalar
+    # (positive ones like hbar, horizon and dt included), is a ValidationError
+    kwargs = dict(VALID_INPUTS[ctor])
+    ctor(**kwargs)  # unspoiled, the inputs construct
+    value = kwargs[name]
+    if np.ndim(value) == 0:
+        kwargs[name] = bad
+    else:
+        value = value.copy()
+        entry = complex(0.0, bad) if imaginary and value.dtype.kind == "c" else bad
+        value.flat[index % value.size] = entry
+        kwargs[name] = value
+    with pytest.raises(ValidationError):
+        ctor(**kwargs)

@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from qlqg import LinearCoefficients, build_coefficients, free_particle_model
+from qlqg.cli import matrix_path_to_csv
 from qlqg.errors import (
     DimensionMismatch,
     GridMismatch,
@@ -24,8 +25,6 @@ from qlqg.riccati import (
     integrate_control_riccati,
     integrate_filter_riccati,
     lyapunov_unconditional,
-    matrix_path_to_csv,
-    scalar_path_to_csv,
     stationary_filter_covariance,
     total_minimal_cost,
 )
@@ -413,20 +412,6 @@ class TestCsvExport:
         data = np.loadtxt(buf, delimiter=",")
         np.testing.assert_allclose(data[:, 0], grid.times())
         np.testing.assert_allclose(data[:, 1:].reshape(-1, 2, 2), path.values)
-
-    def test_scalar_path_round_trip(self):
-        coeffs = feedback_coefficients()
-        cost = quadratic_cost()
-        grid = TimeGrid(0.0, 1.0, 10)
-        Om = integrate_control_riccati(coeffs, cost, grid)
-        Si = integrate_filter_riccati(coeffs, np.eye(2), grid)
-        alpha = integrate_alpha(Om, Si, coeffs, cost)
-        buf = io.StringIO()
-        scalar_path_to_csv(alpha, buf)
-        buf.seek(0)
-        assert buf.readline().strip() == "t,alpha"
-        data = np.loadtxt(buf, delimiter=",")
-        np.testing.assert_allclose(data[:, 1], alpha.values)
 
     def test_path_shape_validation(self):
         with pytest.raises(GridMismatch):
