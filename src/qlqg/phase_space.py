@@ -331,6 +331,55 @@ def free_particle_model(mass: float = 1.0, hbar: float = 1.0) -> PhaseSpaceModel
     )
 
 
+def _json_object(source, what: str) -> dict:
+    """A parsed JSON object, or the one a file holds; InvalidParameter
+    when the file is not valid JSON or holds anything but an object."""
+    if isinstance(source, dict):
+        return source
+    with open(source, encoding="utf-8") as fh:
+        try:
+            data = json.load(fh)
+        except ValueError as exc:
+            raise InvalidParameter(
+                f"{what} file '{source}' is not valid JSON: {exc}"
+            ) from None
+    if not isinstance(data, dict):
+        raise InvalidParameter(f"{what} file '{source}' must hold a JSON object")
+    return data
+
+
+def _json_count(data: dict, key: str) -> int:
+    """``data[key]`` as a positive integer; InvalidParameter for a string,
+    null, bool, list, object, fractional or non-positive value."""
+    value = data[key]
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or (isinstance(value, float) and not value.is_integer())
+        or value < 1
+    ):
+        raise InvalidParameter(
+            f"key '{key}' must be a positive integer, got {value!r}"
+        )
+    return int(value)
+
+
+def _json_positive(data: dict, key: str) -> float:
+    """``data[key]`` as a finite positive float; InvalidParameter for
+    anything else, a numeric string included."""
+    value = data[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InvalidParameter(f"key '{key}' must be a number, got {value!r}")
+    return _positive(value, f"key '{key}'")
+
+
+def _json_list(data: dict, key: str) -> list:
+    value = data[key]
+    if not isinstance(value, list):
+        raise InvalidParameter(f"key '{key}' must be a list, got {value!r}")
+    return value
+
+
 def model_from_json(source: str | Path | dict) -> PhaseSpaceModel:
     """Load a :class:`PhaseSpaceModel` from a JSON file or parsed dict.
 
@@ -338,28 +387,21 @@ def model_from_json(source: str | Path | dict) -> PhaseSpaceModel:
     ``Lambda_im``, ``K_re``, ``K_im``.  Matrices are nested row-major
     lists.  Errors name the offending key.
     """
-    if isinstance(source, dict):
-        data = source
-    else:
-        with open(source, encoding="utf-8") as fh:
-            data = json.load(fh)
-
+    data = _json_object(source, "model")
     required = ["m", "d", "hbar", "J", "R", "Lambda_re", "Lambda_im", "K_re", "K_im"]
     for key in required:
         if key not in data:
             raise InvalidParameter(f"model JSON is missing key '{key}'")
 
-    m = int(data["m"])
-    d = int(data["d"])
-    if m <= 0 or d <= 0:
-        raise InvalidParameter(f"'m' and 'd' must be positive, got m={m}, d={d}")
+    m = _json_count(data, "m")
+    d = _json_count(data, "d")
 
-    def grab(key: str, shape: tuple[int, int]) -> np.ndarray:
+    def grab(key: str, shape: tuple[int, int] | None = None) -> np.ndarray:
         try:
             arr = np.array(data[key], dtype=float)
         except (TypeError, ValueError) as exc:
             raise InvalidParameter(f"key '{key}' is not a numeric matrix") from exc
-        if arr.shape != shape:
+        if shape is not None and arr.shape != shape:
             raise DimensionMismatch(
                 f"key '{key}' must have shape {shape}, got {arr.shape}"
             )
@@ -368,10 +410,10 @@ def model_from_json(source: str | Path | dict) -> PhaseSpaceModel:
     J = grab("J", (m, m))
     R = grab("R", (m, m))
     Lam = grab("Lambda_re", (d, m)) + 1j * grab("Lambda_im", (d, m))
-    k_re = np.array(data["K_re"], dtype=float)
+    k_re = grab("K_re")
     if k_re.ndim != 2 or k_re.shape[0] != m:
         raise DimensionMismatch(
             f"key 'K_re' must have shape ({m}, k), got {k_re.shape}"
         )
     K = k_re + 1j * grab("K_im", k_re.shape)
-    return PhaseSpaceModel(J=J, R=R, Lambda=Lam, K=K, hbar=float(data["hbar"]))
+    return PhaseSpaceModel(J=J, R=R, Lambda=Lam, K=K, hbar=_json_positive(data, "hbar"))

@@ -2,10 +2,19 @@
 
 Lindblad master flow, diffusive filtering of measurement records, and a
 discrete conditioning oracle built from an explicit system-ancilla
-unitary.  One Euler step filters every record: ensembles, single
-trajectories and :func:`sme_step` run it.  Two independent oracles
-check it, the operator-form master flow against the ensemble mean and
-ancilla conditioning against one step.  The step renormalizes by the
+unitary.  Both flows run on one generator form,
+
+    L rho = K rho + rho K' + sum_c Lc rho Lc',  K = -iH(u)/hbar - sum_c Lc'Lc/2,
+
+with K built once per control, not once per step, and every product a
+row-stacked GEMM in operator form.  One Euler step filters every record:
+ensembles, single trajectories and :func:`sme_step` run it.  One RK4
+step runs the master flow.  Both write the new state as rho + A + A', so
+a Hermitian state stays Hermitian to the last bit.  Three independent
+oracles check them: the commutator-form generators
+(:func:`lindblad_schrodinger`, :func:`lindblad_heisenberg`) check the
+hoisted K, the master flow checks the ensemble mean, and ancilla
+conditioning checks one step.  The filtering step renormalizes by the
 trace; its fluctuation term is traceless, so that is a second-order
 correction.  Positivity is monitored, never projected: clipping would
 mask integration error, so a state past the floor raises
@@ -14,9 +23,7 @@ mask integration error, so a state past the floor raises
 
 from __future__ import annotations
 
-import json
 import math
-from collections import namedtuple
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -33,7 +40,15 @@ from .errors import (
     NotUnitary,
     PositivityLoss,
 )
-from .phase_space import _finite, _frozen, _positive
+from .phase_space import (
+    _finite,
+    _frozen,
+    _json_count,
+    _json_list,
+    _json_object,
+    _json_positive,
+    _positive,
+)
 
 __all__ = [
     "DensityMatrix",
@@ -99,6 +114,8 @@ class DensityMatrix:
             )
         if np.abs(entries - entries.conj().T).max() > HERMITICITY_TOL:
             raise InvalidParameter("state is not Hermitian")
+        # Hermitian to the last bit, which the flows then preserve
+        entries = 0.5 * (entries + entries.conj().T)
         trace = complex(np.trace(entries))
         if abs(trace - 1.0) > TRACE_TOL:
             raise InvalidParameter(f"state trace {trace} is not 1")
@@ -248,6 +265,72 @@ def lindblad_schrodinger(
     return out
 
 
+def _generator_factor(model: FiniteModel, u) -> np.ndarray:
+    """The right factor ``[K' | L_1' | ... | L_d']`` of both flows.
+
+    With K = -iH(u)/hbar - sum_c Lc'Lc / 2 the Lindblad generator is
+    K rho + rho K' + sum_c Lc rho Lc'.  One (n, (d+1)n) matrix, built
+    once per control.
+    """
+    n = model.dim
+    Ls = model.L_list
+    Lds = _dagger(Ls)
+    K = (-1j / model.hbar) * model.hamiltonian(u)
+    K -= 0.5 * np.matmul(Lds, Ls).sum(axis=0)
+    blocks = np.concatenate([_dagger(K)[None], Lds])
+    return np.ascontiguousarray(blocks.transpose(1, 0, 2)).reshape(n, -1)
+
+
+def _half_generator(
+    states: np.ndarray, R: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """rho K' + sum_c (Lc rho) Lc' / 2 for every matrix of a (B, n, n) stack.
+
+    Also returns the products P, with P[:, :, 0] = rho K' and
+    P[:, :, c + 1] = rho Lc'.  One GEMM of the row-stacked states,
+    (B*n, n) @ R, gives them all; one more per channel multiplies
+    Lc rho, the dagger of rho Lc' for Hermitian rho, by Lc'.  Every
+    product has the stack on its rows, and each row block rounds as
+    that matrix alone would, so results do not depend on B.  The
+    generator is X + X' for the returned X.
+    """
+    B, n, _ = states.shape
+    P = (states.reshape(B * n, n) @ R).reshape(B, n, -1, n)
+    X = P[:, :, 0].copy()
+    Lrho = np.empty_like(X)
+    for c in range(1, P.shape[2]):
+        np.conjugate(P[:, :, c].swapaxes(1, 2), out=Lrho)
+        LrhoLd = (Lrho.reshape(B * n, n) @ R[:, c * n:(c + 1) * n]).reshape(B, n, n)
+        LrhoLd *= 0.5
+        X += LrhoLd
+    return X, P
+
+
+def _rk4_step(y: np.ndarray, R: np.ndarray, dt: float) -> np.ndarray:
+    """One RK4 step of the unconditional flow on a (B, n, n) stack.
+
+    Every stage is X + X' of :func:`_half_generator`, so a Hermitian
+    state stays Hermitian to the last bit; the generator is trace-free,
+    so the trace survives to roundoff.
+    """
+    def lindblad(rho):
+        X, _ = _half_generator(rho, R)
+        return X + _dagger(X)
+
+    k1 = lindblad(y)
+    k2 = lindblad(y + 0.5 * dt * k1)
+    k3 = lindblad(y + 0.5 * dt * k2)
+    k4 = lindblad(y + dt * k3)
+    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _require_dim(rho: DensityMatrix, model: FiniteModel) -> None:
+    if rho.dim != model.dim:
+        raise DimensionMismatch(
+            f"state dim {rho.dim} does not match model dim {model.dim}"
+        )
+
+
 def _stepped_state(entries: np.ndarray) -> DensityMatrix:
     """State after an integration step; NonFinite if it overflowed."""
     if not np.isfinite(entries).all():
@@ -260,18 +343,17 @@ def master_step(
 ) -> DensityMatrix:
     """One RK4 step of the unconditional flow.
 
-    The generator is trace-free, so the trace survives to roundoff; the
-    result is Hermitized and revalidated, surfacing a coarse step as
+    The result is revalidated, surfacing a coarse step as
     :class:`PositivityLoss`.
     """
     _positive(dt, "dt")
-    y = rho.entries
-    k1 = lindblad_schrodinger(y, model, u)
-    k2 = lindblad_schrodinger(y + 0.5 * dt * k1, model, u)
-    k3 = lindblad_schrodinger(y + 0.5 * dt * k2, model, u)
-    k4 = lindblad_schrodinger(y + dt * k3, model, u)
-    out = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return _stepped_state(0.5 * (out + out.conj().T))
+    _require_dim(rho, model)
+    y = _rk4_step(rho.entries[None], _generator_factor(model, u), dt)
+    return _stepped_state(y[0])
+
+
+def _master_at(grid, step: int) -> str:
+    return f"master flow at step {step}, t={grid.t0 + step * grid.dt:.6g}"
 
 
 def evolve_master(
@@ -284,87 +366,67 @@ def evolve_master(
     """March the master equation over a grid, thinning the record.
 
     Returns the recorded times and a stacked array of states, initial
-    state included.
+    state included.  The generator is built once; every step is checked
+    as :func:`master_step` checks its result (finite, unit trace,
+    eigenvalue floor), and a failure names the step and its time.
     """
     if grid.n_steps % record_stride != 0:
         raise InvalidParameter(
             f"record_stride {record_stride} does not divide {grid.n_steps}"
         )
+    _require_dim(rho0, model)
     n_rec = grid.n_steps // record_stride + 1
     states = np.empty((n_rec, model.dim, model.dim), dtype=complex)
     states[0] = rho0.entries
-    current = rho0
+    R = _generator_factor(model, u)
+    y = rho0.entries[None]
     row = 1
     dt = grid.dt
-    for step in range(grid.n_steps):
-        current = master_step(current, model, u, dt)
-        if (step + 1) % record_stride == 0:
-            states[row] = current.entries
+    for step in range(1, grid.n_steps + 1):
+        y = _rk4_step(y, R, dt)
+        trace_dev, _ = _check_stack(y, lambda b: _master_at(grid, step))
+        if trace_dev > TRACE_TOL:
+            raise InvalidParameter(
+                f"state trace off 1 by {trace_dev:.3e} in {_master_at(grid, step)}"
+            )
+        if step % record_stride == 0:
+            states[row] = y[0]
             row += 1
     return _frozen(grid.times()[::record_stride].copy()), _frozen(states)
 
 
-#: operators of one filtering step; ``*_t`` stacks are transposed and
-#: ``H_t`` is None when the Hamiltonian vanishes
-_SmeOps = namedtuple("_SmeOps", "H_t L_t Ld LdL LdL_t Lsum")
-
-
-def _sme_operators(model: FiniteModel, u) -> _SmeOps:
-    H = model.hamiltonian(u)
-    Ls = np.asarray(model.L_list)
-    Lds = _dagger(Ls)
-    LdLs = np.matmul(Lds, Ls)
-    return _SmeOps(
-        np.ascontiguousarray(H.T) if np.any(H) else None,
-        np.ascontiguousarray(Ls.swapaxes(1, 2)), Lds, LdLs,
-        np.ascontiguousarray(LdLs.swapaxes(1, 2)), Ls + Lds,
-    )
-
-
-def _stack_product(X: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """X_b @ M for every matrix of a (B, n, n) stack, as one GEMM.
-
-    The stack is multiplied as a single (B*n, n) @ (n, n) product, whose
-    row blocks round exactly as the product of each matrix alone, so
-    results do not depend on B.  A single (n, n) @ (n, B*n) product for
-    left multiplication does not: its wide kernel rounds complex entries
-    differently, hence left products go through the transposed stack.
-    """
-    B, n, _ = X.shape
-    return (X.reshape(B * n, n) @ M).reshape(B, n, n)
-
-
 def _sme_update(
-    states: np.ndarray, ops: _SmeOps, hbar: float, dW: np.ndarray, dt: float
+    states: np.ndarray, R: np.ndarray, dW: np.ndarray, dt: float
 ) -> np.ndarray:
     """One Euler step of the filtering equation on a (B, n, n) stack.
 
-    The Lindblad drift plus, per channel c, the fluctuation
-    rho Lc' + Lc rho - <Lc+Lc'> rho times the Wiener increment dW[:, c];
-    the result is Hermitized and renormalized by its trace.
+    With e_c = 2 Re Tr(rho Lc') = <Lc + Lc'> the step is rho + A + A',
+
+        A = dt (rho K' + sum_c Lc rho Lc' / 2)
+            + sum_c dW[:, c] (rho Lc' - e_c rho / 2),
+
+    the Lindblad drift plus each channel's innovation term, from the
+    products of :func:`_half_generator`.  A + A' is Hermitian to the
+    last bit, so the state stays Hermitian without a projection; it is
+    renormalized by its trace.
     """
-    # left products M @ X_b run as (X_b^T @ M^T)^T
-    states_t = np.ascontiguousarray(states.swapaxes(1, 2))
-    if ops.H_t is not None:
-        HR = _stack_product(states_t, ops.H_t).swapaxes(1, 2)
-        drift = (-1j / hbar) * (HR - _dagger(HR))
-    else:
-        drift = np.zeros_like(states)
-    stoch = np.zeros_like(states)
-    for c in range(ops.Ld.shape[0]):
-        LR = _stack_product(states_t, ops.L_t[c]).swapaxes(1, 2)
-        drift += _stack_product(LR, ops.Ld[c]) - 0.5 * (
-            _stack_product(states_t, ops.LdL_t[c]).swapaxes(1, 2)
-            + _stack_product(states, ops.LdL[c])
-        )
-        fluct = LR + _stack_product(states, ops.Ld[c])
-        e = np.einsum("bij,ji->b", states, ops.Lsum[c]).real
-        fluct -= e[:, None, None] * states
-        stoch += fluct * dW[:, c][:, None, None]
-    states = states + drift * dt + stoch
-    states = 0.5 * (states + _dagger(states))
-    states /= np.einsum("bii->b", states).real[:, None, None]
-    return states
+    A, P = _half_generator(states, R)
+    A *= dt
+    for c in range(dW.shape[1]):
+        rho_Ld = P[:, :, c + 1]
+        half_e = np.einsum("bii->b", rho_Ld).real
+        A += dW[:, c, None, None] * rho_Ld
+        A -= (half_e * dW[:, c])[:, None, None] * states
+    out = A + _dagger(A)
+    out += states
+    out *= (1.0 / np.einsum("bii->b", out).real)[:, None, None]
+    return out
+
+
+def _record_means(rho: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """<Lc + Lc'> = 2 Re Tr(rho Lc') of one state, per channel."""
+    n = rho.shape[0]
+    return 2.0 * np.einsum("ij,jci->c", rho, R[:, n:].reshape(n, -1, n)).real
 
 
 def _batched_min_eig(states: np.ndarray) -> float:
@@ -413,9 +475,10 @@ def sme_step(
         raise DimensionMismatch(
             f"record has {dY.shape[0]} channels, model has {model.n_channels}"
         )
-    ops = _sme_operators(model, u)
-    dW = dY - np.einsum("ij,cji->c", rho.entries, ops.Lsum).real * dt
-    out = _sme_update(rho.entries[None], ops, model.hbar, dW[None], dt)
+    _require_dim(rho, model)
+    R = _generator_factor(model, u)
+    dW = dY - _record_means(rho.entries, R) * dt
+    out = _sme_update(rho.entries[None], R, dW[None], dt)
     return _stepped_state(out[0])
 
 
@@ -475,10 +538,7 @@ def simulate_sme_trajectory(
         )
     if not (isinstance(index, (int, np.integer)) and index >= 0):
         raise InvalidParameter(f"index must be an integer >= 0, got {index!r}")
-    if rho0.dim != model.dim:
-        raise DimensionMismatch(
-            f"state dim {rho0.dim} does not match model dim {model.dim}"
-        )
+    _require_dim(rho0, model)
     n, d = model.dim, model.n_channels
     grid = config.grid
     dt = grid.dt
@@ -490,7 +550,7 @@ def simulate_sme_trajectory(
         outputs = np.zeros((n_rec, d))
         controls = np.zeros((n_rec, model.n_controls))
         u = None if control_policy is None else control_policy(times[0], rho0)
-        ops = _sme_operators(model, u)
+        R = _generator_factor(model, u)
         rho = rho0.entries[None]
         states[0] = rho0.entries
         if u is not None:
@@ -498,13 +558,13 @@ def simulate_sme_trajectory(
         block = np.zeros(d)
         row = 1
         for step, dW in enumerate(noise):
-            block += np.einsum("ij,cji->c", rho[0], ops.Lsum).real * dt + dW[0]
-            rho = _sme_update(rho, ops, model.hbar, dW, dt)
+            block += _record_means(rho[0], R) * dt + dW[0]
+            rho = _sme_update(rho, R, dW, dt)
             _check_stack(rho, lambda b: _at(config, start + b, step + 1))
             if control_policy is not None:
                 u_next = control_policy(times[step + 1], DensityMatrix(rho[0]))
                 if not np.array_equal(u_next, u):
-                    u, ops = u_next, _sme_operators(model, u_next)
+                    u, R = u_next, _generator_factor(model, u_next)
             if (step + 1) % config.record_stride == 0:
                 states[row] = rho[0]
                 outputs[row] = block
@@ -558,12 +618,9 @@ def simulate_sme_ensemble(
     are reported on the ensemble.  Feedback policies need the
     single-trajectory entry point.
     """
-    if rho0.dim != model.dim:
-        raise DimensionMismatch(
-            f"state dim {rho0.dim} does not match model dim {model.dim}"
-        )
+    _require_dim(rho0, model)
     n, grid = model.dim, config.grid
-    ops = _sme_operators(model, u)
+    R = _generator_factor(model, u)
     finals = np.empty((config.n_traj, n, n), dtype=complex)
 
     def run_chunk(start: int, stop: int, noise: np.ndarray):
@@ -574,7 +631,7 @@ def simulate_sme_ensemble(
         trace_dev = 0.0
         row = 1
         for step, dW in enumerate(noise):
-            states = _sme_update(states, ops, model.hbar, dW, grid.dt)
+            states = _sme_update(states, R, dW, grid.dt)
             step_dev, step_low = _check_stack(
                 states, lambda b: _at(config, start + b, step + 1))
             trace_dev = max(trace_dev, step_dev)
@@ -713,18 +770,11 @@ def finite_model_from_json(source: str | Path | dict) -> FiniteModel:
     ``L_list`` (list); complex matrices are ``{"re": ..., "im": ...}``
     pairs of nested row-major lists.
     """
-    if isinstance(source, dict):
-        data = source
-    else:
-        with open(source, encoding="utf-8") as fh:
-            data = json.load(fh)
-
+    data = _json_object(source, "finite model")
     for key in ["dim", "hbar", "H0", "H_controls", "L_list"]:
         if key not in data:
             raise InvalidParameter(f"finite model JSON is missing key '{key}'")
-    n = int(data["dim"])
-    if n <= 0:
-        raise InvalidParameter(f"'dim' must be positive, got {n}")
+    n = _json_count(data, "dim")
 
     def grab(obj, key: str) -> np.ndarray:
         if not isinstance(obj, dict) or "re" not in obj or "im" not in obj:
@@ -742,8 +792,9 @@ def finite_model_from_json(source: str | Path | dict) -> FiniteModel:
         return re + 1j * im
 
     H0 = grab(data["H0"], "H0")
-    Hs = [grab(o, f"H_controls[{i}]") for i, o in enumerate(data["H_controls"])]
-    Ls = [grab(o, f"L_list[{i}]") for i, o in enumerate(data["L_list"])]
+    Hs = [grab(o, f"H_controls[{i}]")
+          for i, o in enumerate(_json_list(data, "H_controls"))]
+    Ls = [grab(o, f"L_list[{i}]") for i, o in enumerate(_json_list(data, "L_list"))]
     return FiniteModel(
-        H0=H0, L_list=Ls, H_controls=Hs, hbar=float(data["hbar"])
+        H0=H0, L_list=Ls, H_controls=Hs, hbar=_json_positive(data, "hbar")
     )

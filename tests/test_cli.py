@@ -434,6 +434,40 @@ class TestSme:
         assert "'rho0'" in capsys.readouterr().err
 
 
+class TestModelValues:
+    # a mistyped value in either model reader is rejected input (exit 2),
+    # never an exception out of main(); None stands for a model file that
+    # holds invalid JSON
+    CASES = [
+        ("sme", "hbar", "x"), ("sme", "dim", "two"), ("sme", "dim", 2.5),
+        ("sme", "L_list", 3), ("sme", None, None),
+        ("build", "m", "two"), ("build", "d", "x"), ("build", "m", 2.5),
+        ("build", "hbar", "x"), ("build", None, None),
+    ]
+
+    @pytest.mark.parametrize("command, key, value", CASES,
+                             ids=[f"{c}-{k}={v!r}" if k else f"{c}-invalid-json"
+                                  for c, k, v in CASES])
+    def test_mistyped_model_value_exits_2(self, tmp_path, capsys, command, key,
+                                          value):
+        block, model = {
+            "sme": ("finite_model", dict(QUBIT_MODEL)),
+            "build": ("model", dict(INLINE_FREE_PARTICLE)),
+        }[command]
+        if key is None:
+            (tmp_path / "model.json").write_text('{"dim": ', encoding="utf-8")
+            model = "model.json"
+        else:
+            model[key] = value
+        scenario = write_scenario(
+            tmp_path, **{block: model}, rho0=QUBIT_RHO0,
+            grid={"t0": 0.0, "t1": 0.01, "n_steps": 10},
+            sim={"n_traj": 4, "seed": 1}, out=str(tmp_path / "out"),
+        )
+        assert cli.main([command, "--scenario", scenario]) == 2
+        assert ("not valid JSON" if key is None else f"'{key}'") in capsys.readouterr().err
+
+
 class TestValidateSuites:
     def test_injected_coarse_sme_grid_fails_with_positivity_loss(self):
         results = run_suites(

@@ -34,6 +34,7 @@ from qlqg.sme import (
     trace_norm,
     weak_measurement_unitary,
 )
+from qlqg.sme import _generator_factor, _half_generator
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -66,6 +67,22 @@ def random_model(rng, n, channels=2):
         for _ in range(channels)
     ]
     return FiniteModel(H0=H + H.conj().T, L_list=Ls)
+
+
+def controlled_model(rng, n, channels=2, hbar=1.0):
+    # random H0 and couplings plus one control Hamiltonian, so the stacked
+    # right factor [K' | L_1' | ... | L_d'] is (d+1)n wide with K != 0
+    base = random_model(rng, n, channels)
+    Hc = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return FiniteModel(H0=base.H0, L_list=0.3 * base.L_list,
+                       H_controls=[Hc + Hc.conj().T], hbar=hbar)
+
+
+QUTRIT_CONTROL = [0.7]
+
+
+def qutrit_start():
+    return DensityMatrix(np.diag([0.5, 0.3, 0.2]).astype(complex))
 
 
 class TestDensityMatrix:
@@ -197,6 +214,22 @@ class TestLindblad:
         ).real
         assert abs(fd - direct) < 1e-6
 
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_fused_generator_matches_commutator_form(self, n):
+        # the hoisted K = -iH(u)/hbar - sum L'L/2 feeds both the SME step and
+        # the master flow, so it is checked against the commutator form
+        rng = np.random.default_rng(70 + n)
+        for _ in range(10):
+            model = controlled_model(rng, n, hbar=rng.uniform(0.5, 2.0))
+            u = [rng.uniform(0.5, 2.0)]
+            rho = random_state(rng, n).entries
+            X, P = _half_generator(rho[None], _generator_factor(model, u))
+            fused = X[0] + X[0].conj().T
+            ref = lindblad_schrodinger(rho, model, u)
+            assert np.abs(fused - ref).max() <= 1e-13
+            for c, L in enumerate(model.L_list):
+                assert np.abs(P[0, :, c + 1] - rho @ L.conj().T).max() <= 1e-13
+
     def test_hbar_scales_hamiltonian_part(self):
         fast = FiniteModel(H0=SZ, L_list=[])
         slow = FiniteModel(H0=SZ, L_list=[], hbar=2.0)
@@ -233,6 +266,8 @@ class TestMasterStep:
         excited = DensityMatrix(np.diag([0.0, 1.0]).astype(complex))
         with pytest.raises(PositivityLoss):
             master_step(excited, model, None, 3.0)
+        with pytest.raises(PositivityLoss, match=r"at step 1, t=3$"):
+            evolve_master(excited, model, TimeGrid(0.0, 6.0, 2))
 
     def test_rejects_bad_dt(self):
         for dt in (0.0, np.inf):
@@ -347,15 +382,22 @@ class TestTrajectory:
 
     def test_replays_any_ensemble_trajectory(self):
         # run alone from (seed, index), trajectory 1030 ends where it
-        # ends inside its 1100-trajectory ensemble
-        model = random_model(np.random.default_rng(2), 2)
+        # ends inside its 1100-trajectory ensemble, for a qubit and for a
+        # controlled qutrit, two channels each
         grid = TimeGrid(0.0, 0.05, 50)
-        ens = simulate_sme_ensemble(
-            mixed_state(), model, SimConfig(grid=grid, n_traj=1100, seed=21))
-        traj = simulate_sme_trajectory(
-            mixed_state(), model, None, SimConfig(grid=grid, n_traj=1, seed=21),
-            index=1030)
-        np.testing.assert_array_equal(traj.states[-1], ens.final_states[1030])
+        cases = [
+            (random_model(np.random.default_rng(2), 2), mixed_state(), None),
+            (controlled_model(np.random.default_rng(3), 3), qutrit_start(),
+             QUTRIT_CONTROL),
+        ]
+        for model, rho0, u in cases:
+            ens = simulate_sme_ensemble(
+                rho0, model, SimConfig(grid=grid, n_traj=1100, seed=21), u=u)
+            policy = None if u is None else (lambda t, rho: u)
+            traj = simulate_sme_trajectory(
+                rho0, model, policy, SimConfig(grid=grid, n_traj=1, seed=21),
+                index=1030)
+            np.testing.assert_array_equal(traj.states[-1], ens.final_states[1030])
 
     @pytest.mark.parametrize("index", [-1, 1.5, "3"])
     def test_rejects_bad_index(self, index):
@@ -459,19 +501,21 @@ class TestEnsemble:
         np.testing.assert_array_equal(a.final_states, b.final_states)
         np.testing.assert_array_equal(a.mean_states, b.mean_states)
 
-    @pytest.mark.parametrize("hamiltonian", [False, True],
-                             ids=["H0=0", "H0!=0"])
-    def test_results_do_not_depend_on_batch_layout(self, hamiltonian):
+    @pytest.mark.parametrize("case", ["H0=0", "H0!=0", "n=3-d=2"])
+    def test_results_do_not_depend_on_batch_layout(self, case):
         # generic complex couplings: their products round differently in
         # different BLAS kernels, which Pauli couplings would hide
-        model = random_model(np.random.default_rng(2), 2)
-        if not hamiltonian:
+        model, rho0, u = random_model(np.random.default_rng(2), 2), mixed_state(), None
+        if case == "H0=0":
             model = FiniteModel(H0=np.zeros((2, 2)), L_list=model.L_list)
+        elif case == "n=3-d=2":
+            model = controlled_model(np.random.default_rng(3), 3)
+            rho0, u = qutrit_start(), QUTRIT_CONTROL
         grid = TimeGrid(0.0, 0.05, 50)
         alone = simulate_sme_ensemble(
-            mixed_state(), model, SimConfig(grid=grid, n_traj=1, seed=21))
+            rho0, model, SimConfig(grid=grid, n_traj=1, seed=21), u=u)
         batched = simulate_sme_ensemble(
-            mixed_state(), model, SimConfig(grid=grid, n_traj=1300, seed=21))
+            rho0, model, SimConfig(grid=grid, n_traj=1300, seed=21), u=u)
         np.testing.assert_array_equal(
             alone.final_states[0], batched.final_states[0])
 
@@ -493,7 +537,7 @@ class TestEnsemble:
             with pytest.raises(NonFinite, match="trajectory 0 of seed 1 at "
                                                 "step 1, t=0.001"):
                 simulate_sme_trajectory(mixed_state(), model, None, cfg)
-            with pytest.raises(NonFinite):
+            with pytest.raises(NonFinite, match="at step 1, t=0.001"):
                 evolve_master(mixed_state(), model, cfg.grid)
 
     def test_positivity_loss_names_trajectory_and_step(self):
