@@ -107,13 +107,18 @@ def _number(value, name: str, integer: bool = False):
     """A scenario number as a float, or as an int when ``integer``.
 
     ConfigError for anything else: a string, null, list, object or bool,
-    and, where an integer is required, a value with a fractional part.
+    an integer past the float range, and, where an integer is required, a
+    value with a fractional part.
     """
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{name} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ConfigError(f"{name} is too large for a float") from None
     if not integer:
-        return float(value)
-    if not float(value).is_integer():
+        return number
+    if not number.is_integer():
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     return int(value)
 

@@ -57,9 +57,12 @@ def _finite(arr: np.ndarray, name: str) -> np.ndarray:
 
 def _positive(value, name: str) -> float:
     """``value`` as a float, or InvalidParameter unless it is a finite
-    positive number (``not x > 0`` alone lets ``inf`` through)."""
+    positive number (``not x > 0`` alone lets ``inf`` through; an integer
+    past the float range counts as infinite)."""
     try:
         value = float(value)
+    except OverflowError:
+        value = math.inf if value > 0 else -math.inf
     except (TypeError, ValueError):
         raise InvalidParameter(f"{name} must be a number, got {value!r}") from None
     if not (math.isfinite(value) and value > 0):

@@ -6,12 +6,26 @@ unitary.  Both flows run on one generator form,
 
     L rho = K rho + rho K' + sum_c Lc rho Lc',  K = -iH(u)/hbar - sum_c Lc'Lc/2,
 
-with K built once per control, not once per step, and every product a
-row-stacked GEMM in operator form.  One Euler step filters every record:
-ensembles, single trajectories and :func:`sme_step` run it.  One RK4
-step runs the master flow.  Both write the new state as rho + A + A', so
-a Hermitian state stays Hermitian to the last bit.  Three independent
-oracles check them: the commutator-form generators
+with K built once per control, not once per step.
+
+States are held as (2, n, n, B) float arrays: the planes Re rho and
+Im rho, one state (one trajectory) per column b, the layout the closed
+loop uses.  Every product is a left product, one real GEMM of a block
+factor [[Re S, -Im S], [Im S, Re S]] against the planes, and every
+elementwise pass (per-trajectory scalars, traces, daggers) runs over
+contiguous rows of length B.  The GEMMs are real, not complex, because
+BLAS ``zgemm`` rounds a column differently depending on where it sits in
+the batch, while ``dgemm`` in this orientation rounds it alike for every
+B, so any trajectory replays bit for bit from ``(seed, index)``.  A
+one-column product would go to GEMV and is padded.  The public types
+stay complex; states are converted at record rows, at the end of a
+chunk and for a feedback policy.
+
+One Euler step filters every record: ensembles, single trajectories and
+:func:`sme_step` run it.  One RK4 step runs the master flow.  Both write
+the new state as rho + (A + A'), taken plane by plane (A_r + A_r' and
+A_i - A_i'), so a Hermitian state stays Hermitian to the last bit.
+Three independent oracles check them: the commutator-form generators
 (:func:`lindblad_schrodinger`, :func:`lindblad_heisenberg`) check the
 hoisted K, the master flow checks the ensemble mean, and ancilla
 conditioning checks one step.  The filtering step renormalizes by the
@@ -23,6 +37,7 @@ mask integration error, so a state past the floor raises
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -265,63 +280,111 @@ def lindblad_schrodinger(
     return out
 
 
-def _generator_factor(model: FiniteModel, u) -> np.ndarray:
-    """The right factor ``[K' | L_1' | ... | L_d']`` of both flows.
+def _generator_factor(model: FiniteModel, u) -> tuple[np.ndarray, np.ndarray]:
+    """The left factors of both flows, in real block form.
 
     With K = -iH(u)/hbar - sum_c Lc'Lc / 2 the Lindblad generator is
-    K rho + rho K' + sum_c Lc rho Lc'.  One (n, (d+1)n) matrix, built
-    once per control.
+    K rho + rho K' + sum_c Lc rho Lc'.  Each S of [K, L_1, ..., L_d] acts
+    on the stacked planes [Re rho; Im rho] as the (2n, 2n) block
+    [[Re S, -Im S], [Im S, Re S]]; the first factor stacks the d + 1
+    blocks into one (2(d+1)n, 2n) matrix.  The second holds one block per
+    channel, that of Lc / 2 with its right half negated: it maps the
+    planes of M = Lc rho with the matrix axes swapped, [Re M^T; Im M^T],
+    to Lc M' / 2.  Both scalings are exact.  Built once per control.
     """
     n = model.dim
     Ls = model.L_list
-    Lds = _dagger(Ls)
     K = (-1j / model.hbar) * model.hamiltonian(u)
-    K -= 0.5 * np.matmul(Lds, Ls).sum(axis=0)
-    blocks = np.concatenate([_dagger(K)[None], Lds])
-    return np.ascontiguousarray(blocks.transpose(1, 0, 2)).reshape(n, -1)
+    K -= 0.5 * np.matmul(_dagger(Ls), Ls).sum(axis=0)
+    S = np.concatenate([K[None], Ls])
+    blocks = np.block([[S.real, -S.imag], [S.imag, S.real]])
+    halves = 0.5 * blocks[1:]
+    halves[:, :, n:] *= -1.0
+    return blocks.reshape(-1, 2 * n), halves
 
 
-def _half_generator(
-    states: np.ndarray, R: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """rho K' + sum_c (Lc rho) Lc' / 2 for every matrix of a (B, n, n) stack.
+def _planes(states: np.ndarray) -> np.ndarray:
+    """The (2, n, n, B) planes [Re, Im] of a (B, n, n) complex stack."""
+    states = np.moveaxis(states, 0, -1)
+    return np.stack([states.real, states.imag])
 
-    Also returns the products P, with P[:, :, 0] = rho K' and
-    P[:, :, c + 1] = rho Lc'.  One GEMM of the row-stacked states,
-    (B*n, n) @ R, gives them all; one more per channel multiplies
-    Lc rho, the dagger of rho Lc' for Hermitian rho, by Lc'.  Every
-    product has the stack on its rows, and each row block rounds as
-    that matrix alone would, so results do not depend on B.  The
-    generator is X + X' for the returned X.
+
+def _assembled(Y: np.ndarray) -> np.ndarray:
+    """The (B, n, n) complex stack of (2, n, n, B) planes, exactly."""
+    out = np.empty(Y.shape[-1:] + Y.shape[1:3], dtype=complex)
+    out.real = np.moveaxis(Y[0], -1, 0)
+    out.imag = np.moveaxis(Y[1], -1, 0)
+    return out
+
+
+def _trace(P: np.ndarray) -> np.ndarray:
+    """Per-column trace of one (n, n, B) plane.
+
+    Summed row by row in a fixed order, so a column's trace rounds the
+    same for every B (numpy's reduction regroups a sum of eight or more
+    terms when B = 1).
     """
-    B, n, _ = states.shape
-    P = (states.reshape(B * n, n) @ R).reshape(B, n, -1, n)
-    X = P[:, :, 0].copy()
-    Lrho = np.empty_like(X)
-    for c in range(1, P.shape[2]):
-        np.conjugate(P[:, :, c].swapaxes(1, 2), out=Lrho)
-        LrhoLd = (Lrho.reshape(B * n, n) @ R[:, c * n:(c + 1) * n]).reshape(B, n, n)
-        LrhoLd *= 0.5
-        X += LrhoLd
-    return X, P
+    return functools.reduce(np.add, [P[i, i] for i in range(P.shape[0])])
 
 
-def _rk4_step(y: np.ndarray, R: np.ndarray, dt: float) -> np.ndarray:
-    """One RK4 step of the unconditional flow on a (B, n, n) stack.
+def _left(M: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """M @ Y for a real block factor M and planes Y: one real GEMM.
+
+    The product's rows are those of M, its columns Y's (column, trajectory)
+    pairs.  A single column would go to BLAS GEMV, which rounds apart
+    from GEMM, so it is padded with a zero column.
+    """
+    cols = Y.reshape(M.shape[1], -1)
+    if cols.shape[1] == 1:
+        out = (M @ np.pad(cols, ((0, 0), (0, 1))))[:, :1]
+    else:
+        out = M @ cols
+    return out.reshape((-1,) + Y.shape[1:])
+
+
+def _half_generator(Y: np.ndarray, factor) -> tuple[np.ndarray, np.ndarray]:
+    """K rho + sum_c Lc rho Lc' / 2 for every state of (2, n, n, B) planes.
+
+    Also returns the planes of every Lc rho, shape (d, 2, n, n, B), each
+    channel's block contiguous.  One GEMM of the stacked factor against
+    the planes gives K rho and all Lc rho.  For Hermitian rho,
+    rho Lc' = (Lc rho)', so one more GEMM per channel, of the axis-swapped
+    Lc rho planes, gives Lc rho Lc' = Lc (Lc rho)'.  The generator is
+    X + X' for the returned X.
+    """
+    G, halves = factor
+    Z = _left(G, Y).reshape((-1,) + Y.shape)
+    X = Z[0]
+    for c, half_L in enumerate(halves):
+        X = X + _left(half_L, Z[c + 1].swapaxes(1, 2))
+    return X, Z[1:]
+
+
+def _plus_dagger(X: np.ndarray) -> np.ndarray:
+    """X + X' plane by plane, exactly Hermitian: the real plane is
+    X_r' + X_r, the imaginary one -X_i' + X_i (a copy with the matrix axes
+    swapped, then contiguous passes)."""
+    out = X.swapaxes(1, 2).copy()
+    np.negative(out[1], out=out[1])
+    out += X
+    return out
+
+
+def _rk4_step(Y: np.ndarray, factor, dt: float) -> np.ndarray:
+    """One RK4 step of the unconditional flow on (2, n, n, B) planes.
 
     Every stage is X + X' of :func:`_half_generator`, so a Hermitian
     state stays Hermitian to the last bit; the generator is trace-free,
     so the trace survives to roundoff.
     """
     def lindblad(rho):
-        X, _ = _half_generator(rho, R)
-        return X + _dagger(X)
+        return _plus_dagger(_half_generator(rho, factor)[0])
 
-    k1 = lindblad(y)
-    k2 = lindblad(y + 0.5 * dt * k1)
-    k3 = lindblad(y + 0.5 * dt * k2)
-    k4 = lindblad(y + dt * k3)
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k1 = lindblad(Y)
+    k2 = lindblad(Y + 0.5 * dt * k1)
+    k3 = lindblad(Y + 0.5 * dt * k2)
+    k4 = lindblad(Y + dt * k3)
+    return Y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def _require_dim(rho: DensityMatrix, model: FiniteModel) -> None:
@@ -348,8 +411,8 @@ def master_step(
     """
     _positive(dt, "dt")
     _require_dim(rho, model)
-    y = _rk4_step(rho.entries[None], _generator_factor(model, u), dt)
-    return _stepped_state(y[0])
+    Y = _rk4_step(_planes(rho.entries[None]), _generator_factor(model, u), dt)
+    return _stepped_state(_assembled(Y)[0])
 
 
 def _master_at(grid, step: int) -> str:
@@ -375,88 +438,90 @@ def evolve_master(
             f"record_stride {record_stride} does not divide {grid.n_steps}"
         )
     _require_dim(rho0, model)
-    n_rec = grid.n_steps // record_stride + 1
-    states = np.empty((n_rec, model.dim, model.dim), dtype=complex)
-    states[0] = rho0.entries
-    R = _generator_factor(model, u)
-    y = rho0.entries[None]
+    n = model.dim
+    path = np.empty((2, n, n, grid.n_steps // record_stride + 1))
+    factor = _generator_factor(model, u)
+    Y = _planes(rho0.entries[None])
+    path[..., 0] = Y[..., 0]
     row = 1
     dt = grid.dt
     for step in range(1, grid.n_steps + 1):
-        y = _rk4_step(y, R, dt)
-        trace_dev, _ = _check_stack(y, lambda b: _master_at(grid, step))
+        Y = _rk4_step(Y, factor, dt)
+        trace_dev, _ = _check_stack(Y, lambda b: _master_at(grid, step))
         if trace_dev > TRACE_TOL:
             raise InvalidParameter(
                 f"state trace off 1 by {trace_dev:.3e} in {_master_at(grid, step)}"
             )
         if step % record_stride == 0:
-            states[row] = y[0]
+            path[..., row] = Y[..., 0]
             row += 1
-    return _frozen(grid.times()[::record_stride].copy()), _frozen(states)
+    return _frozen(grid.times()[::record_stride].copy()), _frozen(_assembled(path))
+
+
+def _half_traces(LY: np.ndarray) -> np.ndarray:
+    """Re Tr(Lc rho) = <Lc + Lc'> / 2, shape (d, B), from Lc rho planes."""
+    return np.array([_trace(M[0]) for M in LY]).reshape(-1, LY.shape[-1])
 
 
 def _sme_update(
-    states: np.ndarray, R: np.ndarray, dW: np.ndarray, dt: float
-) -> np.ndarray:
-    """One Euler step of the filtering equation on a (B, n, n) stack.
+    Y: np.ndarray, factor, dW: np.ndarray, dt: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """One Euler step of the filtering equation on (2, n, n, B) planes.
 
-    With e_c = 2 Re Tr(rho Lc') = <Lc + Lc'> the step is rho + A + A',
+    With e_c = 2 Re Tr(Lc rho) = <Lc + Lc'> the step is rho + (A + A'),
 
-        A = dt (rho K' + sum_c Lc rho Lc' / 2)
-            + sum_c dW[:, c] (rho Lc' - e_c rho / 2),
+        A = dt (K rho + sum_c Lc rho Lc' / 2)
+            + sum_c dW[:, c] (Lc rho - e_c rho / 2),
 
     the Lindblad drift plus each channel's innovation term, from the
     products of :func:`_half_generator`.  A + A' is Hermitian to the
     last bit, so the state stays Hermitian without a projection; it is
-    renormalized by its trace.
+    renormalized by its trace.  Also returns e / 2 of the input states,
+    shape (d, B), from which the record is built.
     """
-    A, P = _half_generator(states, R)
+    A, LY = _half_generator(Y, factor)
     A *= dt
-    for c in range(dW.shape[1]):
-        rho_Ld = P[:, :, c + 1]
-        half_e = np.einsum("bii->b", rho_Ld).real
-        A += dW[:, c, None, None] * rho_Ld
-        A -= (half_e * dW[:, c])[:, None, None] * states
-    out = A + _dagger(A)
-    out += states
-    out *= (1.0 / np.einsum("bii->b", out).real)[:, None, None]
-    return out
+    half_e = _half_traces(LY)
+    for c, LY_c in enumerate(LY):
+        dw = dW[:, c]
+        A += dw * LY_c
+        A -= (half_e[c] * dw) * Y
+    out = _plus_dagger(A)
+    out += Y
+    out *= 1.0 / _trace(out[0])
+    return out, half_e
 
 
-def _record_means(rho: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """<Lc + Lc'> = 2 Re Tr(rho Lc') of one state, per channel."""
-    n = rho.shape[0]
-    return 2.0 * np.einsum("ij,jci->c", rho, R[:, n:].reshape(n, -1, n)).real
+def _min_eigenvalues(Y: np.ndarray) -> np.ndarray:
+    """Lowest eigenvalue of every state of Hermitian (2, n, n, B) planes.
+
+    A qubit's comes in closed form, computed on contiguous rows; larger
+    states go through ``eigvalsh`` on the assembled complex stack.
+    """
+    if Y.shape[1] == 2:
+        (r00, r01), (_, r11) = Y[0]
+        i01 = Y[1, 0, 1]
+        half_tr = 0.5 * (r00 + r11)
+        det = r00 * r11 - (r01 * r01 + i01 * i01)
+        return half_tr - np.sqrt(np.maximum(half_tr * half_tr - det, 0.0))
+    return np.linalg.eigvalsh(_assembled(Y))[:, 0]
 
 
-def _batched_min_eig(states: np.ndarray) -> float:
-    """Smallest eigenvalue across a batch of Hermitian matrices."""
-    n = states.shape[-1]
-    if n == 2:
-        half_tr = 0.5 * (states[:, 0, 0] + states[:, 1, 1]).real
-        det = (
-            states[:, 0, 0] * states[:, 1, 1]
-            - states[:, 0, 1] * states[:, 1, 0]
-        ).real
-        gap = np.sqrt(np.maximum(half_tr * half_tr - det, 0.0))
-        return float((half_tr - gap).min())
-    return float(np.linalg.eigvalsh(states).min())
-
-
-def _check_stack(states: np.ndarray, where) -> tuple[float, float]:
-    """Largest |Tr - 1| and lowest eigenvalue of a stepped stack.
+def _check_stack(Y: np.ndarray, where) -> tuple[float, float]:
+    """Largest |Tr - 1| and lowest eigenvalue of stepped (2, n, n, B) planes.
 
     Raises NonFinite first (NaN passes every comparison after it), then
-    PositivityLoss below the floor, naming matrix ``b`` as ``where(b)``;
-    the failing matrix is looked for only after a global check fails.
+    PositivityLoss below the floor, naming state ``b`` as ``where(b)``;
+    the failing state is looked for only after a global check fails.
     """
-    if not np.isfinite(states).all():
-        b = int(np.argmin(np.isfinite(states).all(axis=(1, 2))))
+    if not np.isfinite(Y).all():
+        b = int(np.argmin(np.isfinite(Y).all(axis=(0, 1, 2))))
         raise NonFinite(f"state left the finite range in {where(b)}")
-    trace_dev = float(np.abs(np.einsum("bii->b", states).real - 1.0).max())
-    low = _batched_min_eig(states)
+    trace_dev = float(np.abs(_trace(Y[0]) - 1.0).max())
+    lows = _min_eigenvalues(Y)
+    low = float(lows.min())
     if low < POSITIVITY_FLOOR:
-        b = int(np.argmin([_batched_min_eig(s[None]) for s in states]))
+        b = int(np.argmin(lows))
         raise PositivityLoss(f"eigenvalue {low:.3e} below floor in {where(b)}")
     return trace_dev, low
 
@@ -476,10 +541,12 @@ def sme_step(
             f"record has {dY.shape[0]} channels, model has {model.n_channels}"
         )
     _require_dim(rho, model)
-    R = _generator_factor(model, u)
-    dW = dY - _record_means(rho.entries, R) * dt
-    out = _sme_update(rho.entries[None], R, dW[None], dt)
-    return _stepped_state(out[0])
+    factor = _generator_factor(model, u)
+    Y = _planes(rho.entries[None])
+    half_e = _half_traces(_half_generator(Y, factor)[1])
+    dW = dY - 2.0 * half_e[:, 0] * dt
+    out, _ = _sme_update(Y, factor, dW[None], dt)
+    return _stepped_state(_assembled(out)[0])
 
 
 @dataclass(frozen=True)
@@ -546,33 +613,34 @@ def simulate_sme_trajectory(
     times = grid.times()
 
     def run(start: int, stop: int, noise: np.ndarray):
-        states = np.empty((n_rec, n, n), dtype=complex)
+        path = np.empty((2, n, n, n_rec))
         outputs = np.zeros((n_rec, d))
         controls = np.zeros((n_rec, model.n_controls))
         u = None if control_policy is None else control_policy(times[0], rho0)
-        R = _generator_factor(model, u)
-        rho = rho0.entries[None]
-        states[0] = rho0.entries
+        factor = _generator_factor(model, u)
+        Y = _planes(rho0.entries[None])
+        path[..., 0] = Y[..., 0]
         if u is not None:
             controls[0] = np.asarray(u, dtype=float).reshape(-1)
         block = np.zeros(d)
         row = 1
         for step, dW in enumerate(noise):
-            block += _record_means(rho[0], R) * dt + dW[0]
-            rho = _sme_update(rho, R, dW, dt)
-            _check_stack(rho, lambda b: _at(config, start + b, step + 1))
+            Y, half_e = _sme_update(Y, factor, dW, dt)
+            block += 2.0 * half_e[:, 0] * dt + dW[0]
+            _check_stack(Y, lambda b: _at(config, start + b, step + 1))
             if control_policy is not None:
-                u_next = control_policy(times[step + 1], DensityMatrix(rho[0]))
+                rho = DensityMatrix(_assembled(Y)[0])
+                u_next = control_policy(times[step + 1], rho)
                 if not np.array_equal(u_next, u):
-                    u, R = u_next, _generator_factor(model, u_next)
+                    u, factor = u_next, _generator_factor(model, u_next)
             if (step + 1) % config.record_stride == 0:
-                states[row] = rho[0]
+                path[..., row] = Y[..., 0]
                 outputs[row] = block
                 if u is not None:
                     controls[row] = np.asarray(u, dtype=float).reshape(-1)
                 block = np.zeros(d)
                 row += 1
-        return states, outputs, controls
+        return _assembled(path), outputs, controls
 
     [(states, outputs, controls)] = _run_chunks(config, d, run, first=int(index))
     for arr in (states, outputs, controls):
@@ -620,33 +688,34 @@ def simulate_sme_ensemble(
     """
     _require_dim(rho0, model)
     n, grid = model.dim, config.grid
-    R = _generator_factor(model, u)
+    factor = _generator_factor(model, u)
+    start_planes = _planes(rho0.entries[None])
     finals = np.empty((config.n_traj, n, n), dtype=complex)
 
     def run_chunk(start: int, stop: int, noise: np.ndarray):
-        states = np.tile(rho0.entries, (stop - start, 1, 1))
-        path = np.zeros((config.n_records, n, n), dtype=complex)
-        path[0] = states.sum(axis=0)
-        low = _batched_min_eig(states)
+        Y = np.repeat(start_planes, stop - start, axis=-1)
+        path = np.empty((2, n, n, config.n_records))
+        path[..., 0] = Y.sum(axis=-1)
+        low = float(_min_eigenvalues(Y).min())
         trace_dev = 0.0
         row = 1
         for step, dW in enumerate(noise):
-            states = _sme_update(states, R, dW, grid.dt)
+            Y, _ = _sme_update(Y, factor, dW, grid.dt)
             step_dev, step_low = _check_stack(
-                states, lambda b: _at(config, start + b, step + 1))
+                Y, lambda b: _at(config, start + b, step + 1))
             trace_dev = max(trace_dev, step_dev)
             low = min(low, step_low)
             if (step + 1) % config.record_stride == 0:
-                path[row] += states.sum(axis=0)
+                path[..., row] = Y.sum(axis=-1)
                 row += 1
-        finals[start:stop] = states
+        finals[start:stop] = _assembled(Y)
         return path, low, trace_dev
 
     paths, lows, trace_devs = zip(*_run_chunks(config, model.n_channels, run_chunk))
     return SmeEnsemble(
         config=config,
         times=_frozen(grid.times()[:: config.record_stride].copy()),
-        mean_states=_frozen(np.sum(paths, axis=0) / config.n_traj),
+        mean_states=_frozen(_assembled(np.sum(paths, axis=0) / config.n_traj)),
         final_states=_frozen(finals),
         min_eigenvalue=float(min(lows)),
         max_trace_deviation=float(max(trace_devs)),

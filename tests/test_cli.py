@@ -468,6 +468,28 @@ class TestModelValues:
         assert ("not valid JSON" if key is None else f"'{key}'") in capsys.readouterr().err
 
 
+class TestHugeIntegers:
+    # a JSON integer past the float range is rejected input (exit 2), not
+    # an OverflowError out of main()
+    CASES = [("riccati", "grid", "n_steps"), ("riccati", "grid", "t1"),
+             ("sme", "finite_model", "hbar")]
+
+    @pytest.mark.parametrize("command, block, key", CASES,
+                             ids=[f"{b}.{k}" for _, b, k in CASES])
+    def test_huge_integer_exits_2(self, tmp_path, capsys, command, block, key):
+        content = {
+            "model": {"preset": "free-particle"},
+            "cost": {"preset": "position-tracking", "beta": 1.0},
+            "finite_model": dict(QUBIT_MODEL), "rho0": QUBIT_RHO0,
+            "grid": {"t0": 0.0, "t1": 0.01, "n_steps": 10},
+            "sim": {"n_traj": 4, "seed": 1},
+        }
+        content[block][key] = 10 ** 400
+        scenario = write_scenario(tmp_path, out=str(tmp_path / "out"), **content)
+        assert cli.main([command, "--scenario", scenario]) == 2
+        assert key in capsys.readouterr().err
+
+
 class TestValidateSuites:
     def test_injected_coarse_sme_grid_fails_with_positivity_loss(self):
         results = run_suites(

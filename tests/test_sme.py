@@ -34,7 +34,17 @@ from qlqg.sme import (
     trace_norm,
     weak_measurement_unitary,
 )
-from qlqg.sme import _generator_factor, _half_generator
+from qlqg.sme import (
+    _assembled,
+    _generator_factor,
+    _half_generator,
+    _left,
+    _planes,
+    _plus_dagger,
+    _rk4_step,
+    _sme_update,
+    _trace,
+)
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -78,11 +88,28 @@ def controlled_model(rng, n, channels=2, hbar=1.0):
                        H_controls=[Hc + Hc.conj().T], hbar=hbar)
 
 
-QUTRIT_CONTROL = [0.7]
+def layout_case(case):
+    """(model, rho0, u) of each batch-layout and replay case: generic
+    complex couplings, whose products round differently in different BLAS
+    kernels (Pauli couplings would hide that), most with H != 0 and a
+    control.  ``dim=1`` runs the padded one-column products; renormalization
+    pins its state to 1, so ``TestPlaneKernel`` checks the pad's rounding."""
+    if case == "H0=0":
+        model = random_model(np.random.default_rng(2), 2)
+        return FiniteModel(H0=np.zeros((2, 2)), L_list=model.L_list), mixed_state(), None
+    if case == "H0!=0":
+        return random_model(np.random.default_rng(2), 2), mixed_state(), None
+    if case == "dim=1":
+        model = FiniteModel(H0=[[0.4]], L_list=[[[0.5 + 0.3j]]], H_controls=[[[1.0]]])
+        return model, DensityMatrix(np.eye(1)), [0.7]
+    n, d = (int(part[2:]) for part in case.split("-"))
+    model = controlled_model(np.random.default_rng(n + 10 * d), n, channels=d)
+    rho0 = DensityMatrix(np.diag(np.arange(n, 0, -1.0)) / (n * (n + 1) / 2))
+    return model, rho0, [0.7]
 
 
-def qutrit_start():
-    return DensityMatrix(np.diag([0.5, 0.3, 0.2]).astype(complex))
+LAYOUT_CASES = ["H0=0", "H0!=0", "n=2-d=1", "n=3-d=1", "n=3-d=2", "n=5-d=1",
+                "n=5-d=2", "dim=1"]
 
 
 class TestDensityMatrix:
@@ -223,12 +250,35 @@ class TestLindblad:
             model = controlled_model(rng, n, hbar=rng.uniform(0.5, 2.0))
             u = [rng.uniform(0.5, 2.0)]
             rho = random_state(rng, n).entries
-            X, P = _half_generator(rho[None], _generator_factor(model, u))
-            fused = X[0] + X[0].conj().T
+            X, LY = _half_generator(_planes(rho[None]), _generator_factor(model, u))
+            fused = _assembled(_plus_dagger(X))[0]
             ref = lindblad_schrodinger(rho, model, u)
             assert np.abs(fused - ref).max() <= 1e-13
             for c, L in enumerate(model.L_list):
-                assert np.abs(P[0, :, c + 1] - rho @ L.conj().T).max() <= 1e-13
+                assert np.abs(_assembled(LY[c])[0] - L @ rho).max() <= 1e-13
+
+    def test_stepped_states_are_exactly_hermitian(self):
+        # both steps write rho + (A + A') plane by plane and never project;
+        # DensityMatrix stores the Hermitian part of its input, so the
+        # kernel's own output is checked, and the outputs that skip it
+        rng = np.random.default_rng(9)
+        model = controlled_model(rng, 3)
+        factor = _generator_factor(model, [0.4])
+        Y = _planes(np.stack([random_state(rng, 3).entries for _ in range(7)]))
+        for _ in range(20):
+            Y, _ = _sme_update(Y, factor, 0.03 * rng.standard_normal((7, 2)), 1e-3)
+            states = _assembled(Y)
+            np.testing.assert_array_equal(states, states.conj().swapaxes(1, 2))
+            Y = _rk4_step(Y, factor, 1e-3)
+            states = _assembled(Y)
+            np.testing.assert_array_equal(states, states.conj().swapaxes(1, 2))
+        grid = TimeGrid(0.0, 0.02, 20)
+        rho0 = random_state(rng, 3)
+        ens = simulate_sme_ensemble(rho0, model, SimConfig(grid=grid, n_traj=5, seed=4),
+                                    u=[0.4])
+        _, master = evolve_master(rho0, model, grid, u=[0.4])
+        for states in (ens.final_states, ens.mean_states, master):
+            np.testing.assert_array_equal(states, states.conj().swapaxes(1, 2))
 
     def test_hbar_scales_hamiltonian_part(self):
         fast = FiniteModel(H0=SZ, L_list=[])
@@ -236,6 +286,31 @@ class TestLindblad:
         out_fast = lindblad_heisenberg(SX, fast)
         out_slow = lindblad_heisenberg(SX, slow)
         np.testing.assert_allclose(out_slow, 0.5 * out_fast, atol=1e-14)
+
+
+class TestPlaneKernel:
+    # a trajectory's numbers must not depend on how many share its batch
+
+    def test_one_column_product_rounds_as_in_a_wide_one(self):
+        # BLAS GEMV rounds apart from GEMM, so a one-column product
+        # (a dim-1 model run alone) is padded to two columns
+        rng = np.random.default_rng(6)
+        for _ in range(50):
+            M = rng.standard_normal((8, 2))
+            Y = rng.standard_normal((2, 1, 1, 300))
+            wide = _left(M, Y)
+            for b in (0, 299):
+                np.testing.assert_array_equal(_left(M, Y[..., b:b + 1]),
+                                              wide[..., b:b + 1])
+
+    @pytest.mark.parametrize("n", [3, 8, 12])
+    def test_trace_rounds_alike_for_every_batch(self, n):
+        # a reduction call regroups a long sum when the batch has one column
+        rng = np.random.default_rng(n)
+        P = rng.standard_normal((n, n, 9)) * 10.0 ** rng.uniform(-3, 3, (n, n, 9))
+        wide = _trace(P)
+        for b in range(9):
+            np.testing.assert_array_equal(_trace(P[..., b:b + 1]), wide[b:b + 1])
 
 
 class TestMasterStep:
@@ -381,23 +456,21 @@ class TestTrajectory:
             simulate_sme_trajectory(plus_state(), dephasing_model(), None, cfg)
 
     def test_replays_any_ensemble_trajectory(self):
-        # run alone from (seed, index), trajectory 1030 ends where it
-        # ends inside its 1100-trajectory ensemble, for a qubit and for a
-        # controlled qutrit, two channels each
+        # run alone from (seed, index), a trajectory ends where it ends
+        # inside its 1300-trajectory ensemble: first and last of the first
+        # chunk, first and last of the second, for every layout case
         grid = TimeGrid(0.0, 0.05, 50)
-        cases = [
-            (random_model(np.random.default_rng(2), 2), mixed_state(), None),
-            (controlled_model(np.random.default_rng(3), 3), qutrit_start(),
-             QUTRIT_CONTROL),
-        ]
-        for model, rho0, u in cases:
+        for case in LAYOUT_CASES:
+            model, rho0, u = layout_case(case)
             ens = simulate_sme_ensemble(
-                rho0, model, SimConfig(grid=grid, n_traj=1100, seed=21), u=u)
+                rho0, model, SimConfig(grid=grid, n_traj=1300, seed=21), u=u)
             policy = None if u is None else (lambda t, rho: u)
-            traj = simulate_sme_trajectory(
-                rho0, model, policy, SimConfig(grid=grid, n_traj=1, seed=21),
-                index=1030)
-            np.testing.assert_array_equal(traj.states[-1], ens.final_states[1030])
+            for index in (0, 1023, 1024, 1299):
+                traj = simulate_sme_trajectory(
+                    rho0, model, policy, SimConfig(grid=grid, n_traj=1, seed=21),
+                    index=index)
+                np.testing.assert_array_equal(
+                    traj.states[-1], ens.final_states[index], err_msg=case)
 
     @pytest.mark.parametrize("index", [-1, 1.5, "3"])
     def test_rejects_bad_index(self, index):
@@ -501,23 +574,21 @@ class TestEnsemble:
         np.testing.assert_array_equal(a.final_states, b.final_states)
         np.testing.assert_array_equal(a.mean_states, b.mean_states)
 
-    @pytest.mark.parametrize("case", ["H0=0", "H0!=0", "n=3-d=2"])
+    @pytest.mark.parametrize("case", LAYOUT_CASES)
     def test_results_do_not_depend_on_batch_layout(self, case):
-        # generic complex couplings: their products round differently in
-        # different BLAS kernels, which Pauli couplings would hide
-        model, rho0, u = random_model(np.random.default_rng(2), 2), mixed_state(), None
-        if case == "H0=0":
-            model = FiniteModel(H0=np.zeros((2, 2)), L_list=model.L_list)
-        elif case == "n=3-d=2":
-            model = controlled_model(np.random.default_rng(3), 3)
-            rho0, u = qutrit_start(), QUTRIT_CONTROL
+        # every trajectory ends in the same state whether it runs alone, in
+        # one chunk of 1023 or 1024, or in a full chunk followed by one of
+        # 1 or 276 trajectories
+        model, rho0, u = layout_case(case)
         grid = TimeGrid(0.0, 0.05, 50)
-        alone = simulate_sme_ensemble(
-            rho0, model, SimConfig(grid=grid, n_traj=1, seed=21), u=u)
-        batched = simulate_sme_ensemble(
-            rho0, model, SimConfig(grid=grid, n_traj=1300, seed=21), u=u)
-        np.testing.assert_array_equal(
-            alone.final_states[0], batched.final_states[0])
+        finals = {
+            n_traj: simulate_sme_ensemble(
+                rho0, model, SimConfig(grid=grid, n_traj=n_traj, seed=21),
+                u=u).final_states
+            for n_traj in (1, 1023, 1024, 1025, 1300)
+        }
+        for n_traj, states in finals.items():
+            np.testing.assert_array_equal(states, finals[1300][:n_traj])
 
     def test_overflow_raises_non_finite(self):
         # the reductions behind min_eigenvalue and max_trace_deviation
