@@ -177,7 +177,10 @@ def _increments(config: SimConfig, start: int, stop: int, d: int, zero_noise: bo
 
 
 def _padded(M: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """``M`` with its last two axes zero-padded to ``rows`` x ``cols``."""
+    """``M`` with its last two axes zero-padded to ``rows`` x ``cols``
+    (``M`` itself when it has that shape)."""
+    if M.shape[-2:] == (rows, cols):
+        return M
     out = np.zeros(M.shape[:-2] + (rows, cols))
     out[..., : M.shape[-2], : M.shape[-1]] = M
     return out
@@ -286,16 +289,24 @@ def simulate_closed_loop(
     # a one-row product goes through BLAS GEMV, which rounds a column
     # differently depending on how many columns the chunk has
     mp = max(m, 2)
-    # step maps [Phi_n | K_n], applied to the column [Xhat; dW]
+    # the per-step arrays, built _BLOCK steps at a time so that no
+    # temporary spans the grid: step maps [Phi_n | K_n], applied to the
+    # column [Xhat; dW], and running-cost weights
+    # Q_n = F - L_n'G - G'L_n + L_n'L_n; the feedback -L_n is padded only
+    # at recorded rows
     step_maps = np.zeros((n_steps, mp, mp + d))
-    step_maps[:, :m, :m] = np.eye(m) + (coeffs.A - coeffs.B @ gains[:-1]) * dt
-    step_maps[:, :m, mp:] = np.matmul(Sigma_path.values[:-1], coeffs.C.T) + coeffs.M
-    LtG = gains.swapaxes(1, 2) @ cost.G
-    Q = _padded(cost.F - LtG - LtG.swapaxes(1, 2) + gains.swapaxes(1, 2) @ gains, mp, mp)
+    Q = np.zeros((n_steps + 1, mp, mp))
+    for s in range(0, n_steps + 1, _BLOCK):
+        L = gains[s:s + _BLOCK]
+        LtG = L.swapaxes(1, 2) @ cost.G
+        Q[s:s + _BLOCK, :m, :m] = cost.F - LtG - LtG.swapaxes(1, 2) + L.swapaxes(1, 2) @ L
+        span = slice(s, min(s + _BLOCK, n_steps))
+        step_maps[span, :m, :m] = np.eye(m) + (coeffs.A - coeffs.B @ gains[span]) * dt
+        K = np.matmul(Sigma_path.values[span], coeffs.C.T)
+        step_maps[span, :m, mp:] = K + coeffs.M
     Omega_T = _padded(cost.Omega_T, mp, mp)
     trace_F = np.einsum("ab,tba->t", cost.F, Sigma_path.values)
     terminal_trace = float(np.trace(cost.Omega_T @ Sigma_path.final))
-    neg_gains = _padded(-gains, max(k, 2), mp)
     C_dt, half_dt = _padded(coeffs.C * dt, max(d, 2), mp), 0.5 * dt
 
     means = np.empty((n_traj, n_rec, m))
@@ -327,7 +338,7 @@ def simulate_closed_loop(
 
         def record(row, X, n):
             means[sl, row] = X[:m, :rows].T
-            controls[sl, row] = (neg_gains[n] @ X)[:k, :rows].T
+            controls[sl, row] = (_padded(-gains[n], max(k, 2), mp) @ X)[:k, :rows].T
             running[sl, row] = acc[:rows]
 
         X = XW[0, :mp]

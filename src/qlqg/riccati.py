@@ -287,7 +287,12 @@ def _raise_first(bad: np.ndarray, step: int, what: str) -> None:
 def _lift_path(H: np.ndarray, S0: np.ndarray, dt: float, n_steps: int) -> np.ndarray:
     """Flow of lift ``H`` from ``S0`` at every grid point, ``S0`` included."""
     powers = _lift_powers(H, dt)
-    path = np.empty((n_steps + 1,) + S0.shape)
+    try:
+        path = np.empty((n_steps + 1,) + S0.shape)
+    except (ValueError, MemoryError) as exc:
+        raise InvalidParameter(
+            f"n_steps {n_steps} needs a path larger than memory allows"
+        ) from exc
     path[0] = S0
     for i in range(0, n_steps, len(powers)):
         n = min(len(powers), n_steps - i)

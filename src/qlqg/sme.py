@@ -22,9 +22,11 @@ stay complex; states are converted at record rows, at the end of a
 chunk and for a feedback policy.
 
 One Euler step filters every record: ensembles, single trajectories and
-:func:`sme_step` run it.  One RK4 step runs the master flow.  Both write
-the new state as rho + (A + A'), taken plane by plane (A_r + A_r' and
-A_i - A_i'), so a Hermitian state stays Hermitian to the last bit.
+:func:`sme_step` run it.  One RK4 step runs the master flow; for n <= 8
+:func:`evolve_master` applies it as the one real matrix it makes on a
+state's n^2 Hermitian coordinates.  Both steps write the new state as
+rho + (A + A'), taken plane by plane (A_r + A_r' and A_i - A_i'), so a
+Hermitian state stays Hermitian to the last bit.
 Three independent oracles check them: the commutator-form generators
 (:func:`lindblad_schrodinger`, :func:`lindblad_heisenberg`) check the
 hoisted K, the master flow checks the ensemble mean, and ancilla
@@ -46,7 +48,7 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy.linalg import expm
 
-from .closed_loop import _at, _run_chunks, SimConfig
+from .closed_loop import _at, _BLOCK, _run_chunks, SimConfig
 from .errors import (
     DimensionMismatch,
     InvalidParameter,
@@ -419,6 +421,81 @@ def _master_at(grid, step: int) -> str:
     return f"master flow at step {step}, t={grid.t0 + step * grid.dt:.6g}"
 
 
+#: largest dimension whose master flow steps as one (n^2, n^2) matrix; the
+#: matrix grows as n^4, and past this one RK4 step costs less than it
+_MATRIX_MAX_DIM = 8
+
+
+@functools.lru_cache(maxsize=None)
+def _coord_index(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where the n^2 coordinates sit in flattened (2, n, n) planes.
+
+    Coordinate k is plane entry ``at[k]``: the diagonal, then Re rho_ij
+    and Im rho_ij for i < j.  The rest of a Hermitian state mirrors them:
+    Re rho_ji = Re rho_ij and Im rho_ji = -Im rho_ij, the entries
+    ``mirror`` of coordinates ``n..`` times ``sign``.
+    """
+    i, j = np.triu_indices(n, 1)
+    diag = np.arange(n) * (n + 1)
+    at = np.concatenate([diag, i * n + j, n * n + i * n + j])
+    mirror = np.concatenate([j * n + i, n * n + j * n + i])
+    sign = np.repeat([1.0, -1.0], i.size)[:, None]
+    return at, mirror, sign
+
+
+def _coords(Y: np.ndarray) -> np.ndarray:
+    """The (n^2, B) coordinates of Hermitian (2, n, n, B) planes."""
+    at, _, _ = _coord_index(Y.shape[1])
+    return Y.reshape(at.size * 2, -1)[at]
+
+
+def _from_coords(h: np.ndarray) -> np.ndarray:
+    """The (2, n, n, B) planes of (n^2, B) coordinates, exactly Hermitian."""
+    n = math.isqrt(h.shape[0])
+    at, mirror, sign = _coord_index(n)
+    Y = np.zeros((2 * n * n, h.shape[1]))
+    Y[at] = h
+    Y[mirror] = sign * h[n:]
+    return Y.reshape((2, n, n, -1))
+
+
+def _check_steps(Y: np.ndarray, where) -> None:
+    """Check the states of consecutive steps, the columns of (2, n, n, B)
+    planes, as :func:`master_step` checks its result.
+
+    A failure names the earliest failing step, column b, as ``where(b)``:
+    the whole block is tested at once, then that column alone, in the
+    order finite, eigenvalue floor, unit trace.
+    """
+    finite = np.isfinite(Y).all(axis=(0, 1, 2))
+    stop = Y.shape[-1] if finite.all() else int(np.argmin(finite))
+    ok = Y[..., :stop]
+    fails = (np.abs(_trace(ok[0]) - 1.0) > TRACE_TOL) | (
+        _min_eigenvalues(ok) < POSITIVITY_FLOOR)
+    b = int(np.argmax(fails)) if fails.any() else stop
+    if b < Y.shape[-1]:
+        at = where(b)
+        trace_dev, _ = _check_stack(Y[..., b:b + 1], lambda _: at)
+        if trace_dev > TRACE_TOL:
+            raise InvalidParameter(f"state trace off 1 by {trace_dev:.3e} in {at}")
+
+
+def _recorded_times(grid, stride: int) -> np.ndarray:
+    """``grid.times()[::stride]`` without the full grid: ``np.linspace``'s
+    arithmetic on the recorded points only, so every value is the same
+    to the last bit."""
+    step = (grid.t1 - grid.t0) / grid.n_steps
+    times = np.arange(0, grid.n_steps + 1, stride, dtype=float)
+    if step == 0:
+        times /= grid.n_steps
+        times *= grid.t1 - grid.t0
+    else:
+        times *= step
+    times += grid.t0
+    times[-1] = grid.t1
+    return times
+
+
 def evolve_master(
     rho0: DensityMatrix,
     model: FiniteModel,
@@ -429,9 +506,17 @@ def evolve_master(
     """March the master equation over a grid, thinning the record.
 
     Returns the recorded times and a stacked array of states, initial
-    state included.  The generator is built once; every step is checked
-    as :func:`master_step` checks its result (finite, unit trace,
-    eigenvalue floor), and a failure names the step and its time.
+    state included.  A state is carried as its n^2 real coordinates (the
+    diagonal, Re rho_ij and Im rho_ij for i < j), so it is Hermitian by
+    construction.  Under a constant control the RK4 step is linear and
+    time-invariant: for n <= 8 it is one (n^2, n^2) matrix, built once by
+    running :func:`_rk4_step` on the n^2 basis states, and a step is one
+    product with it.  Larger models run :func:`_rk4_step` itself, one
+    step at a time, to the same states as :func:`master_step`.  Steps go
+    into a buffer of a fixed number of steps, so memory does not grow
+    with ``n_steps``; every state of a filled buffer is checked as
+    :func:`master_step` checks its result (finite, eigenvalue floor, unit
+    trace), and a failure names the first failing step and its time.
     """
     if grid.n_steps % record_stride != 0:
         raise InvalidParameter(
@@ -439,23 +524,35 @@ def evolve_master(
         )
     _require_dim(rho0, model)
     n = model.dim
-    path = np.empty((2, n, n, grid.n_steps // record_stride + 1))
     factor = _generator_factor(model, u)
-    Y = _planes(rho0.entries[None])
-    path[..., 0] = Y[..., 0]
-    row = 1
     dt = grid.dt
-    for step in range(1, grid.n_steps + 1):
-        Y = _rk4_step(Y, factor, dt)
-        trace_dev, _ = _check_stack(Y, lambda b: _master_at(grid, step))
-        if trace_dev > TRACE_TOL:
-            raise InvalidParameter(
-                f"state trace off 1 by {trace_dev:.3e} in {_master_at(grid, step)}"
-            )
-        if step % record_stride == 0:
-            path[..., row] = Y[..., 0]
-            row += 1
-    return _frozen(grid.times()[::record_stride].copy()), _frozen(_assembled(path))
+    if n <= _MATRIX_MAX_DIM:
+        step_map = _coords(_rk4_step(_from_coords(np.eye(n * n)), factor, dt))
+
+        def advance(h, out):
+            np.dot(step_map, h, out=out)
+    else:
+        def advance(h, out):
+            out[:] = _coords(_rk4_step(_from_coords(h[:, None]), factor, dt))[:, 0]
+
+    block = np.empty((_BLOCK + 1, n * n))
+    block[0] = _coords(_planes(rho0.entries[None]))[:, 0]
+    path = np.empty((grid.n_steps // record_stride + 1, n * n))
+    path[0] = block[0]
+    row = 1
+    for start in range(0, grid.n_steps, _BLOCK):
+        width = min(_BLOCK, grid.n_steps - start)
+        for k in range(width):
+            advance(block[k], block[k + 1])
+        _check_steps(_from_coords(block[1:width + 1].T),
+                     lambda b: _master_at(grid, start + b + 1))
+        # block[k] is the state after step start + k
+        recorded = block[record_stride - start % record_stride:width + 1:record_stride]
+        path[row:row + len(recorded)] = recorded
+        row += len(recorded)
+        block[0] = block[width]
+    states = _assembled(_from_coords(path.T))
+    return _frozen(_recorded_times(grid, record_stride)), _frozen(states)
 
 
 def _half_traces(LY: np.ndarray) -> np.ndarray:

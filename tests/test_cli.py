@@ -489,6 +489,16 @@ class TestHugeIntegers:
         assert cli.main([command, "--scenario", scenario]) == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["riccati", "simulate"])
+    def test_step_count_past_any_path_exits_2(self, tmp_path, capsys, command):
+        # 10**30 is a valid float, so it passes the grid checks; numpy then
+        # refuses the first path's shape outright, before allocating anything
+        scenario = feedback_scenario(
+            tmp_path, out=str(tmp_path / "out"),
+            grid={"t0": 0.0, "t1": 0.01, "n_steps": 10 ** 30})
+        assert cli.main([command, "--scenario", scenario]) == 2
+        assert "n_steps" in capsys.readouterr().err
+
 
 class TestValidateSuites:
     def test_injected_coarse_sme_grid_fails_with_positivity_loss(self):

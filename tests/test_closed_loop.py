@@ -16,7 +16,7 @@ from qlqg.errors import ConfigError, EmptyEnsemble, NonFinite
 from qlqg.kalman import MeasurementIncrement, filter_step
 from qlqg.phase_space import GaussianBelief, LinearCoefficients
 from qlqg.riccati import CostSpec, TimeGrid, integrate_control_riccati
-from qlqg.sme import DensityMatrix, FiniteModel, simulate_sme_ensemble
+from qlqg.sme import DensityMatrix, FiniteModel, evolve_master, simulate_sme_ensemble
 
 
 def feedback_coefficients():
@@ -323,11 +323,16 @@ class TestBlockNoise:
         ("closed_loop", (2000, 20000)),
         # a traced SME step costs ~0.3 ms, so fewer steps keep this quick
         ("sme_ensemble", (200, 2000)),
+        # one state, nothing per trajectory: the whole peak stays flat
+        ("master", (2000, 20000)),
     ])
     def test_ensemble_memory_does_not_grow_with_steps(self, simulator, steps):
         # the part of the peak that grows with the ensemble (noise and
         # state buffers) does not grow with n_steps; the covariance and
         # gain paths do, but they are per step, not per trajectory
+        rho0 = DensityMatrix(np.diag([0.6, 0.4]).astype(complex))
+        model = FiniteModel(H0=np.zeros((2, 2)), L_list=[np.diag([1.0, -1.0])])
+
         def peak(n_traj, n_steps):
             cfg = SimConfig(grid=TimeGrid(0.0, 1e-5 * n_steps, n_steps),
                             n_traj=n_traj, seed=1, record_stride=n_steps)
@@ -336,16 +341,20 @@ class TestBlockNoise:
                 if simulator == "closed_loop":
                     simulate_closed_loop(feedback_coefficients(), tracking_cost(),
                                          cfg, default_belief())
+                elif simulator == "sme_ensemble":
+                    simulate_sme_ensemble(rho0, model, cfg)
                 else:
-                    simulate_sme_ensemble(
-                        DensityMatrix(np.diag([0.6, 0.4]).astype(complex)),
-                        FiniteModel(H0=np.zeros((2, 2)), L_list=[np.diag([1.0, -1.0])]),
-                        cfg)
+                    evolve_master(rho0, model, cfg.grid, record_stride=n_steps)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
-        short, long = (peak(48, n) - peak(2, n) for n in steps)
+        def growth(n_steps):
+            if simulator == "master":
+                return peak(1, n_steps)
+            return peak(48, n_steps) - peak(2, n_steps)
+
+        short, long = (growth(n) for n in steps)
         assert 0 < short
         assert long <= short
 

@@ -36,6 +36,7 @@ from qlqg.sme import (
 )
 from qlqg.sme import (
     _assembled,
+    _check_steps,
     _generator_factor,
     _half_generator,
     _left,
@@ -343,6 +344,97 @@ class TestMasterStep:
             master_step(excited, model, None, 3.0)
         with pytest.raises(PositivityLoss, match=r"at step 1, t=3$"):
             evolve_master(excited, model, TimeGrid(0.0, 6.0, 2))
+
+    @pytest.mark.parametrize("case", ["n=2-d=1", "n=2-d=2", "n=3-d=1", "n=3-d=2",
+                                      "n=5-d=1", "n=5-d=2", "n=9-d=1"])
+    def test_evolve_master_matches_master_step_loop(self, monkeypatch, case):
+        # up to n = 8 a step is one matrix, built by one RK4 step of the
+        # basis states, and it rounds apart from that step; above that each
+        # step is the RK4 step itself; 600 steps fill two blocks and part
+        # of a third
+        n, d = (int(part[2:]) for part in case.split("-"))
+        rng = np.random.default_rng(40 + n + 10 * d)
+        model = controlled_model(rng, n, channels=d, hbar=1.7)
+        rho = random_state(rng, n)
+        grid = TimeGrid(0.0, 0.15, 600)
+        calls = []
+        monkeypatch.setattr("qlqg.sme._rk4_step",
+                            lambda *args: calls.append(args) or _rk4_step(*args))
+        times, states = evolve_master(rho, model, grid, u=[0.6], record_stride=3)
+        assert len(calls) == (1 if n <= 8 else grid.n_steps)
+        ref = [rho.entries]
+        for step in range(1, grid.n_steps + 1):
+            rho = master_step(rho, model, [0.6], grid.dt)
+            if step % 3 == 0:
+                ref.append(rho.entries)
+        np.testing.assert_array_equal(times, grid.times()[::3])
+        if n <= 8:
+            assert np.abs(states - np.array(ref)).max() <= 1e-12
+        else:
+            np.testing.assert_array_equal(states, np.array(ref))
+
+    @pytest.mark.parametrize("n", [2, 9])
+    def test_positivity_loss_names_first_failing_step_of_a_block(self, n):
+        # amplitude damping far past RK4's stability limit: the excited
+        # population grows ~1.59-fold a step from 1e-60, so the ground
+        # eigenvalue first drops below the floor at step 299, inside the
+        # second block of 256 steps, and later steps of that block are worse
+        lower = np.zeros((n, n), dtype=complex)
+        lower[0, 1] = 1.0
+        model = FiniteModel(H0=np.zeros((n, n)), L_list=[lower])
+        pops = np.zeros(n)
+        pops[:2] = [1.0, 1e-60]
+        rho0 = DensityMatrix(np.diag(pops).astype(complex))
+        grid = TimeGrid(0.0, 3.1 * 400, 400)
+        Y, lows = _planes(rho0.entries[None]), []
+        for _ in range(grid.n_steps):
+            Y = _rk4_step(Y, _generator_factor(model, None), grid.dt)
+            lows.append(np.linalg.eigvalsh(_assembled(Y)[0])[0])
+        lows = np.array(lows)
+        first = int(np.argmax(lows < -1e-6)) + 1
+        assert first == 299 and lows[first:].min() < lows[first - 1]
+        rho = rho0
+        with pytest.raises(PositivityLoss):
+            for step in range(1, grid.n_steps + 1):
+                rho = master_step(rho, model, None, grid.dt)
+        assert step == first
+        with pytest.raises(PositivityLoss, match=r"at step 299, t=926\.9$"):
+            evolve_master(rho0, model, grid)
+
+    def test_block_check_names_the_earliest_failing_step(self):
+        # a block is tested at once; the earliest failing step is reported,
+        # and a step failing several tests reports them in the order finite,
+        # eigenvalue floor, unit trace
+        states = np.repeat(np.diag([0.6, 0.4])[None], 8, axis=0).astype(complex)
+        states[3] = np.diag([0.6, 0.4 + 1e-6])
+        states[4] = np.diag([1.1, -0.1])
+        states[5, 0, 1] = states[5, 1, 0] = np.nan
+        expected = [(InvalidParameter, "trace off 1 by 1.000e-06 in step 4"),
+                    (PositivityLoss, "eigenvalue -1.000e-01 below floor in step 5"),
+                    (NonFinite, "finite range in step 6")]
+        for k, (error, message) in enumerate(expected):
+            with pytest.raises(error, match=f"{message}$"):
+                _check_steps(_planes(states), lambda b: f"step {b + 1}")
+            states[3 + k] = np.diag([0.6, 0.4])
+        _check_steps(_planes(states), lambda b: f"step {b + 1}")
+        states[2] = np.diag([1.2, -0.1])
+        states[2, 0, 1] = states[2, 1, 0] = np.nan
+        with pytest.raises(NonFinite, match="in step 3$"):
+            _check_steps(_planes(states), lambda b: f"step {b + 1}")
+        states[2] = np.diag([1.2, -0.1])
+        with pytest.raises(PositivityLoss, match="in step 3$"):
+            _check_steps(_planes(states), lambda b: f"step {b + 1}")
+
+    def test_recorded_times_are_those_of_the_grid(self):
+        # the recorded times are computed without the full grid, with
+        # np.linspace's arithmetic
+        for grid, stride in [(TimeGrid(0.0, 1.0, 1000), 100),
+                             (TimeGrid(-0.3, 2.7, 999), 3), (TimeGrid(0, 1, 7), 1),
+                             (TimeGrid(1e6, 1e6 + 1e-3, 64), 8),
+                             (TimeGrid(0.0, 2e-323, 9), 1)]:  # a step that rounds to 0
+            times, _ = evolve_master(plus_state(), dephasing_model(), grid,
+                                     record_stride=stride)
+            np.testing.assert_array_equal(times, grid.times()[::stride])
 
     def test_rejects_bad_dt(self):
         for dt in (0.0, np.inf):
