@@ -204,7 +204,9 @@ def _run_chunks(config: SimConfig, d: int, run_chunk, zero_noise: bool = False,
     trajectory the same way whatever the chunk size, as long as no
     product comes out with a single row or column: those go through BLAS
     GEMV, so the closed loop pads a one-trajectory chunk and its one-row
-    matrices.
+    matrices.  The SME's products have an inner dimension of n^2, and
+    from n^2 = 16 on BLAS also rounds the columns of a last, partial
+    block of 8 apart, so it pads every chunk to a multiple of 8 columns.
     """
     workers = _worker_count()
 
@@ -217,6 +219,22 @@ def _run_chunks(config: SimConfig, d: int, run_chunk, zero_noise: bool = False,
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(chunk, starts))
     return [chunk(s) for s in starts]
+
+
+def _recorded_times(grid: TimeGrid, stride: int) -> np.ndarray:
+    """``grid.times()[::stride]`` without the full grid: ``np.linspace``'s
+    arithmetic on the recorded points only, so every value is the same
+    to the last bit."""
+    step = (grid.t1 - grid.t0) / grid.n_steps
+    times = np.arange(0, grid.n_steps + 1, stride, dtype=float)
+    if step == 0:
+        times /= grid.n_steps
+        times *= grid.t1 - grid.t0
+    else:
+        times *= step
+    times += grid.t0
+    times[-1] = grid.t1
+    return times
 
 
 def simulate_closed_loop(
@@ -371,13 +389,13 @@ def simulate_closed_loop(
         totals[sl] = (acc + c_next)[:rows]
 
     _run_chunks(config, d, run_chunk, zero_noise)
-    rec_times = grid.times()[::stride].copy()
     for arr in (means, controls, outputs, innovations, running, totals):
         _frozen(arr)
     return ClosedLoopEnsemble(
         config=config, Sigma_path=Sigma_path, Omega_path=Omega_path,
-        times=_frozen(rec_times), means=means, controls=controls, outputs=outputs,
-        innovations=innovations, running_costs=running, total_costs=totals,
+        times=_frozen(_recorded_times(grid, stride)), means=means,
+        controls=controls, outputs=outputs, innovations=innovations,
+        running_costs=running, total_costs=totals,
     )
 
 

@@ -284,20 +284,27 @@ def _raise_first(bad: np.ndarray, step: int, what: str) -> None:
         )
 
 
-def _lift_path(H: np.ndarray, S0: np.ndarray, dt: float, n_steps: int) -> np.ndarray:
-    """Flow of lift ``H`` from ``S0`` at every grid point, ``S0`` included."""
+def _lift_path(H: np.ndarray, S0: np.ndarray, dt: float, n_steps: int,
+               backward: bool = False) -> np.ndarray:
+    """Flow of lift ``H`` from ``S0`` at every grid point, ``S0`` included.
+
+    With ``backward`` the flow is written from the last grid point to the
+    first, straight into the path it returns, so that path reads forward
+    in time and ends at ``S0``.
+    """
     powers = _lift_powers(H, dt)
     try:
-        path = np.empty((n_steps + 1,) + S0.shape)
+        values = np.empty((n_steps + 1,) + S0.shape)
     except (ValueError, MemoryError) as exc:
         raise InvalidParameter(
             f"n_steps {n_steps} needs a path larger than memory allows"
         ) from exc
+    path = values[::-1] if backward else values
     path[0] = S0
     for i in range(0, n_steps, len(powers)):
         n = min(len(powers), n_steps - i)
         path[i + 1 : i + 1 + n] = _lift_block(powers[:n], path[i], i)
-    return path
+    return values
 
 
 def integrate_filter_riccati(
@@ -371,10 +378,10 @@ def integrate_control_riccati(
         raise ValidationError(
             f"cost expects {cost.k} controls, coefficients have {coeffs.k}"
         )
-    reversed_path = _lift_path(
-        _control_lift(coeffs, cost), cost.Omega_T, grid.dt, grid.n_steps
+    values = _lift_path(
+        _control_lift(coeffs, cost), cost.Omega_T, grid.dt, grid.n_steps, backward=True
     )
-    return MatrixPath(grid=grid, values=np.ascontiguousarray(reversed_path[::-1]))
+    return MatrixPath(grid=grid, values=values)
 
 
 def lyapunov_unconditional(

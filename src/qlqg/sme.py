@@ -2,38 +2,40 @@
 
 Lindblad master flow, diffusive filtering of measurement records, and a
 discrete conditioning oracle built from an explicit system-ancilla
-unitary.  Both flows run on one generator form,
+unitary.  Both flows run on one generator,
 
-    L rho = K rho + rho K' + sum_c Lc rho Lc',  K = -iH(u)/hbar - sum_c Lc'Lc/2,
+    G rho = K rho + rho K' + sum_c Lc rho Lc',  K = -iH(u)/hbar - sum_c Lc'Lc/2,
 
-with K built once per control, not once per step.
+built once per control, not once per step.
 
-States are held as (2, n, n, B) float arrays: the planes Re rho and
-Im rho, one state (one trajectory) per column b, the layout the closed
-loop uses.  Every product is a left product, one real GEMM of a block
-factor [[Re S, -Im S], [Im S, Re S]] against the planes, and every
-elementwise pass (per-trajectory scalars, traces, daggers) runs over
-contiguous rows of length B.  The GEMMs are real, not complex, because
-BLAS ``zgemm`` rounds a column differently depending on where it sits in
-the batch, while ``dgemm`` in this orientation rounds it alike for every
-B, so any trajectory replays bit for bit from ``(seed, index)``.  A
-one-column product would go to GEMV and is padded.  The public types
-stay complex; states are converted at record rows, at the end of a
-chunk and for a feedback policy.
+A state is carried as its n^2 real coordinates: the diagonal, then
+Re rho_ij, then Im rho_ij for i < j.  A matrix rebuilt from them is
+Hermitian by construction, so neither flow ever projects.  Every linear
+map of the flows is a real (n^2, n^2) matrix on these coordinates,
+built from K and the Lc through their Kronecker form and a change of
+basis: G itself, and for each channel M_c, the map rho -> Lc rho + rho Lc'.
 
-One Euler step filters every record: ensembles, single trajectories and
-:func:`sme_step` run it.  One RK4 step runs the master flow; for n <= 8
-:func:`evolve_master` applies it as the one real matrix it makes on a
-state's n^2 Hermitian coordinates.  Both steps write the new state as
-rho + (A + A'), taken plane by plane (A_r + A_r' and A_i - A_i'), so a
-Hermitian state stays Hermitian to the last bit.
-Three independent oracles check them: the commutator-form generators
-(:func:`lindblad_schrodinger`, :func:`lindblad_heisenberg`) check the
-hoisted K, the master flow checks the ensemble mean, and ancilla
-conditioning checks one step.  The filtering step renormalizes by the
-trace; its fluctuation term is traceless, so that is a second-order
-correction.  Positivity is monitored, never projected: clipping would
-mask integration error, so a state past the floor raises
+An ensemble is an (n^2, B) array, one trajectory per column, the layout
+the closed loop uses.  One Euler step filters every record (ensembles,
+single trajectories and :func:`sme_step`): one real GEMM of the stacked
+[(I + dt G); M_1; ...; M_d] against the coordinates, then passes over
+contiguous rows of length B.  The GEMMs are real, not complex, and a
+batch is padded to a multiple of 8 columns, because OpenBLAS ``dgemm``
+rounds the columns of a last, partial block of 8 apart from those of
+full blocks (once n^2 >= 16; a single column goes to GEMV).  So a
+trajectory rounds alike in every batch and replays bit for bit from
+``(seed, index)``.  The master flow steps one state by the one matrix
+sum_{k<=4} (dt G)^k / k!, its RK4 step.  The public types stay complex;
+states are converted at record rows, at the end of a chunk and for a
+feedback policy.
+
+Three independent oracles check the flows: the commutator-form
+generators (:func:`lindblad_schrodinger`, :func:`lindblad_heisenberg`)
+check G and the M_c, the master flow checks the ensemble mean, and
+ancilla conditioning checks one step.  The filtering step renormalizes
+by the trace; its fluctuation term is traceless, so that is a
+second-order correction.  Positivity is monitored, never projected:
+clipping would mask integration error, so a state past the floor raises
 :class:`PositivityLoss`.
 """
 
@@ -48,7 +50,7 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy.linalg import expm
 
-from .closed_loop import _at, _BLOCK, _run_chunks, SimConfig
+from .closed_loop import _at, _BLOCK, _recorded_times, _run_chunks, SimConfig
 from .errors import (
     DimensionMismatch,
     InvalidParameter,
@@ -282,111 +284,116 @@ def lindblad_schrodinger(
     return out
 
 
-def _generator_factor(model: FiniteModel, u) -> tuple[np.ndarray, np.ndarray]:
-    """The left factors of both flows, in real block form.
+@functools.lru_cache(maxsize=None)
+def _coord_index(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where the n^2 coordinates sit in a flattened n x n matrix.
 
-    With K = -iH(u)/hbar - sum_c Lc'Lc / 2 the Lindblad generator is
-    K rho + rho K' + sum_c Lc rho Lc'.  Each S of [K, L_1, ..., L_d] acts
-    on the stacked planes [Re rho; Im rho] as the (2n, 2n) block
-    [[Re S, -Im S], [Im S, Re S]]; the first factor stacks the d + 1
-    blocks into one (2(d+1)n, 2n) matrix.  The second holds one block per
-    channel, that of Lc / 2 with its right half negated: it maps the
-    planes of M = Lc rho with the matrix axes swapped, [Re M^T; Im M^T],
-    to Lc M' / 2.  Both scalings are exact.  Built once per control.
+    Coordinate k < n is the diagonal entry ``diag[k]``; coordinates n..
+    are Re rho_ij, then Im rho_ij, of the entries ``upper`` (i < j), whose
+    mirror entries ``lower`` hold their conjugates.
     """
-    n = model.dim
-    Ls = model.L_list
-    K = (-1j / model.hbar) * model.hamiltonian(u)
-    K -= 0.5 * np.matmul(_dagger(Ls), Ls).sum(axis=0)
-    S = np.concatenate([K[None], Ls])
-    blocks = np.block([[S.real, -S.imag], [S.imag, S.real]])
-    halves = 0.5 * blocks[1:]
-    halves[:, :, n:] *= -1.0
-    return blocks.reshape(-1, 2 * n), halves
+    i, j = np.triu_indices(n, 1)
+    return np.arange(n) * (n + 1), i * n + j, j * n + i
 
 
-def _planes(states: np.ndarray) -> np.ndarray:
-    """The (2, n, n, B) planes [Re, Im] of a (B, n, n) complex stack."""
-    states = np.moveaxis(states, 0, -1)
-    return np.stack([states.real, states.imag])
+def _coords(states: np.ndarray) -> np.ndarray:
+    """The (n^2, B) coordinates of a (B, n, n) stack of Hermitian matrices."""
+    diag, upper, _ = _coord_index(states.shape[-1])
+    flat = states.reshape(len(states), -1)
+    parts = [flat[:, diag].real, flat[:, upper].real, flat[:, upper].imag]
+    return np.concatenate(parts, axis=1).T.copy()
 
 
-def _assembled(Y: np.ndarray) -> np.ndarray:
-    """The (B, n, n) complex stack of (2, n, n, B) planes, exactly."""
-    out = np.empty(Y.shape[-1:] + Y.shape[1:3], dtype=complex)
-    out.real = np.moveaxis(Y[0], -1, 0)
-    out.imag = np.moveaxis(Y[1], -1, 0)
-    return out
+def _assembled(h: np.ndarray) -> np.ndarray:
+    """The (B, n, n) complex stack of (n^2, B) coordinates, exactly Hermitian."""
+    n = math.isqrt(h.shape[0])
+    diag, upper, lower = _coord_index(n)
+    re, im = h[n:n + upper.size].T, h[n + upper.size:].T
+    out = np.zeros((h.shape[1], n * n), dtype=complex)
+    out.real[:, diag] = h[:n].T
+    out.real[:, upper] = re
+    out.real[:, lower] = re
+    out.imag[:, upper] = im
+    out.imag[:, lower] = -im
+    return out.reshape(-1, n, n)
 
 
-def _trace(P: np.ndarray) -> np.ndarray:
-    """Per-column trace of one (n, n, B) plane.
+def _trace(h: np.ndarray) -> np.ndarray:
+    """Per-column trace of (n^2, B) coordinates, the sum of the first n rows.
 
     Summed row by row in a fixed order, so a column's trace rounds the
     same for every B (numpy's reduction regroups a sum of eight or more
     terms when B = 1).
     """
-    return functools.reduce(np.add, [P[i, i] for i in range(P.shape[0])])
+    n = math.isqrt(h.shape[0])
+    if n == 1:
+        return h[0].copy()
+    total = h[0] + h[1]
+    for i in range(2, n):
+        total += h[i]
+    return total
 
 
-def _left(M: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """M @ Y for a real block factor M and planes Y: one real GEMM.
+def _superoperator(terms, n: int) -> np.ndarray:
+    """The real (n^2, n^2) matrix of rho -> sum_k A_k rho B_k on coordinates.
 
-    The product's rows are those of M, its columns Y's (column, trajectory)
-    pairs.  A single column would go to BLAS GEMV, which rounds apart
-    from GEMM, so it is padded with a zero column.
+    The map must send Hermitian matrices to Hermitian ones.  Row-major
+    vec(A rho B) is (A kron B^T) vec(rho); of that Kronecker form only the
+    rows of the diagonal and upper entries are built, and its columns are
+    combined into those of the coordinates: a diagonal entry's as it is,
+    Re rho_ij's as column ij plus column ji, Im rho_ij's as i times their
+    difference.  The output coordinates are the real parts of the
+    diagonal rows, then the real and the imaginary parts of the upper ones.
     """
-    cols = Y.reshape(M.shape[1], -1)
-    if cols.shape[1] == 1:
-        out = (M @ np.pad(cols, ((0, 0), (0, 1))))[:, :1]
-    else:
-        out = M @ cols
-    return out.reshape((-1,) + Y.shape[1:])
+    diag, upper, lower = _coord_index(n)
+    a, b = np.divmod(np.concatenate([diag, upper]), n)
+    S = sum(A[a][:, :, None] * B.T[b][:, None, :] for A, B in terms)
+    S = S.reshape(a.size, n * n)
+    S = np.concatenate(
+        [S[:, diag], S[:, upper] + S[:, lower], 1j * (S[:, upper] - S[:, lower])],
+        axis=1)
+    return np.concatenate([S[:n].real, S[n:].real, S[n:].imag])
 
 
-def _half_generator(Y: np.ndarray, factor) -> tuple[np.ndarray, np.ndarray]:
-    """K rho + sum_c Lc rho Lc' / 2 for every state of (2, n, n, B) planes.
+def _lindblad_map(model: FiniteModel, u) -> np.ndarray:
+    """The Lindblad generator G on coordinates, a real (n^2, n^2) matrix.
 
-    Also returns the planes of every Lc rho, shape (d, 2, n, n, B), each
-    channel's block contiguous.  One GEMM of the stacked factor against
-    the planes gives K rho and all Lc rho.  For Hermitian rho,
-    rho Lc' = (Lc rho)', so one more GEMM per channel, of the axis-swapped
-    Lc rho planes, gives Lc rho Lc' = Lc (Lc rho)'.  The generator is
-    X + X' for the returned X.
+    With K = -iH(u)/hbar - sum_c Lc'Lc / 2 it is K rho + rho K' +
+    sum_c Lc rho Lc', built once per control.
     """
-    G, halves = factor
-    Z = _left(G, Y).reshape((-1,) + Y.shape)
-    X = Z[0]
-    for c, half_L in enumerate(halves):
-        X = X + _left(half_L, Z[c + 1].swapaxes(1, 2))
-    return X, Z[1:]
+    n, Ls = model.dim, model.L_list
+    K = (-1j / model.hbar) * model.hamiltonian(u)
+    K -= 0.5 * np.matmul(_dagger(Ls), Ls).sum(axis=0)
+    I = np.eye(n)
+    terms = [(K, I), (I, K.conj().T)] + [(L, L.conj().T) for L in Ls]
+    return _superoperator(terms, n)
 
 
-def _plus_dagger(X: np.ndarray) -> np.ndarray:
-    """X + X' plane by plane, exactly Hermitian: the real plane is
-    X_r' + X_r, the imaginary one -X_i' + X_i (a copy with the matrix axes
-    swapped, then contiguous passes)."""
-    out = X.swapaxes(1, 2).copy()
-    np.negative(out[1], out=out[1])
-    out += X
-    return out
+def _sme_stack(model: FiniteModel, u, dt: float) -> np.ndarray:
+    """The stacked factor [(I + dt G); M_1; ...; M_d] of one filtering step.
 
-
-def _rk4_step(Y: np.ndarray, factor, dt: float) -> np.ndarray:
-    """One RK4 step of the unconditional flow on (2, n, n, B) planes.
-
-    Every stage is X + X' of :func:`_half_generator`, so a Hermitian
-    state stays Hermitian to the last bit; the generator is trace-free,
-    so the trace survives to roundoff.
+    M_c is the map rho -> Lc rho + rho Lc' on coordinates; the stack is a
+    real ((d + 1) n^2, n^2) matrix, built once per control.
     """
-    def lindblad(rho):
-        return _plus_dagger(_half_generator(rho, factor)[0])
+    n = model.dim
+    I = np.eye(n)
+    step = np.eye(n * n) + dt * _lindblad_map(model, u)
+    maps = [_superoperator([(L, I), (I, L.conj().T)], n) for L in model.L_list]
+    return np.concatenate([step] + maps)
 
-    k1 = lindblad(Y)
-    k2 = lindblad(Y + 0.5 * dt * k1)
-    k3 = lindblad(Y + 0.5 * dt * k2)
-    k4 = lindblad(Y + dt * k3)
-    return Y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+def _master_map(model: FiniteModel, u, dt: float) -> np.ndarray:
+    """The RK4 step of the master flow on coordinates, sum_{k<=4} (dt G)^k / k!.
+
+    For a linear flow the RK4 step is exactly this Taylor polynomial.
+    """
+    A = dt * _lindblad_map(model, u)
+    term, step = A, np.eye(len(A)) + A
+    for k in range(2, 5):
+        term = term @ A
+        term /= k
+        step += term
+    return step
 
 
 def _require_dim(rho: DensityMatrix, model: FiniteModel) -> None:
@@ -409,91 +416,39 @@ def master_step(
     """One RK4 step of the unconditional flow.
 
     The result is revalidated, surfacing a coarse step as
-    :class:`PositivityLoss`.
+    :class:`PositivityLoss`.  This is the step of :func:`evolve_master`,
+    applied once; it stays public for callers that step a state by hand,
+    such as the weak-measurement and flow-derivative oracles.
     """
     _positive(dt, "dt")
     _require_dim(rho, model)
-    Y = _rk4_step(_planes(rho.entries[None]), _generator_factor(model, u), dt)
-    return _stepped_state(_assembled(Y)[0])
+    h = np.dot(_master_map(model, u, dt), _coords(rho.entries[None])[:, 0])
+    return _stepped_state(_assembled(h[:, None])[0])
 
 
 def _master_at(grid, step: int) -> str:
     return f"master flow at step {step}, t={grid.t0 + step * grid.dt:.6g}"
 
 
-#: largest dimension whose master flow steps as one (n^2, n^2) matrix; the
-#: matrix grows as n^4, and past this one RK4 step costs less than it
-_MATRIX_MAX_DIM = 8
-
-
-@functools.lru_cache(maxsize=None)
-def _coord_index(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Where the n^2 coordinates sit in flattened (2, n, n) planes.
-
-    Coordinate k is plane entry ``at[k]``: the diagonal, then Re rho_ij
-    and Im rho_ij for i < j.  The rest of a Hermitian state mirrors them:
-    Re rho_ji = Re rho_ij and Im rho_ji = -Im rho_ij, the entries
-    ``mirror`` of coordinates ``n..`` times ``sign``.
-    """
-    i, j = np.triu_indices(n, 1)
-    diag = np.arange(n) * (n + 1)
-    at = np.concatenate([diag, i * n + j, n * n + i * n + j])
-    mirror = np.concatenate([j * n + i, n * n + j * n + i])
-    sign = np.repeat([1.0, -1.0], i.size)[:, None]
-    return at, mirror, sign
-
-
-def _coords(Y: np.ndarray) -> np.ndarray:
-    """The (n^2, B) coordinates of Hermitian (2, n, n, B) planes."""
-    at, _, _ = _coord_index(Y.shape[1])
-    return Y.reshape(at.size * 2, -1)[at]
-
-
-def _from_coords(h: np.ndarray) -> np.ndarray:
-    """The (2, n, n, B) planes of (n^2, B) coordinates, exactly Hermitian."""
-    n = math.isqrt(h.shape[0])
-    at, mirror, sign = _coord_index(n)
-    Y = np.zeros((2 * n * n, h.shape[1]))
-    Y[at] = h
-    Y[mirror] = sign * h[n:]
-    return Y.reshape((2, n, n, -1))
-
-
-def _check_steps(Y: np.ndarray, where) -> None:
-    """Check the states of consecutive steps, the columns of (2, n, n, B)
-    planes, as :func:`master_step` checks its result.
+def _check_steps(h: np.ndarray, where) -> None:
+    """Check the states of consecutive steps, the columns of (n^2, B)
+    coordinates, as :func:`master_step` checks its result.
 
     A failure names the earliest failing step, column b, as ``where(b)``:
     the whole block is tested at once, then that column alone, in the
     order finite, eigenvalue floor, unit trace.
     """
-    finite = np.isfinite(Y).all(axis=(0, 1, 2))
-    stop = Y.shape[-1] if finite.all() else int(np.argmin(finite))
-    ok = Y[..., :stop]
-    fails = (np.abs(_trace(ok[0]) - 1.0) > TRACE_TOL) | (
+    finite = np.isfinite(h).all(axis=0)
+    stop = h.shape[1] if finite.all() else int(np.argmin(finite))
+    ok = h[:, :stop]
+    fails = (np.abs(_trace(ok) - 1.0) > TRACE_TOL) | (
         _min_eigenvalues(ok) < POSITIVITY_FLOOR)
     b = int(np.argmax(fails)) if fails.any() else stop
-    if b < Y.shape[-1]:
+    if b < h.shape[1]:
         at = where(b)
-        trace_dev, _ = _check_stack(Y[..., b:b + 1], lambda _: at)
+        trace_dev, _ = _check_stack(h[:, b:b + 1], lambda _: at)
         if trace_dev > TRACE_TOL:
             raise InvalidParameter(f"state trace off 1 by {trace_dev:.3e} in {at}")
-
-
-def _recorded_times(grid, stride: int) -> np.ndarray:
-    """``grid.times()[::stride]`` without the full grid: ``np.linspace``'s
-    arithmetic on the recorded points only, so every value is the same
-    to the last bit."""
-    step = (grid.t1 - grid.t0) / grid.n_steps
-    times = np.arange(0, grid.n_steps + 1, stride, dtype=float)
-    if step == 0:
-        times /= grid.n_steps
-        times *= grid.t1 - grid.t0
-    else:
-        times *= step
-    times += grid.t0
-    times[-1] = grid.t1
-    return times
 
 
 def evolve_master(
@@ -508,13 +463,12 @@ def evolve_master(
     Returns the recorded times and a stacked array of states, initial
     state included.  A state is carried as its n^2 real coordinates (the
     diagonal, Re rho_ij and Im rho_ij for i < j), so it is Hermitian by
-    construction.  Under a constant control the RK4 step is linear and
-    time-invariant: for n <= 8 it is one (n^2, n^2) matrix, built once by
-    running :func:`_rk4_step` on the n^2 basis states, and a step is one
-    product with it.  Larger models run :func:`_rk4_step` itself, one
-    step at a time, to the same states as :func:`master_step`.  Steps go
-    into a buffer of a fixed number of steps, so memory does not grow
-    with ``n_steps``; every state of a filled buffer is checked as
+    construction.  Under a constant control the flow is linear and
+    time-invariant, so its RK4 step is the one (n^2, n^2) matrix
+    sum_{k<=4} (dt G)^k / k! of the Lindblad generator G, the G of the
+    filtering step, and a step is one product with it.  Steps go into a
+    buffer of a fixed number of steps, so memory does not grow with
+    ``n_steps``; every state of a filled buffer is checked as
     :func:`master_step` checks its result (finite, eigenvalue floor, unit
     trace), and a failure names the first failing step and its time.
     """
@@ -523,99 +477,107 @@ def evolve_master(
             f"record_stride {record_stride} does not divide {grid.n_steps}"
         )
     _require_dim(rho0, model)
-    n = model.dim
-    factor = _generator_factor(model, u)
-    dt = grid.dt
-    if n <= _MATRIX_MAX_DIM:
-        step_map = _coords(_rk4_step(_from_coords(np.eye(n * n)), factor, dt))
-
-        def advance(h, out):
-            np.dot(step_map, h, out=out)
-    else:
-        def advance(h, out):
-            out[:] = _coords(_rk4_step(_from_coords(h[:, None]), factor, dt))[:, 0]
-
-    block = np.empty((_BLOCK + 1, n * n))
-    block[0] = _coords(_planes(rho0.entries[None]))[:, 0]
-    path = np.empty((grid.n_steps // record_stride + 1, n * n))
+    step_map = _master_map(model, u, grid.dt)
+    block = np.empty((_BLOCK + 1, len(step_map)))
+    block[0] = _coords(rho0.entries[None])[:, 0]
+    path = np.empty((grid.n_steps // record_stride + 1, len(step_map)))
     path[0] = block[0]
     row = 1
     for start in range(0, grid.n_steps, _BLOCK):
         width = min(_BLOCK, grid.n_steps - start)
         for k in range(width):
-            advance(block[k], block[k + 1])
-        _check_steps(_from_coords(block[1:width + 1].T),
-                     lambda b: _master_at(grid, start + b + 1))
+            np.dot(step_map, block[k], out=block[k + 1])
+        _check_steps(block[1:width + 1].T, lambda b: _master_at(grid, start + b + 1))
         # block[k] is the state after step start + k
         recorded = block[record_stride - start % record_stride:width + 1:record_stride]
         path[row:row + len(recorded)] = recorded
         row += len(recorded)
         block[0] = block[width]
-    states = _assembled(_from_coords(path.T))
+    states = _assembled(path.T)
     return _frozen(_recorded_times(grid, record_stride)), _frozen(states)
 
 
-def _half_traces(LY: np.ndarray) -> np.ndarray:
-    """Re Tr(Lc rho) = <Lc + Lc'> / 2, shape (d, B), from Lc rho planes."""
-    return np.array([_trace(M[0]) for M in LY]).reshape(-1, LY.shape[-1])
+#: a batch has a multiple of this many columns: OpenBLAS dgemm rounds the
+#: columns of a last, partial block of 8 apart from those of full blocks
+#: once n^2 >= 16 (and a one-column product goes to GEMV), so every
+#: trajectory is held in a full block, padded with copies of its start
+_COLUMN_BLOCK = 8
+
+
+def _batch(h0: np.ndarray, rows: int) -> np.ndarray:
+    """``rows`` trajectories at the (n^2, 1) start coordinates ``h0``, padded
+    to a multiple of ``_COLUMN_BLOCK`` columns."""
+    return np.repeat(h0, -(-rows // _COLUMN_BLOCK) * _COLUMN_BLOCK, axis=1)
 
 
 def _sme_update(
-    Y: np.ndarray, factor, dW: np.ndarray, dt: float
+    h: np.ndarray, stack: np.ndarray, dw: np.ndarray, Z: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One Euler step of the filtering equation on (2, n, n, B) planes.
+    """One Euler step of the filtering equation on (n^2, B) coordinates.
 
-    With e_c = 2 Re Tr(Lc rho) = <Lc + Lc'> the step is rho + (A + A'),
+    With ``stack`` = [(I + dt G); M_1; ...; M_d] from :func:`_sme_stack`
+    and e_c = <Lc + Lc'>, the trace of M_c rho (the sum of its first n
+    rows), the step is
 
-        A = dt (K rho + sum_c Lc rho Lc' / 2)
-            + sum_c dW[:, c] (Lc rho - e_c rho / 2),
+        h' = (I + dt G) h + sum_c dw[c] (M_c h - e_c h),
 
-    the Lindblad drift plus each channel's innovation term, from the
-    products of :func:`_half_generator`.  A + A' is Hermitian to the
-    last bit, so the state stays Hermitian without a projection; it is
-    renormalized by its trace.  Also returns e / 2 of the input states,
-    shape (d, B), from which the record is built.
+    divided by its trace afterwards: one real GEMM of the stack against
+    the coordinates, into the ((d + 1) n^2, B) buffer ``Z`` (which must not
+    overlap ``h``), then passes over contiguous rows of length B.  Each
+    column is a trajectory whose arithmetic does not depend on the others;
+    B must be a multiple of ``_COLUMN_BLOCK`` (see :func:`_batch`) for the
+    GEMM to round a column alike in every batch.  Returns the new
+    coordinates, a view into ``Z``, and e of the input states, one row of
+    length B per channel, from which the record is built.
     """
-    A, LY = _half_generator(Y, factor)
-    A *= dt
-    half_e = _half_traces(LY)
-    for c, LY_c in enumerate(LY):
-        dw = dW[:, c]
-        A += dw * LY_c
-        A -= (half_e[c] * dw) * Y
-    out = _plus_dagger(A)
-    out += Y
-    out *= 1.0 / _trace(out[0])
-    return out, half_e
+    n2, B = h.shape
+    np.matmul(stack, h, out=Z)
+    out, *maps = Z.reshape(-1, n2, B)
+    e = []
+    for c, Mh in enumerate(maps):
+        e.append(_trace(Mh))
+        Mh -= e[c] * h
+        Mh *= dw[c]
+        out += Mh
+    out *= 1.0 / _trace(out)
+    return out, e
 
 
-def _min_eigenvalues(Y: np.ndarray) -> np.ndarray:
-    """Lowest eigenvalue of every state of Hermitian (2, n, n, B) planes.
+def _min_eigenvalues(h: np.ndarray) -> np.ndarray:
+    """Lowest eigenvalue of every state of (n^2, B) coordinates.
 
-    A qubit's comes in closed form, computed on contiguous rows; larger
-    states go through ``eigvalsh`` on the assembled complex stack.
+    A qubit's comes in closed form from its four rows, as
+    Tr/2 - sqrt(((rho_00 - rho_11) / 2)^2 + |rho_01|^2), built in place;
+    larger states go through ``eigvalsh`` on the assembled complex stack.
     """
-    if Y.shape[1] == 2:
-        (r00, r01), (_, r11) = Y[0]
-        i01 = Y[1, 0, 1]
-        half_tr = 0.5 * (r00 + r11)
-        det = r00 * r11 - (r01 * r01 + i01 * i01)
-        return half_tr - np.sqrt(np.maximum(half_tr * half_tr - det, 0.0))
-    return np.linalg.eigvalsh(_assembled(Y))[:, 0]
+    if h.shape[0] == 4:
+        r00, r11, r01, i01 = h
+        radius = r00 - r11
+        radius *= 0.5
+        radius *= radius
+        radius += r01 * r01
+        radius += i01 * i01
+        np.sqrt(radius, out=radius)
+        low = r00 + r11
+        low *= 0.5
+        low -= radius
+        return low
+    return np.linalg.eigvalsh(_assembled(h))[:, 0]
 
 
-def _check_stack(Y: np.ndarray, where) -> tuple[float, float]:
-    """Largest |Tr - 1| and lowest eigenvalue of stepped (2, n, n, B) planes.
+def _check_stack(h: np.ndarray, where) -> tuple[float, float]:
+    """Largest |Tr - 1| and lowest eigenvalue of stepped (n^2, B) coordinates.
 
     Raises NonFinite first (NaN passes every comparison after it), then
     PositivityLoss below the floor, naming state ``b`` as ``where(b)``;
     the failing state is looked for only after a global check fails.
     """
-    if not np.isfinite(Y).all():
-        b = int(np.argmin(np.isfinite(Y).all(axis=(0, 1, 2))))
+    if not np.isfinite(h).all():
+        b = int(np.argmin(np.isfinite(h).all(axis=0)))
         raise NonFinite(f"state left the finite range in {where(b)}")
-    trace_dev = float(np.abs(_trace(Y[0]) - 1.0).max())
-    lows = _min_eigenvalues(Y)
+    trace = _trace(h)
+    trace_dev = max(float(trace.max()) - 1.0, 1.0 - float(trace.min()))
+    lows = _min_eigenvalues(h)
     low = float(lows.min())
     if low < POSITIVITY_FLOOR:
         b = int(np.argmin(lows))
@@ -629,7 +591,7 @@ def sme_step(
     """One Euler step of the diffusive filtering equation.
 
     The record enters through the innovation dY_i - <Li+Li'> dt, which
-    drives the ensemble's step on a stack of one state.
+    drives the ensemble's step on a batch of one state.
     """
     _positive(dt, "dt")
     dY = np.asarray(dY, dtype=float).reshape(-1)
@@ -638,12 +600,14 @@ def sme_step(
             f"record has {dY.shape[0]} channels, model has {model.n_channels}"
         )
     _require_dim(rho, model)
-    factor = _generator_factor(model, u)
-    Y = _planes(rho.entries[None])
-    half_e = _half_traces(_half_generator(Y, factor)[1])
-    dW = dY - 2.0 * half_e[:, 0] * dt
-    out, _ = _sme_update(Y, factor, dW[None], dt)
-    return _stepped_state(_assembled(out)[0])
+    stack = _sme_stack(model, u, dt)
+    h = _batch(_coords(rho.entries[None]), 1)
+    n2 = h.shape[0]
+    dw = np.zeros((model.n_channels, h.shape[1]))
+    for c, Mh in enumerate((stack[n2:] @ h).reshape(-1, n2, h.shape[1])):
+        dw[c, 0] = dY[c] - _trace(Mh)[0] * dt
+    out, _ = _sme_update(h, stack, dw, np.empty((len(stack), h.shape[1])))
+    return _stepped_state(_assembled(out[:, :1])[0])
 
 
 @dataclass(frozen=True)
@@ -707,31 +671,37 @@ def simulate_sme_trajectory(
     grid = config.grid
     dt = grid.dt
     n_rec = config.n_records
-    times = grid.times()
+    # a policy is called at every grid time
+    times = None if control_policy is None else _recorded_times(grid, 1)
 
     def run(start: int, stop: int, noise: np.ndarray):
-        path = np.empty((2, n, n, n_rec))
+        path = np.empty((n * n, n_rec))
         outputs = np.zeros((n_rec, d))
         controls = np.zeros((n_rec, model.n_controls))
         u = None if control_policy is None else control_policy(times[0], rho0)
-        factor = _generator_factor(model, u)
-        Y = _planes(rho0.entries[None])
-        path[..., 0] = Y[..., 0]
+        stack = _sme_stack(model, u, dt)
+        h = _batch(_coords(rho0.entries[None]), 1)
+        dw = np.zeros((d, h.shape[1]))
+        # the product of a step goes into one buffer while the state it
+        # reads sits in the other
+        products = np.empty((2, len(stack), h.shape[1]))
+        path[:, 0] = h[:, 0]
         if u is not None:
             controls[0] = np.asarray(u, dtype=float).reshape(-1)
         block = np.zeros(d)
         row = 1
         for step, dW in enumerate(noise):
-            Y, half_e = _sme_update(Y, factor, dW, dt)
-            block += 2.0 * half_e[:, 0] * dt + dW[0]
-            _check_stack(Y, lambda b: _at(config, start + b, step + 1))
+            dw[:, 0] = dW[0]
+            h, e = _sme_update(h, stack, dw, products[step % 2])
+            block += np.array([e_c[0] for e_c in e]) * dt + dW[0]
+            _check_stack(h[:, :1], lambda b: _at(config, start + b, step + 1))
             if control_policy is not None:
-                rho = DensityMatrix(_assembled(Y)[0])
+                rho = DensityMatrix(_assembled(h[:, :1])[0])
                 u_next = control_policy(times[step + 1], rho)
                 if not np.array_equal(u_next, u):
-                    u, factor = u_next, _generator_factor(model, u_next)
+                    u, stack = u_next, _sme_stack(model, u_next, dt)
             if (step + 1) % config.record_stride == 0:
-                path[..., row] = Y[..., 0]
+                path[:, row] = h[:, 0]
                 outputs[row] = block
                 if u is not None:
                     controls[row] = np.asarray(u, dtype=float).reshape(-1)
@@ -743,7 +713,7 @@ def simulate_sme_trajectory(
     for arr in (states, outputs, controls):
         _frozen(arr)
     return SmeTrajectory(
-        times=_frozen(times[:: config.record_stride].copy()),
+        times=_frozen(_recorded_times(grid, config.record_stride)),
         states=states, outputs=outputs, controls=controls,
     )
 
@@ -784,34 +754,40 @@ def simulate_sme_ensemble(
     single-trajectory entry point.
     """
     _require_dim(rho0, model)
-    n, grid = model.dim, config.grid
-    factor = _generator_factor(model, u)
-    start_planes = _planes(rho0.entries[None])
+    n, d, grid = model.dim, model.n_channels, config.grid
+    stack = _sme_stack(model, u, grid.dt)
+    start_coords = _coords(rho0.entries[None])
     finals = np.empty((config.n_traj, n, n), dtype=complex)
 
     def run_chunk(start: int, stop: int, noise: np.ndarray):
-        Y = np.repeat(start_planes, stop - start, axis=-1)
-        path = np.empty((2, n, n, config.n_records))
-        path[..., 0] = Y.sum(axis=-1)
-        low = float(_min_eigenvalues(Y).min())
+        rows = stop - start
+        h = _batch(start_coords, rows)
+        dw = np.zeros((d, h.shape[1]))
+        # the product of a step goes into one buffer while the state it
+        # reads sits in the other
+        products = np.empty((2, len(stack), h.shape[1]))
+        path = np.empty((n * n, config.n_records))
+        path[:, 0] = h[:, :rows].sum(axis=1)
+        low = float(_min_eigenvalues(h[:, :rows]).min())
         trace_dev = 0.0
         row = 1
         for step, dW in enumerate(noise):
-            Y, _ = _sme_update(Y, factor, dW, grid.dt)
+            dw[:, :rows] = dW.T
+            h = _sme_update(h, stack, dw, products[step % 2])[0]
             step_dev, step_low = _check_stack(
-                Y, lambda b: _at(config, start + b, step + 1))
+                h[:, :rows], lambda b: _at(config, start + b, step + 1))
             trace_dev = max(trace_dev, step_dev)
             low = min(low, step_low)
             if (step + 1) % config.record_stride == 0:
-                path[..., row] = Y.sum(axis=-1)
+                path[:, row] = h[:, :rows].sum(axis=1)
                 row += 1
-        finals[start:stop] = _assembled(Y)
+        finals[start:stop] = _assembled(h[:, :rows])
         return path, low, trace_dev
 
-    paths, lows, trace_devs = zip(*_run_chunks(config, model.n_channels, run_chunk))
+    paths, lows, trace_devs = zip(*_run_chunks(config, d, run_chunk))
     return SmeEnsemble(
         config=config,
-        times=_frozen(grid.times()[:: config.record_stride].copy()),
+        times=_frozen(_recorded_times(grid, config.record_stride)),
         mean_states=_frozen(_assembled(np.sum(paths, axis=0) / config.n_traj)),
         final_states=_frozen(finals),
         min_eigenvalue=float(min(lows)),

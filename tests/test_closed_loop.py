@@ -325,6 +325,9 @@ class TestBlockNoise:
         ("sme_ensemble", (200, 2000)),
         # one state, nothing per trajectory: the whole peak stays flat
         ("master", (2000, 20000)),
+        # the whole peak of a 2-trajectory ensemble stays flat too, though
+        # the full time grid of 7000 steps is 48 KB larger than that of 1000
+        ("sme_pair", (1000, 7000)),
     ])
     def test_ensemble_memory_does_not_grow_with_steps(self, simulator, steps):
         # the part of the peak that grows with the ensemble (noise and
@@ -341,7 +344,7 @@ class TestBlockNoise:
                 if simulator == "closed_loop":
                     simulate_closed_loop(feedback_coefficients(), tracking_cost(),
                                          cfg, default_belief())
-                elif simulator == "sme_ensemble":
+                elif simulator in ("sme_ensemble", "sme_pair"):
                     simulate_sme_ensemble(rho0, model, cfg)
                 else:
                     evolve_master(rho0, model, cfg.grid, record_stride=n_steps)
@@ -352,6 +355,8 @@ class TestBlockNoise:
         def growth(n_steps):
             if simulator == "master":
                 return peak(1, n_steps)
+            if simulator == "sme_pair":
+                return peak(2, n_steps)
             return peak(48, n_steps) - peak(2, n_steps)
 
         short, long = (growth(n) for n in steps)

@@ -1,6 +1,7 @@
 """Riccati, Lyapunov and cost-term integration."""
 
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -217,6 +218,18 @@ class TestControlRiccati:
         path = integrate_control_riccati(coeffs, quadratic_cost(beta=1.0),
                                          TimeGrid(0.0, 15.0, 15000))
         np.testing.assert_allclose(path.at(0), [[1.0, 0.5], [0.5, 0.5]], atol=1e-6)
+
+    def test_backward_flow_holds_one_path(self):
+        # the backward flow is written straight into the forward-time path,
+        # so no reversed copy of the path is ever alive
+        coeffs, cost = feedback_coefficients(), quadratic_cost()
+        tracemalloc.start()
+        try:
+            path = integrate_control_riccati(coeffs, cost, TimeGrid(0.0, 20.0, 20000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * path.values.nbytes
 
     @pytest.mark.parametrize("n_steps", [5000, 50, 10])
     def test_finite_time_escape_detected(self, n_steps):

@@ -35,14 +35,12 @@ from qlqg.sme import (
     weak_measurement_unitary,
 )
 from qlqg.sme import (
+    _COLUMN_BLOCK,
     _assembled,
     _check_steps,
-    _generator_factor,
-    _half_generator,
-    _left,
-    _planes,
-    _plus_dagger,
-    _rk4_step,
+    _coords,
+    _lindblad_map,
+    _sme_stack,
     _sme_update,
     _trace,
 )
@@ -93,8 +91,10 @@ def layout_case(case):
     """(model, rho0, u) of each batch-layout and replay case: generic
     complex couplings, whose products round differently in different BLAS
     kernels (Pauli couplings would hide that), most with H != 0 and a
-    control.  ``dim=1`` runs the padded one-column products; renormalization
-    pins its state to 1, so ``TestPlaneKernel`` checks the pad's rounding."""
+    control.  From n = 4 on (n^2 >= 16) the columns of a last, partial
+    block of 8 round apart from full blocks unless the batch is padded.
+    ``dim=1`` runs the padded batches too; renormalization pins its state
+    to 1, so ``TestPlaneKernel`` checks the pad's rounding."""
     if case == "H0=0":
         model = random_model(np.random.default_rng(2), 2)
         return FiniteModel(H0=np.zeros((2, 2)), L_list=model.L_list), mixed_state(), None
@@ -105,12 +105,28 @@ def layout_case(case):
         return model, DensityMatrix(np.eye(1)), [0.7]
     n, d = (int(part[2:]) for part in case.split("-"))
     model = controlled_model(np.random.default_rng(n + 10 * d), n, channels=d)
+    if n > 5:
+        # the rates grow with n: halved couplings keep 50 Euler steps from
+        # this start above the eigenvalue floor
+        model = FiniteModel(H0=model.H0, L_list=0.5 * model.L_list,
+                            H_controls=model.H_controls)
     rho0 = DensityMatrix(np.diag(np.arange(n, 0, -1.0)) / (n * (n + 1) / 2))
     return model, rho0, [0.7]
 
 
-LAYOUT_CASES = ["H0=0", "H0!=0", "n=2-d=1", "n=3-d=1", "n=3-d=2", "n=5-d=1",
-                "n=5-d=2", "dim=1"]
+LAYOUT_CASES = ["H0=0", "H0!=0", "n=2-d=1", "n=3-d=1", "n=3-d=2", "n=4-d=1",
+                "n=5-d=1", "n=5-d=2", "n=9-d=2", "dim=1"]
+
+
+def rk4_reference(rho, model, u, dt):
+    """One RK4 step of the commutator-form generator, on complex matrices."""
+    def flow(X):
+        return lindblad_schrodinger(X, model, u)
+    k1 = flow(rho)
+    k2 = flow(rho + 0.5 * dt * k1)
+    k3 = flow(rho + 0.5 * dt * k2)
+    k4 = flow(rho + dt * k3)
+    return rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 class TestDensityMatrix:
@@ -244,35 +260,38 @@ class TestLindblad:
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_fused_generator_matches_commutator_form(self, n):
-        # the hoisted K = -iH(u)/hbar - sum L'L/2 feeds both the SME step and
-        # the master flow, so it is checked against the commutator form
+        # the coordinate generator G, built from the hoisted
+        # K = -iH(u)/hbar - sum L'L/2, feeds both the SME step and the master
+        # flow, so it is checked against the commutator form, and every M_c
+        # of the SME stack against Lc rho + rho Lc'
         rng = np.random.default_rng(70 + n)
         for _ in range(10):
             model = controlled_model(rng, n, hbar=rng.uniform(0.5, 2.0))
             u = [rng.uniform(0.5, 2.0)]
             rho = random_state(rng, n).entries
-            X, LY = _half_generator(_planes(rho[None]), _generator_factor(model, u))
-            fused = _assembled(_plus_dagger(X))[0]
+            h = _coords(rho[None])
+            fused = _assembled(_lindblad_map(model, u) @ h)[0]
             ref = lindblad_schrodinger(rho, model, u)
             assert np.abs(fused - ref).max() <= 1e-13
-            for c, L in enumerate(model.L_list):
-                assert np.abs(_assembled(LY[c])[0] - L @ rho).max() <= 1e-13
+            maps = _sme_stack(model, u, 1e-3)[n * n:].reshape(-1, n * n, n * n)
+            for M, L in zip(maps, model.L_list):
+                plus = L @ rho + rho @ L.conj().T
+                assert np.abs(_assembled(M @ h)[0] - plus).max() <= 1e-13
 
     def test_stepped_states_are_exactly_hermitian(self):
-        # both steps write rho + (A + A') plane by plane and never project;
-        # DensityMatrix stores the Hermitian part of its input, so the
-        # kernel's own output is checked, and the outputs that skip it
+        # both flows carry coordinates and never project; DensityMatrix
+        # stores the Hermitian part of its input, so the assembled states
+        # are checked, and the outputs that skip it
         rng = np.random.default_rng(9)
         model = controlled_model(rng, 3)
-        factor = _generator_factor(model, [0.4])
-        Y = _planes(np.stack([random_state(rng, 3).entries for _ in range(7)]))
+        stack = _sme_stack(model, [0.4], 1e-3)
+        h = _coords(np.stack([random_state(rng, 3).entries for _ in range(8)]))
         for _ in range(20):
-            Y, _ = _sme_update(Y, factor, 0.03 * rng.standard_normal((7, 2)), 1e-3)
-            states = _assembled(Y)
+            h, _ = _sme_update(h, stack, 0.03 * rng.standard_normal((2, 8)),
+                               np.empty((len(stack), 8)))
+            states = _assembled(h)
             np.testing.assert_array_equal(states, states.conj().swapaxes(1, 2))
-            Y = _rk4_step(Y, factor, 1e-3)
-            states = _assembled(Y)
-            np.testing.assert_array_equal(states, states.conj().swapaxes(1, 2))
+            np.testing.assert_array_equal(_coords(states), h)
         grid = TimeGrid(0.0, 0.02, 20)
         rho0 = random_state(rng, 3)
         ens = simulate_sme_ensemble(rho0, model, SimConfig(grid=grid, n_traj=5, seed=4),
@@ -291,27 +310,34 @@ class TestLindblad:
 
 class TestPlaneKernel:
     # a trajectory's numbers must not depend on how many share its batch
+    # (the class keeps the name of the kernel these guards were written for)
 
-    def test_one_column_product_rounds_as_in_a_wide_one(self):
-        # BLAS GEMV rounds apart from GEMM, so a one-column product
-        # (a dim-1 model run alone) is padded to two columns
-        rng = np.random.default_rng(6)
-        for _ in range(50):
-            M = rng.standard_normal((8, 2))
-            Y = rng.standard_normal((2, 1, 1, 300))
-            wide = _left(M, Y)
-            for b in (0, 299):
-                np.testing.assert_array_equal(_left(M, Y[..., b:b + 1]),
-                                              wide[..., b:b + 1])
+    def test_padded_product_rounds_as_in_a_wide_one(self):
+        # OpenBLAS dgemm rounds the columns of a last, partial block of 8
+        # apart from full blocks once n^2 >= 16, and a one-column product
+        # goes to GEMV, so a batch is padded to a multiple of _COLUMN_BLOCK:
+        # every width from 1 to 20, padded, gives the same columns as a
+        # product of 1300
+        for n in (2, 4, 5, 9):
+            rng = np.random.default_rng(60 + n)
+            stack = _sme_stack(controlled_model(rng, n), [0.7], 1e-3)
+            h = rng.standard_normal((n * n, 1300))
+            wide = stack @ h
+            for width in range(1, 21):
+                pad = -width % _COLUMN_BLOCK
+                padded = np.pad(h[:, :width], ((0, 0), (0, pad)))
+                np.testing.assert_array_equal(
+                    (stack @ padded)[:, :width], wide[:, :width],
+                    err_msg=f"n={n}, width={width}")
 
     @pytest.mark.parametrize("n", [3, 8, 12])
     def test_trace_rounds_alike_for_every_batch(self, n):
         # a reduction call regroups a long sum when the batch has one column
         rng = np.random.default_rng(n)
-        P = rng.standard_normal((n, n, 9)) * 10.0 ** rng.uniform(-3, 3, (n, n, 9))
-        wide = _trace(P)
+        h = rng.standard_normal((n * n, 9)) * 10.0 ** rng.uniform(-3, 3, (n * n, 9))
+        wide = _trace(h)
         for b in range(9):
-            np.testing.assert_array_equal(_trace(P[..., b:b + 1]), wide[b:b + 1])
+            np.testing.assert_array_equal(_trace(h[:, b:b + 1]), wide[b:b + 1])
 
 
 class TestMasterStep:
@@ -347,31 +373,28 @@ class TestMasterStep:
 
     @pytest.mark.parametrize("case", ["n=2-d=1", "n=2-d=2", "n=3-d=1", "n=3-d=2",
                                       "n=5-d=1", "n=5-d=2", "n=9-d=1"])
-    def test_evolve_master_matches_master_step_loop(self, monkeypatch, case):
-        # up to n = 8 a step is one matrix, built by one RK4 step of the
-        # basis states, and it rounds apart from that step; above that each
-        # step is the RK4 step itself; 600 steps fill two blocks and part
-        # of a third
+    def test_evolve_master_matches_master_step_loop(self, case):
+        # a step is one matrix on coordinates, the Taylor polynomial of the
+        # generator, so the block loop gives the states of a master_step
+        # loop bit for bit, and both stay within roundoff of RK4 on the
+        # commutator form; 600 steps fill two blocks and part of a third
         n, d = (int(part[2:]) for part in case.split("-"))
         rng = np.random.default_rng(40 + n + 10 * d)
         model = controlled_model(rng, n, channels=d, hbar=1.7)
         rho = random_state(rng, n)
         grid = TimeGrid(0.0, 0.15, 600)
-        calls = []
-        monkeypatch.setattr("qlqg.sme._rk4_step",
-                            lambda *args: calls.append(args) or _rk4_step(*args))
         times, states = evolve_master(rho, model, grid, u=[0.6], record_stride=3)
-        assert len(calls) == (1 if n <= 8 else grid.n_steps)
-        ref = [rho.entries]
+        ref, exact = [rho.entries], [rho.entries]
+        reference = rho.entries
         for step in range(1, grid.n_steps + 1):
             rho = master_step(rho, model, [0.6], grid.dt)
+            reference = rk4_reference(reference, model, [0.6], grid.dt)
             if step % 3 == 0:
                 ref.append(rho.entries)
+                exact.append(reference)
         np.testing.assert_array_equal(times, grid.times()[::3])
-        if n <= 8:
-            assert np.abs(states - np.array(ref)).max() <= 1e-12
-        else:
-            np.testing.assert_array_equal(states, np.array(ref))
+        np.testing.assert_array_equal(states, np.array(ref))
+        assert np.abs(states - np.array(exact)).max() <= 1e-12
 
     @pytest.mark.parametrize("n", [2, 9])
     def test_positivity_loss_names_first_failing_step_of_a_block(self, n):
@@ -386,10 +409,10 @@ class TestMasterStep:
         pops[:2] = [1.0, 1e-60]
         rho0 = DensityMatrix(np.diag(pops).astype(complex))
         grid = TimeGrid(0.0, 3.1 * 400, 400)
-        Y, lows = _planes(rho0.entries[None]), []
+        rho, lows = rho0.entries, []
         for _ in range(grid.n_steps):
-            Y = _rk4_step(Y, _generator_factor(model, None), grid.dt)
-            lows.append(np.linalg.eigvalsh(_assembled(Y)[0])[0])
+            rho = rk4_reference(rho, model, None, grid.dt)
+            lows.append(np.linalg.eigvalsh(rho)[0])
         lows = np.array(lows)
         first = int(np.argmax(lows < -1e-6)) + 1
         assert first == 299 and lows[first:].min() < lows[first - 1]
@@ -414,16 +437,16 @@ class TestMasterStep:
                     (NonFinite, "finite range in step 6")]
         for k, (error, message) in enumerate(expected):
             with pytest.raises(error, match=f"{message}$"):
-                _check_steps(_planes(states), lambda b: f"step {b + 1}")
+                _check_steps(_coords(states), lambda b: f"step {b + 1}")
             states[3 + k] = np.diag([0.6, 0.4])
-        _check_steps(_planes(states), lambda b: f"step {b + 1}")
+        _check_steps(_coords(states), lambda b: f"step {b + 1}")
         states[2] = np.diag([1.2, -0.1])
         states[2, 0, 1] = states[2, 1, 0] = np.nan
         with pytest.raises(NonFinite, match="in step 3$"):
-            _check_steps(_planes(states), lambda b: f"step {b + 1}")
+            _check_steps(_coords(states), lambda b: f"step {b + 1}")
         states[2] = np.diag([1.2, -0.1])
         with pytest.raises(PositivityLoss, match="in step 3$"):
-            _check_steps(_planes(states), lambda b: f"step {b + 1}")
+            _check_steps(_coords(states), lambda b: f"step {b + 1}")
 
     def test_recorded_times_are_those_of_the_grid(self):
         # the recorded times are computed without the full grid, with
@@ -659,25 +682,27 @@ class TestEnsemble:
 
     def test_thread_count_does_not_change_results(self, monkeypatch):
         cfg = SimConfig(grid=TimeGrid(0.0, 0.05, 50), n_traj=1300, seed=15)
-        monkeypatch.setenv("QLQG_THREADS", "1")
-        a = simulate_sme_ensemble(mixed_state(), dephasing_model(), cfg)
-        monkeypatch.setenv("QLQG_THREADS", "4")
-        b = simulate_sme_ensemble(mixed_state(), dephasing_model(), cfg)
-        np.testing.assert_array_equal(a.final_states, b.final_states)
-        np.testing.assert_array_equal(a.mean_states, b.mean_states)
+        for model, rho0, u in [(dephasing_model(), mixed_state(), None),
+                               layout_case("n=9-d=2")]:
+            monkeypatch.setenv("QLQG_THREADS", "1")
+            a = simulate_sme_ensemble(rho0, model, cfg, u=u)
+            monkeypatch.setenv("QLQG_THREADS", "4")
+            b = simulate_sme_ensemble(rho0, model, cfg, u=u)
+            np.testing.assert_array_equal(a.final_states, b.final_states)
+            np.testing.assert_array_equal(a.mean_states, b.mean_states)
 
     @pytest.mark.parametrize("case", LAYOUT_CASES)
     def test_results_do_not_depend_on_batch_layout(self, case):
         # every trajectory ends in the same state whether it runs alone, in
         # one chunk of 1023 or 1024, or in a full chunk followed by one of
-        # 1 or 276 trajectories
+        # 1, 3, 4 or 276 trajectories
         model, rho0, u = layout_case(case)
         grid = TimeGrid(0.0, 0.05, 50)
         finals = {
             n_traj: simulate_sme_ensemble(
                 rho0, model, SimConfig(grid=grid, n_traj=n_traj, seed=21),
                 u=u).final_states
-            for n_traj in (1, 1023, 1024, 1025, 1300)
+            for n_traj in (1, 1023, 1024, 1025, 1027, 1028, 1300)
         }
         for n_traj, states in finals.items():
             np.testing.assert_array_equal(states, finals[1300][:n_traj])
