@@ -219,7 +219,11 @@ def _parse_sim(scenario: dict, grid: TimeGrid, args) -> SimConfig:
 
 
 def _out_dir(args, scenario: dict | None) -> Path:
-    out = args.out or (scenario or {}).get("out") or "."
+    out = args.out or (scenario or {}).get("out")
+    if out is None:
+        out = "."
+    if not isinstance(out, str):
+        raise ConfigError(f"key 'out' must be a string, got {out!r}")
     path = Path(out)
     path.mkdir(parents=True, exist_ok=True)
     return path

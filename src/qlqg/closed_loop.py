@@ -6,7 +6,8 @@ conditional dynamics and sidesteps any notion of a hidden point state.
 Each trajectory owns a counter-based random stream derived from
 ``(seed, trajectory index)``, so ensembles are reproducible,
 independent of thread scheduling and independent of batch layout: a
-trajectory's results do not depend on ``n_traj`` or on the chunk that
+chunk is held one trajectory per column in a multiple of 8 columns, so
+a trajectory's results do not depend on ``n_traj`` or on the chunk that
 carries it.  Streams draw in blocks of steps, so memory does not grow
 with ``n_steps`` beyond the per-step covariance and gain paths.
 """
@@ -45,6 +46,10 @@ _CHUNK = 1024
 #: steps of noise each stream draws at a time; bounds a chunk's noise
 #: buffer whatever ``n_steps`` is
 _BLOCK = 256
+#: a chunk has a multiple of this many columns: OpenBLAS rounds the
+#: columns of a last, partial block of 8 apart from those of full blocks,
+#: and a one-row or one-column product goes to GEMV
+_COLUMN_BLOCK = 8
 
 _ESCAPE = 1e12
 
@@ -59,6 +64,10 @@ class SimConfig:
     record_stride: int = 1
 
     def __post_init__(self) -> None:
+        for name in ("n_traj", "seed", "record_stride"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.n_traj < 1:
             raise ConfigError(f"n_traj must be >= 1, got {self.n_traj}")
         if not 0 <= int(self.seed) < 2**64:
@@ -145,18 +154,26 @@ def _at(config: SimConfig, index: int, step: int) -> str:
     return f"trajectory {index} of seed {config.seed} at step {step}, t={t:.6g}"
 
 
-def _increments(config: SimConfig, start: int, stop: int, d: int, zero_noise: bool):
-    """Per-step (stop - start, d) Wiener increments of trajectories
-    ``start..stop-1``, each a view valid until the next is drawn.
+def _chunk_width(rows: int) -> int:
+    """Columns of a chunk of ``rows`` trajectories: the next multiple of
+    ``_COLUMN_BLOCK``."""
+    return -(-rows // _COLUMN_BLOCK) * _COLUMN_BLOCK
 
-    Row i comes from the Philox stream of ``(seed, start + i)``.  The
-    streams stay alive and draw ``_BLOCK`` steps at a time into one
-    buffer; a counter-based stream yields the same numbers however its
-    draws are split, so the bytes are those of one bulk draw.
+
+def _increments(config: SimConfig, start: int, stop: int, d: int, zero_noise: bool):
+    """Per-step (d, B) Wiener increments of trajectories ``start..stop-1``,
+    B = ``_chunk_width(stop - start)``, each a view valid until the next
+    is drawn.
+
+    Column i comes from the Philox stream of ``(seed, start + i)``; the
+    pad columns are zero.  The streams stay alive and draw ``_BLOCK``
+    steps at a time into one buffer; a counter-based stream yields the
+    same numbers however its draws are split, so the bytes are those of
+    one bulk draw.
     """
     rows, n_steps = stop - start, config.grid.n_steps
     if zero_noise:
-        zeros = np.zeros((rows, d))
+        zeros = np.zeros((d, _chunk_width(rows)))
         for _ in range(n_steps):
             yield zeros
         return
@@ -167,23 +184,14 @@ def _increments(config: SimConfig, start: int, stop: int, d: int, zero_noise: bo
         for i in range(start, stop)
     ]
     block = np.empty((rows, _BLOCK, d))
-    steps = np.empty((_BLOCK, rows, d))
+    steps = np.zeros((_BLOCK, d, _chunk_width(rows)))
     for step0 in range(0, n_steps, _BLOCK):
         width = min(_BLOCK, n_steps - step0)
         for stream, draws in zip(streams, block):
             stream.standard_normal(out=draws[:width])
-        np.multiply(block[:, :width].swapaxes(0, 1), sqrt_dt, out=steps[:width])
+        np.multiply(block[:, :width].transpose(1, 2, 0), sqrt_dt,
+                    out=steps[:width, :, :rows])
         yield from steps[:width]
-
-
-def _padded(M: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """``M`` with its last two axes zero-padded to ``rows`` x ``cols``
-    (``M`` itself when it has that shape)."""
-    if M.shape[-2:] == (rows, cols):
-        return M
-    out = np.zeros(M.shape[:-2] + (rows, cols))
-    out[..., : M.shape[-2], : M.shape[-1]] = M
-    return out
 
 
 def _run_chunks(config: SimConfig, d: int, run_chunk, zero_noise: bool = False,
@@ -192,21 +200,19 @@ def _run_chunks(config: SimConfig, d: int, run_chunk, zero_noise: bool = False,
 
     The one chunk loop of every Monte Carlo simulator.  Chunks of up to
     ``_CHUNK`` trajectories cover the indices ``first`` to
-    ``first + n_traj - 1``; ``noise`` yields the chunk's (stop - start, d)
-    Wiener increments step by step, row i from the Philox stream of
-    ``(seed, start + i)`` (zeros under ``zero_noise``), so no buffer grows
-    with ``n_steps``.  Up to ``QLQG_THREADS`` chunks run at once.
+    ``first + n_traj - 1``; ``noise`` yields the chunk's (d, B) Wiener
+    increments step by step, one trajectory per column, column i from the
+    Philox stream of ``(seed, start + i)`` (zeros under ``zero_noise``),
+    so no buffer grows with ``n_steps``.  Up to ``QLQG_THREADS`` chunks
+    run at once.
 
-    A trajectory's results depend only on ``(seed, index)``: not on
-    ``QLQG_THREADS``, not on the chunk it lands in, and not on
-    ``first``, so any trajectory of an ensemble can be run alone.  That
-    holds because each simulator's batched products round every
-    trajectory the same way whatever the chunk size, as long as no
-    product comes out with a single row or column: those go through BLAS
-    GEMV, so the closed loop pads a one-trajectory chunk and its one-row
-    matrices.  The SME's products have an inner dimension of n^2, and
-    from n^2 = 16 on BLAS also rounds the columns of a last, partial
-    block of 8 apart, so it pads every chunk to a multiple of 8 columns.
+    B = ``_chunk_width(stop - start)`` is the chunk's trajectory count
+    rounded up to a multiple of ``_COLUMN_BLOCK``, and the pad columns'
+    noise is zero.  A simulator holds its chunk in B columns, so every
+    product rounds a trajectory alike in every chunk, and its results
+    depend only on ``(seed, index)``: not on ``QLQG_THREADS``, not on
+    the chunk it lands in, and not on ``first``.  Any trajectory of an
+    ensemble can be run alone.
     """
     workers = _worker_count()
 
@@ -302,30 +308,23 @@ def simulate_closed_loop(
     n_rec = config.n_records
     n_traj = config.n_traj
 
-    # every matrix that multiplies the chunk from the left gets at least
-    # two rows (zero-padded, so the state gains a zero row when m == 1):
-    # a one-row product goes through BLAS GEMV, which rounds a column
-    # differently depending on how many columns the chunk has
-    mp = max(m, 2)
     # the per-step arrays, built _BLOCK steps at a time so that no
     # temporary spans the grid: step maps [Phi_n | K_n], applied to the
     # column [Xhat; dW], and running-cost weights
-    # Q_n = F - L_n'G - G'L_n + L_n'L_n; the feedback -L_n is padded only
-    # at recorded rows
-    step_maps = np.zeros((n_steps, mp, mp + d))
-    Q = np.zeros((n_steps + 1, mp, mp))
+    # Q_n = F - L_n'G - G'L_n + L_n'L_n
+    step_maps = np.empty((n_steps, m, m + d))
+    Q = np.empty((n_steps + 1, m, m))
     for s in range(0, n_steps + 1, _BLOCK):
         L = gains[s:s + _BLOCK]
         LtG = L.swapaxes(1, 2) @ cost.G
-        Q[s:s + _BLOCK, :m, :m] = cost.F - LtG - LtG.swapaxes(1, 2) + L.swapaxes(1, 2) @ L
+        Q[s:s + _BLOCK] = cost.F - LtG - LtG.swapaxes(1, 2) + L.swapaxes(1, 2) @ L
         span = slice(s, min(s + _BLOCK, n_steps))
-        step_maps[span, :m, :m] = np.eye(m) + (coeffs.A - coeffs.B @ gains[span]) * dt
+        step_maps[span, :, :m] = np.eye(m) + (coeffs.A - coeffs.B @ gains[span]) * dt
         K = np.matmul(Sigma_path.values[span], coeffs.C.T)
-        step_maps[span, :m, mp:] = K + coeffs.M
-    Omega_T = _padded(cost.Omega_T, mp, mp)
+        step_maps[span, :, m:] = K + coeffs.M
     trace_F = np.einsum("ab,tba->t", cost.F, Sigma_path.values)
     terminal_trace = float(np.trace(cost.Omega_T @ Sigma_path.final))
-    C_dt, half_dt = _padded(coeffs.C * dt, max(d, 2), mp), 0.5 * dt
+    C_dt, half_dt = coeffs.C * dt, 0.5 * dt
 
     means = np.empty((n_traj, n_rec, m))
     controls = np.empty((n_traj, n_rec, k))
@@ -338,14 +337,14 @@ def simulate_closed_loop(
         # the chunk is held transposed, one trajectory per column, so
         # every elementwise pass runs over contiguous rows of length B
         rows, sl = stop - start, slice(start, stop)
-        B = max(rows, 2)  # a zero pad column, for the same reason as mp
+        B = _chunk_width(rows)  # zero pad columns stay zero
         # [Xhat; dW] of this step and the next, alternating
-        XW = np.zeros((2, mp + d, B))
+        XW = np.zeros((2, m + d, B))
         XW[0, :m, :rows] = initial.mean[:, None]
-        block = np.zeros((mp + d, B))  # [Xhat; dW] summed over a record block
+        block = np.zeros((m + d, B))  # [Xhat; dW] summed over a record block
         acc, trap = np.zeros(B), np.empty(B)
         c_prev, c_next = np.empty(B), np.empty(B)
-        QX, absX = np.empty((mp, B)), np.empty((mp, B))
+        QX, absX = np.empty((m, B)), np.empty((m, B))
 
         def quadratic_cost(X, W, trace, out):
             # X' W X + trace for every column X
@@ -355,19 +354,22 @@ def simulate_closed_loop(
             out += trace
 
         def record(row, X, n):
-            means[sl, row] = X[:m, :rows].T
-            controls[sl, row] = (_padded(-gains[n], max(k, 2), mp) @ X)[:k, :rows].T
+            means[sl, row] = X[:, :rows].T
+            # -L_n X as the last rows of a GEMM: with one control, a
+            # one-row product would go to GEMV, which sums its terms in
+            # another order and moves the recorded controls by an ulp
+            controls[sl, row] = (np.vstack((np.eye(m), -gains[n])) @ X)[m:, :rows].T
             running[sl, row] = acc[:rows]
 
-        X = XW[0, :mp]
+        X = XW[0, :m]
         quadratic_cost(X, Q[0], trace_F[0], c_prev)
         record(0, X, 0)
         row = 1
         for step, dW in enumerate(noise):
             XW_now, XW_next = XW[step % 2], XW[(step + 1) % 2]
-            XW_now[mp:, :rows] = dW.T
+            XW_now[m:] = dW
             block += XW_now
-            X = XW_next[:mp]
+            X = XW_next[:m]
             np.matmul(step_maps[step], XW_now, out=X)
             np.abs(X, out=absX)
             if not absX.max() <= _ESCAPE:
@@ -381,11 +383,11 @@ def simulate_closed_loop(
             c_prev, c_next = c_next, c_prev
             if (step + 1) % stride == 0:
                 record(row, X, step + 1)
-                outputs[sl, row] = (C_dt @ block[:mp])[:d, :rows].T + block[mp:, :rows].T
-                innovations[sl, row] = block[mp:, :rows].T
+                outputs[sl, row] = (C_dt @ block[:m])[:, :rows].T + block[m:, :rows].T
+                innovations[sl, row] = block[m:, :rows].T
                 block[:] = 0.0
                 row += 1
-        quadratic_cost(X, Omega_T, terminal_trace, c_next)
+        quadratic_cost(X, cost.Omega_T, terminal_trace, c_next)
         totals[sl] = (acc + c_next)[:rows]
 
     _run_chunks(config, d, run_chunk, zero_noise)

@@ -86,7 +86,9 @@ class TimeGrid:
             )
         if not self.t1 > self.t0:
             raise InvalidParameter(f"need t1 > t0, got [{self.t0}, {self.t1}]")
-        if not (isinstance(self.n_steps, (int, np.integer)) and self.n_steps >= 1):
+        if isinstance(self.n_steps, bool) or not (
+            isinstance(self.n_steps, (int, np.integer)) and self.n_steps >= 1
+        ):
             raise InvalidParameter(f"n_steps must be an integer >= 1, got {self.n_steps}")
 
     @property

@@ -19,11 +19,9 @@ An ensemble is an (n^2, B) array, one trajectory per column, the layout
 the closed loop uses.  One Euler step filters every record (ensembles,
 single trajectories and :func:`sme_step`): one real GEMM of the stacked
 [(I + dt G); M_1; ...; M_d] against the coordinates, then passes over
-contiguous rows of length B.  The GEMMs are real, not complex, and a
-batch is padded to a multiple of 8 columns, because OpenBLAS ``dgemm``
-rounds the columns of a last, partial block of 8 apart from those of
-full blocks (once n^2 >= 16; a single column goes to GEMV).  So a
-trajectory rounds alike in every batch and replays bit for bit from
+contiguous rows of length B.  The GEMMs are real, not complex, and B is
+the closed loop's chunk width, a multiple of 8 columns, so a trajectory
+rounds alike in every batch and replays bit for bit from
 ``(seed, index)``.  The master flow steps one state by the one matrix
 sum_{k<=4} (dt G)^k / k!, its RK4 step.  The public types stay complex;
 states are converted at record rows, at the end of a chunk and for a
@@ -50,7 +48,7 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy.linalg import expm
 
-from .closed_loop import _at, _BLOCK, _recorded_times, _run_chunks, SimConfig
+from .closed_loop import _at, _BLOCK, _chunk_width, _recorded_times, _run_chunks, SimConfig
 from .errors import (
     DimensionMismatch,
     InvalidParameter,
@@ -497,21 +495,8 @@ def evolve_master(
     return _frozen(_recorded_times(grid, record_stride)), _frozen(states)
 
 
-#: a batch has a multiple of this many columns: OpenBLAS dgemm rounds the
-#: columns of a last, partial block of 8 apart from those of full blocks
-#: once n^2 >= 16 (and a one-column product goes to GEMV), so every
-#: trajectory is held in a full block, padded with copies of its start
-_COLUMN_BLOCK = 8
-
-
-def _batch(h0: np.ndarray, rows: int) -> np.ndarray:
-    """``rows`` trajectories at the (n^2, 1) start coordinates ``h0``, padded
-    to a multiple of ``_COLUMN_BLOCK`` columns."""
-    return np.repeat(h0, -(-rows // _COLUMN_BLOCK) * _COLUMN_BLOCK, axis=1)
-
-
 def _sme_update(
-    h: np.ndarray, stack: np.ndarray, dw: np.ndarray, Z: np.ndarray
+    h: np.ndarray, stack: np.ndarray, dW: np.ndarray, Z: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """One Euler step of the filtering equation on (n^2, B) coordinates.
 
@@ -519,16 +504,17 @@ def _sme_update(
     and e_c = <Lc + Lc'>, the trace of M_c rho (the sum of its first n
     rows), the step is
 
-        h' = (I + dt G) h + sum_c dw[c] (M_c h - e_c h),
+        h' = (I + dt G) h + sum_c dW[c] (M_c h - e_c h),
 
     divided by its trace afterwards: one real GEMM of the stack against
     the coordinates, into the ((d + 1) n^2, B) buffer ``Z`` (which must not
-    overlap ``h``), then passes over contiguous rows of length B.  Each
-    column is a trajectory whose arithmetic does not depend on the others;
-    B must be a multiple of ``_COLUMN_BLOCK`` (see :func:`_batch`) for the
-    GEMM to round a column alike in every batch.  Returns the new
-    coordinates, a view into ``Z``, and e of the input states, one row of
-    length B per channel, from which the record is built.
+    overlap ``h``), then passes over contiguous rows of length B.  ``dW``
+    is a step's (d, B) noise as :func:`_run_chunks` yields it.  Each
+    column is a trajectory whose arithmetic does not depend on the others,
+    and B is :func:`_chunk_width`'s, so the GEMM rounds a column alike in
+    every batch.  Returns the new coordinates, a view into ``Z``, and e of
+    the input states, one row of length B per channel, from which the
+    record is built.
     """
     n2, B = h.shape
     np.matmul(stack, h, out=Z)
@@ -537,7 +523,7 @@ def _sme_update(
     for c, Mh in enumerate(maps):
         e.append(_trace(Mh))
         Mh -= e[c] * h
-        Mh *= dw[c]
+        Mh *= dW[c]
         out += Mh
     out *= 1.0 / _trace(out)
     return out, e
@@ -601,12 +587,12 @@ def sme_step(
         )
     _require_dim(rho, model)
     stack = _sme_stack(model, u, dt)
-    h = _batch(_coords(rho.entries[None]), 1)
-    n2 = h.shape[0]
-    dw = np.zeros((model.n_channels, h.shape[1]))
-    for c, Mh in enumerate((stack[n2:] @ h).reshape(-1, n2, h.shape[1])):
-        dw[c, 0] = dY[c] - _trace(Mh)[0] * dt
-    out, _ = _sme_update(h, stack, dw, np.empty((len(stack), h.shape[1])))
+    h = np.repeat(_coords(rho.entries[None]), _chunk_width(1), axis=1)
+    n2, B = h.shape
+    dW = np.zeros((model.n_channels, B))
+    for c, Mh in enumerate((stack[n2:] @ h).reshape(-1, n2, B)):
+        dW[c, 0] = dY[c] - _trace(Mh)[0] * dt
+    out, _ = _sme_update(h, stack, dW, np.empty((len(stack), B)))
     return _stepped_state(_assembled(out[:, :1])[0])
 
 
@@ -680,8 +666,7 @@ def simulate_sme_trajectory(
         controls = np.zeros((n_rec, model.n_controls))
         u = None if control_policy is None else control_policy(times[0], rho0)
         stack = _sme_stack(model, u, dt)
-        h = _batch(_coords(rho0.entries[None]), 1)
-        dw = np.zeros((d, h.shape[1]))
+        h = np.repeat(_coords(rho0.entries[None]), _chunk_width(1), axis=1)
         # the product of a step goes into one buffer while the state it
         # reads sits in the other
         products = np.empty((2, len(stack), h.shape[1]))
@@ -691,9 +676,8 @@ def simulate_sme_trajectory(
         block = np.zeros(d)
         row = 1
         for step, dW in enumerate(noise):
-            dw[:, 0] = dW[0]
-            h, e = _sme_update(h, stack, dw, products[step % 2])
-            block += np.array([e_c[0] for e_c in e]) * dt + dW[0]
+            h, e = _sme_update(h, stack, dW, products[step % 2])
+            block += np.array([e_c[0] for e_c in e]) * dt + dW[:, 0]
             _check_stack(h[:, :1], lambda b: _at(config, start + b, step + 1))
             if control_policy is not None:
                 rho = DensityMatrix(_assembled(h[:, :1])[0])
@@ -761,8 +745,9 @@ def simulate_sme_ensemble(
 
     def run_chunk(start: int, stop: int, noise: np.ndarray):
         rows = stop - start
-        h = _batch(start_coords, rows)
-        dw = np.zeros((d, h.shape[1]))
+        # pad columns are copies of the start driven by zero noise: a zero
+        # state would have trace 0
+        h = np.repeat(start_coords, _chunk_width(rows), axis=1)
         # the product of a step goes into one buffer while the state it
         # reads sits in the other
         products = np.empty((2, len(stack), h.shape[1]))
@@ -772,8 +757,7 @@ def simulate_sme_ensemble(
         trace_dev = 0.0
         row = 1
         for step, dW in enumerate(noise):
-            dw[:, :rows] = dW.T
-            h = _sme_update(h, stack, dw, products[step % 2])[0]
+            h = _sme_update(h, stack, dW, products[step % 2])[0]
             step_dev, step_low = _check_stack(
                 h[:, :rows], lambda b: _at(config, start + b, step + 1))
             trace_dev = max(trace_dev, step_dev)

@@ -125,6 +125,12 @@ class TestBuild:
         assert cli.main(["build", "--scenario", scenario]) == 2
         assert "missing_model.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("out", [5, ["a"], False])
+    def test_non_string_out_exits_2(self, tmp_path, capsys, out):
+        scenario = write_scenario(tmp_path, model={"preset": "free-particle"}, out=out)
+        assert cli.main(["build", "--scenario", scenario]) == 2
+        assert "'out' must be a string" in capsys.readouterr().err
+
     def test_non_real_coefficient_maps_to_2(self, tmp_path, capsys, monkeypatch):
         # no JSON-representable model can make the derived matrices
         # complex, so the guard is exercised by injecting the failure

@@ -12,7 +12,7 @@ from test_kalman import random_coefficients
 from qlqg.cli import trajectory_to_csv
 from qlqg.closed_loop import SimConfig, monte_carlo_expected_cost, simulate_closed_loop
 from qlqg.control import control_gain_path
-from qlqg.errors import ConfigError, EmptyEnsemble, NonFinite
+from qlqg.errors import ConfigError, EmptyEnsemble, InvalidParameter, NonFinite
 from qlqg.kalman import MeasurementIncrement, filter_step
 from qlqg.phase_space import GaussianBelief, LinearCoefficients
 from qlqg.riccati import CostSpec, TimeGrid, integrate_control_riccati
@@ -70,6 +70,17 @@ class TestConfig:
     def test_rejects_negative_seed(self):
         with pytest.raises(ConfigError, match="seed"):
             SimConfig(grid=TimeGrid(0.0, 1.0, 10), n_traj=1, seed=-1)
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_traj", 2.5), ("n_traj", "3"), ("n_traj", True), ("n_traj", 3.0),
+        ("record_stride", 2.0), ("seed", 1.5), ("seed", math.nan), ("seed", None),
+        ("n_steps", True), ("n_steps", 10.0),
+    ])
+    def test_rejects_non_integers(self, field, value):
+        fields = dict(n_traj=1, seed=0, record_stride=1, n_steps=10)
+        fields[field] = value
+        with pytest.raises((ConfigError, InvalidParameter), match=field):
+            SimConfig(grid=TimeGrid(0.0, 1.0, fields.pop("n_steps")), **fields)
 
     def test_record_count(self):
         cfg = SimConfig(grid=TimeGrid(0.0, 1.0, 10), n_traj=1, seed=0,
@@ -169,14 +180,18 @@ class TestDeterminism:
         assert np.array_equal(a.total_costs, b.total_costs)
 
     def test_thread_count_does_not_change_results(self, monkeypatch):
-        coeffs = feedback_coefficients()
         cfg = small_config(n_traj=2080, seed=5, n_steps=40, t1=0.4, stride=40)
-        monkeypatch.setenv("QLQG_THREADS", "1")
-        a = simulate_closed_loop(coeffs, tracking_cost(), cfg, default_belief())
-        monkeypatch.setenv("QLQG_THREADS", "3")
-        b = simulate_closed_loop(coeffs, tracking_cost(), cfg, default_belief())
-        assert np.array_equal(a.means, b.means)
-        assert np.array_equal(a.total_costs, b.total_costs)
+        # the free particle, and a model whose inner dimension m + d is 16
+        for coeffs, cost, belief in [
+            (feedback_coefficients(), tracking_cost(), default_belief()),
+            random_problem(np.random.default_rng(5), 14, 2, 2),
+        ]:
+            monkeypatch.setenv("QLQG_THREADS", "1")
+            a = simulate_closed_loop(coeffs, cost, cfg, belief)
+            monkeypatch.setenv("QLQG_THREADS", "3")
+            b = simulate_closed_loop(coeffs, cost, cfg, belief)
+            assert np.array_equal(a.means, b.means)
+            assert np.array_equal(a.total_costs, b.total_costs)
 
     @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
     def test_bad_thread_count_is_a_config_error(self, monkeypatch, value):
@@ -195,13 +210,16 @@ class TestDeterminism:
             default_belief())
         assert not np.array_equal(ens_a.means, ens_b.means)
 
-    @pytest.mark.parametrize("m, d, k", [(4, 2, 2), (4, 1, 1), (1, 1, 1)])
-    @pytest.mark.parametrize("index, n_a, n_b", [(0, 1, 1025), (1024, 1025, 1026)],
-                             ids=["alone", "last-chunk"])
+    @pytest.mark.parametrize("m, d, k", [(4, 2, 2), (4, 1, 1), (1, 1, 1), (14, 2, 2)])
+    @pytest.mark.parametrize("index, n_a, n_b",
+                             [(0, 1, 1025), (1024, 1025, 1026), (1026, 1027, 1300)],
+                             ids=["alone", "last-chunk", "tail"])
     def test_results_do_not_depend_on_batch_layout(self, index, n_a, n_b, m, d, k):
         # random models: their products round differently in a BLAS GEMV
         # than inside a GEMM, which the free particle's integers hide; one
-        # channel, control or state makes one-row matrices
+        # channel, control or state makes one-row matrices, and from an
+        # inner dimension m + d of 16 a GEMM rounds the columns of a last,
+        # partial block of 8 apart
         coeffs, cost, belief = random_problem(np.random.default_rng(3), m, d, k)
         grid = TimeGrid(0.0, 0.2, 200)
         a, b = (

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from qlqg.closed_loop import SimConfig
+from qlqg.closed_loop import _COLUMN_BLOCK, SimConfig
 from qlqg.errors import (
     ConfigError,
     DimensionMismatch,
@@ -35,7 +35,6 @@ from qlqg.sme import (
     weak_measurement_unitary,
 )
 from qlqg.sme import (
-    _COLUMN_BLOCK,
     _assembled,
     _check_steps,
     _coords,
@@ -314,21 +313,25 @@ class TestPlaneKernel:
 
     def test_padded_product_rounds_as_in_a_wide_one(self):
         # OpenBLAS dgemm rounds the columns of a last, partial block of 8
-        # apart from full blocks once n^2 >= 16, and a one-column product
-        # goes to GEMV, so a batch is padded to a multiple of _COLUMN_BLOCK:
-        # every width from 1 to 20, padded, gives the same columns as a
-        # product of 1300
-        for n in (2, 4, 5, 9):
-            rng = np.random.default_rng(60 + n)
-            stack = _sme_stack(controlled_model(rng, n), [0.7], 1e-3)
-            h = rng.standard_normal((n * n, 1300))
-            wide = stack @ h
+        # apart from full blocks once the inner dimension is 16 or more, and
+        # a one-row or one-column product goes to GEMV, so both simulators
+        # hold a chunk in a multiple of _COLUMN_BLOCK columns: every width
+        # from 1 to 20, padded, gives the same columns as a product of 1300.
+        # The left factors are SME stacks and one-row (1, k) matrices, as
+        # the closed loop's products with one state, channel or control
+        rng = np.random.default_rng(60)
+        lefts = [(f"n={n}", _sme_stack(controlled_model(rng, n), [0.7], 1e-3))
+                 for n in (2, 4, 5, 9)]
+        lefts += [(f"(1, {k})", rng.standard_normal((1, k))) for k in (1, 2, 3, 16)]
+        for name, left in lefts:
+            h = rng.standard_normal((left.shape[1], 1300))
+            wide = left @ h
             for width in range(1, 21):
                 pad = -width % _COLUMN_BLOCK
                 padded = np.pad(h[:, :width], ((0, 0), (0, pad)))
                 np.testing.assert_array_equal(
-                    (stack @ padded)[:, :width], wide[:, :width],
-                    err_msg=f"n={n}, width={width}")
+                    (left @ padded)[:, :width], wide[:, :width],
+                    err_msg=f"{name}, width={width}")
 
     @pytest.mark.parametrize("n", [3, 8, 12])
     def test_trace_rounds_alike_for_every_batch(self, n):
