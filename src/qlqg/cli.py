@@ -62,6 +62,7 @@ from .control import ControlProblem, control_gain_path, control_path_via_duality
 from .errors import ConfigError, NumericalError, ValidationError
 from .phase_space import (
     GaussianBelief,
+    _json_array,
     build_coefficients,
     free_particle_model,
     model_from_json,
@@ -123,15 +124,6 @@ def _number(value, name: str, integer: bool = False):
     return int(value)
 
 
-def _array(value, name: str) -> np.ndarray:
-    """A scenario vector or matrix as a float array; ConfigError when it
-    holds anything but numbers or is ragged."""
-    try:
-        return np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{name} must be a numeric array, got {value!r}") from None
-
-
 def _inline_or_file(entry, base_dir: Path, key: str):
     """An object entry, or the path of the file it names relative to the
     scenario file."""
@@ -171,13 +163,13 @@ def _parse_cost(entry) -> CostSpec:
         Omega_T = entry.get("Omega_T")
         return fp.position_tracking_cost(
             beta=_number(entry.get("beta", 1.0), "cost.beta"),
-            Omega_T=None if Omega_T is None else _array(Omega_T, "cost.Omega_T"),
+            Omega_T=None if Omega_T is None else _json_array(Omega_T, "cost.Omega_T"),
         )
     keys = ("F", "G", "Omega_T")
     for key in keys:
         if key not in entry:
             raise ConfigError(f"key 'cost' is missing '{key}'")
-    return CostSpec(**{key: _array(entry[key], f"cost.{key}") for key in keys})
+    return CostSpec(**{key: _json_array(entry[key], f"cost.{key}") for key in keys})
 
 
 def _parse_grid(entry) -> TimeGrid:
@@ -335,7 +327,7 @@ def cmd_riccati(args) -> int:
             raise ConfigError(
                 "scenario is missing key 'initial_cov' (top level or under 'sim')"
             )
-        Sigma0 = _array(raw, "initial_cov")
+        Sigma0 = _json_array(raw, "initial_cov")
         sigma = integrate_filter_riccati(
             coeffs, Sigma0, grid, uncertainty=(model.J, model.hbar)
         )
@@ -380,8 +372,8 @@ def cmd_simulate(args) -> int:
         if key not in sim:
             raise ConfigError(f"key 'sim' is missing '{key}'")
     initial = GaussianBelief(
-        mean=_array(sim["initial_mean"], "sim.initial_mean"),
-        cov=_array(sim["initial_cov"], "sim.initial_cov"),
+        mean=_json_array(sim["initial_mean"], "sim.initial_mean"),
+        cov=_json_array(sim["initial_cov"], "sim.initial_cov"),
     )
 
     ensemble = simulate_closed_loop(coeffs, cost, config, initial)
@@ -416,7 +408,7 @@ def _parse_rho0(entry) -> DensityMatrix:
     if not isinstance(entry, dict) or "re" not in entry or "im" not in entry:
         raise ConfigError("key 'rho0' must be a {re, im} pair")
     return DensityMatrix(
-        _array(entry["re"], "rho0.re") + 1j * _array(entry["im"], "rho0.im")
+        _json_array(entry["re"], "rho0.re") + 1j * _json_array(entry["im"], "rho0.im")
     )
 
 
@@ -430,7 +422,7 @@ def cmd_sme(args) -> int:
     config = _parse_sim(scenario, grid, args)
     u = scenario.get("control")
     if u is not None:
-        u = _array(u, "control")
+        u = _json_array(u, "control")
 
     ensemble = simulate_sme_ensemble(rho0, model, config, u=u)
     _, master = evolve_master(

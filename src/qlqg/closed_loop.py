@@ -26,6 +26,7 @@ from .control import control_gain_path
 from .errors import ConfigError, EmptyEnsemble, InvalidParameter, NonFinite
 from .phase_space import GaussianBelief, LinearCoefficients, _asarray, _frozen
 from .riccati import (
+    ESCAPE_LIMIT,
     CostSpec,
     MatrixPath,
     TimeGrid,
@@ -50,8 +51,6 @@ _BLOCK = 256
 #: columns of a last, partial block of 8 apart from those of full blocks,
 #: and a one-row or one-column product goes to GEMV
 _COLUMN_BLOCK = 8
-
-_ESCAPE = 1e12
 
 
 @dataclass(frozen=True)
@@ -160,7 +159,7 @@ def _chunk_width(rows: int) -> int:
     return -(-rows // _COLUMN_BLOCK) * _COLUMN_BLOCK
 
 
-def _increments(config: SimConfig, start: int, stop: int, d: int, zero_noise: bool):
+def _increments(config: SimConfig, start: int, stop: int, d: int):
     """Per-step (d, B) Wiener increments of trajectories ``start..stop-1``,
     B = ``_chunk_width(stop - start)``, each a view valid until the next
     is drawn.
@@ -172,11 +171,6 @@ def _increments(config: SimConfig, start: int, stop: int, d: int, zero_noise: bo
     one bulk draw.
     """
     rows, n_steps = stop - start, config.grid.n_steps
-    if zero_noise:
-        zeros = np.zeros((d, _chunk_width(rows)))
-        for _ in range(n_steps):
-            yield zeros
-        return
     sqrt_dt = math.sqrt(config.grid.dt)
     streams = [
         np.random.Generator(np.random.Philox(
@@ -194,17 +188,15 @@ def _increments(config: SimConfig, start: int, stop: int, d: int, zero_noise: bo
         yield from steps[:width]
 
 
-def _run_chunks(config: SimConfig, d: int, run_chunk, zero_noise: bool = False,
-                first: int = 0):
+def _run_chunks(config: SimConfig, d: int, run_chunk, first: int = 0):
     """The results of ``run_chunk(start, stop, noise)`` over fixed chunks.
 
     The one chunk loop of every Monte Carlo simulator.  Chunks of up to
     ``_CHUNK`` trajectories cover the indices ``first`` to
     ``first + n_traj - 1``; ``noise`` yields the chunk's (d, B) Wiener
     increments step by step, one trajectory per column, column i from the
-    Philox stream of ``(seed, start + i)`` (zeros under ``zero_noise``),
-    so no buffer grows with ``n_steps``.  Up to ``QLQG_THREADS`` chunks
-    run at once.
+    Philox stream of ``(seed, start + i)``, so no buffer grows with
+    ``n_steps``.  Up to ``QLQG_THREADS`` chunks run at once.
 
     B = ``_chunk_width(stop - start)`` is the chunk's trajectory count
     rounded up to a multiple of ``_COLUMN_BLOCK``, and the pad columns'
@@ -218,7 +210,7 @@ def _run_chunks(config: SimConfig, d: int, run_chunk, zero_noise: bool = False,
 
     def chunk(start: int):
         stop = min(start + _CHUNK, first + config.n_traj)
-        return run_chunk(start, stop, _increments(config, start, stop, d, zero_noise))
+        return run_chunk(start, stop, _increments(config, start, stop, d))
 
     starts = range(first, first + config.n_traj, _CHUNK)
     if workers > 1 and len(starts) > 1:
@@ -227,29 +219,12 @@ def _run_chunks(config: SimConfig, d: int, run_chunk, zero_noise: bool = False,
     return [chunk(s) for s in starts]
 
 
-def _recorded_times(grid: TimeGrid, stride: int) -> np.ndarray:
-    """``grid.times()[::stride]`` without the full grid: ``np.linspace``'s
-    arithmetic on the recorded points only, so every value is the same
-    to the last bit."""
-    step = (grid.t1 - grid.t0) / grid.n_steps
-    times = np.arange(0, grid.n_steps + 1, stride, dtype=float)
-    if step == 0:
-        times /= grid.n_steps
-        times *= grid.t1 - grid.t0
-    else:
-        times *= step
-    times += grid.t0
-    times[-1] = grid.t1
-    return times
-
-
 def simulate_closed_loop(
     coeffs: LinearCoefficients,
     cost: CostSpec,
     config: SimConfig,
     initial: GaussianBelief,
     gain_offset: NDArray[np.float64] | None = None,
-    zero_noise: bool = False,
 ) -> ClosedLoopEnsemble:
     """Run the filter/controller loop over an ensemble of noise draws.
 
@@ -277,9 +252,6 @@ def simulate_closed_loop(
     gain_offset : (k, m) array, optional
         Added to the optimal gain at every instant (suboptimality
         probes).
-    zero_noise : bool
-        Replace all innovation draws by zero (test hook); the mean then
-        follows the deterministic closed-loop recursion.
 
     Notes
     -----
@@ -372,9 +344,9 @@ def simulate_closed_loop(
             X = XW_next[:m]
             np.matmul(step_maps[step], XW_now, out=X)
             np.abs(X, out=absX)
-            if not absX.max() <= _ESCAPE:
-                b = int(np.argmin((absX[:, :rows] <= _ESCAPE).all(axis=0)))
-                raise NonFinite(f"posterior mean passed {_ESCAPE:.0e} in "
+            if not absX.max() <= ESCAPE_LIMIT:
+                b = int(np.argmin((absX[:, :rows] <= ESCAPE_LIMIT).all(axis=0)))
+                raise NonFinite(f"posterior mean passed {ESCAPE_LIMIT:.0e} in "
                                 f"{_at(config, start + b, step + 1)}")
             quadratic_cost(X, Q[step + 1], trace_F[step + 1], c_next)
             np.add(c_prev, c_next, out=trap)
@@ -390,12 +362,12 @@ def simulate_closed_loop(
         quadratic_cost(X, cost.Omega_T, terminal_trace, c_next)
         totals[sl] = (acc + c_next)[:rows]
 
-    _run_chunks(config, d, run_chunk, zero_noise)
+    _run_chunks(config, d, run_chunk)
     for arr in (means, controls, outputs, innovations, running, totals):
         _frozen(arr)
     return ClosedLoopEnsemble(
         config=config, Sigma_path=Sigma_path, Omega_path=Omega_path,
-        times=_frozen(_recorded_times(grid, stride)), means=means,
+        times=_frozen(grid.times(stride)), means=means,
         controls=controls, outputs=outputs, innovations=innovations,
         running_costs=running, total_costs=totals,
     )

@@ -288,6 +288,18 @@ def build_coefficients(model: PhaseSpaceModel) -> LinearCoefficients:
     return LinearCoefficients(A=A, B=B, C=C, N=N, M=M)
 
 
+def _heisenberg_margin(cov: np.ndarray, J: np.ndarray, hbar: float) -> np.ndarray:
+    """Lowest eigenvalue of ``cov + (i hbar / 2) J`` for each matrix of a
+    ``(..., m, m)`` stack of covariances.
+
+    The one place the Heisenberg matrix is formed; it is built in place
+    on a complex copy, so a whole path costs one complex path of memory.
+    """
+    herm = cov.astype(complex)
+    herm += 0.5j * hbar * np.asarray(J, dtype=float)
+    return np.linalg.eigvalsh(herm)[..., 0]
+
+
 def check_uncertainty(
     cov: NDArray[np.float64],
     J: NDArray[np.float64],
@@ -306,8 +318,7 @@ def check_uncertainty(
         raise DimensionMismatch(
             f"cov and J must have equal shapes, got {cov.shape} and {J.shape}"
         )
-    herm = cov.astype(complex) + 0.5j * hbar * J
-    lam_min = float(np.min(np.linalg.eigvalsh(herm)))
+    lam_min = float(_heisenberg_margin(cov, J, hbar))
     return UncertaintyReport(passed=lam_min >= UNCERTAINTY_TOL, min_eigenvalue=lam_min)
 
 
@@ -376,6 +387,23 @@ def _json_positive(data: dict, key: str) -> float:
     return _positive(value, f"key '{key}'")
 
 
+def _json_array(value, name: str) -> np.ndarray:
+    """A JSON vector or matrix as a float array; InvalidParameter when it
+    is ragged, too large for a float, or holds anything but numbers (a
+    string, bool or null included)."""
+    def numbers(v) -> bool:
+        if isinstance(v, list):
+            return all(numbers(x) for x in v)
+        return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+    try:
+        if numbers(value):
+            return np.array(value, dtype=float)
+    except (ValueError, OverflowError):
+        pass
+    raise InvalidParameter(f"{name} must be a numeric array, got {value!r}")
+
+
 def _json_list(data: dict, key: str) -> list:
     value = data[key]
     if not isinstance(value, list):
@@ -400,10 +428,7 @@ def model_from_json(source: str | Path | dict) -> PhaseSpaceModel:
     d = _json_count(data, "d")
 
     def grab(key: str, shape: tuple[int, int] | None = None) -> np.ndarray:
-        try:
-            arr = np.array(data[key], dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise InvalidParameter(f"key '{key}' is not a numeric matrix") from exc
+        arr = _json_array(data[key], f"key '{key}'")
         if shape is not None and arr.shape != shape:
             raise DimensionMismatch(
                 f"key '{key}' must have shape {shape}, got {arr.shape}"

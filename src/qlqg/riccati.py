@@ -43,6 +43,7 @@ from .phase_space import (
     _asarray,
     _finite,
     _frozen,
+    _heisenberg_margin,
     _positive,
     _symmetrize,
 )
@@ -95,9 +96,25 @@ class TimeGrid:
     def dt(self) -> float:
         return (self.t1 - self.t0) / self.n_steps
 
-    def times(self) -> NDArray[np.float64]:
-        """All grid points, endpoints included."""
-        return np.linspace(self.t0, self.t1, self.n_steps + 1)
+    def times(self, stride: int = 1) -> NDArray[np.float64]:
+        """Every ``stride``-th grid point, both endpoints included when
+        ``stride`` divides ``n_steps``.
+
+        Only those points are computed, with ``np.linspace``'s arithmetic,
+        so each equals its entry of ``np.linspace(t0, t1, n_steps + 1)`` to
+        the last bit.
+        """
+        step = (self.t1 - self.t0) / self.n_steps
+        times = np.arange(0, self.n_steps + 1, stride, dtype=float)
+        if step == 0:
+            times /= self.n_steps
+            times *= self.t1 - self.t0
+        else:
+            times *= step
+        times += self.t0
+        if (len(times) - 1) * stride == self.n_steps:
+            times[-1] = self.t1
+        return times
 
     @property
     def n_points(self) -> int:
@@ -347,9 +364,7 @@ def integrate_filter_riccati(
     values = _lift_path(_filter_lift(coeffs), Sigma0, grid.dt, grid.n_steps)
     if uncertainty is not None:
         # the same bound along the whole path, in one batched eigvalsh
-        herm = values.astype(complex)
-        herm += 0.5j * hbar * np.asarray(J, dtype=float)
-        worst = np.linalg.eigvalsh(herm)[:, 0]
+        worst = _heisenberg_margin(values, J, hbar)
         bad = np.nonzero(worst < UNCERTAINTY_TOL)[0]
         if bad.size:
             k = int(bad[0])

@@ -35,6 +35,13 @@ by the trace; its fluctuation term is traceless, so that is a
 second-order correction.  Positivity is monitored, never projected:
 clipping would mask integration error, so a state past the floor raises
 :class:`PositivityLoss`.
+
+Both flows check their states through one routine, a step's ensemble or
+a block of master-flow steps at a time.  A failure names the earliest
+failing column: the lowest-index failing trajectory at the first failing
+step, or the first failing step of the master flow.  That state is
+tested in the order finite, eigenvalue floor, then (master flow only,
+since the filtering step renormalizes) unit trace.
 """
 
 from __future__ import annotations
@@ -48,7 +55,7 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy.linalg import expm
 
-from .closed_loop import _at, _BLOCK, _chunk_width, _recorded_times, _run_chunks, SimConfig
+from .closed_loop import _at, _BLOCK, _chunk_width, _run_chunks, SimConfig
 from .errors import (
     DimensionMismatch,
     InvalidParameter,
@@ -60,12 +67,14 @@ from .errors import (
 from .phase_space import (
     _finite,
     _frozen,
+    _json_array,
     _json_count,
     _json_list,
     _json_object,
     _json_positive,
     _positive,
 )
+from .riccati import TimeGrid
 
 __all__ = [
     "DensityMatrix",
@@ -228,7 +237,7 @@ class FiniteModel:
         """H0 + sum_k u_k H_k; ``u=None`` means all controls off."""
         if u is None:
             return self.H0
-        u = np.asarray(u, dtype=float).reshape(-1)
+        u = _finite(np.asarray(u, dtype=float).reshape(-1), "control")
         if u.shape[0] != self.n_controls:
             raise DimensionMismatch(
                 f"control has {u.shape[0]} entries, model has "
@@ -401,52 +410,21 @@ def _require_dim(rho: DensityMatrix, model: FiniteModel) -> None:
         )
 
 
-def _stepped_state(entries: np.ndarray) -> DensityMatrix:
-    """State after an integration step; NonFinite if it overflowed."""
-    if not np.isfinite(entries).all():
-        raise NonFinite("state left the finite range")
-    return DensityMatrix(entries)
-
-
 def master_step(
     rho: DensityMatrix, model: FiniteModel, u, dt: float
 ) -> DensityMatrix:
-    """One RK4 step of the unconditional flow.
+    """One RK4 step of the unconditional flow: :func:`evolve_master` over
+    one step of ``dt``.
 
-    The result is revalidated, surfacing a coarse step as
-    :class:`PositivityLoss`.  This is the step of :func:`evolve_master`,
-    applied once; it stays public for callers that step a state by hand,
-    such as the weak-measurement and flow-derivative oracles.
+    It stays public for callers that step a state by hand, such as the
+    weak-measurement and flow-derivative oracles.
     """
-    _positive(dt, "dt")
-    _require_dim(rho, model)
-    h = np.dot(_master_map(model, u, dt), _coords(rho.entries[None])[:, 0])
-    return _stepped_state(_assembled(h[:, None])[0])
+    grid = TimeGrid(0.0, _positive(dt, "dt"), 1)
+    return DensityMatrix(evolve_master(rho, model, grid, u)[1][-1])
 
 
 def _master_at(grid, step: int) -> str:
     return f"master flow at step {step}, t={grid.t0 + step * grid.dt:.6g}"
-
-
-def _check_steps(h: np.ndarray, where) -> None:
-    """Check the states of consecutive steps, the columns of (n^2, B)
-    coordinates, as :func:`master_step` checks its result.
-
-    A failure names the earliest failing step, column b, as ``where(b)``:
-    the whole block is tested at once, then that column alone, in the
-    order finite, eigenvalue floor, unit trace.
-    """
-    finite = np.isfinite(h).all(axis=0)
-    stop = h.shape[1] if finite.all() else int(np.argmin(finite))
-    ok = h[:, :stop]
-    fails = (np.abs(_trace(ok) - 1.0) > TRACE_TOL) | (
-        _min_eigenvalues(ok) < POSITIVITY_FLOOR)
-    b = int(np.argmax(fails)) if fails.any() else stop
-    if b < h.shape[1]:
-        at = where(b)
-        trace_dev, _ = _check_stack(h[:, b:b + 1], lambda _: at)
-        if trace_dev > TRACE_TOL:
-            raise InvalidParameter(f"state trace off 1 by {trace_dev:.3e} in {at}")
 
 
 def evolve_master(
@@ -466,9 +444,9 @@ def evolve_master(
     sum_{k<=4} (dt G)^k / k! of the Lindblad generator G, the G of the
     filtering step, and a step is one product with it.  Steps go into a
     buffer of a fixed number of steps, so memory does not grow with
-    ``n_steps``; every state of a filled buffer is checked as
-    :func:`master_step` checks its result (finite, eigenvalue floor, unit
-    trace), and a failure names the first failing step and its time.
+    ``n_steps``; the states of a filled buffer are checked together by
+    :func:`_check_states`, unit trace included, and a failure names the
+    first failing step and its time.
     """
     if grid.n_steps % record_stride != 0:
         raise InvalidParameter(
@@ -485,14 +463,15 @@ def evolve_master(
         width = min(_BLOCK, grid.n_steps - start)
         for k in range(width):
             np.dot(step_map, block[k], out=block[k + 1])
-        _check_steps(block[1:width + 1].T, lambda b: _master_at(grid, start + b + 1))
+        _check_states(block[1:width + 1].T, lambda b: _master_at(grid, start + b + 1),
+                      TRACE_TOL)
         # block[k] is the state after step start + k
         recorded = block[record_stride - start % record_stride:width + 1:record_stride]
         path[row:row + len(recorded)] = recorded
         row += len(recorded)
         block[0] = block[width]
     states = _assembled(path.T)
-    return _frozen(_recorded_times(grid, record_stride)), _frozen(states)
+    return _frozen(grid.times(record_stride)), _frozen(states)
 
 
 def _sme_update(
@@ -551,24 +530,36 @@ def _min_eigenvalues(h: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(_assembled(h))[:, 0]
 
 
-def _check_stack(h: np.ndarray, where) -> tuple[float, float]:
+def _check_states(h: np.ndarray, where, trace_tol: float = math.inf
+                  ) -> tuple[float, float]:
     """Largest |Tr - 1| and lowest eigenvalue of stepped (n^2, B) coordinates.
 
-    Raises NonFinite first (NaN passes every comparison after it), then
-    PositivityLoss below the floor, naming state ``b`` as ``where(b)``;
-    the failing state is looked for only after a global check fails.
+    The one check of both flows' states.  All columns are tested at once;
+    a failure names the earliest failing column b as ``where(b)``, and
+    tests that column in the order finite (:class:`NonFinite`),
+    eigenvalue floor (:class:`PositivityLoss`) and, when the flow does not
+    renormalize, |Tr - 1| <= ``trace_tol`` (:class:`InvalidParameter`).
     """
-    if not np.isfinite(h).all():
-        b = int(np.argmin(np.isfinite(h).all(axis=0)))
-        raise NonFinite(f"state left the finite range in {where(b)}")
-    trace = _trace(h)
-    trace_dev = max(float(trace.max()) - 1.0, 1.0 - float(trace.min()))
-    lows = _min_eigenvalues(h)
-    low = float(lows.min())
-    if low < POSITIVITY_FLOOR:
-        b = int(np.argmin(lows))
-        raise PositivityLoss(f"eigenvalue {low:.3e} below floor in {where(b)}")
-    return trace_dev, low
+    if np.isfinite(h).all():
+        trace = _trace(h)
+        trace_dev = max(float(trace.max()) - 1.0, 1.0 - float(trace.min()))
+        lows = _min_eigenvalues(h)
+        low = float(lows.min())
+        if low >= POSITIVITY_FLOOR and trace_dev <= trace_tol:
+            return trace_dev, low
+    # the earliest failing column: the first non-finite one, unless a
+    # finite column before it fails the floor or the trace
+    finite = np.isfinite(h).all(axis=0)
+    stop = h.shape[1] if finite.all() else int(np.argmin(finite))
+    trace, lows = _trace(h[:, :stop]), _min_eigenvalues(h[:, :stop])
+    fails = ~(lows >= POSITIVITY_FLOOR) | (np.abs(trace - 1.0) > trace_tol)
+    b = int(np.argmax(fails)) if fails.any() else stop
+    at = where(b)
+    if b == stop:
+        raise NonFinite(f"state left the finite range in {at}")
+    if not lows[b] >= POSITIVITY_FLOOR:
+        raise PositivityLoss(f"eigenvalue {lows[b]:.3e} below floor in {at}")
+    raise InvalidParameter(f"state trace off 1 by {abs(trace[b] - 1.0):.3e} in {at}")
 
 
 def sme_step(
@@ -593,7 +584,8 @@ def sme_step(
     for c, Mh in enumerate((stack[n2:] @ h).reshape(-1, n2, B)):
         dW[c, 0] = dY[c] - _trace(Mh)[0] * dt
     out, _ = _sme_update(h, stack, dW, np.empty((len(stack), B)))
-    return _stepped_state(_assembled(out[:, :1])[0])
+    _check_states(out[:, :1], lambda _: "the filtering step")
+    return DensityMatrix(_assembled(out[:, :1])[0])
 
 
 @dataclass(frozen=True)
@@ -650,7 +642,9 @@ def simulate_sme_trajectory(
             "single-trajectory simulation requires n_traj=1; "
             "use simulate_sme_ensemble for ensembles"
         )
-    if not (isinstance(index, (int, np.integer)) and index >= 0):
+    if isinstance(index, bool) or not (
+        isinstance(index, (int, np.integer)) and index >= 0
+    ):
         raise InvalidParameter(f"index must be an integer >= 0, got {index!r}")
     _require_dim(rho0, model)
     n, d = model.dim, model.n_channels
@@ -658,7 +652,7 @@ def simulate_sme_trajectory(
     dt = grid.dt
     n_rec = config.n_records
     # a policy is called at every grid time
-    times = None if control_policy is None else _recorded_times(grid, 1)
+    times = None if control_policy is None else grid.times()
 
     def run(start: int, stop: int, noise: np.ndarray):
         path = np.empty((n * n, n_rec))
@@ -678,7 +672,7 @@ def simulate_sme_trajectory(
         for step, dW in enumerate(noise):
             h, e = _sme_update(h, stack, dW, products[step % 2])
             block += np.array([e_c[0] for e_c in e]) * dt + dW[:, 0]
-            _check_stack(h[:, :1], lambda b: _at(config, start + b, step + 1))
+            _check_states(h[:, :1], lambda b: _at(config, start + b, step + 1))
             if control_policy is not None:
                 rho = DensityMatrix(_assembled(h[:, :1])[0])
                 u_next = control_policy(times[step + 1], rho)
@@ -697,7 +691,7 @@ def simulate_sme_trajectory(
     for arr in (states, outputs, controls):
         _frozen(arr)
     return SmeTrajectory(
-        times=_frozen(_recorded_times(grid, config.record_stride)),
+        times=_frozen(grid.times(config.record_stride)),
         states=states, outputs=outputs, controls=controls,
     )
 
@@ -758,7 +752,7 @@ def simulate_sme_ensemble(
         row = 1
         for step, dW in enumerate(noise):
             h = _sme_update(h, stack, dW, products[step % 2])[0]
-            step_dev, step_low = _check_stack(
+            step_dev, step_low = _check_states(
                 h[:, :rows], lambda b: _at(config, start + b, step + 1))
             trace_dev = max(trace_dev, step_dev)
             low = min(low, step_low)
@@ -771,7 +765,7 @@ def simulate_sme_ensemble(
     paths, lows, trace_devs = zip(*_run_chunks(config, d, run_chunk))
     return SmeEnsemble(
         config=config,
-        times=_frozen(_recorded_times(grid, config.record_stride)),
+        times=_frozen(grid.times(config.record_stride)),
         mean_states=_frozen(_assembled(np.sum(paths, axis=0) / config.n_traj)),
         final_states=_frozen(finals),
         min_eigenvalue=float(min(lows)),
@@ -905,11 +899,8 @@ def finite_model_from_json(source: str | Path | dict) -> FiniteModel:
     def grab(obj, key: str) -> np.ndarray:
         if not isinstance(obj, dict) or "re" not in obj or "im" not in obj:
             raise InvalidParameter(f"key '{key}' must be a {{re, im}} pair")
-        try:
-            re = np.array(obj["re"], dtype=float)
-            im = np.array(obj["im"], dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise InvalidParameter(f"key '{key}' is not numeric") from exc
+        re = _json_array(obj["re"], f"key '{key}'")
+        im = _json_array(obj["im"], f"key '{key}'")
         if re.shape != (n, n) or im.shape != (n, n):
             raise DimensionMismatch(
                 f"key '{key}' must have shape ({n}, {n}), got "

@@ -28,7 +28,9 @@ from . import free_particle as fp
 from .closed_loop import SimConfig, monte_carlo_expected_cost, simulate_closed_loop
 from .control import ControlProblem, control_path_via_duality, hjb_residual
 from .errors import InvalidParameter
-from .phase_space import GaussianBelief, build_coefficients, free_particle_model
+from .phase_space import (
+    GaussianBelief, _heisenberg_margin, build_coefficients, free_particle_model,
+)
 from .riccati import (
     CostSpec,
     TimeGrid,
@@ -132,8 +134,7 @@ def _filter_relaxation(dispersions: bool = True, saturation: bool = True) -> str
     if saturation:
         product = abs(np.sqrt(end[0, 0] * end[1, 1]) - 1.0 / np.sqrt(2.0))
         assert product < 1e-6, f"dispersion product off by {product:.2e}"
-        bound = path.values + 0.5j * model.hbar * model.J
-        margin = float(np.linalg.eigvalsh(bound).min())
+        margin = float(_heisenberg_margin(path.values, model.J, model.hbar).min())
         assert margin >= -1e-8, f"Heisenberg margin {margin:.2e}"
         details.append(f"product off by {product:.1e}, margin {margin:+.1e} along the path")
     return ", ".join(details)

@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 import subprocess
 import sys
 import tempfile
@@ -289,6 +290,10 @@ class TestScenarioValues:
         ("sim", "n_traj", 2.5), ("sim", "seed", True), ("cost", "beta", None),
         ("model", "mass", "heavy"), ("sim", "initial_cov", "x"),
         ("sim", "initial_mean", [1.0, [0.0]]),
+        # a numeric string, a bool or null is not a JSON number
+        ("sim", "initial_mean", ["1.0", 0.0]), ("sim", "initial_mean", [True, 0.0]),
+        ("sim", "initial_cov", [[0.5, None], [0.0, 0.5]]),
+        ("sim", "initial_cov", [[0.5, False], [0.0, "0.5"]]),
     ]
 
     def small_scenario(self):
@@ -428,6 +433,22 @@ class TestSme:
         assert cli.main(["sme", "--scenario", scenario]) == 3
         assert "PositivityLoss" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("u", [math.nan, math.inf])
+    def test_non_finite_control_exits_2(self, tmp_path, capsys, u):
+        # Python's json reads NaN and Infinity; a control is rejected input
+        # before it can drive a state out of the finite range
+        sx = {"re": [[0, 1], [1, 0]], "im": [[0, 0], [0, 0]]}
+        scenario = write_scenario(
+            tmp_path,
+            finite_model=dict(QUBIT_MODEL, H_controls=[sx]),
+            rho0=QUBIT_RHO0, control=[u],
+            grid={"t0": 0.0, "t1": 0.01, "n_steps": 10},
+            sim={"n_traj": 4, "seed": 1},
+            out=str(tmp_path / "out"),
+        )
+        assert cli.main(["sme", "--scenario", scenario]) == 2
+        assert "control" in capsys.readouterr().err
+
     def test_missing_state_exits_2(self, tmp_path, capsys):
         scenario = write_scenario(
             tmp_path,
@@ -447,8 +468,12 @@ class TestModelValues:
     CASES = [
         ("sme", "hbar", "x"), ("sme", "dim", "two"), ("sme", "dim", 2.5),
         ("sme", "L_list", 3), ("sme", None, None),
+        ("sme", "H0", {"re": [[0, "1"], [1, 0]], "im": [[0, 0], [0, 0]]}),
+        ("sme", "H0", {"re": [[0, 0], [0, 0]], "im": [[0, True], [False, 0]]}),
         ("build", "m", "two"), ("build", "d", "x"), ("build", "m", 2.5),
         ("build", "hbar", "x"), ("build", None, None),
+        ("build", "J", [[0, "1"], [-1, 0]]), ("build", "R", [[0, 0], [0, True]]),
+        ("build", "K_im", [[None], [0]]),
     ]
 
     @pytest.mark.parametrize("command, key, value", CASES,

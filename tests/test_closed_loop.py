@@ -28,6 +28,14 @@ def feedback_coefficients():
     return LinearCoefficients(A=A, B=B, C=C, N=N, M=M)
 
 
+def zero_gain(coeffs):
+    """``coeffs`` with C = 0 and M = 0: the filter gain Sigma C' + M is zero,
+    so the posterior mean ignores its innovations and follows the
+    deterministic closed-loop recursion."""
+    return dataclasses.replace(coeffs, C=np.zeros_like(coeffs.C),
+                               M=np.zeros_like(coeffs.M))
+
+
 def tracking_cost(beta=1.0, Omega_T=None):
     if Omega_T is None:
         Omega_T = np.eye(2)
@@ -90,16 +98,17 @@ class TestConfig:
 
 class TestRunningCost:
     # The posterior running cost Xhat'F Xhat + tr[F Sigma] + 2u'G Xhat + u'u
-    # as the closed loop accumulates it.  With A = B = C = N = M = 0 and no
-    # noise, mean and covariance stay put and the gain is G, so u = -G Xhat
-    # and the cost over [0, 1] is the instantaneous value.
+    # as the closed loop accumulates it.  With A = B = C = N = M = 0 the
+    # filter gain is zero, so mean and covariance stay put whatever the
+    # innovations, and the gain is G, so u = -G Xhat and the cost over
+    # [0, 1] is the instantaneous value.
 
     def running_cost(self, cost, mean, cov):
         still = LinearCoefficients(A=np.zeros((2, 2)), B=np.zeros((2, 1)),
                                    C=np.zeros((1, 2)), N=np.zeros((2, 2)),
                                    M=np.zeros((2, 1)))
         ens = simulate_closed_loop(still, cost, small_config(n_steps=4, t1=1.0),
-                                   GaussianBelief(mean=mean, cov=cov), zero_noise=True)
+                                   GaussianBelief(mean=mean, cov=cov))
         return float(ens.running_costs[0, -1])
 
     def test_zero_mean_zero_control_leaves_trace_term(self):
@@ -121,12 +130,13 @@ class TestRunningCost:
 
 
 class TestZeroNoise:
+    # a zero filter gain takes the noise out of the posterior mean
+
     def test_mean_follows_euler_recursion(self):
-        coeffs = feedback_coefficients()
+        coeffs = zero_gain(feedback_coefficients())
         cost = tracking_cost()
         cfg = small_config()
-        ens = simulate_closed_loop(coeffs, cost, cfg, default_belief(),
-                                   zero_noise=True)
+        ens = simulate_closed_loop(coeffs, cost, cfg, default_belief())
         gains = control_gain_path(
             integrate_control_riccati(coeffs, cost, cfg.grid), coeffs, cost
         ).gains
@@ -139,11 +149,10 @@ class TestZeroNoise:
 
     def test_mean_tracks_closed_loop_flow(self):
         # continuous limit: dX/dt = (A - B Ltilde_t) X
-        coeffs = feedback_coefficients()
+        coeffs = zero_gain(feedback_coefficients())
         cost = tracking_cost()
         cfg = small_config(n_steps=2000)
-        ens = simulate_closed_loop(coeffs, cost, cfg, default_belief(),
-                                   zero_noise=True)
+        ens = simulate_closed_loop(coeffs, cost, cfg, default_belief())
         gain_path = control_gain_path(
             integrate_control_riccati(coeffs, cost, cfg.grid), coeffs, cost
         )
@@ -159,10 +168,10 @@ class TestZeroNoise:
         np.testing.assert_allclose(ens.means[0, -1], sol.y[:, -1], atol=2e-3)
 
     def test_zero_noise_ensemble_is_degenerate(self):
-        coeffs = feedback_coefficients()
+        coeffs = zero_gain(feedback_coefficients())
         cfg = small_config(n_traj=3, n_steps=50, t1=0.5)
-        ens = simulate_closed_loop(coeffs, tracking_cost(), cfg,
-                                   default_belief(), zero_noise=True)
+        ens = simulate_closed_loop(coeffs, tracking_cost(), cfg, default_belief())
+        assert not np.array_equal(ens.innovations[0], ens.innovations[1])
         assert np.array_equal(ens.means[0], ens.means[1])
         assert np.array_equal(ens.total_costs[0], ens.total_costs[2])
         mean, stderr = monte_carlo_expected_cost(ens)
@@ -261,9 +270,9 @@ class TestStatistics:
         cfg = small_config(n_traj=4000, seed=21, n_steps=200, t1=2.0,
                            stride=50)
         ens = simulate_closed_loop(coeffs, cost, cfg, default_belief())
-        ref = simulate_closed_loop(coeffs, cost, small_config(
-            n_traj=1, seed=0, n_steps=200, t1=2.0, stride=50),
-            default_belief(), zero_noise=True)
+        # the same control gains, and a mean that ignores the innovations
+        ref = simulate_closed_loop(zero_gain(coeffs), cost, small_config(
+            n_traj=1, seed=0, n_steps=200, t1=2.0, stride=50), default_belief())
         n = cfg.n_traj
         for row in range(1, cfg.n_records):
             sample = ens.means[:, row]

@@ -77,19 +77,22 @@ class TestGainPath:
 
 
 class TestOptimalControl:
-    # the certainty-equivalent control -L_t Xhat, as the closed loop forms it
+    # the certainty-equivalent control -L_t Xhat, as the closed loop forms it;
+    # C = M = 0 makes the filter gain zero, so the mean ignores the noise
 
     cost = CostSpec(F=np.eye(2), G=[[0.0, 0.0]], Omega_T=np.eye(2))
+    coeffs = LinearCoefficients(
+        A=[[0.0, 1.0], [0.0, 0.0]], B=[[0.0], [2.0]], C=[[0.0, 0.0]],
+        N=[[0.0, 0.0], [0.0, 1.0]], M=[[0.0], [0.0]])
 
     def run(self, **kwargs):
         cfg = SimConfig(grid=TimeGrid(0.0, 0.1, 10), n_traj=1, seed=0, record_stride=10)
         belief = GaussianBelief(mean=[3.0, 4.0], cov=np.eye(2))
-        return simulate_closed_loop(feedback_coefficients(), self.cost, cfg, belief,
-                                    zero_noise=True, **kwargs)
+        return simulate_closed_loop(self.coeffs, self.cost, cfg, belief, **kwargs)
 
     def test_hand_value(self):
         ens = self.run()
-        gain0 = control_gain_path(ens.Omega_path, feedback_coefficients(), self.cost).at(0)
+        gain0 = control_gain_path(ens.Omega_path, self.coeffs, self.cost).at(0)
         np.testing.assert_allclose(ens.controls[0, 0], -gain0 @ [3.0, 4.0], rtol=1e-14)
         # at the horizon the gain is B' Omega_T + G = [0, 2]
         np.testing.assert_allclose(ens.controls[0, -1], [-2.0 * ens.means[0, -1, 1]],

@@ -252,6 +252,14 @@ class TestModelFromJson:
         with pytest.raises((InvalidParameter, ValidationError), match="J"):
             model_from_json(data)
 
+    @pytest.mark.parametrize("entry", [["0.0", 1.0], [False, True], [None, 1.0]])
+    def test_only_json_numbers_are_read(self, entry):
+        # numpy would read a numeric string, a bool or null as a float
+        data = self.payload()
+        data["R"] = [entry, [0.0, 1.0]]
+        with pytest.raises(InvalidParameter, match="'R' must be a numeric array"):
+            model_from_json(data)
+
 
 class TestLinearCoefficients:
     def test_rejects_inconsistent_shapes(self):

@@ -35,8 +35,9 @@ from qlqg.sme import (
     weak_measurement_unitary,
 )
 from qlqg.sme import (
+    TRACE_TOL,
     _assembled,
-    _check_steps,
+    _check_states,
     _coords,
     _lindblad_map,
     _sme_stack,
@@ -193,6 +194,16 @@ class TestFiniteModel:
     def test_rejects_bad_hbar(self):
         with pytest.raises(InvalidParameter, match="hbar"):
             FiniteModel(H0=SZ, L_list=[], hbar=0.0)
+
+    @pytest.mark.parametrize("u", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_control(self, u):
+        # rejected input, not a state that leaves the finite range later
+        model = FiniteModel(H0=SZ, L_list=[SX], H_controls=[SX])
+        with pytest.raises(InvalidParameter, match="control"):
+            model.hamiltonian([u])
+        cfg = SimConfig(grid=TimeGrid(0.0, 0.01, 10), n_traj=2, seed=0)
+        with pytest.raises(InvalidParameter, match="control"):
+            simulate_sme_ensemble(plus_state(), model, cfg, u=[u])
 
     def test_rejects_mismatched_coupling(self):
         with pytest.raises(DimensionMismatch):
@@ -440,16 +451,35 @@ class TestMasterStep:
                     (NonFinite, "finite range in step 6")]
         for k, (error, message) in enumerate(expected):
             with pytest.raises(error, match=f"{message}$"):
-                _check_steps(_coords(states), lambda b: f"step {b + 1}")
+                _check_states(_coords(states), lambda b: f"step {b + 1}", TRACE_TOL)
             states[3 + k] = np.diag([0.6, 0.4])
-        _check_steps(_coords(states), lambda b: f"step {b + 1}")
+        _check_states(_coords(states), lambda b: f"step {b + 1}", TRACE_TOL)
         states[2] = np.diag([1.2, -0.1])
         states[2, 0, 1] = states[2, 1, 0] = np.nan
         with pytest.raises(NonFinite, match="in step 3$"):
-            _check_steps(_coords(states), lambda b: f"step {b + 1}")
+            _check_states(_coords(states), lambda b: f"step {b + 1}", TRACE_TOL)
         states[2] = np.diag([1.2, -0.1])
         with pytest.raises(PositivityLoss, match="in step 3$"):
-            _check_steps(_coords(states), lambda b: f"step {b + 1}")
+            _check_states(_coords(states), lambda b: f"step {b + 1}", TRACE_TOL)
+
+    def test_check_names_the_earliest_column_whatever_its_fault(self):
+        # an earlier column below the floor is named before a later
+        # non-finite one, and before a later one with a lower eigenvalue
+        states = np.repeat(np.diag([0.6, 0.4])[None], 8, axis=0).astype(complex)
+        states[2] = np.diag([1.01, -0.01])
+        states[4] = np.diag([1.5, -0.5])
+        states[6, 0, 1] = states[6, 1, 0] = np.inf
+        for trace_tol in (math.inf, TRACE_TOL):
+            with pytest.raises(PositivityLoss, match="-1.000e-02 below floor in step 3$"):
+                _check_states(_coords(states), lambda b: f"step {b + 1}", trace_tol)
+        states[2] = np.diag([0.6, 0.4])
+        states[4] = np.diag([0.6, 0.4])
+        with pytest.raises(NonFinite, match="in step 7$"):
+            _check_states(_coords(states), lambda b: f"step {b + 1}")
+        states[6] = np.diag([0.6, 0.4 + 1e-6])
+        # a renormalized flow passes nothing for the trace
+        trace_dev, low = _check_states(_coords(states), lambda b: f"step {b + 1}")
+        assert trace_dev == pytest.approx(1e-6) and low == pytest.approx(0.4)
 
     def test_recorded_times_are_those_of_the_grid(self):
         # the recorded times are computed without the full grid, with
@@ -458,9 +488,13 @@ class TestMasterStep:
                              (TimeGrid(-0.3, 2.7, 999), 3), (TimeGrid(0, 1, 7), 1),
                              (TimeGrid(1e6, 1e6 + 1e-3, 64), 8),
                              (TimeGrid(0.0, 2e-323, 9), 1)]:  # a step that rounds to 0
+            points = np.linspace(grid.t0, grid.t1, grid.n_steps + 1)
             times, _ = evolve_master(plus_state(), dephasing_model(), grid,
                                      record_stride=stride)
-            np.testing.assert_array_equal(times, grid.times()[::stride])
+            np.testing.assert_array_equal(times, points[::stride])
+            np.testing.assert_array_equal(grid.times(), points)
+            # a stride that does not divide n_steps stops short of t1
+            np.testing.assert_array_equal(grid.times(stride + 1), points[::stride + 1])
 
     def test_rejects_bad_dt(self):
         for dt in (0.0, np.inf):
@@ -590,7 +624,7 @@ class TestTrajectory:
                 np.testing.assert_array_equal(
                     traj.states[-1], ens.final_states[index], err_msg=case)
 
-    @pytest.mark.parametrize("index", [-1, 1.5, "3"])
+    @pytest.mark.parametrize("index", [-1, 1.5, "3", True, False])
     def test_rejects_bad_index(self, index):
         cfg = SimConfig(grid=TimeGrid(0.0, 0.01, 10), n_traj=1, seed=0)
         with pytest.raises(InvalidParameter, match="index"):
@@ -745,6 +779,29 @@ class TestEnsemble:
             messages.append(str(info.value))
         assert "trajectory 1 of seed 300 at step 531, t=" in messages[0]
         assert messages[1] == messages[0]
+
+    def test_positivity_loss_names_the_lowest_failing_index(self):
+        # a coarse step: at step 1 trajectories 1, 5, 8, ... all cross the
+        # floor, and 5 has the lower eigenvalue, but the ensemble names 1,
+        # with the message its replay gives
+        model = FiniteModel(H0=0.5 * SX, L_list=[SZ])
+        rho0 = DensityMatrix([[0.6, 0.2], [0.2, 0.4]])
+        grid = TimeGrid(0.0, 1.0, 2)
+        with pytest.raises(PositivityLoss) as info:
+            simulate_sme_ensemble(rho0, model, SimConfig(grid=grid, n_traj=16, seed=0))
+        replays = {}
+        for index in range(16):
+            try:
+                simulate_sme_trajectory(rho0, model, None,
+                                        SimConfig(grid=grid, n_traj=1, seed=0),
+                                        index=index)
+            except PositivityLoss as exc:
+                replays[index] = str(exc)
+        at_step_1 = [i for i, message in replays.items() if "at step 1," in message]
+        assert at_step_1[:3] == [1, 5, 8]
+        assert str(info.value) == replays[1]
+        low = {i: float(replays[i].split()[1]) for i in at_step_1}
+        assert low[5] < low[1]
 
     @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
     def test_bad_thread_count_is_a_config_error(self, monkeypatch, value):
