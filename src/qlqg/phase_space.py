@@ -11,6 +11,7 @@ modelling error, not rounded away silently.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 from dataclasses import dataclass
@@ -68,6 +69,16 @@ def _positive(value, name: str) -> float:
     if not (math.isfinite(value) and value > 0):
         raise InvalidParameter(f"{name} must be finite and positive, got {value}")
     return value
+
+
+@contextlib.contextmanager
+def _fits_in_memory(what: str):
+    """Turn an allocation that fails inside the block into InvalidParameter:
+    the input named by ``what`` asked for more memory than there is."""
+    try:
+        yield
+    except (ValueError, MemoryError) as exc:
+        raise InvalidParameter(f"{what} larger than memory allows") from exc
 
 
 def _asarray(value, dtype, shape, name: str) -> np.ndarray:
@@ -310,10 +321,14 @@ def check_uncertainty(
     The matrix is Hermitian, so the check reduces to its smallest
     eigenvalue; the bound passes when that eigenvalue is at least
     ``UNCERTAINTY_TOL``.  With ``hbar = 0`` this degenerates to plain
-    positive semidefiniteness.
+    positive semidefiniteness.  A non-finite ``cov``, ``J`` or ``hbar``
+    raises InvalidParameter: LAPACK would report an eigenvalue made up
+    from it.
     """
-    cov = np.asarray(cov, dtype=float)
-    J = np.asarray(J, dtype=float)
+    cov = _finite(np.asarray(cov, dtype=float), "cov")
+    J = _finite(np.asarray(J, dtype=float), "J")
+    if not math.isfinite(hbar):
+        raise InvalidParameter(f"hbar must be finite, got {hbar}")
     if cov.shape != J.shape:
         raise DimensionMismatch(
             f"cov and J must have equal shapes, got {cov.shape} and {J.shape}"

@@ -42,6 +42,7 @@ from .phase_space import (
     check_uncertainty,
     _asarray,
     _finite,
+    _fits_in_memory,
     _frozen,
     _heisenberg_margin,
     _positive,
@@ -312,12 +313,8 @@ def _lift_path(H: np.ndarray, S0: np.ndarray, dt: float, n_steps: int,
     in time and ends at ``S0``.
     """
     powers = _lift_powers(H, dt)
-    try:
+    with _fits_in_memory(f"n_steps {n_steps} needs a path"):
         values = np.empty((n_steps + 1,) + S0.shape)
-    except (ValueError, MemoryError) as exc:
-        raise InvalidParameter(
-            f"n_steps {n_steps} needs a path larger than memory allows"
-        ) from exc
     path = values[::-1] if backward else values
     path[0] = S0
     for i in range(0, n_steps, len(powers)):

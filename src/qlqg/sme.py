@@ -53,7 +53,6 @@ from pathlib import Path
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg import expm
 
 from .closed_loop import _at, _BLOCK, _chunk_width, _run_chunks, SimConfig
 from .errors import (
@@ -66,6 +65,7 @@ from .errors import (
 )
 from .phase_space import (
     _finite,
+    _fits_in_memory,
     _frozen,
     _json_array,
     _json_count,
@@ -177,6 +177,13 @@ class DensityMatrix:
         return cls(np.outer(psi, psi.conj()))
 
 
+def _hermitian(term: np.ndarray, name: str) -> np.ndarray:
+    """``term``, or InvalidParameter unless it is Hermitian to 1e-12."""
+    if np.abs(term - term.conj().T).max() > 1e-12:
+        raise InvalidParameter(f"{name} is not Hermitian")
+    return term
+
+
 def _stack_operators(ops, n: int, what: str) -> np.ndarray:
     arr = _finite(np.asarray(ops, dtype=complex), what)
     if arr.size == 0:
@@ -211,11 +218,9 @@ class FiniteModel:
         n = H0.shape[0]
         Ls = _stack_operators(self.L_list, n, "L_list")
         Hs = _stack_operators(self.H_controls, n, "H_controls")
-        for name, term in [("H0", H0)] + [
-            (f"H_controls[{i}]", Hs[i]) for i in range(Hs.shape[0])
-        ]:
-            if np.abs(term - term.conj().T).max() > 1e-12:
-                raise InvalidParameter(f"{name} is not Hermitian")
+        _hermitian(H0, "H0")
+        for i, term in enumerate(Hs):
+            _hermitian(term, f"H_controls[{i}]")
         _positive(self.hbar, "hbar")
         object.__setattr__(self, "H0", _frozen(H0))
         object.__setattr__(self, "L_list", _frozen(Ls))
@@ -237,7 +242,11 @@ class FiniteModel:
         """H0 + sum_k u_k H_k; ``u=None`` means all controls off."""
         if u is None:
             return self.H0
-        u = _finite(np.asarray(u, dtype=float).reshape(-1), "control")
+        try:
+            u = np.asarray(u, dtype=float).reshape(-1)
+        except (TypeError, ValueError):
+            raise InvalidParameter(f"control must be real numbers, got {u!r}") from None
+        u = _finite(u, "control")
         if u.shape[0] != self.n_controls:
             raise DimensionMismatch(
                 f"control has {u.shape[0]} entries, model has "
@@ -380,26 +389,30 @@ def _sme_stack(model: FiniteModel, u, dt: float) -> np.ndarray:
     """The stacked factor [(I + dt G); M_1; ...; M_d] of one filtering step.
 
     M_c is the map rho -> Lc rho + rho Lc' on coordinates; the stack is a
-    real ((d + 1) n^2, n^2) matrix, built once per control.
+    real ((d + 1) n^2, n^2) matrix, built once per control.  A model too
+    large for it raises InvalidParameter.
     """
     n = model.dim
     I = np.eye(n)
-    step = np.eye(n * n) + dt * _lindblad_map(model, u)
-    maps = [_superoperator([(L, I), (I, L.conj().T)], n) for L in model.L_list]
-    return np.concatenate([step] + maps)
+    with _fits_in_memory(f"a dim-{n} model needs filtering maps"):
+        step = np.eye(n * n) + dt * _lindblad_map(model, u)
+        maps = [_superoperator([(L, I), (I, L.conj().T)], n) for L in model.L_list]
+        return np.concatenate([step] + maps)
 
 
 def _master_map(model: FiniteModel, u, dt: float) -> np.ndarray:
     """The RK4 step of the master flow on coordinates, sum_{k<=4} (dt G)^k / k!.
 
-    For a linear flow the RK4 step is exactly this Taylor polynomial.
+    For a linear flow the RK4 step is exactly this Taylor polynomial.  A
+    model too large for it raises InvalidParameter.
     """
-    A = dt * _lindblad_map(model, u)
-    term, step = A, np.eye(len(A)) + A
-    for k in range(2, 5):
-        term = term @ A
-        term /= k
-        step += term
+    with _fits_in_memory(f"a dim-{model.dim} model needs a master-flow map"):
+        A = dt * _lindblad_map(model, u)
+        term, step = A, np.eye(len(A)) + A
+        for k in range(2, 5):
+            term = term @ A
+            term /= k
+            step += term
     return step
 
 
@@ -854,23 +867,28 @@ def weak_measurement_unitary(
 
     exp(sqrt(dt)(L (x) a' - L' (x) a) - (i/hbar) H (x) I dt) on
     system (x) two-level ancilla; reading the ancilla quadrature
-    reproduces the diffusive filtering step to O(dt^(3/2)).
+    reproduces the diffusive filtering step to O(dt^(3/2)).  ``H`` must
+    be Hermitian, so the exponent is anti-Hermitian and its exponential
+    comes from one Hermitian eigendecomposition.
     """
     _positive(dt, "dt")
-    L = np.asarray(L, dtype=complex)
+    _positive(hbar, "hbar")
+    L = _finite(np.asarray(L, dtype=complex), "coupling")
     if L.ndim != 2 or L.shape[0] != L.shape[1]:
         raise DimensionMismatch(f"coupling must be square, got {L.shape}")
     lower = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     raise_op = lower.conj().T
     gen = math.sqrt(dt) * (np.kron(L, raise_op) - np.kron(L.conj().T, lower))
     if H is not None:
-        H = np.asarray(H, dtype=complex)
+        H = _finite(np.asarray(H, dtype=complex), "H")
         if H.shape != L.shape:
             raise DimensionMismatch(
                 f"H shape {H.shape} does not match coupling {L.shape}"
             )
-        gen = gen + (-1j * dt / hbar) * np.kron(H, np.eye(2))
-    return expm(gen)
+        gen = gen + (-1j * dt / hbar) * np.kron(_hermitian(H, "H"), np.eye(2))
+    # i gen = V diag(w) V' is Hermitian, so exp(gen) = V diag(e^{-iw}) V'
+    w, V = np.linalg.eigh(1j * gen)
+    return (V * np.exp(-1j * w)) @ V.conj().T
 
 
 def ancilla_quadrature_projectors() -> tuple[np.ndarray, np.ndarray]:

@@ -3,6 +3,8 @@
 import io
 import json
 import math
+import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -586,3 +588,48 @@ class TestEntryPoint:
             capture_output=True, text=True,
         )
         assert proc.returncode == 2
+
+    def test_import_leaves_scipy_out(self):
+        # the runtime needs numpy only; scipy serves the tests as an oracle
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, qlqg, qlqg.cli; print(sorted("
+             "m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
+    def test_model_too_large_for_memory_exits_2(self, tmp_path):
+        # a dim-200 model needs (n^2, n^2) maps of some 12 GiB; the child's
+        # address space is capped at 3 GiB, so the allocation fails at once
+        n = 200
+        zeros = np.zeros((n, n)).tolist()
+        diag = np.diag(np.linspace(0.0, 1.0, n)).tolist()
+        first = np.zeros((n, n))
+        first[0, 0] = 1.0
+        scenario = write_scenario(
+            tmp_path,
+            finite_model={"dim": n, "hbar": 1.0, "H0": {"re": diag, "im": zeros},
+                          "H_controls": [], "L_list": [{"re": diag, "im": zeros}]},
+            rho0={"re": first.tolist(), "im": zeros},
+            grid={"t0": 0.0, "t1": 0.01, "n_steps": 10},
+            sim={"n_traj": 2, "seed": 1},
+            out=str(tmp_path / "out"),
+        )
+
+        def cap_address_space():
+            limit = 3 * 2**30
+            hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+            if hard != resource.RLIM_INFINITY:
+                limit = min(limit, hard)
+            resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+
+        # one BLAS thread keeps the child's own reservations small
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        proc = subprocess.run(
+            [sys.executable, "-m", "qlqg.cli", "sme", "--scenario", scenario],
+            capture_output=True, text=True, env=env, preexec_fn=cap_address_space,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "dim-200 model needs filtering maps larger than memory" in proc.stderr

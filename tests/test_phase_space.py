@@ -197,6 +197,17 @@ class TestCheckUncertainty:
         with pytest.raises(DimensionMismatch):
             check_uncertainty(np.eye(2), standard_J(4), hbar=1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_input(self, bad):
+        # LAPACK would report an eigenvalue made up from the bad entry
+        cov = np.diag([bad, 1.0])
+        with pytest.raises(InvalidParameter, match="cov has non-finite"):
+            check_uncertainty(cov, J2, hbar=1.0)
+        with pytest.raises(InvalidParameter, match="J has non-finite"):
+            check_uncertainty(np.eye(2), J2 + np.diag([bad, 0.0]), hbar=1.0)
+        with pytest.raises(InvalidParameter, match="hbar"):
+            check_uncertainty(np.eye(2), J2, hbar=bad)
+
 
 class TestGaussianBelief:
     def test_symmetrizes_covariance(self):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from qlqg import sme
 from qlqg.closed_loop import _COLUMN_BLOCK, SimConfig
 from qlqg.errors import (
     ConfigError,
@@ -204,6 +205,16 @@ class TestFiniteModel:
         cfg = SimConfig(grid=TimeGrid(0.0, 0.01, 10), n_traj=2, seed=0)
         with pytest.raises(InvalidParameter, match="control"):
             simulate_sme_ensemble(plus_state(), model, cfg, u=[u])
+
+    @pytest.mark.parametrize("u", ["x", [[1.0], [2.0, 3.0]], {"u": 1.0}])
+    def test_rejects_non_numeric_control(self, u):
+        # a raw ValueError or TypeError from numpy would leave the CLI
+        model = FiniteModel(H0=SZ, L_list=[SX], H_controls=[SX])
+        with pytest.raises(InvalidParameter, match="control must be real numbers"):
+            model.hamiltonian(u)
+        cfg = SimConfig(grid=TimeGrid(0.0, 0.01, 10), n_traj=2, seed=0)
+        with pytest.raises(InvalidParameter, match="control must be real numbers"):
+            simulate_sme_ensemble(plus_state(), model, cfg, u=u)
 
     def test_rejects_mismatched_coupling(self):
         with pytest.raises(DimensionMismatch):
@@ -538,6 +549,22 @@ class TestMasterStep:
             ])
             want = ref.values[int(round(t / grid.dt))]
             assert np.abs(got - want).max() <= 0.01 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("error", [MemoryError, ValueError])
+def test_maps_too_large_for_memory_are_rejected_input(monkeypatch, error):
+    # what numpy raises when the (n^2, n^2) maps of a model cannot be allocated
+    def no_room(*args):
+        raise error("cannot allocate")
+
+    monkeypatch.setattr(sme, "_superoperator", no_room)
+    cfg = SimConfig(grid=TimeGrid(0.0, 0.01, 10), n_traj=2, seed=0)
+    with pytest.raises(InvalidParameter,
+                       match="dim-2 model needs filtering maps larger than memory"):
+        simulate_sme_ensemble(plus_state(), dephasing_model(), cfg)
+    with pytest.raises(InvalidParameter,
+                       match="dim-2 model needs a master-flow map larger than memory"):
+        evolve_master(plus_state(), dephasing_model(), cfg.grid)
 
 
 class TestSmeStep:
@@ -981,10 +1008,38 @@ class TestWeakMeasurement:
             ref = master_step(self.rho, self.model, None, dt)
             assert trace_norm(avg - ref.entries) <= 2.0 * dt * dt
 
+    @pytest.mark.parametrize("dt", [1e-2, 1e-5])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_matches_scipy_expm(self, n, dt):
+        rng = np.random.default_rng(n)
+        L = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        H, hbar = A + A.conj().T, 0.7
+        lower = np.array([[0.0, 1.0], [0.0, 0.0]])
+        coupling = math.sqrt(dt) * (np.kron(L, lower.T) - np.kron(L.conj().T, lower))
+        drive = (-1j * dt / hbar) * np.kron(H, np.eye(2))
+        U = weak_measurement_unitary(L, dt, H=H, hbar=hbar)
+        assert np.abs(U - expm(coupling + drive)).max() < 1e-12
+        assert np.abs(weak_measurement_unitary(L, dt) - expm(coupling)).max() < 1e-12
+
+    def test_rejects_non_hermitian_h(self):
+        # eigh reads one triangle only, so such an H would go silently wrong
+        H = self.model.H0 + np.array([[0.0, 1e-9], [0.0, 0.0]])
+        with pytest.raises(InvalidParameter, match="H is not Hermitian"):
+            weak_measurement_unitary(self.L, 1e-3, H=H)
+
     def test_rejects_bad_inputs(self):
         for dt in (0.0, np.inf):
             with pytest.raises(InvalidParameter):
                 weak_measurement_unitary(self.L, dt)
+        for hbar in (0.0, -1.0, np.nan):
+            with pytest.raises(InvalidParameter, match="hbar"):
+                weak_measurement_unitary(self.L, 1e-3, hbar=hbar)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(InvalidParameter, match="coupling"):
+                weak_measurement_unitary(self.L + bad, 1e-3)
+            with pytest.raises(InvalidParameter, match="H has non-finite"):
+                weak_measurement_unitary(self.L, 1e-3, H=self.model.H0 + bad)
         with pytest.raises(DimensionMismatch):
             weak_measurement_unitary(np.zeros((2, 3)), 1e-3)
         with pytest.raises(DimensionMismatch):
