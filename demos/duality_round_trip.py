@@ -1,15 +1,16 @@
 """Solve the backward value flow by running its dual filter forward.
 
-Estimation data (A, C, N, M) and regulation data (A', B', F', G')
-exchange under transposition, and the two Riccati solutions coincide
-after time reversal.  For the free particle the correspondence also
-swaps position with momentum.
+Coefficients (A, B, C, N, M) and cost (F, G, Omega_T) map to
+(A^T, C^T, B^T, F, G^T) and (N, M^T, Omega_T): regulation data become
+estimation data, and the two Riccati solutions coincide after time
+reversal.  For the free particle the correspondence also swaps position
+with momentum.
 """
 
 import numpy as np
 
 from qlqg import free_particle as fp
-from qlqg.control import ControlProblem, control_path_via_duality, duality_map
+from qlqg.control import control_path_via_duality, duality_map
 from qlqg.riccati import CostSpec, TimeGrid, integrate_control_riccati
 from qlqg.phase_space import LinearCoefficients
 
@@ -23,15 +24,14 @@ def main():
     cost = fp.position_tracking_cost()
     grid = TimeGrid(0.0, 5.0, 1000)
 
-    problem = ControlProblem(A=coeffs.A, B=coeffs.B, F=cost.F, G=cost.G, horizon=5.0)
-    dual = duality_map(problem, permutation=[1, 0])
+    dual, _ = duality_map(coeffs, cost, permutation=[1, 0])
     print("free particle, regulation side:")
-    print(f"  A = {problem.A.tolist()}   B^T = {problem.B.T.tolist()}")
+    print(f"  A = {coeffs.A.tolist()}   B^T = {coeffs.B.T.tolist()}")
     print("its estimation dual (coordinates swapped):")
     print(f"  A = {dual.A.tolist()}   C = {dual.C.tolist()}")
 
     direct = integrate_control_riccati(coeffs, cost, grid)
-    roundabout = control_path_via_duality(problem, cost.Omega_T, grid, permutation=[1, 0])
+    roundabout = control_path_via_duality(coeffs, cost, grid, permutation=[1, 0])
     print(f"  route mismatch {gap(direct, roundabout):.2e}")
     print()
 
@@ -51,11 +51,10 @@ def main():
             A=A, B=B, C=np.zeros((1, 4)), N=np.eye(4), M=np.zeros((4, 1))
         )
         g = TimeGrid(0.0, 1.0, 500)
-        p = ControlProblem(A=A, B=B, F=c.F, G=c.G, horizon=1.0)
         worst = max(
             gap(
                 integrate_control_riccati(lc, c, g),
-                control_path_via_duality(p, c.Omega_T, g),
+                control_path_via_duality(lc, c, g),
             ),
             worst,
         )

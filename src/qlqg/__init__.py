@@ -50,8 +50,6 @@ from .riccati import (
 from .kalman import MeasurementIncrement, filter_step
 from .control import (
     ControlGainPath,
-    ControlProblem,
-    FilterProblem,
     control_gain_path,
     control_path_via_duality,
     duality_map,

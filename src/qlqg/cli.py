@@ -58,11 +58,12 @@ import numpy as np
 from . import __version__
 from . import free_particle as fp
 from .closed_loop import SimConfig, monte_carlo_expected_cost, simulate_closed_loop
-from .control import ControlProblem, control_gain_path, control_path_via_duality
+from .control import control_gain_path, control_path_via_duality
 from .errors import ConfigError, NumericalError, ValidationError
 from .phase_space import (
     GaussianBelief,
     _json_array,
+    _json_object,
     build_coefficients,
     free_particle_model,
     model_from_json,
@@ -88,14 +89,7 @@ def _load_scenario(path_str: str) -> tuple[dict, Path]:
     path = Path(path_str)
     if not path.is_file():
         raise ConfigError(f"scenario file '{path}' does not exist")
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"scenario '{path}' is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError(f"scenario '{path}' must be a JSON object")
-    return data, path.parent
+    return _json_object(path, "scenario"), path.parent
 
 
 def _require(scenario: dict, key: str):
@@ -338,14 +332,8 @@ def cmd_riccati(args) -> int:
 
     if direction in ("control", "both"):
         cost = _parse_cost(_require(scenario, "cost"))
-        if args.dual:
-            problem = ControlProblem(
-                A=coeffs.A, B=coeffs.B, F=cost.F, G=cost.G,
-                horizon=grid.t1 - grid.t0,
-            )
-            omega = control_path_via_duality(problem, cost.Omega_T, grid)
-        else:
-            omega = integrate_control_riccati(coeffs, cost, grid)
+        solve = control_path_via_duality if args.dual else integrate_control_riccati
+        omega = solve(coeffs, cost, grid)
         target = out / "omega_path.csv"
         with open(target, "w", encoding="utf-8", newline="") as fh:
             matrix_path_to_csv(omega, fh, prefix="omega")

@@ -24,7 +24,9 @@ from numpy.typing import NDArray
 
 from .control import control_gain_path
 from .errors import ConfigError, EmptyEnsemble, InvalidParameter, NonFinite
-from .phase_space import GaussianBelief, LinearCoefficients, _asarray, _frozen
+from .phase_space import (
+    GaussianBelief, LinearCoefficients, _asarray, _fits_in_memory, _frozen,
+)
 from .riccati import (
     ESCAPE_LIMIT,
     CostSpec,
@@ -298,12 +300,13 @@ def simulate_closed_loop(
     terminal_trace = float(np.trace(cost.Omega_T @ Sigma_path.final))
     C_dt, half_dt = coeffs.C * dt, 0.5 * dt
 
-    means = np.empty((n_traj, n_rec, m))
-    controls = np.empty((n_traj, n_rec, k))
-    outputs = np.zeros((n_traj, n_rec, d))
-    innovations = np.zeros((n_traj, n_rec, d))
-    running = np.empty((n_traj, n_rec))
-    totals = np.empty(n_traj)
+    with _fits_in_memory(f"n_traj {n_traj} needs result arrays"):
+        means = np.empty((n_traj, n_rec, m))
+        controls = np.empty((n_traj, n_rec, k))
+        outputs = np.zeros((n_traj, n_rec, d))
+        innovations = np.zeros((n_traj, n_rec, d))
+        running = np.empty((n_traj, n_rec))
+        totals = np.empty(n_traj)
 
     def run_chunk(start: int, stop: int, noise) -> None:
         # the chunk is held transposed, one trajectory per column, so

@@ -2,8 +2,8 @@
 
 The controller side mirrors the filter: the backward value flow plays
 the covariance's role under transposition and time reversal.  That
-correspondence is exposed as a first-class map on problem data so the
-two solvers can check each other.
+correspondence is exposed as a map on the ``(coefficients, cost)`` pair
+the solvers already take, so the two solvers can check each other.
 """
 
 from __future__ import annotations
@@ -14,22 +14,19 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import DimensionMismatch, GridMismatch, InvalidParameter
-from .phase_space import (
-    LinearCoefficients, _asarray, _finite, _frozen, _positive, _symmetrize,
-)
+from .phase_space import LinearCoefficients, _asarray, _frozen, _symmetrize
 from .riccati import (
     CostSpec,
     MatrixPath,
     ScalarPath,
     TimeGrid,
+    _require_matching_cost,
     _require_same_grid,
     integrate_filter_riccati,
 )
 
 __all__ = [
     "ControlGainPath",
-    "FilterProblem",
-    "ControlProblem",
     "control_gain_path",
     "duality_map",
     "control_path_via_duality",
@@ -61,64 +58,6 @@ class ControlGainPath:
         return self.gains[index]
 
 
-@dataclass(frozen=True)
-class FilterProblem:
-    """Estimation-side data ``(A, C, N, M)`` with a horizon."""
-
-    A: NDArray[np.float64]
-    C: NDArray[np.float64]
-    N: NDArray[np.float64]
-    M: NDArray[np.float64]
-    horizon: float
-
-    def __post_init__(self) -> None:
-        A = _finite(np.array(self.A, dtype=float), "A")
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise DimensionMismatch(f"A must be square, got {A.shape}")
-        m = A.shape[0]
-        C = _finite(np.array(self.C, dtype=float), "C")
-        if C.ndim != 2 or C.shape[1] != m:
-            raise DimensionMismatch(f"C must have shape (d, {m}), got {C.shape}")
-        N = _symmetrize(_asarray(self.N, float, (m, m), "N"), "N")
-        M = _asarray(self.M, float, (m, C.shape[0]), "M")
-        _positive(self.horizon, "horizon")
-        for name, arr in (("A", A), ("C", C), ("N", N), ("M", M)):
-            object.__setattr__(self, name, _frozen(arr))
-
-    @property
-    def m(self) -> int:
-        return self.A.shape[0]
-
-
-@dataclass(frozen=True)
-class ControlProblem:
-    """Regulation-side data ``(A, B, F, G)`` with a horizon."""
-
-    A: NDArray[np.float64]
-    B: NDArray[np.float64]
-    F: NDArray[np.float64]
-    G: NDArray[np.float64]
-    horizon: float
-
-    def __post_init__(self) -> None:
-        A = _finite(np.array(self.A, dtype=float), "A")
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise DimensionMismatch(f"A must be square, got {A.shape}")
-        m = A.shape[0]
-        B = _finite(np.array(self.B, dtype=float), "B")
-        if B.ndim != 2 or B.shape[0] != m:
-            raise DimensionMismatch(f"B must have shape ({m}, k), got {B.shape}")
-        F = _symmetrize(_asarray(self.F, float, (m, m), "F"), "F")
-        G = _asarray(self.G, float, (B.shape[1], m), "G")
-        _positive(self.horizon, "horizon")
-        for name, arr in (("A", A), ("B", B), ("F", F), ("G", G)):
-            object.__setattr__(self, name, _frozen(arr))
-
-    @property
-    def m(self) -> int:
-        return self.A.shape[0]
-
-
 def control_gain_path(
     Omega_path: MatrixPath,
     coeffs: LinearCoefficients,
@@ -133,77 +72,58 @@ def control_gain_path(
     return ControlGainPath(grid=Omega_path.grid, gains=gains)
 
 
-def _permutation_matrix_indices(permutation, m: int) -> np.ndarray:
-    perm = np.asarray(permutation, dtype=int)
-    if sorted(perm.tolist()) != list(range(m)):
-        raise InvalidParameter(
-            f"permutation must rearrange range({m}), got {permutation}"
-        )
-    return perm
-
-
 def duality_map(
-    problem: FilterProblem | ControlProblem,
+    coeffs: LinearCoefficients,
+    cost: CostSpec,
     permutation=None,
-) -> ControlProblem | FilterProblem:
+) -> tuple[LinearCoefficients, CostSpec]:
     """Exchange estimation and regulation data.
 
-    A filter problem ``(A, C, N, M)`` maps to the control problem
-    ``(A', B', F', G') = (A^T, C^T, N, M^T)`` and back; applying the map
-    twice returns the original data exactly.  The optional
-    ``permutation`` relabels the state coordinates of the result (index
-    array, applied to every state axis), which some concrete pairs such
-    as position/momentum interchange require.  Horizons carry over
-    unchanged; solution paths correspond under time reversal.
+    ``(A, B, C, N, M; F, G, Omega_T)`` maps to
+    ``(A^T, C^T, B^T, F, G^T; N, M^T, Omega_T)``: the dual's filter flow
+    run forward from ``Omega_T`` is the value flow read backward, and
+    applying the map twice returns the original data exactly.  The
+    optional ``permutation`` relabels the state coordinates of the
+    result (index array, applied to every state axis), which some
+    concrete pairs such as position/momentum interchange require.
     """
-    if isinstance(problem, FilterProblem):
-        A, B, F, G = problem.A.T, problem.C.T, problem.N, problem.M.T
-        if permutation is not None:
-            p = _permutation_matrix_indices(permutation, problem.m)
-            A, B, F, G = A[np.ix_(p, p)], B[p, :], F[np.ix_(p, p)], G[:, p]
-        return ControlProblem(A=A, B=B, F=F, G=G, horizon=problem.horizon)
-    if isinstance(problem, ControlProblem):
-        A, C, N, M = problem.A.T, problem.B.T, problem.F, problem.G.T
-        if permutation is not None:
-            p = _permutation_matrix_indices(permutation, problem.m)
-            A, C, N, M = A[np.ix_(p, p)], C[:, p], N[np.ix_(p, p)], M[p, :]
-        return FilterProblem(A=A, C=C, N=N, M=M, horizon=problem.horizon)
-    raise InvalidParameter(
-        f"expected FilterProblem or ControlProblem, got {type(problem).__name__}"
+    _require_matching_cost(coeffs, cost)
+    A, B, C, N, M = coeffs.A.T, coeffs.C.T, coeffs.B.T, cost.F, cost.G.T
+    F, G, Omega_T = coeffs.N, coeffs.M.T, cost.Omega_T
+    if permutation is not None:
+        p = np.asarray(permutation, dtype=int)
+        if sorted(p.tolist()) != list(range(coeffs.m)):
+            raise InvalidParameter(
+                f"permutation must rearrange range({coeffs.m}), got {permutation}"
+            )
+        pp = np.ix_(p, p)
+        A, N, F, Omega_T = A[pp], N[pp], F[pp], Omega_T[pp]
+        B, M, C, G = B[p], M[p], C[:, p], G[:, p]
+    return (
+        LinearCoefficients(A=A, B=B, C=C, N=N, M=M),
+        CostSpec(F=F, G=G, Omega_T=Omega_T),
     )
 
 
 def control_path_via_duality(
-    problem: ControlProblem,
-    Omega_T: NDArray[np.float64],
+    coeffs: LinearCoefficients,
+    cost: CostSpec,
     grid: TimeGrid,
     permutation=None,
 ) -> MatrixPath:
     """Solve the backward value flow through its dual forward flow.
 
-    The dual filter problem is integrated forward from the (relabelled)
-    terminal weight and the result is read backward and relabelled back.
-    Up to roundoff this equals direct backward integration; it exists so
-    the two routes can be compared.
+    The dual's filter flow is integrated forward from its terminal
+    weight, read backward and relabelled back.  Its lift is the value
+    flow's lift, relabelled, so this reproduces
+    :func:`integrate_control_riccati`; it exists so the two routes can be
+    compared.
     """
-    if abs(grid.t1 - grid.t0 - problem.horizon) > 1e-12:
-        raise GridMismatch(
-            f"grid spans {grid.t1 - grid.t0!r}, problem horizon is {problem.horizon!r}"
-        )
-    m = problem.m
-    Omega_T = _symmetrize(_asarray(Omega_T, float, (m, m), "Omega_T"), "Omega_T")
-    dual = duality_map(problem, permutation)
-    start = Omega_T
-    if permutation is not None:
-        p = _permutation_matrix_indices(permutation, m)
-        start = Omega_T[np.ix_(p, p)]
-    dual_coeffs = LinearCoefficients(
-        A=dual.A, B=np.zeros((m, 1)), C=dual.C, N=dual.N, M=dual.M
-    )
-    sigma = integrate_filter_riccati(dual_coeffs, start, grid)
+    dual_coeffs, dual_cost = duality_map(coeffs, cost, permutation)
+    sigma = integrate_filter_riccati(dual_coeffs, dual_cost.Omega_T, grid)
     values = sigma.values[::-1]
     if permutation is not None:
-        inv = np.argsort(p)
+        inv = np.argsort(permutation)
         values = values[:, inv][:, :, inv]
     return MatrixPath(grid=grid, values=np.ascontiguousarray(values))
 

@@ -222,6 +222,17 @@ def _require_same_grid(*grids: TimeGrid) -> TimeGrid:
     return first
 
 
+def _require_matching_cost(coeffs: LinearCoefficients, cost: CostSpec) -> None:
+    if cost.m != coeffs.m:
+        raise DimensionMismatch(
+            f"cost is for dimension {cost.m}, coefficients for {coeffs.m}"
+        )
+    if cost.k != coeffs.k:
+        raise ValidationError(
+            f"cost expects {cost.k} controls, coefficients have {coeffs.k}"
+        )
+
+
 def _filter_lift(coeffs: LinearCoefficients) -> np.ndarray:
     """Lift of S -> A S + S A' + N - (S C' + M)(S C' + M)'."""
     C, M = coeffs.C, coeffs.M
@@ -384,14 +395,7 @@ def integrate_control_riccati(
     value matrix at ``grid.times()[k]`` and ``path.final`` equals
     ``Omega_T``.
     """
-    if cost.m != coeffs.m:
-        raise DimensionMismatch(
-            f"cost is for dimension {cost.m}, coefficients for {coeffs.m}"
-        )
-    if cost.k != coeffs.k:
-        raise ValidationError(
-            f"cost expects {cost.k} controls, coefficients have {coeffs.k}"
-        )
+    _require_matching_cost(coeffs, cost)
     values = _lift_path(
         _control_lift(coeffs, cost), cost.Omega_T, grid.dt, grid.n_steps, backward=True
     )

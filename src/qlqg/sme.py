@@ -748,7 +748,8 @@ def simulate_sme_ensemble(
     n, d, grid = model.dim, model.n_channels, config.grid
     stack = _sme_stack(model, u, grid.dt)
     start_coords = _coords(rho0.entries[None])
-    finals = np.empty((config.n_traj, n, n), dtype=complex)
+    with _fits_in_memory(f"n_traj {config.n_traj} needs result arrays"):
+        finals = np.empty((config.n_traj, n, n), dtype=complex)
 
     def run_chunk(start: int, stop: int, noise: np.ndarray):
         rows = stop - start

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import free_particle as fp
 from .closed_loop import SimConfig, monte_carlo_expected_cost, simulate_closed_loop
-from .control import ControlProblem, control_path_via_duality, hjb_residual
+from .control import control_path_via_duality, hjb_residual
 from .errors import InvalidParameter
 from .phase_space import (
     GaussianBelief, _heisenberg_margin, build_coefficients, free_particle_model,
@@ -154,8 +154,7 @@ def _duality(seed: int, n_systems: int) -> str:
     cost = fp.position_tracking_cost()
     grid = TimeGrid(0.0, 5.0, 500)
     direct = integrate_control_riccati(coeffs, cost, grid)
-    problem = ControlProblem(A=coeffs.A, B=coeffs.B, F=cost.F, G=cost.G, horizon=5.0)
-    dual = control_path_via_duality(problem, cost.Omega_T, grid, permutation=[1, 0])
+    dual = control_path_via_duality(coeffs, cost, grid, permutation=[1, 0])
     worst = float(np.abs(direct.values - dual.values).max())
 
     rng = np.random.default_rng(seed)
@@ -169,8 +168,7 @@ def _duality(seed: int, n_systems: int) -> str:
         cost4 = CostSpec(F=Fh @ Fh.T, G=G, Omega_T=Wh @ Wh.T + 0.1 * np.eye(4))
         lc = type(coeffs)(A=A, B=B, C=np.zeros((1, 4)), N=np.eye(4), M=np.zeros((4, 1)))
         d = integrate_control_riccati(lc, cost4, grid4)
-        p = ControlProblem(A=A, B=B, F=cost4.F, G=cost4.G, horizon=1.0)
-        v = control_path_via_duality(p, cost4.Omega_T, grid4)
+        v = control_path_via_duality(lc, cost4, grid4)
         worst = max(worst, float(np.abs(d.values - v.values).max()))
     assert worst < 1e-8, f"worst route mismatch {worst:.2e}"
     return f"both routes agree to {worst:.1e} over {n_systems + 1} systems"

@@ -105,10 +105,14 @@ class TestBuild:
         assert json.loads(first)["B"] == [[0.0], [1.0]]
 
     def test_malformed_json_exits_2(self, tmp_path, capsys):
-        bad = tmp_path / "bad.json"
-        bad.write_text('{"model": ')
-        assert cli.main(["build", "--scenario", str(bad)]) == 2
-        assert "not valid JSON" in capsys.readouterr().err
+        # a truncated object, and bytes that are not UTF-8 at all
+        for content in (b'{"model": ', b"\xff\xfe{}"):
+            bad = tmp_path / "bad.json"
+            bad.write_bytes(content)
+            assert cli.main(["build", "--scenario", str(bad)]) == 2
+            err = capsys.readouterr().err
+            assert "not valid JSON" in err
+            assert "Traceback" not in err
 
     def test_missing_keys_named(self, tmp_path, capsys):
         scenario = write_scenario(tmp_path, grid={})
@@ -600,22 +604,32 @@ class TestEntryPoint:
         assert proc.stdout == "[]\n"
 
     def test_model_too_large_for_memory_exits_2(self, tmp_path):
-        # a dim-200 model needs (n^2, n^2) maps of some 12 GiB; the child's
-        # address space is capped at 3 GiB, so the allocation fails at once
+        # the child's address space is capped at 3 GiB, so each allocation
+        # below fails at once: a dim-200 model's (n^2, n^2) maps of some
+        # 12 GiB, and the result arrays of 2e9 trajectories (119 GiB of
+        # final states, 60 GiB of recorded means)
         n = 200
         zeros = np.zeros((n, n)).tolist()
         diag = np.diag(np.linspace(0.0, 1.0, n)).tolist()
         first = np.zeros((n, n))
         first[0, 0] = 1.0
-        scenario = write_scenario(
-            tmp_path,
-            finite_model={"dim": n, "hbar": 1.0, "H0": {"re": diag, "im": zeros},
-                          "H_controls": [], "L_list": [{"re": diag, "im": zeros}]},
-            rho0={"re": first.tolist(), "im": zeros},
-            grid={"t0": 0.0, "t1": 0.01, "n_steps": 10},
-            sim={"n_traj": 2, "seed": 1},
-            out=str(tmp_path / "out"),
-        )
+        grid = {"t0": 0.0, "t1": 0.01, "n_steps": 20}
+        huge = {"n_traj": 2 * 10**9, "seed": 1, "initial_mean": [1.0, 0.0],
+                "initial_cov": [[0.5, 0.0], [0.0, 0.5]]}
+        cases = [
+            ("sme", dict(
+                finite_model={"dim": n, "hbar": 1.0, "H0": {"re": diag, "im": zeros},
+                              "H_controls": [], "L_list": [{"re": diag, "im": zeros}]},
+                rho0={"re": first.tolist(), "im": zeros},
+                sim={"n_traj": 2, "seed": 1}),
+             "dim-200 model needs filtering maps larger than memory"),
+            ("sme", dict(finite_model=QUBIT_MODEL, rho0=QUBIT_RHO0, sim=huge),
+             "n_traj 2000000000 needs result arrays larger than memory"),
+            ("simulate", dict(model={"preset": "free-particle", "feedback": True},
+                              cost={"preset": "position-tracking", "beta": 1.0},
+                              sim=huge),
+             "n_traj 2000000000 needs result arrays larger than memory"),
+        ]
 
         def cap_address_space():
             limit = 3 * 2**30
@@ -626,10 +640,13 @@ class TestEntryPoint:
 
         # one BLAS thread keeps the child's own reservations small
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-        proc = subprocess.run(
-            [sys.executable, "-m", "qlqg.cli", "sme", "--scenario", scenario],
-            capture_output=True, text=True, env=env, preexec_fn=cap_address_space,
-        )
-        assert proc.returncode == 2, proc.stderr
-        assert "Traceback" not in proc.stderr
-        assert "dim-200 model needs filtering maps larger than memory" in proc.stderr
+        for i, (command, content, message) in enumerate(cases):
+            scenario = write_scenario(tmp_path, f"s{i}.json", grid=grid,
+                                      out=str(tmp_path / "out"), **content)
+            proc = subprocess.run(
+                [sys.executable, "-m", "qlqg.cli", command, "--scenario", scenario],
+                capture_output=True, text=True, env=env, preexec_fn=cap_address_space,
+            )
+            assert proc.returncode == 2, proc.stderr
+            assert "Traceback" not in proc.stderr
+            assert message in proc.stderr

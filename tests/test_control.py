@@ -11,14 +11,12 @@ from qlqg import (
 from qlqg.cli import gain_path_to_csv
 from qlqg.closed_loop import SimConfig, simulate_closed_loop
 from qlqg.control import (
-    ControlProblem,
-    FilterProblem,
     control_gain_path,
     control_path_via_duality,
     duality_map,
     hjb_residual,
 )
-from qlqg.errors import DimensionMismatch, GridMismatch, InvalidParameter
+from qlqg.errors import DimensionMismatch, InvalidParameter, ValidationError
 from qlqg.riccati import (
     CostSpec,
     MatrixPath,
@@ -35,14 +33,37 @@ def feedback_coefficients():
         N=[[0.0, 0.0], [0.0, 1.0]], M=[[0.0], [0.0]])
 
 
-def random_control_problem(rng, m=4, k=2, horizon=1.0):
-    """Random problem with a finite value function on the horizon."""
+def random_system(rng, m=4, k=2, d=2):
+    """Random coefficients and cost with a finite value function on [0, 1]."""
     A = 0.5 * rng.standard_normal((m, m))
     B = rng.standard_normal((m, k))
     G = 0.2 * rng.standard_normal((k, m))
     Q = 0.5 * rng.standard_normal((m, m))
-    F = G.T @ G + Q @ Q.T  # keeps the running cost bounded below
-    return ControlProblem(A=A, B=B, F=F, G=G, horizon=horizon)
+    W = 0.3 * rng.standard_normal((m, m))
+    R = rng.standard_normal((m, m))
+    coeffs = LinearCoefficients(A=A, B=B, C=rng.standard_normal((d, m)), N=R @ R.T,
+                                M=rng.standard_normal((m, d)))
+    # F - G'G >= 0 keeps the running cost bounded below
+    cost = CostSpec(F=G.T @ G + Q @ Q.T, G=G, Omega_T=W @ W.T)
+    return coeffs, cost
+
+
+def free_particle_regulator():
+    return feedback_coefficients(), CostSpec(F=[[1.0, 0.0], [0.0, 0.0]],
+                                             G=[[0.0, 0.0]], Omega_T=np.eye(2))
+
+
+FIELDS = ["A", "B", "C", "N", "M", "F", "G", "Omega_T"]
+
+
+def fields(coeffs, cost):
+    """The eight arrays of a (coefficients, cost) pair, in FIELDS order."""
+    return [coeffs.A, coeffs.B, coeffs.C, coeffs.N, coeffs.M, cost.F, cost.G, cost.Omega_T]
+
+
+def assert_same_fields(got, want):
+    for name, g, w in zip(FIELDS, got, want):
+        np.testing.assert_array_equal(g, w, err_msg=name)
 
 
 class TestGainPath:
@@ -105,91 +126,69 @@ class TestOptimalControl:
 
 class TestDualityMap:
     def test_filter_to_control_contents(self):
-        rng = np.random.default_rng(1)
-        N = rng.standard_normal((4, 4))
-        fp = FilterProblem(A=rng.standard_normal((4, 4)),
-                           C=rng.standard_normal((2, 4)),
-                           N=N @ N.T, M=rng.standard_normal((4, 2)), horizon=2.0)
-        cp = duality_map(fp)
-        np.testing.assert_array_equal(cp.A, fp.A.T)
-        np.testing.assert_array_equal(cp.B, fp.C.T)
-        np.testing.assert_array_equal(cp.F, fp.N)
-        np.testing.assert_array_equal(cp.G, fp.M.T)
-        assert cp.horizon == fp.horizon
+        coeffs, cost = random_system(np.random.default_rng(1), m=4, k=3, d=2)
+        dual = duality_map(coeffs, cost)
+        want = [coeffs.A.T, coeffs.C.T, coeffs.B.T, cost.F, cost.G.T,
+                coeffs.N, coeffs.M.T, cost.Omega_T]
+        assert_same_fields(fields(*dual), want)
+        assert (dual[0].k, dual[0].d) == (coeffs.d, coeffs.k)
 
     def test_involution_is_exact(self):
         rng = np.random.default_rng(2)
         for _ in range(10):
-            cp = random_control_problem(rng)
-            back = duality_map(duality_map(cp))
-            np.testing.assert_array_equal(back.A, cp.A)
-            np.testing.assert_array_equal(back.B, cp.B)
-            np.testing.assert_array_equal(back.F, cp.F)
-            np.testing.assert_array_equal(back.G, cp.G)
+            pair = random_system(rng)
+            assert_same_fields(fields(*duality_map(*duality_map(*pair))), fields(*pair))
 
     def test_permutation_round_trip(self):
-        rng = np.random.default_rng(3)
-        cp = random_control_problem(rng)
+        pair = random_system(np.random.default_rng(3))
         perm = [2, 0, 3, 1]
-        fp = duality_map(cp, permutation=perm)
+        dual = duality_map(*pair, permutation=perm)
         # applying the map back with the inverse relabelling restores data
-        cp2 = duality_map(fp, permutation=np.argsort(perm))
-        np.testing.assert_allclose(cp2.A, cp.A)
-        np.testing.assert_allclose(cp2.B, cp.B)
-        np.testing.assert_allclose(cp2.F, cp.F)
-        np.testing.assert_allclose(cp2.G, cp.G)
+        back = duality_map(*dual, permutation=np.argsort(perm))
+        assert_same_fields(fields(*back), fields(*pair))
 
     def test_free_particle_pair_with_coordinate_swap(self):
         # the position-monitored particle and its regulator problem are
         # images of each other once position and momentum are swapped
         measurement = build_coefficients(free_particle_model())
-        cp = ControlProblem(A=[[0.0, 1.0], [0.0, 0.0]], B=[[0.0], [2.0]],
-                            F=[[1.0, 0.0], [0.0, 0.0]], G=[[0.0, 0.0]], horizon=5.0)
-        fp = duality_map(cp, permutation=[1, 0])
-        np.testing.assert_array_equal(fp.A, measurement.A)
-        np.testing.assert_array_equal(fp.C, measurement.C)
-        np.testing.assert_array_equal(fp.N, measurement.N)
-        np.testing.assert_array_equal(fp.M, np.zeros((2, 1)))
+        dual, _ = duality_map(*free_particle_regulator(), permutation=[1, 0])
+        np.testing.assert_array_equal(dual.A, measurement.A)
+        np.testing.assert_array_equal(dual.C, measurement.C)
+        np.testing.assert_array_equal(dual.N, measurement.N)
+        np.testing.assert_array_equal(dual.M, np.zeros((2, 1)))
 
     def test_rejects_bad_permutation(self):
-        cp = random_control_problem(np.random.default_rng(4))
+        pair = random_system(np.random.default_rng(4))
         with pytest.raises(InvalidParameter):
-            duality_map(cp, permutation=[0, 1, 1, 2])
+            duality_map(*pair, permutation=[0, 1, 1, 2])
 
-    def test_rejects_unknown_type(self):
-        with pytest.raises(InvalidParameter):
-            duality_map(object())
+    def test_rejects_cost_of_other_shape(self):
+        coeffs, cost = random_system(np.random.default_rng(6), m=4, k=2)
+        _, other = random_system(np.random.default_rng(6), m=3, k=2)
+        with pytest.raises(DimensionMismatch):
+            duality_map(coeffs, other)
+        _, other = random_system(np.random.default_rng(6), m=4, k=1)
+        with pytest.raises(ValidationError, match="controls"):
+            duality_map(coeffs, other)
 
 
 class TestDualRoute:
     def test_random_systems_agree_with_direct_integration(self):
+        # the dual's filter lift is the value flow's lift, entry for entry
         rng = np.random.default_rng(9)
         grid = TimeGrid(0.0, 1.0, 1000)
         for _ in range(5):
-            cp = random_control_problem(rng, m=4, k=2, horizon=1.0)
-            W = 0.3 * rng.standard_normal((4, 4))
-            Omega_T = W @ W.T
-            coeffs = LinearCoefficients(A=cp.A, B=cp.B, C=np.zeros((1, 4)),
-                                        N=np.zeros((4, 4)), M=np.zeros((4, 1)))
-            cost = CostSpec(F=cp.F, G=cp.G, Omega_T=Omega_T)
+            coeffs, cost = random_system(rng, m=4, k=2)
             direct = integrate_control_riccati(coeffs, cost, grid)
-            dual = control_path_via_duality(cp, Omega_T, grid)
-            assert np.abs(direct.values - dual.values).max() < 1e-8
+            dual = control_path_via_duality(coeffs, cost, grid)
+            np.testing.assert_array_equal(dual.values, direct.values)
 
     def test_free_particle_with_swap(self):
         grid = TimeGrid(0.0, 5.0, 5000)
-        cp = ControlProblem(A=[[0.0, 1.0], [0.0, 0.0]], B=[[0.0], [2.0]],
-                            F=[[1.0, 0.0], [0.0, 0.0]], G=[[0.0, 0.0]], horizon=5.0)
-        coeffs = feedback_coefficients()
-        cost = CostSpec(F=cp.F, G=cp.G, Omega_T=np.eye(2))
+        coeffs, cost = free_particle_regulator()
         direct = integrate_control_riccati(coeffs, cost, grid)
-        dual = control_path_via_duality(cp, np.eye(2), grid, permutation=[1, 0])
+        dual = control_path_via_duality(coeffs, cost, grid, permutation=[1, 0])
         assert np.abs(direct.values - dual.values).max() < 1e-8
-
-    def test_horizon_must_match_grid(self):
-        cp = random_control_problem(np.random.default_rng(5), horizon=2.0)
-        with pytest.raises(GridMismatch):
-            control_path_via_duality(cp, np.eye(4), TimeGrid(0.0, 1.0, 100))
 
 
 class TestHjbResidual:

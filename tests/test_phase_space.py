@@ -20,7 +20,6 @@ from qlqg.phase_space import (
     model_from_json,
     _require_real,
 )
-from qlqg.control import ControlProblem, FilterProblem
 from qlqg.kalman import MeasurementIncrement
 from qlqg.riccati import CostSpec, TimeGrid
 from qlqg.sme import DensityMatrix, FiniteModel
@@ -330,10 +329,6 @@ VALID_INPUTS = {
     GaussianBelief: dict(mean=np.array([1.0, 0.0]), cov=np.eye(2)),
     CostSpec: dict(F=np.eye(2), G=np.zeros((1, 2)), Omega_T=np.eye(2)),
     TimeGrid: dict(t0=0.0, t1=1.0, n_steps=10),
-    FilterProblem: dict(A=np.eye(2), C=np.ones((1, 2)), N=np.eye(2), M=np.zeros((2, 1)),
-                        horizon=1.0),
-    ControlProblem: dict(A=np.eye(2), B=np.ones((2, 1)), F=np.eye(2), G=np.zeros((1, 2)),
-                         horizon=1.0),
     MeasurementIncrement: dict(dY=np.array([0.1, -0.2]), dt=1e-3),
     DensityMatrix: dict(entries=np.array([[0.5, 0.25j], [-0.25j, 0.5]])),
     FiniteModel: dict(H0=np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex),
@@ -350,7 +345,7 @@ INPUT_FIELDS = [(ctor, name) for ctor, kwargs in VALID_INPUTS.items() for name i
        imaginary=st.booleans())
 def test_any_non_finite_input_is_rejected(ctor, name, bad, index, imaginary):
     # NaN, +inf or -inf in any entry of any array input, or as any scalar
-    # (positive ones like hbar, horizon and dt included), is a ValidationError
+    # (positive ones like hbar and dt included), is a ValidationError
     kwargs = dict(VALID_INPUTS[ctor])
     ctor(**kwargs)  # unspoiled, the inputs construct
     value = kwargs[name]
