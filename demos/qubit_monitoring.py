@@ -15,7 +15,6 @@ from qlqg.sme import (
     FiniteModel,
     evolve_master,
     simulate_sme_ensemble,
-    simulate_sme_trajectory,
     trace_distance,
 )
 
@@ -28,8 +27,8 @@ grid = TimeGrid(0.0, 3.0, 3000)
 print("three individual measurement records, <sigma_z> over time:")
 for seed in (1, 2, 3):
     config = SimConfig(grid=grid, n_traj=1, seed=seed, record_stride=300)
-    traj = simulate_sme_trajectory(rho0, model, None, config)
-    zs = traj.expectation_path(SZ)
+    states = simulate_sme_ensemble(rho0, model, config).mean_states
+    zs = np.einsum("tij,ji->t", states, SZ)
     print(f"  seed {seed}: " + "  ".join(f"{z:+.3f}" for z in zs.real))
 
 config = SimConfig(grid=grid, n_traj=2000, seed=99, record_stride=3000)

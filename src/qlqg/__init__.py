@@ -66,7 +66,6 @@ from .sme import (
     DensityMatrix,
     FiniteModel,
     SmeEnsemble,
-    SmeTrajectory,
     discrete_conditioning,
     evolve_master,
     finite_model_from_json,
@@ -74,7 +73,6 @@ from .sme import (
     lindblad_schrodinger,
     master_step,
     simulate_sme_ensemble,
-    simulate_sme_trajectory,
     sme_step,
     trace_distance,
     weak_measurement_unitary,

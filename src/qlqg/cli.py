@@ -439,12 +439,12 @@ def _report_exit(results) -> int:
 
 
 def cmd_free_particle(args) -> int:
-    overrides = {}
-    if args.n_traj is not None:
-        overrides["n_traj"] = args.n_traj
-    else:
-        overrides["n_traj"] = 500  # the reproduction run favours speed
-    return _report_exit(run_suites(overrides, names=FREE_PARTICLE_SUITES))
+    # the reproduction run favours speed
+    n_traj = 500 if args.n_traj is None else args.n_traj
+    if n_traj < 2:
+        # one trajectory has no standard error, so the cost claim cannot pass
+        raise ConfigError(f"--n-traj must be >= 2, got {n_traj}")
+    return _report_exit(run_suites({"n_traj": n_traj}, names=FREE_PARTICLE_SUITES))
 
 
 def cmd_validate(args) -> int:

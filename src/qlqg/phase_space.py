@@ -40,6 +40,9 @@ __all__ = [
 
 #: imaginary residue tolerated before a derived coefficient is rejected
 REAL_TOL = 1e-12
+#: lowest eigenvalue allowed in a matrix that must be positive
+#: semidefinite: N, F and Omega_T, so a cost and its dual pass alike
+PSD_FLOOR = -1e-12
 #: asymmetry tolerated in matrices that are symmetrized on input
 SYM_TOL = 1e-10
 #: eigenvalue floor for the uncertainty check
@@ -81,8 +84,21 @@ def _fits_in_memory(what: str):
         raise InvalidParameter(f"{what} larger than memory allows") from exc
 
 
+def _count(value, name: str, low: int) -> int:
+    """``value`` as an int, or InvalidParameter unless it is an integer
+    >= ``low`` (a bool is not one)."""
+    if isinstance(value, bool) or not (
+        isinstance(value, (int, np.integer)) and value >= low
+    ):
+        raise InvalidParameter(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
 def _asarray(value, dtype, shape, name: str) -> np.ndarray:
-    arr = np.array(value, dtype=dtype)
+    try:
+        arr = np.array(value, dtype=dtype)
+    except (TypeError, ValueError):
+        raise InvalidParameter(f"{name} must be numbers, got {value!r}") from None
     if arr.shape != shape:
         raise DimensionMismatch(
             f"{name} must have shape {shape}, got {arr.shape}"
@@ -209,7 +225,7 @@ class LinearCoefficients:
             raise DimensionMismatch(f"C must have shape (d, {m}), got {C.shape}")
         d = C.shape[0]
         N = _symmetrize(_asarray(self.N, float, (m, m), "N"), "N")
-        if float(np.min(np.linalg.eigvalsh(N))) < -REAL_TOL:
+        if float(np.min(np.linalg.eigvalsh(N))) < PSD_FLOOR:
             raise ValidationError("N must be positive semidefinite")
         M = _asarray(self.M, float, (m, d), "M")
         for name, arr in (("A", A), ("B", B), ("C", C), ("N", N), ("M", M)):
@@ -271,7 +287,7 @@ def build_coefficients(model: PhaseSpaceModel) -> LinearCoefficients:
         ``B = J (K + conj(K))``, output ``C = Lambda + conj(Lambda)``,
         noise intensity ``N`` and correlation ``M``.  Each is checked to
         be real within tolerance; ``N`` is additionally symmetrized and
-        must be positive semidefinite up to an eigenvalue floor.
+        must be positive semidefinite down to ``PSD_FLOOR``.
 
     Raises
     ------
@@ -292,7 +308,7 @@ def build_coefficients(model: PhaseSpaceModel) -> LinearCoefficients:
 
     N = 0.5 * (N + N.T)
     floor = float(np.min(np.linalg.eigvalsh(N)))
-    if floor < -REAL_TOL:
+    if floor < PSD_FLOOR:
         raise ValidationError(
             f"noise intensity lost positivity (min eigenvalue {floor:.3e})"
         )

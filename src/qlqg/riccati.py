@@ -37,10 +37,12 @@ from .errors import (
     ValidationError,
 )
 from .phase_space import (
+    PSD_FLOOR,
     UNCERTAINTY_TOL,
     LinearCoefficients,
     check_uncertainty,
     _asarray,
+    _count,
     _finite,
     _fits_in_memory,
     _frozen,
@@ -65,8 +67,6 @@ __all__ = [
 #: entries beyond this magnitude abort integration (finite-time escape)
 ESCAPE_LIMIT = 1e12
 
-_PSD_TOL = -1e-10
-
 #: a block of lift steps ends at the first power of the one-step map
 #: with an entry this large, and has at most ``_BLOCK_MAX`` steps
 _POWER_BOUND = 2.0
@@ -88,10 +88,7 @@ class TimeGrid:
             )
         if not self.t1 > self.t0:
             raise InvalidParameter(f"need t1 > t0, got [{self.t0}, {self.t1}]")
-        if isinstance(self.n_steps, bool) or not (
-            isinstance(self.n_steps, (int, np.integer)) and self.n_steps >= 1
-        ):
-            raise InvalidParameter(f"n_steps must be an integer >= 1, got {self.n_steps}")
+        _count(self.n_steps, "n_steps", 1)
 
     @property
     def dt(self) -> float:
@@ -147,7 +144,7 @@ class CostSpec:
             raise ValidationError(f"G must have shape (k, {m}), got {G.shape}")
         Omega_T = _symmetrize(_asarray(self.Omega_T, float, (m, m), "Omega_T"), "Omega_T")
         for name, arr in (("F", F), ("Omega_T", Omega_T)):
-            if float(np.min(np.linalg.eigvalsh(arr))) < _PSD_TOL:
+            if float(np.min(np.linalg.eigvalsh(arr))) < PSD_FLOOR:
                 raise ValidationError(f"{name} must be positive semidefinite")
         object.__setattr__(self, "F", _frozen(F))
         object.__setattr__(self, "G", _frozen(G))

@@ -16,16 +16,17 @@ built from K and the Lc through their Kronecker form and a change of
 basis: G itself, and for each channel M_c, the map rho -> Lc rho + rho Lc'.
 
 An ensemble is an (n^2, B) array, one trajectory per column, the layout
-the closed loop uses.  One Euler step filters every record (ensembles,
-single trajectories and :func:`sme_step`): one real GEMM of the stacked
+the closed loop uses.  One Euler step filters every record (ensembles
+and :func:`sme_step`): one real GEMM of the stacked
 [(I + dt G); M_1; ...; M_d] against the coordinates, then passes over
-contiguous rows of length B.  The GEMMs are real, not complex, and B is
-the closed loop's chunk width, a multiple of 8 columns, so a trajectory
-rounds alike in every batch and replays bit for bit from
-``(seed, index)``.  The master flow steps one state by the one matrix
-sum_{k<=4} (dt G)^k / k!, its RK4 step.  The public types stay complex;
-states are converted at record rows, at the end of a chunk and for a
-feedback policy.
+contiguous rows of length B.  Feedback on the filter state rides the same
+GEMM: the readouts tr(rho O_j) and the control maps are more rows of the
+stack, so each column steps under its own control.  The GEMMs are real,
+not complex, and B is the closed loop's chunk width, a multiple of 8
+columns, so a trajectory rounds alike in every batch and replays bit for
+bit from ``(seed, index)``.  The master flow steps one state by the one
+matrix sum_{k<=4} (dt G)^k / k!, its RK4 step.  The public types stay
+complex; states are converted at record rows and at the end of a chunk.
 
 Three independent oracles check the flows: the commutator-form
 generators (:func:`lindblad_schrodinger`, :func:`lindblad_heisenberg`)
@@ -64,6 +65,8 @@ from .errors import (
     PositivityLoss,
 )
 from .phase_space import (
+    _asarray,
+    _count,
     _finite,
     _fits_in_memory,
     _frozen,
@@ -79,14 +82,12 @@ from .riccati import TimeGrid
 __all__ = [
     "DensityMatrix",
     "FiniteModel",
-    "SmeTrajectory",
     "SmeEnsemble",
     "lindblad_heisenberg",
     "lindblad_schrodinger",
     "master_step",
     "evolve_master",
     "sme_step",
-    "simulate_sme_trajectory",
     "simulate_sme_ensemble",
     "discrete_conditioning",
     "weak_measurement_unitary",
@@ -101,10 +102,6 @@ TRACE_TOL = 1e-9
 
 #: eigenvalue floor; below this the step size was too coarse
 POSITIVITY_FLOOR = -1e-6
-
-
-def _dagger(X: np.ndarray) -> np.ndarray:
-    return X.conj().swapaxes(-1, -2)
 
 
 def trace_norm(X: NDArray[np.complex128]) -> float:
@@ -185,7 +182,11 @@ def _hermitian(term: np.ndarray, name: str) -> np.ndarray:
 
 
 def _stack_operators(ops, n: int, what: str) -> np.ndarray:
-    arr = _finite(np.asarray(ops, dtype=complex), what)
+    try:
+        arr = np.asarray(ops, dtype=complex)
+    except (TypeError, ValueError):
+        raise InvalidParameter(f"{what} must be numbers, got {ops!r}") from None
+    arr = _finite(arr, what)
     if arr.size == 0:
         return np.zeros((0, n, n), dtype=complex)
     if arr.ndim == 2:
@@ -379,25 +380,52 @@ def _lindblad_map(model: FiniteModel, u) -> np.ndarray:
     """
     n, Ls = model.dim, model.L_list
     K = (-1j / model.hbar) * model.hamiltonian(u)
-    K -= 0.5 * np.matmul(_dagger(Ls), Ls).sum(axis=0)
+    K -= 0.5 * np.matmul(Ls.conj().swapaxes(1, 2), Ls).sum(axis=0)
     I = np.eye(n)
     terms = [(K, I), (I, K.conj().T)] + [(L, L.conj().T) for L in Ls]
     return _superoperator(terms, n)
 
 
-def _sme_stack(model: FiniteModel, u, dt: float) -> np.ndarray:
+def _sme_stack(model: FiniteModel, u, dt: float, readouts=None) -> np.ndarray:
     """The stacked factor [(I + dt G); M_1; ...; M_d] of one filtering step.
 
     M_c is the map rho -> Lc rho + rho Lc' on coordinates; the stack is a
-    real ((d + 1) n^2, n^2) matrix, built once per control.  A model too
-    large for it raises InvalidParameter.
+    real ((d + 1) n^2, n^2) matrix, built once per control.  With the
+    (m, n^2) ``readouts`` of a feedback it goes on with dt G_k for every
+    control, G_k the map rho -> -i[H_k, rho]/hbar, and then those rows.
+    A model too large for it raises InvalidParameter.
     """
     n = model.dim
     I = np.eye(n)
     with _fits_in_memory(f"a dim-{n} model needs filtering maps"):
         step = np.eye(n * n) + dt * _lindblad_map(model, u)
         maps = [_superoperator([(L, I), (I, L.conj().T)], n) for L in model.L_list]
+        if readouts is not None:
+            for H in model.H_controls:
+                K = (-1j * dt / model.hbar) * H
+                maps.append(_superoperator([(K, I), (I, K.conj().T)], n))
+            maps.append(readouts)
         return np.concatenate([step] + maps)
+
+
+def _readouts(observables: np.ndarray) -> np.ndarray:
+    """The (m, n^2) rows whose product with coordinates is tr(rho O_j).
+
+    tr(rho O) sums rho_ii O_ii and, for i < j, 2 Re(rho_ij conj(O_ij)):
+    the coordinates of O with the off-diagonal entries doubled.
+    """
+    rows = _coords(observables).T
+    rows[:, observables.shape[-1]:] *= 2.0
+    return rows
+
+
+def _feedback(gain: np.ndarray, r: np.ndarray) -> list[np.ndarray]:
+    """-gain r on (m, B) readouts, one row of length B per control.
+
+    Summed column by column in a fixed order: as a one-row product it
+    would go to GEMV, which rounds apart from the stacked GEMM.
+    """
+    return [sum(-g_j * r_j for g_j, r_j in zip(g, r)) for g in gain]
 
 
 def _master_map(model: FiniteModel, u, dt: float) -> np.ndarray:
@@ -461,7 +489,7 @@ def evolve_master(
     :func:`_check_states`, unit trace included, and a failure names the
     first failing step and its time.
     """
-    if grid.n_steps % record_stride != 0:
+    if grid.n_steps % _count(record_stride, "record_stride", 1) != 0:
         raise InvalidParameter(
             f"record_stride {record_stride} does not divide {grid.n_steps}"
         )
@@ -488,8 +516,9 @@ def evolve_master(
 
 
 def _sme_update(
-    h: np.ndarray, stack: np.ndarray, dW: np.ndarray, Z: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+    h: np.ndarray, stack: np.ndarray, dW: np.ndarray, Z: np.ndarray,
+    e_sum: np.ndarray, gain: np.ndarray | None = None,
+) -> np.ndarray:
     """One Euler step of the filtering equation on (n^2, B) coordinates.
 
     With ``stack`` = [(I + dt G); M_1; ...; M_d] from :func:`_sme_stack`
@@ -499,26 +528,35 @@ def _sme_update(
         h' = (I + dt G) h + sum_c dW[c] (M_c h - e_c h),
 
     divided by its trace afterwards: one real GEMM of the stack against
-    the coordinates, into the ((d + 1) n^2, B) buffer ``Z`` (which must not
+    the coordinates, into the (len(stack), B) buffer ``Z`` (which must not
     overlap ``h``), then passes over contiguous rows of length B.  ``dW``
     is a step's (d, B) noise as :func:`_run_chunks` yields it.  Each
     column is a trajectory whose arithmetic does not depend on the others,
     and B is :func:`_chunk_width`'s, so the GEMM rounds a column alike in
-    every batch.  Returns the new coordinates, a view into ``Z``, and e of
-    the input states, one row of length B per channel, from which the
-    record is built.
+    every batch.  e of the input states is added into the (d, B) record
+    sum ``e_sum``.  Under a feedback ``gain`` (k, m) the stack carries
+    the rows of dt G_k and of the m readouts, and column b steps under
+    its own control: v = -gain r of its readouts r is added to the
+    control of the stack's G as sum_k v_k (dt G_k h).  Returns the new
+    coordinates, a view into ``Z``.
     """
     n2, B = h.shape
+    d = len(e_sum)
     np.matmul(stack, h, out=Z)
-    out, *maps = Z.reshape(-1, n2, B)
-    e = []
+    out, *maps = Z[:(d + 1) * n2].reshape(-1, n2, B)
     for c, Mh in enumerate(maps):
-        e.append(_trace(Mh))
-        Mh -= e[c] * h
+        e = _trace(Mh)
+        e_sum[c] += e
+        Mh -= e * h
         Mh *= dW[c]
         out += Mh
+    if gain is not None:
+        drives = Z[(d + 1) * n2:(d + 1 + len(gain)) * n2].reshape(-1, n2, B)
+        for v, Gh in zip(_feedback(gain, Z[(d + 1 + len(gain)) * n2:]), drives):
+            Gh *= v
+            out += Gh
     out *= 1.0 / _trace(out)
-    return out, e
+    return out
 
 
 def _min_eigenvalues(h: np.ndarray) -> np.ndarray:
@@ -596,123 +634,19 @@ def sme_step(
     dW = np.zeros((model.n_channels, B))
     for c, Mh in enumerate((stack[n2:] @ h).reshape(-1, n2, B)):
         dW[c, 0] = dY[c] - _trace(Mh)[0] * dt
-    out, _ = _sme_update(h, stack, dW, np.empty((len(stack), B)))
+    out = _sme_update(h, stack, dW, np.empty((len(stack), B)), np.zeros(dW.shape))
     _check_states(out[:, :1], lambda _: "the filtering step")
     return DensityMatrix(_assembled(out[:, :1])[0])
 
 
 @dataclass(frozen=True)
-class SmeTrajectory:
-    """One filtered path at the recorded times.
-
-    ``outputs`` holds measurement-record increments accumulated over the
-    interval ending at each row (first row zero).  Indexing yields
-    ``(t, DensityMatrix, dY, u)`` tuples.
-    """
-
-    times: NDArray[np.float64]
-    states: NDArray[np.complex128]
-    outputs: NDArray[np.float64]
-    controls: NDArray[np.float64]
-
-    def __len__(self) -> int:
-        return self.times.shape[0]
-
-    def __getitem__(self, i: int):
-        return (
-            float(self.times[i]),
-            DensityMatrix(self.states[i]),
-            self.outputs[i],
-            self.controls[i],
-        )
-
-    def expectation_path(self, X) -> NDArray[np.complex128]:
-        """Tr[rho_t X] at every recorded time."""
-        X = np.asarray(X, dtype=complex)
-        return np.einsum("tij,ji->t", self.states, X)
-
-
-def simulate_sme_trajectory(
-    rho0: DensityMatrix,
-    model: FiniteModel,
-    control_policy,
-    config: SimConfig,
-    index: int = 0,
-) -> SmeTrajectory:
-    """Drive the filtering equation with simulated innovations.
-
-    ``control_policy`` maps ``(t, DensityMatrix)`` to a control vector
-    (``None`` keeps every control off); feedback through the filter
-    state is exactly the admissible dependence on the output record.
-    The record is reconstructed as dY = <L+L'> dt + dW from the
-    trajectory's own noise stream, that of ``(config.seed, index)``: under
-    a constant control the states are those of trajectory ``index`` of
-    :func:`simulate_sme_ensemble`, bit for bit, so any trajectory a
-    failure names can be replayed alone.
-    """
-    if config.n_traj != 1:
-        raise InvalidParameter(
-            "single-trajectory simulation requires n_traj=1; "
-            "use simulate_sme_ensemble for ensembles"
-        )
-    if isinstance(index, bool) or not (
-        isinstance(index, (int, np.integer)) and index >= 0
-    ):
-        raise InvalidParameter(f"index must be an integer >= 0, got {index!r}")
-    _require_dim(rho0, model)
-    n, d = model.dim, model.n_channels
-    grid = config.grid
-    dt = grid.dt
-    n_rec = config.n_records
-    # a policy is called at every grid time
-    times = None if control_policy is None else grid.times()
-
-    def run(start: int, stop: int, noise: np.ndarray):
-        path = np.empty((n * n, n_rec))
-        outputs = np.zeros((n_rec, d))
-        controls = np.zeros((n_rec, model.n_controls))
-        u = None if control_policy is None else control_policy(times[0], rho0)
-        stack = _sme_stack(model, u, dt)
-        h = np.repeat(_coords(rho0.entries[None]), _chunk_width(1), axis=1)
-        # the product of a step goes into one buffer while the state it
-        # reads sits in the other
-        products = np.empty((2, len(stack), h.shape[1]))
-        path[:, 0] = h[:, 0]
-        if u is not None:
-            controls[0] = np.asarray(u, dtype=float).reshape(-1)
-        block = np.zeros(d)
-        row = 1
-        for step, dW in enumerate(noise):
-            h, e = _sme_update(h, stack, dW, products[step % 2])
-            block += np.array([e_c[0] for e_c in e]) * dt + dW[:, 0]
-            _check_states(h[:, :1], lambda b: _at(config, start + b, step + 1))
-            if control_policy is not None:
-                rho = DensityMatrix(_assembled(h[:, :1])[0])
-                u_next = control_policy(times[step + 1], rho)
-                if not np.array_equal(u_next, u):
-                    u, stack = u_next, _sme_stack(model, u_next, dt)
-            if (step + 1) % config.record_stride == 0:
-                path[:, row] = h[:, 0]
-                outputs[row] = block
-                if u is not None:
-                    controls[row] = np.asarray(u, dtype=float).reshape(-1)
-                block = np.zeros(d)
-                row += 1
-        return _assembled(path), outputs, controls
-
-    [(states, outputs, controls)] = _run_chunks(config, d, run, first=int(index))
-    for arr in (states, outputs, controls):
-        _frozen(arr)
-    return SmeTrajectory(
-        times=_frozen(grid.times(config.record_stride)),
-        states=states, outputs=outputs, controls=controls,
-    )
-
-
-@dataclass(frozen=True)
 class SmeEnsemble:
-    """Ensemble summary: mean state path plus per-trajectory endpoints.
+    """Ensemble summary: mean paths plus per-trajectory endpoints.
 
+    At each recorded time, ``mean_states`` is the mean filter state,
+    ``mean_outputs`` the mean record increment dY accumulated over the
+    interval ending there (first row zero) and ``mean_controls`` the mean
+    control; for one trajectory they are that trajectory's own.
     ``min_eigenvalue`` is the most negative eigenvalue seen at any step
     of any trajectory; ``max_trace_deviation`` the largest |Tr-1| after
     renormalization.
@@ -721,6 +655,8 @@ class SmeEnsemble:
     config: SimConfig
     times: NDArray[np.float64]
     mean_states: NDArray[np.complex128]
+    mean_outputs: NDArray[np.float64]
+    mean_controls: NDArray[np.float64]
     final_states: NDArray[np.complex128]
     min_eigenvalue: float
     max_trace_deviation: float
@@ -734,20 +670,47 @@ def simulate_sme_ensemble(
     model: FiniteModel,
     config: SimConfig,
     u=None,
+    feedback=None,
+    first: int = 0,
 ) -> SmeEnsemble:
-    """Many filtering trajectories under a constant control.
+    """Filtering trajectories ``first`` to ``first + n_traj - 1`` of a seed.
 
-    Trajectories run in fixed-size batches with one counter-based noise
-    stream per trajectory, so results are independent of batch layout
-    and of the ``QLQG_THREADS`` worker count.  Positivity and the trace
-    are checked after every step of every trajectory; the worst values
-    are reported on the ensemble.  Feedback policies need the
-    single-trajectory entry point.
+    Each trajectory's record is dY = <L+L'> dt + dW, with dW from its own
+    counter-based noise stream, that of ``(config.seed, index)``.  The
+    control is ``u`` (``None`` keeps every control off), and under
+    ``feedback=(observables, gain)`` it is u - gain r at every grid time,
+    with the readouts r_j = tr(rho O_j) of the trajectory's own filter
+    state: feedback through the filter state is exactly the admissible
+    dependence on the output record.  ``gain`` is (k, m) for k controls
+    and m Hermitian observables.
+
+    Trajectories run in fixed-size batches, so results are independent
+    of batch layout, of ``first`` and of the ``QLQG_THREADS`` worker
+    count: trajectory i is the same, bit for bit, in every run that holds
+    it, and ``n_traj=1, first=i`` replays it alone.  Positivity and the
+    trace are checked after every step of every trajectory; the worst
+    values are reported on the ensemble.
     """
     _require_dim(rho0, model)
+    first = _count(first, "first", 0)
     n, d, grid = model.dim, model.n_channels, config.grid
-    stack = _sme_stack(model, u, grid.dt)
+    gain = readouts = None
+    if feedback is not None:
+        try:
+            observables, gain = feedback
+        except (TypeError, ValueError):
+            raise InvalidParameter("feedback must be an (observables, gain) pair") from None
+        observables = _stack_operators(observables, n, "feedback observables")
+        if len(observables) == 0:
+            raise InvalidParameter("feedback needs at least one observable")
+        for j, O in enumerate(observables):
+            _hermitian(O, f"feedback observable {j}")
+        gain = _asarray(gain, float, (model.n_controls, len(observables)), "feedback gain")
+        readouts = _readouts(observables)
+    stack = _sme_stack(model, u, grid.dt, readouts)
+    u = np.zeros(model.n_controls) if u is None else np.asarray(u, dtype=float).ravel()
     start_coords = _coords(rho0.entries[None])
+    n_rec = config.n_records
     with _fits_in_memory(f"n_traj {config.n_traj} needs result arrays"):
         finals = np.empty((config.n_traj, n, n), dtype=complex)
 
@@ -759,28 +722,52 @@ def simulate_sme_ensemble(
         # the product of a step goes into one buffer while the state it
         # reads sits in the other
         products = np.empty((2, len(stack), h.shape[1]))
-        path = np.empty((n * n, config.n_records))
-        path[:, 0] = h[:, :rows].sum(axis=1)
+        # the record over a block of steps is dt sum e + sum dW
+        e_sum, dW_sum = np.zeros((2, d, h.shape[1]))
+        path = np.empty((n * n, n_rec))
+        outputs = np.zeros((d, n_rec))
+        controls = np.empty((len(u), n_rec))
+
+        def record(row: int) -> None:
+            path[:, row] = h[:, :rows].sum(axis=1)
+            if gain is not None:
+                for k, v in enumerate(_feedback(gain, readouts @ h)):
+                    controls[k, row] = (v[:rows] + u[k]).sum()
+
+        record(0)
         low = float(_min_eigenvalues(h[:, :rows]).min())
         trace_dev = 0.0
         row = 1
         for step, dW in enumerate(noise):
-            h = _sme_update(h, stack, dW, products[step % 2])[0]
+            h = _sme_update(h, stack, dW, products[step % 2], e_sum, gain)
+            dW_sum += dW
             step_dev, step_low = _check_states(
                 h[:, :rows], lambda b: _at(config, start + b, step + 1))
             trace_dev = max(trace_dev, step_dev)
             low = min(low, step_low)
             if (step + 1) % config.record_stride == 0:
-                path[:, row] = h[:, :rows].sum(axis=1)
+                e_sum *= grid.dt
+                e_sum += dW_sum
+                outputs[:, row] = e_sum[:, :rows].sum(axis=1)
+                e_sum[:] = 0.0
+                dW_sum[:] = 0.0
+                record(row)
                 row += 1
-        finals[start:stop] = _assembled(h[:, :rows])
-        return path, low, trace_dev
+        finals[start - first:stop - first] = _assembled(h[:, :rows])
+        return path, outputs, controls, low, trace_dev
 
-    paths, lows, trace_devs = zip(*_run_chunks(config, d, run_chunk))
+    paths, outputs, controls, lows, trace_devs = zip(
+        *_run_chunks(config, d, run_chunk, first=first))
+    if gain is None:
+        mean_controls = np.tile(u, (n_rec, 1))
+    else:
+        mean_controls = np.sum(controls, axis=0).T / config.n_traj
     return SmeEnsemble(
         config=config,
         times=_frozen(grid.times(config.record_stride)),
         mean_states=_frozen(_assembled(np.sum(paths, axis=0) / config.n_traj)),
+        mean_outputs=_frozen(np.sum(outputs, axis=0).T / config.n_traj),
+        mean_controls=_frozen(mean_controls),
         final_states=_frozen(finals),
         min_eigenvalue=float(min(lows)),
         max_trace_deviation=float(max(trace_devs)),

@@ -203,6 +203,22 @@ class TestRiccati:
         _, b = read_csv(tmp_path / "v" / "omega_path.csv")
         np.testing.assert_allclose(a, b, atol=1e-8)
 
+    @pytest.mark.parametrize("low, code", [(-5e-11, 2), (-5e-13, 0)])
+    def test_both_routes_share_one_psd_floor(self, tmp_path, capsys, low, code):
+        # the dual takes F as its noise intensity N, so F is held to N's floor
+        scenario = write_scenario(
+            tmp_path,
+            model={"preset": "free-particle", "feedback": True},
+            cost={"F": [[1.0, 0.0], [0.0, low]], "G": [[0.0, 0.0]],
+                  "Omega_T": [[1.0, 0.0], [0.0, 1.0]]},
+            grid={"t0": 0.0, "t1": 1.0, "n_steps": 100},
+            direction="control",
+            out=str(tmp_path / "out"),
+        )
+        for flags in ([], ["--dual"]):
+            assert cli.main(["riccati", "--scenario", scenario, *flags]) == code
+            assert ("F must be positive semidefinite" in capsys.readouterr().err) == bool(code)
+
     def test_initial_cov_falls_back_to_sim_block(self, tmp_path):
         scenario = write_scenario(
             tmp_path,
@@ -565,6 +581,14 @@ class TestValidateSuites:
         out = capsys.readouterr().out
         assert "all 6 suites passed" in out
         assert "optimality-probe" in out
+
+    @pytest.mark.parametrize("n_traj", ["0", "-3", "1"])
+    def test_free_particle_needs_two_trajectories(self, capsys, n_traj):
+        # rejected input, before any suite runs
+        assert cli.main(["free-particle", "--n-traj", n_traj]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"--n-traj must be >= 2, got {n_traj}" in err
 
     def test_validate_command_all_green(self, capsys):
         assert cli.main(["validate"]) == 0

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -29,7 +30,6 @@ from qlqg.sme import (
     lindblad_schrodinger,
     master_step,
     simulate_sme_ensemble,
-    simulate_sme_trajectory,
     sme_step,
     trace_distance,
     trace_norm,
@@ -41,6 +41,7 @@ from qlqg.sme import (
     _check_states,
     _coords,
     _lindblad_map,
+    _readouts,
     _sme_stack,
     _sme_update,
     _trace,
@@ -117,6 +118,24 @@ def layout_case(case):
 
 LAYOUT_CASES = ["H0=0", "H0!=0", "n=2-d=1", "n=3-d=1", "n=3-d=2", "n=4-d=1",
                 "n=5-d=1", "n=5-d=2", "n=9-d=2", "dim=1"]
+
+
+def layout_feedback(model):
+    """A feedback of the layout cases: two random Hermitian readouts and a
+    gain small enough to keep 50 steps above the eigenvalue floor."""
+    rng = np.random.default_rng(model.dim + 100 * model.n_controls)
+    n = model.dim
+    observables = []
+    for _ in range(2):
+        O = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        observables.append(O + O.conj().T)
+    return observables, 0.5 * rng.standard_normal((model.n_controls, 2))
+
+
+def replay(rho0, model, grid, seed, index, **kwargs):
+    """Trajectory ``index`` of ``seed`` run alone."""
+    return simulate_sme_ensemble(
+        rho0, model, SimConfig(grid=grid, n_traj=1, seed=seed), first=index, **kwargs)
 
 
 def rk4_reference(rho, model, u, dt):
@@ -308,8 +327,8 @@ class TestLindblad:
         stack = _sme_stack(model, [0.4], 1e-3)
         h = _coords(np.stack([random_state(rng, 3).entries for _ in range(8)]))
         for _ in range(20):
-            h, _ = _sme_update(h, stack, 0.03 * rng.standard_normal((2, 8)),
-                               np.empty((len(stack), 8)))
+            h = _sme_update(h, stack, 0.03 * rng.standard_normal((2, 8)),
+                            np.empty((len(stack), 8)), np.zeros((2, 8)))
             states = _assembled(h)
             np.testing.assert_array_equal(states, states.conj().swapaxes(1, 2))
             np.testing.assert_array_equal(_coords(states), h)
@@ -354,6 +373,15 @@ class TestPlaneKernel:
                 np.testing.assert_array_equal(
                     (left @ padded)[:, :width], wide[:, :width],
                     err_msg=f"{name}, width={width}")
+
+    def test_readout_rows_give_expectations(self):
+        rng = np.random.default_rng(61)
+        states = np.stack([random_state(rng, 3).entries for _ in range(5)])
+        O = rng.standard_normal((2, 3, 3)) + 1j * rng.standard_normal((2, 3, 3))
+        O = O + O.conj().swapaxes(1, 2)
+        want = np.einsum("bij,kji->kb", states, O).real
+        np.testing.assert_allclose(_readouts(O) @ _coords(states), want,
+                                   rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("n", [3, 8, 12])
     def test_trace_rounds_alike_for_every_batch(self, n):
@@ -517,6 +545,12 @@ class TestMasterStep:
             evolve_master(plus_state(), dephasing_model(),
                           TimeGrid(0.0, 1.0, 10), record_stride=3)
 
+    @pytest.mark.parametrize("stride", [0, -5, 2.0, True])
+    def test_evolve_master_rejects_a_stride_that_is_not_a_count(self, stride):
+        with pytest.raises(InvalidParameter, match="record_stride must be an integer >= 1"):
+            evolve_master(plus_state(), dephasing_model(),
+                          TimeGrid(0.0, 1.0, 10), record_stride=stride)
+
     def test_truncated_oscillator_matches_moment_flow(self):
         # position-coupled free mass in a 40-level ladder basis: second
         # moments of the master flow track the unconditional Gaussian flow
@@ -611,11 +645,11 @@ class TestSmeStep:
         # the public step, gives back its states
         model = random_model(np.random.default_rng(2), 2)
         cfg = SimConfig(grid=TimeGrid(0.0, 0.05, 50), n_traj=1, seed=21)
-        traj = simulate_sme_trajectory(mixed_state(), model, None, cfg)
+        traj = simulate_sme_ensemble(mixed_state(), model, cfg)
         rho = mixed_state()
         for k in range(cfg.grid.n_steps):
-            rho = sme_step(rho, model, None, traj.outputs[k + 1], cfg.grid.dt)
-            np.testing.assert_allclose(rho.entries, traj.states[k + 1],
+            rho = sme_step(rho, model, None, traj.mean_outputs[k + 1], cfg.grid.dt)
+            np.testing.assert_allclose(rho.entries, traj.mean_states[k + 1],
                                        rtol=0, atol=1e-12)
 
     def test_rejects_channel_mismatch(self):
@@ -629,100 +663,101 @@ class TestSmeStep:
 
 
 class TestTrajectory:
-    def test_requires_single_trajectory_config(self):
-        cfg = SimConfig(grid=TimeGrid(0.0, 0.1, 100), n_traj=2, seed=0)
-        with pytest.raises(InvalidParameter, match="n_traj=1"):
-            simulate_sme_trajectory(plus_state(), dephasing_model(), None, cfg)
+    # one trajectory is the ensemble with n_traj=1: its mean paths are
+    # that trajectory's own
 
     def test_replays_any_ensemble_trajectory(self):
         # run alone from (seed, index), a trajectory ends where it ends
         # inside its 1300-trajectory ensemble: first and last of the first
-        # chunk, first and last of the second, for every layout case
+        # chunk, first and last of the second, for every layout case, under
+        # a constant control and under feedback
         grid = TimeGrid(0.0, 0.05, 50)
-        for case in LAYOUT_CASES:
+        for case, feedback in itertools.product(LAYOUT_CASES, [False, True]):
             model, rho0, u = layout_case(case)
+            kwargs = {"u": u, "feedback": layout_feedback(model) if feedback else None}
             ens = simulate_sme_ensemble(
-                rho0, model, SimConfig(grid=grid, n_traj=1300, seed=21), u=u)
-            policy = None if u is None else (lambda t, rho: u)
-            for index in (0, 1023, 1024, 1299):
-                traj = simulate_sme_trajectory(
-                    rho0, model, policy, SimConfig(grid=grid, n_traj=1, seed=21),
-                    index=index)
+                rho0, model, SimConfig(grid=grid, n_traj=1300, seed=21), **kwargs)
+            for index in (0, 5, 1023, 1024, 1299):
+                alone = replay(rho0, model, grid, 21, index, **kwargs)
                 np.testing.assert_array_equal(
-                    traj.states[-1], ens.final_states[index], err_msg=case)
+                    alone.final_states[0], ens.final_states[index], err_msg=case)
+                np.testing.assert_array_equal(
+                    alone.mean_states[-1], alone.final_states[0], err_msg=case)
 
     @pytest.mark.parametrize("index", [-1, 1.5, "3", True, False])
     def test_rejects_bad_index(self, index):
         cfg = SimConfig(grid=TimeGrid(0.0, 0.01, 10), n_traj=1, seed=0)
-        with pytest.raises(InvalidParameter, match="index"):
-            simulate_sme_trajectory(plus_state(), dephasing_model(), None, cfg,
-                                    index=index)
+        with pytest.raises(InvalidParameter, match="first must be an integer >= 0"):
+            simulate_sme_ensemble(plus_state(), dephasing_model(), cfg, first=index)
 
     def test_deterministic_given_seed(self):
         cfg = SimConfig(grid=TimeGrid(0.0, 0.2, 200), n_traj=1, seed=42)
-        a = simulate_sme_trajectory(mixed_state(), dephasing_model(), None, cfg)
-        b = simulate_sme_trajectory(mixed_state(), dephasing_model(), None, cfg)
-        np.testing.assert_array_equal(a.states, b.states)
-        np.testing.assert_array_equal(a.outputs, b.outputs)
+        a = simulate_sme_ensemble(mixed_state(), dephasing_model(), cfg)
+        b = simulate_sme_ensemble(mixed_state(), dephasing_model(), cfg)
+        np.testing.assert_array_equal(a.mean_states, b.mean_states)
+        np.testing.assert_array_equal(a.mean_outputs, b.mean_outputs)
 
     def test_zero_coupling_gives_schroedinger_flow(self):
         # L=0 keeps the record pure noise and the state unitary
         model = FiniteModel(H0=0.7 * SX, L_list=[np.zeros((2, 2))])
         cfg = SimConfig(grid=TimeGrid(0.0, 1.0, 1000), n_traj=1, seed=9,
                         record_stride=100)
-        traj = simulate_sme_trajectory(
-            DensityMatrix(np.diag([0.95, 0.05]).astype(complex)), model, None,
-            cfg)
-        z = traj.expectation_path(SZ).real
+        traj = simulate_sme_ensemble(
+            DensityMatrix(np.diag([0.95, 0.05]).astype(complex)), model, cfg)
+        z = np.einsum("tij,ji->t", traj.mean_states, SZ).real
         np.testing.assert_allclose(z, 0.9 * np.cos(1.4 * traj.times), atol=5e-3)
 
     def test_record_contains_signal_plus_noise(self):
         cfg = SimConfig(grid=TimeGrid(0.0, 0.5, 500), n_traj=1, seed=3,
                         record_stride=500)
         rho0 = DensityMatrix(np.diag([0.9, 0.1]).astype(complex))
-        traj = simulate_sme_trajectory(rho0, dephasing_model(), None, cfg)
+        traj = simulate_sme_ensemble(rho0, dephasing_model(), cfg)
         # <L+L'> = 2<sigma_z> near 1.6-2.0 for this start; one block sum
-        assert traj.outputs[-1, 0] == pytest.approx(
+        assert traj.mean_outputs[-1, 0] == pytest.approx(
             2.0 * 0.8 * 0.5, abs=4.0 * math.sqrt(0.5) + 0.35
         )
 
     def test_feedback_policy_recorded(self):
+        # u = -0.5 <sigma_z> of the trajectory's own filter state, recorded
+        # at every tenth step; replaying the record through the public step
+        # under that control, recomputed by hand, gives back the states
         model = FiniteModel(H0=np.zeros((2, 2)), L_list=[SZ],
                             H_controls=[SY])
-        cfg = SimConfig(grid=TimeGrid(0.0, 0.1, 100), n_traj=1, seed=7,
-                        record_stride=10)
-        policy = lambda t, rho: [-0.5 * rho.expectation(SZ).real]
-        traj = simulate_sme_trajectory(mixed_state(), model, policy, cfg)
-        assert traj.controls.shape == (11, 1)
-        final_z = DensityMatrix(traj.states[-1]).expectation(SZ).real
-        assert traj.controls[-1, 0] == pytest.approx(-0.5 * final_z, abs=1e-12)
+        grid = TimeGrid(0.0, 0.1, 100)
+        feedback = ([SZ], [[0.5]])
+        cfg = SimConfig(grid=grid, n_traj=1, seed=7, record_stride=10)
+        traj = simulate_sme_ensemble(mixed_state(), model, cfg, feedback=feedback)
+        assert traj.mean_controls.shape == (11, 1)
+        final_z = DensityMatrix(traj.mean_states[-1]).expectation(SZ).real
+        assert traj.mean_controls[-1, 0] == pytest.approx(-0.5 * final_z, abs=1e-12)
 
-    def test_indexing_yields_tuples(self):
-        cfg = SimConfig(grid=TimeGrid(0.0, 0.1, 100), n_traj=1, seed=1,
-                        record_stride=50)
-        traj = simulate_sme_trajectory(mixed_state(), dephasing_model(), None,
-                                       cfg)
-        assert len(traj) == 3
-        t, rho, dY, u = traj[1]
-        assert t == pytest.approx(0.05)
-        assert isinstance(rho, DensityMatrix)
-        assert dY.shape == (1,)
+        every = simulate_sme_ensemble(mixed_state(), model,
+                                      SimConfig(grid=grid, n_traj=1, seed=7),
+                                      feedback=feedback)
+        np.testing.assert_array_equal(every.mean_states[::10], traj.mean_states)
+        rho = mixed_state()
+        for k in range(grid.n_steps):
+            u = [-0.5 * rho.expectation(SZ).real]
+            assert every.mean_controls[k, 0] == pytest.approx(u[0], abs=1e-12)
+            rho = sme_step(rho, model, u, every.mean_outputs[k + 1], grid.dt)
+            np.testing.assert_allclose(rho.entries, every.mean_states[k + 1],
+                                       rtol=0, atol=1e-12)
 
     def test_rejects_dim_mismatch(self):
         cfg = SimConfig(grid=TimeGrid(0.0, 0.1, 10), n_traj=1, seed=0)
         rho3 = DensityMatrix(np.diag([0.5, 0.3, 0.2]).astype(complex))
         with pytest.raises(DimensionMismatch):
-            simulate_sme_trajectory(rho3, dephasing_model(), None, cfg)
+            simulate_sme_ensemble(rho3, dephasing_model(), cfg)
 
     def test_posterior_cost_matches_gaussian_bookkeeping(self):
         # sigma_z^2 = I makes <z>^2 + Var(z) exactly 1, the same split the
         # Gaussian running cost Xhat'F Xhat + tr[F Sigma] makes at F = 1, u = 0
         cfg = SimConfig(grid=TimeGrid(0.0, 0.3, 300), n_traj=1, seed=23,
                         record_stride=100)
-        traj = simulate_sme_trajectory(mixed_state(), dephasing_model(), None,
-                                       cfg)
-        for i in range(len(traj)):
-            _, rho, _, _ = traj[i]
+        traj = simulate_sme_ensemble(mixed_state(), dephasing_model(), cfg)
+        assert len(traj.mean_states) == 4
+        for states in traj.mean_states:
+            rho = DensityMatrix(states)
             z = rho.expectation(SZ).real
             var = rho.expectation(SZ @ SZ).real - z * z
             value = z * z + var
@@ -731,45 +766,51 @@ class TestTrajectory:
 
 
 class TestEnsemble:
-    @pytest.mark.parametrize("complex_model", [False, True],
-                             ids=["dephasing", "random"])
-    def test_matches_single_trajectory_stream(self, complex_model):
-        # both entry points run one kernel, so the path is bit-identical
-        model = dephasing_model()
-        if complex_model:
-            model = random_model(np.random.default_rng(2), 2)
-        cfg1 = SimConfig(grid=TimeGrid(0.0, 0.05, 50), n_traj=1, seed=77)
-        traj = simulate_sme_trajectory(mixed_state(), model, None, cfg1)
-        ens = simulate_sme_ensemble(mixed_state(), model, cfg1)
-        np.testing.assert_array_equal(ens.mean_states, traj.states)
-        np.testing.assert_array_equal(ens.final_states[0], traj.states[-1])
-
     def test_thread_count_does_not_change_results(self, monkeypatch):
         cfg = SimConfig(grid=TimeGrid(0.0, 0.05, 50), n_traj=1300, seed=15)
-        for model, rho0, u in [(dephasing_model(), mixed_state(), None),
-                               layout_case("n=9-d=2")]:
+        model, rho0, u = layout_case("n=9-d=2")
+        for model, rho0, kwargs in [
+                (dephasing_model(), mixed_state(), {}),
+                (model, rho0, {"u": u}),
+                (model, rho0, {"u": u, "feedback": layout_feedback(model)})]:
             monkeypatch.setenv("QLQG_THREADS", "1")
-            a = simulate_sme_ensemble(rho0, model, cfg, u=u)
+            a = simulate_sme_ensemble(rho0, model, cfg, **kwargs)
             monkeypatch.setenv("QLQG_THREADS", "4")
-            b = simulate_sme_ensemble(rho0, model, cfg, u=u)
-            np.testing.assert_array_equal(a.final_states, b.final_states)
-            np.testing.assert_array_equal(a.mean_states, b.mean_states)
+            b = simulate_sme_ensemble(rho0, model, cfg, **kwargs)
+            for field in ("final_states", "mean_states", "mean_outputs", "mean_controls"):
+                np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
 
     @pytest.mark.parametrize("case", LAYOUT_CASES)
     def test_results_do_not_depend_on_batch_layout(self, case):
         # every trajectory ends in the same state whether it runs alone, in
         # one chunk of 1023 or 1024, or in a full chunk followed by one of
-        # 1, 3, 4 or 276 trajectories
+        # 1, 3, 4 or 276 trajectories, under a constant control and under
+        # feedback
         model, rho0, u = layout_case(case)
         grid = TimeGrid(0.0, 0.05, 50)
-        finals = {
-            n_traj: simulate_sme_ensemble(
-                rho0, model, SimConfig(grid=grid, n_traj=n_traj, seed=21),
-                u=u).final_states
-            for n_traj in (1, 1023, 1024, 1025, 1027, 1028, 1300)
-        }
-        for n_traj, states in finals.items():
-            np.testing.assert_array_equal(states, finals[1300][:n_traj])
+        for feedback in (None, layout_feedback(model)):
+            finals = {
+                n_traj: simulate_sme_ensemble(
+                    rho0, model, SimConfig(grid=grid, n_traj=n_traj, seed=21),
+                    u=u, feedback=feedback).final_states
+                for n_traj in (1, 1023, 1024, 1025, 1027, 1028, 1300)
+            }
+            for n_traj, states in finals.items():
+                np.testing.assert_array_equal(states, finals[1300][:n_traj])
+
+    @pytest.mark.parametrize("case", LAYOUT_CASES)
+    def test_zero_gain_feedback_is_the_constant_control(self, case):
+        # the feedback rows widen the stack, but a zero gain adds nothing:
+        # every output is the constant control's, bit for bit
+        model, rho0, u = layout_case(case)
+        observables, gain = layout_feedback(model)
+        cfg = SimConfig(grid=TimeGrid(0.0, 0.05, 50), n_traj=9, seed=21,
+                        record_stride=5)
+        a = simulate_sme_ensemble(rho0, model, cfg, u=u)
+        b = simulate_sme_ensemble(rho0, model, cfg, u=u,
+                                  feedback=(observables, np.zeros_like(gain)))
+        for field in ("final_states", "mean_states", "mean_outputs", "mean_controls"):
+            np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
 
     def test_overflow_raises_non_finite(self):
         # the reductions behind min_eigenvalue and max_trace_deviation
@@ -788,7 +829,7 @@ class TestEnsemble:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NonFinite, match="trajectory 0 of seed 1 at "
                                                 "step 1, t=0.001"):
-                simulate_sme_trajectory(mixed_state(), model, None, cfg)
+                simulate_sme_ensemble(mixed_state(), model, cfg)
             with pytest.raises(NonFinite, match="at step 1, t=0.001"):
                 evolve_master(mixed_state(), model, cfg.grid)
 
@@ -819,9 +860,7 @@ class TestEnsemble:
         replays = {}
         for index in range(16):
             try:
-                simulate_sme_trajectory(rho0, model, None,
-                                        SimConfig(grid=grid, n_traj=1, seed=0),
-                                        index=index)
+                replay(rho0, model, grid, 0, index)
             except PositivityLoss as exc:
                 replays[index] = str(exc)
         at_step_1 = [i for i, message in replays.items() if "at step 1," in message]
@@ -837,8 +876,7 @@ class TestEnsemble:
         with pytest.raises(ConfigError, match="QLQG_THREADS"):
             simulate_sme_ensemble(mixed_state(), dephasing_model(), cfg)
         with pytest.raises(ConfigError, match="QLQG_THREADS"):
-            simulate_sme_trajectory(mixed_state(), dephasing_model(), None,
-                                    SimConfig(grid=cfg.grid, n_traj=1, seed=15))
+            replay(mixed_state(), dephasing_model(), cfg.grid, 15, 3)
 
     def test_unraveling_mean_matches_master_diagonal(self):
         # incoherent start: the master flow is constant and the ensemble
@@ -892,6 +930,46 @@ class TestEnsemble:
                                    atol=1e-15)
         assert len(ens) == 33
         assert ens.final_states.shape == (33, 2, 2)
+
+    def test_mean_paths_average_the_trajectories(self):
+        # the mean record and the mean feedback control are those of the
+        # trajectories replayed one by one, at every recorded time
+        model, rho0, u = layout_case("n=3-d=2")
+        feedback = layout_feedback(model)
+        grid = TimeGrid(0.0, 0.05, 50)
+        cfg = SimConfig(grid=grid, n_traj=3, seed=8, record_stride=10)
+        ens = simulate_sme_ensemble(rho0, model, cfg, u=u, feedback=feedback)
+        alone = [simulate_sme_ensemble(rho0, model, SimConfig(grid=grid, n_traj=1, seed=8,
+                                                              record_stride=10),
+                                       u=u, feedback=feedback, first=i)
+                 for i in range(3)]
+        assert ens.mean_outputs.shape == (6, 2) and ens.mean_controls.shape == (6, 1)
+        assert not ens.mean_outputs[0].any()
+        for field in ("mean_states", "mean_outputs", "mean_controls"):
+            mean = sum(getattr(a, field) for a in alone) / 3
+            np.testing.assert_allclose(getattr(ens, field), mean, rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(
+            ens.final_states, [a.final_states[0] for a in alone])
+        # without feedback the control is the constant one
+        np.testing.assert_array_equal(
+            simulate_sme_ensemble(rho0, model, cfg, u=u).mean_controls, [u] * 6)
+
+    @pytest.mark.parametrize("feedback, error", [
+        (([SZ], [[0.5]], 1), InvalidParameter),     # not a pair
+        (([], np.zeros((1, 0))), InvalidParameter),  # no observable
+        (([SX + 1j * SZ], [[0.5]]), InvalidParameter),  # not Hermitian
+        (([SZ], [0.5]), DimensionMismatch),           # gain not (k, m)
+        (([SZ, SX], [[0.5]]), DimensionMismatch),
+        (([np.eye(3)], [[0.5]]), DimensionMismatch),  # observable of another dim
+        (([SZ], [[np.nan]]), InvalidParameter),
+        (([SZ], "x"), InvalidParameter),              # not numbers
+        ((["a"], [[0.5]]), InvalidParameter),
+    ])
+    def test_rejects_bad_feedback(self, feedback, error):
+        model = FiniteModel(H0=np.zeros((2, 2)), L_list=[SZ], H_controls=[SY])
+        cfg = SimConfig(grid=TimeGrid(0.0, 0.01, 10), n_traj=1, seed=0)
+        with pytest.raises(error):
+            simulate_sme_ensemble(mixed_state(), model, cfg, feedback=feedback)
 
 
 class TestDiscreteConditioning:

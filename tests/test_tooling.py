@@ -1,7 +1,8 @@
-"""The demos and the benchmark's span table against the package."""
+"""The demos, the benchmark's span table and the exports against the package."""
 
 import importlib
 import os
+import pkgutil
 import runpy
 import subprocess
 import sys
@@ -25,6 +26,17 @@ PATCHES = [(module, name) for module, names in SPANS["PATCHES"].items() for name
 def test_benchmark_patch_target_exists(module, name):
     # a traced benchmark run looks every span target up by name
     assert hasattr(importlib.import_module(module), name)
+
+
+MODULES = [f"qlqg.{info.name}" for info in pkgutil.iter_modules(qlqg.__path__)]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_exported_name_exists(module):
+    # a stale __all__ entry fails only at a star import
+    mod = importlib.import_module(module)
+    missing = [name for name in getattr(mod, "__all__", []) if not hasattr(mod, name)]
+    assert not missing
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
