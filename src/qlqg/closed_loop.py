@@ -25,7 +25,7 @@ from numpy.typing import NDArray
 from .control import control_gain_path
 from .errors import ConfigError, EmptyEnsemble, InvalidParameter, NonFinite
 from .phase_space import (
-    GaussianBelief, LinearCoefficients, _asarray, _fits_in_memory, _frozen,
+    GaussianBelief, LinearCoefficients, _asarray, _count, _fits_in_memory, _frozen,
 )
 from .riccati import (
     ESCAPE_LIMIT,
@@ -227,8 +227,10 @@ def simulate_closed_loop(
     config: SimConfig,
     initial: GaussianBelief,
     gain_offset: NDArray[np.float64] | None = None,
+    first: int = 0,
 ) -> ClosedLoopEnsemble:
-    """Run the filter/controller loop over an ensemble of noise draws.
+    """Run the filter/controller loop over trajectories ``first`` to
+    ``first + n_traj - 1`` of a seed.
 
     The covariance and value flows are integrated once on the grid; each
     trajectory then propagates the posterior mean with Euler-Maruyama
@@ -254,6 +256,10 @@ def simulate_closed_loop(
     gain_offset : (k, m) array, optional
         Added to the optimal gain at every instant (suboptimality
         probes).
+    first : int
+        Index of the first trajectory; row i of the result is trajectory
+        ``first + i``, and ``n_traj=1, first=i`` replays trajectory i
+        alone.
 
     Notes
     -----
@@ -265,6 +271,7 @@ def simulate_closed_loop(
     count and any ``n_traj``: trajectory i is the same in every ensemble
     of the seed that holds it.
     """
+    first = _count(first, "first", 0)
     if initial.m != coeffs.m:
         raise InvalidParameter(
             f"initial belief has dimension {initial.m}, coefficients {coeffs.m}"
@@ -311,7 +318,7 @@ def simulate_closed_loop(
     def run_chunk(start: int, stop: int, noise) -> None:
         # the chunk is held transposed, one trajectory per column, so
         # every elementwise pass runs over contiguous rows of length B
-        rows, sl = stop - start, slice(start, stop)
+        rows, sl = stop - start, slice(start - first, stop - first)
         B = _chunk_width(rows)  # zero pad columns stay zero
         # [Xhat; dW] of this step and the next, alternating
         XW = np.zeros((2, m + d, B))
@@ -365,7 +372,7 @@ def simulate_closed_loop(
         quadratic_cost(X, cost.Omega_T, terminal_trace, c_next)
         totals[sl] = (acc + c_next)[:rows]
 
-    _run_chunks(config, d, run_chunk)
+    _run_chunks(config, d, run_chunk, first=first)
     for arr in (means, controls, outputs, innovations, running, totals):
         _frozen(arr)
     return ClosedLoopEnsemble(

@@ -37,12 +37,14 @@ second-order correction.  Positivity is monitored, never projected:
 clipping would mask integration error, so a state past the floor raises
 :class:`PositivityLoss`.
 
-Both flows check their states through one routine, a step's ensemble or
-a block of master-flow steps at a time.  A failure names the earliest
-failing column: the lowest-index failing trajectory at the first failing
-step, or the first failing step of the master flow.  That state is
-tested in the order finite, eigenvalue floor, then (master flow only,
-since the filtering step renormalizes) unit trace.
+Both flows check every state they step through one routine, a block of
+steps at a time: up to 256 master-flow steps, or as many ensemble steps
+as fit in 2^16 coordinates.  A failure names the earliest failing
+column: the lowest-index failing trajectory at the first failing step,
+or the first failing step of the master flow, as a check after every
+step would.  That state is tested in the order finite, eigenvalue floor,
+then (master flow only, since the filtering step renormalizes) unit
+trace.
 """
 
 from __future__ import annotations
@@ -103,6 +105,10 @@ TRACE_TOL = 1e-9
 #: eigenvalue floor; below this the step size was too coarse
 POSITIVITY_FLOOR = -1e-6
 
+#: coordinates of the ensemble's states checked at a time (512 KB): the
+#: check's fixed cost per call is spread over as many steps as fit
+_CHECK_COORDS = 2**16
+
 
 def trace_norm(X: NDArray[np.complex128]) -> float:
     """Sum of absolute eigenvalues of a Hermitian matrix."""
@@ -115,6 +121,10 @@ def trace_distance(a, b) -> float:
         a = a.entries
     if isinstance(b, DensityMatrix):
         b = b.entries
+    if np.shape(a) != np.shape(b):
+        raise DimensionMismatch(
+            f"states of shapes {np.shape(a)} and {np.shape(b)} have no distance"
+        )
     return 0.5 * trace_norm(a - b)
 
 
@@ -585,8 +595,10 @@ def _check_states(h: np.ndarray, where, trace_tol: float = math.inf
                   ) -> tuple[float, float]:
     """Largest |Tr - 1| and lowest eigenvalue of stepped (n^2, B) coordinates.
 
-    The one check of both flows' states.  All columns are tested at once;
-    a failure names the earliest failing column b as ``where(b)``, and
+    The one check of both flows' states, called on a block of steps at a
+    time with the columns step-major, so that the earliest failing column
+    lies at the first failing step.  All columns are tested at once; a
+    failure names the earliest failing column b as ``where(b)``, and
     tests that column in the order finite (:class:`NonFinite`),
     eigenvalue floor (:class:`PositivityLoss`) and, when the flow does not
     renormalize, |Tr - 1| <= ``trace_tol`` (:class:`InvalidParameter`).
@@ -622,11 +634,7 @@ def sme_step(
     drives the ensemble's step on a batch of one state.
     """
     _positive(dt, "dt")
-    dY = np.asarray(dY, dtype=float).reshape(-1)
-    if dY.shape[0] != model.n_channels:
-        raise DimensionMismatch(
-            f"record has {dY.shape[0]} channels, model has {model.n_channels}"
-        )
+    dY = _asarray(dY, float, (model.n_channels,), "record dY")
     _require_dim(rho, model)
     stack = _sme_stack(model, u, dt)
     h = np.repeat(_coords(rho.entries[None]), _chunk_width(1), axis=1)
@@ -687,9 +695,12 @@ def simulate_sme_ensemble(
     Trajectories run in fixed-size batches, so results are independent
     of batch layout, of ``first`` and of the ``QLQG_THREADS`` worker
     count: trajectory i is the same, bit for bit, in every run that holds
-    it, and ``n_traj=1, first=i`` replays it alone.  Positivity and the
-    trace are checked after every step of every trajectory; the worst
-    values are reported on the ensemble.
+    it, and ``n_traj=1, first=i`` replays it alone.  Every state of every
+    step is checked for finiteness and the eigenvalue floor, in blocks of
+    steps of at most 2^16 coordinates; a failure names the first failing
+    step and the lowest failing trajectory in it, as a check after every
+    step would.  The worst eigenvalue and |Tr - 1| are reported on the
+    ensemble.
     """
     _require_dim(rho0, model)
     first = _count(first, "first", 0)
@@ -738,13 +749,30 @@ def simulate_sme_ensemble(
         low = float(_min_eigenvalues(h[:, :rows]).min())
         trace_dev = 0.0
         row = 1
+        # the states of a block of K steps, checked together: column b of
+        # the (n^2, K rows) view is trajectory b % rows after the block's
+        # step b // rows
+        K = max(1, min(_BLOCK, _CHECK_COORDS // (n * n * rows)))
+        stepped = np.empty((n * n, K, rows))
         for step, dW in enumerate(noise):
             h = _sme_update(h, stack, dW, products[step % 2], e_sum, gain)
             dW_sum += dW
-            step_dev, step_low = _check_states(
-                h[:, :rows], lambda b: _at(config, start + b, step + 1))
-            trace_dev = max(trace_dev, step_dev)
-            low = min(low, step_low)
+            slot = step % K
+            if step == 0:
+                # every check spans all K slots, so its memory does not
+                # depend on n_steps; a slot the block has not reached holds
+                # a state checked before or step 1's, which moves neither
+                # the extremes nor the earliest failing column
+                stepped[:] = h[:, None, :rows]
+            else:
+                stepped[:, slot] = h[:, :rows]
+            if slot == K - 1 or step + 1 == grid.n_steps:
+                s0 = step - slot
+                block_dev, block_low = _check_states(
+                    stepped.reshape(n * n, -1),
+                    lambda b: _at(config, start + b % rows, s0 + b // rows + 1))
+                trace_dev = max(trace_dev, block_dev)
+                low = min(low, block_low)
             if (step + 1) % config.record_stride == 0:
                 e_sum *= grid.dt
                 e_sum += dW_sum

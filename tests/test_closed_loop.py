@@ -241,6 +241,31 @@ class TestDeterminism:
             np.testing.assert_array_equal(
                 getattr(a, field)[index], getattr(b, field)[index], err_msg=field)
 
+    def test_ensemble_from_first_is_a_slice_of_the_full_one(self):
+        # row i of an ensemble starting at trajectory `first` is row
+        # first + i of the ensemble starting at 0, bit for bit, whichever
+        # chunk either lands in
+        coeffs, cost, belief = random_problem(np.random.default_rng(3), 4, 2, 2)
+        grid = TimeGrid(0.0, 0.05, 50)
+        full = simulate_closed_loop(coeffs, cost, SimConfig(grid=grid, n_traj=1300, seed=3),
+                                    belief)
+        for first in (1, 5, 1023, 1024, 1299):
+            part = simulate_closed_loop(
+                coeffs, cost, SimConfig(grid=grid, n_traj=1300 - first, seed=3), belief,
+                first=first)
+            for field in ("means", "controls", "outputs", "innovations",
+                          "running_costs", "total_costs"):
+                np.testing.assert_array_equal(getattr(part, field),
+                                              getattr(full, field)[first:],
+                                              err_msg=f"{field}, first {first}")
+
+    @pytest.mark.parametrize("first", [-1, 1.5, "3", True])
+    def test_rejects_bad_first(self, first):
+        with pytest.raises(InvalidParameter, match="first must be an integer >= 0"):
+            simulate_closed_loop(feedback_coefficients(), tracking_cost(),
+                                 small_config(n_steps=10, t1=0.1), default_belief(),
+                                 first=first)
+
     def test_stride_only_thins_the_record(self):
         coeffs = feedback_coefficients()
         fine = simulate_closed_loop(
@@ -447,6 +472,21 @@ class TestCostEstimates:
             simulate_closed_loop(
                 coeffs, tracking_cost(), cfg, default_belief(),
                 gain_offset=np.array([[0.0, -50.0]]))
+
+    def test_escaping_trajectory_replays_alone(self):
+        # of 16 trajectories driven unstable, trajectory 2 escapes first;
+        # run alone from (seed, 2) it fails with the same message
+        coeffs, offset = feedback_coefficients(), np.array([[0.0, -50.0]])
+        messages = []
+        for n_traj, first in ((16, 0), (1, 2)):
+            with pytest.raises(NonFinite) as info:
+                simulate_closed_loop(
+                    coeffs, tracking_cost(), small_config(n_traj=n_traj, n_steps=1000, t1=1.0),
+                    default_belief(), gain_offset=offset, first=first)
+            messages.append(str(info.value))
+        assert messages[0] == ("posterior mean passed 1e+12 in trajectory 2 of seed 11 "
+                               "at step 335, t=0.335")
+        assert messages[1] == messages[0]
 
 
 class TestKalmanStep:

@@ -7,7 +7,7 @@ import pytest
 from scipy.linalg import expm
 
 from qlqg import sme
-from qlqg.closed_loop import _COLUMN_BLOCK, SimConfig
+from qlqg.closed_loop import _BLOCK, _COLUMN_BLOCK, SimConfig
 from qlqg.errors import (
     ConfigError,
     DimensionMismatch,
@@ -188,6 +188,13 @@ class TestDensityMatrix:
         rho = plus_state()
         with pytest.raises(ValueError):
             rho.entries[0, 0] = 2.0
+
+    def test_trace_distance_rejects_states_of_other_dimensions(self):
+        rho3 = DensityMatrix(np.eye(3) / 3.0)
+        with pytest.raises(DimensionMismatch, match=r"\(2, 2\) and \(3, 3\)"):
+            trace_distance(plus_state(), rho3)
+        with pytest.raises(DimensionMismatch):
+            trace_distance(rho3.entries, plus_state().entries)
 
 
 class TestFiniteModel:
@@ -656,6 +663,13 @@ class TestSmeStep:
         with pytest.raises(DimensionMismatch):
             sme_step(plus_state(), dephasing_model(), None, [0.1, 0.2], 1e-3)
 
+    @pytest.mark.parametrize("dY", [[np.nan], [np.inf], [-np.inf], ["x"], [None]])
+    def test_rejects_a_bad_record_as_bad_input(self, dY):
+        # a record that is not finite numbers is bad input, not a
+        # numerical failure of the step
+        with pytest.raises(InvalidParameter, match="record dY"):
+            sme_step(plus_state(), dephasing_model(), None, dY, 1e-3)
+
     def test_rejects_bad_dt(self):
         for dt in (-1e-3, np.inf):
             with pytest.raises(InvalidParameter):
@@ -868,6 +882,51 @@ class TestEnsemble:
         assert str(info.value) == replays[1]
         low = {i: float(replays[i].split()[1]) for i in at_step_1}
         assert low[5] < low[1]
+
+    @pytest.mark.parametrize("case", ["positivity", "non-finite"])
+    def test_failure_inside_a_check_block_is_located_as_before(self, case):
+        # the states are checked a block of steps at a time; a first failure
+        # strictly inside a block, neither its first nor its last step, is
+        # named with the message a check after every step gave, which is
+        # also the message of its replay
+        if case == "positivity":
+            # Euler steps from a pure state cross the floor; at 1024 rows a
+            # block is 16 steps, so step 34 is the second of steps 33-48
+            model = FiniteModel(H0=0.5 * SX, L_list=[0.5 * SZ])
+            rho0, feedback, n_traj, grid, seed = (
+                DensityMatrix.pure([1.0, 0.0]), None, 1024, TimeGrid(0.0, 0.025, 100), 300)
+            error, step, message = PositivityLoss, 34, (
+                "eigenvalue -1.047e-06 below floor in trajectory 707 of seed 300 "
+                "at step 34, t=0.0085")
+        else:
+            # a chain 0 - 1 - ... - 5 from |0><0|: an Euler step reaches one
+            # level further, so rho_50 is exactly 0 until step 5, and so is
+            # the action of a huge control on level 5; fed back at a huge
+            # gain, that action overflows at step 6.  At 400 rows a block is
+            # 4 steps, so step 6 is the second of steps 5-8
+            n = 6
+            chain = np.diag(np.full(n - 1, 0.1), 1)
+            top = np.zeros((n, n))
+            top[-1, -1] = 1e300
+            probe = np.zeros((n, n))
+            probe[0, 0] = 0.5
+            model = FiniteModel(H0=chain + chain.T, L_list=[probe], H_controls=[top])
+            rho0, feedback, n_traj, grid, seed = (
+                DensityMatrix.pure(np.eye(n)[0]), ([np.eye(n)], [[1e300]]), 400,
+                TimeGrid(0.0, 0.02, 20), 4)
+            error, step, message = NonFinite, 6, (
+                "state left the finite range in trajectory 0 of seed 4 at step 6, t=0.006")
+        block = min(_BLOCK, sme._CHECK_COORDS // (model.dim ** 2 * n_traj))
+        assert 0 < (step - 1) % block < block - 1
+        index = int(message.split("trajectory ")[1].split()[0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(error) as ensemble:
+                simulate_sme_ensemble(rho0, model, SimConfig(grid=grid, n_traj=n_traj, seed=seed),
+                                      feedback=feedback)
+            with pytest.raises(error) as alone:
+                replay(rho0, model, grid, seed, index, feedback=feedback)
+        assert str(ensemble.value) == message
+        assert str(alone.value) == message
 
     @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
     def test_bad_thread_count_is_a_config_error(self, monkeypatch, value):
