@@ -42,8 +42,7 @@ A scenario is a JSON object.  The keys each subcommand reads:
 Exit codes: 0 on success, 2 when input is rejected (a scenario value of
 the wrong type included), 3 when a computation fails numerically.  File
 outputs are byte-deterministic given the same scenario and seed; every
-CSV goes through one writer, :func:`_write_csv`.  ``QLQG_THREADS`` caps
-simulation parallelism; everything else is single-threaded.
+CSV goes through one writer, :func:`_write_csv`.
 """
 
 from __future__ import annotations

@@ -4,19 +4,17 @@ The loop is simulated in innovations representation: the innovation
 increments are exogenous Wiener draws, which is exact for the
 conditional dynamics and sidesteps any notion of a hidden point state.
 Each trajectory owns a counter-based random stream derived from
-``(seed, trajectory index)``, so ensembles are reproducible,
-independent of thread scheduling and independent of batch layout: a
-chunk is held one trajectory per column in a multiple of 8 columns, so
-a trajectory's results do not depend on ``n_traj`` or on the chunk that
-carries it.  Streams draw in blocks of steps, so memory does not grow
-with ``n_steps`` beyond the per-step covariance and gain paths.
+``(seed, trajectory index)``, so ensembles are reproducible and
+independent of batch layout: a chunk is held one trajectory per column
+in a multiple of 8 columns, so a trajectory's results do not depend on
+``n_traj`` or on the chunk that carries it.  Streams draw in blocks of
+steps, so memory does not grow with ``n_steps`` beyond the per-step
+covariance and gain paths.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +42,7 @@ __all__ = [
     "monte_carlo_expected_cost",
 ]
 
-#: trajectories per batch; fixed so results never depend on thread count
+#: trajectories per batch
 _CHUNK = 1024
 #: steps of noise each stream draws at a time; bounds a chunk's noise
 #: buffer whatever ``n_steps`` is
@@ -137,18 +135,6 @@ class ClosedLoopEnsemble:
         )
 
 
-def _worker_count() -> int:
-    """Worker threads from ``QLQG_THREADS``; one when unset or empty."""
-    raw = os.environ.get("QLQG_THREADS") or "1"
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ConfigError(f"QLQG_THREADS must be an integer >= 1, got {raw!r}")
-    return workers
-
-
 def _at(config: SimConfig, index: int, step: int) -> str:
     """Where a failure happened, enough to replay it from (seed, index)."""
     t = config.grid.t0 + step * config.grid.dt
@@ -190,35 +176,26 @@ def _increments(config: SimConfig, start: int, stop: int, d: int):
         yield from steps[:width]
 
 
-def _run_chunks(config: SimConfig, d: int, run_chunk, first: int = 0):
-    """The results of ``run_chunk(start, stop, noise)`` over fixed chunks.
+def _run_chunks(config: SimConfig, d: int, run_chunk, first: int = 0) -> None:
+    """Call ``run_chunk(start, stop, noise)`` on fixed chunks, in index order.
 
     The one chunk loop of every Monte Carlo simulator.  Chunks of up to
     ``_CHUNK`` trajectories cover the indices ``first`` to
     ``first + n_traj - 1``; ``noise`` yields the chunk's (d, B) Wiener
     increments step by step, one trajectory per column, column i from the
     Philox stream of ``(seed, start + i)``, so no buffer grows with
-    ``n_steps``.  Up to ``QLQG_THREADS`` chunks run at once.
+    ``n_steps``.
 
     B = ``_chunk_width(stop - start)`` is the chunk's trajectory count
     rounded up to a multiple of ``_COLUMN_BLOCK``, and the pad columns'
     noise is zero.  A simulator holds its chunk in B columns, so every
     product rounds a trajectory alike in every chunk, and its results
-    depend only on ``(seed, index)``: not on ``QLQG_THREADS``, not on
-    the chunk it lands in, and not on ``first``.  Any trajectory of an
-    ensemble can be run alone.
+    depend only on ``(seed, index)``: not on the chunk it lands in, and
+    not on ``first``.  Any trajectory of an ensemble can be run alone.
     """
-    workers = _worker_count()
-
-    def chunk(start: int):
+    for start in range(first, first + config.n_traj, _CHUNK):
         stop = min(start + _CHUNK, first + config.n_traj)
-        return run_chunk(start, stop, _increments(config, start, stop, d))
-
-    starts = range(first, first + config.n_traj, _CHUNK)
-    if workers > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(chunk, starts))
-    return [chunk(s) for s in starts]
+        run_chunk(start, stop, _increments(config, start, stop, d))
 
 
 def simulate_closed_loop(
@@ -263,13 +240,12 @@ def simulate_closed_loop(
 
     Notes
     -----
-    Trajectories are processed in fixed-size chunks.  The environment
-    variable ``QLQG_THREADS`` caps how many chunks run concurrently
-    (default 1).  Every trajectory owns its own counter-based stream and
-    lands in a preallocated slot, and its arithmetic does not depend on
-    the chunk it shares, so results are bit-identical for any thread
-    count and any ``n_traj``: trajectory i is the same in every ensemble
-    of the seed that holds it.
+    Trajectories are processed in fixed-size chunks, one after another.
+    Every trajectory owns its own counter-based stream and lands in a
+    preallocated slot, and its arithmetic does not depend on the chunk
+    it shares, so results are bit-identical for any ``n_traj``:
+    trajectory i is the same in every ensemble of the seed that holds
+    it.
     """
     first = _count(first, "first", 0)
     if initial.m != coeffs.m:
@@ -392,8 +368,7 @@ def monte_carlo_expected_cost(ensemble: ClosedLoopEnsemble) -> tuple[float, floa
     n = totals.shape[0]
     if n == 0:
         raise EmptyEnsemble("ensemble holds no trajectories")
-    # Welford accumulation; trajectory order is fixed, so this is
-    # deterministic no matter how the simulation was scheduled
+    # Welford accumulation in trajectory order
     mean = 0.0
     m2 = 0.0
     for i, x in enumerate(totals, start=1):

@@ -14,7 +14,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import DimensionMismatch, GridMismatch, InvalidParameter
-from .phase_space import LinearCoefficients, _asarray, _frozen, _symmetrize
+from .phase_space import LinearCoefficients, _asarray, _count, _frozen, _symmetrize
 from .riccati import (
     CostSpec,
     MatrixPath,
@@ -154,7 +154,8 @@ def hjb_residual(
     """
     grid = _require_same_grid(Omega_path.grid, alpha_path.grid)
     n = grid.n_steps
-    if not 0 <= index <= n:
+    index = _count(index, "index", 0)
+    if index > n:
         raise InvalidParameter(f"index {index} outside grid of {n + 1} points")
     m = coeffs.m
     Xhat = _asarray(Xhat, float, (m,), "Xhat")

@@ -47,7 +47,6 @@ from .phase_space import (
     _fits_in_memory,
     _frozen,
     _heisenberg_margin,
-    _positive,
     _symmetrize,
 )
 
@@ -71,6 +70,13 @@ ESCAPE_LIMIT = 1e12
 #: with an entry this large, and has at most ``_BLOCK_MAX`` steps
 _POWER_BOUND = 2.0
 _BLOCK_MAX = 64
+
+#: :func:`stationary_filter_covariance` steps the filter flow by
+#: ``_STATIONARY_DT`` until ``max|dSigma/dt| < _STATIONARY_TOL``, and gives
+#: up at ``t = _STATIONARY_T_MAX``
+_STATIONARY_DT = 1e-2
+_STATIONARY_TOL = 1e-12
+_STATIONARY_T_MAX = 1e3
 
 
 @dataclass(frozen=True)
@@ -256,17 +262,24 @@ def _lift_drift(H: np.ndarray, S: np.ndarray) -> float:
     return float(np.abs(np.hstack([-S, I]) @ H @ np.vstack([I, S])).max())
 
 
+def _rk4_map(A: np.ndarray) -> np.ndarray:
+    """``sum_{k<=4} A^k / k!``: the RK4 step of the linear flow whose
+    generator times the step is ``A``."""
+    term, step = A, np.eye(len(A)) + A
+    for k in range(2, 5):
+        term = term @ A
+        term /= k
+        step += term
+    return step
+
+
 def _lift_powers(H: np.ndarray, dt: float) -> np.ndarray:
     """Powers ``Phi^1 .. Phi^L`` of the RK4 map of ``d[X; Y]/dt = H [X; Y]``.
 
     ``L`` is the first power with an entry of magnitude
     ``_POWER_BOUND``, or ``_BLOCK_MAX``.
     """
-    term = np.eye(H.shape[0])
-    phi = term.copy()
-    for k in range(1, 5):
-        term = term @ (dt * H) / k
-        phi += term
+    phi = _rk4_map(dt * H)
     powers = [phi]
     while len(powers) < _BLOCK_MAX and np.abs(powers[-1]).max() < _POWER_BOUND:
         powers.append(powers[-1] @ phi)
@@ -410,45 +423,33 @@ def lyapunov_unconditional(
     return MatrixPath(grid=grid, values=values)
 
 
-def stationary_filter_covariance(
-    coeffs: LinearCoefficients,
-    Sigma0: NDArray[np.float64] | None = None,
-    tol: float = 1e-10,
-    dt: float = 1e-2,
-    t_max: float = 1e3,
-) -> NDArray[np.float64]:
+def stationary_filter_covariance(coeffs: LinearCoefficients) -> NDArray[np.float64]:
     """Long-time limit of the filter covariance.
 
-    Integrates forward in steps of ``dt``, block by block, until the
-    flow derivative at the end of a block satisfies
-    ``max|dSigma/dt| < tol``, then verifies the algebraic fixed-point
-    residual is below 1e-8.  Starts from the identity when ``Sigma0`` is
-    not given.
+    Integrates forward from the identity in steps of ``_STATIONARY_DT``,
+    block by block, until the flow derivative at the end of a block
+    satisfies ``max|dSigma/dt| < _STATIONARY_TOL``, then verifies that the
+    algebraic fixed-point residual is below 1e-8.
 
     Raises
     ------
-    InvalidParameter
-        If ``dt`` or ``t_max`` is not finite and positive.
     NoConvergence
-        If the derivative has not dropped below ``tol`` by ``t_max``.
+        If the derivative is still above the tolerance at
+        ``t = _STATIONARY_T_MAX``.
     NonFinite
         If the flow escapes (no stationary point).
     """
-    _positive(dt, "dt")
-    _positive(t_max, "t_max")
-    m = coeffs.m
-    if Sigma0 is None:
-        Sigma0 = np.eye(m)
-    S = _symmetrize(_asarray(Sigma0, float, (m, m), "Sigma0"), "Sigma0")
+    S = np.eye(coeffs.m)
     H = _filter_lift(coeffs)
-    powers = _lift_powers(H, dt)
-    n_max = int(np.ceil(t_max / dt))
+    powers = _lift_powers(H, _STATIONARY_DT)
+    n_max = int(np.ceil(_STATIONARY_T_MAX / _STATIONARY_DT))
     step = 0
     residual = _lift_drift(H, S)
-    while not residual < tol:
+    while not residual < _STATIONARY_TOL:
         if step >= n_max:
             raise NoConvergence(
-                f"flow derivative still above {tol:.1e} after t={t_max:g}"
+                f"flow derivative still above {_STATIONARY_TOL:.1e} "
+                f"after t={_STATIONARY_T_MAX:g}"
             )
         n = min(len(powers), n_max - step)
         S = _lift_block(powers[:n], S, step)[-1]

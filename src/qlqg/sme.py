@@ -79,7 +79,7 @@ from .phase_space import (
     _json_positive,
     _positive,
 )
-from .riccati import TimeGrid
+from .riccati import TimeGrid, _rk4_map
 
 __all__ = [
     "DensityMatrix",
@@ -445,13 +445,7 @@ def _master_map(model: FiniteModel, u, dt: float) -> np.ndarray:
     model too large for it raises InvalidParameter.
     """
     with _fits_in_memory(f"a dim-{model.dim} model needs a master-flow map"):
-        A = dt * _lindblad_map(model, u)
-        term, step = A, np.eye(len(A)) + A
-        for k in range(2, 5):
-            term = term @ A
-            term /= k
-            step += term
-    return step
+        return _rk4_map(dt * _lindblad_map(model, u))
 
 
 def _require_dim(rho: DensityMatrix, model: FiniteModel) -> None:
@@ -510,17 +504,20 @@ def evolve_master(
     path = np.empty((grid.n_steps // record_stride + 1, len(step_map)))
     path[0] = block[0]
     row = 1
-    for start in range(0, grid.n_steps, _BLOCK):
-        width = min(_BLOCK, grid.n_steps - start)
-        for k in range(width):
-            np.dot(step_map, block[k], out=block[k + 1])
-        _check_states(block[1:width + 1].T, lambda b: _master_at(grid, start + b + 1),
-                      TRACE_TOL)
-        # block[k] is the state after step start + k
-        recorded = block[record_stride - start % record_stride:width + 1:record_stride]
-        path[row:row + len(recorded)] = recorded
-        row += len(recorded)
-        block[0] = block[width]
+    # a state past the finite range is raised by the block's check, so the
+    # overflow on the way there is no warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, grid.n_steps, _BLOCK):
+            width = min(_BLOCK, grid.n_steps - start)
+            for k in range(width):
+                np.dot(step_map, block[k], out=block[k + 1])
+            _check_states(block[1:width + 1].T,
+                          lambda b: _master_at(grid, start + b + 1), TRACE_TOL)
+            # block[k] is the state after step start + k
+            recorded = block[record_stride - start % record_stride:width + 1:record_stride]
+            path[row:row + len(recorded)] = recorded
+            row += len(recorded)
+            block[0] = block[width]
     states = _assembled(path.T)
     return _frozen(grid.times(record_stride)), _frozen(states)
 
@@ -692,15 +689,14 @@ def simulate_sme_ensemble(
     dependence on the output record.  ``gain`` is (k, m) for k controls
     and m Hermitian observables.
 
-    Trajectories run in fixed-size batches, so results are independent
-    of batch layout, of ``first`` and of the ``QLQG_THREADS`` worker
-    count: trajectory i is the same, bit for bit, in every run that holds
-    it, and ``n_traj=1, first=i`` replays it alone.  Every state of every
-    step is checked for finiteness and the eigenvalue floor, in blocks of
-    steps of at most 2^16 coordinates; a failure names the first failing
-    step and the lowest failing trajectory in it, as a check after every
-    step would.  The worst eigenvalue and |Tr - 1| are reported on the
-    ensemble.
+    Trajectories run in fixed-size batches, one after another, so results
+    are independent of batch layout and of ``first``: trajectory i is the
+    same, bit for bit, in every run that holds it, and ``n_traj=1,
+    first=i`` replays it alone.  Every state of every step is checked for
+    finiteness and the eigenvalue floor, in blocks of steps of at most
+    2^16 coordinates; a failure names the first failing step and the
+    lowest failing trajectory in it, as a check after every step would.
+    The worst eigenvalue and |Tr - 1| are reported on the ensemble.
     """
     _require_dim(rho0, model)
     first = _count(first, "first", 0)
@@ -724,9 +720,24 @@ def simulate_sme_ensemble(
     n_rec = config.n_records
     with _fits_in_memory(f"n_traj {config.n_traj} needs result arrays"):
         finals = np.empty((config.n_traj, n, n), dtype=complex)
+    # sums over the ensemble at the recorded times; the first chunk
+    # assigns and later chunks add, in index order
+    path_sum = np.empty((n * n, n_rec))
+    output_sum = np.zeros((d, n_rec))
+    control_sum = np.empty((len(u), n_rec))
+    low = float(_min_eigenvalues(start_coords).min())
+    trace_dev = 0.0
 
-    def run_chunk(start: int, stop: int, noise: np.ndarray):
+    def run_chunk(start: int, stop: int, noise: np.ndarray) -> None:
+        nonlocal low, trace_dev
         rows = stop - start
+
+        def add(total: np.ndarray, value) -> None:
+            if start == first:
+                total[...] = value
+            else:
+                total += value
+
         # pad columns are copies of the start driven by zero noise: a zero
         # state would have trace 0
         h = np.repeat(start_coords, _chunk_width(rows), axis=1)
@@ -735,19 +746,14 @@ def simulate_sme_ensemble(
         products = np.empty((2, len(stack), h.shape[1]))
         # the record over a block of steps is dt sum e + sum dW
         e_sum, dW_sum = np.zeros((2, d, h.shape[1]))
-        path = np.empty((n * n, n_rec))
-        outputs = np.zeros((d, n_rec))
-        controls = np.empty((len(u), n_rec))
 
         def record(row: int) -> None:
-            path[:, row] = h[:, :rows].sum(axis=1)
+            add(path_sum[:, row], h[:, :rows].sum(axis=1))
             if gain is not None:
-                for k, v in enumerate(_feedback(gain, readouts @ h)):
-                    controls[k, row] = (v[:rows] + u[k]).sum()
+                add(control_sum[:, row], [(v[:rows] + u_k).sum() for u_k, v in
+                                          zip(u, _feedback(gain, readouts @ h))])
 
         record(0)
-        low = float(_min_eigenvalues(h[:, :rows]).min())
-        trace_dev = 0.0
         row = 1
         # the states of a block of K steps, checked together: column b of
         # the (n^2, K rows) view is trajectory b % rows after the block's
@@ -776,29 +782,30 @@ def simulate_sme_ensemble(
             if (step + 1) % config.record_stride == 0:
                 e_sum *= grid.dt
                 e_sum += dW_sum
-                outputs[:, row] = e_sum[:, :rows].sum(axis=1)
+                add(output_sum[:, row], e_sum[:, :rows].sum(axis=1))
                 e_sum[:] = 0.0
                 dW_sum[:] = 0.0
                 record(row)
                 row += 1
         finals[start - first:stop - first] = _assembled(h[:, :rows])
-        return path, outputs, controls, low, trace_dev
 
-    paths, outputs, controls, lows, trace_devs = zip(
-        *_run_chunks(config, d, run_chunk, first=first))
+    # a state past the finite range is raised by a block's check, so the
+    # overflow on the way there is no warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        _run_chunks(config, d, run_chunk, first=first)
     if gain is None:
         mean_controls = np.tile(u, (n_rec, 1))
     else:
-        mean_controls = np.sum(controls, axis=0).T / config.n_traj
+        mean_controls = control_sum.T / config.n_traj
     return SmeEnsemble(
         config=config,
         times=_frozen(grid.times(config.record_stride)),
-        mean_states=_frozen(_assembled(np.sum(paths, axis=0) / config.n_traj)),
-        mean_outputs=_frozen(np.sum(outputs, axis=0).T / config.n_traj),
+        mean_states=_frozen(_assembled(path_sum / config.n_traj)),
+        mean_outputs=_frozen(output_sum.T / config.n_traj),
         mean_controls=_frozen(mean_controls),
         final_states=_frozen(finals),
-        min_eigenvalue=float(min(lows)),
-        max_trace_deviation=float(max(trace_devs)),
+        min_eigenvalue=low,
+        max_trace_deviation=trace_dev,
     )
 
 
@@ -826,12 +833,11 @@ def discrete_conditioning(
     rho: DensityMatrix,
     U: NDArray[np.complex128],
     projectors,
-    ancilla_state=None,
 ) -> list[tuple[float, DensityMatrix | None]]:
     """Bayes conditioning through an entangling unitary.
 
-    Couples the system to a fresh ancilla, applies ``U``, and reads the
-    ancilla with the given projective family.  Returns one
+    Couples the system to a fresh ancilla in |0>, applies ``U``, and
+    reads the ancilla with the given projective family.  Returns one
     ``(probability, posterior)`` pair per projector; an outcome of zero
     probability carries ``None`` for the posterior.  Probabilities sum
     to one because the family resolves the ancilla identity.
@@ -847,19 +853,9 @@ def discrete_conditioning(
         raise NotUnitary("U'U deviates from the identity")
     family = _check_projector_family(projectors, a)
 
-    if ancilla_state is None:
-        phi = np.zeros(a, dtype=complex)
-        phi[0] = 1.0
-    else:
-        phi = np.asarray(ancilla_state, dtype=complex).reshape(-1)
-        if phi.shape[0] != a:
-            raise DimensionMismatch(
-                f"ancilla state has dim {phi.shape[0]}, expected {a}"
-            )
-        if abs(np.linalg.norm(phi) - 1.0) > 1e-12:
-            raise InvalidParameter("ancilla state is not normalized")
-
-    joint = U @ np.kron(rho.entries, np.outer(phi, phi.conj())) @ U.conj().T
+    ancilla = np.zeros((a, a), dtype=complex)
+    ancilla[0, 0] = 1.0
+    joint = U @ np.kron(rho.entries, ancilla) @ U.conj().T
     joint4 = joint.reshape(n, a, n, a)
     results: list[tuple[float, DensityMatrix | None]] = []
     for P in family:

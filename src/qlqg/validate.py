@@ -126,7 +126,7 @@ def _filter_relaxation(dispersions: bool = True, saturation: bool = True) -> str
         worst = 0.0
         for mass, hbar in [(2.0, 1.0), (1.0, 2.0)]:
             coeffs = build_coefficients(free_particle_model(mass, hbar))
-            S = stationary_filter_covariance(coeffs, tol=1e-12)
+            S = stationary_filter_covariance(coeffs)
             gap = np.abs(S - fp.stationary_dispersions(mass, hbar)).max()
             assert gap < 1e-6, f"({mass}, {hbar}) stationary point off by {gap:.2e}"
             worst = max(worst, gap)

@@ -188,27 +188,6 @@ class TestDeterminism:
         assert np.array_equal(a.innovations, b.innovations)
         assert np.array_equal(a.total_costs, b.total_costs)
 
-    def test_thread_count_does_not_change_results(self, monkeypatch):
-        cfg = small_config(n_traj=2080, seed=5, n_steps=40, t1=0.4, stride=40)
-        # the free particle, and a model whose inner dimension m + d is 16
-        for coeffs, cost, belief in [
-            (feedback_coefficients(), tracking_cost(), default_belief()),
-            random_problem(np.random.default_rng(5), 14, 2, 2),
-        ]:
-            monkeypatch.setenv("QLQG_THREADS", "1")
-            a = simulate_closed_loop(coeffs, cost, cfg, belief)
-            monkeypatch.setenv("QLQG_THREADS", "3")
-            b = simulate_closed_loop(coeffs, cost, cfg, belief)
-            assert np.array_equal(a.means, b.means)
-            assert np.array_equal(a.total_costs, b.total_costs)
-
-    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
-    def test_bad_thread_count_is_a_config_error(self, monkeypatch, value):
-        monkeypatch.setenv("QLQG_THREADS", value)
-        with pytest.raises(ConfigError, match="QLQG_THREADS"):
-            simulate_closed_loop(feedback_coefficients(), tracking_cost(),
-                                 small_config(n_steps=10, t1=0.1), default_belief())
-
     def test_different_seeds_differ(self):
         coeffs = feedback_coefficients()
         ens_a = simulate_closed_loop(

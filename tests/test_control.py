@@ -239,6 +239,12 @@ class TestHjbResidual:
             hjb_residual(Om, al, grid.n_steps + 1, np.zeros(2), Si.at(0),
                          coeffs, cost)
 
+    @pytest.mark.parametrize("index", [2.5, True, "3", -1])
+    def test_non_integer_index_is_invalid(self, index):
+        coeffs, cost, grid, Om, Si, al = self.build_paths()
+        with pytest.raises(InvalidParameter, match="index"):
+            hjb_residual(Om, al, index, np.zeros(2), Si.at(0), coeffs, cost)
+
     def test_minimizer_matches_grid_search(self):
         # the control entering the residual must be the true pointwise
         # minimizer of cost plus mean drift

@@ -70,7 +70,7 @@ class TestStationaryDispersions:
         for _ in range(5):
             mass, hbar = rng.uniform(0.5, 2.0, size=2)
             coeffs = build_coefficients(free_particle_model(mass, hbar))
-            numeric = stationary_filter_covariance(coeffs, tol=1e-12)
+            numeric = stationary_filter_covariance(coeffs)
             np.testing.assert_allclose(
                 numeric, fp.stationary_dispersions(mass, hbar), atol=1e-9
             )

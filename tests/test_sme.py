@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from scipy.linalg import expm
 from qlqg import sme
 from qlqg.closed_loop import _BLOCK, _COLUMN_BLOCK, SimConfig
 from qlqg.errors import (
-    ConfigError,
     DimensionMismatch,
     InvalidParameter,
     NonFinite,
@@ -780,20 +780,6 @@ class TestTrajectory:
 
 
 class TestEnsemble:
-    def test_thread_count_does_not_change_results(self, monkeypatch):
-        cfg = SimConfig(grid=TimeGrid(0.0, 0.05, 50), n_traj=1300, seed=15)
-        model, rho0, u = layout_case("n=9-d=2")
-        for model, rho0, kwargs in [
-                (dephasing_model(), mixed_state(), {}),
-                (model, rho0, {"u": u}),
-                (model, rho0, {"u": u, "feedback": layout_feedback(model)})]:
-            monkeypatch.setenv("QLQG_THREADS", "1")
-            a = simulate_sme_ensemble(rho0, model, cfg, **kwargs)
-            monkeypatch.setenv("QLQG_THREADS", "4")
-            b = simulate_sme_ensemble(rho0, model, cfg, **kwargs)
-            for field in ("final_states", "mean_states", "mean_outputs", "mean_controls"):
-                np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
-
     @pytest.mark.parametrize("case", LAYOUT_CASES)
     def test_results_do_not_depend_on_batch_layout(self, case):
         # every trajectory ends in the same state whether it runs alone, in
@@ -928,14 +914,29 @@ class TestEnsemble:
         assert str(ensemble.value) == message
         assert str(alone.value) == message
 
-    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
-    def test_bad_thread_count_is_a_config_error(self, monkeypatch, value):
-        cfg = SimConfig(grid=TimeGrid(0.0, 0.05, 50), n_traj=8, seed=15)
-        monkeypatch.setenv("QLQG_THREADS", value)
-        with pytest.raises(ConfigError, match="QLQG_THREADS"):
-            simulate_sme_ensemble(mixed_state(), dephasing_model(), cfg)
-        with pytest.raises(ConfigError, match="QLQG_THREADS"):
-            replay(mixed_state(), dephasing_model(), cfg.grid, 15, 3)
+    def test_failing_flows_emit_no_numpy_warning(self):
+        # the overflow of the non-finite case above reaches the caller as
+        # NonFinite alone; so does that of a master flow whose step, too
+        # coarse for its dephasing, crosses the floor and then overflows
+        # within one checked block
+        n = 6
+        chain = np.diag(np.full(n - 1, 0.1), 1)
+        top = np.zeros((n, n))
+        top[-1, -1] = 1e300
+        probe = np.zeros((n, n))
+        probe[0, 0] = 0.5
+        model = FiniteModel(H0=chain + chain.T, L_list=[probe], H_controls=[top])
+        cfg = SimConfig(grid=TimeGrid(0.0, 0.02, 20), n_traj=400, seed=4)
+        coarse = FiniteModel(H0=np.zeros((2, 2)), L_list=[np.sqrt(5e4) * SZ])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFinite) as info:
+                simulate_sme_ensemble(DensityMatrix.pure(np.eye(n)[0]), model, cfg,
+                                      feedback=([np.eye(n)], [[1e300]]))
+            with pytest.raises(PositivityLoss, match="master flow at step 1, t=0.01"):
+                evolve_master(mixed_state(), coarse, TimeGrid(0.0, 1.0, 100))
+        assert str(info.value) == (
+            "state left the finite range in trajectory 0 of seed 4 at step 6, t=0.006")
 
     def test_unraveling_mean_matches_master_diagonal(self):
         # incoherent start: the master flow is constant and the ensemble
@@ -1088,16 +1089,6 @@ class TestDiscreteConditioning:
         with pytest.raises(NotAProjectorFamily, match="identity"):
             discrete_conditioning(plus_state(), np.eye(4),
                                   [np.diag([1.0, 0.0])])
-
-    def test_rejects_bad_ancilla_state(self):
-        P0 = np.diag([1.0, 0.0]).astype(complex)
-        P1 = np.diag([0.0, 1.0]).astype(complex)
-        with pytest.raises(InvalidParameter, match="normalized"):
-            discrete_conditioning(plus_state(), np.eye(4), [P0, P1],
-                                  ancilla_state=[1.0, 1.0])
-        with pytest.raises(DimensionMismatch):
-            discrete_conditioning(plus_state(), np.eye(4), [P0, P1],
-                                  ancilla_state=[1.0, 0.0, 0.0])
 
     def test_zero_probability_outcome_flagged(self):
         ground = DensityMatrix(np.diag([1.0, 0.0]).astype(complex))
