@@ -25,7 +25,8 @@ A scenario is a JSON object.  The keys each subcommand reads:
 ``sim``
     ``n_traj``, ``seed``, optional ``record_stride`` (default: endpoint
     only), ``initial_mean``, ``initial_cov``, and optional
-    ``record_trajectories`` (how many per-trajectory CSVs to write).
+    ``record_trajectories`` (how many per-trajectory CSVs to write,
+    default 0; only those trajectories' paths are kept in memory).
 ``direction``
     ``riccati`` only: ``"filter"``, ``"control"`` or ``"both"`` (default).
 ``initial_cov``
@@ -363,7 +364,12 @@ def cmd_simulate(args) -> int:
         cov=_json_array(sim["initial_cov"], "sim.initial_cov"),
     )
 
-    ensemble = simulate_closed_loop(coeffs, cost, config, initial)
+    n_record = _number(sim.get("record_trajectories", 0), "sim.record_trajectories",
+                       integer=True)
+    if n_record < 0:
+        raise ConfigError(f"sim.record_trajectories must be >= 0, got {n_record}")
+
+    ensemble = simulate_closed_loop(coeffs, cost, config, initial, record=n_record)
     analytic = total_minimal_cost(
         initial.mean, initial.cov, ensemble.Omega_path, ensemble.Sigma_path,
         coeffs, cost,
@@ -383,8 +389,6 @@ def cmd_simulate(args) -> int:
     text = _dump_json(summary, out / "summary.json")
     sys.stdout.write(text)
 
-    n_record = _number(sim.get("record_trajectories", 0), "sim.record_trajectories",
-                       integer=True)
     for i in range(min(n_record, config.n_traj)):
         with open(out / f"trajectory_{i:03d}.csv", "w", encoding="utf-8", newline="") as fh:
             trajectory_to_csv(ensemble[i], fh)

@@ -107,7 +107,12 @@ class TrajectoryRecord:
 @dataclass(frozen=True)
 class ClosedLoopEnsemble:
     """Stacked trajectory records, per-trajectory total costs and the
-    covariance and value flows the loop ran on."""
+    covariance and value flows the loop ran on.
+
+    ``total_costs`` covers every trajectory; the paths (``means`` to
+    ``running_costs``) cover the first ``len(means)`` of them, those the
+    simulation recorded.
+    """
 
     config: SimConfig
     Sigma_path: MatrixPath
@@ -124,14 +129,20 @@ class ClosedLoopEnsemble:
         return self.total_costs.shape[0]
 
     def __getitem__(self, i: int) -> TrajectoryRecord:
+        """Row ``i`` of the ensemble; IndexError unless its paths were
+        recorded."""
+        j = i + len(self) if i < 0 else i
+        if not 0 <= j < self.means.shape[0]:
+            raise IndexError(f"trajectory {i} of {len(self)} has no recorded paths "
+                             f"({self.means.shape[0]} recorded)")
         return TrajectoryRecord(
             times=self.times,
-            means=self.means[i],
-            controls=self.controls[i],
-            outputs=self.outputs[i],
-            innovations=self.innovations[i],
-            running_cost=self.running_costs[i],
-            total_cost=float(self.total_costs[i]),
+            means=self.means[j],
+            controls=self.controls[j],
+            outputs=self.outputs[j],
+            innovations=self.innovations[j],
+            running_cost=self.running_costs[j],
+            total_cost=float(self.total_costs[j]),
         )
 
 
@@ -205,6 +216,7 @@ def simulate_closed_loop(
     initial: GaussianBelief,
     gain_offset: NDArray[np.float64] | None = None,
     first: int = 0,
+    record: int | None = None,
 ) -> ClosedLoopEnsemble:
     """Run the filter/controller loop over trajectories ``first`` to
     ``first + n_traj - 1`` of a seed.
@@ -237,6 +249,11 @@ def simulate_closed_loop(
         Index of the first trajectory; row i of the result is trajectory
         ``first + i``, and ``n_traj=1, first=i`` replays trajectory i
         alone.
+    record : int, optional
+        Keep the paths of the first ``record`` trajectories only, so the
+        paths take ``min(record, n_traj)`` rows; ``None`` keeps them all.
+        Total costs cover every trajectory either way, and a recorded
+        row is the same bit for bit whatever ``record`` is.
 
     Notes
     -----
@@ -248,6 +265,8 @@ def simulate_closed_loop(
     it.
     """
     first = _count(first, "first", 0)
+    n_traj = config.n_traj
+    n_kept = n_traj if record is None else min(_count(record, "record", 0), n_traj)
     if initial.m != coeffs.m:
         raise InvalidParameter(
             f"initial belief has dimension {initial.m}, coefficients {coeffs.m}"
@@ -263,7 +282,6 @@ def simulate_closed_loop(
     n_steps, dt = grid.n_steps, grid.dt
     stride = config.record_stride
     n_rec = config.n_records
-    n_traj = config.n_traj
 
     # the per-step arrays, built _BLOCK steps at a time so that no
     # temporary spans the grid: step maps [Phi_n | K_n], applied to the
@@ -284,17 +302,20 @@ def simulate_closed_loop(
     C_dt, half_dt = coeffs.C * dt, 0.5 * dt
 
     with _fits_in_memory(f"n_traj {n_traj} needs result arrays"):
-        means = np.empty((n_traj, n_rec, m))
-        controls = np.empty((n_traj, n_rec, k))
-        outputs = np.zeros((n_traj, n_rec, d))
-        innovations = np.zeros((n_traj, n_rec, d))
-        running = np.empty((n_traj, n_rec))
+        means = np.empty((n_kept, n_rec, m))
+        controls = np.empty((n_kept, n_rec, k))
+        outputs = np.zeros((n_kept, n_rec, d))
+        innovations = np.zeros((n_kept, n_rec, d))
+        running = np.empty((n_kept, n_rec))
         totals = np.empty(n_traj)
 
     def run_chunk(start: int, stop: int, noise) -> None:
         # the chunk is held transposed, one trajectory per column, so
         # every elementwise pass runs over contiguous rows of length B
         rows, sl = stop - start, slice(start - first, stop - first)
+        # its first `kept` columns are recorded trajectories, rows `kept_sl`
+        kept = max(0, min(rows, first + n_kept - start))
+        kept_sl = slice(start - first, start - first + kept)
         B = _chunk_width(rows)  # zero pad columns stay zero
         # [Xhat; dW] of this step and the next, alternating
         XW = np.zeros((2, m + d, B))
@@ -311,22 +332,26 @@ def simulate_closed_loop(
             QX.sum(axis=0, out=out)
             out += trace
 
-        def record(row, X, n):
-            means[sl, row] = X[:, :rows].T
+        def record_row(row, X, n):
+            # products run over all B columns, so each recorded column
+            # rounds as in a chunk that records them all
+            means[kept_sl, row] = X[:, :kept].T
             # -L_n X as the last rows of a GEMM: with one control, a
             # one-row product would go to GEMV, which sums its terms in
             # another order and moves the recorded controls by an ulp
-            controls[sl, row] = (np.vstack((np.eye(m), -gains[n])) @ X)[m:, :rows].T
-            running[sl, row] = acc[:rows]
+            controls[kept_sl, row] = (np.vstack((np.eye(m), -gains[n])) @ X)[m:, :kept].T
+            running[kept_sl, row] = acc[:kept]
 
         X = XW[0, :m]
         quadratic_cost(X, Q[0], trace_F[0], c_prev)
-        record(0, X, 0)
+        if kept:
+            record_row(0, X, 0)
         row = 1
         for step, dW in enumerate(noise):
             XW_now, XW_next = XW[step % 2], XW[(step + 1) % 2]
             XW_now[m:] = dW
-            block += XW_now
+            if kept:
+                block += XW_now
             X = XW_next[:m]
             np.matmul(step_maps[step], XW_now, out=X)
             np.abs(X, out=absX)
@@ -339,10 +364,11 @@ def simulate_closed_loop(
             trap *= half_dt
             acc += trap
             c_prev, c_next = c_next, c_prev
-            if (step + 1) % stride == 0:
-                record(row, X, step + 1)
-                outputs[sl, row] = (C_dt @ block[:m])[:, :rows].T + block[m:, :rows].T
-                innovations[sl, row] = block[m:, :rows].T
+            if kept and (step + 1) % stride == 0:
+                record_row(row, X, step + 1)
+                outputs[kept_sl, row] = ((C_dt @ block[:m])[:, :kept].T
+                                         + block[m:, :kept].T)
+                innovations[kept_sl, row] = block[m:, :kept].T
                 block[:] = 0.0
                 row += 1
         quadratic_cost(X, cost.Omega_T, terminal_trace, c_next)

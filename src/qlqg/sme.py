@@ -403,11 +403,13 @@ def _sme_stack(model: FiniteModel, u, dt: float, readouts=None) -> np.ndarray:
     real ((d + 1) n^2, n^2) matrix, built once per control.  With the
     (m, n^2) ``readouts`` of a feedback it goes on with dt G_k for every
     control, G_k the map rho -> -i[H_k, rho]/hbar, and then those rows.
-    A model too large for it raises InvalidParameter.
+    A model too large for it raises InvalidParameter.  Entries past the
+    float range warn nothing: the step's state check raises them.
     """
     n = model.dim
     I = np.eye(n)
-    with _fits_in_memory(f"a dim-{n} model needs filtering maps"):
+    with (_fits_in_memory(f"a dim-{n} model needs filtering maps"),
+          np.errstate(over="ignore", invalid="ignore")):
         step = np.eye(n * n) + dt * _lindblad_map(model, u)
         maps = [_superoperator([(L, I), (I, L.conj().T)], n) for L in model.L_list]
         if readouts is not None:
@@ -442,9 +444,11 @@ def _master_map(model: FiniteModel, u, dt: float) -> np.ndarray:
     """The RK4 step of the master flow on coordinates, sum_{k<=4} (dt G)^k / k!.
 
     For a linear flow the RK4 step is exactly this Taylor polynomial.  A
-    model too large for it raises InvalidParameter.
+    model too large for it raises InvalidParameter.  Entries past the
+    float range warn nothing: the flow's state check raises them.
     """
-    with _fits_in_memory(f"a dim-{model.dim} model needs a master-flow map"):
+    with (_fits_in_memory(f"a dim-{model.dim} model needs a master-flow map"),
+          np.errstate(over="ignore", invalid="ignore")):
         return _rk4_map(dt * _lindblad_map(model, u))
 
 

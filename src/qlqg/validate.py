@@ -200,7 +200,8 @@ def _optimality_probe(n_traj: int, seed: int, gain_offset) -> str:
     config = SimConfig(grid=grid, n_traj=n_traj, seed=seed, record_stride=grid.n_steps)
     initial = GaussianBelief(mean=[1.0, 0.0], cov=np.diag([0.5, 0.5]))
 
-    optimal = simulate_closed_loop(coeffs, cost, config, initial)
+    # only the total costs are read, so no paths are recorded
+    optimal = simulate_closed_loop(coeffs, cost, config, initial, record=0)
     analytic = total_minimal_cost(
         initial.mean, initial.cov, optimal.Omega_path, optimal.Sigma_path, coeffs, cost
     )
@@ -211,7 +212,7 @@ def _optimality_probe(n_traj: int, seed: int, gain_offset) -> str:
 
     # common random numbers: same seed, same innovations, so the
     # extra cost of the detuned gain is a paired difference
-    detuned = simulate_closed_loop(coeffs, cost, config, initial, gain_offset)
+    detuned = simulate_closed_loop(coeffs, cost, config, initial, gain_offset, record=0)
     diff = detuned.total_costs - optimal.total_costs
     d_mean = float(diff.mean())
     d_se = float(diff.std(ddof=1) / np.sqrt(n_traj))

@@ -284,6 +284,34 @@ class TestSimulate:
             assert a == (tmp_path / "b" / name).read_bytes()
             assert len(a) > 0
 
+    def test_files_match_a_full_record_ensemble(self, tmp_path, monkeypatch):
+        # the CLI keeps only the paths it writes; its files are those of
+        # an ensemble that keeps every trajectory's
+        scenario = feedback_scenario(
+            tmp_path,
+            grid={"t0": 0.0, "t1": 1.0, "n_steps": 1000},
+            sim={"n_traj": 50, "seed": 3, "initial_mean": [1.0, 0.0],
+                 "initial_cov": [[0.5, 0.0], [0.0, 0.5]],
+                 "record_stride": 100, "record_trajectories": 3},
+        )
+        assert cli.main(["simulate", "--scenario", scenario,
+                         "--out", str(tmp_path / "kept")]) == 0
+        simulate, asked = cli.simulate_closed_loop, []
+
+        def full_record(*args, record):
+            asked.append(record)
+            return simulate(*args)
+
+        monkeypatch.setattr(cli, "simulate_closed_loop", full_record)
+        assert cli.main(["simulate", "--scenario", scenario,
+                         "--out", str(tmp_path / "full")]) == 0
+        assert asked == [3]
+        names = ["summary.json"] + [f"trajectory_{i:03d}.csv" for i in range(3)]
+        assert sorted(p.name for p in (tmp_path / "kept").iterdir()) == names
+        for name in names:
+            assert ((tmp_path / "kept" / name).read_bytes()
+                    == (tmp_path / "full" / name).read_bytes()), name
+
     def test_flag_overrides(self, tmp_path, capsys):
         scenario = feedback_scenario(
             tmp_path,
@@ -309,6 +337,7 @@ class TestScenarioValues:
     MISTYPED = [
         ("grid", "t0", "abc"), ("grid", "n_steps", [1]), ("grid", "n_steps", 2.5),
         ("sim", "record_stride", "x"), ("sim", "record_trajectories", "two"),
+        ("sim", "record_trajectories", -1),
         ("sim", "n_traj", 2.5), ("sim", "seed", True), ("cost", "beta", None),
         ("model", "mass", "heavy"), ("sim", "initial_cov", "x"),
         ("sim", "initial_mean", [1.0, [0.0]]),

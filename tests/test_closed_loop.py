@@ -238,6 +238,42 @@ class TestDeterminism:
                                               getattr(full, field)[first:],
                                               err_msg=f"{field}, first {first}")
 
+    PATH_FIELDS = ("means", "controls", "outputs", "innovations", "running_costs")
+
+    @pytest.mark.parametrize("n_traj, first, record", [
+        *((20, first, record) for first in (0, 3) for record in (0, 1, 9, 25)),
+        (1030, 0, 1027), (1030, 3, 1027),
+    ])
+    def test_recorded_rows_are_those_of_the_full_ensemble(self, n_traj, first, record):
+        # 1030 trajectories split into chunks of 1024 and 6, and the
+        # record stops inside the second chunk
+        coeffs, cost, belief = random_problem(np.random.default_rng(3), 4, 2, 2)
+        cfg = SimConfig(grid=TimeGrid(0.0, 0.02, 20), n_traj=n_traj, seed=3,
+                        record_stride=5)
+        full = simulate_closed_loop(coeffs, cost, cfg, belief, first=first)
+        kept = simulate_closed_loop(coeffs, cost, cfg, belief, first=first,
+                                    record=record)
+        n_kept = min(record, n_traj)
+        assert len(kept) == n_traj and kept.config == cfg
+        np.testing.assert_array_equal(kept.total_costs, full.total_costs)
+        for field in self.PATH_FIELDS:
+            assert getattr(kept, field).shape[0] == n_kept
+            np.testing.assert_array_equal(getattr(kept, field),
+                                          getattr(full, field)[:n_kept], err_msg=field)
+        if n_kept:
+            assert np.array_equal(kept[n_kept - 1].means, full[n_kept - 1].means)
+        unrecorded = [n_kept, n_traj - 1, -1] if n_kept < n_traj else []
+        for i in unrecorded:
+            with pytest.raises(IndexError):
+                kept[i]
+
+    @pytest.mark.parametrize("record", [-1, 1.5, "3", True])
+    def test_rejects_bad_record(self, record):
+        with pytest.raises(InvalidParameter, match="record must be an integer >= 0"):
+            simulate_closed_loop(feedback_coefficients(), tracking_cost(),
+                                 small_config(n_steps=10, t1=0.1), default_belief(),
+                                 record=record)
+
     @pytest.mark.parametrize("first", [-1, 1.5, "3", True])
     def test_rejects_bad_first(self, first):
         with pytest.raises(InvalidParameter, match="first must be an integer >= 0"):
@@ -393,6 +429,25 @@ class TestBlockNoise:
         short, long = (growth(n) for n in steps)
         assert 0 < short
         assert long <= short
+
+    def test_memory_grows_with_recorded_trajectories_only(self):
+        # at every step recorded, each trajectory's paths take 101 rows of
+        # 7 floats: 3072 more trajectories add 17 MB when all are kept
+        def growth(record):
+            peaks = []
+            for n_traj in (1024, 4096):
+                cfg = SimConfig(grid=TimeGrid(0.0, 0.1, 100), n_traj=n_traj, seed=1)
+                tracemalloc.start()
+                try:
+                    simulate_closed_loop(feedback_coefficients(), tracking_cost(),
+                                         cfg, default_belief(), record=record)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            return peaks[1] - peaks[0]
+
+        assert growth(8) < 2**20
+        assert growth(None) > 10 * 2**20
 
 
 class TestCostEstimates:

@@ -938,6 +938,26 @@ class TestEnsemble:
         assert str(info.value) == (
             "state left the finite range in trajectory 0 of seed 4 at step 6, t=0.006")
 
+    def test_overflowing_model_builds_its_maps_without_warning(self):
+        # the generator of L = 1e200 sz overflows while it is built; the
+        # flows' state checks raise that, and numpy prints nothing first
+        model = FiniteModel(H0=np.zeros((2, 2)), L_list=[1e200 * SZ])
+        cfg = SimConfig(grid=TimeGrid(0.0, 0.01, 10), n_traj=8, seed=1)
+        runs = {
+            "trajectory 0 of seed 1 at step 1, t=0.001":
+                lambda: simulate_sme_ensemble(mixed_state(), model, cfg),
+            "master flow at step 1, t=0.001":
+                lambda: evolve_master(mixed_state(), model, cfg.grid),
+            "the filtering step":
+                lambda: sme_step(mixed_state(), model, None, [0.0], 0.001),
+        }
+        for where, run in runs.items():
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NonFinite) as info:
+                    run()
+            assert str(info.value) == f"state left the finite range in {where}"
+
     def test_unraveling_mean_matches_master_diagonal(self):
         # incoherent start: the master flow is constant and the ensemble
         # mean must stay on it
