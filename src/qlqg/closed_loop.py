@@ -14,6 +14,7 @@ covariance and gain paths.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -158,24 +159,111 @@ def _chunk_width(rows: int) -> int:
     return -(-rows // _COLUMN_BLOCK) * _COLUMN_BLOCK
 
 
+#: constants of numpy's SeedSequence hash (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_MASK32 = 0xFFFFFFFF
+#: words in a SeedSequence pool
+_POOL = 4
+
+
+def _hasher(init: int, mult: int):
+    """SeedSequence's hash with a running multiplier: each call of the
+    returned function hashes uint32 values with the next constant."""
+    const = init
+
+    def hash_words(value):
+        nonlocal const
+        xor, const = np.uint32(const), const * mult & _MASK32
+        value = (value ^ xor) * np.uint32(const)
+        return value ^ (value >> 16)
+    return hash_words
+
+
+def _mix(x, y):
+    """SeedSequence's mix of a hashed word ``y`` into a pool word ``x``."""
+    r = x * _MIX_MULT_L - y * _MIX_MULT_R
+    return r ^ (r >> 16)
+
+
+def _stream_keys(seed: int, start: int, stop: int) -> NDArray[np.uint64]:
+    """Philox keys of the streams of trajectories ``start..stop-1``, one
+    row each: row i is ``np.random.SeedSequence(seed, spawn_key=(start +
+    i,)).generate_state(2, np.uint64)``, for every row at once.
+
+    It is numpy's SeedSequence hash in uint32 arithmetic.  The entropy
+    is the seed's 32-bit words, padded to the pool size because a spawn
+    key follows, then the index's words.  A seed below 2^64, as
+    :class:`SimConfig` requires, fits the pool, so the pool and its
+    mixing depend on the seed only and are computed once; each index
+    word then mixes into every pool word, one round per word, and an
+    index with fewer words leaves its pool as it is in the later rounds.
+    The index has no upper bound.
+    """
+    rows = stop - start
+    # the index words, least significant first, carried across 32 bits
+    # so that indices of any size are exact
+    index_words, rest, carry = [], start, np.arange(rows, dtype=np.uint64)
+    while True:
+        total = carry + np.uint64(rest & _MASK32)
+        index_words.append((total & _MASK32).astype(np.uint32))
+        carry, rest = total >> 32, rest >> 32
+        if not rest and not carry.any():
+            break
+    # the word count of each index: 1 + the position of its top nonzero word
+    n_words = np.ones(rows, dtype=np.intp)
+    for j, w in enumerate(index_words[1:], start=2):
+        n_words[w != 0] = j
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    with np.errstate(over="ignore"):
+        pool = [hashmix(np.uint32((seed >> 32 * i) & _MASK32)) for i in range(_POOL)]
+        for src in range(_POOL):
+            for dst in range(_POOL):
+                if src != dst:
+                    pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+        for j, w in enumerate(index_words):
+            mixed = [_mix(p, hashmix(w)) for p in pool]
+            pool = [np.where(n_words > j, q, p) for p, q in zip(pool, mixed)]
+        state = _hasher(_INIT_B, _MULT_B)
+        words = [state(p).astype(np.uint64) for p in pool]
+    # the four state words read as two little-endian uint64
+    return np.stack([words[0] | words[1] << 32, words[2] | words[3] << 32], axis=1)
+
+
+@functools.cache
+def _key_type() -> type:
+    """The class of a precomputed Philox key, handed over as the seed
+    sequence that would generate it.  Built on first use, so that a
+    program that draws no noise does not import numpy.random."""
+
+    class _Key(np.random.bit_generator.ISeedSequence):
+        def __init__(self, key: NDArray[np.uint64]) -> None:
+            self.key = key
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.key
+    return _Key
+
+
 def _increments(config: SimConfig, start: int, stop: int, d: int):
     """Per-step (d, B) Wiener increments of trajectories ``start..stop-1``,
     B = ``_chunk_width(stop - start)``, each a view valid until the next
     is drawn.
 
-    Column i comes from the Philox stream of ``(seed, start + i)``; the
-    pad columns are zero.  The streams stay alive and draw ``_BLOCK``
-    steps at a time into one buffer; a counter-based stream yields the
-    same numbers however its draws are split, so the bytes are those of
-    one bulk draw.
+    Column i comes from numpy's Philox stream keyed by
+    ``SeedSequence(seed, spawn_key=(start + i,))``; the pad columns are
+    zero.  The chunk's keys are computed together by
+    :func:`_stream_keys`, with no SeedSequence object per trajectory.
+    The streams stay alive and draw ``_BLOCK`` steps at a time into one
+    buffer; a counter-based stream yields the same numbers however its
+    draws are split, so the bytes are those of one bulk draw.
     """
     rows, n_steps = stop - start, config.grid.n_steps
     sqrt_dt = math.sqrt(config.grid.dt)
-    streams = [
-        np.random.Generator(np.random.Philox(
-            np.random.SeedSequence(config.seed, spawn_key=(i,))))
-        for i in range(start, stop)
-    ]
+    key = _key_type()
+    streams = [np.random.Generator(np.random.Philox(key(k)))
+               for k in _stream_keys(int(config.seed), start, stop)]
     block = np.empty((rows, _BLOCK, d))
     steps = np.zeros((_BLOCK, d, _chunk_width(rows)))
     for step0 in range(0, n_steps, _BLOCK):
@@ -193,9 +281,10 @@ def _run_chunks(config: SimConfig, d: int, run_chunk, first: int = 0) -> None:
     The one chunk loop of every Monte Carlo simulator.  Chunks of up to
     ``_CHUNK`` trajectories cover the indices ``first`` to
     ``first + n_traj - 1``; ``noise`` yields the chunk's (d, B) Wiener
-    increments step by step, one trajectory per column, column i from the
-    Philox stream of ``(seed, start + i)``, so no buffer grows with
-    ``n_steps``.
+    increments step by step, one trajectory per column, so no buffer
+    grows with ``n_steps``.  Column i comes from numpy's Philox stream
+    keyed by ``SeedSequence(seed, spawn_key=(start + i,))``, and the
+    keys of a chunk are computed together (:func:`_increments`).
 
     B = ``_chunk_width(stop - start)`` is the chunk's trajectory count
     rounded up to a multiple of ``_COLUMN_BLOCK``, and the pad columns'
@@ -324,12 +413,21 @@ def simulate_closed_loop(
         acc, trap = np.zeros(B), np.empty(B)
         c_prev, c_next = np.empty(B), np.empty(B)
         QX, absX = np.empty((m, B)), np.empty((m, B))
+        QX_rows = list(QX)
 
         def quadratic_cost(X, W, trace, out):
-            # X' W X + trace for every column X
+            # X' W X + trace for every column X.  The rows of W X * X are
+            # added one by one, in the order sum(axis=0) adds them on B >= 8
+            # columns, through row views bound once per chunk: that costs
+            # less than half of the reduction call
             np.matmul(W, X, out=QX)
             np.multiply(QX, X, out=QX)
-            QX.sum(axis=0, out=out)
+            if m == 1:
+                np.copyto(out, QX_rows[0])
+            else:
+                np.add(QX_rows[0], QX_rows[1], out=out)
+                for row in QX_rows[2:]:
+                    out += row
             out += trace
 
         def record_row(row, X, n):

@@ -666,6 +666,17 @@ class TestEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
 
+    def test_import_leaves_numpy_random_out(self):
+        # the noise streams are built on first use, so a run that draws no
+        # noise, such as qlqg riccati or qlqg build, never loads them
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, qlqg, qlqg.cli; print(sorted("
+             "m for m in sys.modules if m.startswith('numpy.random')))"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
     def test_model_too_large_for_memory_exits_2(self, tmp_path):
         # the child's address space is capped at 3 GiB, so each allocation
         # below fails at once: a dim-200 model's (n^2, n^2) maps of some

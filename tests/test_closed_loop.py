@@ -10,7 +10,9 @@ from scipy.integrate import solve_ivp
 from test_kalman import random_coefficients
 
 from qlqg.cli import trajectory_to_csv
-from qlqg.closed_loop import SimConfig, monte_carlo_expected_cost, simulate_closed_loop
+from qlqg.closed_loop import (
+    SimConfig, _stream_keys, monte_carlo_expected_cost, simulate_closed_loop,
+)
 from qlqg.control import control_gain_path
 from qlqg.errors import ConfigError, EmptyEnsemble, InvalidParameter, NonFinite
 from qlqg.kalman import MeasurementIncrement, filter_step
@@ -373,18 +375,62 @@ class TestStatistics:
             ens.outputs[:, -1] - ens.innovations[:, -1], signal, atol=1e-12)
 
 
+def numpy_keys(seed, start, stop):
+    """The Philox keys numpy derives from SeedSequence(seed, spawn_key=(i,))."""
+    return np.array([np.random.SeedSequence(seed, spawn_key=(i,)).generate_state(2, np.uint64)
+                     for i in range(start, stop)]).reshape(-1, 2)
+
+
+class TestStreamKeys:
+    # every trajectory's stream is numpy's Philox keyed by
+    # SeedSequence(seed, spawn_key=(index,)), whatever the size of the
+    # seed and the index; the windows cross one, two and three words
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+    @pytest.mark.parametrize("start, stop", [
+        (0, 9), (1020, 1031), (2**32 - 4, 2**32 + 5), (2**64 - 4, 2**64 + 5),
+        (2**70, 2**70 + 4),
+    ])
+    def test_keys_are_numpys(self, seed, start, stop):
+        keys = _stream_keys(seed, start, stop)
+        assert keys.dtype == np.uint64
+        np.testing.assert_array_equal(keys, numpy_keys(seed, start, stop))
+
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(seed=st.integers(0, 2**64 - 1),
+           start=st.one_of(st.integers(0, 2**12), st.integers(0, 2**80),
+                           st.sampled_from([2**32 - 3, 2**64 - 3, 2**70])),
+           rows=st.integers(1, 6))
+    def test_keys_are_numpys_for_any_window(self, seed, start, rows):
+        np.testing.assert_array_equal(_stream_keys(seed, start, start + rows),
+                                      numpy_keys(seed, start, start + rows))
+
+    def test_simulators_make_no_seed_sequence(self, monkeypatch):
+        # the keys come from one vectorized hash per chunk: a SeedSequence
+        # per trajectory costs several times the stream itself
+        def refuse(*args, **kwargs):
+            raise AssertionError("a SeedSequence was built")
+        monkeypatch.setattr(np.random, "SeedSequence", refuse)
+        cfg = small_config(n_traj=20, n_steps=20, t1=0.01)
+        simulate_closed_loop(feedback_coefficients(), tracking_cost(), cfg, default_belief())
+        model = FiniteModel(H0=np.zeros((2, 2)), L_list=[np.diag([1.0, -1.0])])
+        simulate_sme_ensemble(DensityMatrix(np.diag([0.6, 0.4]).astype(complex)), model, cfg)
+
+
 class TestBlockNoise:
     def test_innovations_are_the_bulk_draws(self):
         # drawn in blocks of steps, each stream still gives the bytes of
-        # one draw of all its steps; 300 steps end inside a block
+        # one draw of all its steps; 300 steps end inside a block.  The
+        # second chunk holds indices of one and of two 32-bit words
         coeffs, cost, belief = random_problem(np.random.default_rng(4), m=2)
-        cfg = SimConfig(grid=TimeGrid(0.0, 0.3, 300), n_traj=3, seed=17)
-        ens = simulate_closed_loop(coeffs, cost, cfg, belief)
-        for i in range(cfg.n_traj):
-            stream = np.random.Generator(np.random.Philox(
-                np.random.SeedSequence(cfg.seed, spawn_key=(i,))))
-            draws = stream.standard_normal((300, 2)) * math.sqrt(cfg.grid.dt)
-            np.testing.assert_array_equal(ens.innovations[i, 1:], draws)
+        for first, n_traj in ((0, 3), (2**32 - 2, 4)):
+            cfg = SimConfig(grid=TimeGrid(0.0, 0.3, 300), n_traj=n_traj, seed=17)
+            ens = simulate_closed_loop(coeffs, cost, cfg, belief, first=first)
+            for i in range(cfg.n_traj):
+                stream = np.random.Generator(np.random.Philox(
+                    np.random.SeedSequence(cfg.seed, spawn_key=(first + i,))))
+                draws = stream.standard_normal((300, 2)) * math.sqrt(cfg.grid.dt)
+                np.testing.assert_array_equal(ens.innovations[i, 1:], draws)
 
     @pytest.mark.parametrize("simulator, steps", [
         ("closed_loop", (2000, 20000)),

@@ -698,6 +698,16 @@ class TestTrajectory:
                 np.testing.assert_array_equal(
                     alone.mean_states[-1], alone.final_states[0], err_msg=case)
 
+    def test_replays_trajectories_past_64_bits(self):
+        # the ensemble holds indices of two 32-bit words (to 2^64 - 1) and
+        # of three (2^64); each still runs alone as it runs in it
+        grid = TimeGrid(0.0, 0.05, 50)
+        ens = simulate_sme_ensemble(mixed_state(), dephasing_model(),
+                                    SimConfig(grid=grid, n_traj=6, seed=5), first=2**64 - 5)
+        for i in range(6):
+            alone = replay(mixed_state(), dephasing_model(), grid, 5, 2**64 - 5 + i)
+            np.testing.assert_array_equal(alone.final_states[0], ens.final_states[i])
+
     @pytest.mark.parametrize("index", [-1, 1.5, "3", True, False])
     def test_rejects_bad_index(self, index):
         cfg = SimConfig(grid=TimeGrid(0.0, 0.01, 10), n_traj=1, seed=0)
