@@ -8,75 +8,25 @@ conditional master equation on small finite-dimensional systems and is
 used to cross-check the Gaussian layer against first principles.
 """
 
-from .errors import (
-    ConfigError,
-    DimensionMismatch,
-    EmptyEnsemble,
-    GridMismatch,
-    InvalidParameter,
-    NoConvergence,
-    NonFinite,
-    NonRealCoefficient,
-    NotAProjectorFamily,
-    NotUnitary,
-    NumericalError,
-    PositivityLoss,
-    QlqgError,
-    UncertaintyViolation,
-    ValidationError,
-)
-from .phase_space import (
-    GaussianBelief,
-    LinearCoefficients,
-    PhaseSpaceModel,
-    UncertaintyReport,
-    build_coefficients,
-    check_uncertainty,
-    free_particle_model,
-    model_from_json,
-)
-from .riccati import (
-    CostSpec,
-    MatrixPath,
-    ScalarPath,
-    TimeGrid,
-    integrate_alpha,
-    integrate_control_riccati,
-    integrate_filter_riccati,
-    lyapunov_unconditional,
-    stationary_filter_covariance,
-    total_minimal_cost,
-)
-from .kalman import MeasurementIncrement, filter_step
-from .control import (
-    ControlGainPath,
-    control_gain_path,
-    control_path_via_duality,
-    duality_map,
-    hjb_residual,
-)
-from .closed_loop import (
-    ClosedLoopEnsemble,
-    SimConfig,
-    TrajectoryRecord,
-    monte_carlo_expected_cost,
-    simulate_closed_loop,
-)
-from .sme import (
-    DensityMatrix,
-    FiniteModel,
-    SmeEnsemble,
-    discrete_conditioning,
-    evolve_master,
-    finite_model_from_json,
-    lindblad_heisenberg,
-    lindblad_schrodinger,
-    master_step,
-    simulate_sme_ensemble,
-    sme_step,
-    trace_distance,
-    weak_measurement_unitary,
-)
-from . import free_particle
+from . import errors, phase_space, riccati, kalman, control, closed_loop, sme, free_particle
+from .errors import *
+from .phase_space import *
+from .riccati import *
+from .kalman import *
+from .control import *
+from .closed_loop import *
+from .sme import *
+
+# each public name is listed once, in the __all__ of the module defining it
+__all__ = [
+    *errors.__all__,
+    *phase_space.__all__,
+    *riccati.__all__,
+    *kalman.__all__,
+    *control.__all__,
+    *closed_loop.__all__,
+    *sme.__all__,
+    "free_particle",
+]
 
 __version__ = "0.1.0"

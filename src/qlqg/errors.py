@@ -9,6 +9,24 @@ family to exit code 2 and the second to exit code 3.
 
 from __future__ import annotations
 
+__all__ = [
+    "QlqgError",
+    "ValidationError",
+    "NumericalError",
+    "DimensionMismatch",
+    "NonRealCoefficient",
+    "InvalidParameter",
+    "GridMismatch",
+    "ConfigError",
+    "NotAProjectorFamily",
+    "NotUnitary",
+    "EmptyEnsemble",
+    "UncertaintyViolation",
+    "NonFinite",
+    "NoConvergence",
+    "PositivityLoss",
+]
+
 
 class QlqgError(Exception):
     """Base class for all errors raised by this package."""

@@ -466,7 +466,8 @@ def master_step(
     one step of ``dt``.
 
     It stays public for callers that step a state by hand, such as the
-    weak-measurement and flow-derivative oracles.
+    tests' oracles for the flow derivative and for the average over
+    weak-measurement outcomes.
     """
     grid = TimeGrid(0.0, _positive(dt, "dt"), 1)
     return DensityMatrix(evolve_master(rho, model, grid, u)[1][-1])
@@ -724,24 +725,19 @@ def simulate_sme_ensemble(
     n_rec = config.n_records
     with _fits_in_memory(f"n_traj {config.n_traj} needs result arrays"):
         finals = np.empty((config.n_traj, n, n), dtype=complex)
-    # sums over the ensemble at the recorded times; the first chunk
-    # assigns and later chunks add, in index order
-    path_sum = np.empty((n * n, n_rec))
-    output_sum = np.zeros((d, n_rec))
-    control_sum = np.empty((len(u), n_rec))
+    # sums over the ensemble at the recorded times, added chunk by chunk in
+    # index order from -0.0, which leaves the first chunk's sums bit for
+    # bit; no output is recorded at the start
+    path_sum = np.full((n * n, n_rec), -0.0)
+    output_sum = np.full((d, n_rec), -0.0)
+    output_sum[:, 0] = 0.0
+    control_sum = np.full((len(u), n_rec), -0.0)
     low = float(_min_eigenvalues(start_coords).min())
     trace_dev = 0.0
 
     def run_chunk(start: int, stop: int, noise: np.ndarray) -> None:
         nonlocal low, trace_dev
         rows = stop - start
-
-        def add(total: np.ndarray, value) -> None:
-            if start == first:
-                total[...] = value
-            else:
-                total += value
-
         # pad columns are copies of the start driven by zero noise: a zero
         # state would have trace 0
         h = np.repeat(start_coords, _chunk_width(rows), axis=1)
@@ -752,10 +748,10 @@ def simulate_sme_ensemble(
         e_sum, dW_sum = np.zeros((2, d, h.shape[1]))
 
         def record(row: int) -> None:
-            add(path_sum[:, row], h[:, :rows].sum(axis=1))
+            path_sum[:, row] += h[:, :rows].sum(axis=1)
             if gain is not None:
-                add(control_sum[:, row], [(v[:rows] + u_k).sum() for u_k, v in
-                                          zip(u, _feedback(gain, readouts @ h))])
+                control_sum[:, row] += [(v[:rows] + u_k).sum() for u_k, v in
+                                        zip(u, _feedback(gain, readouts @ h))]
 
         record(0)
         row = 1
@@ -786,7 +782,7 @@ def simulate_sme_ensemble(
             if (step + 1) % config.record_stride == 0:
                 e_sum *= grid.dt
                 e_sum += dW_sum
-                add(output_sum[:, row], e_sum[:, :rows].sum(axis=1))
+                output_sum[:, row] += e_sum[:, :rows].sum(axis=1)
                 e_sum[:] = 0.0
                 dW_sum[:] = 0.0
                 record(row)
@@ -853,6 +849,7 @@ def discrete_conditioning(
             f"unitary shape {U.shape} is not a multiple of system dim {n}"
         )
     a = U.shape[0] // n
+    _finite(U, "U")
     if np.abs(U.conj().T @ U - np.eye(n * a)).max() > 1e-10:
         raise NotUnitary("U'U deviates from the identity")
     family = _check_projector_family(projectors, a)

@@ -300,6 +300,46 @@ class TestStationarySolver:
         with pytest.raises(NoConvergence):
             stationary_filter_covariance(coeffs)
 
+    @pytest.mark.parametrize("A, C, expected", [
+        # no drift, no output: the covariance grows linearly forever
+        (np.zeros((2, 2)), [[0.0, 0.0]], NoConvergence),
+        # eigenvalues +-i carry real parts of about +-1e-8 after rounding;
+        # only the residual check (about 1.5) rejects them
+        ([[0.0, 1.0], [-1.0, 0.0]], [[0.0, 0.0]], NoConvergence),
+        # an unstable mode nobody observes: the flow escapes
+        (np.diag([1.0, -1.0]), [[0.0, 0.0]], NonFinite),
+        (np.diag([1.0, -1.0]), [[0.0, 1.0]], NonFinite),
+        (-np.eye(2), [[0.0, 0.0]], 0.5 * np.eye(2)),
+        (np.diag([1.0, -1.0]), [[1.0, 0.0]], np.diag([1.0 + np.sqrt(2.0), 0.5])),
+        # settles long after t = 1000: N / 0.02
+        (-0.01 * np.eye(2), [[0.0, 0.0]], 50.0 * np.eye(2)),
+    ], ids=["free", "oscillator", "unstable", "unstable-unobserved", "stable",
+            "unstable-observed", "slow"])
+    def test_contract(self, A, C, expected):
+        coeffs = LinearCoefficients(A=A, B=np.zeros((2, 1)), C=C, N=np.eye(2),
+                                    M=np.zeros((2, 1)))
+        if isinstance(expected, type):
+            with pytest.raises(expected):
+                stationary_filter_covariance(coeffs)
+        else:
+            S = stationary_filter_covariance(coeffs)
+            np.testing.assert_allclose(S, expected, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_detectable_filter(self, seed):
+        # a full-rank output map observes every mode; the result is a fixed
+        # point of the flow and the flow's limit from the identity
+        rng = np.random.default_rng(seed)
+        A, C = rng.standard_normal((3, 3)), rng.standard_normal((2, 3))
+        M, W = 0.3 * rng.standard_normal((3, 2)), rng.standard_normal((3, 3))
+        coeffs = LinearCoefficients(A=A, B=np.zeros((3, 1)), C=C,
+                                    N=M @ M.T + W @ W.T, M=M)
+        S = stationary_filter_covariance(coeffs)
+        path = integrate_filter_riccati(coeffs, S, TimeGrid(0.0, 1.0, 1000))
+        assert np.abs(path.values - S).max() < 1e-9
+        relaxed = integrate_filter_riccati(coeffs, np.eye(3), TimeGrid(0.0, 40.0, 4000))
+        assert np.abs(relaxed.final - S).max() < 1e-9
+
 class TestAlpha:
     def test_terminal_value_is_zero(self):
         coeffs = feedback_coefficients()
@@ -395,6 +435,13 @@ class TestTotalCost:
         coeffs, cost, S0, Om, Si = self.setup_paths(n=100)
         with pytest.raises(ValidationError):
             total_minimal_cost(np.zeros(2), np.eye(2), Om, Si, coeffs, cost)
+
+    def test_rejects_start_off_by_more_than_atol(self):
+        # 4e-6 is within a relative 1e-5 of the start's 0.5, but the check
+        # is absolute: 1e-12
+        coeffs, cost, S0, Om, Si = self.setup_paths(n=100)
+        with pytest.raises(ValidationError, match="does not start from Sigma0"):
+            total_minimal_cost(np.zeros(2), S0 + np.diag([4e-6, 0.0]), Om, Si, coeffs, cost)
 
     def test_rejects_grid_mismatch(self):
         coeffs, cost, S0, Om, _ = self.setup_paths(n=100)

@@ -1104,6 +1104,16 @@ class TestDiscreteConditioning:
             discrete_conditioning(plus_state(), 1.01 * np.eye(4),
                                   [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
 
+    def test_rejects_nan_unitary(self):
+        # NaN compares False with any tolerance, so U is checked for it first
+        U = np.eye(4, dtype=complex)
+        U[1, 2] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameter, match="^U has non-finite entries"):
+                discrete_conditioning(plus_state(), U,
+                                      [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+
     def test_rejects_non_idempotent_family(self):
         with pytest.raises(NotAProjectorFamily, match="idempotent"):
             discrete_conditioning(plus_state(), np.eye(4),

@@ -1,6 +1,7 @@
 """The demos, the benchmark's span table and the exports against the package."""
 
 import importlib
+import inspect
 import os
 import pkgutil
 import runpy
@@ -37,6 +38,21 @@ def test_every_exported_name_exists(module):
     mod = importlib.import_module(module)
     missing = [name for name in getattr(mod, "__all__", []) if not hasattr(mod, name)]
     assert not missing
+
+
+def test_package_exports_every_module_all_once():
+    # the package's public names are its modules' __all__, the exception
+    # classes, free_particle and __version__, each listed once
+    errors = importlib.import_module("qlqg.errors")
+    expected = {name for name, obj in vars(errors).items()
+                if isinstance(obj, type) and issubclass(obj, Exception)}
+    for module in MODULES:
+        expected |= set(getattr(importlib.import_module(module), "__all__", ()))
+    public = {name for name, obj in vars(qlqg).items()
+              if not name.startswith("_") and not inspect.ismodule(obj)}
+    assert len(qlqg.__all__) == len(set(qlqg.__all__))
+    assert set(qlqg.__all__) == public | {"free_particle"} == expected | {"free_particle"}
+    assert isinstance(qlqg.__version__, str)
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
