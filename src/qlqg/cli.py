@@ -15,8 +15,9 @@ A scenario is a JSON object.  The keys each subcommand reads:
     Inline phase-space model (the ``model_from_json`` schema), a path to
     such a file (relative paths resolve against the scenario file), or
     ``{"preset": "free-particle", "mass": .., "hbar": .., "feedback":
-    true|false}``.  With ``feedback`` the actuation column is doubled to
-    the tracking-loop convention; without it the bare model is used.
+    true|false}`` (a JSON bool).  With ``feedback`` the actuation column
+    is doubled to the tracking-loop convention; without it the bare model
+    is used.
 ``cost``
     ``{"F": .., "G": .., "Omega_T": ..}`` or ``{"preset":
     "position-tracking", "beta": .., "Omega_T": ..}``.
@@ -24,7 +25,8 @@ A scenario is a JSON object.  The keys each subcommand reads:
     ``{"t0": .., "t1": .., "n_steps": ..}``.
 ``sim``
     ``n_traj``, ``seed``, optional ``record_stride`` (default: endpoint
-    only), ``initial_mean``, ``initial_cov``, and optional
+    only), ``initial_mean``, ``initial_cov`` (which must meet the model's
+    Heisenberg bound, in ``simulate`` as in ``riccati``), and optional
     ``record_trajectories`` (how many per-trajectory CSVs to write,
     default 0; only those trajectories' paths are kept in memory).
 ``direction``
@@ -63,6 +65,7 @@ from .errors import ConfigError, NumericalError, ValidationError
 from .phase_space import (
     GaussianBelief,
     _json_array,
+    _json_complex,
     _json_object,
     build_coefficients,
     free_particle_model,
@@ -71,6 +74,7 @@ from .phase_space import (
 from .riccati import (
     CostSpec,
     TimeGrid,
+    _require_heisenberg,
     integrate_control_riccati,
     integrate_filter_riccati,
     total_minimal_cost,
@@ -140,7 +144,10 @@ def _load_model(entry, base_dir: Path):
         mass = _number(entry.get("mass", 1.0), "model.mass")
         hbar = _number(entry.get("hbar", 1.0), "model.hbar")
         model = free_particle_model(mass, hbar)
-        if entry.get("feedback", False):
+        feedback = entry.get("feedback", False)
+        if not isinstance(feedback, bool):
+            raise ConfigError(f"model.feedback must be true or false, got {feedback!r}")
+        if feedback:
             return fp.feedback_coefficients(mass, hbar), model
         return build_coefficients(model), model
     model = model_from_json(entry)
@@ -351,7 +358,7 @@ def cmd_riccati(args) -> int:
 
 def cmd_simulate(args) -> int:
     scenario, base_dir = _load_scenario(args.scenario)
-    coeffs, _ = _load_model(_require(scenario, "model"), base_dir)
+    coeffs, model = _load_model(_require(scenario, "model"), base_dir)
     cost = _parse_cost(_require(scenario, "cost"))
     grid = _parse_grid(_require(scenario, "grid"))
     config = _parse_sim(scenario, grid, args)
@@ -363,6 +370,7 @@ def cmd_simulate(args) -> int:
         mean=_json_array(sim["initial_mean"], "sim.initial_mean"),
         cov=_json_array(sim["initial_cov"], "sim.initial_cov"),
     )
+    _require_heisenberg(initial.cov, model.J, model.hbar)
 
     n_record = _number(sim.get("record_trajectories", 0), "sim.record_trajectories",
                        integer=True)
@@ -395,20 +403,12 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _parse_rho0(entry) -> DensityMatrix:
-    if not isinstance(entry, dict) or "re" not in entry or "im" not in entry:
-        raise ConfigError("key 'rho0' must be a {re, im} pair")
-    return DensityMatrix(
-        _json_array(entry["re"], "rho0.re") + 1j * _json_array(entry["im"], "rho0.im")
-    )
-
-
 def cmd_sme(args) -> int:
     scenario, base_dir = _load_scenario(args.scenario)
     model = finite_model_from_json(
         _inline_or_file(_require(scenario, "finite_model"), base_dir, "finite_model")
     )
-    rho0 = _parse_rho0(_require(scenario, "rho0"))
+    rho0 = DensityMatrix(_json_complex(_require(scenario, "rho0"), "key 'rho0'"))
     grid = _parse_grid(_require(scenario, "grid"))
     config = _parse_sim(scenario, grid, args)
     u = scenario.get("control")

@@ -64,6 +64,8 @@ class SimConfig:
     record_stride: int = 1
 
     def __post_init__(self) -> None:
+        if not isinstance(self.grid, TimeGrid):
+            raise ConfigError(f"grid must be a TimeGrid, got {self.grid!r}")
         for name in ("n_traj", "seed", "record_stride"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):

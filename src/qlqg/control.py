@@ -13,13 +13,14 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import DimensionMismatch, GridMismatch, InvalidParameter
-from .phase_space import LinearCoefficients, _asarray, _count, _frozen, _symmetrize
+from .errors import DimensionMismatch, InvalidParameter
+from .phase_space import LinearCoefficients, _asarray, _count, _symmetrize
 from .riccati import (
     CostSpec,
     MatrixPath,
     ScalarPath,
     TimeGrid,
+    _on_grid,
     _require_matching_cost,
     _require_same_grid,
     integrate_filter_riccati,
@@ -42,17 +43,7 @@ class ControlGainPath:
     gains: NDArray[np.float64]
 
     def __post_init__(self) -> None:
-        gains = np.asarray(self.gains, dtype=float)
-        if gains.ndim != 3:
-            raise DimensionMismatch(
-                f"gains must have shape (n_points, k, m), got {gains.shape}"
-            )
-        if gains.shape[0] != self.grid.n_points:
-            raise GridMismatch(
-                f"gain path has {gains.shape[0]} entries for a grid of "
-                f"{self.grid.n_points} points"
-            )
-        object.__setattr__(self, "gains", _frozen(gains))
+        object.__setattr__(self, "gains", _on_grid(self.grid, self.gains, 3, "gains"))
 
     def at(self, index: int) -> NDArray[np.float64]:
         return self.gains[index]
@@ -91,11 +82,13 @@ def duality_map(
     A, B, C, N, M = coeffs.A.T, coeffs.C.T, coeffs.B.T, cost.F, cost.G.T
     F, G, Omega_T = coeffs.N, coeffs.M.T, cost.Omega_T
     if permutation is not None:
-        p = np.asarray(permutation, dtype=int)
+        # read as floats, so that a fractional index is rejected, not truncated
+        p = _asarray(permutation, float, (None,), "permutation")
         if sorted(p.tolist()) != list(range(coeffs.m)):
             raise InvalidParameter(
                 f"permutation must rearrange range({coeffs.m}), got {permutation}"
             )
+        p = p.astype(int)
         pp = np.ix_(p, p)
         A, N, F, Omega_T = A[pp], N[pp], F[pp], Omega_T[pp]
         B, M, C, G = B[p], M[p], C[:, p], G[:, p]

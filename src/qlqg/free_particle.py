@@ -20,7 +20,7 @@ from numpy.typing import NDArray
 
 from .errors import InvalidParameter
 from .phase_space import (
-    LinearCoefficients, _positive, build_coefficients, free_particle_model,
+    LinearCoefficients, _asarray, _positive, build_coefficients, free_particle_model,
 )
 from .riccati import CostSpec
 
@@ -111,10 +111,10 @@ def spread_covariance(
     """
     mass = _positive(mass, "mass")
     hbar = _positive(hbar, "hbar")
-    Sigma0 = np.asarray(Sigma0, dtype=float)
+    Sigma0 = _asarray(Sigma0, float, None, "Sigma0", copy=False)
     if Sigma0.shape != (2, 2):
         raise InvalidParameter(f"Sigma0 must be 2x2, got shape {Sigma0.shape}")
-    t = np.asarray(t, dtype=float)
+    t = _asarray(t, float, None, "t", copy=False)
     sq0, sqp0, sp0 = Sigma0[0, 0], Sigma0[0, 1], Sigma0[1, 1]
     sp = sp0 + hbar**2 * t
     sqp = sqp0 + sp0 * t / mass + hbar**2 * t**2 / (2.0 * mass)

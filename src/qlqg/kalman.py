@@ -15,7 +15,7 @@ from numpy.typing import NDArray
 
 from .errors import DimensionMismatch
 from .phase_space import (
-    GaussianBelief, LinearCoefficients, _asarray, _finite, _frozen, _positive,
+    GaussianBelief, LinearCoefficients, _asarray, _frozen, _positive,
 )
 
 __all__ = ["MeasurementIncrement", "filter_step"]
@@ -29,9 +29,7 @@ class MeasurementIncrement:
     dt: float
 
     def __post_init__(self) -> None:
-        dY = _finite(np.array(self.dY, dtype=float), "dY")
-        if dY.ndim != 1:
-            raise DimensionMismatch(f"dY must be a vector, got shape {dY.shape}")
+        dY = _asarray(self.dY, float, (None,), "dY")
         _positive(self.dt, "dt")
         object.__setattr__(self, "dY", _frozen(dY))
 

@@ -7,6 +7,11 @@ drift, input, output and noise matrices of the equivalent linear
 stochastic system are assembled.  All derived coefficients are real by
 construction; a residual imaginary part above tolerance is treated as a
 modelling error, not rounded away silently.
+
+The package reads its array arguments through one function,
+:func:`_asarray`: it converts, checks the shape and then finiteness, so
+junk input (a string, a ragged list, a NaN) is a :class:`ValidationError`
+wherever it enters.
 """
 
 from __future__ import annotations
@@ -51,14 +56,6 @@ UNCERTAINTY_TOL = -1e-9
 _DET_TOL = 1e-12
 
 
-def _finite(arr: np.ndarray, name: str) -> np.ndarray:
-    """``arr``, or InvalidParameter on a NaN or inf entry (which would
-    slip past every later ``x > tol`` guard)."""
-    if not np.isfinite(arr).all():
-        raise InvalidParameter(f"{name} has non-finite entries")
-    return arr
-
-
 def _positive(value, name: str) -> float:
     """``value`` as a float, or InvalidParameter unless it is a finite
     positive number (``not x > 0`` alone lets ``inf`` through; an integer
@@ -94,16 +91,41 @@ def _count(value, name: str, low: int) -> int:
     return int(value)
 
 
-def _asarray(value, dtype, shape, name: str) -> np.ndarray:
+def _asarray(value, dtype, shape, name: str, copy: bool = True) -> np.ndarray:
+    """The one reader of array arguments: ``value`` as an array of ``dtype``.
+
+    InvalidParameter when it does not convert (a string, a ragged list, an
+    integer past the float range).  DimensionMismatch unless it has the
+    rank of ``shape`` and each of its fixed dimensions; a ``None`` entry
+    takes any length, and ``shape=None`` any shape.  Last, InvalidParameter
+    on a NaN or inf entry, which would slip past every later ``x > tol``
+    guard.  That test takes the extremes of the real and imaginary parts:
+    NaN propagates through both and an inf reaches one, and unlike
+    ``np.isfinite(arr).all()`` they allocate nothing the size of ``arr``.
+    With ``copy=False`` an array that needs no conversion is ``value``
+    itself.
+    """
     try:
-        arr = np.array(value, dtype=dtype)
-    except (TypeError, ValueError):
-        raise InvalidParameter(f"{name} must be numbers, got {value!r}") from None
-    if arr.shape != shape:
-        raise DimensionMismatch(
-            f"{name} must have shape {shape}, got {arr.shape}"
-        )
-    return _finite(arr, name)
+        arr = (np.array if copy else np.asarray)(value, dtype=dtype)
+    except (TypeError, ValueError, OverflowError):
+        kind = "complex" if np.dtype(dtype).kind == "c" else "real"
+        raise InvalidParameter(f"{name} must be {kind} numbers, got {value!r}") from None
+    if shape is not None and (arr.ndim != len(shape) or any(
+            want not in (None, got) for got, want in zip(arr.shape, shape))):
+        want = str(tuple("any" if n is None else n for n in shape)).replace("'", "")
+        raise DimensionMismatch(f"{name} must have shape {want}, got {arr.shape}")
+    parts = (arr.real, arr.imag) if arr.dtype.kind == "c" else (arr,)
+    if arr.size and not all(np.isfinite(p.min()) and np.isfinite(p.max()) for p in parts):
+        raise InvalidParameter(f"{name} has non-finite entries")
+    return arr
+
+
+def _square(value, dtype, name: str, copy: bool = True) -> np.ndarray:
+    """:func:`_asarray` for a square matrix of any size."""
+    arr = _asarray(value, dtype, (None, None), name, copy)
+    if arr.shape[0] != arr.shape[1]:
+        raise DimensionMismatch(f"{name} must be square, got shape {arr.shape}")
+    return arr
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -154,9 +176,7 @@ class PhaseSpaceModel:
     hbar: float = 1.0
 
     def __post_init__(self) -> None:
-        J = _finite(np.array(self.J, dtype=float), "J")
-        if J.ndim != 2 or J.shape[0] != J.shape[1]:
-            raise DimensionMismatch(f"J must be square, got shape {J.shape}")
+        J = _square(self.J, float, "J")
         m = J.shape[0]
         if m % 2 != 0:
             raise InvalidParameter(f"phase-space dimension must be even, got {m}")
@@ -167,14 +187,8 @@ class PhaseSpaceModel:
         _positive(self.hbar, "hbar")
 
         R = _symmetrize(_asarray(self.R, float, (m, m), "R"), "R")
-        Lam = _finite(np.array(self.Lambda, dtype=complex), "Lambda")
-        if Lam.ndim != 2 or Lam.shape[1] != m:
-            raise DimensionMismatch(
-                f"Lambda must have shape (d, {m}), got {Lam.shape}"
-            )
-        K = _finite(np.array(self.K, dtype=complex), "K")
-        if K.ndim != 2 or K.shape[0] != m:
-            raise DimensionMismatch(f"K must have shape ({m}, k), got {K.shape}")
+        Lam = _asarray(self.Lambda, complex, (None, m), "Lambda")
+        K = _asarray(self.K, complex, (m, None), "K")
 
         object.__setattr__(self, "J", _frozen(J))
         object.__setattr__(self, "R", _frozen(R))
@@ -213,16 +227,10 @@ class LinearCoefficients:
     M: NDArray[np.float64]
 
     def __post_init__(self) -> None:
-        A = _finite(np.array(self.A, dtype=float), "A")
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise DimensionMismatch(f"A must be square, got shape {A.shape}")
+        A = _square(self.A, float, "A")
         m = A.shape[0]
-        B = _finite(np.array(self.B, dtype=float), "B")
-        if B.ndim != 2 or B.shape[0] != m:
-            raise DimensionMismatch(f"B must have shape ({m}, k), got {B.shape}")
-        C = _finite(np.array(self.C, dtype=float), "C")
-        if C.ndim != 2 or C.shape[1] != m:
-            raise DimensionMismatch(f"C must have shape (d, {m}), got {C.shape}")
+        B = _asarray(self.B, float, (m, None), "B")
+        C = _asarray(self.C, float, (None, m), "C")
         d = C.shape[0]
         N = _symmetrize(_asarray(self.N, float, (m, m), "N"), "N")
         if float(np.min(np.linalg.eigvalsh(N))) < PSD_FLOOR:
@@ -252,9 +260,7 @@ class GaussianBelief:
     cov: NDArray[np.float64]
 
     def __post_init__(self) -> None:
-        mean = _finite(np.array(self.mean, dtype=float), "mean")
-        if mean.ndim != 1:
-            raise DimensionMismatch(f"mean must be a vector, got shape {mean.shape}")
+        mean = _asarray(self.mean, float, (None,), "mean")
         m = mean.shape[0]
         cov = _symmetrize(_asarray(self.cov, float, (m, m), "cov"), "cov")
         object.__setattr__(self, "mean", _frozen(mean))
@@ -339,16 +345,11 @@ def check_uncertainty(
     ``UNCERTAINTY_TOL``.  With ``hbar = 0`` this degenerates to plain
     positive semidefiniteness.  A non-finite ``cov``, ``J`` or ``hbar``
     raises InvalidParameter: LAPACK would report an eigenvalue made up
-    from it.
+    from it.  ``J`` must have the shape of the square ``cov``.
     """
-    cov = _finite(np.asarray(cov, dtype=float), "cov")
-    J = _finite(np.asarray(J, dtype=float), "J")
-    if not math.isfinite(hbar):
-        raise InvalidParameter(f"hbar must be finite, got {hbar}")
-    if cov.shape != J.shape:
-        raise DimensionMismatch(
-            f"cov and J must have equal shapes, got {cov.shape} and {J.shape}"
-        )
+    cov = _square(cov, float, "cov", copy=False)
+    J = _asarray(J, float, cov.shape, "J", copy=False)
+    hbar = float(_asarray(hbar, float, (), "hbar"))
     lam_min = float(_heisenberg_margin(cov, J, hbar))
     return UncertaintyReport(passed=lam_min >= UNCERTAINTY_TOL, min_eigenvalue=lam_min)
 
@@ -418,21 +419,28 @@ def _json_positive(data: dict, key: str) -> float:
     return _positive(value, f"key '{key}'")
 
 
-def _json_array(value, name: str) -> np.ndarray:
-    """A JSON vector or matrix as a float array; InvalidParameter when it
-    is ragged, too large for a float, or holds anything but numbers (a
-    string, bool or null included)."""
+def _json_array(value, name: str, shape=None) -> np.ndarray:
+    """A JSON vector or matrix as a float array, read by :func:`_asarray`
+    against ``shape``; InvalidParameter also when it holds anything but
+    numbers (a string, bool or null included)."""
     def numbers(v) -> bool:
         if isinstance(v, list):
             return all(numbers(x) for x in v)
         return isinstance(v, (int, float)) and not isinstance(v, bool)
 
-    try:
-        if numbers(value):
-            return np.array(value, dtype=float)
-    except (ValueError, OverflowError):
-        pass
-    raise InvalidParameter(f"{name} must be a numeric array, got {value!r}")
+    if not numbers(value):
+        raise InvalidParameter(f"{name} must be a numeric array, got {value!r}")
+    return _asarray(value, float, shape, name)
+
+
+def _json_complex(value, name: str, shape=None) -> np.ndarray:
+    """A JSON ``{"re": .., "im": ..}`` pair as a complex array, both parts
+    of one shape (``shape``, when given); InvalidParameter unless it is
+    such a pair."""
+    if not isinstance(value, dict) or "re" not in value or "im" not in value:
+        raise InvalidParameter(f"{name} must be a {{re, im}} pair")
+    re = _json_array(value["re"], name, shape)
+    return re + 1j * _json_array(value["im"], name, re.shape)
 
 
 def _json_list(data: dict, key: str) -> list:
@@ -458,21 +466,12 @@ def model_from_json(source: str | Path | dict) -> PhaseSpaceModel:
     m = _json_count(data, "m")
     d = _json_count(data, "d")
 
-    def grab(key: str, shape: tuple[int, int] | None = None) -> np.ndarray:
-        arr = _json_array(data[key], f"key '{key}'")
-        if shape is not None and arr.shape != shape:
-            raise DimensionMismatch(
-                f"key '{key}' must have shape {shape}, got {arr.shape}"
-            )
-        return arr
+    def grab(key: str, shape) -> np.ndarray:
+        return _json_array(data[key], f"key '{key}'", shape)
 
     J = grab("J", (m, m))
     R = grab("R", (m, m))
     Lam = grab("Lambda_re", (d, m)) + 1j * grab("Lambda_im", (d, m))
-    k_re = grab("K_re")
-    if k_re.ndim != 2 or k_re.shape[0] != m:
-        raise DimensionMismatch(
-            f"key 'K_re' must have shape ({m}, k), got {k_re.shape}"
-        )
+    k_re = grab("K_re", (m, None))
     K = k_re + 1j * grab("K_im", k_re.shape)
     return PhaseSpaceModel(J=J, R=R, Lambda=Lam, K=K, hbar=_json_positive(data, "hbar"))

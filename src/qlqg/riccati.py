@@ -46,10 +46,10 @@ from .phase_space import (
     check_uncertainty,
     _asarray,
     _count,
-    _finite,
     _fits_in_memory,
     _frozen,
     _heisenberg_margin,
+    _square,
     _symmetrize,
 )
 
@@ -77,17 +77,17 @@ _BLOCK_MAX = 64
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform grid of ``n_steps + 1`` points on ``[t0, t1]``."""
+    """Uniform grid of ``n_steps + 1`` points on ``[t0, t1]``; the
+    endpoints are kept as floats."""
 
     t0: float
     t1: float
     n_steps: int
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.t0) and np.isfinite(self.t1)):
-            raise InvalidParameter(
-                f"endpoints must be finite, got [{self.t0}, {self.t1}]"
-            )
+        for name in ("t0", "t1"):
+            value = _asarray(getattr(self, name), float, (), name)
+            object.__setattr__(self, name, float(value))
         if not self.t1 > self.t0:
             raise InvalidParameter(f"need t1 > t0, got [{self.t0}, {self.t1}]")
         _count(self.n_steps, "n_steps", 1)
@@ -136,14 +136,9 @@ class CostSpec:
     Omega_T: NDArray[np.float64]
 
     def __post_init__(self) -> None:
-        F = _finite(np.array(self.F, dtype=float), "F")
-        if F.ndim != 2 or F.shape[0] != F.shape[1]:
-            raise ValidationError(f"F must be square, got shape {F.shape}")
+        F = _symmetrize(_square(self.F, float, "F"), "F")
         m = F.shape[0]
-        F = _symmetrize(F, "F")
-        G = _finite(np.array(self.G, dtype=float), "G")
-        if G.ndim != 2 or G.shape[1] != m:
-            raise ValidationError(f"G must have shape (k, {m}), got {G.shape}")
+        G = _asarray(self.G, float, (None, m), "G")
         Omega_T = _symmetrize(_asarray(self.Omega_T, float, (m, m), "Omega_T"), "Omega_T")
         for name, arr in (("F", F), ("Omega_T", Omega_T)):
             if float(np.min(np.linalg.eigvalsh(arr))) < PSD_FLOOR:
@@ -161,6 +156,17 @@ class CostSpec:
         return self.G.shape[0]
 
 
+def _on_grid(grid: TimeGrid, values, rank: int, name: str) -> np.ndarray:
+    """A path's ``values`` of the given rank, read in place and frozen;
+    GridMismatch unless it has one entry per point of ``grid``."""
+    vals = _asarray(values, float, (None,) * rank, name, copy=False)
+    if len(vals) != grid.n_points:
+        raise GridMismatch(
+            f"{name} has {len(vals)} entries for a grid of {grid.n_points} points"
+        )
+    return _frozen(vals)
+
+
 @dataclass(frozen=True)
 class MatrixPath:
     """Dense symmetric-matrix path on a :class:`TimeGrid`."""
@@ -169,17 +175,10 @@ class MatrixPath:
     values: NDArray[np.float64]
 
     def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=float)
-        if vals.ndim != 3 or vals.shape[1] != vals.shape[2]:
-            raise ValidationError(
-                f"values must have shape (n_points, m, m), got {vals.shape}"
-            )
-        if vals.shape[0] != self.grid.n_points:
-            raise GridMismatch(
-                f"path has {vals.shape[0]} entries for a grid of "
-                f"{self.grid.n_points} points"
-            )
-        object.__setattr__(self, "values", _frozen(vals))
+        vals = _on_grid(self.grid, self.values, 3, "values")
+        if vals.shape[1] != vals.shape[2]:
+            raise DimensionMismatch(f"values must be square matrices, got {vals.shape}")
+        object.__setattr__(self, "values", vals)
 
     def at(self, index: int) -> NDArray[np.float64]:
         """Matrix at grid point ``index``."""
@@ -202,15 +201,7 @@ class ScalarPath:
     values: NDArray[np.float64]
 
     def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=float)
-        if vals.ndim != 1:
-            raise ValidationError(f"values must be a vector, got shape {vals.shape}")
-        if vals.shape[0] != self.grid.n_points:
-            raise GridMismatch(
-                f"path has {vals.shape[0]} entries for a grid of "
-                f"{self.grid.n_points} points"
-            )
-        object.__setattr__(self, "values", _frozen(vals))
+        object.__setattr__(self, "values", _on_grid(self.grid, self.values, 1, "values"))
 
 
 def _require_same_grid(*grids: TimeGrid) -> TimeGrid:
@@ -340,6 +331,17 @@ def _lift_path(H: np.ndarray, S0: np.ndarray, dt: float, n_steps: int,
     return values
 
 
+def _require_heisenberg(Sigma0, J, hbar: float) -> None:
+    """UncertaintyViolation unless the start covariance ``Sigma0`` meets the
+    Heisenberg bound of ``(J, hbar)``."""
+    report = check_uncertainty(Sigma0, J, hbar)
+    if not report.passed:
+        raise UncertaintyViolation(
+            f"Sigma0 violates the Heisenberg bound "
+            f"(min eigenvalue {report.min_eigenvalue:.3e})"
+        )
+
+
 def integrate_filter_riccati(
     coeffs: LinearCoefficients,
     Sigma0: NDArray[np.float64],
@@ -369,12 +371,7 @@ def integrate_filter_riccati(
     Sigma0 = _symmetrize(_asarray(Sigma0, float, (coeffs.m, coeffs.m), "Sigma0"), "Sigma0")
     if uncertainty is not None:
         J, hbar = uncertainty
-        report = check_uncertainty(Sigma0, J, hbar)
-        if not report.passed:
-            raise UncertaintyViolation(
-                f"Sigma0 violates the Heisenberg bound "
-                f"(min eigenvalue {report.min_eigenvalue:.3e})"
-            )
+        _require_heisenberg(Sigma0, J, hbar)
     values = _lift_path(_filter_lift(coeffs), Sigma0, grid.dt, grid.n_steps)
     if uncertainty is not None:
         # the same bound along the whole path, in one batched eigvalsh

@@ -69,15 +69,15 @@ from .errors import (
 from .phase_space import (
     _asarray,
     _count,
-    _finite,
     _fits_in_memory,
     _frozen,
-    _json_array,
+    _json_complex,
     _json_count,
     _json_list,
     _json_object,
     _json_positive,
     _positive,
+    _square,
 )
 from .riccati import TimeGrid, _rk4_map
 
@@ -117,14 +117,10 @@ def trace_norm(X: NDArray[np.complex128]) -> float:
 
 def trace_distance(a, b) -> float:
     """Half the trace norm of the difference of two states."""
-    if isinstance(a, DensityMatrix):
-        a = a.entries
-    if isinstance(b, DensityMatrix):
-        b = b.entries
-    if np.shape(a) != np.shape(b):
-        raise DimensionMismatch(
-            f"states of shapes {np.shape(a)} and {np.shape(b)} have no distance"
-        )
+    a, b = (_square(x.entries if isinstance(x, DensityMatrix) else x, complex, name,
+                    copy=False) for x, name in ((a, "a"), (b, "b")))
+    if a.shape != b.shape:
+        raise DimensionMismatch(f"states of shapes {a.shape} and {b.shape} differ")
     return 0.5 * trace_norm(a - b)
 
 
@@ -140,11 +136,7 @@ class DensityMatrix:
     entries: NDArray[np.complex128]
 
     def __post_init__(self) -> None:
-        entries = _finite(np.asarray(self.entries, dtype=complex), "state")
-        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-            raise DimensionMismatch(
-                f"state must be square, got shape {entries.shape}"
-            )
+        entries = _square(self.entries, complex, "state", copy=False)
         if np.abs(entries - entries.conj().T).max() > HERMITICITY_TOL:
             raise InvalidParameter("state is not Hermitian")
         # Hermitian to the last bit, which the flows then preserve
@@ -163,11 +155,7 @@ class DensityMatrix:
 
     def expectation(self, X: NDArray[np.complex128]) -> complex:
         """Tr[rho X]."""
-        X = np.asarray(X, dtype=complex)
-        if X.shape != self.entries.shape:
-            raise DimensionMismatch(
-                f"observable shape {X.shape} does not match dim {self.dim}"
-            )
+        X = _asarray(X, complex, self.entries.shape, "observable", copy=False)
         return complex(np.einsum("ij,ji->", self.entries, X))
 
     def min_eigenvalue(self) -> float:
@@ -176,7 +164,7 @@ class DensityMatrix:
     @classmethod
     def pure(cls, amplitudes) -> "DensityMatrix":
         """Rank-one state from a ket, normalized."""
-        psi = np.asarray(amplitudes, dtype=complex).reshape(-1)
+        psi = _asarray(amplitudes, complex, None, "amplitudes", copy=False).reshape(-1)
         norm = np.linalg.norm(psi)
         if norm == 0:
             raise InvalidParameter("zero vector has no direction")
@@ -192,11 +180,8 @@ def _hermitian(term: np.ndarray, name: str) -> np.ndarray:
 
 
 def _stack_operators(ops, n: int, what: str) -> np.ndarray:
-    try:
-        arr = np.asarray(ops, dtype=complex)
-    except (TypeError, ValueError):
-        raise InvalidParameter(f"{what} must be numbers, got {ops!r}") from None
-    arr = _finite(arr, what)
+    """One n x n matrix or a sequence of them as a (k, n, n) stack."""
+    arr = _asarray(ops, complex, None, what, copy=False)
     if arr.size == 0:
         return np.zeros((0, n, n), dtype=complex)
     if arr.ndim == 2:
@@ -223,9 +208,7 @@ class FiniteModel:
     hbar: float = 1.0
 
     def __post_init__(self) -> None:
-        H0 = _finite(np.asarray(self.H0, dtype=complex), "H0")
-        if H0.ndim != 2 or H0.shape[0] != H0.shape[1]:
-            raise DimensionMismatch(f"H0 must be square, got {H0.shape}")
+        H0 = _square(self.H0, complex, "H0", copy=False)
         n = H0.shape[0]
         Ls = _stack_operators(self.L_list, n, "L_list")
         Hs = _stack_operators(self.H_controls, n, "H_controls")
@@ -253,11 +236,7 @@ class FiniteModel:
         """H0 + sum_k u_k H_k; ``u=None`` means all controls off."""
         if u is None:
             return self.H0
-        try:
-            u = np.asarray(u, dtype=float).reshape(-1)
-        except (TypeError, ValueError):
-            raise InvalidParameter(f"control must be real numbers, got {u!r}") from None
-        u = _finite(u, "control")
+        u = _asarray(u, float, None, "control", copy=False).reshape(-1)
         if u.shape[0] != self.n_controls:
             raise DimensionMismatch(
                 f"control has {u.shape[0]} entries, model has "
@@ -843,13 +822,12 @@ def discrete_conditioning(
     to one because the family resolves the ancilla identity.
     """
     n = rho.dim
-    U = np.asarray(U, dtype=complex)
-    if U.ndim != 2 or U.shape[0] != U.shape[1] or U.shape[0] % n != 0:
+    U = _square(U, complex, "U", copy=False)
+    if U.shape[0] % n != 0:
         raise DimensionMismatch(
             f"unitary shape {U.shape} is not a multiple of system dim {n}"
         )
     a = U.shape[0] // n
-    _finite(U, "U")
     if np.abs(U.conj().T @ U - np.eye(n * a)).max() > 1e-10:
         raise NotUnitary("U'U deviates from the identity")
     family = _check_projector_family(projectors, a)
@@ -886,18 +864,12 @@ def weak_measurement_unitary(
     """
     _positive(dt, "dt")
     _positive(hbar, "hbar")
-    L = _finite(np.asarray(L, dtype=complex), "coupling")
-    if L.ndim != 2 or L.shape[0] != L.shape[1]:
-        raise DimensionMismatch(f"coupling must be square, got {L.shape}")
+    L = _square(L, complex, "coupling", copy=False)
     lower = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     raise_op = lower.conj().T
     gen = math.sqrt(dt) * (np.kron(L, raise_op) - np.kron(L.conj().T, lower))
     if H is not None:
-        H = _finite(np.asarray(H, dtype=complex), "H")
-        if H.shape != L.shape:
-            raise DimensionMismatch(
-                f"H shape {H.shape} does not match coupling {L.shape}"
-            )
+        H = _asarray(H, complex, L.shape, "H", copy=False)
         gen = gen + (-1j * dt / hbar) * np.kron(_hermitian(H, "H"), np.eye(2))
     # i gen = V diag(w) V' is Hermitian, so exp(gen) = V diag(e^{-iw}) V'
     w, V = np.linalg.eigh(1j * gen)
@@ -928,16 +900,7 @@ def finite_model_from_json(source: str | Path | dict) -> FiniteModel:
     n = _json_count(data, "dim")
 
     def grab(obj, key: str) -> np.ndarray:
-        if not isinstance(obj, dict) or "re" not in obj or "im" not in obj:
-            raise InvalidParameter(f"key '{key}' must be a {{re, im}} pair")
-        re = _json_array(obj["re"], f"key '{key}'")
-        im = _json_array(obj["im"], f"key '{key}'")
-        if re.shape != (n, n) or im.shape != (n, n):
-            raise DimensionMismatch(
-                f"key '{key}' must have shape ({n}, {n}), got "
-                f"{re.shape} and {im.shape}"
-            )
-        return re + 1j * im
+        return _json_complex(obj, f"key '{key}'", (n, n))
 
     H0 = grab(data["H0"], "H0")
     Hs = [grab(o, f"H_controls[{i}]")

@@ -87,6 +87,16 @@ class TestBuild:
         assert cli.main(["build", "--scenario", scenario]) == 0
         assert json.loads(capsys.readouterr().out)["B"] == [[0.0], [2.0]]
 
+    @pytest.mark.parametrize("feedback", ["no", 1, None, [True]])
+    def test_feedback_must_be_a_bool(self, tmp_path, capsys, feedback):
+        # read by truthiness, "no" would turn the feedback column on
+        scenario = write_scenario(
+            tmp_path, model={"preset": "free-particle", "feedback": feedback},
+            out=str(tmp_path / "out"),
+        )
+        assert cli.main(["build", "--scenario", scenario]) == 2
+        assert "model.feedback must be true or false" in capsys.readouterr().err
+
     def test_inline_and_file_models_agree(self, tmp_path, capsys):
         inline = write_scenario(
             tmp_path, "inline.json", model=INLINE_FREE_PARTICLE,
@@ -324,6 +334,24 @@ class TestSimulate:
         assert cli.main(args + ["--n-traj", "10", "--seed", "2"]) == 0
         second = json.loads(capsys.readouterr().out)
         assert second["mean_cost"] != first["mean_cost"]
+
+    def test_unphysical_start_exits_3_as_in_riccati(self, tmp_path, capsys):
+        # both commands check one start covariance against one bound
+        scenario = feedback_scenario(
+            tmp_path, model={"preset": "free-particle"}, initial_cov=None,
+            grid={"t0": 0.0, "t1": 0.5, "n_steps": 50},
+            sim={"n_traj": 4, "seed": 7, "initial_mean": [1.0, 0.0],
+                 "initial_cov": [[0.1, 0.0], [0.0, 0.1]]},
+            out=str(tmp_path / "out"),
+        )
+        errors = []
+        for command in ("riccati", "simulate"):
+            assert cli.main([command, "--scenario", scenario]) == 3
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1] == (
+            "numerical failure: UncertaintyViolation: Sigma0 violates the "
+            "Heisenberg bound (min eigenvalue -4.000e-01)\n")
+        assert not (tmp_path / "out" / "summary.json").exists()
 
     def test_zero_trajectories_exit_2(self, tmp_path, capsys):
         scenario = feedback_scenario(tmp_path, out=str(tmp_path / "out"))

@@ -159,8 +159,10 @@ class TestDualityMap:
 
     def test_rejects_bad_permutation(self):
         pair = random_system(np.random.default_rng(4))
-        with pytest.raises(InvalidParameter):
-            duality_map(*pair, permutation=[0, 1, 1, 2])
+        # read as integers, the fractional one would pass as [0, 1, 2, 3]
+        for perm in ([0, 1, 1, 2], [0.2, 1.2, 2.2, 3.2]):
+            with pytest.raises(InvalidParameter):
+                duality_map(*pair, permutation=perm)
 
     def test_rejects_cost_of_other_shape(self):
         coeffs, cost = random_system(np.random.default_rng(6), m=4, k=2)

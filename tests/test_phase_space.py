@@ -20,9 +20,17 @@ from qlqg.phase_space import (
     model_from_json,
     _require_real,
 )
+from qlqg.closed_loop import SimConfig
+from qlqg.control import ControlGainPath, duality_map
 from qlqg.kalman import MeasurementIncrement
-from qlqg.riccati import CostSpec, TimeGrid
-from qlqg.sme import DensityMatrix, FiniteModel
+from qlqg.riccati import CostSpec, MatrixPath, ScalarPath, TimeGrid
+from qlqg.sme import (
+    DensityMatrix,
+    FiniteModel,
+    discrete_conditioning,
+    trace_distance,
+    weak_measurement_unitary,
+)
 
 J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -358,3 +366,58 @@ def test_any_non_finite_input_is_rejected(ctor, name, bad, index, imaginary):
         kwargs[name] = value
     with pytest.raises(ValidationError):
         ctor(**kwargs)
+
+
+GRID = TimeGrid(0.0, 1.0, 2)
+QUBIT = np.array([[0.5, 0.0], [0.0, 0.5]], dtype=complex)
+
+# public entry points that read an array (or a number read as one), as
+# (name their messages give the argument, call with the argument x, valid
+# value of x)
+JUNK_ENTRY_POINTS = {
+    "PhaseSpaceModel": ("J", lambda x: PhaseSpaceModel(
+        J=x, R=np.eye(2), Lambda=[[1.0, 0.0]], K=[[0.5], [0.0]]), J2),
+    "LinearCoefficients": ("A", lambda x: _coefficients(A=x), np.eye(2)),
+    "GaussianBelief": ("mean", lambda x: GaussianBelief(mean=x, cov=np.eye(2)), [0.0, 0.0]),
+    "check_uncertainty": ("cov", lambda x: check_uncertainty(x, J2, 1.0), np.eye(2)),
+    "CostSpec": ("F", lambda x: CostSpec(F=x, G=[[0.0, 0.0]], Omega_T=np.eye(2)), np.eye(2)),
+    "MatrixPath": ("values", lambda x: MatrixPath(GRID, x), np.zeros((3, 2, 2))),
+    "ScalarPath": ("values", lambda x: ScalarPath(GRID, x), np.zeros(3)),
+    "ControlGainPath": ("gains", lambda x: ControlGainPath(GRID, x), np.zeros((3, 1, 2))),
+    "MeasurementIncrement": ("dY", lambda x: MeasurementIncrement(x, 1e-3), [0.1]),
+    "DensityMatrix": ("state", DensityMatrix, QUBIT),
+    "FiniteModel": ("H0", lambda x: FiniteModel(H0=x, L_list=[]), np.eye(2)),
+    "weak_measurement_unitary": ("coupling", lambda x: weak_measurement_unitary(x, 1e-3),
+                                 np.eye(2)),
+    "discrete_conditioning": ("U", lambda x: discrete_conditioning(
+        DensityMatrix(QUBIT), x, [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]), np.eye(4)),
+    "TimeGrid": ("t0", lambda x: TimeGrid(x, 1.0, 10), 0.0),
+    "SimConfig": ("grid", lambda x: SimConfig(grid=x, n_traj=1, seed=0), GRID),
+    "trace_distance": ("a", lambda x: trace_distance(x, QUBIT), QUBIT),
+    "DensityMatrix.expectation": ("observable", DensityMatrix(QUBIT).expectation, np.eye(2)),
+    "DensityMatrix.pure": ("amplitudes", DensityMatrix.pure, [1.0, 0.0]),
+    "duality_map": ("permutation", lambda x: duality_map(
+        _coefficients(), CostSpec(F=np.eye(2), G=[[0.0, 0.0]], Omega_T=np.eye(2)),
+        permutation=x), [1, 0]),
+}
+JUNK = {"string": lambda valid: "x",
+        "ragged": lambda valid: [[1.0], [1.0, 2.0]],
+        "nan": lambda valid: np.full(np.shape(valid), np.nan)}
+
+
+@pytest.mark.parametrize("junk", JUNK.values(), ids=JUNK.keys())
+@pytest.mark.parametrize("name, call, valid", JUNK_ENTRY_POINTS.values(),
+                         ids=JUNK_ENTRY_POINTS.keys())
+def test_junk_input_is_a_validation_error_naming_its_argument(name, call, valid, junk):
+    # a raw ValueError, TypeError or AttributeError from numpy would leave
+    # the CLI; a NaN would pass every later `x > tol` guard
+    call(valid)
+    with pytest.raises(ValidationError, match=f"^{name} "):
+        call(junk(valid))
+
+
+def test_nan_path_is_rejected():
+    values = np.zeros((3, 2, 2))
+    values[1, 0, 1] = np.nan
+    with pytest.raises(InvalidParameter, match="values has non-finite entries"):
+        MatrixPath(GRID, values)

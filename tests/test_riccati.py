@@ -86,8 +86,12 @@ class TestCostSpec:
             CostSpec(F=np.eye(2), G=np.zeros((1, 2)), Omega_T=-np.eye(2))
 
     def test_rejects_shape_mismatch(self):
-        with pytest.raises(ValidationError):
-            CostSpec(F=np.eye(2), G=np.zeros((1, 3)), Omega_T=np.eye(2))
+        # a shape error is a DimensionMismatch, as everywhere else
+        for G in (np.zeros((1, 3)), np.zeros(2)):
+            with pytest.raises(DimensionMismatch, match=r"^G must have shape \(any, 2\)"):
+                CostSpec(F=np.eye(2), G=G, Omega_T=np.eye(2))
+        with pytest.raises(DimensionMismatch, match="^F must be square"):
+            CostSpec(F=np.zeros((2, 3)), G=np.zeros((1, 2)), Omega_T=np.eye(2))
 
 
 class TestFilterRiccati:

@@ -1,14 +1,18 @@
-"""The demos, the benchmark's span table and the exports against the package."""
+"""The demos, the benchmark's span table, the exports and the input checks
+of the public dataclasses against the package."""
 
+import dataclasses
 import importlib
 import inspect
 import os
 import pkgutil
+import re
 import runpy
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qlqg
@@ -53,6 +57,47 @@ def test_package_exports_every_module_all_once():
     assert len(qlqg.__all__) == len(set(qlqg.__all__))
     assert set(qlqg.__all__) == public | {"free_particle"} == expected | {"free_particle"}
     assert isinstance(qlqg.__version__, str)
+
+
+# a valid construction of every public dataclass that checks its fields
+GRID = qlqg.TimeGrid(0.0, 1.0, 2)
+VALID = {
+    "PhaseSpaceModel": dict(J=[[0.0, 1.0], [-1.0, 0.0]], R=np.eye(2), Lambda=[[1.0, 0.0]],
+                            K=[[0.5], [0.0]], hbar=1.0),
+    "LinearCoefficients": dict(A=np.eye(2), B=np.ones((2, 1)), C=np.ones((1, 2)),
+                               N=np.eye(2), M=np.zeros((2, 1))),
+    "GaussianBelief": dict(mean=[0.0, 0.0], cov=np.eye(2)),
+    "TimeGrid": dict(t0=0.0, t1=1.0, n_steps=2),
+    "CostSpec": dict(F=np.eye(2), G=np.zeros((1, 2)), Omega_T=np.eye(2)),
+    "MatrixPath": dict(grid=GRID, values=np.zeros((3, 2, 2))),
+    "ScalarPath": dict(grid=GRID, values=np.zeros(3)),
+    "ControlGainPath": dict(grid=GRID, gains=np.zeros((3, 1, 2))),
+    "MeasurementIncrement": dict(dY=[0.1], dt=1e-3),
+    "SimConfig": dict(grid=GRID, n_traj=1, seed=0, record_stride=1),
+    "DensityMatrix": dict(entries=np.eye(2) / 2),
+    "FiniteModel": dict(H0=np.eye(2), L_list=[np.eye(2)], H_controls=[np.eye(2)], hbar=1.0),
+}
+CHECKED = [obj for obj in map(vars(qlqg).get, qlqg.__all__)
+           if dataclasses.is_dataclass(obj) and "__post_init__" in vars(obj)]
+NUMBER_FIELDS = [(cls, f.name) for cls in CHECKED for f in dataclasses.fields(cls)
+                 if re.search(r"NDArray|\bfloat\b|\bint\b", str(f.type))]
+
+
+def test_every_checked_dataclass_has_a_valid_example():
+    # a new public dataclass with __post_init__ needs an entry in VALID,
+    # and so falls under the test below
+    assert {cls.__name__ for cls in CHECKED} == set(VALID)
+
+
+@pytest.mark.parametrize("cls, name", NUMBER_FIELDS,
+                         ids=[f"{c.__name__}.{n}" for c, n in NUMBER_FIELDS])
+def test_junk_in_any_number_field_is_a_validation_error(cls, name):
+    # a raw numpy error out of a constructor would leave the CLI
+    kwargs = dict(VALID[cls.__name__])
+    cls(**kwargs)
+    kwargs[name] = "x"
+    with pytest.raises(qlqg.ValidationError):
+        cls(**kwargs)
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
