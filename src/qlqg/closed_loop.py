@@ -8,7 +8,9 @@ Each trajectory owns a counter-based random stream derived from
 independent of batch layout: a chunk is held one trajectory per column
 in a multiple of 8 columns, so a trajectory's results do not depend on
 ``n_traj`` or on the chunk that carries it.  Streams draw in blocks of
-steps, so memory does not grow with ``n_steps`` beyond the per-step
+steps into one noise block per chunk, one trajectory per row, and each
+step reads its increments as a view into it, valid until the next block
+is drawn; so memory does not grow with ``n_steps`` beyond the per-step
 covariance and gain paths.
 """
 
@@ -250,31 +252,33 @@ def _key_type() -> type:
 
 def _increments(config: SimConfig, start: int, stop: int, d: int):
     """Per-step (d, B) Wiener increments of trajectories ``start..stop-1``,
-    B = ``_chunk_width(stop - start)``, each a view valid until the next
-    is drawn.
+    B = ``_chunk_width(stop - start)``, each a view into the chunk's one
+    noise block, valid until the next block is drawn.
 
     Column i comes from numpy's Philox stream keyed by
     ``SeedSequence(seed, spawn_key=(start + i,))``; the pad columns are
     zero.  The chunk's keys are computed together by
     :func:`_stream_keys`, with no SeedSequence object per trajectory.
-    The streams stay alive and draw ``_BLOCK`` steps at a time into one
-    buffer; a counter-based stream yields the same numbers however its
-    draws are split, so the bytes are those of one bulk draw.
+    The streams stay alive and draw ``_BLOCK`` steps at a time, each
+    straight into its own row of one (B, ``_BLOCK``, d) block, which is
+    scaled by sqrt(dt) in place; a step's increments are the block's
+    column of that step, read in place.  A counter-based stream yields
+    the same numbers however its draws are split, so the bytes are those
+    of one bulk draw.
     """
     rows, n_steps = stop - start, config.grid.n_steps
     sqrt_dt = math.sqrt(config.grid.dt)
     key = _key_type()
     streams = [np.random.Generator(np.random.Philox(key(k)))
                for k in _stream_keys(int(config.seed), start, stop)]
-    block = np.empty((rows, _BLOCK, d))
-    steps = np.zeros((_BLOCK, d, _chunk_width(rows)))
+    block = np.zeros((_chunk_width(rows), _BLOCK, d))
     for step0 in range(0, n_steps, _BLOCK):
         width = min(_BLOCK, n_steps - step0)
-        for stream, draws in zip(streams, block):
-            stream.standard_normal(out=draws[:width])
-        np.multiply(block[:, :width].transpose(1, 2, 0), sqrt_dt,
-                    out=steps[:width, :, :rows])
-        yield from steps[:width]
+        drawn = block[:rows, :width]
+        for stream, draws in zip(streams, drawn):
+            stream.standard_normal(out=draws)
+        drawn *= sqrt_dt
+        yield from block[:, :width].transpose(1, 2, 0)
 
 
 def _run_chunks(config: SimConfig, d: int, run_chunk, first: int = 0) -> None:
@@ -283,10 +287,12 @@ def _run_chunks(config: SimConfig, d: int, run_chunk, first: int = 0) -> None:
     The one chunk loop of every Monte Carlo simulator.  Chunks of up to
     ``_CHUNK`` trajectories cover the indices ``first`` to
     ``first + n_traj - 1``; ``noise`` yields the chunk's (d, B) Wiener
-    increments step by step, one trajectory per column, so no buffer
-    grows with ``n_steps``.  Column i comes from numpy's Philox stream
-    keyed by ``SeedSequence(seed, spawn_key=(start + i,))``, and the
-    keys of a chunk are computed together (:func:`_increments`).
+    increments step by step, one trajectory per column, each a view into
+    the chunk's one noise block that stays valid until the next block is
+    drawn, ``_BLOCK`` steps on; no buffer grows with ``n_steps``.  Column
+    i comes from numpy's Philox stream keyed by ``SeedSequence(seed,
+    spawn_key=(start + i,))``, and the keys of a chunk are computed
+    together (:func:`_increments`).
 
     B = ``_chunk_width(stop - start)`` is the chunk's trajectory count
     rounded up to a multiple of ``_COLUMN_BLOCK``, and the pad columns'
@@ -449,7 +455,7 @@ def simulate_closed_loop(
         row = 1
         for step, dW in enumerate(noise):
             XW_now, XW_next = XW[step % 2], XW[(step + 1) % 2]
-            XW_now[m:] = dW
+            XW_now[m:] = dW  # gathers the step's column of the noise block
             if kept:
                 block += XW_now
             X = XW_next[:m]

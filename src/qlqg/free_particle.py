@@ -47,7 +47,7 @@ def position_tracking_cost(
     ``beta`` weights the position component of the running cost; the
     terminal weight defaults to the identity.
     """
-    beta = float(beta)
+    beta = float(_asarray(beta, float, (), "beta"))
     if beta < 0:
         raise InvalidParameter(f"beta must be nonnegative, got {beta}")
     if Omega_T is None:

@@ -31,6 +31,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import (
+    ConfigError,
     DimensionMismatch,
     GridMismatch,
     InvalidParameter,
@@ -159,6 +160,8 @@ class CostSpec:
 def _on_grid(grid: TimeGrid, values, rank: int, name: str) -> np.ndarray:
     """A path's ``values`` of the given rank, read in place and frozen;
     GridMismatch unless it has one entry per point of ``grid``."""
+    if not isinstance(grid, TimeGrid):
+        raise ConfigError(f"grid must be a TimeGrid, got {grid!r}")
     vals = _asarray(values, float, (None,) * rank, name, copy=False)
     if len(vals) != grid.n_points:
         raise GridMismatch(

@@ -29,11 +29,11 @@ matrix sum_{k<=4} (dt G)^k / k!, its RK4 step.  The public types stay
 complex; states are converted at record rows and at the end of a chunk.
 
 Three independent oracles check the flows: the commutator-form
-generators (:func:`lindblad_schrodinger`, :func:`lindblad_heisenberg`)
-check G and the M_c, the master flow checks the ensemble mean, and
-ancilla conditioning checks one step.  The filtering step renormalizes
-by the trace; its fluctuation term is traceless, so that is a
-second-order correction.  Positivity is monitored, never projected:
+generators (``lindblad_schrodinger`` and ``lindblad_heisenberg`` in the
+tests' ``oracles`` module) check G and the M_c, the master flow checks
+the ensemble mean, and ancilla conditioning checks one step.  The
+filtering step renormalizes by the trace; its fluctuation term is
+traceless, so that is a second-order correction.  Positivity is monitored, never projected:
 clipping would mask integration error, so a state past the floor raises
 :class:`PositivityLoss`.
 
@@ -79,15 +79,12 @@ from .phase_space import (
     _positive,
     _square,
 )
-from .riccati import TimeGrid, _rk4_map
+from .riccati import _rk4_map
 
 __all__ = [
     "DensityMatrix",
     "FiniteModel",
     "SmeEnsemble",
-    "lindblad_heisenberg",
-    "lindblad_schrodinger",
-    "master_step",
     "evolve_master",
     "sme_step",
     "simulate_sme_ensemble",
@@ -245,51 +242,6 @@ class FiniteModel:
         return self.H0 + np.einsum("k,kij->ij", u, self.H_controls)
 
 
-def lindblad_heisenberg(
-    X: NDArray[np.complex128], model: FiniteModel, u=None
-) -> NDArray[np.complex128]:
-    """Heisenberg-picture generator on an observable.
-
-    (i/hbar)[H,X] + sum_i (Li' X Li - (Li'Li X + X Li'Li)/2); the output
-    is Hermitized, and pairing with any state matches the state-picture
-    generator (adjoint identity).
-    """
-    n = model.dim
-    X = np.asarray(X, dtype=complex)
-    if X.shape != (n, n):
-        raise DimensionMismatch(f"observable shape {X.shape}, model dim {n}")
-    if np.abs(X - X.conj().T).max() > HERMITICITY_TOL:
-        raise InvalidParameter("observable is not Hermitian")
-    H = model.hamiltonian(u)
-    out = (1j / model.hbar) * (H @ X - X @ H)
-    for L in model.L_list:
-        Ld = L.conj().T
-        LdL = Ld @ L
-        out = out + Ld @ X @ L - 0.5 * (LdL @ X + X @ LdL)
-    return 0.5 * (out + out.conj().T)
-
-
-def lindblad_schrodinger(
-    rho: NDArray[np.complex128], model: FiniteModel, u=None
-) -> NDArray[np.complex128]:
-    """State-picture generator, the adjoint of :func:`lindblad_heisenberg`.
-
-    -(i/hbar)[H,rho] + sum_i (Li rho Li' - (Li'Li rho + rho Li'Li)/2).
-    Operates on raw arrays so flows can stay unnormalized mid-scheme.
-    """
-    n = model.dim
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (n, n):
-        raise DimensionMismatch(f"state shape {rho.shape}, model dim {n}")
-    H = model.hamiltonian(u)
-    out = (-1j / model.hbar) * (H @ rho - rho @ H)
-    for L in model.L_list:
-        Ld = L.conj().T
-        LdL = Ld @ L
-        out = out + L @ rho @ Ld - 0.5 * (LdL @ rho + rho @ LdL)
-    return out
-
-
 @functools.lru_cache(maxsize=None)
 def _coord_index(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Where the n^2 coordinates sit in a flattened n x n matrix.
@@ -438,20 +390,6 @@ def _require_dim(rho: DensityMatrix, model: FiniteModel) -> None:
         )
 
 
-def master_step(
-    rho: DensityMatrix, model: FiniteModel, u, dt: float
-) -> DensityMatrix:
-    """One RK4 step of the unconditional flow: :func:`evolve_master` over
-    one step of ``dt``.
-
-    It stays public for callers that step a state by hand, such as the
-    tests' oracles for the flow derivative and for the average over
-    weak-measurement outcomes.
-    """
-    grid = TimeGrid(0.0, _positive(dt, "dt"), 1)
-    return DensityMatrix(evolve_master(rho, model, grid, u)[1][-1])
-
-
 def _master_at(grid, step: int) -> str:
     return f"master flow at step {step}, t={grid.t0 + step * grid.dt:.6g}"
 
@@ -521,7 +459,7 @@ def _sme_update(
     divided by its trace afterwards: one real GEMM of the stack against
     the coordinates, into the (len(stack), B) buffer ``Z`` (which must not
     overlap ``h``), then passes over contiguous rows of length B.  ``dW``
-    is a step's (d, B) noise as :func:`_run_chunks` yields it.  Each
+    is a step's (d, B) noise, one trajectory per column.  Each
     column is a trajectory whose arithmetic does not depend on the others,
     and B is :func:`_chunk_width`'s, so the GEMM rounds a column alike in
     every batch.  e of the input states is added into the (d, B) record
@@ -725,6 +663,9 @@ def simulate_sme_ensemble(
         products = np.empty((2, len(stack), h.shape[1]))
         # the record over a block of steps is dt sum e + sum dW
         e_sum, dW_sum = np.zeros((2, d, h.shape[1]))
+        # a step's noise, gathered from the strided view the chunk's noise
+        # block yields: the passes of a step run over contiguous rows
+        dW = np.empty((d, h.shape[1]))
 
         def record(row: int) -> None:
             path_sum[:, row] += h[:, :rows].sum(axis=1)
@@ -739,7 +680,8 @@ def simulate_sme_ensemble(
         # step b // rows
         K = max(1, min(_BLOCK, _CHECK_COORDS // (n * n * rows)))
         stepped = np.empty((n * n, K, rows))
-        for step, dW in enumerate(noise):
+        for step, noise_now in enumerate(noise):
+            np.copyto(dW, noise_now)
             h = _sme_update(h, stack, dW, products[step % 2], e_sum, gain)
             dW_sum += dW
             slot = step % K

@@ -11,7 +11,8 @@ from test_kalman import random_coefficients
 
 from qlqg.cli import trajectory_to_csv
 from qlqg.closed_loop import (
-    SimConfig, _stream_keys, monte_carlo_expected_cost, simulate_closed_loop,
+    _BLOCK, _CHUNK, SimConfig, _increments, _key_type, _stream_keys,
+    monte_carlo_expected_cost, simulate_closed_loop,
 )
 from qlqg.control import control_gain_path
 from qlqg.errors import ConfigError, EmptyEnsemble, InvalidParameter, NonFinite
@@ -431,6 +432,29 @@ class TestBlockNoise:
                     np.random.SeedSequence(cfg.seed, spawn_key=(first + i,))))
                 draws = stream.standard_normal((300, 2)) * math.sqrt(cfg.grid.dt)
                 np.testing.assert_array_equal(ens.innovations[i, 1:], draws)
+
+    def test_chunk_holds_its_noise_once(self):
+        # the streams of a full chunk draw straight into the one (B, _BLOCK,
+        # d) block the steps read: beside the streams themselves, the noise
+        # of 300 steps (two blocks) peaks at that block, 2 MB, and not at
+        # twice it, as a second, transposed copy would make it
+        B, d = _CHUNK, 1
+        cfg = SimConfig(grid=TimeGrid(0.0, 0.3, 300), n_traj=B, seed=23)
+        key = _key_type()
+        tracemalloc.start()
+        try:
+            streams = [np.random.Generator(np.random.Philox(key(k)))
+                       for k in _stream_keys(cfg.seed, 0, B)]
+            stream_bytes = tracemalloc.get_traced_memory()[0]
+            del streams
+            tracemalloc.reset_peak()
+            for _ in _increments(cfg, 0, B, d):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block_bytes = B * _BLOCK * d * 8
+        assert block_bytes < peak < 1.25 * block_bytes + stream_bytes
 
     @pytest.mark.parametrize("simulator, steps", [
         ("closed_loop", (2000, 20000)),

@@ -58,6 +58,13 @@ class TestTrackingCost:
         with pytest.raises(InvalidParameter):
             fp.position_tracking_cost(beta=-0.1)
 
+    @pytest.mark.parametrize("beta", ["x", None, float("nan")])
+    def test_junk_beta_rejected(self, beta):
+        # read as a real scalar: junk is an InvalidParameter naming beta,
+        # not the ValueError or TypeError of float(beta)
+        with pytest.raises(InvalidParameter, match="^beta "):
+            fp.position_tracking_cost(beta=beta)
+
 
 class TestStationaryDispersions:
     def test_reference_point(self):

@@ -9,7 +9,9 @@ from scipy.integrate import solve_ivp
 
 from qlqg import LinearCoefficients, build_coefficients, free_particle_model
 from qlqg.cli import matrix_path_to_csv
+from qlqg.control import ControlGainPath
 from qlqg.errors import (
+    ConfigError,
     DimensionMismatch,
     GridMismatch,
     InvalidParameter,
@@ -21,6 +23,7 @@ from qlqg.errors import (
 from qlqg.riccati import (
     CostSpec,
     MatrixPath,
+    ScalarPath,
     TimeGrid,
     integrate_alpha,
     integrate_control_riccati,
@@ -471,3 +474,16 @@ class TestCsvExport:
     def test_path_shape_validation(self):
         with pytest.raises(GridMismatch):
             MatrixPath(grid=TimeGrid(0.0, 1.0, 10), values=np.zeros((5, 2, 2)))
+
+    @pytest.mark.parametrize("path, values", [
+        (MatrixPath, np.zeros((3, 2, 2))),
+        (ScalarPath, np.zeros(3)),
+        (ControlGainPath, np.zeros((3, 1, 2))),
+    ])
+    def test_path_needs_a_time_grid(self, path, values):
+        # a grid that is not a TimeGrid is named, as SimConfig names it,
+        # not met by an AttributeError on its n_points
+        with pytest.raises(ConfigError, match="grid must be a TimeGrid, got None"):
+            path(None, values)
+        with pytest.raises(ConfigError, match="got 'x'"):
+            path("x", values)

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from oracles import lindblad_heisenberg, lindblad_schrodinger, master_step
+
 from qlqg import sme
 from qlqg.closed_loop import _BLOCK, _COLUMN_BLOCK, SimConfig
 from qlqg.errors import (
@@ -26,9 +28,6 @@ from qlqg.sme import (
     discrete_conditioning,
     evolve_master,
     finite_model_from_json,
-    lindblad_heisenberg,
-    lindblad_schrodinger,
-    master_step,
     simulate_sme_ensemble,
     sme_step,
     trace_distance,
@@ -807,6 +806,19 @@ class TestEnsemble:
             }
             for n_traj, states in finals.items():
                 np.testing.assert_array_equal(states, finals[1300][:n_traj])
+
+    def test_outputs_are_the_bulk_draws(self):
+        # with every L_c = 0 the record is dY = dW, so a replay of trajectory
+        # i records its stream's bytes, channel by channel, as one bulk draw
+        # of its steps gives them; 300 steps end inside a block
+        model = FiniteModel(H0=0.5 * SX, L_list=[np.zeros((2, 2))] * 2)
+        grid = TimeGrid(0.0, 0.3, 300)
+        for i in (0, 5, 2**32 - 1):
+            ens = replay(plus_state(), model, grid, 29, i)
+            stream = np.random.Generator(np.random.Philox(
+                np.random.SeedSequence(29, spawn_key=(i,))))
+            draws = stream.standard_normal((300, 2)) * math.sqrt(grid.dt)
+            np.testing.assert_array_equal(ens.mean_outputs[1:], draws)
 
     @pytest.mark.parametrize("case", LAYOUT_CASES)
     def test_zero_gain_feedback_is_the_constant_control(self, case):
