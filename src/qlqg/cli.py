@@ -66,6 +66,7 @@ from .phase_space import (
     GaussianBelief,
     _json_array,
     _json_complex,
+    _json_count,
     _json_object,
     build_coefficients,
     free_particle_model,
@@ -102,26 +103,6 @@ def _require(scenario: dict, key: str):
     return scenario[key]
 
 
-def _number(value, name: str, integer: bool = False):
-    """A scenario number as a float, or as an int when ``integer``.
-
-    ConfigError for anything else: a string, null, list, object or bool,
-    an integer past the float range, and, where an integer is required, a
-    value with a fractional part.
-    """
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{name} must be a number, got {value!r}")
-    try:
-        number = float(value)
-    except OverflowError:
-        raise ConfigError(f"{name} is too large for a float") from None
-    if not integer:
-        return number
-    if not number.is_integer():
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 def _inline_or_file(entry, base_dir: Path, key: str):
     """An object entry, or the path of the file it names relative to the
     scenario file."""
@@ -141,8 +122,8 @@ def _load_model(entry, base_dir: Path):
         name = entry["preset"]
         if name != "free-particle":
             raise ConfigError(f"unknown model preset '{name}'")
-        mass = _number(entry.get("mass", 1.0), "model.mass")
-        hbar = _number(entry.get("hbar", 1.0), "model.hbar")
+        mass = _json_array(entry.get("mass", 1.0), "model.mass", ())
+        hbar = _json_array(entry.get("hbar", 1.0), "model.hbar", ())
         model = free_particle_model(mass, hbar)
         feedback = entry.get("feedback", False)
         if not isinstance(feedback, bool):
@@ -163,7 +144,7 @@ def _parse_cost(entry) -> CostSpec:
             raise ConfigError(f"unknown cost preset '{name}'")
         Omega_T = entry.get("Omega_T")
         return fp.position_tracking_cost(
-            beta=_number(entry.get("beta", 1.0), "cost.beta"),
+            beta=_json_array(entry.get("beta", 1.0), "cost.beta", ()),
             Omega_T=None if Omega_T is None else _json_array(Omega_T, "cost.Omega_T"),
         )
     keys = ("F", "G", "Omega_T")
@@ -180,9 +161,9 @@ def _parse_grid(entry) -> TimeGrid:
         if key not in entry:
             raise ConfigError(f"key 'grid' is missing '{key}'")
     return TimeGrid(
-        _number(entry["t0"], "grid.t0"),
-        _number(entry["t1"], "grid.t1"),
-        _number(entry["n_steps"], "grid.n_steps", integer=True),
+        _json_array(entry["t0"], "grid.t0", ()),
+        _json_array(entry["t1"], "grid.t1", ()),
+        _json_count(entry["n_steps"], "grid.n_steps", 1),
     )
 
 
@@ -203,10 +184,10 @@ def _parse_sim(scenario: dict, grid: TimeGrid, args) -> SimConfig:
         raise ConfigError("key 'sim' is missing 'seed' (or pass --seed)")
     return SimConfig(
         grid=grid,
-        n_traj=_number(n_traj, "sim.n_traj", integer=True),
-        seed=_number(seed, "sim.seed", integer=True),
-        record_stride=_number(
-            sim.get("record_stride", grid.n_steps), "sim.record_stride", integer=True
+        n_traj=_json_count(n_traj, "sim.n_traj", 1),
+        seed=_json_count(seed, "sim.seed", 0),
+        record_stride=_json_count(
+            sim.get("record_stride", grid.n_steps), "sim.record_stride", 1
         ),
     )
 
@@ -372,10 +353,7 @@ def cmd_simulate(args) -> int:
     )
     _require_heisenberg(initial.cov, model.J, model.hbar)
 
-    n_record = _number(sim.get("record_trajectories", 0), "sim.record_trajectories",
-                       integer=True)
-    if n_record < 0:
-        raise ConfigError(f"sim.record_trajectories must be >= 0, got {n_record}")
+    n_record = _json_count(sim.get("record_trajectories", 0), "sim.record_trajectories", 0)
 
     ensemble = simulate_closed_loop(coeffs, cost, config, initial, record=n_record)
     analytic = total_minimal_cost(

@@ -72,9 +72,10 @@ class SimConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.n_traj < 1:
             raise ConfigError(f"n_traj must be >= 1, got {self.n_traj}")
-        if not 0 <= int(self.seed) < 2**64:
+        if not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must fit in 64 unsigned bits, got {self.seed}")
         if self.record_stride < 1:
             raise ConfigError(f"record_stride must be >= 1, got {self.record_stride}")
@@ -270,7 +271,7 @@ def _increments(config: SimConfig, start: int, stop: int, d: int):
     sqrt_dt = math.sqrt(config.grid.dt)
     key = _key_type()
     streams = [np.random.Generator(np.random.Philox(key(k)))
-               for k in _stream_keys(int(config.seed), start, stop)]
+               for k in _stream_keys(config.seed, start, stop)]
     block = np.zeros((_chunk_width(rows), _BLOCK, d))
     for step0 in range(0, n_steps, _BLOCK):
         width = min(_BLOCK, n_steps - step0)

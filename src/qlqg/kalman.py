@@ -30,8 +30,8 @@ class MeasurementIncrement:
 
     def __post_init__(self) -> None:
         dY = _asarray(self.dY, float, (None,), "dY")
-        _positive(self.dt, "dt")
         object.__setattr__(self, "dY", _frozen(dY))
+        object.__setattr__(self, "dt", _positive(self.dt, "dt"))
 
     @property
     def d(self) -> int:

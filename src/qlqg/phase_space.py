@@ -11,14 +11,14 @@ modelling error, not rounded away silently.
 The package reads its array arguments through one function,
 :func:`_asarray`: it converts, checks the shape and then finiteness, so
 junk input (a string, a ragged list, a NaN) is a :class:`ValidationError`
-wherever it enters.
+wherever it enters.  A real scalar is read by it as a 0-d array, and an
+integer by :func:`_count`; each caller keeps the value that was read.
 """
 
 from __future__ import annotations
 
 import contextlib
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -57,17 +57,11 @@ _DET_TOL = 1e-12
 
 
 def _positive(value, name: str) -> float:
-    """``value`` as a float, or InvalidParameter unless it is a finite
-    positive number (``not x > 0`` alone lets ``inf`` through; an integer
-    past the float range counts as infinite)."""
-    try:
-        value = float(value)
-    except OverflowError:
-        value = math.inf if value > 0 else -math.inf
-    except (TypeError, ValueError):
-        raise InvalidParameter(f"{name} must be a number, got {value!r}") from None
-    if not (math.isfinite(value) and value > 0):
-        raise InvalidParameter(f"{name} must be finite and positive, got {value}")
+    """``value`` read by :func:`_asarray` as a float; InvalidParameter
+    unless it is positive."""
+    value = float(_asarray(value, float, (), name))
+    if not value > 0:
+        raise InvalidParameter(f"{name} must be positive, got {value}")
     return value
 
 
@@ -184,7 +178,7 @@ class PhaseSpaceModel:
             raise ValidationError("J must be antisymmetric")
         if abs(np.linalg.det(J)) <= _DET_TOL:
             raise ValidationError("J must be nondegenerate")
-        _positive(self.hbar, "hbar")
+        object.__setattr__(self, "hbar", _positive(self.hbar, "hbar"))
 
         R = _symmetrize(_asarray(self.R, float, (m, m), "R"), "R")
         Lam = _asarray(self.Lambda, complex, (None, m), "Lambda")
@@ -233,8 +227,11 @@ class LinearCoefficients:
         C = _asarray(self.C, float, (None, m), "C")
         d = C.shape[0]
         N = _symmetrize(_asarray(self.N, float, (m, m), "N"), "N")
-        if float(np.min(np.linalg.eigvalsh(N))) < PSD_FLOOR:
-            raise ValidationError("N must be positive semidefinite")
+        floor = float(np.min(np.linalg.eigvalsh(N)))
+        if floor < PSD_FLOOR:
+            raise ValidationError(
+                f"N must be positive semidefinite (min eigenvalue {floor:.3e})"
+            )
         M = _asarray(self.M, float, (m, d), "M")
         for name, arr in (("A", A), ("B", B), ("C", C), ("N", N), ("M", M)):
             object.__setattr__(self, name, _frozen(arr))
@@ -312,12 +309,9 @@ def build_coefficients(model: PhaseSpaceModel) -> LinearCoefficients:
     N = _require_real(0.5 * hbar**2 * J @ (gram + gram.conj()) @ J.T, "N")
     M = _require_real(0.5j * hbar * J @ (Lam.T - Lam.conj().T), "M")
 
+    # the product is symmetric up to rounding that grows with its entries,
+    # past the absolute tolerance of LinearCoefficients' own check
     N = 0.5 * (N + N.T)
-    floor = float(np.min(np.linalg.eigvalsh(N)))
-    if floor < PSD_FLOOR:
-        raise ValidationError(
-            f"noise intensity lost positivity (min eigenvalue {floor:.3e})"
-        )
     return LinearCoefficients(A=A, B=B, C=C, N=N, M=M)
 
 
@@ -394,29 +388,12 @@ def _json_object(source, what: str) -> dict:
     return data
 
 
-def _json_count(data: dict, key: str) -> int:
-    """``data[key]`` as a positive integer; InvalidParameter for a string,
-    null, bool, list, object, fractional or non-positive value."""
-    value = data[key]
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, (int, float))
-        or (isinstance(value, float) and not value.is_integer())
-        or value < 1
-    ):
-        raise InvalidParameter(
-            f"key '{key}' must be a positive integer, got {value!r}"
-        )
-    return int(value)
-
-
-def _json_positive(data: dict, key: str) -> float:
-    """``data[key]`` as a finite positive float; InvalidParameter for
-    anything else, a numeric string included."""
-    value = data[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise InvalidParameter(f"key '{key}' must be a number, got {value!r}")
-    return _positive(value, f"key '{key}'")
+def _json_count(value, name: str, low: int) -> int:
+    """:func:`_count` for a JSON value, where an integral float such as
+    ``5000.0`` is an integer too."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    return _count(value, name, low)
 
 
 def _json_array(value, name: str, shape=None) -> np.ndarray:
@@ -463,8 +440,8 @@ def model_from_json(source: str | Path | dict) -> PhaseSpaceModel:
         if key not in data:
             raise InvalidParameter(f"model JSON is missing key '{key}'")
 
-    m = _json_count(data, "m")
-    d = _json_count(data, "d")
+    m = _json_count(data["m"], "key 'm'", 1)
+    d = _json_count(data["d"], "key 'd'", 1)
 
     def grab(key: str, shape) -> np.ndarray:
         return _json_array(data[key], f"key '{key}'", shape)
@@ -474,4 +451,4 @@ def model_from_json(source: str | Path | dict) -> PhaseSpaceModel:
     Lam = grab("Lambda_re", (d, m)) + 1j * grab("Lambda_im", (d, m))
     k_re = grab("K_re", (m, None))
     K = k_re + 1j * grab("K_im", k_re.shape)
-    return PhaseSpaceModel(J=J, R=R, Lambda=Lam, K=K, hbar=_json_positive(data, "hbar"))
+    return PhaseSpaceModel(J=J, R=R, Lambda=Lam, K=K, hbar=grab("hbar", ()))

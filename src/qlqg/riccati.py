@@ -50,6 +50,7 @@ from .phase_space import (
     _fits_in_memory,
     _frozen,
     _heisenberg_margin,
+    _positive,
     _square,
     _symmetrize,
 )
@@ -79,7 +80,7 @@ _BLOCK_MAX = 64
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform grid of ``n_steps + 1`` points on ``[t0, t1]``; the
-    endpoints are kept as floats."""
+    endpoints are kept as floats, and the step must be a positive float."""
 
     t0: float
     t1: float
@@ -91,7 +92,11 @@ class TimeGrid:
             object.__setattr__(self, name, float(value))
         if not self.t1 > self.t0:
             raise InvalidParameter(f"need t1 > t0, got [{self.t0}, {self.t1}]")
-        _count(self.n_steps, "n_steps", 1)
+        n_steps = _count(self.n_steps, "n_steps", 1)
+        object.__setattr__(self, "n_steps", n_steps)
+        # a step count past the float range does not read as a float
+        _positive((self.t1 - self.t0) / _asarray(n_steps, float, (), "n_steps"),
+                  "grid step dt")
 
     @property
     def dt(self) -> float:
@@ -105,13 +110,9 @@ class TimeGrid:
         so each equals its entry of ``np.linspace(t0, t1, n_steps + 1)`` to
         the last bit.
         """
-        step = (self.t1 - self.t0) / self.n_steps
+        stride = _count(stride, "stride", 1)
         times = np.arange(0, self.n_steps + 1, stride, dtype=float)
-        if step == 0:
-            times /= self.n_steps
-            times *= self.t1 - self.t0
-        else:
-            times *= step
+        times *= self.dt
         times += self.t0
         if (len(times) - 1) * stride == self.n_steps:
             times[-1] = self.t1

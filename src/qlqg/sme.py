@@ -71,11 +71,11 @@ from .phase_space import (
     _count,
     _fits_in_memory,
     _frozen,
+    _json_array,
     _json_complex,
     _json_count,
     _json_list,
     _json_object,
-    _json_positive,
     _positive,
     _square,
 )
@@ -212,7 +212,7 @@ class FiniteModel:
         _hermitian(H0, "H0")
         for i, term in enumerate(Hs):
             _hermitian(term, f"H_controls[{i}]")
-        _positive(self.hbar, "hbar")
+        object.__setattr__(self, "hbar", _positive(self.hbar, "hbar"))
         object.__setattr__(self, "H0", _frozen(H0))
         object.__setattr__(self, "L_list", _frozen(Ls))
         object.__setattr__(self, "H_controls", _frozen(Hs))
@@ -415,7 +415,8 @@ def evolve_master(
     :func:`_check_states`, unit trace included, and a failure names the
     first failing step and its time.
     """
-    if grid.n_steps % _count(record_stride, "record_stride", 1) != 0:
+    record_stride = _count(record_stride, "record_stride", 1)
+    if grid.n_steps % record_stride != 0:
         raise InvalidParameter(
             f"record_stride {record_stride} does not divide {grid.n_steps}"
         )
@@ -552,7 +553,7 @@ def sme_step(
     The record enters through the innovation dY_i - <Li+Li'> dt, which
     drives the ensemble's step on a batch of one state.
     """
-    _positive(dt, "dt")
+    dt = _positive(dt, "dt")
     dY = _asarray(dY, float, (model.n_channels,), "record dY")
     _require_dim(rho, model)
     stack = _sme_stack(model, u, dt)
@@ -804,8 +805,8 @@ def weak_measurement_unitary(
     be Hermitian, so the exponent is anti-Hermitian and its exponential
     comes from one Hermitian eigendecomposition.
     """
-    _positive(dt, "dt")
-    _positive(hbar, "hbar")
+    dt = _positive(dt, "dt")
+    hbar = _positive(hbar, "hbar")
     L = _square(L, complex, "coupling", copy=False)
     lower = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     raise_op = lower.conj().T
@@ -839,7 +840,7 @@ def finite_model_from_json(source: str | Path | dict) -> FiniteModel:
     for key in ["dim", "hbar", "H0", "H_controls", "L_list"]:
         if key not in data:
             raise InvalidParameter(f"finite model JSON is missing key '{key}'")
-    n = _json_count(data, "dim")
+    n = _json_count(data["dim"], "key 'dim'", 1)
 
     def grab(obj, key: str) -> np.ndarray:
         return _json_complex(obj, f"key '{key}'", (n, n))
@@ -848,6 +849,5 @@ def finite_model_from_json(source: str | Path | dict) -> FiniteModel:
     Hs = [grab(o, f"H_controls[{i}]")
           for i, o in enumerate(_json_list(data, "H_controls"))]
     Ls = [grab(o, f"L_list[{i}]") for i, o in enumerate(_json_list(data, "L_list"))]
-    return FiniteModel(
-        H0=H0, L_list=Ls, H_controls=Hs, hbar=_json_positive(data, "hbar")
-    )
+    hbar = _json_array(data["hbar"], "key 'hbar'", ())
+    return FiniteModel(H0=H0, L_list=Ls, H_controls=Hs, hbar=hbar)

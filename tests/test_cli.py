@@ -400,6 +400,22 @@ class TestScenarioValues:
             assert code == 2
             assert key in capsys.readouterr().err
 
+    def test_integral_floats_are_counts(self, tmp_path):
+        # JSON may write a count as 50.0: it is read as the integer 50
+        outputs = []
+        for kind in (int, float):
+            content = self.small_scenario()
+            content["grid"]["n_steps"] = kind(50)
+            for key in ("n_traj", "seed", "record_stride", "record_trajectories"):
+                content["sim"][key] = kind(content["sim"][key])
+            out = tmp_path / kind.__name__
+            out.mkdir()
+            scenario = write_scenario(out, out=str(out), **content)
+            assert cli.main(["simulate", "--scenario", scenario]) == 0
+            outputs.append([(out / name).read_bytes()
+                            for name in ("summary.json", "trajectory_000.csv")])
+        assert outputs[0] == outputs[1]
+
     @staticmethod
     def key_paths(content):
         for key, value in content.items():

@@ -11,7 +11,7 @@ from test_kalman import random_coefficients
 
 from qlqg.cli import trajectory_to_csv
 from qlqg.closed_loop import (
-    _BLOCK, _CHUNK, SimConfig, _increments, _key_type, _stream_keys,
+    _BLOCK, _CHUNK, SimConfig, _chunk_width, _increments, _key_type, _stream_keys,
     monte_carlo_expected_cost, simulate_closed_loop,
 )
 from qlqg.control import control_gain_path
@@ -97,6 +97,15 @@ class TestConfig:
         cfg = SimConfig(grid=TimeGrid(0.0, 1.0, 10), n_traj=1, seed=0,
                         record_stride=5)
         assert cfg.n_records == 3
+
+    @pytest.mark.filterwarnings("error")
+    def test_narrow_integers_are_stored_as_int(self):
+        # arithmetic on a stored np.uint8 or np.int8 wraps or overflows
+        cfg = SimConfig(grid=TimeGrid(0.0, 1.0, 1000), n_traj=np.uint8(200),
+                        seed=np.int8(3), record_stride=np.int8(100))
+        assert [type(v) for v in (cfg.n_traj, cfg.seed, cfg.record_stride)] == [int] * 3
+        assert cfg.n_records == 11
+        assert _chunk_width(cfg.n_traj) >= 200
 
 
 class TestRunningCost:

@@ -31,6 +31,16 @@ class TestMeasurementIncrement:
         with pytest.raises(DimensionMismatch):
             MeasurementIncrement(dY=[[0.1]], dt=1e-3)
 
+    def test_numeric_string_dt_is_stored_as_float(self):
+        coeffs = build_coefficients(free_particle_model())
+        belief = GaussianBelief(mean=[0.3, -0.2], cov=np.eye(2))
+        steps = []
+        for dt in ("0.1", 0.1):
+            inc = MeasurementIncrement(dY=[0.1], dt=dt)
+            assert type(inc.dt) is float
+            steps.append(filter_step(belief, [0.5], inc, coeffs, np.eye(2)).mean)
+        np.testing.assert_array_equal(*steps)
+
 
 def gain_response(coeffs, Sigma, dY):
     """The step of :func:`filter_step` from a zero mean with no control:

@@ -108,6 +108,15 @@ class TestModelValidation:
 
 
 class TestBuildCoefficients:
+    def test_numeric_string_hbar_is_stored_as_float(self):
+        base = free_particle_model()
+        model = PhaseSpaceModel(J=base.J, R=base.R, Lambda=base.Lambda, K=base.K,
+                                hbar="1")
+        assert type(model.hbar) is float
+        for name in ("A", "B", "C", "N", "M"):
+            np.testing.assert_array_equal(getattr(build_coefficients(model), name),
+                                          getattr(build_coefficients(base), name))
+
     def test_free_particle_matrices(self):
         coeffs = build_coefficients(free_particle_model(mass=1.0, hbar=1.0))
         np.testing.assert_allclose(coeffs.A, [[0.0, 1.0], [0.0, 0.0]], atol=1e-15)
@@ -287,6 +296,11 @@ class TestLinearCoefficients:
         with pytest.raises(DimensionMismatch):
             LinearCoefficients(A=np.eye(2), B=np.zeros((2, 1)), C=np.zeros((1, 3)),
                                N=np.zeros((2, 2)), M=np.zeros((2, 1)))
+
+    def test_indefinite_noise_names_its_lowest_eigenvalue(self):
+        with pytest.raises(ValidationError, match=r"N must be positive semidefinite "
+                                                  r"\(min eigenvalue -2\.000e\+00\)"):
+            _coefficients(N=np.diag([1.0, -2.0]))
 
     def test_rejects_asymmetric_noise(self):
         with pytest.raises(ValidationError):

@@ -79,6 +79,24 @@ class TestTimeGrid:
         for t0, t1 in [(0.0, np.inf), (-np.inf, 1.0), (0.0, np.nan), (np.nan, 1.0)]:
             with pytest.raises(InvalidParameter):
                 TimeGrid(t0, t1, 10)
+        # an infinite step ends every flow in NonFinite, a zero one never
+        # moves them while the times advance
+        for t0, t1, n_steps in [(-1e308, 1e308, 2), (0.0, 5e-324, 10)]:
+            with pytest.raises(InvalidParameter, match="grid step dt"):
+                TimeGrid(t0, t1, n_steps)
+        with pytest.raises(InvalidParameter, match="n_steps"):
+            TimeGrid(0.0, 1.0, 10 ** 400)
+
+    @pytest.mark.filterwarnings("error")
+    def test_narrow_integers_are_read_as_int(self):
+        grid = TimeGrid(0, 1, np.int8(127))
+        assert type(grid.n_steps) is int
+        assert grid.n_points == 128
+        grid = TimeGrid(0.0, 1.0, 1000)
+        np.testing.assert_array_equal(grid.times(np.int8(100)), grid.times(100))
+        for stride in (0, "x", 2.0):
+            with pytest.raises(InvalidParameter, match="stride"):
+                grid.times(stride)
 
 
 class TestCostSpec:

@@ -221,6 +221,15 @@ class TestFiniteModel:
         with pytest.raises(InvalidParameter, match="hbar"):
             FiniteModel(H0=SZ, L_list=[], hbar=0.0)
 
+    def test_numeric_string_hbar_is_stored_as_float(self):
+        grid = TimeGrid(0.0, 0.1, 10)
+        paths = []
+        for hbar in ("2", 2.0):
+            model = FiniteModel(H0=0.5 * SX, L_list=[0.5 * SZ], hbar=hbar)
+            assert type(model.hbar) is float
+            paths.append(evolve_master(plus_state(), model, grid)[1])
+        np.testing.assert_array_equal(*paths)
+
     @pytest.mark.parametrize("u", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_control(self, u):
         # rejected input, not a state that leaves the finite range later
@@ -531,8 +540,7 @@ class TestMasterStep:
         # np.linspace's arithmetic
         for grid, stride in [(TimeGrid(0.0, 1.0, 1000), 100),
                              (TimeGrid(-0.3, 2.7, 999), 3), (TimeGrid(0, 1, 7), 1),
-                             (TimeGrid(1e6, 1e6 + 1e-3, 64), 8),
-                             (TimeGrid(0.0, 2e-323, 9), 1)]:  # a step that rounds to 0
+                             (TimeGrid(1e6, 1e6 + 1e-3, 64), 8)]:
             points = np.linspace(grid.t0, grid.t1, grid.n_steps + 1)
             times, _ = evolve_master(plus_state(), dephasing_model(), grid,
                                      record_stride=stride)
@@ -540,11 +548,23 @@ class TestMasterStep:
             np.testing.assert_array_equal(grid.times(), points)
             # a stride that does not divide n_steps stops short of t1
             np.testing.assert_array_equal(grid.times(stride + 1), points[::stride + 1])
+        # a step that rounds to 0 is no grid: its flows would never move
+        with pytest.raises(InvalidParameter, match="grid step dt must be positive"):
+            TimeGrid(0.0, 2e-323, 9)
 
     def test_rejects_bad_dt(self):
         for dt in (0.0, np.inf):
             with pytest.raises(InvalidParameter):
                 master_step(plus_state(), dephasing_model(), None, dt)
+
+    @pytest.mark.filterwarnings("error")
+    def test_narrow_integer_stride(self):
+        # n_steps // np.int8(100) overflows int8 for 1000 steps
+        grid = TimeGrid(0.0, 0.1, 1000)
+        narrow, wide = (evolve_master(plus_state(), dephasing_model(), grid,
+                                      record_stride=stride) for stride in (np.int8(100), 100))
+        for a, b in zip(narrow, wide):
+            np.testing.assert_array_equal(a, b)
 
     def test_evolve_master_rejects_bad_stride(self):
         with pytest.raises(InvalidParameter):
@@ -608,6 +628,11 @@ def test_maps_too_large_for_memory_are_rejected_input(monkeypatch, error):
 
 
 class TestSmeStep:
+    def test_numeric_string_dt_is_read_as_float(self):
+        model = FiniteModel(H0=0.3 * SX, L_list=[0.5 * SZ])
+        a, b = (sme_step(plus_state(), model, None, [0.04], dt) for dt in ("0.01", 0.01))
+        np.testing.assert_array_equal(a.entries, b.entries)
+
     def test_no_coupling_ignores_record(self):
         model = FiniteModel(H0=0.3 * SX, L_list=[np.zeros((2, 2))])
         rho = plus_state()
@@ -1162,6 +1187,11 @@ class TestWeakMeasurement:
     def test_unitary_is_unitary(self):
         U = weak_measurement_unitary(self.L, 1e-3, H=self.model.H0)
         assert np.abs(U.conj().T @ U - np.eye(4)).max() < 1e-12
+
+    def test_numeric_strings_are_read_as_floats(self):
+        np.testing.assert_array_equal(
+            weak_measurement_unitary(self.L, "0.01", H=self.model.H0, hbar="2"),
+            weak_measurement_unitary(self.L, 0.01, H=self.model.H0, hbar=2.0))
 
     def test_matches_filter_step_at_three_halves_order(self):
         dts = [1e-2, 1e-3, 1e-4, 1e-5]

@@ -100,6 +100,27 @@ def test_junk_in_any_number_field_is_a_validation_error(cls, name):
         cls(**kwargs)
 
 
+SCALAR_FIELDS = [(cls, f.name, {"float": float, "int": int}[str(f.type)])
+                 for cls in CHECKED for f in dataclasses.fields(cls)
+                 if str(f.type) in ("float", "int")]
+
+
+@pytest.mark.parametrize("cls, name, kind", SCALAR_FIELDS,
+                         ids=[f"{c.__name__}.{n}" for c, n, _ in SCALAR_FIELDS])
+def test_scalar_field_stores_what_it_read(cls, name, kind):
+    # a numeric string or a narrow numpy integer kept as given breaks the
+    # arithmetic done on the field later
+    valid = VALID[cls.__name__][name]
+    stored = []
+    for value in (str(valid), np.int8(valid)):
+        try:
+            obj = cls(**dict(VALID[cls.__name__], **{name: value}))
+        except qlqg.ValidationError:
+            continue
+        stored.append(getattr(obj, name))
+    assert stored and all(type(v) is kind and v == valid for v in stored)
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo):
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
