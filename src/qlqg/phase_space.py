@@ -48,7 +48,8 @@ REAL_TOL = 1e-12
 #: lowest eigenvalue allowed in a matrix that must be positive
 #: semidefinite: N, F and Omega_T, so a cost and its dual pass alike
 PSD_FLOOR = -1e-12
-#: asymmetry tolerated in matrices that are symmetrized on input
+#: asymmetry tolerated in matrices that are symmetrized on input, relative
+#: to the largest entry once that is past 1
 SYM_TOL = 1e-10
 #: eigenvalue floor for the uncertainty check
 UNCERTAINTY_TOL = -1e-9
@@ -127,8 +128,14 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _asymmetric(diff: np.ndarray, arr: np.ndarray) -> bool:
+    """Whether ``diff`` (``arr - arr'`` or ``arr + arr'``) is past ``SYM_TOL``
+    relative to the largest entry of ``arr``, or to 1 for smaller entries."""
+    return bool(np.max(np.abs(diff)) > SYM_TOL * max(1.0, float(np.max(np.abs(arr)))))
+
+
 def _symmetrize(arr: np.ndarray, name: str) -> np.ndarray:
-    if np.max(np.abs(arr - arr.T)) > SYM_TOL:
+    if _asymmetric(arr - arr.T, arr):
         raise ValidationError(f"{name} must be symmetric")
     return 0.5 * (arr + arr.T)
 
@@ -174,7 +181,7 @@ class PhaseSpaceModel:
         m = J.shape[0]
         if m % 2 != 0:
             raise InvalidParameter(f"phase-space dimension must be even, got {m}")
-        if np.max(np.abs(J + J.T)) > SYM_TOL:
+        if _asymmetric(J + J.T, J):
             raise ValidationError("J must be antisymmetric")
         if abs(np.linalg.det(J)) <= _DET_TOL:
             raise ValidationError("J must be nondegenerate")
@@ -309,8 +316,8 @@ def build_coefficients(model: PhaseSpaceModel) -> LinearCoefficients:
     N = _require_real(0.5 * hbar**2 * J @ (gram + gram.conj()) @ J.T, "N")
     M = _require_real(0.5j * hbar * J @ (Lam.T - Lam.conj().T), "M")
 
-    # the product is symmetric up to rounding that grows with its entries,
-    # past the absolute tolerance of LinearCoefficients' own check
+    # the product is symmetric only up to rounding, which cancellation
+    # between its terms can lift past LinearCoefficients' own check
     N = 0.5 * (N + N.T)
     return LinearCoefficients(A=A, B=B, C=C, N=N, M=M)
 
@@ -319,11 +326,20 @@ def _heisenberg_margin(cov: np.ndarray, J: np.ndarray, hbar: float) -> np.ndarra
     """Lowest eigenvalue of ``cov + (i hbar / 2) J`` for each matrix of a
     ``(..., m, m)`` stack of covariances.
 
-    The one place the Heisenberg matrix is formed; it is built in place
-    on a complex copy, so a whole path costs one complex path of memory.
+    Only the entries ``eigvalsh`` reads count: the real diagonal and the
+    lower triangle.  At ``m = 2`` that eigenvalue comes in closed form,
+    ``(a + c)/2 - sqrt(((a - c)/2)^2 + S10^2 + (hbar J10 / 2)^2)``, with
+    ``a, c`` the diagonal of ``S = cov``.  Larger stacks go through
+    ``eigvalsh`` on a complex copy built in place, so a whole path costs
+    one complex path of memory.
     """
+    J, hbar = np.asarray(J, dtype=float), float(hbar)
+    if cov.shape[-1] == 2:
+        a, c, low = cov[..., 0, 0], cov[..., 1, 1], cov[..., 1, 0]
+        radius = np.hypot(np.hypot(0.5 * (a - c), low), 0.5 * hbar * J[1, 0])
+        return 0.5 * (a + c) - radius
     herm = cov.astype(complex)
-    herm += 0.5j * hbar * np.asarray(J, dtype=float)
+    herm += 0.5j * hbar * J
     return np.linalg.eigvalsh(herm)[..., 0]
 
 
@@ -338,8 +354,10 @@ def check_uncertainty(
     eigenvalue; the bound passes when that eigenvalue is at least
     ``UNCERTAINTY_TOL``.  With ``hbar = 0`` this degenerates to plain
     positive semidefiniteness.  A non-finite ``cov``, ``J`` or ``hbar``
-    raises InvalidParameter: LAPACK would report an eigenvalue made up
-    from it.  ``J`` must have the shape of the square ``cov``.
+    raises InvalidParameter: it has no eigenvalue, yet LAPACK (``m > 2``)
+    would report one made up from it, and the closed form (``m = 2``) a
+    NaN that fails the bound without naming the cause.  ``J`` must have
+    the shape of the square ``cov``.
     """
     cov = _square(cov, float, "cov", copy=False)
     J = _asarray(J, float, cov.shape, "J", copy=False)

@@ -8,8 +8,10 @@ One stepper serves them all: classical Runge-Kutta on the lift, i.e. the
 constant map ``Phi = sum_{k<=4} (dt H)^k / k!`` (order four), applied in
 blocks re-anchored at ``[I; S]`` (Kenney & Leipnik, IEEE TAC 30
 (1985)).  Precomputed powers ``Phi^j`` give a whole block from one
-batched determinant and one batched solve; a block ends at the first
-power with an entry of magnitude 2, or after 64 steps.  A pole of ``S``
+GEMM, one batched determinant and one batched solve.  A block spans
+``ln 2 / ln rho`` steps for the spectral radius ``rho`` of ``Phi``, so
+it does not depend on units, and its powers hold at most ``2^12``
+entries (256 steps at m = 2, 113 at m = 3, 64 at m = 4).  A pole of ``S``
 between grid points (``det X_j <= 0``, or, for a pair of poles in one
 step, an eigenvalue of that step's ``X`` part on the negative real
 axis) raises :class:`NonFinite`, as do entries beyond ``ESCAPE_LIMIT``.
@@ -71,10 +73,9 @@ __all__ = [
 #: entries beyond this magnitude abort integration (finite-time escape)
 ESCAPE_LIMIT = 1e12
 
-#: a block of lift steps ends at the first power of the one-step map
-#: with an entry this large, and has at most ``_BLOCK_MAX`` steps
-_POWER_BOUND = 2.0
-_BLOCK_MAX = 64
+#: entries in the powers of one block of lift steps, at most: 256 steps at
+#: m = 2, 113 at m = 3, 64 at m = 4
+_POWER_ENTRIES = 2**12
 
 
 @dataclass(frozen=True)
@@ -264,48 +265,64 @@ def _rk4_map(A: np.ndarray) -> np.ndarray:
     return step
 
 
-def _lift_powers(H: np.ndarray, dt: float) -> np.ndarray:
+def _lift_powers(H: np.ndarray, dt: float, n_steps: int) -> np.ndarray:
     """Powers ``Phi^1 .. Phi^L`` of the RK4 map of ``d[X; Y]/dt = H [X; Y]``.
 
-    ``L`` is the first power with an entry of magnitude
-    ``_POWER_BOUND``, or ``_BLOCK_MAX``.
+    ``L = floor(ln 2 / ln rho)`` for the spectral radius ``rho`` of
+    ``Phi``: the dominant mode grows at most twofold over a block, in any
+    units.  ``L`` is at least 1 and at most ``n_steps`` and
+    ``_POWER_ENTRIES / (2m)^2``, which also bounds it when ``rho <= 1``.
     """
     phi = _rk4_map(dt * H)
-    powers = [phi]
-    while len(powers) < _BLOCK_MAX and np.abs(powers[-1]).max() < _POWER_BOUND:
-        powers.append(powers[-1] @ phi)
-    return np.array(powers)
+    length = min(n_steps, max(1, _POWER_ENTRIES // phi.size))
+    # a map past the float range has no spectrum; it escapes at step 1
+    rho = np.abs(np.linalg.eigvals(phi)).max() if np.isfinite(phi).all() else np.inf
+    if rho > 1:
+        length = max(1, min(length, int(np.log(2.0) / np.log(rho))))
+    powers = np.empty((length,) + phi.shape)
+    powers[0] = phi
+    for j in range(1, length):
+        np.matmul(powers[j - 1], phi, out=powers[j])
+    return powers
 
 
-def _lift_block(powers: np.ndarray, S: np.ndarray, step: int) -> np.ndarray:
-    """Flow at the ``len(powers)`` grid points after ``S`` (grid step ``step``).
+def _lift_block(powers: np.ndarray, S: np.ndarray, step: int, out: np.ndarray) -> None:
+    """Flow at the ``len(powers)`` grid points after ``S`` (grid step
+    ``step``), written to ``out``.
 
     Each point is ``Y_j X_j^-1``, symmetrized, with
     ``[X_j; Y_j] = Phi^j [I; S]``.  Raises NonFinite on an escape.
+    Each temporary is dropped once spent, so those alive at once take at
+    most three quarters of the powers' memory.
     """
     n, m = len(powers), S.shape[0]
-    Z = powers[:, :, :m] + (powers[:, :, m:].reshape(-1, m) @ S).reshape(n, 2 * m, m)
+    Z = (powers.reshape(-1, 2 * m) @ np.vstack([np.eye(m), S])).reshape(n, 2 * m, m)
     Xt = Z[:, :m].transpose(0, 2, 1)
-    Yt = Z[:, m:].transpose(0, 2, 1)
     # the solve factorizes the same matrices as det, so a positive
     # determinant rules out a singular pivot there
     det = np.linalg.det(Xt)
     _raise_first(~(np.isfinite(det) & (det > 0)), step, "crossed a pole")
-    T = np.linalg.solve(Xt, Yt)
-    block = 0.5 * (T + T.transpose(0, 2, 1))
+    del det
+    T = np.linalg.solve(Xt, Z[:, m:].transpose(0, 2, 1))
+    del Z, Xt
+    T += T.transpose(0, 2, 1)
+    T *= 0.5
     # A pair of poles inside one step leaves det X_j positive, but puts
     # eigenvalues of that step's X part, Phi11 + Phi12 S_{j-1}, on the
     # negative real axis.  None can be there while every entry of the X
-    # parts is within 1/m of I's.  (Transposed here, as one GEMM.)
-    phi = powers[0]
-    prev = np.concatenate([S[None], block[:-1]])
-    steps_t = (prev.reshape(-1, m) @ phi[:m, m:].T).reshape(n, m, m) + phi[:m, :m].T
-    if m * np.abs(steps_t - np.eye(m)).max() >= 1:
-        ev = np.linalg.eigvals(steps_t)
+    # parts is within 1/m of I's.  (Transposed and less I here, each
+    # step's product in one GEMM.)
+    phi11_t, phi12_t = powers[0, :m, :m].T - np.eye(m), powers[0, :m, m:].T
+    steps = np.empty_like(T)
+    np.matmul(S, phi12_t, out=steps[0])
+    np.matmul(T[:-1].reshape(-1, m), phi12_t, out=steps[1:].reshape(-1, m))
+    steps += phi11_t
+    if m * max(steps.max(), -steps.min()) >= 1:
+        ev = np.linalg.eigvals(steps + np.eye(m))
         _raise_first((np.abs(ev.imag) <= -ev.real).any(axis=1), step, "crossed a pole")
-    size = np.abs(block).max(axis=(1, 2))
+    size = np.maximum(T.max(axis=(1, 2)), -T.min(axis=(1, 2)))
     _raise_first(~(size <= ESCAPE_LIMIT), step, f"passed {ESCAPE_LIMIT:.0e}")
-    return block
+    out[...] = T
 
 
 def _raise_first(bad: np.ndarray, step: int, what: str) -> None:
@@ -324,14 +341,14 @@ def _lift_path(H: np.ndarray, S0: np.ndarray, dt: float, n_steps: int,
     first, straight into the path it returns, so that path reads forward
     in time and ends at ``S0``.
     """
-    powers = _lift_powers(H, dt)
+    powers = _lift_powers(H, dt, n_steps)
     with _fits_in_memory(f"n_steps {n_steps} needs a path"):
         values = np.empty((n_steps + 1,) + S0.shape)
     path = values[::-1] if backward else values
     path[0] = S0
     for i in range(0, n_steps, len(powers)):
         n = min(len(powers), n_steps - i)
-        path[i + 1 : i + 1 + n] = _lift_block(powers[:n], path[i], i)
+        _lift_block(powers[:n], path[i], i, path[i + 1 : i + 1 + n])
     return values
 
 
@@ -378,7 +395,7 @@ def integrate_filter_riccati(
         _require_heisenberg(Sigma0, J, hbar)
     values = _lift_path(_filter_lift(coeffs), Sigma0, grid.dt, grid.n_steps)
     if uncertainty is not None:
-        # the same bound along the whole path, in one batched eigvalsh
+        # the same bound along the whole path, in one batched margin
         worst = _heisenberg_margin(values, J, hbar)
         bad = np.nonzero(worst < UNCERTAINTY_TOL)[0]
         if bad.size:

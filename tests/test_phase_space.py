@@ -18,6 +18,7 @@ from qlqg.phase_space import (
     check_uncertainty,
     free_particle_model,
     model_from_json,
+    _heisenberg_margin,
     _require_real,
 )
 from qlqg.closed_loop import SimConfig
@@ -76,6 +77,16 @@ class TestModelValidation:
                 Lambda=np.zeros((1, 2)),
                 K=np.zeros((2, 1)),
             )
+
+    def test_antisymmetry_is_relative_to_the_largest_entry(self):
+        # one ulp of asymmetry in a large J passes; a relative 1e-6 does not
+        big = 1e7 / 3
+        J = np.array([[0.0, big], [-np.nextafter(big, np.inf), 0.0]])
+        model = PhaseSpaceModel(J=J, R=np.eye(2), Lambda=np.zeros((1, 2)), K=np.zeros((2, 1)))
+        assert model.J[1, 0] == J[1, 0]
+        with pytest.raises(ValidationError, match="antisymmetric"):
+            PhaseSpaceModel(J=np.array([[0.0, big], [-big * (1 + 1e-6), 0.0]]),
+                            R=np.eye(2), Lambda=np.zeros((1, 2)), K=np.zeros((2, 1)))
 
     def test_rejects_asymmetric_R(self):
         with pytest.raises(ValidationError):
@@ -213,6 +224,20 @@ class TestCheckUncertainty:
         with pytest.raises(DimensionMismatch):
             check_uncertainty(np.eye(2), standard_J(4), hbar=1.0)
 
+    @pytest.mark.parametrize("hbar", [0.0, 1.0, 100.0])
+    @pytest.mark.parametrize("form", ["antisymmetric", "general"])
+    def test_closed_form_margin_matches_eigvalsh(self, hbar, form):
+        # at m = 2 the margin is closed-form; it reads what eigvalsh reads,
+        # the real diagonal and the lower triangle, of any cov and J
+        rng = np.random.default_rng(int(hbar) + len(form))
+        cov = rng.standard_normal((2000, 2, 2))
+        cov[:1000] = cov[:1000] @ cov[:1000].transpose(0, 2, 1)
+        J = rng.standard_normal((2, 2)) if form == "general" else 3.0 * J2
+        herm = cov + 0.5j * hbar * J
+        exact = np.linalg.eigvalsh(herm)
+        scale = np.abs(exact).max(axis=1)
+        assert np.all(np.abs(_heisenberg_margin(cov, J, hbar) - exact[:, 0]) <= 1e-13 * scale)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_input(self, bad):
         # LAPACK would report an eigenvalue made up from the bad entry
@@ -301,6 +326,23 @@ class TestLinearCoefficients:
         with pytest.raises(ValidationError, match=r"N must be positive semidefinite "
                                                   r"\(min eigenvalue -2\.000e\+00\)"):
             _coefficients(N=np.diag([1.0, -2.0]))
+
+    def test_symmetry_is_relative_to_the_largest_entry(self):
+        # a product with entries of 1e7 is symmetric only to an ulp, 4.7e-10
+        ulp = np.array([[1e7, 1e7 / 3], [np.nextafter(1e7 / 3, np.inf), 1e7]])
+        off = np.array([[1e7, 1e7 / 3], [1e7 / 3 * (1 + 1e-6), 1e7]])
+        coeffs = _coefficients(N=ulp)
+        np.testing.assert_array_equal(coeffs.N, coeffs.N.T)
+        CostSpec(F=ulp, G=np.zeros((1, 2)), Omega_T=ulp)
+        with pytest.raises(ValidationError, match="N must be symmetric"):
+            _coefficients(N=off)
+        with pytest.raises(ValidationError, match="F must be symmetric"):
+            CostSpec(F=off, G=np.zeros((1, 2)), Omega_T=ulp)
+        with pytest.raises(ValidationError, match="Omega_T must be symmetric"):
+            CostSpec(F=ulp, G=np.zeros((1, 2)), Omega_T=off)
+        # entries up to 1 keep the absolute tolerance
+        with pytest.raises(ValidationError, match="N must be symmetric"):
+            _coefficients(N=np.array([[1.0, 0.5], [0.5 + 2e-10, 1.0]]))
 
     def test_rejects_asymmetric_noise(self):
         with pytest.raises(ValidationError):

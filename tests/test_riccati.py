@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from qlqg import LinearCoefficients, build_coefficients, free_particle_model
+from qlqg import LinearCoefficients, build_coefficients, free_particle_model, riccati
 from qlqg.cli import matrix_path_to_csv
 from qlqg.control import ControlGainPath
 from qlqg.errors import (
@@ -31,7 +31,10 @@ from qlqg.riccati import (
     lyapunov_unconditional,
     stationary_filter_covariance,
     total_minimal_cost,
+    _filter_lift,
+    _lift_powers,
 )
+from qlqg.phase_space import UNCERTAINTY_TOL
 
 J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -165,6 +168,26 @@ class TestFilterRiccati:
             integrate_filter_riccati(coeffs, np.eye(2), TimeGrid(0.0, 2.0, 2000),
                                      uncertainty=(J2, 1.0))
 
+    def test_bound_violation_names_the_first_failing_time(self):
+        # the closed-form margin fails first where eigvalsh does
+        coeffs = LinearCoefficients(A=np.zeros((2, 2)), B=np.zeros((2, 1)),
+                                    C=2.0 * np.eye(2), N=np.zeros((2, 2)),
+                                    M=np.zeros((2, 2)))
+        grid = TimeGrid(0.0, 2.0, 2000)
+        path = integrate_filter_riccati(coeffs, np.eye(2), grid)
+        low = np.linalg.eigvalsh(path.values + 0.5j * J2)[:, 0]
+        first = int(np.argmax(low < UNCERTAINTY_TOL))
+        with pytest.raises(UncertaintyViolation,
+                           match=f"at t={grid.times()[first]:.6g} "):
+            integrate_filter_riccati(coeffs, np.eye(2), grid, uncertainty=(J2, 1.0))
+
+    def test_bound_reads_j_and_hbar_once(self):
+        # the path's check uses what the start's check read, not the raw input
+        coeffs, grid = tracking_coefficients(), TimeGrid(0.0, 1.0, 100)
+        raw = integrate_filter_riccati(coeffs, np.eye(2), grid, uncertainty=(J2.tolist(), "1.0"))
+        read = integrate_filter_riccati(coeffs, np.eye(2), grid, uncertainty=(J2, 1.0))
+        np.testing.assert_array_equal(raw.values, read.values)
+
     def test_classical_flow_skips_bound(self):
         coeffs = LinearCoefficients(A=np.zeros((2, 2)), B=np.zeros((2, 1)),
                                     C=2.0 * np.eye(2), N=np.zeros((2, 2)),
@@ -212,6 +235,75 @@ class TestFilterRiccati:
         tail = integrate_filter_riccati(coeffs, head.final, TimeGrid(t_k, 20.0, n - k))
         split = np.concatenate([head.values, tail.values[1:]])
         assert np.abs(split - full.values).max() <= 1e-12 * np.abs(full.values).max()
+
+
+def scaled_particle(s):
+    """The free particle measured ``s`` times as strongly: C s and N s^2."""
+    c = tracking_coefficients()
+    return LinearCoefficients(A=c.A, B=c.B, C=s * c.C, N=s * s * c.N, M=s * c.M)
+
+
+def random_filter():
+    """The random 3-state filter of the restart test."""
+    rng = np.random.default_rng(7)
+    Nh = rng.standard_normal((3, 3))
+    return LinearCoefficients(A=rng.standard_normal((3, 3)), B=np.zeros((3, 1)),
+                              C=rng.standard_normal((2, 3)),
+                              N=Nh @ Nh.T + np.eye(3), M=np.zeros((3, 2)))
+
+
+def oscillator(c):
+    """The undamped oscillator, its position read with strength ``c``."""
+    return LinearCoefficients(A=[[0.0, 1.0], [-1.0, 0.0]], B=np.zeros((2, 1)),
+                              C=[[c, 0.0]], N=np.eye(2), M=np.zeros((2, 1)))
+
+
+class TestBlockRule:
+    @pytest.mark.parametrize("s, shortest", [(1, 256), (10, 64), (100, 6)])
+    def test_block_length_does_not_shrink_with_units(self, s, shortest):
+        # the former rule, ending a block at the first entry of 2, gave
+        # 64-, 6- and 1-step blocks here; dt rho(H) is 0.14 at s = 100
+        powers = _lift_powers(_filter_lift(scaled_particle(s)), 1e-3, 20000)
+        assert len(powers) >= shortest
+
+    def test_block_never_longer_than_the_grid(self):
+        powers = _lift_powers(_filter_lift(tracking_coefficients()), 1e-3, 10)
+        assert len(powers) == 10
+
+    def test_powers_stack_stays_within_its_entries(self):
+        rng = np.random.default_rng(3)
+        W = rng.standard_normal((8, 8))
+        coeffs = LinearCoefficients(A=np.zeros((8, 8)), B=np.zeros((8, 1)),
+                                    C=1e-3 * rng.standard_normal((1, 8)),
+                                    N=W @ W.T, M=np.zeros((8, 1)))
+        powers = _lift_powers(_filter_lift(coeffs), 1e-6, 20000)
+        assert powers.size <= riccati._POWER_ENTRIES
+        assert len(powers) == riccati._POWER_ENTRIES // 16**2
+
+    # (coefficients, start, grid, deviation of the former rule): the
+    # former rule ended a block at the first power with an entry of 2, or
+    # after 64 steps; 0 where it re-anchored at every step already
+    @pytest.mark.parametrize("coeffs, S0, grid, former", [
+        (scaled_particle(1), np.eye(2), TimeGrid(0.0, 4.0, 4000), 6.5e-14),
+        (scaled_particle(10), np.eye(2), TimeGrid(0.0, 4.0, 4000), 7.4e-15),
+        (scaled_particle(100), np.eye(2), TimeGrid(0.0, 4.0, 4000), 0.0),
+        (random_filter(), np.eye(3), TimeGrid(0.0, 20.0, 50), 0.0),
+        (random_filter(), np.eye(3), TimeGrid(0.0, 20.0, 200), 1.3e-9),
+        (random_filter(), np.eye(3), TimeGrid(0.0, 20.0, 1000), 1.7e-15),
+        (random_filter(), np.eye(3), TimeGrid(0.0, 20.0, 5000), 6.4e-15),
+        (random_filter(), np.eye(3), TimeGrid(0.0, 20.0, 20000), 2.2e-14),
+        (oscillator(0.0), np.eye(2), TimeGrid(0.0, 100.0, 10000), 2.9e-13),
+        (oscillator(1e-3), np.eye(2), TimeGrid(0.0, 100.0, 10000), 1.2e-13),
+    ], ids=["particle-1", "particle-10", "particle-100", "random-50",
+            "random-200", "random-1000", "random-5000", "random-20000",
+            "oscillator-unread", "oscillator-read"])
+    def test_matches_one_step_reanchoring(self, monkeypatch, coeffs, S0, grid, former):
+        blocked = integrate_filter_riccati(coeffs, S0, grid).values
+        # a one-entry cap leaves one power per block: re-anchor every step
+        monkeypatch.setattr(riccati, "_POWER_ENTRIES", 1)
+        stepped = integrate_filter_riccati(coeffs, S0, grid).values
+        deviation = np.abs(blocked - stepped).max() / np.abs(stepped).max()
+        assert deviation <= 2 * max(former, 1e-14)
 
 
 class TestControlRiccati:
