@@ -8,12 +8,15 @@ conditional master equation on small finite-dimensional systems and is
 used to cross-check the Gaussian layer against first principles.
 """
 
-from . import errors, phase_space, riccati, kalman, control, closed_loop, sme, free_particle
+from . import (
+    errors, phase_space, riccati, kalman, control, ensemble, closed_loop, sme, free_particle,
+)
 from .errors import *
 from .phase_space import *
 from .riccati import *
 from .kalman import *
 from .control import *
+from .ensemble import *
 from .closed_loop import *
 from .sme import *
 
@@ -24,6 +27,7 @@ __all__ = [
     *riccati.__all__,
     *kalman.__all__,
     *control.__all__,
+    *ensemble.__all__,
     *closed_loop.__all__,
     *sme.__all__,
     "free_particle",

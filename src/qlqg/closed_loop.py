@@ -3,20 +3,23 @@
 The loop is simulated in innovations representation: the innovation
 increments are exogenous Wiener draws, which is exact for the
 conditional dynamics and sidesteps any notion of a hidden point state.
-Each trajectory owns a counter-based random stream derived from
-``(seed, trajectory index)``, so ensembles are reproducible and
-independent of batch layout: a chunk is held one trajectory per column
-in a multiple of 8 columns, so a trajectory's results do not depend on
-``n_traj`` or on the chunk that carries it.  Streams draw in blocks of
-steps into one noise block per chunk, one trajectory per row, and each
-step reads its increments as a view into it, valid until the next block
-is drawn; so memory does not grow with ``n_steps`` beyond the per-step
-covariance and gain paths.
+Trajectories run through :mod:`qlqg.ensemble`'s chunk loop: each owns
+the counter-based stream of ``(seed, trajectory index)``, and a chunk is
+held one trajectory per column in a multiple of 8 columns, so a
+trajectory's results do not depend on ``n_traj`` or on the chunk that
+carries it.
+
+Under certainty-equivalent feedback the Euler step is linear, so the
+states after L consecutive steps are one product of a block map with
+the state before them and the L steps' increments.  The block maps of a
+256-step noise window are built when the window is drawn, and one GEMM
+steps a whole chunk L steps; running costs, the trapezoid sum and the
+escape check then run once per block.  Memory does not grow with
+``n_steps`` beyond the per-step covariance and gain paths.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -24,7 +27,10 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .control import control_gain_path
-from .errors import ConfigError, EmptyEnsemble, InvalidParameter, NonFinite
+from .ensemble import _BLOCK, _at, _chunk_width, _run_chunks, SimConfig
+# re-exported for the callers and tests that import them from this module
+from .ensemble import _CHUNK, _COLUMN_BLOCK, _increments, _key_type, _stream_keys  # noqa: F401
+from .errors import EmptyEnsemble, InvalidParameter, NonFinite
 from .phase_space import (
     GaussianBelief, LinearCoefficients, _asarray, _count, _fits_in_memory, _frozen,
 )
@@ -32,63 +38,40 @@ from .riccati import (
     ESCAPE_LIMIT,
     CostSpec,
     MatrixPath,
-    TimeGrid,
     integrate_control_riccati,
     integrate_filter_riccati,
+    total_minimal_cost,
 )
 
 __all__ = [
-    "SimConfig",
     "TrajectoryRecord",
     "ClosedLoopEnsemble",
     "simulate_closed_loop",
     "monte_carlo_expected_cost",
+    "expected_cost_z",
 ]
 
-#: trajectories per batch
-_CHUNK = 1024
-#: steps of noise each stream draws at a time; bounds a chunk's noise
-#: buffer whatever ``n_steps`` is
-_BLOCK = 256
-#: a chunk has a multiple of this many columns: OpenBLAS rounds the
-#: columns of a last, partial block of 8 apart from those of full blocks,
-#: and a one-row or one-column product goes to GEMV
-_COLUMN_BLOCK = 8
+#: entries of one block map at most; sets the steps per product
+_MAP_ENTRIES = 2**9
 
 
-@dataclass(frozen=True)
-class SimConfig:
-    """Ensemble size, time grid, seeding and recording density."""
+def _steps_per_product(m: int, d: int) -> int:
+    """Steps L that one product advances a chunk, for m states and d
+    channels.
 
-    grid: TimeGrid
-    n_traj: int
-    seed: int
-    record_stride: int = 1
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.grid, TimeGrid):
-            raise ConfigError(f"grid must be a TimeGrid, got {self.grid!r}")
-        for name in ("n_traj", "seed", "record_stride"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
-        if self.n_traj < 1:
-            raise ConfigError(f"n_traj must be >= 1, got {self.n_traj}")
-        if not 0 <= self.seed < 2**64:
-            raise ConfigError(f"seed must fit in 64 unsigned bits, got {self.seed}")
-        if self.record_stride < 1:
-            raise ConfigError(f"record_stride must be >= 1, got {self.record_stride}")
-        if self.grid.n_steps % self.record_stride != 0:
-            raise ConfigError(
-                f"record_stride {self.record_stride} does not divide "
-                f"n_steps {self.grid.n_steps}"
-            )
-
-    @property
-    def n_records(self) -> int:
-        """Recorded points per trajectory, initial state included."""
-        return self.grid.n_steps // self.record_stride + 1
+    The block map of L steps is (L m, L d + m): a product costs
+    m (L d + m) multiply-adds per trajectory-step against m (d + m) for
+    one step at a time, and a chunk holds about 2 L (m + d) rows of
+    per-block buffers, while the dozen numpy calls of a step are paid
+    once per L steps.  L is the largest power of two whose map has at
+    most ``_MAP_ENTRIES`` entries: 8 steps at m = 2, d = 1, one step
+    once m (m + 2 d) passes 256.  A power of two up to ``_BLOCK``
+    divides the noise window, so no block straddles two windows.
+    """
+    L = 1
+    while 2 * L <= _BLOCK and 2 * L * m * (m + 2 * L * d) <= _MAP_ENTRIES:
+        L *= 2
+    return L
 
 
 @dataclass(frozen=True)
@@ -152,161 +135,6 @@ class ClosedLoopEnsemble:
         )
 
 
-def _at(config: SimConfig, index: int, step: int) -> str:
-    """Where a failure happened, enough to replay it from (seed, index)."""
-    t = config.grid.t0 + step * config.grid.dt
-    return f"trajectory {index} of seed {config.seed} at step {step}, t={t:.6g}"
-
-
-def _chunk_width(rows: int) -> int:
-    """Columns of a chunk of ``rows`` trajectories: the next multiple of
-    ``_COLUMN_BLOCK``."""
-    return -(-rows // _COLUMN_BLOCK) * _COLUMN_BLOCK
-
-
-#: constants of numpy's SeedSequence hash (numpy/random/bit_generator.pyx)
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_MASK32 = 0xFFFFFFFF
-#: words in a SeedSequence pool
-_POOL = 4
-
-
-def _hasher(init: int, mult: int):
-    """SeedSequence's hash with a running multiplier: each call of the
-    returned function hashes uint32 values with the next constant."""
-    const = init
-
-    def hash_words(value):
-        nonlocal const
-        xor, const = np.uint32(const), const * mult & _MASK32
-        value = (value ^ xor) * np.uint32(const)
-        return value ^ (value >> 16)
-    return hash_words
-
-
-def _mix(x, y):
-    """SeedSequence's mix of a hashed word ``y`` into a pool word ``x``."""
-    r = x * _MIX_MULT_L - y * _MIX_MULT_R
-    return r ^ (r >> 16)
-
-
-def _stream_keys(seed: int, start: int, stop: int) -> NDArray[np.uint64]:
-    """Philox keys of the streams of trajectories ``start..stop-1``, one
-    row each: row i is ``np.random.SeedSequence(seed, spawn_key=(start +
-    i,)).generate_state(2, np.uint64)``, for every row at once.
-
-    It is numpy's SeedSequence hash in uint32 arithmetic.  The entropy
-    is the seed's 32-bit words, padded to the pool size because a spawn
-    key follows, then the index's words.  A seed below 2^64, as
-    :class:`SimConfig` requires, fits the pool, so the pool and its
-    mixing depend on the seed only and are computed once; each index
-    word then mixes into every pool word, one round per word, and an
-    index with fewer words leaves its pool as it is in the later rounds.
-    The index has no upper bound.
-    """
-    rows = stop - start
-    # the index words, least significant first, carried across 32 bits
-    # so that indices of any size are exact
-    index_words, rest, carry = [], start, np.arange(rows, dtype=np.uint64)
-    while True:
-        total = carry + np.uint64(rest & _MASK32)
-        index_words.append((total & _MASK32).astype(np.uint32))
-        carry, rest = total >> 32, rest >> 32
-        if not rest and not carry.any():
-            break
-    # the word count of each index: 1 + the position of its top nonzero word
-    n_words = np.ones(rows, dtype=np.intp)
-    for j, w in enumerate(index_words[1:], start=2):
-        n_words[w != 0] = j
-    hashmix = _hasher(_INIT_A, _MULT_A)
-    with np.errstate(over="ignore"):
-        pool = [hashmix(np.uint32((seed >> 32 * i) & _MASK32)) for i in range(_POOL)]
-        for src in range(_POOL):
-            for dst in range(_POOL):
-                if src != dst:
-                    pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-        for j, w in enumerate(index_words):
-            mixed = [_mix(p, hashmix(w)) for p in pool]
-            pool = [np.where(n_words > j, q, p) for p, q in zip(pool, mixed)]
-        state = _hasher(_INIT_B, _MULT_B)
-        words = [state(p).astype(np.uint64) for p in pool]
-    # the four state words read as two little-endian uint64
-    return np.stack([words[0] | words[1] << 32, words[2] | words[3] << 32], axis=1)
-
-
-@functools.cache
-def _key_type() -> type:
-    """The class of a precomputed Philox key, handed over as the seed
-    sequence that would generate it.  Built on first use, so that a
-    program that draws no noise does not import numpy.random."""
-
-    class _Key(np.random.bit_generator.ISeedSequence):
-        def __init__(self, key: NDArray[np.uint64]) -> None:
-            self.key = key
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            return self.key
-    return _Key
-
-
-def _increments(config: SimConfig, start: int, stop: int, d: int):
-    """Per-step (d, B) Wiener increments of trajectories ``start..stop-1``,
-    B = ``_chunk_width(stop - start)``, each a view into the chunk's one
-    noise block, valid until the next block is drawn.
-
-    Column i comes from numpy's Philox stream keyed by
-    ``SeedSequence(seed, spawn_key=(start + i,))``; the pad columns are
-    zero.  The chunk's keys are computed together by
-    :func:`_stream_keys`, with no SeedSequence object per trajectory.
-    The streams stay alive and draw ``_BLOCK`` steps at a time, each
-    straight into its own row of one (B, ``_BLOCK``, d) block, which is
-    scaled by sqrt(dt) in place; a step's increments are the block's
-    column of that step, read in place.  A counter-based stream yields
-    the same numbers however its draws are split, so the bytes are those
-    of one bulk draw.
-    """
-    rows, n_steps = stop - start, config.grid.n_steps
-    sqrt_dt = math.sqrt(config.grid.dt)
-    key = _key_type()
-    streams = [np.random.Generator(np.random.Philox(key(k)))
-               for k in _stream_keys(config.seed, start, stop)]
-    block = np.zeros((_chunk_width(rows), _BLOCK, d))
-    for step0 in range(0, n_steps, _BLOCK):
-        width = min(_BLOCK, n_steps - step0)
-        drawn = block[:rows, :width]
-        for stream, draws in zip(streams, drawn):
-            stream.standard_normal(out=draws)
-        drawn *= sqrt_dt
-        yield from block[:, :width].transpose(1, 2, 0)
-
-
-def _run_chunks(config: SimConfig, d: int, run_chunk, first: int = 0) -> None:
-    """Call ``run_chunk(start, stop, noise)`` on fixed chunks, in index order.
-
-    The one chunk loop of every Monte Carlo simulator.  Chunks of up to
-    ``_CHUNK`` trajectories cover the indices ``first`` to
-    ``first + n_traj - 1``; ``noise`` yields the chunk's (d, B) Wiener
-    increments step by step, one trajectory per column, each a view into
-    the chunk's one noise block that stays valid until the next block is
-    drawn, ``_BLOCK`` steps on; no buffer grows with ``n_steps``.  Column
-    i comes from numpy's Philox stream keyed by ``SeedSequence(seed,
-    spawn_key=(start + i,))``, and the keys of a chunk are computed
-    together (:func:`_increments`).
-
-    B = ``_chunk_width(stop - start)`` is the chunk's trajectory count
-    rounded up to a multiple of ``_COLUMN_BLOCK``, and the pad columns'
-    noise is zero.  A simulator holds its chunk in B columns, so every
-    product rounds a trajectory alike in every chunk, and its results
-    depend only on ``(seed, index)``: not on the chunk it lands in, and
-    not on ``first``.  Any trajectory of an ensemble can be run alone.
-    """
-    for start in range(first, first + config.n_traj, _CHUNK):
-        stop = min(start + _CHUNK, first + config.n_traj)
-        run_chunk(start, stop, _increments(config, start, stop, d))
-
-
 def simulate_closed_loop(
     coeffs: LinearCoefficients,
     cost: CostSpec,
@@ -325,15 +153,6 @@ def simulate_closed_loop(
     ``u = -(B' Omega_t + G) Xhat`` and accumulating the posterior
     running cost by trapezoid.  The per-trajectory total adds the
     terminal cost at the horizon.
-
-    Under certainty-equivalent feedback ``u = -L_n Xhat`` the step is
-    linear: ``Xhat <- Phi_n Xhat + K_n dW`` with
-    ``Phi_n = I + (A - B L_n) dt`` and the filter gain ``K_n``, and the
-    running cost is ``Xhat' Q_n Xhat + tr(F Sigma_n)`` with
-    ``Q_n = F - L_n'G - G'L_n + L_n'L_n``.  Both are precomputed per
-    step, so a step is one product ``[Phi_n | K_n] @ [Xhat; dW]`` on a
-    chunk held one trajectory per column; controls and outputs are formed
-    only at recorded rows.
 
     Parameters
     ----------
@@ -355,6 +174,30 @@ def simulate_closed_loop(
 
     Notes
     -----
+    Under certainty-equivalent feedback ``u = -L_n Xhat`` the step is
+    linear: ``Xhat_{n+1} = Phi_n Xhat_n + K_n dW_n`` with
+    ``Phi_n = I + (A - B L_n) dt`` and the filter gain ``K_n``, and the
+    running cost is ``Xhat' Q_n Xhat + tr(F Sigma_n)`` with
+    ``Q_n = F - L_n'G - G'L_n + L_n'L_n``.  So the states of the L steps
+    from s are one product::
+
+        [Xhat_{s+1}; ...; Xhat_{s+L}] = T_s [dW_s; ...; dW_{s+L-1}; Xhat_s]
+
+    with T_s block lower-triangular: row block j holds
+    ``Phi_{s+j}...Phi_s`` against ``Xhat_s`` and
+    ``Phi_{s+j}...Phi_{i+1} K_i`` against ``dW_i``.  L is set by the
+    model's dimensions alone (:func:`_steps_per_product`) and divides
+    the 256-step noise window; a window's T_s and Q_n are built when it
+    is drawn, its short last block padded with identity steps.  A block
+    of L steps is then one GEMM on the chunk, one max/min check of every
+    state it made against the escape limit, which looks back to name
+    the first failing step and the lowest failing trajectory in it, as
+    a check after every step would, one batched Q_n product and multiply
+    for its running costs, and one product of trapezoid weights that
+    adds them to the cost integral.  The trace term is the same in every
+    trajectory and is integrated once.  Controls and outputs are formed
+    only at recorded steps.
+
     Trajectories are processed in fixed-size chunks, one after another.
     Every trajectory owns its own counter-based stream and lands in a
     preallocated slot, and its arithmetic does not depend on the chunk
@@ -377,27 +220,60 @@ def simulate_closed_loop(
         gains = gains + _asarray(gain_offset, float, gains.shape[1:], "gain_offset")
 
     m, d, k = coeffs.m, coeffs.d, coeffs.k
-    n_steps, dt = grid.n_steps, grid.dt
+    dt = grid.dt
     stride = config.record_stride
     n_rec = config.n_records
+    L = _steps_per_product(m, d)
+    # a block's noise rows, then its start state: the columns of T_s
+    Ld = L * d
 
-    # the per-step arrays, built _BLOCK steps at a time so that no
-    # temporary spans the grid: step maps [Phi_n | K_n], applied to the
-    # column [Xhat; dW], and running-cost weights
-    # Q_n = F - L_n'G - G'L_n + L_n'L_n
-    step_maps = np.empty((n_steps, m, m + d))
-    Q = np.empty((n_steps + 1, m, m))
-    for s in range(0, n_steps + 1, _BLOCK):
-        L = gains[s:s + _BLOCK]
-        LtG = L.swapaxes(1, 2) @ cost.G
-        Q[s:s + _BLOCK] = cost.F - LtG - LtG.swapaxes(1, 2) + L.swapaxes(1, 2) @ L
-        span = slice(s, min(s + _BLOCK, n_steps))
-        step_maps[span, :, :m] = np.eye(m) + (coeffs.A - coeffs.B @ gains[span]) * dt
-        K = np.matmul(Sigma_path.values[span], coeffs.C.T)
-        step_maps[span, :, m:] = K + coeffs.M
+    def running_weights(G):
+        # Q_n of the gains G_n, one per row
+        LtG = G.swapaxes(1, 2) @ cost.G
+        return cost.F - LtG - LtG.swapaxes(1, 2) + G.swapaxes(1, 2) @ G
+
+    # the maps of one noise window's blocks, rebuilt when a window is
+    # drawn: T_s, and Q_n of the states after each step
+    n_blocks = _BLOCK // L
+    T = np.zeros((n_blocks, L, m, Ld + m))
+    Q = np.zeros((_BLOCK, m, m))
+
+    def window_maps(s0: int, width: int) -> None:
+        # steps s0..s0+width-1; the steps that pad the last block are
+        # identity steps with no noise and no cost
+        Phi = np.tile(np.eye(m), (_BLOCK, 1, 1))
+        K = np.zeros((_BLOCK, m, d))
+        span, after = slice(s0, s0 + width), slice(s0 + 1, s0 + width + 1)
+        Phi[:width] += (coeffs.A - coeffs.B @ gains[span]) * dt
+        K[:width] = np.matmul(Sigma_path.values[span], coeffs.C.T) + coeffs.M
+        Q[:width] = running_weights(gains[after])
+        Q[width:] = 0.0
+        Phi, K = Phi.reshape(n_blocks, L, m, m), K.reshape(n_blocks, L, m, d)
+        T[:, 0, :, :d] = K[:, 0]
+        T[:, 0, :, Ld:] = Phi[:, 0]
+        for j in range(1, L):
+            np.matmul(Phi[:, j], T[:, j - 1], out=T[:, j])
+            T[:, j, :, j * d:(j + 1) * d] = K[:, j]
+
+    T_blocks = T.reshape(n_blocks, L * m, Ld + m)
+    Q_blocks = Q.reshape(n_blocks, L, m, m)
+    # the running cost's tr(F Sigma_n) is the same in every trajectory:
+    # its trapezoid integral up to each step is added to the quadratic
+    # part's where a cost is read out
     trace_F = np.einsum("ab,tba->t", cost.F, Sigma_path.values)
+    trace_integral = np.concatenate(
+        ([0.0], np.cumsum(0.5 * dt * (trace_F[:-1] + trace_F[1:]))))
     terminal_trace = float(np.trace(cost.Omega_T @ Sigma_path.final))
-    C_dt, half_dt = coeffs.C * dt, 0.5 * dt
+    Q0 = running_weights(gains[:1])[0]
+    # row j: the trapezoid weights over the first j steps of a block of
+    # the rows of Q_n Xhat * Xhat at its start and after each step, whose
+    # sum over a state's m rows is the state's quadratic cost
+    trapezoid = np.zeros((L + 1, L + 1))
+    for j in range(1, L + 1):
+        trapezoid[j, :j + 1] = dt
+        trapezoid[j, [0, j]] = 0.5 * dt
+    trapezoid = np.repeat(trapezoid, m, axis=1)
+    C_dt = coeffs.C * dt
 
     with _fits_in_memory(f"n_traj {n_traj} needs result arrays"):
         means = np.empty((n_kept, n_rec, m))
@@ -415,73 +291,100 @@ def simulate_closed_loop(
         kept = max(0, min(rows, first + n_kept - start))
         kept_sl = slice(start - first, start - first + kept)
         B = _chunk_width(rows)  # zero pad columns stay zero
-        # [Xhat; dW] of this step and the next, alternating
-        XW = np.zeros((2, m + d, B))
-        XW[0, :m, :rows] = initial.mean[:, None]
-        block = np.zeros((m + d, B))  # [Xhat; dW] summed over a record block
-        acc, trap = np.zeros(B), np.empty(B)
-        c_prev, c_next = np.empty(B), np.empty(B)
-        QX, absX = np.empty((m, B)), np.empty((m, B))
-        QX_rows = list(QX)
+        # [dW_s; ...; dW_{s+L-1}; Xhat_s; Xhat_{s+1}; ...; Xhat_{s+L}]: the
+        # first Ld + m rows are a block's product input, the last L m its
+        # output, and the L + 1 states from Xhat_s are rows Ld on
+        U = np.zeros((Ld + (L + 1) * m, B))
+        U[Ld:Ld + m, :rows] = initial.mean[:, None]
+        Z, states, Y = U[:Ld + m], U[Ld:], U[Ld + m:]
+        Y3 = Y.reshape(L, m, B)
+        # Q_n Xhat * Xhat at the block's L + 1 states: row block j sums to
+        # Xhat' Q_n Xhat after the block's first j steps, the running-cost
+        # rate less its trace
+        QY = np.zeros((L + 1, m, B))
+        costs = QY.reshape((L + 1) * m, B)
+        # the integral of the quadratic part of the running cost
+        acc = np.zeros(B)
+        # [Xhat; dW] summed over the steps of a record interval
+        sums = np.zeros((m + d, B) if kept else (0, 0))
+        dW = np.empty((B, Ld))
 
-        def quadratic_cost(X, W, trace, out):
-            # X' W X + trace for every column X.  The rows of W X * X are
-            # added one by one, in the order sum(axis=0) adds them on B >= 8
-            # columns, through row views bound once per chunk: that costs
-            # less than half of the reduction call
-            np.matmul(W, X, out=QX)
-            np.multiply(QX, X, out=QX)
-            if m == 1:
-                np.copyto(out, QX_rows[0])
-            else:
-                np.add(QX_rows[0], QX_rows[1], out=out)
-                for row in QX_rows[2:]:
-                    out += row
-            out += trace
+        def weighted(W, X, out):
+            # W X * X for a state or a stack of states X
+            np.matmul(W, X, out=out)
+            out *= X
 
-        def record_row(row, X, n):
-            # products run over all B columns, so each recorded column
-            # rounds as in a chunk that records them all
+        def record_row(row, j, n, cost_integral):
+            # the state after the block's first j steps, step n; products
+            # run over all B columns, so each recorded column rounds as in
+            # a chunk that records them all
+            X = states[j * m:(j + 1) * m]
             means[kept_sl, row] = X[:, :kept].T
             # -L_n X as the last rows of a GEMM: with one control, a
             # one-row product would go to GEMV, which sums its terms in
             # another order and moves the recorded controls by an ulp
             controls[kept_sl, row] = (np.vstack((np.eye(m), -gains[n])) @ X)[m:, :kept].T
-            running[kept_sl, row] = acc[:kept]
+            running[kept_sl, row] = cost_integral[:kept]
 
-        X = XW[0, :m]
-        quadratic_cost(X, Q[0], trace_F[0], c_prev)
+        def add_steps(a, b):
+            # the states before steps a..b-1 of the block and their noise
+            if b > a:
+                sums[:m] += states[a * m:b * m].reshape(b - a, m, B).sum(axis=0)
+                sums[m:] += U[a * d:b * d].reshape(b - a, d, B).sum(axis=0)
+
+        weighted(Q0, Z[Ld:], QY[0])
         if kept:
-            record_row(0, X, 0)
-        row = 1
-        for step, dW in enumerate(noise):
-            XW_now, XW_next = XW[step % 2], XW[(step + 1) % 2]
-            XW_now[m:] = dW  # gathers the step's column of the noise block
-            if kept:
-                block += XW_now
-            X = XW_next[:m]
-            np.matmul(step_maps[step], XW_now, out=X)
-            np.abs(X, out=absX)
-            if not absX.max() <= ESCAPE_LIMIT:
-                b = int(np.argmin((absX[:, :rows] <= ESCAPE_LIMIT).all(axis=0)))
-                raise NonFinite(f"posterior mean passed {ESCAPE_LIMIT:.0e} in "
-                                f"{_at(config, start + b, step + 1)}")
-            quadratic_cost(X, Q[step + 1], trace_F[step + 1], c_next)
-            np.add(c_prev, c_next, out=trap)
-            trap *= half_dt
-            acc += trap
-            c_prev, c_next = c_next, c_prev
-            if kept and (step + 1) % stride == 0:
-                record_row(row, X, step + 1)
-                outputs[kept_sl, row] = ((C_dt @ block[:m])[:, :kept].T
-                                         + block[m:, :kept].T)
-                innovations[kept_sl, row] = block[m:, :kept].T
-                block[:] = 0.0
-                row += 1
-        quadratic_cost(X, cost.Omega_T, terminal_trace, c_next)
-        totals[sl] = (acc + c_next)[:rows]
+            record_row(0, 0, 0, acc)
+        row, s = 1, 0
+        for window in noise:
+            width = window.shape[1]
+            window_maps(s, width)
+            for b, a in enumerate(range(0, width, L)):
+                w = min(L, width - a)
+                # the block's noise rows, one copy out of the window, by
+                # way of a trajectory-major buffer: a transposing copy from
+                # the window's strided rows is slower
+                np.copyto(dW[:, :w * d], window[:, a:a + w].reshape(B, w * d))
+                np.copyto(U[:w * d], dW[:, :w * d].T)
+                if w < L:
+                    U[w * d:Ld] = 0.0
+                np.matmul(T_blocks[b], Z, out=Y)
+                if not (Y.max() <= ESCAPE_LIMIT and Y.min() >= -ESCAPE_LIMIT):
+                    # the first failing step, and its lowest failing column
+                    bad = ~(np.abs(Y3[:, :, :rows]) <= ESCAPE_LIMIT).all(axis=1)
+                    j, i = divmod(int(np.argmax(bad)), rows)
+                    raise NonFinite(f"posterior mean passed {ESCAPE_LIMIT:.0e} in "
+                                    f"{_at(config, start + i, s + j + 1)}")
+                weighted(Q_blocks[b], Y3, QY[1:])
+                if kept:
+                    done = 0
+                    for j in range(stride - s % stride, w + 1, stride):
+                        add_steps(done, j)
+                        outputs[kept_sl, row] = ((C_dt @ sums[:m])[:, :kept].T
+                                                 + sums[m:, :kept].T)
+                        innovations[kept_sl, row] = sums[m:, :kept].T
+                        record_row(row, j, s + j,
+                                   acc + trapezoid[j] @ costs + trace_integral[s + j])
+                        sums[:] = 0.0
+                        row, done = row + 1, j
+                    add_steps(done, w)
+                acc += trapezoid[w] @ costs
+                QY[0] = QY[w]
+                states[:m] = states[w * m:(w + 1) * m]
+                s += w
+        weighted(cost.Omega_T, states[:m], QY[0])
+        terminal = QY[0].sum(axis=0) + (terminal_trace + trace_integral[-1])
+        totals[sl] = (acc + terminal)[:rows]
+        # a cost that overflowed while every state stayed in range
+        if not np.isfinite(totals[sl]).all():
+            i = int(np.argmin(np.isfinite(totals[sl])))
+            raise NonFinite(f"total cost is not finite in "
+                            f"{_at(config, start + i, grid.n_steps)}")
 
-    _run_chunks(config, d, run_chunk, first=first)
+    # a state past the escape limit is raised by its block's check, so
+    # the overflow on the way there within the block is no warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        _run_chunks(config, d, run_chunk, first=first)
     for arr in (means, controls, outputs, innovations, running, totals):
         _frozen(arr)
     return ClosedLoopEnsemble(
@@ -511,3 +414,24 @@ def monte_carlo_expected_cost(ensemble: ClosedLoopEnsemble) -> tuple[float, floa
     if n == 1:
         return float(mean), float("nan")
     return float(mean), math.sqrt(m2 / (n - 1) / n)
+
+
+def expected_cost_z(
+    ensemble: ClosedLoopEnsemble,
+    initial: GaussianBelief,
+    coeffs: LinearCoefficients,
+    cost: CostSpec,
+) -> tuple[float, float, float, float]:
+    """The analytic expected cost of the loop an ensemble ran, and its
+    Monte Carlo estimate against it: ``(analytic, mean, stderr, z)``.
+
+    ``analytic`` is :func:`total_minimal_cost` on the ensemble's own
+    covariance and value flows, ``mean`` and ``stderr`` are
+    :func:`monte_carlo_expected_cost`'s, and ``z = (mean - analytic) /
+    stderr``, NaN when the standard error is zero or NaN.
+    """
+    analytic = total_minimal_cost(initial.mean, initial.cov, ensemble.Omega_path,
+                                  ensemble.Sigma_path, coeffs, cost)
+    mean, stderr = monte_carlo_expected_cost(ensemble)
+    z = (mean - analytic) / stderr if stderr and np.isfinite(stderr) else float("nan")
+    return analytic, mean, stderr, z

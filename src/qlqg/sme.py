@@ -57,7 +57,7 @@ from pathlib import Path
 import numpy as np
 from numpy.typing import NDArray
 
-from .closed_loop import _at, _BLOCK, _chunk_width, _run_chunks, SimConfig
+from .ensemble import _at, _BLOCK, _chunk_width, _run_chunks, SimConfig
 from .errors import (
     DimensionMismatch,
     InvalidParameter,
@@ -653,7 +653,7 @@ def simulate_sme_ensemble(
     low = float(_min_eigenvalues(start_coords).min())
     trace_dev = 0.0
 
-    def run_chunk(start: int, stop: int, noise: np.ndarray) -> None:
+    def run_chunk(start: int, stop: int, noise) -> None:
         nonlocal low, trace_dev
         rows = stop - start
         # pad columns are copies of the start driven by zero noise: a zero
@@ -664,8 +664,9 @@ def simulate_sme_ensemble(
         products = np.empty((2, len(stack), h.shape[1]))
         # the record over a block of steps is dt sum e + sum dW
         e_sum, dW_sum = np.zeros((2, d, h.shape[1]))
-        # a step's noise, gathered from the strided view the chunk's noise
-        # block yields: the passes of a step run over contiguous rows
+        # a step's noise, gathered from its strided view into the window
+        # of the chunk's noise block: the passes of a step run over
+        # contiguous rows
         dW = np.empty((d, h.shape[1]))
 
         def record(row: int) -> None:
@@ -681,7 +682,8 @@ def simulate_sme_ensemble(
         # step b // rows
         K = max(1, min(_BLOCK, _CHECK_COORDS // (n * n * rows)))
         stepped = np.empty((n * n, K, rows))
-        for step, noise_now in enumerate(noise):
+        steps = (dW_n for window in noise for dW_n in window.transpose(1, 2, 0))
+        for step, noise_now in enumerate(steps):
             np.copyto(dW, noise_now)
             h = _sme_update(h, stack, dW, products[step % 2], e_sum, gain)
             dW_sum += dW

@@ -25,8 +25,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import free_particle as fp
-from .closed_loop import SimConfig, monte_carlo_expected_cost, simulate_closed_loop
+from .closed_loop import expected_cost_z, simulate_closed_loop
 from .control import control_path_via_duality, hjb_residual
+from .ensemble import SimConfig
 from .errors import InvalidParameter
 from .phase_space import (
     GaussianBelief, _heisenberg_margin, build_coefficients, free_particle_model,
@@ -39,7 +40,6 @@ from .riccati import (
     integrate_filter_riccati,
     lyapunov_unconditional,
     stationary_filter_covariance,
-    total_minimal_cost,
 )
 from .sme import (
     DensityMatrix,
@@ -202,13 +202,8 @@ def _optimality_probe(n_traj: int, seed: int, gain_offset) -> str:
 
     # only the total costs are read, so no paths are recorded
     optimal = simulate_closed_loop(coeffs, cost, config, initial, record=0)
-    analytic = total_minimal_cost(
-        initial.mean, initial.cov, optimal.Omega_path, optimal.Sigma_path, coeffs, cost
-    )
-    mean, stderr = monte_carlo_expected_cost(optimal)
-    gap = abs(mean - analytic)
-    assert gap <= 3.0 * stderr, (
-        f"Monte Carlo {mean:.4f} is {gap / stderr:.1f} se from {analytic:.4f}")
+    analytic, mean, _, z = expected_cost_z(optimal, initial, coeffs, cost)
+    assert abs(z) <= 3.0, f"Monte Carlo {mean:.4f} is {abs(z):.1f} se from {analytic:.4f}"
 
     # common random numbers: same seed, same innovations, so the
     # extra cost of the detuned gain is a paired difference
@@ -219,7 +214,7 @@ def _optimality_probe(n_traj: int, seed: int, gain_offset) -> str:
     assert d_mean > 0, "detuned gain did not raise the mean cost"
     assert d_mean >= 3.0 * d_se, f"cost increase {d_mean:.4f} below 3 se ({d_se:.4f})"
     return (
-        f"cost within {gap / stderr:.1f} se of {analytic:.6f}; "
+        f"cost within {abs(z):.1f} se of {analytic:.6f}; "
         f"detuned gain raises cost by {d_mean:.3f} ({d_mean / d_se:.0f} se)"
     )
 

@@ -2,17 +2,21 @@
 
 Each is written the plain way, independent of the coordinate maps the
 package steps with: the Lindblad generators in commutator form on
-complex matrices, and one master-flow step taken through the public
-:func:`qlqg.sme.evolve_master` on a one-step grid.
+complex matrices, one master-flow step taken through the public
+:func:`qlqg.sme.evolve_master` on a one-step grid, and the closed loop
+one Euler step at a time.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from qlqg.control import control_gain_path
 from qlqg.errors import DimensionMismatch, InvalidParameter
 from qlqg.phase_space import _positive
-from qlqg.riccati import TimeGrid
+from qlqg.riccati import TimeGrid, integrate_control_riccati, integrate_filter_riccati
 from qlqg.sme import HERMITICITY_TOL, DensityMatrix, FiniteModel, evolve_master
 
 
@@ -62,3 +66,57 @@ def master_step(rho: DensityMatrix, model: FiniteModel, u, dt: float) -> Density
     one step of ``dt``."""
     grid = TimeGrid(0.0, _positive(dt, "dt"), 1)
     return DensityMatrix(evolve_master(rho, model, grid, u)[1][-1])
+
+
+def closed_loop_steps(coeffs, cost, config, initial) -> dict:
+    """The closed loop of :func:`qlqg.closed_loop.simulate_closed_loop`,
+    one step at a time, for the trajectories of ``config``.
+
+    Each step is ``Xhat <- [Phi_n | K_n] @ [Xhat; dW]`` with
+    ``Phi_n = I + (A - B L_n) dt`` and ``K_n = Sigma_n C' + M``, on the
+    bulk draw of each trajectory's stream; the running cost
+    ``Xhat' Q_n Xhat + tr(F Sigma_n)`` is summed by trapezoid step by
+    step, and increments are summed over each record interval.  Returns
+    the ensemble's fields by name, trajectory first.
+    """
+    grid, m, d = config.grid, coeffs.m, coeffs.d
+    n, dt, stride = grid.n_steps, grid.dt, config.record_stride
+    Sigma = integrate_filter_riccati(coeffs, initial.cov, grid)
+    Omega = integrate_control_riccati(coeffs, cost, grid)
+    gains = control_gain_path(Omega, coeffs, cost).gains
+    dW = np.stack([
+        np.random.Generator(np.random.Philox(
+            np.random.SeedSequence(config.seed, spawn_key=(i,)))).standard_normal((n, d))
+        for i in range(config.n_traj)], axis=-1) * math.sqrt(dt)
+
+    def rate(X, step):
+        Ln = gains[step]
+        Q = cost.F - Ln.T @ cost.G - cost.G.T @ Ln + Ln.T @ Ln
+        return np.einsum("it,ij,jt->t", X, Q, X) + np.trace(cost.F @ Sigma.values[step])
+
+    X = np.repeat(initial.mean[:, None], config.n_traj, axis=1)
+    acc, c = np.zeros(config.n_traj), rate(X, 0)
+    rec = {"means": [X], "controls": [-gains[0] @ X], "running_costs": [acc],
+           "outputs": [np.zeros((d, config.n_traj))],
+           "innovations": [np.zeros((d, config.n_traj))]}
+    Xsum, Wsum = np.zeros_like(X), np.zeros((d, config.n_traj))
+    for step in range(n):
+        Phi = np.eye(m) + (coeffs.A - coeffs.B @ gains[step]) * dt
+        K = Sigma.values[step] @ coeffs.C.T + coeffs.M
+        Xsum, Wsum = Xsum + X, Wsum + dW[step]
+        X = np.hstack([Phi, K]) @ np.vstack([X, dW[step]])
+        c_next = rate(X, step + 1)
+        acc = acc + 0.5 * dt * (c + c_next)
+        c = c_next
+        if (step + 1) % stride == 0:
+            rec["means"].append(X)
+            rec["controls"].append(-gains[step + 1] @ X)
+            rec["running_costs"].append(acc)
+            rec["outputs"].append(coeffs.C @ Xsum * dt + Wsum)
+            rec["innovations"].append(Wsum)
+            Xsum, Wsum = np.zeros_like(X), np.zeros_like(Wsum)
+    terminal = np.einsum("it,ij,jt->t", X, cost.Omega_T, X) + np.trace(
+        cost.Omega_T @ Sigma.final)
+    out = {name: np.moveaxis(np.array(rows), -1, 0) for name, rows in rec.items()}
+    out["total_costs"] = acc + terminal
+    return out

@@ -1,6 +1,8 @@
-"""The demos, the benchmark's span table, the exports and the input checks
-of the public dataclasses against the package."""
+"""The demos, the benchmark's span table, the exports, the imports between
+the simulators and the input checks of the public dataclasses against the
+package."""
 
+import ast
 import dataclasses
 import importlib
 import inspect
@@ -57,6 +59,19 @@ def test_package_exports_every_module_all_once():
     assert len(qlqg.__all__) == len(set(qlqg.__all__))
     assert set(qlqg.__all__) == public | {"free_particle"} == expected | {"free_particle"}
     assert isinstance(qlqg.__version__, str)
+
+
+@pytest.mark.parametrize("module, other", [("sme", "closed_loop"), ("closed_loop", "sme")])
+def test_simulators_share_the_ensemble_module_not_each_other(module, other):
+    # the Monte Carlo plumbing lives in qlqg.ensemble; neither simulator
+    # reaches into the other for it
+    tree = ast.parse(Path(qlqg.__file__).with_name(f"{module}.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert (node.module or "").split(".")[-1] != other
+            assert other not in {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            assert f"qlqg.{other}" not in {alias.name for alias in node.names}
 
 
 # a valid construction of every public dataclass that checks its fields
