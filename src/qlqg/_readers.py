@@ -1,0 +1,194 @@
+"""Readers of outside values, shared by every layer of the package.
+
+Arrays come in through one function, :func:`_asarray`: it converts,
+checks the shape and then finiteness, so junk input (a string, a ragged
+list, a NaN) is a :class:`ValidationError` wherever it enters.  A real
+scalar is read by it as a 0-d array, an integer by :func:`_count`, and a
+stack of operators by :func:`_stack_operators`; each caller keeps the
+value that was read.  JSON values go through the ``_json_*`` readers,
+which refuse what JSON can hold but an array cannot (a bool, a string,
+nesting past numpy's dimensions).  An allocation that an input makes too
+large for memory is refused inside :func:`_fits_in_memory`.
+
+This module imports nothing of the package but its errors.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import json
+
+import numpy as np
+
+from .errors import DimensionMismatch, InvalidParameter, ValidationError
+
+#: asymmetry tolerated in matrices that are symmetrized on input, relative
+#: to the largest entry once that is past 1
+SYM_TOL = 1e-10
+
+#: numpy's limit on the dimensions of an array
+_MAX_DIMS = 64
+
+
+def _asarray(value, dtype, shape, name: str, copy: bool = True) -> np.ndarray:
+    """The one reader of array arguments: ``value`` as an array of ``dtype``.
+
+    InvalidParameter when it does not convert (a string, a ragged list, an
+    integer past the float range).  DimensionMismatch unless it has the
+    rank of ``shape`` and each of its fixed dimensions; a ``None`` entry
+    takes any length, and ``shape=None`` any shape.  Last, InvalidParameter
+    on a NaN or inf entry, which would slip past every later ``x > tol``
+    guard.  That test takes the extremes of the real and imaginary parts:
+    NaN propagates through both and an inf reaches one, and unlike
+    ``np.isfinite(arr).all()`` they allocate nothing the size of ``arr``.
+    With ``copy=False`` an array that needs no conversion is ``value``
+    itself.
+    """
+    try:
+        arr = (np.array if copy else np.asarray)(value, dtype=dtype)
+    except (TypeError, ValueError, OverflowError):
+        kind = "complex" if np.dtype(dtype).kind == "c" else "real"
+        raise InvalidParameter(f"{name} must be {kind} numbers, got {value!r}") from None
+    if shape is not None and (arr.ndim != len(shape) or any(
+            want not in (None, got) for got, want in zip(arr.shape, shape))):
+        want = str(tuple("any" if n is None else n for n in shape)).replace("'", "")
+        raise DimensionMismatch(f"{name} must have shape {want}, got {arr.shape}")
+    parts = (arr.real, arr.imag) if arr.dtype.kind == "c" else (arr,)
+    if arr.size and not all(np.isfinite(p.min()) and np.isfinite(p.max()) for p in parts):
+        raise InvalidParameter(f"{name} has non-finite entries")
+    return arr
+
+
+def _square(value, dtype, name: str, copy: bool = True) -> np.ndarray:
+    """:func:`_asarray` for a square matrix of any size."""
+    arr = _asarray(value, dtype, (None, None), name, copy)
+    if arr.shape[0] != arr.shape[1]:
+        raise DimensionMismatch(f"{name} must be square, got shape {arr.shape}")
+    return arr
+
+
+def _positive(value, name: str) -> float:
+    """``value`` read by :func:`_asarray` as a float; InvalidParameter
+    unless it is positive."""
+    value = float(_asarray(value, float, (), name))
+    if not value > 0:
+        raise InvalidParameter(f"{name} must be positive, got {value}")
+    return value
+
+
+def _count(value, name: str, low: int) -> int:
+    """``value`` as an int, or InvalidParameter unless it is an integer
+    >= ``low`` (a bool is not one)."""
+    if isinstance(value, bool) or not (
+        isinstance(value, (int, np.integer)) and value >= low
+    ):
+        raise InvalidParameter(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
+@contextlib.contextmanager
+def _fits_in_memory(what: str):
+    """Turn an allocation that fails inside the block into InvalidParameter:
+    the input named by ``what`` asked for more memory than there is."""
+    try:
+        yield
+    except (ValueError, MemoryError) as exc:
+        raise InvalidParameter(f"{what} larger than memory allows") from exc
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+def _asymmetric(diff: np.ndarray, arr: np.ndarray) -> bool:
+    """Whether ``diff`` (``arr - arr'`` or ``arr + arr'``) is past ``SYM_TOL``
+    relative to the largest entry of ``arr``, or to 1 for smaller entries."""
+    return bool(np.max(np.abs(diff)) > SYM_TOL * max(1.0, float(np.max(np.abs(arr)))))
+
+
+def _symmetrize(arr: np.ndarray, name: str) -> np.ndarray:
+    if _asymmetric(arr - arr.T, arr):
+        raise ValidationError(f"{name} must be symmetric")
+    return 0.5 * (arr + arr.T)
+
+
+def _hermitian(term: np.ndarray, name: str) -> np.ndarray:
+    """``term``, or InvalidParameter unless it is Hermitian to 1e-12."""
+    if np.abs(term - term.conj().T).max() > 1e-12:
+        raise InvalidParameter(f"{name} is not Hermitian")
+    return term
+
+
+def _stack_operators(ops, n: int, what: str) -> np.ndarray:
+    """One n x n matrix or a sequence of them as a (k, n, n) stack."""
+    arr = _asarray(ops, complex, None, what, copy=False)
+    if arr.size == 0:
+        return np.zeros((0, n, n), dtype=complex)
+    if arr.ndim == 2:
+        arr = arr[None]
+    if arr.ndim != 3 or arr.shape[1:] != (n, n):
+        raise DimensionMismatch(
+            f"{what} must be a sequence of {n}x{n} matrices, got {arr.shape}"
+        )
+    return arr
+
+
+def _json_object(source, what: str) -> dict:
+    """A parsed JSON object, or the one a file holds; InvalidParameter
+    when the file is not valid JSON, nests too deeply to parse, or holds
+    anything but an object."""
+    if isinstance(source, dict):
+        return source
+    with open(source, encoding="utf-8") as fh:
+        try:
+            data = json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise InvalidParameter(
+                f"{what} file '{source}' is not valid JSON: {exc}"
+            ) from None
+    if not isinstance(data, dict):
+        raise InvalidParameter(f"{what} file '{source}' must hold a JSON object")
+    return data
+
+
+def _json_count(value, name: str, low: int) -> int:
+    """:func:`_count` for a JSON value, where an integral float such as
+    ``5000.0`` is an integer too."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    return _count(value, name, low)
+
+
+def _json_array(value, name: str, shape=None) -> np.ndarray:
+    """A JSON vector or matrix as a float array, read by :func:`_asarray`
+    against ``shape``; InvalidParameter also when it holds anything but
+    numbers (a string, bool or null included), or lists nested past
+    numpy's dimensions.  The value is walked one level of nesting at a
+    time, so its depth costs no Python frames."""
+    level = [value]
+    for _ in range(_MAX_DIMS + 1):
+        if not all(isinstance(v, list) or (isinstance(v, (int, float))
+                                           and not isinstance(v, bool)) for v in level):
+            break
+        level = [x for v in level if isinstance(v, list) for x in v]
+        if not level:
+            return _asarray(value, float, shape, name)
+    raise InvalidParameter(f"{name} must be a numeric array, got {value!r}")
+
+
+def _json_complex(value, name: str, shape=None) -> np.ndarray:
+    """A JSON ``{"re": .., "im": ..}`` pair as a complex array, both parts
+    of one shape (``shape``, when given); InvalidParameter unless it is
+    such a pair."""
+    if not isinstance(value, dict) or "re" not in value or "im" not in value:
+        raise InvalidParameter(f"{name} must be a {{re, im}} pair")
+    re = _json_array(value["re"], name, shape)
+    return re + 1j * _json_array(value["im"], name, re.shape)
+
+
+def _json_list(data: dict, key: str) -> list:
+    value = data[key]
+    if not isinstance(value, list):
+        raise InvalidParameter(f"key '{key}' must be a list, got {value!r}")
+    return value

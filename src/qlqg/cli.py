@@ -59,6 +59,7 @@ import numpy as np
 
 from . import __version__
 from . import free_particle as fp
+from ._readers import _json_array, _json_complex, _json_count, _json_object
 from .closed_loop import expected_cost_z, simulate_closed_loop
 # looked up on this module by the span table of perfbench/spans.py;
 # expected_cost_z calls them from qlqg.closed_loop
@@ -68,10 +69,6 @@ from .ensemble import SimConfig
 from .errors import ConfigError, NumericalError, ValidationError
 from .phase_space import (
     GaussianBelief,
-    _json_array,
-    _json_complex,
-    _json_count,
-    _json_object,
     build_coefficients,
     free_particle_model,
     model_from_json,

@@ -26,14 +26,11 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
+from ._readers import _asarray, _count, _fits_in_memory, _frozen
 from .control import control_gain_path
 from .ensemble import _BLOCK, _at, _chunk_width, _run_chunks, SimConfig
-# re-exported for the callers and tests that import them from this module
-from .ensemble import _CHUNK, _COLUMN_BLOCK, _increments, _key_type, _stream_keys  # noqa: F401
 from .errors import EmptyEnsemble, InvalidParameter, NonFinite
-from .phase_space import (
-    GaussianBelief, LinearCoefficients, _asarray, _count, _fits_in_memory, _frozen,
-)
+from .phase_space import GaussianBelief, LinearCoefficients
 from .riccati import (
     ESCAPE_LIMIT,
     CostSpec,

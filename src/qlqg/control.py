@@ -13,8 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
+from ._readers import _asarray, _count, _symmetrize
 from .errors import DimensionMismatch, InvalidParameter
-from .phase_space import LinearCoefficients, _asarray, _count, _symmetrize
+from .phase_space import LinearCoefficients
 from .riccati import (
     CostSpec,
     MatrixPath,

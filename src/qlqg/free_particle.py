@@ -18,10 +18,9 @@ from __future__ import annotations
 import numpy as np
 from numpy.typing import NDArray
 
+from ._readers import _asarray, _positive
 from .errors import InvalidParameter
-from .phase_space import (
-    LinearCoefficients, _asarray, _positive, build_coefficients, free_particle_model,
-)
+from .phase_space import LinearCoefficients, build_coefficients, free_particle_model
 from .riccati import CostSpec
 
 

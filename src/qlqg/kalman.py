@@ -13,10 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
+from ._readers import _asarray, _frozen, _positive
 from .errors import DimensionMismatch
-from .phase_space import (
-    GaussianBelief, LinearCoefficients, _asarray, _frozen, _positive,
-)
+from .phase_space import GaussianBelief, LinearCoefficients
 
 __all__ = ["MeasurementIncrement", "filter_step"]
 

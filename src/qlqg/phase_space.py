@@ -8,29 +8,32 @@ stochastic system are assembled.  All derived coefficients are real by
 construction; a residual imaginary part above tolerance is treated as a
 modelling error, not rounded away silently.
 
-The package reads its array arguments through one function,
-:func:`_asarray`: it converts, checks the shape and then finiteness, so
-junk input (a string, a ragged list, a NaN) is a :class:`ValidationError`
-wherever it enters.  A real scalar is read by it as a 0-d array, and an
-integer by :func:`_count`; each caller keeps the value that was read.
+Beside the model, its coefficients and the Gaussian belief, the module
+holds the Heisenberg bound on a covariance.  Every argument is read by
+the package's readers in ``qlqg._readers``; the classes keep what was
+read.
 """
 
 from __future__ import annotations
 
-import contextlib
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import (
-    DimensionMismatch,
-    InvalidParameter,
-    NonRealCoefficient,
-    ValidationError,
+from ._readers import (
+    _asarray,
+    _asymmetric,
+    _frozen,
+    _json_array,
+    _json_count,
+    _json_object,
+    _positive,
+    _square,
+    _symmetrize,
 )
+from .errors import InvalidParameter, NonRealCoefficient, ValidationError
 
 __all__ = [
     "PhaseSpaceModel",
@@ -48,96 +51,10 @@ REAL_TOL = 1e-12
 #: lowest eigenvalue allowed in a matrix that must be positive
 #: semidefinite: N, F and Omega_T, so a cost and its dual pass alike
 PSD_FLOOR = -1e-12
-#: asymmetry tolerated in matrices that are symmetrized on input, relative
-#: to the largest entry once that is past 1
-SYM_TOL = 1e-10
 #: eigenvalue floor for the uncertainty check
 UNCERTAINTY_TOL = -1e-9
 
 _DET_TOL = 1e-12
-
-
-def _positive(value, name: str) -> float:
-    """``value`` read by :func:`_asarray` as a float; InvalidParameter
-    unless it is positive."""
-    value = float(_asarray(value, float, (), name))
-    if not value > 0:
-        raise InvalidParameter(f"{name} must be positive, got {value}")
-    return value
-
-
-@contextlib.contextmanager
-def _fits_in_memory(what: str):
-    """Turn an allocation that fails inside the block into InvalidParameter:
-    the input named by ``what`` asked for more memory than there is."""
-    try:
-        yield
-    except (ValueError, MemoryError) as exc:
-        raise InvalidParameter(f"{what} larger than memory allows") from exc
-
-
-def _count(value, name: str, low: int) -> int:
-    """``value`` as an int, or InvalidParameter unless it is an integer
-    >= ``low`` (a bool is not one)."""
-    if isinstance(value, bool) or not (
-        isinstance(value, (int, np.integer)) and value >= low
-    ):
-        raise InvalidParameter(f"{name} must be an integer >= {low}, got {value!r}")
-    return int(value)
-
-
-def _asarray(value, dtype, shape, name: str, copy: bool = True) -> np.ndarray:
-    """The one reader of array arguments: ``value`` as an array of ``dtype``.
-
-    InvalidParameter when it does not convert (a string, a ragged list, an
-    integer past the float range).  DimensionMismatch unless it has the
-    rank of ``shape`` and each of its fixed dimensions; a ``None`` entry
-    takes any length, and ``shape=None`` any shape.  Last, InvalidParameter
-    on a NaN or inf entry, which would slip past every later ``x > tol``
-    guard.  That test takes the extremes of the real and imaginary parts:
-    NaN propagates through both and an inf reaches one, and unlike
-    ``np.isfinite(arr).all()`` they allocate nothing the size of ``arr``.
-    With ``copy=False`` an array that needs no conversion is ``value``
-    itself.
-    """
-    try:
-        arr = (np.array if copy else np.asarray)(value, dtype=dtype)
-    except (TypeError, ValueError, OverflowError):
-        kind = "complex" if np.dtype(dtype).kind == "c" else "real"
-        raise InvalidParameter(f"{name} must be {kind} numbers, got {value!r}") from None
-    if shape is not None and (arr.ndim != len(shape) or any(
-            want not in (None, got) for got, want in zip(arr.shape, shape))):
-        want = str(tuple("any" if n is None else n for n in shape)).replace("'", "")
-        raise DimensionMismatch(f"{name} must have shape {want}, got {arr.shape}")
-    parts = (arr.real, arr.imag) if arr.dtype.kind == "c" else (arr,)
-    if arr.size and not all(np.isfinite(p.min()) and np.isfinite(p.max()) for p in parts):
-        raise InvalidParameter(f"{name} has non-finite entries")
-    return arr
-
-
-def _square(value, dtype, name: str, copy: bool = True) -> np.ndarray:
-    """:func:`_asarray` for a square matrix of any size."""
-    arr = _asarray(value, dtype, (None, None), name, copy)
-    if arr.shape[0] != arr.shape[1]:
-        raise DimensionMismatch(f"{name} must be square, got shape {arr.shape}")
-    return arr
-
-
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
-
-
-def _asymmetric(diff: np.ndarray, arr: np.ndarray) -> bool:
-    """Whether ``diff`` (``arr - arr'`` or ``arr + arr'``) is past ``SYM_TOL``
-    relative to the largest entry of ``arr``, or to 1 for smaller entries."""
-    return bool(np.max(np.abs(diff)) > SYM_TOL * max(1.0, float(np.max(np.abs(arr)))))
-
-
-def _symmetrize(arr: np.ndarray, name: str) -> np.ndarray:
-    if _asymmetric(arr - arr.T, arr):
-        raise ValidationError(f"{name} must be symmetric")
-    return 0.5 * (arr + arr.T)
 
 
 def _require_real(arr: np.ndarray, name: str) -> np.ndarray:
@@ -387,62 +304,6 @@ def free_particle_model(mass: float = 1.0, hbar: float = 1.0) -> PhaseSpaceModel
         K=np.array([[-0.5 + 0.0j], [0.0j]]),
         hbar=hbar,
     )
-
-
-def _json_object(source, what: str) -> dict:
-    """A parsed JSON object, or the one a file holds; InvalidParameter
-    when the file is not valid JSON or holds anything but an object."""
-    if isinstance(source, dict):
-        return source
-    with open(source, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except ValueError as exc:
-            raise InvalidParameter(
-                f"{what} file '{source}' is not valid JSON: {exc}"
-            ) from None
-    if not isinstance(data, dict):
-        raise InvalidParameter(f"{what} file '{source}' must hold a JSON object")
-    return data
-
-
-def _json_count(value, name: str, low: int) -> int:
-    """:func:`_count` for a JSON value, where an integral float such as
-    ``5000.0`` is an integer too."""
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    return _count(value, name, low)
-
-
-def _json_array(value, name: str, shape=None) -> np.ndarray:
-    """A JSON vector or matrix as a float array, read by :func:`_asarray`
-    against ``shape``; InvalidParameter also when it holds anything but
-    numbers (a string, bool or null included)."""
-    def numbers(v) -> bool:
-        if isinstance(v, list):
-            return all(numbers(x) for x in v)
-        return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-    if not numbers(value):
-        raise InvalidParameter(f"{name} must be a numeric array, got {value!r}")
-    return _asarray(value, float, shape, name)
-
-
-def _json_complex(value, name: str, shape=None) -> np.ndarray:
-    """A JSON ``{"re": .., "im": ..}`` pair as a complex array, both parts
-    of one shape (``shape``, when given); InvalidParameter unless it is
-    such a pair."""
-    if not isinstance(value, dict) or "re" not in value or "im" not in value:
-        raise InvalidParameter(f"{name} must be a {{re, im}} pair")
-    re = _json_array(value["re"], name, shape)
-    return re + 1j * _json_array(value["im"], name, re.shape)
-
-
-def _json_list(data: dict, key: str) -> list:
-    value = data[key]
-    if not isinstance(value, list):
-        raise InvalidParameter(f"key '{key}' must be a list, got {value!r}")
-    return value
 
 
 def model_from_json(source: str | Path | dict) -> PhaseSpaceModel:

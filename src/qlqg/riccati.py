@@ -32,6 +32,15 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
+from ._readers import (
+    _asarray,
+    _count,
+    _fits_in_memory,
+    _frozen,
+    _positive,
+    _square,
+    _symmetrize,
+)
 from .errors import (
     ConfigError,
     DimensionMismatch,
@@ -47,14 +56,7 @@ from .phase_space import (
     UNCERTAINTY_TOL,
     LinearCoefficients,
     check_uncertainty,
-    _asarray,
-    _count,
-    _fits_in_memory,
-    _frozen,
     _heisenberg_margin,
-    _positive,
-    _square,
-    _symmetrize,
 )
 
 __all__ = [

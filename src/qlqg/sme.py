@@ -57,6 +57,21 @@ from pathlib import Path
 import numpy as np
 from numpy.typing import NDArray
 
+from ._readers import (
+    _asarray,
+    _count,
+    _fits_in_memory,
+    _frozen,
+    _hermitian,
+    _json_array,
+    _json_complex,
+    _json_count,
+    _json_list,
+    _json_object,
+    _positive,
+    _square,
+    _stack_operators,
+)
 from .ensemble import _at, _BLOCK, _chunk_width, _run_chunks, SimConfig
 from .errors import (
     DimensionMismatch,
@@ -65,19 +80,6 @@ from .errors import (
     NotAProjectorFamily,
     NotUnitary,
     PositivityLoss,
-)
-from .phase_space import (
-    _asarray,
-    _count,
-    _fits_in_memory,
-    _frozen,
-    _json_array,
-    _json_complex,
-    _json_count,
-    _json_list,
-    _json_object,
-    _positive,
-    _square,
 )
 from .riccati import _rk4_map
 
@@ -167,27 +169,6 @@ class DensityMatrix:
             raise InvalidParameter("zero vector has no direction")
         psi = psi / norm
         return cls(np.outer(psi, psi.conj()))
-
-
-def _hermitian(term: np.ndarray, name: str) -> np.ndarray:
-    """``term``, or InvalidParameter unless it is Hermitian to 1e-12."""
-    if np.abs(term - term.conj().T).max() > 1e-12:
-        raise InvalidParameter(f"{name} is not Hermitian")
-    return term
-
-
-def _stack_operators(ops, n: int, what: str) -> np.ndarray:
-    """One n x n matrix or a sequence of them as a (k, n, n) stack."""
-    arr = _asarray(ops, complex, None, what, copy=False)
-    if arr.size == 0:
-        return np.zeros((0, n, n), dtype=complex)
-    if arr.ndim == 2:
-        arr = arr[None]
-    if arr.ndim != 3 or arr.shape[1:] != (n, n):
-        raise DimensionMismatch(
-            f"{what} must be a sequence of {n}x{n} matrices, got {arr.shape}"
-        )
-    return arr
 
 
 @dataclass(frozen=True)

@@ -13,9 +13,9 @@ import math
 
 import numpy as np
 
+from qlqg._readers import _positive
 from qlqg.control import control_gain_path
 from qlqg.errors import DimensionMismatch, InvalidParameter
-from qlqg.phase_space import _positive
 from qlqg.riccati import TimeGrid, integrate_control_riccati, integrate_filter_riccati
 from qlqg.sme import HERMITICITY_TOL, DensityMatrix, FiniteModel, evolve_master
 

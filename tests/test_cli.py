@@ -124,6 +124,14 @@ class TestBuild:
             assert "not valid JSON" in err
             assert "Traceback" not in err
 
+    def test_json_nested_past_the_parser_exits_2(self, tmp_path, capsys):
+        # json.load gives up on this nesting with a RecursionError
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000, encoding="utf-8")
+        assert cli.main(["build", "--scenario", str(deep)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: scenario file") and "Traceback" not in err
+
     def test_missing_keys_named(self, tmp_path, capsys):
         scenario = write_scenario(tmp_path, grid={})
         assert cli.main(["build", "--scenario", scenario]) == 2
@@ -415,6 +423,19 @@ class TestScenarioValues:
             outputs.append([(out / name).read_bytes()
                             for name in ("summary.json", "trajectory_000.csv")])
         assert outputs[0] == outputs[1]
+
+    def test_value_nested_past_numpy_exits_2(self, tmp_path, capsys):
+        # 500 levels: past numpy's 64 dimensions, and past the Python frames
+        # a recursive walk of the value would take
+        nested = 1.0
+        for _ in range(500):
+            nested = [nested]
+        content = self.small_scenario()
+        content["sim"]["initial_mean"] = nested
+        scenario = write_scenario(tmp_path, out=str(tmp_path / "out"), **content)
+        assert cli.main(["simulate", "--scenario", scenario]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: sim.initial_mean") and "Traceback" not in err
 
     @staticmethod
     def key_paths(content):

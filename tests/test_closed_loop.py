@@ -10,11 +10,11 @@ from scipy.integrate import solve_ivp
 from test_kalman import random_coefficients
 
 from qlqg.cli import trajectory_to_csv
-from qlqg.closed_loop import (
-    _BLOCK, _CHUNK, SimConfig, _chunk_width, _increments, _key_type, _stream_keys,
-    monte_carlo_expected_cost, simulate_closed_loop,
-)
+from qlqg.closed_loop import monte_carlo_expected_cost, simulate_closed_loop
 from qlqg.control import control_gain_path
+from qlqg.ensemble import (
+    _BLOCK, _CHUNK, SimConfig, _chunk_width, _increments, _key_type, _stream_keys,
+)
 from qlqg.errors import ConfigError, EmptyEnsemble, InvalidParameter, NonFinite
 from qlqg.kalman import MeasurementIncrement, filter_step
 from qlqg.phase_space import GaussianBelief, LinearCoefficients

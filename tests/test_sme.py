@@ -10,7 +10,7 @@ from scipy.linalg import expm
 from oracles import lindblad_heisenberg, lindblad_schrodinger, master_step
 
 from qlqg import sme
-from qlqg.closed_loop import _BLOCK, _COLUMN_BLOCK, SimConfig
+from qlqg.ensemble import _BLOCK, _COLUMN_BLOCK, SimConfig
 from qlqg.errors import (
     DimensionMismatch,
     InvalidParameter,

@@ -1,6 +1,6 @@
 """The demos, the benchmark's span table, the exports, the imports between
-the simulators and the input checks of the public dataclasses against the
-package."""
+the simulators and of the readers, and the input checks of the public
+dataclasses against the package."""
 
 import ast
 import dataclasses
@@ -72,6 +72,58 @@ def test_simulators_share_the_ensemble_module_not_each_other(module, other):
             assert other not in {alias.name for alias in node.names}
         elif isinstance(node, ast.Import):
             assert f"qlqg.{other}" not in {alias.name for alias in node.names}
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text())
+
+
+def _imports(tree: ast.Module):
+    """(module imported from, names) for each import in ``tree``, the
+    module by its last dotted part: ``.errors`` and ``qlqg.errors`` are
+    both ``errors``, and ``from . import sme`` imports from ``sme``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module is None:
+            for alias in node.names:
+                yield alias.name, set()
+        elif isinstance(node, ast.ImportFrom):
+            yield node.module.split(".")[-1], {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name.split(".")[-1], set()
+
+
+PACKAGE_DIR = Path(qlqg.__file__).parent
+PACKAGE = {info.name for info in pkgutil.iter_modules(qlqg.__path__)} | {"qlqg"}
+READERS_TREE = _tree(PACKAGE_DIR / "_readers.py")
+READERS = ({node.name for node in READERS_TREE.body if isinstance(node, ast.FunctionDef)}
+           | {target.id for node in READERS_TREE.body if isinstance(node, ast.Assign)
+              for target in node.targets})
+READER_USERS = sorted({*PACKAGE_DIR.glob("*.py"), *(ROOT / "tests").glob("*.py"), *DEMOS}
+                      - {PACKAGE_DIR / "_readers.py"})
+
+
+def test_readers_import_only_the_errors():
+    # every layer reads through qlqg._readers, so it sits below them all
+    assert {source for source, _ in _imports(READERS_TREE)} & PACKAGE == {"errors"}
+
+
+def test_readers_come_from_the_readers_module_only():
+    # no second definition and no re-export: a reader is imported from
+    # qlqg._readers or not at all
+    offenders = []
+    for path in READER_USERS:
+        tree = _tree(path)
+        names = {name for source, imported in _imports(tree) if source != "_readers"
+                 for name in imported}
+        if path.parent == PACKAGE_DIR:
+            names |= {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+        offenders += [f"{path.name}: {name}" for name in sorted(READERS & names)]
+    assert not offenders
+
+
+def test_sme_does_not_import_the_phase_space_layer():
+    assert "phase_space" not in {source for source, _ in _imports(_tree(PACKAGE_DIR / "sme.py"))}
 
 
 # a valid construction of every public dataclass that checks its fields
