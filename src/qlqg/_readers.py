@@ -5,10 +5,12 @@ checks the shape and then finiteness, so junk input (a string, a ragged
 list, a NaN) is a :class:`ValidationError` wherever it enters.  A real
 scalar is read by it as a 0-d array, an integer by :func:`_count`, and a
 stack of operators by :func:`_stack_operators`; each caller keeps the
-value that was read.  JSON values go through the ``_json_*`` readers,
-which refuse what JSON can hold but an array cannot (a bool, a string,
-nesting past numpy's dimensions).  An allocation that an input makes too
-large for memory is refused inside :func:`_fits_in_memory`.
+value that was read.  A matrix that must equal its adjoint is kept as
+its exact Hermitian part by :func:`_symmetrize`.  JSON values go through
+the ``_json_*`` readers, which refuse what JSON can hold but an array
+cannot (a bool, a string, nesting past numpy's dimensions).  An
+allocation that an input makes too large for memory is refused inside
+:func:`_fits_in_memory`.
 
 This module imports nothing of the package but its errors.
 """
@@ -20,11 +22,14 @@ import json
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidParameter, ValidationError
+from .errors import DimensionMismatch, InvalidParameter
 
-#: asymmetry tolerated in matrices that are symmetrized on input, relative
-#: to the largest entry once that is past 1
+#: asymmetry tolerated in a matrix that must equal its adjoint, relative to
+#: its largest entry once that is past 1
 SYM_TOL = 1e-10
+#: lowest eigenvalue allowed in a matrix that must be positive
+#: semidefinite: N, F and Omega_T, so a cost and its dual pass alike
+PSD_FLOOR = -1e-12
 
 #: numpy's limit on the dimensions of an array
 _MAX_DIMS = 64
@@ -108,16 +113,23 @@ def _asymmetric(diff: np.ndarray, arr: np.ndarray) -> bool:
 
 
 def _symmetrize(arr: np.ndarray, name: str) -> np.ndarray:
-    if _asymmetric(arr - arr.T, arr):
-        raise ValidationError(f"{name} must be symmetric")
-    return 0.5 * (arr + arr.T)
+    """The exact Hermitian part ``(arr + arr') / 2`` of a square ``arr``, a
+    new array; InvalidParameter when ``arr - arr'`` fails :func:`_asymmetric`
+    ("must be symmetric" when real, "is not Hermitian" when complex)."""
+    adjoint = arr.conj().T
+    if _asymmetric(arr - adjoint, arr):
+        what = "is not Hermitian" if arr.dtype.kind == "c" else "must be symmetric"
+        raise InvalidParameter(f"{name} {what}")
+    return 0.5 * (arr + adjoint)
 
 
-def _hermitian(term: np.ndarray, name: str) -> np.ndarray:
-    """``term``, or InvalidParameter unless it is Hermitian to 1e-12."""
-    if np.abs(term - term.conj().T).max() > 1e-12:
-        raise InvalidParameter(f"{name} is not Hermitian")
-    return term
+def _semidefinite(arr: np.ndarray, name: str) -> np.ndarray:
+    """Symmetric ``arr``, or InvalidParameter below the ``PSD_FLOOR``."""
+    low = float(np.min(np.linalg.eigvalsh(arr)))
+    if low < PSD_FLOOR:
+        raise InvalidParameter(f"{name} must be positive semidefinite "
+                               f"(min eigenvalue {low:.3e})")
+    return arr
 
 
 def _stack_operators(ops, n: int, what: str) -> np.ndarray:

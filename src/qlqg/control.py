@@ -111,7 +111,8 @@ def control_path_via_duality(
     weight, read backward and relabelled back.  Its lift is the value
     flow's lift, relabelled, so this reproduces
     :func:`integrate_control_riccati`; it exists so the two routes can be
-    compared.
+    compared.  An escape is the dual flow's, named by its own step N and
+    time ``t0 + N dt``: the value flow's time ``t1 - N dt``.
     """
     dual_coeffs, dual_cost = duality_map(coeffs, cost, permutation)
     sigma = integrate_filter_riccati(dual_coeffs, dual_cost.Omega_T, grid)

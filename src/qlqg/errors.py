@@ -5,6 +5,10 @@ inputs (bad shapes, non-physical parameters, malformed files) and
 :class:`NumericalError` for failures arising during computation
 (divergence, positivity loss, non-convergence).  The CLI maps the first
 family to exit code 2 and the second to exit code 3.
+
+Where a value came from decides: a state or start covariance given past
+its bound is :class:`InvalidParameter`, one the flows compute past it is
+:class:`PositivityLoss` or :class:`UncertaintyViolation`.
 """
 
 from __future__ import annotations
@@ -73,7 +77,7 @@ class EmptyEnsemble(ValidationError):
 
 
 class UncertaintyViolation(NumericalError):
-    """Covariance matrix broke the Heisenberg bound."""
+    """A computed covariance broke the Heisenberg bound."""
 
 
 class NonFinite(NumericalError):
@@ -85,4 +89,4 @@ class NoConvergence(NumericalError):
 
 
 class PositivityLoss(NumericalError):
-    """Density matrix developed a negative eigenvalue beyond tolerance."""
+    """A computed density matrix has a negative eigenvalue beyond tolerance."""

@@ -8,39 +8,21 @@ Euler step in one checked call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.typing import NDArray
 
-from ._readers import _asarray, _frozen, _positive
+from ._readers import _asarray, _positive
 from .errors import DimensionMismatch
 from .phase_space import GaussianBelief, LinearCoefficients
 
-__all__ = ["MeasurementIncrement", "filter_step"]
-
-
-@dataclass(frozen=True)
-class MeasurementIncrement:
-    """Raw output increment ``dY`` observed over a step of length ``dt``."""
-
-    dY: NDArray[np.float64]
-    dt: float
-
-    def __post_init__(self) -> None:
-        dY = _asarray(self.dY, float, (None,), "dY")
-        object.__setattr__(self, "dY", _frozen(dY))
-        object.__setattr__(self, "dt", _positive(self.dt, "dt"))
-
-    @property
-    def d(self) -> int:
-        return self.dY.shape[0]
+__all__ = ["filter_step"]
 
 
 def filter_step(
     belief: GaussianBelief,
     u: NDArray[np.float64],
-    increment: MeasurementIncrement,
+    dY: NDArray[np.float64],
+    dt: float,
     coeffs: LinearCoefficients,
     Sigma_next: NDArray[np.float64],
 ) -> GaussianBelief:
@@ -48,7 +30,8 @@ def filter_step(
 
     ``Xhat + (A Xhat + B u) dt + K (dY - C Xhat dt)`` with the gain
     ``K = Sigma C' + M`` at the current covariance; under the model the
-    innovation ``dY - C Xhat dt`` is a Wiener increment.  The closed loop
+    innovation ``dY - C Xhat dt`` is a Wiener increment.  The record is
+    read as :func:`qlqg.sme.sme_step` reads its own.  The closed loop
     folds its feedback into one precomputed map per step instead, and is
     checked against this step by replaying its record through it.
 
@@ -58,7 +41,10 @@ def filter_step(
         Current posterior; its covariance feeds the gain.
     u : (k,) array
         Control held over the step.
-    increment : MeasurementIncrement
+    dY : (d,) array
+        Output increment observed over the step, one entry per channel.
+    dt : float
+        Step length; must be positive.
     coeffs : LinearCoefficients
     Sigma_next : (m, m) array
         Covariance at the end of the step, taken from the Riccati path
@@ -69,17 +55,15 @@ def filter_step(
     GaussianBelief
         Updated mean with ``Sigma_next`` attached.
     """
+    dt = _positive(dt, "dt")
+    dY = _asarray(dY, float, (coeffs.d,), "dY")
     if belief.m != coeffs.m:
         raise DimensionMismatch(
             f"belief has dimension {belief.m}, coefficients {coeffs.m}"
         )
-    if increment.d != coeffs.d:
-        raise DimensionMismatch(
-            f"increment has {increment.d} channels, coefficients {coeffs.d}"
-        )
     u = _asarray(u, float, (coeffs.k,), "u")
-    Xhat, dt = belief.mean, increment.dt
+    Xhat = belief.mean
     gain = belief.cov @ coeffs.C.T + coeffs.M
-    dY_tilde = increment.dY - (coeffs.C @ Xhat) * dt
+    dY_tilde = dY - (coeffs.C @ Xhat) * dt
     mean = Xhat + (Xhat @ coeffs.A.T + u @ coeffs.B.T) * dt + dY_tilde @ gain.T
     return GaussianBelief(mean=mean, cov=Sigma_next)

@@ -30,6 +30,7 @@ from ._readers import (
     _json_count,
     _json_object,
     _positive,
+    _semidefinite,
     _square,
     _symmetrize,
 )
@@ -48,9 +49,6 @@ __all__ = [
 
 #: imaginary residue tolerated before a derived coefficient is rejected
 REAL_TOL = 1e-12
-#: lowest eigenvalue allowed in a matrix that must be positive
-#: semidefinite: N, F and Omega_T, so a cost and its dual pass alike
-PSD_FLOOR = -1e-12
 #: eigenvalue floor for the uncertainty check
 UNCERTAINTY_TOL = -1e-9
 
@@ -150,12 +148,7 @@ class LinearCoefficients:
         B = _asarray(self.B, float, (m, None), "B")
         C = _asarray(self.C, float, (None, m), "C")
         d = C.shape[0]
-        N = _symmetrize(_asarray(self.N, float, (m, m), "N"), "N")
-        floor = float(np.min(np.linalg.eigvalsh(N)))
-        if floor < PSD_FLOOR:
-            raise ValidationError(
-                f"N must be positive semidefinite (min eigenvalue {floor:.3e})"
-            )
+        N = _semidefinite(_symmetrize(_asarray(self.N, float, (m, m), "N"), "N"), "N")
         M = _asarray(self.M, float, (m, d), "M")
         for name, arr in (("A", A), ("B", B), ("C", C), ("N", N), ("M", M)):
             object.__setattr__(self, name, _frozen(arr))
@@ -214,7 +207,7 @@ def build_coefficients(model: PhaseSpaceModel) -> LinearCoefficients:
         ``B = J (K + conj(K))``, output ``C = Lambda + conj(Lambda)``,
         noise intensity ``N`` and correlation ``M``.  Each is checked to
         be real within tolerance; ``N`` is additionally symmetrized and
-        must be positive semidefinite down to ``PSD_FLOOR``.
+        must be positive semidefinite down to ``qlqg._readers.PSD_FLOOR``.
 
     Raises
     ------

@@ -14,7 +14,8 @@ it does not depend on units, and its powers hold at most ``2^12``
 entries (256 steps at m = 2, 113 at m = 3, 64 at m = 4).  A pole of ``S``
 between grid points (``det X_j <= 0``, or, for a pair of poles in one
 step, an eigenvalue of that step's ``X`` part on the negative real
-axis) raises :class:`NonFinite`, as do entries beyond ``ESCAPE_LIMIT``.
+axis) raises :class:`NonFinite`, as do entries beyond ``ESCAPE_LIMIT``;
+the error names the step and its grid time.
 The stationary filter covariance is read from the same lift without
 stepping it: the flow's limit is ``Y X^-1`` on the invariant subspace of
 the lift's dominant eigenvalues.
@@ -38,6 +39,7 @@ from ._readers import (
     _fits_in_memory,
     _frozen,
     _positive,
+    _semidefinite,
     _square,
     _symmetrize,
 )
@@ -52,7 +54,6 @@ from .errors import (
     ValidationError,
 )
 from .phase_space import (
-    PSD_FLOOR,
     UNCERTAINTY_TOL,
     LinearCoefficients,
     check_uncertainty,
@@ -141,13 +142,11 @@ class CostSpec:
     Omega_T: NDArray[np.float64]
 
     def __post_init__(self) -> None:
-        F = _symmetrize(_square(self.F, float, "F"), "F")
+        F = _semidefinite(_symmetrize(_square(self.F, float, "F"), "F"), "F")
         m = F.shape[0]
         G = _asarray(self.G, float, (None, m), "G")
-        Omega_T = _symmetrize(_asarray(self.Omega_T, float, (m, m), "Omega_T"), "Omega_T")
-        for name, arr in (("F", F), ("Omega_T", Omega_T)):
-            if float(np.min(np.linalg.eigvalsh(arr))) < PSD_FLOOR:
-                raise ValidationError(f"{name} must be positive semidefinite")
+        Omega_T = _asarray(self.Omega_T, float, (m, m), "Omega_T")
+        Omega_T = _semidefinite(_symmetrize(Omega_T, "Omega_T"), "Omega_T")
         object.__setattr__(self, "F", _frozen(F))
         object.__setattr__(self, "G", _frozen(G))
         object.__setattr__(self, "Omega_T", _frozen(Omega_T))
@@ -288,13 +287,12 @@ def _lift_powers(H: np.ndarray, dt: float, n_steps: int) -> np.ndarray:
     return powers
 
 
-def _lift_block(powers: np.ndarray, S: np.ndarray, step: int, out: np.ndarray) -> None:
-    """Flow at the ``len(powers)`` grid points after ``S`` (grid step
-    ``step``), written to ``out``.
+def _lift_block(powers: np.ndarray, S: np.ndarray, out: np.ndarray, at) -> None:
+    """Flow at the ``len(powers)`` grid points after ``S``, written to ``out``.
 
     Each point is ``Y_j X_j^-1``, symmetrized, with
-    ``[X_j; Y_j] = Phi^j [I; S]``.  Raises NonFinite on an escape.
-    Each temporary is dropped once spent, so those alive at once take at
+    ``[X_j; Y_j] = Phi^j [I; S]``.  Raises NonFinite on an escape, naming
+    its point j (from 1) by ``at(j)``.  Each temporary is dropped once spent, so those alive at once take at
     most three quarters of the powers' memory.
     """
     n, m = len(powers), S.shape[0]
@@ -303,7 +301,7 @@ def _lift_block(powers: np.ndarray, S: np.ndarray, step: int, out: np.ndarray) -
     # the solve factorizes the same matrices as det, so a positive
     # determinant rules out a singular pivot there
     det = np.linalg.det(Xt)
-    _raise_first(~(np.isfinite(det) & (det > 0)), step, "crossed a pole")
+    _raise_first(~(np.isfinite(det) & (det > 0)), "crossed a pole", at)
     del det
     T = np.linalg.solve(Xt, Z[:, m:].transpose(0, 2, 1))
     del Z, Xt
@@ -321,28 +319,29 @@ def _lift_block(powers: np.ndarray, S: np.ndarray, step: int, out: np.ndarray) -
     steps += phi11_t
     if m * max(steps.max(), -steps.min()) >= 1:
         ev = np.linalg.eigvals(steps + np.eye(m))
-        _raise_first((np.abs(ev.imag) <= -ev.real).any(axis=1), step, "crossed a pole")
+        _raise_first((np.abs(ev.imag) <= -ev.real).any(axis=1), "crossed a pole", at)
     size = np.maximum(T.max(axis=(1, 2)), -T.min(axis=(1, 2)))
-    _raise_first(~(size <= ESCAPE_LIMIT), step, f"passed {ESCAPE_LIMIT:.0e}")
+    _raise_first(~(size <= ESCAPE_LIMIT), f"passed {ESCAPE_LIMIT:.0e}", at)
     out[...] = T
 
 
-def _raise_first(bad: np.ndarray, step: int, what: str) -> None:
+def _raise_first(bad: np.ndarray, what: str, at) -> None:
     hits = np.flatnonzero(bad)
     if hits.size:
-        raise NonFinite(
-            f"flow {what} at step {step + int(hits[0]) + 1} (finite-time escape)"
-        )
+        raise NonFinite(f"flow {what} at {at(int(hits[0]) + 1)} (finite-time escape)")
 
 
-def _lift_path(H: np.ndarray, S0: np.ndarray, dt: float, n_steps: int,
+def _lift_path(H: np.ndarray, S0: np.ndarray, grid: TimeGrid,
                backward: bool = False) -> np.ndarray:
     """Flow of lift ``H`` from ``S0`` at every grid point, ``S0`` included.
 
     With ``backward`` the flow is written from the last grid point to the
     first, straight into the path it returns, so that path reads forward
-    in time and ends at ``S0``.
+    in time and ends at ``S0``.  An escape names the flow's step N and its
+    time, ``t0 + N dt``, or ``t1 - N dt`` backward.
     """
+    n_steps, dt = grid.n_steps, grid.dt
+    origin, step_dt = (grid.t1, -dt) if backward else (grid.t0, dt)
     powers = _lift_powers(H, dt, n_steps)
     with _fits_in_memory(f"n_steps {n_steps} needs a path"):
         values = np.empty((n_steps + 1,) + S0.shape)
@@ -350,16 +349,17 @@ def _lift_path(H: np.ndarray, S0: np.ndarray, dt: float, n_steps: int,
     path[0] = S0
     for i in range(0, n_steps, len(powers)):
         n = min(len(powers), n_steps - i)
-        _lift_block(powers[:n], path[i], i, path[i + 1 : i + 1 + n])
+        _lift_block(powers[:n], path[i], path[i + 1 : i + 1 + n],
+                    lambda j: f"step {i + j}, t={origin + (i + j) * step_dt:.6g}")
     return values
 
 
 def _require_heisenberg(Sigma0, J, hbar: float) -> None:
-    """UncertaintyViolation unless the start covariance ``Sigma0`` meets the
-    Heisenberg bound of ``(J, hbar)``."""
+    """InvalidParameter (rejected input) unless the start covariance
+    ``Sigma0`` meets the Heisenberg bound of ``(J, hbar)``."""
     report = check_uncertainty(Sigma0, J, hbar)
     if not report.passed:
-        raise UncertaintyViolation(
+        raise InvalidParameter(
             f"Sigma0 violates the Heisenberg bound "
             f"(min eigenvalue {report.min_eigenvalue:.3e})"
         )
@@ -381,8 +381,9 @@ def integrate_filter_riccati(
     grid : TimeGrid
     uncertainty : (J, hbar) or None
         When given, ``Sigma0`` and every point of the computed path are
-        checked against the Heisenberg bound and
-        :class:`UncertaintyViolation` is raised on the first failure.
+        checked against the Heisenberg bound: a ``Sigma0`` below it raises
+        :class:`InvalidParameter`, a computed point below it
+        :class:`UncertaintyViolation` naming the first failing time.
         Without it the flow is treated as a classical Riccati equation
         and no bound is enforced.
 
@@ -395,7 +396,7 @@ def integrate_filter_riccati(
     if uncertainty is not None:
         J, hbar = uncertainty
         _require_heisenberg(Sigma0, J, hbar)
-    values = _lift_path(_filter_lift(coeffs), Sigma0, grid.dt, grid.n_steps)
+    values = _lift_path(_filter_lift(coeffs), Sigma0, grid)
     if uncertainty is not None:
         # the same bound along the whole path, in one batched margin
         worst = _heisenberg_margin(values, J, hbar)
@@ -422,9 +423,7 @@ def integrate_control_riccati(
     ``Omega_T``.
     """
     _require_matching_cost(coeffs, cost)
-    values = _lift_path(
-        _control_lift(coeffs, cost), cost.Omega_T, grid.dt, grid.n_steps, backward=True
-    )
+    values = _lift_path(_control_lift(coeffs, cost), cost.Omega_T, grid, backward=True)
     return MatrixPath(grid=grid, values=values)
 
 
@@ -435,7 +434,7 @@ def lyapunov_unconditional(
 ) -> MatrixPath:
     """Second moments without measurement conditioning (linear flow)."""
     Sigma0 = _symmetrize(_asarray(Sigma0, float, (coeffs.m, coeffs.m), "Sigma0"), "Sigma0")
-    values = _lift_path(_lyapunov_lift(coeffs), Sigma0, grid.dt, grid.n_steps)
+    values = _lift_path(_lyapunov_lift(coeffs), Sigma0, grid)
     return MatrixPath(grid=grid, values=values)
 
 

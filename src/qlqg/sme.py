@@ -34,8 +34,10 @@ tests' ``oracles`` module) check G and the M_c, the master flow checks
 the ensemble mean, and ancilla conditioning checks one step.  The
 filtering step renormalizes by the trace; its fluctuation term is
 traceless, so that is a second-order correction.  Positivity is monitored, never projected:
-clipping would mask integration error, so a state past the floor raises
-:class:`PositivityLoss`.
+clipping would mask integration error, so a computed state past the floor
+raises :class:`PositivityLoss`, while a given one is rejected input
+(:class:`InvalidParameter`).  Every operator given as Hermitian is kept as
+its exact Hermitian part.
 
 Both flows check every state they step through one routine, a block of
 steps at a time: up to 256 master-flow steps, or as many ensemble steps
@@ -59,10 +61,10 @@ from numpy.typing import NDArray
 
 from ._readers import (
     _asarray,
+    _asymmetric,
     _count,
     _fits_in_memory,
     _frozen,
-    _hermitian,
     _json_array,
     _json_complex,
     _json_count,
@@ -71,6 +73,7 @@ from ._readers import (
     _positive,
     _square,
     _stack_operators,
+    _symmetrize,
 )
 from .ensemble import _at, _BLOCK, _chunk_width, _run_chunks, SimConfig
 from .errors import (
@@ -98,7 +101,6 @@ __all__ = [
     "finite_model_from_json",
 ]
 
-HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-9
 
 #: eigenvalue floor; below this the step size was too coarse
@@ -129,23 +131,21 @@ class DensityMatrix:
 
     The eigenvalue floor is the coarse-step failure threshold rather
     than a strict zero, so that integration error surfaces as a
-    :class:`PositivityLoss` instead of being hidden by clipping.
+    :class:`PositivityLoss` instead of being hidden by clipping; a state
+    given below it is :class:`InvalidParameter`.
     """
 
     entries: NDArray[np.complex128]
 
     def __post_init__(self) -> None:
-        entries = _square(self.entries, complex, "state", copy=False)
-        if np.abs(entries - entries.conj().T).max() > HERMITICITY_TOL:
-            raise InvalidParameter("state is not Hermitian")
         # Hermitian to the last bit, which the flows then preserve
-        entries = 0.5 * (entries + entries.conj().T)
+        entries = _symmetrize(_square(self.entries, complex, "state", copy=False), "state")
         trace = complex(np.trace(entries))
         if abs(trace - 1.0) > TRACE_TOL:
             raise InvalidParameter(f"state trace {trace} is not 1")
         low = float(np.linalg.eigvalsh(entries).min())
         if low < POSITIVITY_FLOOR:
-            raise PositivityLoss(f"state eigenvalue {low:.3e} below floor")
+            raise InvalidParameter(f"state eigenvalue {low:.3e} below floor")
         object.__setattr__(self, "entries", _frozen(entries))
 
     @property
@@ -190,9 +190,9 @@ class FiniteModel:
         n = H0.shape[0]
         Ls = _stack_operators(self.L_list, n, "L_list")
         Hs = _stack_operators(self.H_controls, n, "H_controls")
-        _hermitian(H0, "H0")
-        for i, term in enumerate(Hs):
-            _hermitian(term, f"H_controls[{i}]")
+        H0 = _symmetrize(H0, "H0")
+        Hs = np.array([_symmetrize(term, f"H_controls[{i}]") for i, term in enumerate(Hs)],
+                      dtype=complex).reshape(Hs.shape)
         object.__setattr__(self, "hbar", _positive(self.hbar, "hbar"))
         object.__setattr__(self, "H0", _frozen(H0))
         object.__setattr__(self, "L_list", _frozen(Ls))
@@ -614,8 +614,8 @@ def simulate_sme_ensemble(
         observables = _stack_operators(observables, n, "feedback observables")
         if len(observables) == 0:
             raise InvalidParameter("feedback needs at least one observable")
-        for j, O in enumerate(observables):
-            _hermitian(O, f"feedback observable {j}")
+        observables = np.array([_symmetrize(O, f"feedback observable {j}")
+                                for j, O in enumerate(observables)])
         gain = _asarray(gain, float, (model.n_controls, len(observables)), "feedback gain")
         readouts = _readouts(observables)
     stack = _sme_stack(model, u, grid.dt, readouts)
@@ -719,7 +719,7 @@ def _check_projector_family(projectors, dim: int) -> np.ndarray:
     if arr.shape[0] == 0:
         raise NotAProjectorFamily("family is empty")
     for i, P in enumerate(arr):
-        if np.abs(P - P.conj().T).max() > 1e-10:
+        if _asymmetric(P - P.conj().T, P):
             raise NotAProjectorFamily(f"projector {i} is not Hermitian")
         if np.abs(P @ P - P).max() > 1e-10:
             raise NotAProjectorFamily(f"projector {i} is not idempotent")
@@ -795,8 +795,8 @@ def weak_measurement_unitary(
     raise_op = lower.conj().T
     gen = math.sqrt(dt) * (np.kron(L, raise_op) - np.kron(L.conj().T, lower))
     if H is not None:
-        H = _asarray(H, complex, L.shape, "H", copy=False)
-        gen = gen + (-1j * dt / hbar) * np.kron(_hermitian(H, "H"), np.eye(2))
+        H = _symmetrize(_asarray(H, complex, L.shape, "H", copy=False), "H")
+        gen = gen + (-1j * dt / hbar) * np.kron(H, np.eye(2))
     # i gen = V diag(w) V' is Hermitian, so exp(gen) = V diag(e^{-iw}) V'
     w, V = np.linalg.eigh(1j * gen)
     return (V * np.exp(-1j * w)) @ V.conj().T

@@ -13,26 +13,25 @@ import math
 
 import numpy as np
 
-from qlqg._readers import _positive
+from qlqg._readers import _positive, _symmetrize
 from qlqg.control import control_gain_path
-from qlqg.errors import DimensionMismatch, InvalidParameter
+from qlqg.errors import DimensionMismatch
 from qlqg.riccati import TimeGrid, integrate_control_riccati, integrate_filter_riccati
-from qlqg.sme import HERMITICITY_TOL, DensityMatrix, FiniteModel, evolve_master
+from qlqg.sme import DensityMatrix, FiniteModel, evolve_master
 
 
 def lindblad_heisenberg(X, model: FiniteModel, u=None) -> np.ndarray:
     """Heisenberg-picture generator on an observable.
 
-    (i/hbar)[H,X] + sum_i (Li' X Li - (Li'Li X + X Li'Li)/2); the output
-    is Hermitized, and pairing with any state matches the state-picture
-    generator (adjoint identity).
+    (i/hbar)[H,X] + sum_i (Li' X Li - (Li'Li X + X Li'Li)/2) on the exact
+    Hermitian part of ``X``; the output is Hermitized, and pairing with
+    any state matches the state-picture generator (adjoint identity).
     """
     n = model.dim
     X = np.asarray(X, dtype=complex)
     if X.shape != (n, n):
         raise DimensionMismatch(f"observable shape {X.shape}, model dim {n}")
-    if np.abs(X - X.conj().T).max() > HERMITICITY_TOL:
-        raise InvalidParameter("observable is not Hermitian")
+    X = _symmetrize(X, "observable")
     H = model.hamiltonian(u)
     out = (1j / model.hbar) * (H @ X - X @ H)
     for L in model.L_list:

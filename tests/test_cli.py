@@ -262,7 +262,8 @@ class TestRiccati:
         assert cli.main(["riccati", "--scenario", scenario]) == 2
         assert "under 'sim'" in capsys.readouterr().err
 
-    def test_unphysical_start_exits_3(self, tmp_path, capsys):
+    def test_unphysical_start_exits_2(self, tmp_path, capsys):
+        # a start covariance below the Heisenberg bound is rejected input
         scenario = write_scenario(
             tmp_path,
             model={"preset": "free-particle"},
@@ -271,8 +272,9 @@ class TestRiccati:
             initial_cov=[[0.1, 0.0], [0.0, 0.1]],
             out=str(tmp_path / "out"),
         )
-        assert cli.main(["riccati", "--scenario", scenario]) == 3
-        assert "numerical failure" in capsys.readouterr().err
+        assert cli.main(["riccati", "--scenario", scenario]) == 2
+        assert capsys.readouterr().err == (
+            "error: Sigma0 violates the Heisenberg bound (min eigenvalue -4.000e-01)\n")
 
 
 class TestSimulate:
@@ -343,7 +345,7 @@ class TestSimulate:
         second = json.loads(capsys.readouterr().out)
         assert second["mean_cost"] != first["mean_cost"]
 
-    def test_unphysical_start_exits_3_as_in_riccati(self, tmp_path, capsys):
+    def test_unphysical_start_exits_2_as_in_riccati(self, tmp_path, capsys):
         # both commands check one start covariance against one bound
         scenario = feedback_scenario(
             tmp_path, model={"preset": "free-particle"}, initial_cov=None,
@@ -354,11 +356,10 @@ class TestSimulate:
         )
         errors = []
         for command in ("riccati", "simulate"):
-            assert cli.main([command, "--scenario", scenario]) == 3
+            assert cli.main([command, "--scenario", scenario]) == 2
             errors.append(capsys.readouterr().err)
         assert errors[0] == errors[1] == (
-            "numerical failure: UncertaintyViolation: Sigma0 violates the "
-            "Heisenberg bound (min eigenvalue -4.000e-01)\n")
+            "error: Sigma0 violates the Heisenberg bound (min eigenvalue -4.000e-01)\n")
         assert not (tmp_path / "out" / "summary.json").exists()
 
     def test_zero_trajectories_exit_2(self, tmp_path, capsys):
@@ -564,6 +565,21 @@ class TestSme:
         )
         assert cli.main(["sme", "--scenario", scenario]) == 2
         assert "control" in capsys.readouterr().err
+
+    def test_unphysical_state_exits_2(self, tmp_path, capsys):
+        # a rho0 below the eigenvalue floor is rejected input, as a
+        # start covariance below the Heisenberg bound is
+        scenario = write_scenario(
+            tmp_path,
+            finite_model=QUBIT_MODEL,
+            rho0={"re": [[1.1, 0.0], [0.0, -0.1]], "im": [[0, 0], [0, 0]]},
+            grid={"t0": 0.0, "t1": 0.1, "n_steps": 100},
+            sim={"n_traj": 4, "seed": 1},
+            out=str(tmp_path / "out"),
+        )
+        assert cli.main(["sme", "--scenario", scenario]) == 2
+        assert capsys.readouterr().err == "error: state eigenvalue -1.000e-01 below floor\n"
+        assert not (tmp_path / "out").exists()
 
     def test_missing_state_exits_2(self, tmp_path, capsys):
         scenario = write_scenario(

@@ -16,7 +16,7 @@ from qlqg.ensemble import (
     _BLOCK, _CHUNK, SimConfig, _chunk_width, _increments, _key_type, _stream_keys,
 )
 from qlqg.errors import ConfigError, EmptyEnsemble, InvalidParameter, NonFinite
-from qlqg.kalman import MeasurementIncrement, filter_step
+from qlqg.kalman import filter_step
 from qlqg.phase_space import GaussianBelief, LinearCoefficients
 from qlqg.riccati import CostSpec, TimeGrid, integrate_control_riccati
 from qlqg.sme import DensityMatrix, FiniteModel, evolve_master, simulate_sme_ensemble
@@ -613,8 +613,8 @@ class TestKalmanStep:
         rec, Sigma = ens[1], ens.Sigma_path
         belief = GaussianBelief(mean=rec.means[0], cov=Sigma.at(0))
         for k in range(ens.config.grid.n_steps):
-            inc = MeasurementIncrement(dY=rec.outputs[k + 1], dt=ens.config.grid.dt)
-            belief = filter_step(belief, rec.controls[k], inc, coeffs, Sigma.at(k + 1))
+            belief = filter_step(belief, rec.controls[k], rec.outputs[k + 1],
+                                 ens.config.grid.dt, coeffs, Sigma.at(k + 1))
             gap = np.abs(belief.mean - rec.means[k + 1]).max()
             assert gap <= 1e-12 * np.abs(rec.means).max(), k
 
@@ -630,9 +630,8 @@ class TestKalmanStep:
         rec, Sigma = ens[1], ens.Sigma_path
         replayed = GaussianBelief(mean=rec.means[0], cov=Sigma.at(0))
         for step in range(n_steps):
-            inc = MeasurementIncrement(dY=rec.outputs[step + 1], dt=cfg.grid.dt)
-            replayed = filter_step(replayed, rec.controls[step], inc, coeffs,
-                                   Sigma.at(step + 1))
+            replayed = filter_step(replayed, rec.controls[step], rec.outputs[step + 1],
+                                   cfg.grid.dt, coeffs, Sigma.at(step + 1))
             gap = np.abs(replayed.mean - rec.means[step + 1]).max()
             assert gap <= 1e-12 * np.abs(rec.means).max(), step
 

@@ -5,7 +5,7 @@ import pytest
 
 from qlqg import GaussianBelief, LinearCoefficients, build_coefficients, free_particle_model
 from qlqg.errors import DimensionMismatch, InvalidParameter
-from qlqg.kalman import MeasurementIncrement, filter_step
+from qlqg.kalman import filter_step
 from qlqg.riccati import TimeGrid, integrate_filter_riccati
 
 
@@ -24,30 +24,21 @@ def random_coefficients(rng, m=4, d=2, k=2):
     )
 
 
-class TestMeasurementIncrement:
+class TestRecord:
     def test_validation(self):
-        with pytest.raises(InvalidParameter):
-            MeasurementIncrement(dY=[0.1], dt=0.0)
-        with pytest.raises(DimensionMismatch):
-            MeasurementIncrement(dY=[[0.1]], dt=1e-3)
-
-    def test_numeric_string_dt_is_stored_as_float(self):
-        coeffs = build_coefficients(free_particle_model())
-        belief = GaussianBelief(mean=[0.3, -0.2], cov=np.eye(2))
-        steps = []
-        for dt in ("0.1", 0.1):
-            inc = MeasurementIncrement(dY=[0.1], dt=dt)
-            assert type(inc.dt) is float
-            steps.append(filter_step(belief, [0.5], inc, coeffs, np.eye(2)).mean)
-        np.testing.assert_array_equal(*steps)
+        coeffs = tracking_coefficients()
+        belief = GaussianBelief(mean=np.zeros(2), cov=np.eye(2))
+        with pytest.raises(InvalidParameter, match="dt must be positive"):
+            filter_step(belief, [0.0], [0.1], 0.0, coeffs, np.eye(2))
+        with pytest.raises(DimensionMismatch, match=r"dY must have shape \(1,\)"):
+            filter_step(belief, [0.0], [[0.1]], 1e-3, coeffs, np.eye(2))
 
 
 def gain_response(coeffs, Sigma, dY):
     """The step of :func:`filter_step` from a zero mean with no control:
     only the gain term ``(Sigma C' + M) dY`` is left."""
     belief = GaussianBelief(mean=np.zeros(coeffs.m), cov=Sigma)
-    inc = MeasurementIncrement(dY=dY, dt=1e-3)
-    return filter_step(belief, np.zeros(coeffs.k), inc, coeffs, Sigma).mean
+    return filter_step(belief, np.zeros(coeffs.k), dY, 1e-3, coeffs, Sigma).mean
 
 
 class TestFilterGain:
@@ -71,16 +62,14 @@ class TestInnovation:
         # so the step is the drift alone: Q += P dt
         coeffs = tracking_coefficients()
         belief = GaussianBelief(mean=[3.0, -1.0], cov=[[0.5, 0.5], [0.5, 1.0]])
-        inc = MeasurementIncrement(dY=[2.0 * 3.0 * 1e-3], dt=1e-3)
-        out = filter_step(belief, np.zeros(1), inc, coeffs, belief.cov)
+        out = filter_step(belief, np.zeros(1), [2.0 * 3.0 * 1e-3], 1e-3, coeffs, belief.cov)
         np.testing.assert_allclose(out.mean, [3.0 - 1e-3, -1.0], rtol=1e-15)
 
     def test_channel_count_checked(self):
         coeffs = tracking_coefficients()
         belief = GaussianBelief(mean=np.zeros(2), cov=np.eye(2))
-        with pytest.raises(DimensionMismatch, match="channels"):
-            filter_step(belief, np.zeros(1),
-                        MeasurementIncrement(dY=[0.0, 0.0], dt=1e-3), coeffs, np.eye(2))
+        with pytest.raises(DimensionMismatch, match=r"dY must have shape \(1,\), got \(2,\)"):
+            filter_step(belief, np.zeros(1), [0.0, 0.0], 1e-3, coeffs, np.eye(2))
 
 
 class TestFilterStep:
@@ -88,8 +77,7 @@ class TestFilterStep:
         # stationary covariance, zero mean, single output tick of 0.02
         coeffs = tracking_coefficients()
         belief = GaussianBelief(mean=[0.0, 0.0], cov=[[0.5, 0.5], [0.5, 1.0]])
-        inc = MeasurementIncrement(dY=[0.02], dt=1e-3)
-        out = filter_step(belief, np.zeros(1), inc, coeffs, belief.cov)
+        out = filter_step(belief, np.zeros(1), [0.02], 1e-3, coeffs, belief.cov)
         np.testing.assert_allclose(out.mean, [0.02, 0.02], atol=1e-15)
 
     def test_mean_update_is_linear(self):
@@ -101,8 +89,7 @@ class TestFilterStep:
 
         def step(mean, dY):
             belief = GaussianBelief(mean=mean, cov=Sigma)
-            inc = MeasurementIncrement(dY=dY, dt=1e-3)
-            return filter_step(belief, u, inc, coeffs, Sigma).mean
+            return filter_step(belief, u, dY, 1e-3, coeffs, Sigma).mean
 
         x1, x2 = rng.standard_normal((2, 4))
         y1, y2 = rng.standard_normal((2, 2)) * 0.01
@@ -122,8 +109,8 @@ class TestFilterStep:
             belief = GaussianBelief(mean=[0.0, 0.0], cov=path.at(0))
             seq = []
             for k, dY in enumerate(record):
-                inc = MeasurementIncrement(dY=[dY], dt=grid.dt)
-                belief = filter_step(belief, np.zeros(1), inc, coeffs, path.at(k + 1))
+                belief = filter_step(belief, np.zeros(1), [dY], grid.dt, coeffs,
+                                     path.at(k + 1))
                 seq.append(belief.cov)
             covs.append(np.array(seq))
         np.testing.assert_array_equal(covs[0], covs[1])
@@ -144,8 +131,7 @@ class TestFilterStep:
             dY = (X @ coeffs.C.T) * dt + dW
             for i in range(n_paths):
                 belief = GaussianBelief(mean=Xhat[i], cov=Sigma)
-                inc = MeasurementIncrement(dY=dY[i], dt=dt)
-                Xhat[i] = filter_step(belief, np.zeros(1), inc, coeffs, Sigma).mean
+                Xhat[i] = filter_step(belief, np.zeros(1), dY[i], dt, coeffs, Sigma).mean
             if k == 0:
                 err0 = np.abs(Xhat.mean(axis=0) - X[0]).max()
         final_err = np.abs(Xhat.mean(axis=0) - X[0]).max()

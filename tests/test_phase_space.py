@@ -1,5 +1,7 @@
 """Model validation and coefficient assembly."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,7 +25,7 @@ from qlqg.phase_space import (
 )
 from qlqg.closed_loop import SimConfig
 from qlqg.control import ControlGainPath, duality_map
-from qlqg.kalman import MeasurementIncrement
+from qlqg.kalman import filter_step
 from qlqg.riccati import CostSpec, MatrixPath, ScalarPath, TimeGrid
 from qlqg.sme import (
     DensityMatrix,
@@ -393,13 +395,17 @@ VALID_INPUTS = {
     GaussianBelief: dict(mean=np.array([1.0, 0.0]), cov=np.eye(2)),
     CostSpec: dict(F=np.eye(2), G=np.zeros((1, 2)), Omega_T=np.eye(2)),
     TimeGrid: dict(t0=0.0, t1=1.0, n_steps=10),
-    MeasurementIncrement: dict(dY=np.array([0.1, -0.2]), dt=1e-3),
+    filter_step: dict(belief=GaussianBelief(mean=[0.0, 0.0], cov=np.eye(2)), u=np.zeros(1),
+                      dY=np.array([0.1]), dt=1e-3, coeffs=_coefficients(),
+                      Sigma_next=np.eye(2)),
     DensityMatrix: dict(entries=np.array([[0.5, 0.25j], [-0.25j, 0.5]])),
     FiniteModel: dict(H0=np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex),
                       L_list=np.array([[[1.0, 0.0], [0.0, -1.0]]], dtype=complex),
                       H_controls=np.array([[[0.0, -1j], [1j, 0.0]]]), hbar=1.0),
 }
-INPUT_FIELDS = [(ctor, name) for ctor, kwargs in VALID_INPUTS.items() for name in kwargs]
+# an argument of the package's own types was read when it was made
+INPUT_FIELDS = [(ctor, name) for ctor, kwargs in VALID_INPUTS.items()
+                for name, value in kwargs.items() if not dataclasses.is_dataclass(value)]
 
 
 @pytest.mark.parametrize("ctor, name", INPUT_FIELDS,
@@ -440,7 +446,12 @@ JUNK_ENTRY_POINTS = {
     "MatrixPath": ("values", lambda x: MatrixPath(GRID, x), np.zeros((3, 2, 2))),
     "ScalarPath": ("values", lambda x: ScalarPath(GRID, x), np.zeros(3)),
     "ControlGainPath": ("gains", lambda x: ControlGainPath(GRID, x), np.zeros((3, 1, 2))),
-    "MeasurementIncrement": ("dY", lambda x: MeasurementIncrement(x, 1e-3), [0.1]),
+    "filter_step.dY": ("dY", lambda x: filter_step(
+        GaussianBelief([0.0, 0.0], np.eye(2)), [0.0], x, 1e-3, _coefficients(), np.eye(2)),
+        [0.1]),
+    "filter_step.dt": ("dt", lambda x: filter_step(
+        GaussianBelief([0.0, 0.0], np.eye(2)), [0.0], [0.1], x, _coefficients(), np.eye(2)),
+        1e-3),
     "DensityMatrix": ("state", DensityMatrix, QUBIT),
     "FiniteModel": ("H0", lambda x: FiniteModel(H0=x, L_list=[]), np.eye(2)),
     "weak_measurement_unitary": ("coupling", lambda x: weak_measurement_unitary(x, 1e-3),

@@ -9,7 +9,7 @@ from scipy.integrate import solve_ivp
 
 from qlqg import LinearCoefficients, build_coefficients, free_particle_model, riccati
 from qlqg.cli import matrix_path_to_csv
-from qlqg.control import ControlGainPath
+from qlqg.control import ControlGainPath, control_path_via_duality
 from qlqg.errors import (
     ConfigError,
     DimensionMismatch,
@@ -153,8 +153,10 @@ class TestFilterRiccati:
         assert asym == 0.0
 
     def test_rejects_unphysical_start(self):
+        # the start is input: below the bound it is rejected, not computed
         coeffs = tracking_coefficients()
-        with pytest.raises(UncertaintyViolation):
+        with pytest.raises(InvalidParameter, match=r"^Sigma0 violates the Heisenberg bound "
+                                                   r"\(min eigenvalue -4\.000e-01\)$"):
             integrate_filter_riccati(coeffs, 0.1 * np.eye(2),
                                      TimeGrid(0.0, 1.0, 100), uncertainty=(J2, 1.0))
 
@@ -194,6 +196,17 @@ class TestFilterRiccati:
                                     M=np.zeros((2, 2)))
         path = integrate_filter_riccati(coeffs, np.eye(2), TimeGrid(0.0, 2.0, 2000))
         assert np.abs(path.final).max() < 1.0
+
+    @pytest.mark.parametrize("n_steps, at", [(1000, "step 250, t=2.25"),
+                                             (3, "step 1, t=2.33333")])
+    def test_escape_names_its_step_and_grid_time(self, n_steps, at):
+        # S' = -4 S^2 from S0 = -I has its pole 1/4 after the start t0 = 2
+        coeffs = LinearCoefficients(A=np.zeros((2, 2)), B=np.zeros((2, 1)),
+                                    C=2.0 * np.eye(2), N=np.zeros((2, 2)),
+                                    M=np.zeros((2, 2)))
+        with pytest.raises(NonFinite, match=rf"^flow crossed a pole at {at} "
+                                            r"\(finite-time escape\)$"):
+            integrate_filter_riccati(coeffs, -np.eye(2), TimeGrid(2.0, 3.0, n_steps))
 
     @pytest.mark.parametrize("n_steps", [1000, 10, 3])
     @pytest.mark.parametrize("diag", [(-1.0, -1.0), (-1.0, -2.0)])
@@ -359,6 +372,21 @@ class TestControlRiccati:
         cost = CostSpec(F=np.zeros((2, 2)), G=[[3.0, 0.0]], Omega_T=np.zeros((2, 2)))
         with pytest.raises(NonFinite):
             integrate_control_riccati(coeffs, cost, TimeGrid(0.0, 5.0, n_steps))
+
+    def test_backward_escape_names_its_step_and_grid_time(self):
+        # the flow of test_finite_time_escape_detected runs backward from
+        # t1 = 5, so step N is at t1 - N dt; the dual runs forward from
+        # t0 and names its own time t0 + N dt
+        coeffs = LinearCoefficients(A=[[2.0, 0.0], [0.0, 0.0]], B=[[1.0], [0.0]],
+                                    C=[[0.0, 0.0]], N=np.zeros((2, 2)),
+                                    M=np.zeros((2, 1)))
+        cost = CostSpec(F=np.zeros((2, 2)), G=[[3.0, 0.0]], Omega_T=np.zeros((2, 2)))
+        grid = TimeGrid(0.0, 5.0, 5000)
+        with pytest.raises(NonFinite, match=r"^flow crossed a pole at step 676, t=4\.324 "
+                                            r"\(finite-time escape\)$"):
+            integrate_control_riccati(coeffs, cost, grid)
+        with pytest.raises(NonFinite, match=r"at step 676, t=0\.676 "):
+            control_path_via_duality(coeffs, cost, grid)
 
     def test_dimension_checks(self):
         coeffs = feedback_coefficients()

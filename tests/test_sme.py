@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ from scipy.linalg import expm
 from oracles import lindblad_heisenberg, lindblad_schrodinger, master_step
 
 from qlqg import sme
+from qlqg._readers import SYM_TOL
 from qlqg.ensemble import _BLOCK, _COLUMN_BLOCK, SimConfig
 from qlqg.errors import (
     DimensionMismatch,
@@ -158,7 +160,8 @@ class TestDensityMatrix:
             DensityMatrix(np.eye(2))
 
     def test_rejects_negative_state(self):
-        with pytest.raises(PositivityLoss):
+        # a state given below the floor is rejected input, not a numerical failure
+        with pytest.raises(InvalidParameter, match=r"^state eigenvalue -5\.000e-01 below floor$"):
             DensityMatrix(np.diag([1.5, -0.5]))
 
     def test_tolerates_tiny_negativity(self):
@@ -257,6 +260,49 @@ class TestFiniteModel:
     def test_counts(self):
         model = FiniteModel(H0=SZ, L_list=[SX, SY], H_controls=[SZ])
         assert (model.dim, model.n_channels, model.n_controls) == (2, 2, 1)
+
+
+def random_hermitian(rng, n, scale):
+    """``Q diag(lambda) Q'`` for a random unitary Q and eigenvalues of
+    ``scale``: Hermitian only up to the rounding of the product."""
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return (Q * (scale * rng.standard_normal(n))) @ Q.conj().T
+
+
+# every entry point that reads a complex operator that must be Hermitian,
+# as (name its message gives, call with the operator X of dimension 4)
+HERMITIAN_INPUTS = {
+    "H0": lambda X: FiniteModel(H0=X, L_list=[]),
+    "H_controls[0]": lambda X: FiniteModel(H0=np.zeros((4, 4)), L_list=[], H_controls=[X]),
+    "feedback observable 0": lambda X: simulate_sme_ensemble(
+        DensityMatrix(np.eye(4) / 4),
+        FiniteModel(H0=np.zeros((4, 4)), L_list=[np.eye(4)], H_controls=[np.eye(4)]),
+        SimConfig(grid=TimeGrid(0.0, 0.01, 1), n_traj=1, seed=0), feedback=([X], [[1.0]])),
+    "H": lambda X: weak_measurement_unitary(np.zeros((4, 4)), 1e-3, H=X),
+    "state": DensityMatrix,
+}
+
+
+class TestHermitianInput:
+    def test_large_hamiltonians_are_kept_exactly_hermitian(self):
+        # an absolute tolerance of 1e-12 rejected about a third of these
+        rng = np.random.default_rng(28)
+        for _ in range(100):
+            H = random_hermitian(rng, 4, 1e4)
+            model = FiniteModel(H0=H, L_list=[], H_controls=[H])
+            for term in (model.H0, model.H_controls[0]):
+                np.testing.assert_array_equal(term, term.conj().T)
+                assert np.abs(term - H).max() <= SYM_TOL * np.abs(H).max()
+
+    @pytest.mark.parametrize("scale", [1.0, 1e2, 1e4])
+    @pytest.mark.parametrize("name", HERMITIAN_INPUTS)
+    def test_asymmetry_of_ten_times_the_bound_is_rejected(self, name, scale):
+        rng = np.random.default_rng(int(scale))
+        X = random_hermitian(rng, 4, scale)
+        X = 0.5 * (X + X.conj().T)
+        X[0, 1] += 10 * SYM_TOL * max(1.0, np.abs(X).max())
+        with pytest.raises(InvalidParameter, match=f"^{re.escape(name)} is not Hermitian$"):
+            HERMITIAN_INPUTS[name](X)
 
 
 class TestLindblad:

@@ -1,6 +1,6 @@
 """The demos, the benchmark's span table, the exports, the imports between
 the simulators and of the readers, and the input checks of the public
-dataclasses against the package."""
+dataclasses and of the Kalman step's record against the package."""
 
 import ast
 import dataclasses
@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 import qlqg
+from qlqg._readers import SYM_TOL
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = Path(qlqg.__file__).resolve().parent.parent
@@ -139,7 +140,6 @@ VALID = {
     "MatrixPath": dict(grid=GRID, values=np.zeros((3, 2, 2))),
     "ScalarPath": dict(grid=GRID, values=np.zeros(3)),
     "ControlGainPath": dict(grid=GRID, gains=np.zeros((3, 1, 2))),
-    "MeasurementIncrement": dict(dY=[0.1], dt=1e-3),
     "SimConfig": dict(grid=GRID, n_traj=1, seed=0, record_stride=1),
     "DensityMatrix": dict(entries=np.eye(2) / 2),
     "FiniteModel": dict(H0=np.eye(2), L_list=[np.eye(2)], H_controls=[np.eye(2)], hbar=1.0),
@@ -186,6 +186,54 @@ def test_scalar_field_stores_what_it_read(cls, name, kind):
             continue
         stored.append(getattr(obj, name))
     assert stored and all(type(v) is kind and v == valid for v in stored)
+
+
+# every field that must equal its adjoint, as (class, field)
+SELF_ADJOINT = [("PhaseSpaceModel", "R"), ("LinearCoefficients", "N"), ("CostSpec", "F"),
+                ("CostSpec", "Omega_T"), ("GaussianBelief", "cov"), ("FiniteModel", "H0"),
+                ("FiniteModel", "H_controls"), ("DensityMatrix", "entries")]
+
+
+@pytest.mark.parametrize("cls, name", SELF_ADJOINT, ids=[f"{c}.{n}" for c, n in SELF_ADJOINT])
+def test_self_adjoint_field_is_stored_exactly_self_adjoint(cls, name):
+    # an asymmetry below the reader's bound is accepted, and what is kept
+    # is the exact Hermitian part, a new array: the caller's stays as given
+    ctor = getattr(qlqg, cls)
+    field = {f.name: f for f in dataclasses.fields(ctor)}[name]
+    given = np.array(VALID[cls][name], dtype=complex if "complex" in str(field.type) else float)
+    delta = 0.5 * SYM_TOL * max(1.0, np.abs(given).max())
+    given[..., 0, 1] += delta
+    if given.dtype.kind == "c":
+        given[..., 1, 0] += 1j * delta
+        given[..., 1, 1] += 1j * delta
+    kept = given.copy()
+    stored = getattr(ctor(**dict(VALID[cls], **{name: given})), name)
+    assert np.array_equal(stored, np.swapaxes(stored, -1, -2).conj())
+    assert not np.array_equal(stored, given)
+    assert np.array_equal(given, kept) and given.flags.writeable
+
+
+# filter_step takes its record (dY, dt) as arguments, not as a dataclass of
+# the table above; the same two checks hold for it
+FILTER_RECORD = {"dY": [0.1], "dt": 1e-3}
+
+
+def _filter_step(dY, dt):
+    return qlqg.filter_step(qlqg.GaussianBelief(mean=[0.0, 0.0], cov=np.eye(2)), [0.0], dY, dt,
+                            qlqg.LinearCoefficients(**VALID["LinearCoefficients"]),
+                            np.eye(2)).mean
+
+
+@pytest.mark.parametrize("name", FILTER_RECORD, ids=[f"filter_step.{n}" for n in FILTER_RECORD])
+def test_junk_in_the_filter_step_record_is_a_validation_error(name):
+    _filter_step(**FILTER_RECORD)
+    with pytest.raises(qlqg.ValidationError):
+        _filter_step(**dict(FILTER_RECORD, **{name: "x"}))
+
+
+def test_filter_step_steps_dt_as_the_float_it_read():
+    for dt in ("1", np.int8(1)):
+        np.testing.assert_array_equal(_filter_step([0.1], dt), _filter_step([0.1], 1.0))
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
