@@ -1,8 +1,8 @@
 """The ensemble plumbing both Monte Carlo simulators share.
 
-A trajectory is named by ``(seed, index)`` and owns a counter-based
-Philox stream keyed by ``SeedSequence(seed, spawn_key=(index,))``, so an
-ensemble is reproducible and independent of batch layout.
+A trajectory is named by ``(seed, index)`` and owns an SFC64 stream
+seeded by ``SeedSequence(seed, spawn_key=(index,))``, so an ensemble is
+reproducible and independent of batch layout.
 :func:`_run_chunks` is the one chunk loop: it hands a simulator fixed
 chunks of up to ``_CHUNK`` trajectories, each held in a multiple of
 ``_COLUMN_BLOCK`` columns, with the chunk's Wiener increments drawn a
@@ -110,9 +110,9 @@ def _mix(x, y):
 
 
 def _stream_keys(seed: int, start: int, stop: int) -> NDArray[np.uint64]:
-    """Philox keys of the streams of trajectories ``start..stop-1``, one
+    """SFC64 seeds of the streams of trajectories ``start..stop-1``, one
     row each: row i is ``np.random.SeedSequence(seed, spawn_key=(start +
-    i,)).generate_state(2, np.uint64)``, for every row at once.
+    i,)).generate_state(3, np.uint64)``, for every row at once.
 
     It is numpy's SeedSequence hash in uint32 arithmetic.  The entropy
     is the seed's 32-bit words, padded to the pool size because a spawn
@@ -147,17 +147,19 @@ def _stream_keys(seed: int, start: int, stop: int) -> NDArray[np.uint64]:
         for j, w in enumerate(index_words):
             mixed = [_mix(p, hashmix(w)) for p in pool]
             pool = [np.where(n_words > j, q, p) for p, q in zip(pool, mixed)]
+        # the state hasher walks the pool cyclically for its six words
         state = _hasher(_INIT_B, _MULT_B)
-        words = [state(p).astype(np.uint64) for p in pool]
-    # the four state words read as two little-endian uint64
-    return np.stack([words[0] | words[1] << 32, words[2] | words[3] << 32], axis=1)
+        words = [state(p).astype(np.uint64) for p in pool + pool[:2]]
+    # the six state words read as three little-endian uint64
+    return np.stack([lo | hi << 32 for lo, hi in zip(words[::2], words[1::2])], axis=1)
 
 
 @functools.cache
 def _key_type() -> type:
-    """The class of a precomputed Philox key, handed over as the seed
-    sequence that would generate it.  Built on first use, so that a
-    program that draws no noise does not import numpy.random."""
+    """The class of a precomputed SFC64 seed, one row of
+    :func:`_stream_keys`, handed over as the seed sequence that would
+    generate it.  Built on first use, so that a program that draws no
+    noise does not import numpy.random."""
 
     class _Key(np.random.bit_generator.ISeedSequence):
         def __init__(self, key: NDArray[np.uint64]) -> None:
@@ -174,20 +176,20 @@ def _increments(config: SimConfig, start: int, stop: int, d: int):
     view, trajectory by row, B = ``_chunk_width(stop - start)``, into
     the chunk's one noise block, valid until the next window is drawn.
 
-    Row i comes from numpy's Philox stream keyed by
+    Row i comes from numpy's SFC64 stream seeded by
     ``SeedSequence(seed, spawn_key=(start + i,))``; the pad rows are
-    zero.  The chunk's keys are computed together by
+    zero.  The chunk's seeds are computed together by
     :func:`_stream_keys`, with no SeedSequence object per trajectory.
     The streams stay alive and draw a window at a time, each straight
     into its own row of one (B, ``_BLOCK``, d) block, which is scaled by
-    sqrt(dt) in place.  A counter-based stream yields the same numbers
-    however its draws are split, so the bytes are those of one bulk
-    draw.
+    sqrt(dt) in place.  Each stream is drawn in order, and numpy's
+    ``standard_normal`` yields the same numbers however the draws of a
+    stream are split, so the bytes are those of one bulk draw.
     """
     rows, n_steps = stop - start, config.grid.n_steps
     sqrt_dt = math.sqrt(config.grid.dt)
     key = _key_type()
-    streams = [np.random.Generator(np.random.Philox(key(k)))
+    streams = [np.random.Generator(np.random.SFC64(key(k)))
                for k in _stream_keys(config.seed, start, stop)]
     block = np.zeros((_chunk_width(rows), _BLOCK, d))
     for step0 in range(0, n_steps, _BLOCK):
@@ -208,9 +210,9 @@ def _run_chunks(config: SimConfig, d: int, run_chunk, first: int = 0) -> None:
     increments a window of ``_BLOCK`` steps at a time, each window a
     (B, width, d) view into the chunk's one noise block, one trajectory
     per row, that stays valid until the next window is drawn; no buffer
-    grows with ``n_steps``.  Row i comes from numpy's Philox stream keyed
-    by ``SeedSequence(seed, spawn_key=(start + i,))``, and the keys of a
-    chunk are computed together (:func:`_increments`).
+    grows with ``n_steps``.  Row i comes from numpy's SFC64 stream
+    seeded by ``SeedSequence(seed, spawn_key=(start + i,))``, and the
+    seeds of a chunk are computed together (:func:`_increments`).
 
     B = ``_chunk_width(stop - start)`` is the chunk's trajectory count
     rounded up to a multiple of ``_COLUMN_BLOCK``, and the pad rows'

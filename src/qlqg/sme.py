@@ -189,6 +189,9 @@ class FiniteModel:
         H0 = _square(self.H0, complex, "H0", copy=False)
         n = H0.shape[0]
         Ls = _stack_operators(self.L_list, n, "L_list")
+        if np.may_share_memory(Ls, self.L_list):
+            # the caller's own array or a view of it: freeze a copy
+            Ls = Ls.copy()
         Hs = _stack_operators(self.H_controls, n, "H_controls")
         H0 = _symmetrize(H0, "H0")
         Hs = np.array([_symmetrize(term, f"H_controls[{i}]") for i, term in enumerate(Hs)],
@@ -585,7 +588,7 @@ def simulate_sme_ensemble(
     """Filtering trajectories ``first`` to ``first + n_traj - 1`` of a seed.
 
     Each trajectory's record is dY = <L+L'> dt + dW, with dW from its own
-    counter-based noise stream, that of ``(config.seed, index)``.  The
+    SFC64 noise stream, that of ``(config.seed, index)``.  The
     control is ``u`` (``None`` keeps every control off), and under
     ``feedback=(observables, gain)`` it is u - gain r at every grid time,
     with the readouts r_j = tr(rho O_j) of the trajectory's own filter

@@ -67,6 +67,13 @@ def master_step(rho: DensityMatrix, model: FiniteModel, u, dt: float) -> Density
     return DensityMatrix(evolve_master(rho, model, grid, u)[1][-1])
 
 
+def trajectory_stream(seed: int, index: int) -> np.random.Generator:
+    """The noise stream of trajectory ``index`` of ``seed``: numpy's SFC64
+    seeded by ``SeedSequence(seed, spawn_key=(index,))``."""
+    return np.random.Generator(np.random.SFC64(
+        np.random.SeedSequence(seed, spawn_key=(index,))))
+
+
 def closed_loop_steps(coeffs, cost, config, initial) -> dict:
     """The closed loop of :func:`qlqg.closed_loop.simulate_closed_loop`,
     one step at a time, for the trajectories of ``config``.
@@ -83,10 +90,8 @@ def closed_loop_steps(coeffs, cost, config, initial) -> dict:
     Sigma = integrate_filter_riccati(coeffs, initial.cov, grid)
     Omega = integrate_control_riccati(coeffs, cost, grid)
     gains = control_gain_path(Omega, coeffs, cost).gains
-    dW = np.stack([
-        np.random.Generator(np.random.Philox(
-            np.random.SeedSequence(config.seed, spawn_key=(i,)))).standard_normal((n, d))
-        for i in range(config.n_traj)], axis=-1) * math.sqrt(dt)
+    dW = np.stack([trajectory_stream(config.seed, i).standard_normal((n, d))
+                   for i in range(config.n_traj)], axis=-1) * math.sqrt(dt)
 
     def rate(X, step):
         Ln = gains[step]

@@ -73,14 +73,14 @@ class TestEscapeInsideABlock:
         return str(info.value)
 
     def test_names_the_earlier_step_not_the_lower_index(self):
-        # of the 4 trajectories of seed 5, trajectory 3 escapes first, at
-        # step 335; trajectories 0 to 2 escape at step 336, in the same
-        # block of 8 steps.  The check names trajectory 3, and it fails
-        # alone with the same message
+        # of the 4 trajectories of seed 7, trajectory 2 escapes first, at
+        # step 335; trajectory 1 escapes at step 336, in the same block of
+        # 8 steps.  The check names trajectory 2, and it fails alone with
+        # the same message
         assert _steps_per_product(2, 1) == 8
-        seed, late, early = 5, 0, 3
+        seed, late, early = 7, 1, 2
         message = self.escape(4, 0, seed)
-        assert message == ("posterior mean passed 1e+12 in trajectory 3 of seed 5 "
+        assert message == ("posterior mean passed 1e+12 in trajectory 2 of seed 7 "
                            "at step 335, t=0.335")
         assert self.escape(1, early, seed) == message
         alone = self.escape(1, late, seed)
@@ -90,11 +90,14 @@ class TestEscapeInsideABlock:
         assert (step_early - 1) // 8 == (step_late - 1) // 8
 
     @pytest.mark.parametrize("offset, message", [
-        ([[0.0, -50.0]], "trajectory 2 of seed 11 at step 335, t=0.335"),
+        ([[0.0, -50.0]], "trajectory 1 of seed 11 at step 335, t=0.335"),
         # the block maps and the states after the failing one overflow
         ([[0.0, -1e53]], "trajectory 0 of seed 11 at step 2, t=0.002"),
     ])
     def test_failing_block_emits_no_warning(self, offset, message):
+        # each escape lies strictly inside its block of 8 steps
+        step = int(message.split("at step ")[1].split(",")[0])
+        assert 0 < (step - 1) % 8 < 7
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert self.escape(16, 0, 11, np.array(offset)) == (

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import trajectory_stream
 from scipy.integrate import solve_ivp
 from test_kalman import random_coefficients
 
@@ -386,13 +387,13 @@ class TestStatistics:
 
 
 def numpy_keys(seed, start, stop):
-    """The Philox keys numpy derives from SeedSequence(seed, spawn_key=(i,))."""
-    return np.array([np.random.SeedSequence(seed, spawn_key=(i,)).generate_state(2, np.uint64)
-                     for i in range(start, stop)]).reshape(-1, 2)
+    """The SFC64 seeds numpy derives from SeedSequence(seed, spawn_key=(i,))."""
+    return np.array([np.random.SeedSequence(seed, spawn_key=(i,)).generate_state(3, np.uint64)
+                     for i in range(start, stop)]).reshape(-1, 3)
 
 
 class TestStreamKeys:
-    # every trajectory's stream is numpy's Philox keyed by
+    # every trajectory's stream is numpy's SFC64 seeded by
     # SeedSequence(seed, spawn_key=(index,)), whatever the size of the
     # seed and the index; the windows cross one, two and three words
 
@@ -427,6 +428,25 @@ class TestStreamKeys:
         simulate_sme_ensemble(DensityMatrix(np.diag([0.6, 0.4]).astype(complex)), model, cfg)
 
 
+class TestStreamIndependence:
+    # the first window of 4096 consecutive streams, pooled: N(0, 1) draws
+    # with no correlation between neighbouring indices and no two streams
+    # alike; the windows cross the index's first and second 32-bit words
+    @pytest.mark.parametrize("seed, first", [
+        (0, 0), (2**32 + 7, 2**32 - 2048), (2**64 - 1, 2**64 - 2048),
+    ])
+    def test_neighbouring_streams_are_independent(self, seed, first):
+        rows = 4096
+        cfg = SimConfig(grid=TimeGrid(0.0, float(_BLOCK), _BLOCK), n_traj=rows, seed=seed)
+        x = next(_increments(cfg, first, first + rows, 1))[:rows, :, 0]
+        n = x.size
+        assert abs(x.mean()) <= 5.0 / math.sqrt(n)
+        assert abs(x.var() - 1.0) <= 5.0 * math.sqrt(2.0 / n)
+        pairs = x[:-1] * x[1:]
+        assert abs(pairs.mean()) <= 5.0 / math.sqrt(pairs.size)
+        assert len(np.unique(x[:, :4], axis=0)) == rows
+
+
 class TestBlockNoise:
     def test_innovations_are_the_bulk_draws(self):
         # drawn in blocks of steps, each stream still gives the bytes of
@@ -437,9 +457,8 @@ class TestBlockNoise:
             cfg = SimConfig(grid=TimeGrid(0.0, 0.3, 300), n_traj=n_traj, seed=17)
             ens = simulate_closed_loop(coeffs, cost, cfg, belief, first=first)
             for i in range(cfg.n_traj):
-                stream = np.random.Generator(np.random.Philox(
-                    np.random.SeedSequence(cfg.seed, spawn_key=(first + i,))))
-                draws = stream.standard_normal((300, 2)) * math.sqrt(cfg.grid.dt)
+                draws = trajectory_stream(cfg.seed, first + i).standard_normal(
+                    (300, 2)) * math.sqrt(cfg.grid.dt)
                 np.testing.assert_array_equal(ens.innovations[i, 1:], draws)
 
     def test_chunk_holds_its_noise_once(self):
@@ -449,10 +468,10 @@ class TestBlockNoise:
         # twice it, as a second, transposed copy would make it
         B, d = _CHUNK, 1
         cfg = SimConfig(grid=TimeGrid(0.0, 0.3, 300), n_traj=B, seed=23)
-        key = _key_type()
+        key, bit_generator = _key_type(), type(trajectory_stream(cfg.seed, 0).bit_generator)
         tracemalloc.start()
         try:
-            streams = [np.random.Generator(np.random.Philox(key(k)))
+            streams = [np.random.Generator(bit_generator(key(k)))
                        for k in _stream_keys(cfg.seed, 0, B)]
             stream_bytes = tracemalloc.get_traced_memory()[0]
             del streams
@@ -587,17 +606,17 @@ class TestCostEstimates:
                 gain_offset=np.array([[0.0, -50.0]]))
 
     def test_escaping_trajectory_replays_alone(self):
-        # of 16 trajectories driven unstable, trajectory 2 escapes first;
-        # run alone from (seed, 2) it fails with the same message
+        # of 16 trajectories driven unstable, trajectory 1 escapes first;
+        # run alone from (seed, 1) it fails with the same message
         coeffs, offset = feedback_coefficients(), np.array([[0.0, -50.0]])
         messages = []
-        for n_traj, first in ((16, 0), (1, 2)):
+        for n_traj, first in ((16, 0), (1, 1)):
             with pytest.raises(NonFinite) as info:
                 simulate_closed_loop(
                     coeffs, tracking_cost(), small_config(n_traj=n_traj, n_steps=1000, t1=1.0),
                     default_belief(), gain_offset=offset, first=first)
             messages.append(str(info.value))
-        assert messages[0] == ("posterior mean passed 1e+12 in trajectory 2 of seed 11 "
+        assert messages[0] == ("posterior mean passed 1e+12 in trajectory 1 of seed 11 "
                                "at step 335, t=0.335")
         assert messages[1] == messages[0]
 

@@ -1,6 +1,7 @@
-"""The demos, the benchmark's span table, the exports, the imports between
-the simulators and of the readers, and the input checks of the public
-dataclasses and of the Kalman step's record against the package."""
+"""The demos, the benchmark's span table, the exports and the version,
+the imports between the simulators and of the readers, and the input
+checks of the public dataclasses and of the Kalman step's record against
+the package."""
 
 import ast
 import dataclasses
@@ -60,6 +61,15 @@ def test_package_exports_every_module_all_once():
     assert len(qlqg.__all__) == len(set(qlqg.__all__))
     assert set(qlqg.__all__) == public | {"free_particle"} == expected | {"free_particle"}
     assert isinstance(qlqg.__version__, str)
+
+
+def test_package_version_is_the_projects():
+    # the version names the numbers a (seed, index) gives, so the package
+    # and its project metadata must agree; tomllib is Python 3.11's
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert qlqg.__version__ == project["version"]
 
 
 @pytest.mark.parametrize("module, other", [("sme", "closed_loop"), ("closed_loop", "sme")])
