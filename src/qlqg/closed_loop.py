@@ -28,7 +28,7 @@ from numpy.typing import NDArray
 
 from ._readers import _asarray, _count, _fits_in_memory, _frozen
 from .control import control_gain_path
-from .ensemble import _BLOCK, _at, _chunk_width, _run_chunks, SimConfig
+from .ensemble import _BLOCK, _at, _chunk_width, _run_chunks, _step_rows, SimConfig
 from .errors import EmptyEnsemble, InvalidParameter, NonFinite
 from .phase_space import GaussianBelief, LinearCoefficients
 from .riccati import (
@@ -304,7 +304,8 @@ def simulate_closed_loop(
         acc = np.zeros(B)
         # [Xhat; dW] summed over the steps of a record interval
         sums = np.zeros((m + d, B) if kept else (0, 0))
-        dW = np.empty((B, Ld))
+        # a block's noise rows, copied step-major out of the window
+        copy_noise = _step_rows(config, B, d, L)
 
         def weighted(W, X, out):
             # W X * X for a state or a stack of states X
@@ -338,11 +339,7 @@ def simulate_closed_loop(
             window_maps(s, width)
             for b, a in enumerate(range(0, width, L)):
                 w = min(L, width - a)
-                # the block's noise rows, one copy out of the window, by
-                # way of a trajectory-major buffer: a transposing copy from
-                # the window's strided rows is slower
-                np.copyto(dW[:, :w * d], window[:, a:a + w].reshape(B, w * d))
-                np.copyto(U[:w * d], dW[:, :w * d].T)
+                copy_noise(window, a, w, U)
                 if w < L:
                     U[w * d:Ld] = 0.0
                 np.matmul(T_blocks[b], Z, out=Y)

@@ -5,8 +5,12 @@ seeded by ``SeedSequence(seed, spawn_key=(index,))``, so an ensemble is
 reproducible and independent of batch layout.
 :func:`_run_chunks` is the one chunk loop: it hands a simulator fixed
 chunks of up to ``_CHUNK`` trajectories, each held in a multiple of
-``_COLUMN_BLOCK`` columns, with the chunk's Wiener increments drawn a
-window of ``_BLOCK`` steps at a time into one noise block.
+``_COLUMN_BLOCK`` columns, with the chunk's standard normal draws made a
+window of ``_BLOCK`` steps at a time into one noise block.  Only this
+module knows that block's layout: a simulator reads its Wiener
+increments through :func:`_step_rows`, which copies a few steps at a
+time out of the window into step-major rows and scales them by sqrt(dt)
+on the way.
 """
 
 from __future__ import annotations
@@ -171,7 +175,7 @@ def _key_type() -> type:
 
 
 def _increments(config: SimConfig, start: int, stop: int, d: int):
-    """The Wiener increments of trajectories ``start..stop-1``, one
+    """The standard normal draws of trajectories ``start..stop-1``, one
     window of up to ``_BLOCK`` steps at a time: each a (B, width, d)
     view, trajectory by row, B = ``_chunk_width(stop - start)``, into
     the chunk's one noise block, valid until the next window is drawn.
@@ -181,24 +185,47 @@ def _increments(config: SimConfig, start: int, stop: int, d: int):
     zero.  The chunk's seeds are computed together by
     :func:`_stream_keys`, with no SeedSequence object per trajectory.
     The streams stay alive and draw a window at a time, each straight
-    into its own row of one (B, ``_BLOCK``, d) block, which is scaled by
-    sqrt(dt) in place.  Each stream is drawn in order, and numpy's
-    ``standard_normal`` yields the same numbers however the draws of a
-    stream are split, so the bytes are those of one bulk draw.
+    into its own row of one (B, ``_BLOCK``, d) block.  Each stream is
+    drawn in order, and numpy's ``standard_normal`` yields the same
+    numbers however the draws of a stream are split, so the bytes are
+    those of one bulk draw.  The draws are not scaled here: sqrt(dt) is
+    applied once, as :func:`_step_rows` copies them out of the window.
     """
     rows, n_steps = stop - start, config.grid.n_steps
-    sqrt_dt = math.sqrt(config.grid.dt)
     key = _key_type()
     streams = [np.random.Generator(np.random.SFC64(key(k)))
                for k in _stream_keys(config.seed, start, stop)]
     block = np.zeros((_chunk_width(rows), _BLOCK, d))
     for step0 in range(0, n_steps, _BLOCK):
         width = min(_BLOCK, n_steps - step0)
-        drawn = block[:rows, :width]
-        for stream, draws in zip(streams, drawn):
+        for stream, draws in zip(streams, block[:rows, :width]):
             stream.standard_normal(out=draws)
-        drawn *= sqrt_dt
         yield block[:, :width]
+
+
+def _step_rows(config: SimConfig, B: int, d: int, steps: int):
+    """The copier of a chunk's Wiener increments, for B columns, d
+    channels and up to ``steps`` steps a copy.
+
+    ``copy(window, a, w, out)`` writes steps ``a..a+w-1`` of a noise
+    window of :func:`_increments` into the first w d rows of ``out``, a
+    caller-owned (>= w d, B) array: row j d + c is channel c of step
+    a + j, one trajectory per column, so a step's d rows are contiguous.
+    The window's rows are strided, so the copy goes through one
+    trajectory-major (B, ``steps`` d) buffer, scaled by sqrt(dt) as it
+    is filled, and then transposed into ``out``: a transposing copy
+    straight from the strided rows is slower, and so is a per-step
+    gather.  Pad rows of the window are zero, so pad columns stay zero.
+    ``a + w`` must not pass the window's width.
+    """
+    buffer = np.empty((B, steps * d))
+    sqrt_dt = math.sqrt(config.grid.dt)
+
+    def copy(window: NDArray[np.float64], a: int, w: int, out: NDArray[np.float64]) -> None:
+        drawn = buffer[:, :w * d]
+        np.multiply(window[:, a:a + w].reshape(B, w * d), sqrt_dt, out=drawn)
+        np.copyto(out[:w * d], drawn.T)
+    return copy
 
 
 def _run_chunks(config: SimConfig, d: int, run_chunk, first: int = 0) -> None:
@@ -206,13 +233,15 @@ def _run_chunks(config: SimConfig, d: int, run_chunk, first: int = 0) -> None:
 
     The one chunk loop of every Monte Carlo simulator.  Chunks of up to
     ``_CHUNK`` trajectories cover the indices ``first`` to
-    ``first + n_traj - 1``; ``noise`` yields the chunk's Wiener
-    increments a window of ``_BLOCK`` steps at a time, each window a
-    (B, width, d) view into the chunk's one noise block, one trajectory
-    per row, that stays valid until the next window is drawn; no buffer
-    grows with ``n_steps``.  Row i comes from numpy's SFC64 stream
-    seeded by ``SeedSequence(seed, spawn_key=(start + i,))``, and the
-    seeds of a chunk are computed together (:func:`_increments`).
+    ``first + n_traj - 1``; ``noise`` yields the chunk's standard
+    normal draws a window of ``_BLOCK`` steps at a time, each window a
+    view into the chunk's one noise block that stays valid until the
+    next window is drawn; no buffer grows with ``n_steps``.  Row i comes
+    from numpy's SFC64 stream seeded by ``SeedSequence(seed,
+    spawn_key=(start + i,))``, and the seeds of a chunk are computed
+    together (:func:`_increments`).  A simulator takes only a window's
+    width from it and reads its increments through :func:`_step_rows`,
+    which knows the layout and applies sqrt(dt).
 
     B = ``_chunk_width(stop - start)`` is the chunk's trajectory count
     rounded up to a multiple of ``_COLUMN_BLOCK``, and the pad rows'

@@ -75,7 +75,7 @@ from ._readers import (
     _stack_operators,
     _symmetrize,
 )
-from .ensemble import _at, _BLOCK, _chunk_width, _run_chunks, SimConfig
+from .ensemble import _at, _BLOCK, _chunk_width, _run_chunks, _step_rows, SimConfig
 from .errors import (
     DimensionMismatch,
     InvalidParameter,
@@ -109,6 +109,9 @@ POSITIVITY_FLOOR = -1e-6
 #: coordinates of the ensemble's states checked at a time (512 KB): the
 #: check's fixed cost per call is spread over as many steps as fit
 _CHECK_COORDS = 2**16
+
+#: steps of an ensemble's noise copied out of its window at a time
+_NOISE_STEPS = 8
 
 
 def trace_norm(X: NDArray[np.complex128]) -> float:
@@ -473,28 +476,34 @@ def _sme_update(
     return out
 
 
-def _min_eigenvalues(h: np.ndarray) -> np.ndarray:
-    """Lowest eigenvalue of every state of (n^2, B) coordinates.
+def _min_eigenvalues(h: np.ndarray, trace: np.ndarray) -> np.ndarray:
+    """Lowest eigenvalue of every state of (n^2, B) coordinates, whose
+    per-column ``trace`` (:func:`_trace`) the caller has summed already.
 
     A qubit's comes in closed form from its four rows, as
-    Tr/2 - sqrt(((rho_00 - rho_11) / 2)^2 + |rho_01|^2), built in place;
-    larger states go through ``eigvalsh`` on the assembled complex stack.
+    Tr/2 - sqrt(((rho_00 - rho_11) / 2)^2 + |rho_01|^2), built in two
+    temporaries.  A NaN coordinate there gives a NaN eigenvalue and an
+    infinite one a NaN or -inf eigenvalue, so a non-finite qubit column
+    never passes the floor; larger states go through ``eigvalsh`` on the
+    assembled complex stack, which needs finite coordinates.
     """
     if h.shape[0] == 4:
         r00, r11, r01, i01 = h
         radius = r00 - r11
         radius *= 0.5
         radius *= radius
-        radius += r01 * r01
-        radius += i01 * i01
+        low = r01 * r01
+        radius += low
+        np.multiply(i01, i01, out=low)
+        radius += low
         np.sqrt(radius, out=radius)
-        low = r00 + r11
-        low *= 0.5
+        np.multiply(trace, 0.5, out=low)
         low -= radius
         return low
     return np.linalg.eigvalsh(_assembled(h))[:, 0]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _check_states(h: np.ndarray, where, trace_tol: float = math.inf
                   ) -> tuple[float, float]:
     """Largest |Tr - 1| and lowest eigenvalue of stepped (n^2, B) coordinates.
@@ -506,19 +515,26 @@ def _check_states(h: np.ndarray, where, trace_tol: float = math.inf
     tests that column in the order finite (:class:`NonFinite`),
     eigenvalue floor (:class:`PositivityLoss`) and, when the flow does not
     renormalize, |Tr - 1| <= ``trace_tol`` (:class:`InvalidParameter`).
+
+    A qubit needs no finiteness pass before its closed form: a NaN or
+    +-inf coordinate makes that column's trace NaN or its lowest
+    eigenvalue NaN or -inf, so the block fails the floor or the trace
+    and goes to the failure path, which finds the non-finite column.
+    The invalid and overflow warnings of that arithmetic are not raised.
+    Larger states are tested finite first, since ``eigvalsh`` needs it.
     """
-    if np.isfinite(h).all():
+    if h.shape[0] == 4 or np.isfinite(h).all():
         trace = _trace(h)
         trace_dev = max(float(trace.max()) - 1.0, 1.0 - float(trace.min()))
-        lows = _min_eigenvalues(h)
-        low = float(lows.min())
+        low = float(_min_eigenvalues(h, trace).min())
         if low >= POSITIVITY_FLOOR and trace_dev <= trace_tol:
             return trace_dev, low
     # the earliest failing column: the first non-finite one, unless a
     # finite column before it fails the floor or the trace
     finite = np.isfinite(h).all(axis=0)
     stop = h.shape[1] if finite.all() else int(np.argmin(finite))
-    trace, lows = _trace(h[:, :stop]), _min_eigenvalues(h[:, :stop])
+    trace = _trace(h[:, :stop])
+    lows = _min_eigenvalues(h[:, :stop], trace)
     fails = ~(lows >= POSITIVITY_FLOOR) | (np.abs(trace - 1.0) > trace_tol)
     b = int(np.argmax(fails)) if fails.any() else stop
     at = where(b)
@@ -634,24 +650,32 @@ def simulate_sme_ensemble(
     output_sum = np.full((d, n_rec), -0.0)
     output_sum[:, 0] = 0.0
     control_sum = np.full((len(u), n_rec), -0.0)
-    low = float(_min_eigenvalues(start_coords).min())
+    low = float(_min_eigenvalues(start_coords, _trace(start_coords)).min())
     trace_dev = 0.0
 
     def run_chunk(start: int, stop: int, noise) -> None:
         nonlocal low, trace_dev
-        rows = stop - start
+        rows, B = stop - start, _chunk_width(stop - start)
         # pad columns are copies of the start driven by zero noise: a zero
         # state would have trace 0
-        h = np.repeat(start_coords, _chunk_width(rows), axis=1)
+        h = np.repeat(start_coords, B, axis=1)
         # the product of a step goes into one buffer while the state it
         # reads sits in the other
-        products = np.empty((2, len(stack), h.shape[1]))
+        products = np.empty((2, len(stack), B))
         # the record over a block of steps is dt sum e + sum dW
-        e_sum, dW_sum = np.zeros((2, d, h.shape[1]))
-        # a step's noise, gathered from its strided view into the window
-        # of the chunk's noise block: the passes of a step run over
-        # contiguous rows
-        dW = np.empty((d, h.shape[1]))
+        e_sum, dW_sum = np.zeros((2, d, B))
+        # the noise of a few steps, copied step-major out of the window
+        # at once, so that a step's (d, B) noise is contiguous rows
+        noise_rows = np.empty((_NOISE_STEPS, d, B))
+        copy_noise = _step_rows(config, B, d, _NOISE_STEPS)
+
+        def increments():
+            for window in noise:
+                width = window.shape[1]
+                for a in range(0, width, _NOISE_STEPS):
+                    w = min(_NOISE_STEPS, width - a)
+                    copy_noise(window, a, w, noise_rows.reshape(-1, B))
+                    yield from noise_rows[:w]
 
         def record(row: int) -> None:
             path_sum[:, row] += h[:, :rows].sum(axis=1)
@@ -666,9 +690,7 @@ def simulate_sme_ensemble(
         # step b // rows
         K = max(1, min(_BLOCK, _CHECK_COORDS // (n * n * rows)))
         stepped = np.empty((n * n, K, rows))
-        steps = (dW_n for window in noise for dW_n in window.transpose(1, 2, 0))
-        for step, noise_now in enumerate(steps):
-            np.copyto(dW, noise_now)
+        for step, dW in enumerate(increments()):
             h = _sme_update(h, stack, dW, products[step % 2], e_sum, gain)
             dW_sum += dW
             slot = step % K

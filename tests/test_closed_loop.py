@@ -10,6 +10,7 @@ from oracles import trajectory_stream
 from scipy.integrate import solve_ivp
 from test_kalman import random_coefficients
 
+from qlqg import closed_loop, ensemble
 from qlqg.cli import trajectory_to_csv
 from qlqg.closed_loop import monte_carlo_expected_cost, simulate_closed_loop
 from qlqg.control import control_gain_path
@@ -67,6 +68,25 @@ def random_problem(rng, m=4, d=2, k=2):
     S = rng.standard_normal((m, m))
     belief = GaussianBelief(mean=rng.standard_normal(m), cov=S @ S.T + np.eye(m))
     return coeffs, cost, belief
+
+
+def record_noise_rows(monkeypatch, module) -> list:
+    """Patch the ``_step_rows`` that ``module`` imported so that every
+    block of step-major noise rows it copies is kept, in step order: the
+    rows of all its steps, pad columns included, are the list's blocks
+    stacked."""
+    copied = []
+
+    def step_rows(config, B, d, steps):
+        copy = ensemble._step_rows(config, B, d, steps)
+
+        def recording(window, a, w, out):
+            copy(window, a, w, out)
+            copied.append(out[:w * d].copy())
+        return recording
+
+    monkeypatch.setattr(module, "_step_rows", step_rows)
+    return copied
 
 
 class TestConfig:
@@ -448,18 +468,37 @@ class TestStreamIndependence:
 
 
 class TestBlockNoise:
-    def test_innovations_are_the_bulk_draws(self):
-        # drawn in blocks of steps, each stream still gives the bytes of
-        # one draw of all its steps; 300 steps end inside a block.  The
-        # second chunk holds indices of one and of two 32-bit words
+    def test_innovations_are_the_bulk_draws(self, monkeypatch):
+        # drawn in windows of steps and copied out of them a block at a
+        # time, each stream still gives the bytes of one draw of all its
+        # steps, times sqrt(dt), and the pad columns' rows stay zero.  With
+        # d = 2 a block is 4 steps: 300 steps end inside a block, and 1003
+        # in a window of 235 whose last block is partial.  The second chunk
+        # holds indices of one and of two 32-bit words
         coeffs, cost, belief = random_problem(np.random.default_rng(4), m=2)
-        for first, n_traj in ((0, 3), (2**32 - 2, 4)):
-            cfg = SimConfig(grid=TimeGrid(0.0, 0.3, 300), n_traj=n_traj, seed=17)
-            ens = simulate_closed_loop(coeffs, cost, cfg, belief, first=first)
-            for i in range(cfg.n_traj):
-                draws = trajectory_stream(cfg.seed, first + i).standard_normal(
-                    (300, 2)) * math.sqrt(cfg.grid.dt)
-                np.testing.assert_array_equal(ens.innovations[i, 1:], draws)
+        assert coeffs.d == 2
+        copied = record_noise_rows(monkeypatch, closed_loop)
+        for n_steps in (300, 1003):
+            grid = TimeGrid(0.0, 1e-3 * n_steps, n_steps)
+            for first, n_traj in ((0, 3), (2**32 - 2, 4)):
+                cfg = SimConfig(grid=grid, n_traj=n_traj, seed=17)
+                copied.clear()
+                ens = simulate_closed_loop(coeffs, cost, cfg, belief, first=first)
+                rows = np.concatenate(copied).reshape(n_steps, 2, -1)
+                assert rows.shape[2] == _chunk_width(n_traj)
+                assert not rows[:, :, n_traj:].any()
+                for i in range(cfg.n_traj):
+                    draws = trajectory_stream(cfg.seed, first + i).standard_normal(
+                        (n_steps, 2)) * math.sqrt(grid.dt)
+                    np.testing.assert_array_equal(rows[:, :, i], draws)
+                    np.testing.assert_array_equal(ens.innovations[i, 1:], draws)
+                    alone = simulate_closed_loop(
+                        coeffs, cost, dataclasses.replace(cfg, n_traj=1), belief,
+                        first=first + i)
+                    for field in ("means", "controls", "outputs", "innovations",
+                                  "running_costs", "total_costs"):
+                        np.testing.assert_array_equal(getattr(alone, field)[0],
+                                                      getattr(ens, field)[i])
 
     def test_chunk_holds_its_noise_once(self):
         # the streams of a full chunk draw straight into the one (B, _BLOCK,

@@ -9,10 +9,11 @@ import pytest
 from scipy.linalg import expm
 
 from oracles import lindblad_heisenberg, lindblad_schrodinger, master_step, trajectory_stream
+from test_closed_loop import record_noise_rows
 
 from qlqg import sme
 from qlqg._readers import SYM_TOL
-from qlqg.ensemble import _BLOCK, _COLUMN_BLOCK, SimConfig
+from qlqg.ensemble import _BLOCK, _COLUMN_BLOCK, SimConfig, _chunk_width
 from qlqg.errors import (
     DimensionMismatch,
     InvalidParameter,
@@ -597,6 +598,45 @@ class TestMasterStep:
         trace_dev, low = _check_states(_coords(states), lambda b: f"step {b + 1}")
         assert trace_dev == pytest.approx(1e-6) and low == pytest.approx(0.4)
 
+    def test_qubit_check_needs_no_finiteness_pass(self):
+        # a qubit block goes straight to its closed form: a NaN or +-inf in
+        # any coordinate row of a column, or r00 = +inf with r11 = -inf,
+        # fails the block, and the failure path names that column
+        # NonFinite; a finite column before it is named first when it
+        # fails the floor or (where the flow checks it) the trace.  No
+        # numpy warning escapes on the way
+        rng = np.random.default_rng(30)
+        p = rng.uniform(0.3, 0.7, 48)
+        # three steps of 16 columns: r00, r11, Re r01 and Im r01 per column
+        block = np.stack([p, 1.0 - p, rng.uniform(-0.2, 0.2, 48),
+                          rng.uniform(-0.2, 0.2, 48)])
+        where, bad = (lambda b: f"column {b}"), 37
+        trace_dev, low = _check_states(block, where, TRACE_TOL)
+        assert trace_dev <= 1e-15 and low > 0.0
+        planted = [((row,), (value,)) for row in range(4)
+                   for value in (np.nan, np.inf, -np.inf)]
+        planted.append(((0, 1), (np.inf, -np.inf)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for rows, values in planted:
+                h = block.copy()
+                h[list(rows), bad] = values
+                for trace_tol in (math.inf, TRACE_TOL):
+                    with pytest.raises(NonFinite, match=f"finite range in column {bad}$"):
+                        _check_states(h, where, trace_tol)
+                    floor = h.copy()
+                    floor[:, 21] = [1.01, -0.01, 0.0, 0.0]
+                    with pytest.raises(PositivityLoss,
+                                       match="-1.000e-02 below floor in column 21$"):
+                        _check_states(floor, where, trace_tol)
+                off = h.copy()
+                off[1, 21] += 1e-6
+                with pytest.raises(InvalidParameter, match=r"trace off 1 by 1\.000e-06 "
+                                                           "in column 21$"):
+                    _check_states(off, where, TRACE_TOL)
+                with pytest.raises(NonFinite, match=f"in column {bad}$"):
+                    _check_states(off, where)
+
     def test_recorded_times_are_those_of_the_grid(self):
         # the recorded times are computed without the full grid, with
         # np.linspace's arithmetic
@@ -894,16 +934,58 @@ class TestEnsemble:
             for n_traj, states in finals.items():
                 np.testing.assert_array_equal(states, finals[1300][:n_traj])
 
-    def test_outputs_are_the_bulk_draws(self):
+    def test_outputs_are_the_bulk_draws(self, monkeypatch):
         # with every L_c = 0 the record is dY = dW, so a replay of trajectory
         # i records its stream's bytes, channel by channel, as one bulk draw
-        # of its steps gives them; 300 steps end inside a block
+        # of its steps gives them.  The noise is copied out of its window 8
+        # steps at a time: 300 steps end inside such a block, and 1003 in a
+        # window of 235 whose last block is partial.  The rows an ensemble
+        # copies are the draws times sqrt(dt), with zero pad columns, and
+        # each replay copies its ensemble column and ends in its state
         model = FiniteModel(H0=0.5 * SX, L_list=[np.zeros((2, 2))] * 2)
+        copied = record_noise_rows(monkeypatch, sme)
+        first, n_traj = 2**32 - 3, 5
+        for n_steps in (300, 1003):
+            grid = TimeGrid(0.0, 1e-3 * n_steps, n_steps)
+
+            def draws(i):
+                return trajectory_stream(29, i).standard_normal(
+                    (n_steps, 2)) * math.sqrt(grid.dt)
+
+            def rows():
+                return np.concatenate(copied).reshape(n_steps, 2, -1)
+
+            copied.clear()
+            ens = simulate_sme_ensemble(
+                plus_state(), model, SimConfig(grid=grid, n_traj=n_traj, seed=29),
+                first=first)
+            ensemble_rows = rows()
+            assert ensemble_rows.shape[2] == _chunk_width(n_traj)
+            assert not ensemble_rows[:, :, n_traj:].any()
+            for i in range(n_traj):
+                np.testing.assert_array_equal(ensemble_rows[:, :, i], draws(first + i))
+            for i in (0, 5, 2**32 - 1):
+                copied.clear()
+                alone = replay(plus_state(), model, grid, 29, i)
+                np.testing.assert_array_equal(alone.mean_outputs[1:], draws(i))
+                np.testing.assert_array_equal(rows()[:, :, 0], draws(i))
+                if first <= i < first + n_traj:
+                    np.testing.assert_array_equal(alone.final_states[0],
+                                                  ens.final_states[i - first])
+
+    def test_unmonitored_model_steps_its_states_alone(self):
+        # with no channel (d = 0) there is no noise: every trajectory is
+        # the filtering step iterated, bit for bit, and records no output
+        model = FiniteModel(H0=0.5 * SX + 0.2 * SZ, L_list=[])
         grid = TimeGrid(0.0, 0.3, 300)
-        for i in (0, 5, 2**32 - 1):
-            ens = replay(plus_state(), model, grid, 29, i)
-            draws = trajectory_stream(29, i).standard_normal((300, 2)) * math.sqrt(grid.dt)
-            np.testing.assert_array_equal(ens.mean_outputs[1:], draws)
+        ens = simulate_sme_ensemble(mixed_state(), model,
+                                    SimConfig(grid=grid, n_traj=3, seed=4, record_stride=50))
+        rho = mixed_state()
+        for _ in range(grid.n_steps):
+            rho = sme_step(rho, model, None, [], grid.dt)
+        for final in ens.final_states:
+            np.testing.assert_array_equal(final, rho.entries)
+        assert ens.mean_outputs.shape == (grid.n_steps // 50 + 1, 0)
 
     @pytest.mark.parametrize("case", LAYOUT_CASES)
     def test_zero_gain_feedback_is_the_constant_control(self, case):
