@@ -28,13 +28,14 @@ from numpy.typing import NDArray
 
 from ._readers import _asarray, _count, _fits_in_memory, _frozen
 from .control import control_gain_path
-from .ensemble import _BLOCK, _at, _chunk_width, _run_chunks, _step_rows, SimConfig
+from .ensemble import _BLOCK, _at, _chunk_width, _noise_blocks, _run_chunks, SimConfig
 from .errors import EmptyEnsemble, InvalidParameter, NonFinite
 from .phase_space import GaussianBelief, LinearCoefficients
 from .riccati import (
     ESCAPE_LIMIT,
     CostSpec,
     MatrixPath,
+    _cumulative_trapezoid,
     integrate_control_riccati,
     integrate_filter_riccati,
     total_minimal_cost,
@@ -258,8 +259,7 @@ def simulate_closed_loop(
     # its trapezoid integral up to each step is added to the quadratic
     # part's where a cost is read out
     trace_F = np.einsum("ab,tba->t", cost.F, Sigma_path.values)
-    trace_integral = np.concatenate(
-        ([0.0], np.cumsum(0.5 * dt * (trace_F[:-1] + trace_F[1:]))))
+    trace_integral = _cumulative_trapezoid(trace_F, dt)
     terminal_trace = float(np.trace(cost.Omega_T @ Sigma_path.final))
     Q0 = running_weights(gains[:1])[0]
     # row j: the trapezoid weights over the first j steps of a block of
@@ -304,8 +304,6 @@ def simulate_closed_loop(
         acc = np.zeros(B)
         # [Xhat; dW] summed over the steps of a record interval
         sums = np.zeros((m + d, B) if kept else (0, 0))
-        # a block's noise rows, copied step-major out of the window
-        copy_noise = _step_rows(config, B, d, L)
 
         def weighted(W, X, out):
             # W X * X for a state or a stack of states X
@@ -333,39 +331,37 @@ def simulate_closed_loop(
         weighted(Q0, Z[Ld:], QY[0])
         if kept:
             record_row(0, 0, 0, acc)
-        row, s = 1, 0
-        for window in noise:
-            width = window.shape[1]
-            window_maps(s, width)
-            for b, a in enumerate(range(0, width, L)):
-                w = min(L, width - a)
-                copy_noise(window, a, w, U)
-                if w < L:
-                    U[w * d:Ld] = 0.0
-                np.matmul(T_blocks[b], Z, out=Y)
-                if not (Y.max() <= ESCAPE_LIMIT and Y.min() >= -ESCAPE_LIMIT):
-                    # the first failing step, and its lowest failing column
-                    bad = ~(np.abs(Y3[:, :, :rows]) <= ESCAPE_LIMIT).all(axis=1)
-                    j, i = divmod(int(np.argmax(bad)), rows)
-                    raise NonFinite(f"posterior mean passed {ESCAPE_LIMIT:.0e} in "
-                                    f"{_at(config, start + i, s + j + 1)}")
-                weighted(Q_blocks[b], Y3, QY[1:])
-                if kept:
-                    done = 0
-                    for j in range(stride - s % stride, w + 1, stride):
-                        add_steps(done, j)
-                        outputs[kept_sl, row] = ((C_dt @ sums[:m])[:, :kept].T
-                                                 + sums[m:, :kept].T)
-                        innovations[kept_sl, row] = sums[m:, :kept].T
-                        record_row(row, j, s + j,
-                                   acc + trapezoid[j] @ costs + trace_integral[s + j])
-                        sums[:] = 0.0
-                        row, done = row + 1, j
-                    add_steps(done, w)
-                acc += trapezoid[w] @ costs
-                QY[0] = QY[w]
-                states[:m] = states[w * m:(w + 1) * m]
-                s += w
+        row = 1
+        # a block's noise rows go step-major into the first rows of U
+        for s, w in _noise_blocks(config, noise, U, d, L):
+            if s % _BLOCK == 0:
+                window_maps(s, min(_BLOCK, grid.n_steps - s))
+            b = s % _BLOCK // L
+            if w < L:
+                U[w * d:Ld] = 0.0
+            np.matmul(T_blocks[b], Z, out=Y)
+            if not (Y.max() <= ESCAPE_LIMIT and Y.min() >= -ESCAPE_LIMIT):
+                # the first failing step, and its lowest failing column
+                bad = ~(np.abs(Y3[:, :, :rows]) <= ESCAPE_LIMIT).all(axis=1)
+                j, i = divmod(int(np.argmax(bad)), rows)
+                raise NonFinite(f"posterior mean passed {ESCAPE_LIMIT:.0e} in "
+                                f"{_at(config, start + i, s + j + 1)}")
+            weighted(Q_blocks[b], Y3, QY[1:])
+            if kept:
+                done = 0
+                for j in range(stride - s % stride, w + 1, stride):
+                    add_steps(done, j)
+                    outputs[kept_sl, row] = ((C_dt @ sums[:m])[:, :kept].T
+                                             + sums[m:, :kept].T)
+                    innovations[kept_sl, row] = sums[m:, :kept].T
+                    record_row(row, j, s + j,
+                               acc + trapezoid[j] @ costs + trace_integral[s + j])
+                    sums[:] = 0.0
+                    row, done = row + 1, j
+                add_steps(done, w)
+            acc += trapezoid[w] @ costs
+            QY[0] = QY[w]
+            states[:m] = states[w * m:(w + 1) * m]
         weighted(cost.Omega_T, states[:m], QY[0])
         terminal = QY[0].sum(axis=0) + (terminal_trace + trace_integral[-1])
         totals[sl] = (acc + terminal)[:rows]
@@ -375,10 +371,7 @@ def simulate_closed_loop(
             raise NonFinite(f"total cost is not finite in "
                             f"{_at(config, start + i, grid.n_steps)}")
 
-    # a state past the escape limit is raised by its block's check, so
-    # the overflow on the way there within the block is no warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        _run_chunks(config, d, run_chunk, first=first)
+    _run_chunks(config, d, run_chunk, first=first)
     for arr in (means, controls, outputs, innovations, running, totals):
         _frozen(arr)
     return ClosedLoopEnsemble(

@@ -7,10 +7,9 @@ reproducible and independent of batch layout.
 chunks of up to ``_CHUNK`` trajectories, each held in a multiple of
 ``_COLUMN_BLOCK`` columns, with the chunk's standard normal draws made a
 window of ``_BLOCK`` steps at a time into one noise block.  Only this
-module knows that block's layout: a simulator reads its Wiener
-increments through :func:`_step_rows`, which copies a few steps at a
-time out of the window into step-major rows and scales them by sqrt(dt)
-on the way.
+module knows that block's layout: :func:`_noise_blocks`, the one loop
+from noise to steps, hands a simulator its Wiener increments a block of
+steps at a time, step-major and scaled by sqrt(dt).
 """
 
 from __future__ import annotations
@@ -189,7 +188,7 @@ def _increments(config: SimConfig, start: int, stop: int, d: int):
     drawn in order, and numpy's ``standard_normal`` yields the same
     numbers however the draws of a stream are split, so the bytes are
     those of one bulk draw.  The draws are not scaled here: sqrt(dt) is
-    applied once, as :func:`_step_rows` copies them out of the window.
+    applied once, as :func:`_noise_blocks` copies them out of the window.
     """
     rows, n_steps = stop - start, config.grid.n_steps
     key = _key_type()
@@ -203,29 +202,33 @@ def _increments(config: SimConfig, start: int, stop: int, d: int):
         yield block[:, :width]
 
 
-def _step_rows(config: SimConfig, B: int, d: int, steps: int):
-    """The copier of a chunk's Wiener increments, for B columns, d
-    channels and up to ``steps`` steps a copy.
+def _noise_blocks(config: SimConfig, noise, out: NDArray[np.float64], d: int,
+                  steps: int):
+    """Walk a chunk's noise up to ``steps`` steps at a time: yield
+    ``(s, w)`` once steps ``s..s+w-1`` sit in the first w d rows of ``out``.
 
-    ``copy(window, a, w, out)`` writes steps ``a..a+w-1`` of a noise
-    window of :func:`_increments` into the first w d rows of ``out``, a
-    caller-owned (>= w d, B) array: row j d + c is channel c of step
-    a + j, one trajectory per column, so a step's d rows are contiguous.
-    The window's rows are strided, so the copy goes through one
-    trajectory-major (B, ``steps`` d) buffer, scaled by sqrt(dt) as it
-    is filled, and then transposed into ``out``: a transposing copy
-    straight from the strided rows is slower, and so is a per-step
-    gather.  Pad rows of the window are zero, so pad columns stay zero.
-    ``a + w`` must not pass the window's width.
+    ``noise`` is the chunk's :func:`_increments` and ``out`` a
+    caller-owned (>= ``steps`` d, B) array: row j d + c is channel c of
+    step s + j times sqrt(dt), one trajectory per column, valid until the
+    next block.  No block straddles two windows.  The window's rows are
+    strided, so a block goes through one trajectory-major (B, ``steps`` d)
+    buffer, scaled as it is filled, and is then transposed into ``out``:
+    a transposing copy straight from the strided rows is slower, and so
+    is a per-step gather.  Pad columns stay zero.
     """
+    B = out.shape[1]
     buffer = np.empty((B, steps * d))
     sqrt_dt = math.sqrt(config.grid.dt)
-
-    def copy(window: NDArray[np.float64], a: int, w: int, out: NDArray[np.float64]) -> None:
-        drawn = buffer[:, :w * d]
-        np.multiply(window[:, a:a + w].reshape(B, w * d), sqrt_dt, out=drawn)
-        np.copyto(out[:w * d], drawn.T)
-    return copy
+    s = 0
+    for window in noise:
+        width = window.shape[1]
+        for a in range(0, width, steps):
+            w = min(steps, width - a)
+            drawn = buffer[:, :w * d]
+            np.multiply(window[:, a:a + w].reshape(B, w * d), sqrt_dt, out=drawn)
+            np.copyto(out[:w * d], drawn.T)
+            yield s + a, w
+        s += width
 
 
 def _run_chunks(config: SimConfig, d: int, run_chunk, first: int = 0) -> None:
@@ -233,15 +236,9 @@ def _run_chunks(config: SimConfig, d: int, run_chunk, first: int = 0) -> None:
 
     The one chunk loop of every Monte Carlo simulator.  Chunks of up to
     ``_CHUNK`` trajectories cover the indices ``first`` to
-    ``first + n_traj - 1``; ``noise`` yields the chunk's standard
-    normal draws a window of ``_BLOCK`` steps at a time, each window a
-    view into the chunk's one noise block that stays valid until the
-    next window is drawn; no buffer grows with ``n_steps``.  Row i comes
-    from numpy's SFC64 stream seeded by ``SeedSequence(seed,
-    spawn_key=(start + i,))``, and the seeds of a chunk are computed
-    together (:func:`_increments`).  A simulator takes only a window's
-    width from it and reads its increments through :func:`_step_rows`,
-    which knows the layout and applies sqrt(dt).
+    ``first + n_traj - 1``; ``noise`` is the chunk's :func:`_increments`,
+    which the simulator walks through :func:`_noise_blocks`, so no buffer
+    grows with ``n_steps``.
 
     B = ``_chunk_width(stop - start)`` is the chunk's trajectory count
     rounded up to a multiple of ``_COLUMN_BLOCK``, and the pad rows'
@@ -249,7 +246,11 @@ def _run_chunks(config: SimConfig, d: int, run_chunk, first: int = 0) -> None:
     product rounds a trajectory alike in every chunk, and its results
     depend only on ``(seed, index)``: not on the chunk it lands in, and
     not on ``first``.  Any trajectory of an ensemble can be run alone.
+    A simulator checks its states a block of steps at a time and raises
+    a state past its limit, so numpy's overflow and invalid warnings on
+    the way there are off while a chunk runs.
     """
-    for start in range(first, first + config.n_traj, _CHUNK):
-        stop = min(start + _CHUNK, first + config.n_traj)
-        run_chunk(start, stop, _increments(config, start, stop, d))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(first, first + config.n_traj, _CHUNK):
+            stop = min(start + _CHUNK, first + config.n_traj)
+            run_chunk(start, stop, _increments(config, start, stop, d))

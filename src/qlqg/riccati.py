@@ -243,12 +243,6 @@ def _control_lift(coeffs: LinearCoefficients, cost: CostSpec) -> np.ndarray:
     return np.block([[-A, B @ B.T], [cost.F - G.T @ G, A.T]])
 
 
-def _lyapunov_lift(coeffs: LinearCoefficients) -> np.ndarray:
-    """Lift of S -> A S + S A' + N (no measurement update)."""
-    A = coeffs.A
-    return np.block([[-A.T, np.zeros_like(A)], [coeffs.N, A]])
-
-
 def _lift_drift(H: np.ndarray, S: np.ndarray) -> float:
     """Largest entry of the flow derivative ``[-S, I] H [I; S]``."""
     I = np.eye(S.shape[0])
@@ -432,9 +426,13 @@ def lyapunov_unconditional(
     Sigma0: NDArray[np.float64],
     grid: TimeGrid,
 ) -> MatrixPath:
-    """Second moments without measurement conditioning (linear flow)."""
-    Sigma0 = _symmetrize(_asarray(Sigma0, float, (coeffs.m, coeffs.m), "Sigma0"), "Sigma0")
-    values = _lift_path(_lyapunov_lift(coeffs), Sigma0, grid)
+    """Second moments without measurement conditioning (linear flow): the
+    filter flow S -> A S + S A' + N of the same model with no output."""
+    m = coeffs.m
+    Sigma0 = _symmetrize(_asarray(Sigma0, float, (m, m), "Sigma0"), "Sigma0")
+    unmeasured = LinearCoefficients(A=coeffs.A, B=coeffs.B, C=np.zeros((0, m)),
+                                    N=coeffs.N, M=np.zeros((m, 0)))
+    values = _lift_path(_filter_lift(unmeasured), Sigma0, grid)
     return MatrixPath(grid=grid, values=values)
 
 
@@ -491,9 +489,14 @@ def integrate_alpha(
     if Omega_path.m != coeffs.m or Sigma_path.m != coeffs.m:
         raise DimensionMismatch("paths and coefficients disagree on dimension")
     f = _cost_integrands(Omega_path.values, Sigma_path.values, coeffs, cost)
-    increments = 0.5 * grid.dt * (f[:-1] + f[1:])
-    forward = np.concatenate(([0.0], np.cumsum(increments)))
+    forward = _cumulative_trapezoid(f, grid.dt)
     return ScalarPath(grid=grid, values=forward[-1] - forward)
+
+
+def _cumulative_trapezoid(f: np.ndarray, dt: float) -> np.ndarray:
+    """Trapezoid integrals of the samples ``f`` of a grid of step ``dt``,
+    from its first point to each point; the first is 0."""
+    return np.concatenate(([0.0], np.cumsum(0.5 * dt * (f[:-1] + f[1:]))))
 
 
 def _cost_integrands(

@@ -41,7 +41,9 @@ its exact Hermitian part.
 
 Both flows check every state they step through one routine, a block of
 steps at a time: up to 256 master-flow steps, or as many ensemble steps
-as fit in 2^16 coordinates.  A failure names the earliest failing
+as fit in 2^16 coordinates.  An ensemble's check block is also the block
+of noise it copies out of its window, so a block is copied, stepped and
+checked as a unit.  A failure names the earliest failing
 column: the lowest-index failing trajectory at the first failing step,
 or the first failing step of the master flow, as a check after every
 step would.  That state is tested in the order finite, eigenvalue floor,
@@ -75,7 +77,7 @@ from ._readers import (
     _stack_operators,
     _symmetrize,
 )
-from .ensemble import _at, _BLOCK, _chunk_width, _run_chunks, _step_rows, SimConfig
+from .ensemble import _at, _BLOCK, _chunk_width, _noise_blocks, _run_chunks, SimConfig
 from .errors import (
     DimensionMismatch,
     InvalidParameter,
@@ -110,19 +112,20 @@ POSITIVITY_FLOOR = -1e-6
 #: check's fixed cost per call is spread over as many steps as fit
 _CHECK_COORDS = 2**16
 
-#: steps of an ensemble's noise copied out of its window at a time
-_NOISE_STEPS = 8
-
 
 def trace_norm(X: NDArray[np.complex128]) -> float:
-    """Sum of absolute eigenvalues of a Hermitian matrix."""
+    """Sum of absolute eigenvalues of a Hermitian matrix, read as its exact
+    Hermitian part."""
+    X = _symmetrize(_square(X, complex, "X", copy=False), "X")
     return float(np.abs(np.linalg.eigvalsh(X)).sum())
 
 
 def trace_distance(a, b) -> float:
-    """Half the trace norm of the difference of two states."""
-    a, b = (_square(x.entries if isinstance(x, DensityMatrix) else x, complex, name,
-                    copy=False) for x, name in ((a, "a"), (b, "b")))
+    """Half the trace norm of the difference of two states, each read as
+    its exact Hermitian part."""
+    a, b = (_symmetrize(_square(x.entries if isinstance(x, DensityMatrix) else x,
+                                complex, name, copy=False), name)
+            for x, name in ((a, "a"), (b, "b")))
     if a.shape != b.shape:
         raise DimensionMismatch(f"states of shapes {a.shape} and {b.shape} differ")
     return 0.5 * trace_norm(a - b)
@@ -411,7 +414,8 @@ def evolve_master(
     step_map = _master_map(model, u, grid.dt)
     block = np.empty((_BLOCK + 1, len(step_map)))
     block[0] = _coords(rho0.entries[None])[:, 0]
-    path = np.empty((grid.n_steps // record_stride + 1, len(step_map)))
+    with _fits_in_memory(f"n_steps {grid.n_steps} needs a path"):
+        path = np.empty((grid.n_steps // record_stride + 1, len(step_map)))
     path[0] = block[0]
     row = 1
     # a state past the finite range is raised by the block's check, so the
@@ -615,9 +619,13 @@ def simulate_sme_ensemble(
     Trajectories run in fixed-size batches, one after another, so results
     are independent of batch layout and of ``first``: trajectory i is the
     same, bit for bit, in every run that holds it, and ``n_traj=1,
-    first=i`` replays it alone.  Every state of every step is checked for
-    finiteness and the eigenvalue floor, in blocks of steps of at most
-    2^16 coordinates; a failure names the first failing step and the
+    first=i`` replays it alone, where the BLAS rounds a column of the
+    step's product alike in any batch: with numpy's OpenBLAS that is
+    verified on the SkylakeX and Sandybridge kernels, while Haswell, Zen,
+    Nehalem and Prescott round some rows apart in the last bit.  The noise
+    comes a block of steps of at most 2^16 state coordinates at a time,
+    and every state of the block is then checked for finiteness and the
+    eigenvalue floor; a failure names the first failing step and the
     lowest failing trajectory in it, as a check after every step would.
     The worst eigenvalue and |Tr - 1| are reported on the ensemble.
     """
@@ -646,10 +654,11 @@ def simulate_sme_ensemble(
     # sums over the ensemble at the recorded times, added chunk by chunk in
     # index order from -0.0, which leaves the first chunk's sums bit for
     # bit; no output is recorded at the start
-    path_sum = np.full((n * n, n_rec), -0.0)
-    output_sum = np.full((d, n_rec), -0.0)
+    with _fits_in_memory(f"n_steps {grid.n_steps} needs a path"):
+        path_sum = np.full((n * n, n_rec), -0.0)
+        output_sum = np.full((d, n_rec), -0.0)
+        control_sum = np.full((len(u), n_rec), -0.0)
     output_sum[:, 0] = 0.0
-    control_sum = np.full((len(u), n_rec), -0.0)
     low = float(_min_eigenvalues(start_coords, _trace(start_coords)).min())
     trace_dev = 0.0
 
@@ -664,18 +673,6 @@ def simulate_sme_ensemble(
         products = np.empty((2, len(stack), B))
         # the record over a block of steps is dt sum e + sum dW
         e_sum, dW_sum = np.zeros((2, d, B))
-        # the noise of a few steps, copied step-major out of the window
-        # at once, so that a step's (d, B) noise is contiguous rows
-        noise_rows = np.empty((_NOISE_STEPS, d, B))
-        copy_noise = _step_rows(config, B, d, _NOISE_STEPS)
-
-        def increments():
-            for window in noise:
-                width = window.shape[1]
-                for a in range(0, width, _NOISE_STEPS):
-                    w = min(_NOISE_STEPS, width - a)
-                    copy_noise(window, a, w, noise_rows.reshape(-1, B))
-                    yield from noise_rows[:w]
 
         def record(row: int) -> None:
             path_sum[:, row] += h[:, :rows].sum(axis=1)
@@ -685,44 +682,43 @@ def simulate_sme_ensemble(
 
         record(0)
         row = 1
-        # the states of a block of K steps, checked together: column b of
-        # the (n^2, K rows) view is trajectory b % rows after the block's
-        # step b // rows
+        # a block of K steps is copied out of the noise window, stepped and
+        # checked as a unit: slot j holds the states after the block's step
+        # j, and column b of the (n^2, K rows) view of the slots is
+        # trajectory b % rows after step b // rows; a step's (d, B) noise
+        # is contiguous rows
         K = max(1, min(_BLOCK, _CHECK_COORDS // (n * n * rows)))
+        noise_rows = np.empty((K, d, B))
         stepped = np.empty((n * n, K, rows))
-        for step, dW in enumerate(increments()):
-            h = _sme_update(h, stack, dW, products[step % 2], e_sum, gain)
-            dW_sum += dW
-            slot = step % K
-            if step == 0:
-                # every check spans all K slots, so its memory does not
-                # depend on n_steps; a slot the block has not reached holds
-                # a state checked before or step 1's, which moves neither
-                # the extremes nor the earliest failing column
-                stepped[:] = h[:, None, :rows]
-            else:
-                stepped[:, slot] = h[:, :rows]
-            if slot == K - 1 or step + 1 == grid.n_steps:
-                s0 = step - slot
-                block_dev, block_low = _check_states(
-                    stepped.reshape(n * n, -1),
-                    lambda b: _at(config, start + b % rows, s0 + b // rows + 1))
-                trace_dev = max(trace_dev, block_dev)
-                low = min(low, block_low)
-            if (step + 1) % config.record_stride == 0:
-                e_sum *= grid.dt
-                e_sum += dW_sum
-                output_sum[:, row] += e_sum[:, :rows].sum(axis=1)
-                e_sum[:] = 0.0
-                dW_sum[:] = 0.0
-                record(row)
-                row += 1
+        for s0, w in _noise_blocks(config, noise, noise_rows.reshape(-1, B), d, K):
+            for j, dW in enumerate(noise_rows[:w]):
+                step = s0 + j
+                h = _sme_update(h, stack, dW, products[step % 2], e_sum, gain)
+                dW_sum += dW
+                if step == 0:
+                    # every check spans all K slots, so its memory does not
+                    # depend on n_steps; a slot a short block does not reach
+                    # holds a state checked before or step 1's, which moves
+                    # neither the extremes nor the earliest failing column
+                    stepped[:] = h[:, None, :rows]
+                else:
+                    stepped[:, j] = h[:, :rows]
+                if (step + 1) % config.record_stride == 0:
+                    e_sum *= grid.dt
+                    e_sum += dW_sum
+                    output_sum[:, row] += e_sum[:, :rows].sum(axis=1)
+                    e_sum[:] = 0.0
+                    dW_sum[:] = 0.0
+                    record(row)
+                    row += 1
+            block_dev, block_low = _check_states(
+                stepped.reshape(n * n, -1),
+                lambda b: _at(config, start + b % rows, s0 + b // rows + 1))
+            trace_dev = max(trace_dev, block_dev)
+            low = min(low, block_low)
         finals[start - first:stop - first] = _assembled(h[:, :rows])
 
-    # a state past the finite range is raised by a block's check, so the
-    # overflow on the way there is no warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        _run_chunks(config, d, run_chunk, first=first)
+    _run_chunks(config, d, run_chunk, first=first)
     if gain is None:
         mean_controls = np.tile(u, (n_rec, 1))
     else:

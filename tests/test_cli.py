@@ -761,8 +761,10 @@ class TestEntryPoint:
     def test_model_too_large_for_memory_exits_2(self, tmp_path):
         # the child's address space is capped at 3 GiB, so each allocation
         # below fails at once: a dim-200 model's (n^2, n^2) maps of some
-        # 12 GiB, and the result arrays of 2e9 trajectories (119 GiB of
-        # final states, 60 GiB of recorded means)
+        # 12 GiB, the result arrays of 2e9 trajectories (119 GiB of final
+        # states, 60 GiB of recorded means), and on a grid of 10^13 steps,
+        # every one recorded, the SME ensemble's recorded sums like the
+        # Riccati paths of `simulate` and `riccati` (hundreds of TB each)
         n = 200
         zeros = np.zeros((n, n)).tolist()
         diag = np.diag(np.linspace(0.0, 1.0, n)).tolist()
@@ -785,6 +787,20 @@ class TestEntryPoint:
                               sim=huge),
              "n_traj 2000000000 needs result arrays larger than memory"),
         ]
+        long_grid = {"t0": 0.0, "t1": 1.0, "n_steps": 10**13}
+        recorded = dict(huge, n_traj=2, record_stride=1)
+        cases += [
+            (command, dict(content, grid=long_grid),
+             "n_steps 10000000000000 needs a path larger than memory")
+            for command, content in [
+                ("sme", dict(finite_model=QUBIT_MODEL, rho0=QUBIT_RHO0, sim=recorded)),
+                ("simulate", dict(model={"preset": "free-particle", "feedback": True},
+                                  cost={"preset": "position-tracking", "beta": 1.0},
+                                  sim=recorded)),
+                ("riccati", dict(model={"preset": "free-particle"}, direction="filter",
+                                 initial_cov=[[2.0, 0.0], [0.0, 2.0]])),
+            ]
+        ]
 
         def cap_address_space():
             limit = 3 * 2**30
@@ -796,8 +812,8 @@ class TestEntryPoint:
         # one BLAS thread keeps the child's own reservations small
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
         for i, (command, content, message) in enumerate(cases):
-            scenario = write_scenario(tmp_path, f"s{i}.json", grid=grid,
-                                      out=str(tmp_path / "out"), **content)
+            scenario = write_scenario(tmp_path, f"s{i}.json", **{
+                "grid": grid, "out": str(tmp_path / "out"), **content})
             proc = subprocess.run(
                 [sys.executable, "-m", "qlqg.cli", command, "--scenario", scenario],
                 capture_output=True, text=True, env=env, preexec_fn=cap_address_space,

@@ -71,21 +71,18 @@ def random_problem(rng, m=4, d=2, k=2):
 
 
 def record_noise_rows(monkeypatch, module) -> list:
-    """Patch the ``_step_rows`` that ``module`` imported so that every
-    block of step-major noise rows it copies is kept, in step order: the
+    """Patch the ``_noise_blocks`` that ``module`` imported so that every
+    block of step-major noise rows it yields is kept, in step order: the
     rows of all its steps, pad columns included, are the list's blocks
     stacked."""
     copied = []
 
-    def step_rows(config, B, d, steps):
-        copy = ensemble._step_rows(config, B, d, steps)
-
-        def recording(window, a, w, out):
-            copy(window, a, w, out)
+    def noise_blocks(config, noise, out, d, steps):
+        for s, w in ensemble._noise_blocks(config, noise, out, d, steps):
             copied.append(out[:w * d].copy())
-        return recording
+            yield s, w
 
-    monkeypatch.setattr(module, "_step_rows", step_rows)
+    monkeypatch.setattr(module, "_noise_blocks", noise_blocks)
     return copied
 
 

@@ -21,6 +21,7 @@ from qlqg.errors import (
     NotAProjectorFamily,
     NotUnitary,
     PositivityLoss,
+    ValidationError,
 )
 from qlqg.phase_space import build_coefficients, free_particle_model
 from qlqg.riccati import TimeGrid, lyapunov_unconditional
@@ -198,6 +199,18 @@ class TestDensityMatrix:
             trace_distance(plus_state(), rho3)
         with pytest.raises(DimensionMismatch):
             trace_distance(rho3.entries, plus_state().entries)
+
+    @pytest.mark.parametrize("X", [
+        "a", np.zeros((2, 3)), [[math.nan, 0.0], [0.0, 1.0]], [[1.0, 2.0], [3.0, 4.0]],
+    ], ids=["string", "not square", "nan", "not Hermitian"])
+    def test_trace_norm_reads_a_hermitian_matrix(self, X):
+        # junk, a non-square array, a NaN and a non-Hermitian matrix are
+        # rejected input, not a LinAlgError, a 0 or a norm read off one
+        # triangle; trace_distance names the state it read
+        with pytest.raises(ValidationError):
+            trace_norm(X)
+        with pytest.raises(ValidationError, match="^b "):
+            trace_distance(plus_state(), X)
 
 
 class TestFiniteModel:
@@ -729,6 +742,19 @@ def test_maps_too_large_for_memory_are_rejected_input(monkeypatch, error):
         evolve_master(plus_state(), dephasing_model(), cfg.grid)
 
 
+def test_paths_too_large_for_memory_are_rejected_input():
+    # every step of 2^62 recorded: the recorded paths of the ensemble and
+    # of the master flow have more bytes than an array can address, so
+    # numpy refuses each before it allocates anything
+    grid = TimeGrid(0.0, 1.0, 2**62)
+    message = f"n_steps {2**62} needs a path larger than memory"
+    with pytest.raises(InvalidParameter, match=message):
+        simulate_sme_ensemble(plus_state(), dephasing_model(),
+                              SimConfig(grid=grid, n_traj=2, seed=0))
+    with pytest.raises(InvalidParameter, match=message):
+        evolve_master(plus_state(), dephasing_model(), grid)
+
+
 class TestSmeStep:
     def test_numeric_string_dt_is_read_as_float(self):
         model = FiniteModel(H0=0.3 * SX, L_list=[0.5 * SZ])
@@ -937,14 +963,18 @@ class TestEnsemble:
     def test_outputs_are_the_bulk_draws(self, monkeypatch):
         # with every L_c = 0 the record is dY = dW, so a replay of trajectory
         # i records its stream's bytes, channel by channel, as one bulk draw
-        # of its steps gives them.  The noise is copied out of its window 8
-        # steps at a time: 300 steps end inside such a block, and 1003 in a
-        # window of 235 whose last block is partial.  The rows an ensemble
-        # copies are the draws times sqrt(dt), with zero pad columns, and
-        # each replay copies its ensemble column and ends in its state
+        # of its steps gives them.  The noise is copied out of its window a
+        # check block of K steps at a time, and no block straddles two
+        # windows.  At 5 trajectories (and alone) K is the whole window of
+        # 256 steps: 300 steps end inside the second, and 1003 in a window
+        # of 235.  At 100, K is 163, which does not divide 256, so every
+        # window ends in a shorter block: 93 steps, 44 of the 300, 72 of
+        # the 1003.  The rows an ensemble copies are the draws times
+        # sqrt(dt), with zero pad columns, and each replay copies its
+        # ensemble column and ends in its state
         model = FiniteModel(H0=0.5 * SX, L_list=[np.zeros((2, 2))] * 2)
         copied = record_noise_rows(monkeypatch, sme)
-        first, n_traj = 2**32 - 3, 5
+        first = 2**32 - 3
         for n_steps in (300, 1003):
             grid = TimeGrid(0.0, 1e-3 * n_steps, n_steps)
 
@@ -955,23 +985,27 @@ class TestEnsemble:
             def rows():
                 return np.concatenate(copied).reshape(n_steps, 2, -1)
 
-            copied.clear()
-            ens = simulate_sme_ensemble(
-                plus_state(), model, SimConfig(grid=grid, n_traj=n_traj, seed=29),
-                first=first)
-            ensemble_rows = rows()
-            assert ensemble_rows.shape[2] == _chunk_width(n_traj)
-            assert not ensemble_rows[:, :, n_traj:].any()
-            for i in range(n_traj):
-                np.testing.assert_array_equal(ensemble_rows[:, :, i], draws(first + i))
+            finals = {}
+            for n_traj in (5, 100):
+                copied.clear()
+                finals[n_traj] = simulate_sme_ensemble(
+                    plus_state(), model, SimConfig(grid=grid, n_traj=n_traj, seed=29),
+                    first=first).final_states
+                ensemble_rows = rows()
+                assert ensemble_rows.shape[2] == _chunk_width(n_traj)
+                assert not ensemble_rows[:, :, n_traj:].any()
+                for i in range(n_traj):
+                    np.testing.assert_array_equal(ensemble_rows[:, :, i],
+                                                  draws(first + i))
             for i in (0, 5, 2**32 - 1):
                 copied.clear()
                 alone = replay(plus_state(), model, grid, 29, i)
                 np.testing.assert_array_equal(alone.mean_outputs[1:], draws(i))
                 np.testing.assert_array_equal(rows()[:, :, 0], draws(i))
-                if first <= i < first + n_traj:
-                    np.testing.assert_array_equal(alone.final_states[0],
-                                                  ens.final_states[i - first])
+                for n_traj, states in finals.items():
+                    if first <= i < first + n_traj:
+                        np.testing.assert_array_equal(alone.final_states[0],
+                                                      states[i - first])
 
     def test_unmonitored_model_steps_its_states_alone(self):
         # with no channel (d = 0) there is no noise: every trajectory is
@@ -1058,13 +1092,24 @@ class TestEnsemble:
         low = {i: float(replays[i].split()[1]) for i in at_step_1}
         assert low[2] < low[1]
 
-    @pytest.mark.parametrize("case", ["positivity", "non-finite"])
+    @pytest.mark.parametrize("case", ["positivity", "non-finite", "short block"])
     def test_failure_inside_a_check_block_is_located_as_before(self, case):
         # the states are checked a block of steps at a time; a first failure
         # strictly inside a block, neither its first nor its last step, is
         # named with the message a check after every step gave, which is
         # also the message of its replay
-        if case == "positivity":
+        if case == "short block":
+            # the positivity model at a finer step: at 100 rows a block is
+            # 163 steps, which does not divide the 256-step noise window,
+            # so the window ends in a block of steps 164-256, and step 169
+            # is its sixth
+            model = FiniteModel(H0=0.5 * SX, L_list=[0.5 * SZ])
+            rho0, feedback, n_traj, grid, seed = (
+                DensityMatrix.pure([1.0, 0.0]), None, 100, TimeGrid(0.0, 0.03, 300), 1)
+            error, step, message = PositivityLoss, 169, (
+                "eigenvalue -1.004e-06 below floor in trajectory 83 of seed 1 "
+                "at step 169, t=0.0169")
+        elif case == "positivity":
             # Euler steps from a pure state cross the floor; at 1024 rows a
             # block is 16 steps, so step 35 is the third of steps 33-48
             model = FiniteModel(H0=0.5 * SX, L_list=[0.5 * SZ])
@@ -1092,7 +1137,14 @@ class TestEnsemble:
             error, step, message = NonFinite, 6, (
                 "state left the finite range in trajectory 0 of seed 4 at step 6, t=0.006")
         block = min(_BLOCK, sme._CHECK_COORDS // (model.dim ** 2 * n_traj))
-        assert 0 < (step - 1) % block < block - 1
+        # blocks start afresh at every noise window, and a window's last
+        # block ends with it
+        offset = (step - 1) % _BLOCK
+        width = min(_BLOCK, grid.n_steps - (step - 1 - offset))
+        first_step = offset - offset % block
+        last_step = min(first_step + block, width) - 1
+        assert first_step < offset < last_step
+        assert (last_step - first_step + 1 < block) == (case == "short block")
         index = int(message.split("trajectory ")[1].split()[0])
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(error) as ensemble:
