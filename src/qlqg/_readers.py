@@ -6,11 +6,12 @@ list, a NaN) is a :class:`ValidationError` wherever it enters.  A real
 scalar is read by it as a 0-d array, an integer by :func:`_count`, and a
 stack of operators by :func:`_stack_operators`; each caller keeps the
 value that was read.  A matrix that must equal its adjoint is kept as
-its exact Hermitian part by :func:`_symmetrize`.  JSON values go through
-the ``_json_*`` readers, which refuse what JSON can hold but an array
-cannot (a bool, a string, nesting past numpy's dimensions).  An
-allocation that an input makes too large for memory is refused inside
-:func:`_fits_in_memory`.
+its exact Hermitian part by :func:`_symmetrize`.  Every JSON section
+comes in through :func:`_json_object`, which names the keys it needs;
+its values go through the other ``_json_*`` readers, which refuse what
+JSON can hold but an array cannot (a bool, a string, nesting past
+numpy's dimensions).  An allocation that an input makes too large for
+memory is refused inside :func:`_fits_in_memory`.
 
 This module imports nothing of the package but its errors.
 """
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import os
 
 import numpy as np
 
@@ -113,14 +115,15 @@ def _asymmetric(diff: np.ndarray, arr: np.ndarray) -> bool:
 
 
 def _symmetrize(arr: np.ndarray, name: str) -> np.ndarray:
-    """The exact Hermitian part ``(arr + arr') / 2`` of a square ``arr``, a
-    new array; InvalidParameter when ``arr - arr'`` fails :func:`_asymmetric`
+    """The exact Hermitian part ``arr / 2 + arr' / 2`` of a square ``arr``,
+    a new array, halved before the sum so that finite entries give finite
+    ones; InvalidParameter when ``arr - arr'`` fails :func:`_asymmetric`
     ("must be symmetric" when real, "is not Hermitian" when complex)."""
     adjoint = arr.conj().T
     if _asymmetric(arr - adjoint, arr):
         what = "is not Hermitian" if arr.dtype.kind == "c" else "must be symmetric"
         raise InvalidParameter(f"{name} {what}")
-    return 0.5 * (arr + adjoint)
+    return 0.5 * arr + 0.5 * adjoint
 
 
 def _semidefinite(arr: np.ndarray, name: str) -> np.ndarray:
@@ -146,22 +149,29 @@ def _stack_operators(ops, n: int, what: str) -> np.ndarray:
     return arr
 
 
-def _json_object(source, what: str) -> dict:
-    """A parsed JSON object, or the one a file holds; InvalidParameter
-    when the file is not valid JSON, nests too deeply to parse, or holds
-    anything but an object."""
-    if isinstance(source, dict):
-        return source
-    with open(source, encoding="utf-8") as fh:
+def _json_object(source, what: str, keys=()) -> dict:
+    """The one reader of a JSON section: ``source`` itself when it is an
+    object, or the object held by the file at path ``source`` (an
+    ``os.PathLike``).  InvalidParameter when the file does not exist, is
+    not valid JSON or nests too deeply to parse, when the section is not
+    an object, or when it lacks one of ``keys``; each names ``what``."""
+    if isinstance(source, os.PathLike):
         try:
-            data = json.load(fh)
+            with open(source, encoding="utf-8") as fh:
+                source = json.load(fh)
+        except FileNotFoundError:
+            raise InvalidParameter(f"{what} file '{source}' does not exist") from None
         except (ValueError, RecursionError) as exc:
             raise InvalidParameter(
                 f"{what} file '{source}' is not valid JSON: {exc}"
             ) from None
-    if not isinstance(data, dict):
-        raise InvalidParameter(f"{what} file '{source}' must hold a JSON object")
-    return data
+    if not isinstance(source, dict):
+        raise InvalidParameter(
+            f"{what} must be a JSON object, got {type(source).__name__}")
+    for key in keys:
+        if key not in source:
+            raise InvalidParameter(f"{what} is missing key '{key}'")
+    return source
 
 
 def _json_count(value, name: str, low: int) -> int:

@@ -91,35 +91,22 @@ from .sme import (
 from .validate import FREE_PARTICLE_SUITES, render_report, run_suites
 
 
-def _load_scenario(path_str: str) -> tuple[dict, Path]:
+def _load_scenario(path_str: str, keys) -> tuple[dict, Path]:
+    """The scenario object, which must hold ``keys``, and its directory."""
     path = Path(path_str)
-    if not path.is_file():
-        raise ConfigError(f"scenario file '{path}' does not exist")
-    return _json_object(path, "scenario"), path.parent
+    return _json_object(path, "scenario", keys), path.parent
 
 
-def _require(scenario: dict, key: str):
-    if key not in scenario:
-        raise ConfigError(f"scenario is missing key '{key}'")
-    return scenario[key]
-
-
-def _inline_or_file(entry, base_dir: Path, key: str):
-    """An object entry, or the path of the file it names relative to the
-    scenario file."""
-    if isinstance(entry, str):
-        entry = base_dir / entry
-        if not entry.is_file():
-            raise ConfigError(f"{key} file '{entry}' does not exist")
-    elif not isinstance(entry, dict):
-        raise ConfigError(f"key '{key}' must be an object or a file path")
-    return entry
+def _inline_or_file(entry, base_dir: Path, key: str) -> dict:
+    """An object entry, or the object in the file it names relative to
+    the scenario file."""
+    return _json_object(base_dir / entry if isinstance(entry, str) else entry, key)
 
 
 def _load_model(entry, base_dir: Path):
     """Resolve the ``model`` entry to (coefficients, phase-space model)."""
     entry = _inline_or_file(entry, base_dir, "model")
-    if isinstance(entry, dict) and "preset" in entry:
+    if "preset" in entry:
         name = entry["preset"]
         if name != "free-particle":
             raise ConfigError(f"unknown model preset '{name}'")
@@ -137,8 +124,7 @@ def _load_model(entry, base_dir: Path):
 
 
 def _parse_cost(entry) -> CostSpec:
-    if not isinstance(entry, dict):
-        raise ConfigError("key 'cost' must be an object")
+    entry = _json_object(entry, "cost")
     if "preset" in entry:
         name = entry["preset"]
         if name != "position-tracking":
@@ -149,18 +135,12 @@ def _parse_cost(entry) -> CostSpec:
             Omega_T=None if Omega_T is None else _json_array(Omega_T, "cost.Omega_T"),
         )
     keys = ("F", "G", "Omega_T")
-    for key in keys:
-        if key not in entry:
-            raise ConfigError(f"key 'cost' is missing '{key}'")
+    _json_object(entry, "cost", keys)
     return CostSpec(**{key: _json_array(entry[key], f"cost.{key}") for key in keys})
 
 
 def _parse_grid(entry) -> TimeGrid:
-    if not isinstance(entry, dict):
-        raise ConfigError("key 'grid' must be an object")
-    for key in ("t0", "t1", "n_steps"):
-        if key not in entry:
-            raise ConfigError(f"key 'grid' is missing '{key}'")
+    entry = _json_object(entry, "grid", ("t0", "t1", "n_steps"))
     return TimeGrid(
         _json_array(entry["t0"], "grid.t0", ()),
         _json_array(entry["t1"], "grid.t1", ()),
@@ -168,15 +148,7 @@ def _parse_grid(entry) -> TimeGrid:
     )
 
 
-def _sim_entry(scenario: dict) -> dict:
-    sim = scenario.get("sim", {})
-    if not isinstance(sim, dict):
-        raise ConfigError("key 'sim' must be an object")
-    return sim
-
-
-def _parse_sim(scenario: dict, grid: TimeGrid, args) -> SimConfig:
-    sim = _sim_entry(scenario)
+def _parse_sim(sim: dict, grid: TimeGrid, args) -> SimConfig:
     n_traj = args.n_traj if args.n_traj is not None else sim.get("n_traj")
     if n_traj is None:
         raise ConfigError("key 'sim' is missing 'n_traj' (or pass --n-traj)")
@@ -282,8 +254,8 @@ def _mean_path_csv(times, mean_states, fh) -> None:
 
 
 def cmd_build(args) -> int:
-    scenario, base_dir = _load_scenario(args.scenario)
-    coeffs, _ = _load_model(_require(scenario, "model"), base_dir)
+    scenario, base_dir = _load_scenario(args.scenario, ("model",))
+    coeffs, _ = _load_model(scenario["model"], base_dir)
     report = {
         name: getattr(coeffs, name).tolist() for name in ("A", "B", "C", "N", "M")
     }
@@ -293,19 +265,21 @@ def cmd_build(args) -> int:
 
 
 def cmd_riccati(args) -> int:
-    scenario, base_dir = _load_scenario(args.scenario)
-    coeffs, model = _load_model(_require(scenario, "model"), base_dir)
-    grid = _parse_grid(_require(scenario, "grid"))
+    scenario, base_dir = _load_scenario(args.scenario, ("model", "grid"))
     direction = scenario.get("direction", "both")
     if direction not in ("filter", "control", "both"):
         raise ConfigError(f"key 'direction' must be filter|control|both, got '{direction}'")
+    if direction != "filter":
+        _json_object(scenario, "scenario", ("cost",))
+    coeffs, model = _load_model(scenario["model"], base_dir)
+    grid = _parse_grid(scenario["grid"])
     out = _out_dir(args, scenario)
     written = []
 
     if direction in ("filter", "both"):
         raw = scenario.get("initial_cov")
         if raw is None:
-            raw = _sim_entry(scenario).get("initial_cov")
+            raw = _json_object(scenario.get("sim", {}), "sim").get("initial_cov")
         if raw is None:
             raise ConfigError(
                 "scenario is missing key 'initial_cov' (top level or under 'sim')"
@@ -320,7 +294,7 @@ def cmd_riccati(args) -> int:
         written.append(target)
 
     if direction in ("control", "both"):
-        cost = _parse_cost(_require(scenario, "cost"))
+        cost = _parse_cost(scenario["cost"])
         solve = control_path_via_duality if args.dual else integrate_control_riccati
         omega = solve(coeffs, cost, grid)
         target = out / "omega_path.csv"
@@ -339,15 +313,12 @@ def cmd_riccati(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    scenario, base_dir = _load_scenario(args.scenario)
-    coeffs, model = _load_model(_require(scenario, "model"), base_dir)
-    cost = _parse_cost(_require(scenario, "cost"))
-    grid = _parse_grid(_require(scenario, "grid"))
-    config = _parse_sim(scenario, grid, args)
-    sim = _sim_entry(scenario)
-    for key in ("initial_mean", "initial_cov"):
-        if key not in sim:
-            raise ConfigError(f"key 'sim' is missing '{key}'")
+    scenario, base_dir = _load_scenario(args.scenario, ("model", "cost", "grid"))
+    coeffs, model = _load_model(scenario["model"], base_dir)
+    cost = _parse_cost(scenario["cost"])
+    grid = _parse_grid(scenario["grid"])
+    sim = _json_object(scenario.get("sim", {}), "sim", ("initial_mean", "initial_cov"))
+    config = _parse_sim(sim, grid, args)
     initial = GaussianBelief(
         mean=_json_array(sim["initial_mean"], "sim.initial_mean"),
         cov=_json_array(sim["initial_cov"], "sim.initial_cov"),
@@ -378,13 +349,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sme(args) -> int:
-    scenario, base_dir = _load_scenario(args.scenario)
+    scenario, base_dir = _load_scenario(args.scenario, ("finite_model", "rho0", "grid"))
     model = finite_model_from_json(
-        _inline_or_file(_require(scenario, "finite_model"), base_dir, "finite_model")
-    )
-    rho0 = DensityMatrix(_json_complex(_require(scenario, "rho0"), "key 'rho0'"))
-    grid = _parse_grid(_require(scenario, "grid"))
-    config = _parse_sim(scenario, grid, args)
+        _inline_or_file(scenario["finite_model"], base_dir, "finite_model"))
+    rho0 = DensityMatrix(_json_complex(scenario["rho0"], "key 'rho0'"))
+    grid = _parse_grid(scenario["grid"])
+    config = _parse_sim(_json_object(scenario.get("sim", {}), "sim"), grid, args)
     u = scenario.get("control")
     if u is not None:
         u = _json_array(u, "control")

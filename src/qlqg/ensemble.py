@@ -247,10 +247,10 @@ def _run_chunks(config: SimConfig, d: int, run_chunk, first: int = 0) -> None:
     depend only on ``(seed, index)``: not on the chunk it lands in, and
     not on ``first``.  Any trajectory of an ensemble can be run alone.
     A simulator checks its states a block of steps at a time and raises
-    a state past its limit, so numpy's overflow and invalid warnings on
-    the way there are off while a chunk runs.
+    a state past its limit, so numpy's overflow, invalid and divide
+    warnings on the way there are off while a chunk runs.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for start in range(first, first + config.n_traj, _CHUNK):
             stop = min(start + _CHUNK, first + config.n_traj)
             run_chunk(start, stop, _increments(config, start, stop, d))

@@ -115,14 +115,17 @@ def spread_covariance(
         raise InvalidParameter(f"Sigma0 must be 2x2, got shape {Sigma0.shape}")
     t = _asarray(t, float, None, "t", copy=False)
     sq0, sqp0, sp0 = Sigma0[0, 0], Sigma0[0, 1], Sigma0[1, 1]
-    sp = sp0 + hbar**2 * t
-    sqp = sqp0 + sp0 * t / mass + hbar**2 * t**2 / (2.0 * mass)
-    sq = (
-        sq0
-        + 2.0 * sqp0 * t / mass
-        + sp0 * t**2 / mass**2
-        + hbar**2 * t**3 / (3.0 * mass**2)
-    )
+    # products, not ** on these floats, which raises OverflowError
+    hbar2, mass2 = hbar * hbar, mass * mass
+    with np.errstate(over="ignore", invalid="ignore"):
+        sp = sp0 + hbar2 * t
+        sqp = sqp0 + sp0 * t / mass + hbar2 * t**2 / (2.0 * mass)
+        sq = (
+            sq0
+            + 2.0 * sqp0 * t / mass
+            + sp0 * t**2 / mass2
+            + hbar2 * t**3 / (3.0 * mass2)
+        )
     out = np.empty(t.shape + (2, 2))
     out[..., 0, 0] = sq
     out[..., 0, 1] = sqp

@@ -223,12 +223,14 @@ def build_coefficients(model: PhaseSpaceModel) -> LinearCoefficients:
     A = _require_real(J @ (model.R + hbar * np.imag(gram)), "A")
     B = _require_real(J @ (model.K + model.K.conj()), "B")
     C = _require_real(model.Lambda + model.Lambda.conj(), "C")
-    N = _require_real(0.5 * hbar**2 * J @ (gram + gram.conj()) @ J.T, "N")
+    # hbar**2 would raise OverflowError past hbar ~ 1e154; an N past the
+    # float range is left to LinearCoefficients to reject
+    with np.errstate(over="ignore", invalid="ignore"):
+        N = _require_real(0.5 * (hbar * hbar) * J @ (gram + gram.conj()) @ J.T, "N")
+        # the product is symmetric only up to rounding, which cancellation
+        # between its terms can lift past LinearCoefficients' own check
+        N = 0.5 * (N + N.T)
     M = _require_real(0.5j * hbar * J @ (Lam.T - Lam.conj().T), "M")
-
-    # the product is symmetric only up to rounding, which cancellation
-    # between its terms can lift past LinearCoefficients' own check
-    N = 0.5 * (N + N.T)
     return LinearCoefficients(A=A, B=B, C=C, N=N, M=M)
 
 
@@ -306,11 +308,8 @@ def model_from_json(source: str | Path | dict) -> PhaseSpaceModel:
     ``Lambda_im``, ``K_re``, ``K_im``.  Matrices are nested row-major
     lists.  Errors name the offending key.
     """
-    data = _json_object(source, "model")
-    required = ["m", "d", "hbar", "J", "R", "Lambda_re", "Lambda_im", "K_re", "K_im"]
-    for key in required:
-        if key not in data:
-            raise InvalidParameter(f"model JSON is missing key '{key}'")
+    data = _json_object(Path(source) if isinstance(source, str) else source, "model",
+                        ("m", "d", "hbar", "J", "R", "Lambda_re", "Lambda_im", "K_re", "K_im"))
 
     m = _json_count(data["m"], "key 'm'", 1)
     d = _json_count(data["d"], "key 'd'", 1)

@@ -325,6 +325,7 @@ def _raise_first(bad: np.ndarray, what: str, at) -> None:
         raise NonFinite(f"flow {what} at {at(int(hits[0]) + 1)} (finite-time escape)")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _lift_path(H: np.ndarray, S0: np.ndarray, grid: TimeGrid,
                backward: bool = False) -> np.ndarray:
     """Flow of lift ``H`` from ``S0`` at every grid point, ``S0`` included.
@@ -332,7 +333,8 @@ def _lift_path(H: np.ndarray, S0: np.ndarray, grid: TimeGrid,
     With ``backward`` the flow is written from the last grid point to the
     first, straight into the path it returns, so that path reads forward
     in time and ends at ``S0``.  An escape names the flow's step N and its
-    time, ``t0 + N dt``, or ``t1 - N dt`` backward.
+    time, ``t0 + N dt``, or ``t1 - N dt`` backward; the overflow on the
+    way there warns nothing.
     """
     n_steps, dt = grid.n_steps, grid.dt
     origin, step_dt = (grid.t1, -dt) if backward else (grid.t0, dt)

@@ -840,10 +840,8 @@ def finite_model_from_json(source: str | Path | dict) -> FiniteModel:
     ``L_list`` (list); complex matrices are ``{"re": ..., "im": ...}``
     pairs of nested row-major lists.
     """
-    data = _json_object(source, "finite model")
-    for key in ["dim", "hbar", "H0", "H_controls", "L_list"]:
-        if key not in data:
-            raise InvalidParameter(f"finite model JSON is missing key '{key}'")
+    data = _json_object(Path(source) if isinstance(source, str) else source,
+                        "finite model", ("dim", "hbar", "H0", "H_controls", "L_list"))
     n = _json_count(data["dim"], "key 'dim'", 1)
 
     def grab(obj, key: str) -> np.ndarray:

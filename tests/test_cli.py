@@ -8,6 +8,7 @@ import resource
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -629,6 +630,47 @@ class TestModelValues:
         )
         assert cli.main([command, "--scenario", scenario]) == 2
         assert ("not valid JSON" if key is None else f"'{key}'") in capsys.readouterr().err
+
+
+class TestFiniteExtremes:
+    # finite scenario values near the float range: a model whose
+    # coefficients leave it is rejected input (exit 2), a flow or state that
+    # leaves it is a numerical failure (exit 3), and neither warns on the way
+    CASES = [
+        *[(command, ("model", "hbar"), 1e300, 2)
+          for command in ("build", "riccati", "simulate")],
+        *[(command, ("grid", "t1"), 1e300, 3) for command in ("simulate", "sme", "riccati")],
+        ("simulate", ("cost", "beta"), 1e308, 3),
+        ("simulate", ("cost",), {"F": [[1e308, 0.0], [0.0, 0.0]], "G": [[0.0, 0.0]],
+                                 "Omega_T": [[1.0, 0.0], [0.0, 1.0]]}, 3),
+        ("sme", ("finite_model", "H0"),
+         {"re": [[1e308, 0.0], [0.0, -1e308]], "im": [[0.0, 0.0], [0.0, 0.0]]}, 3),
+    ]
+
+    @pytest.mark.parametrize("command, path, value, code", CASES,
+                             ids=[f"{c}-{'.'.join(p)}" for c, p, _, _ in CASES])
+    def test_exit_code_without_warnings(self, tmp_path, capsys, command, path, value,
+                                        code):
+        content = {
+            "model": {"preset": "free-particle", "feedback": True},
+            "cost": {"preset": "position-tracking", "beta": 1.0},
+            "grid": {"t0": 0.0, "t1": 0.5, "n_steps": 50},
+            "sim": {"n_traj": 4, "seed": 7, "initial_mean": [1.0, 0.0],
+                    "initial_cov": [[0.5, 0.0], [0.0, 0.5]]},
+            "finite_model": json.loads(json.dumps(QUBIT_MODEL)), "rho0": QUBIT_RHO0,
+        }
+        target = content
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        scenario = write_scenario(tmp_path, out=str(tmp_path / "out"), **content)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main([command, "--scenario", scenario]) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "Warning" not in err
+        if code == 3:
+            assert err.startswith("numerical failure: NonFinite: ")
 
 
 class TestHugeIntegers:

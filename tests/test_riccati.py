@@ -117,6 +117,13 @@ class TestCostSpec:
         with pytest.raises(DimensionMismatch, match="^F must be square"):
             CostSpec(F=np.zeros((2, 3)), G=np.zeros((1, 2)), Omega_T=np.eye(2))
 
+    @pytest.mark.filterwarnings("error")
+    def test_symmetric_weight_near_the_float_range_is_stored_unchanged(self):
+        # halving the sum F + F' would overflow to inf on these finite entries
+        F = np.array([[1e308, 5e307], [5e307, 1e308]])
+        cost = CostSpec(F=F, G=np.zeros((1, 2)), Omega_T=np.eye(2))
+        assert np.array_equal(cost.F, F)
+
 
 class TestFilterRiccati:
     def test_matches_component_oracle(self):

@@ -133,6 +133,24 @@ def test_readers_come_from_the_readers_module_only():
     assert not offenders
 
 
+def test_json_sections_are_checked_by_the_readers_only():
+    # a JSON section comes in through _readers._json_object, which checks
+    # that it is an object and names its missing key; no module checks one
+    # by hand
+    offenders = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        if path.name == "_readers.py":
+            continue
+        for node in ast.walk(_tree(path)):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "isinstance" and len(node.args) == 2):
+                kinds = node.args[1]
+                kinds = kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]
+                if any(isinstance(k, ast.Name) and k.id == "dict" for k in kinds):
+                    offenders.append(f"{path.name}:{node.lineno}")
+    assert not offenders
+
+
 def test_sme_does_not_import_the_phase_space_layer():
     assert "phase_space" not in {source for source, _ in _imports(_tree(PACKAGE_DIR / "sme.py"))}
 
