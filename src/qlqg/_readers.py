@@ -108,22 +108,25 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _asymmetric(diff: np.ndarray, arr: np.ndarray) -> bool:
-    """Whether ``diff`` (``arr - arr'`` or ``arr + arr'``) is past ``SYM_TOL``
-    relative to the largest entry of ``arr``, or to 1 for smaller entries."""
-    return bool(np.max(np.abs(diff)) > SYM_TOL * max(1.0, float(np.max(np.abs(arr)))))
+def _asymmetric(arr: np.ndarray, sign: float = -1.0) -> bool:
+    """Whether ``arr + sign arr'`` is past ``SYM_TOL`` relative to the largest
+    entry of ``arr``, or to 1 for smaller entries.  Both sides are halved,
+    which is exact, so that finite entries give a finite sum and a finite
+    largest modulus."""
+    half = 0.5 * arr
+    return bool(np.max(np.abs(half + sign * half.conj().T))
+                > SYM_TOL * max(0.5, float(np.max(np.abs(half)))))
 
 
 def _symmetrize(arr: np.ndarray, name: str) -> np.ndarray:
     """The exact Hermitian part ``arr / 2 + arr' / 2`` of a square ``arr``,
     a new array, halved before the sum so that finite entries give finite
-    ones; InvalidParameter when ``arr - arr'`` fails :func:`_asymmetric`
+    ones; InvalidParameter when ``arr`` fails :func:`_asymmetric`
     ("must be symmetric" when real, "is not Hermitian" when complex)."""
-    adjoint = arr.conj().T
-    if _asymmetric(arr - adjoint, arr):
+    if _asymmetric(arr):
         what = "is not Hermitian" if arr.dtype.kind == "c" else "must be symmetric"
         raise InvalidParameter(f"{name} {what}")
-    return 0.5 * arr + 0.5 * adjoint
+    return 0.5 * arr + 0.5 * arr.conj().T
 
 
 def _semidefinite(arr: np.ndarray, name: str) -> np.ndarray:

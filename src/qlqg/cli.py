@@ -45,7 +45,8 @@ A scenario is a JSON object.  The keys each subcommand reads:
 Exit codes: 0 on success, 2 when input is rejected (a scenario value of
 the wrong type included), 3 when a computation fails numerically.  File
 outputs are byte-deterministic given the same scenario and seed; every
-CSV goes through one writer, :func:`_write_csv`.
+file is opened by :func:`_write`, and every CSV goes through one writer,
+:func:`_write_csv`.
 """
 
 from __future__ import annotations
@@ -176,11 +177,20 @@ def _out_dir(args, scenario: dict | None) -> Path:
     return path
 
 
-def _dump_json(obj, path: Path | None) -> str:
+def _write(path: Path, write) -> Path:
+    """The one opener of an output file: call ``write`` on ``path`` opened
+    for UTF-8 text with no newline translation, and return ``path``."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        write(fh)
+    return path
+
+
+def _report(obj, path: Path) -> None:
+    """Write ``obj`` to ``path`` as indented JSON with sorted keys, and echo
+    it to stdout."""
     text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    if path is not None:
-        path.write_text(text, encoding="utf-8")
-    return text
+    _write(path, lambda fh: fh.write(text))
+    sys.stdout.write(text)
 
 
 def _finite_or_none(x: float):
@@ -259,8 +269,7 @@ def cmd_build(args) -> int:
     report = {
         name: getattr(coeffs, name).tolist() for name in ("A", "B", "C", "N", "M")
     }
-    text = _dump_json(report, _out_dir(args, scenario) / "coefficients.json")
-    sys.stdout.write(text)
+    _report(report, _out_dir(args, scenario) / "coefficients.json")
     return 0
 
 
@@ -288,24 +297,17 @@ def cmd_riccati(args) -> int:
         sigma = integrate_filter_riccati(
             coeffs, Sigma0, grid, uncertainty=(model.J, model.hbar)
         )
-        target = out / "sigma_path.csv"
-        with open(target, "w", encoding="utf-8", newline="") as fh:
-            matrix_path_to_csv(sigma, fh, prefix="sigma")
-        written.append(target)
+        written.append(_write(out / "sigma_path.csv",
+                              lambda fh: matrix_path_to_csv(sigma, fh, prefix="sigma")))
 
     if direction in ("control", "both"):
         cost = _parse_cost(scenario["cost"])
         solve = control_path_via_duality if args.dual else integrate_control_riccati
         omega = solve(coeffs, cost, grid)
-        target = out / "omega_path.csv"
-        with open(target, "w", encoding="utf-8", newline="") as fh:
-            matrix_path_to_csv(omega, fh, prefix="omega")
-        written.append(target)
+        written.append(_write(out / "omega_path.csv",
+                              lambda fh: matrix_path_to_csv(omega, fh, prefix="omega")))
         gains = control_gain_path(omega, coeffs, cost)
-        target = out / "gains.csv"
-        with open(target, "w", encoding="utf-8", newline="") as fh:
-            gain_path_to_csv(gains, fh)
-        written.append(target)
+        written.append(_write(out / "gains.csv", lambda fh: gain_path_to_csv(gains, fh)))
 
     for path in written:
         print(path)
@@ -339,12 +341,10 @@ def cmd_simulate(args) -> int:
         "n_traj": config.n_traj,
         "seed": config.seed,
     }
-    text = _dump_json(summary, out / "summary.json")
-    sys.stdout.write(text)
+    _report(summary, out / "summary.json")
 
     for i in range(min(n_record, config.n_traj)):
-        with open(out / f"trajectory_{i:03d}.csv", "w", encoding="utf-8", newline="") as fh:
-            trajectory_to_csv(ensemble[i], fh)
+        _write(out / f"trajectory_{i:03d}.csv", lambda fh: trajectory_to_csv(ensemble[i], fh))
     return 0
 
 
@@ -373,10 +373,9 @@ def cmd_sme(args) -> int:
         "n_traj": config.n_traj,
         "seed": config.seed,
     }
-    text = _dump_json(summary, out / "summary.json")
-    sys.stdout.write(text)
-    with open(out / "mean_path.csv", "w", encoding="utf-8", newline="") as fh:
-        _mean_path_csv(ensemble.times, ensemble.mean_states, fh)
+    _report(summary, out / "summary.json")
+    _write(out / "mean_path.csv",
+           lambda fh: _mean_path_csv(ensemble.times, ensemble.mean_states, fh))
     return 0
 
 

@@ -28,7 +28,7 @@ from numpy.typing import NDArray
 
 from ._readers import _asarray, _count, _fits_in_memory, _frozen
 from .control import control_gain_path
-from .ensemble import _BLOCK, _at, _chunk_width, _noise_blocks, _run_chunks, SimConfig
+from .ensemble import _BLOCK, _at, _chunk_width, _run_chunks, SimConfig
 from .errors import EmptyEnsemble, InvalidParameter, NonFinite
 from .phase_space import GaussianBelief, LinearCoefficients
 from .riccati import (
@@ -280,7 +280,7 @@ def simulate_closed_loop(
         running = np.empty((n_kept, n_rec))
         totals = np.empty(n_traj)
 
-    def run_chunk(start: int, stop: int, noise) -> None:
+    def run_chunk(start: int, stop: int, blocks) -> None:
         # the chunk is held transposed, one trajectory per column, so
         # every elementwise pass runs over contiguous rows of length B
         rows, sl = stop - start, slice(start - first, stop - first)
@@ -333,7 +333,7 @@ def simulate_closed_loop(
             record_row(0, 0, 0, acc)
         row = 1
         # a block's noise rows go step-major into the first rows of U
-        for s, w in _noise_blocks(config, noise, U, d, L):
+        for s, w in blocks(U, L):
             if s % _BLOCK == 0:
                 window_maps(s, min(_BLOCK, grid.n_steps - s))
             b = s % _BLOCK // L

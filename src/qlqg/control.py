@@ -110,9 +110,12 @@ def control_path_via_duality(
     The dual's filter flow is integrated forward from its terminal
     weight, read backward and relabelled back.  Its lift is the value
     flow's lift, relabelled, so this reproduces
-    :func:`integrate_control_riccati`; it exists so the two routes can be
-    compared.  An escape is the dual flow's, named by its own step N and
-    time ``t0 + N dt``: the value flow's time ``t1 - N dt``.
+    :func:`integrate_control_riccati`.  The two routes are one
+    computation, not two integrations: without a permutation the dual's
+    filter lift equals the control lift bit for bit, and the paths agree
+    exactly, so comparing them tests the duality map's algebra and the
+    permutation only.  An escape is the dual flow's, named by its own
+    step N and time ``t0 + N dt``: the value flow's time ``t1 - N dt``.
     """
     dual_coeffs, dual_cost = duality_map(coeffs, cost, permutation)
     sigma = integrate_filter_riccati(dual_coeffs, dual_cost.Omega_T, grid)

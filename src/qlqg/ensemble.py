@@ -5,11 +5,12 @@ seeded by ``SeedSequence(seed, spawn_key=(index,))``, so an ensemble is
 reproducible and independent of batch layout.
 :func:`_run_chunks` is the one chunk loop: it hands a simulator fixed
 chunks of up to ``_CHUNK`` trajectories, each held in a multiple of
-``_COLUMN_BLOCK`` columns, with the chunk's standard normal draws made a
-window of ``_BLOCK`` steps at a time into one noise block.  Only this
-module knows that block's layout: :func:`_noise_blocks`, the one loop
-from noise to steps, hands a simulator its Wiener increments a block of
-steps at a time, step-major and scaled by sqrt(dt).
+``_COLUMN_BLOCK`` columns, together with the chunk's noise walker.  Only
+this module knows the noise layout: :func:`_noise_blocks`, the one
+function from streams to steps, draws the chunk's standard normals a
+window of ``_BLOCK`` steps at a time and hands the simulator its Wiener
+increments a block of steps at a time, step-major and scaled by
+sqrt(dt).
 """
 
 from __future__ import annotations
@@ -173,71 +174,60 @@ def _key_type() -> type:
     return _Key
 
 
-def _increments(config: SimConfig, start: int, stop: int, d: int):
-    """The standard normal draws of trajectories ``start..stop-1``, one
-    window of up to ``_BLOCK`` steps at a time: each a (B, width, d)
-    view, trajectory by row, B = ``_chunk_width(stop - start)``, into
-    the chunk's one noise block, valid until the next window is drawn.
+def _noise_blocks(config: SimConfig, start: int, stop: int, d: int,
+                  out: NDArray[np.float64], steps: int):
+    """Walk the noise of trajectories ``start..stop-1`` up to ``steps``
+    steps at a time: yield ``(s, w)`` once steps ``s..s+w-1`` sit in the
+    first w d rows of ``out``.
 
-    Row i comes from numpy's SFC64 stream seeded by
-    ``SeedSequence(seed, spawn_key=(start + i,))``; the pad rows are
-    zero.  The chunk's seeds are computed together by
-    :func:`_stream_keys`, with no SeedSequence object per trajectory.
-    The streams stay alive and draw a window at a time, each straight
-    into its own row of one (B, ``_BLOCK``, d) block.  Each stream is
-    drawn in order, and numpy's ``standard_normal`` yields the same
-    numbers however the draws of a stream are split, so the bytes are
-    those of one bulk draw.  The draws are not scaled here: sqrt(dt) is
-    applied once, as :func:`_noise_blocks` copies them out of the window.
+    The one function from a chunk's streams to its steps.  ``out`` is a
+    caller-owned (>= ``steps`` d, B) array, B = ``_chunk_width(stop -
+    start)``: row j d + c is channel c of step s + j times sqrt(dt), one
+    trajectory per column, valid until the next block.  Pad columns stay
+    zero.
+
+    Column i comes from numpy's SFC64 stream seeded by
+    ``SeedSequence(seed, spawn_key=(start + i,))``; the chunk's seeds are
+    computed together by :func:`_stream_keys`, with no SeedSequence
+    object per trajectory.  The streams stay alive and draw a window of
+    up to ``_BLOCK`` steps at a time, each straight into its own row of
+    one (B, ``_BLOCK``, d) window.  Each stream is drawn in order, and
+    numpy's ``standard_normal`` yields the same numbers however the draws
+    of a stream are split, so the bytes are those of one bulk draw.  No
+    block straddles two windows.  The window's rows are strided, so a
+    block goes through one trajectory-major (B, ``steps`` d) buffer,
+    scaled as it is filled, and is then transposed into ``out``: a
+    transposing copy straight from the strided rows is slower, and so is
+    a per-step gather.
     """
     rows, n_steps = stop - start, config.grid.n_steps
+    B = _chunk_width(rows)
+    buffer = np.empty((B, steps * d))
+    sqrt_dt = math.sqrt(config.grid.dt)
     key = _key_type()
     streams = [np.random.Generator(np.random.SFC64(key(k)))
                for k in _stream_keys(config.seed, start, stop)]
-    block = np.zeros((_chunk_width(rows), _BLOCK, d))
-    for step0 in range(0, n_steps, _BLOCK):
-        width = min(_BLOCK, n_steps - step0)
-        for stream, draws in zip(streams, block[:rows, :width]):
+    window = np.zeros((B, _BLOCK, d))
+    for s in range(0, n_steps, _BLOCK):
+        width = min(_BLOCK, n_steps - s)
+        for stream, draws in zip(streams, window[:rows, :width]):
             stream.standard_normal(out=draws)
-        yield block[:, :width]
-
-
-def _noise_blocks(config: SimConfig, noise, out: NDArray[np.float64], d: int,
-                  steps: int):
-    """Walk a chunk's noise up to ``steps`` steps at a time: yield
-    ``(s, w)`` once steps ``s..s+w-1`` sit in the first w d rows of ``out``.
-
-    ``noise`` is the chunk's :func:`_increments` and ``out`` a
-    caller-owned (>= ``steps`` d, B) array: row j d + c is channel c of
-    step s + j times sqrt(dt), one trajectory per column, valid until the
-    next block.  No block straddles two windows.  The window's rows are
-    strided, so a block goes through one trajectory-major (B, ``steps`` d)
-    buffer, scaled as it is filled, and is then transposed into ``out``:
-    a transposing copy straight from the strided rows is slower, and so
-    is a per-step gather.  Pad columns stay zero.
-    """
-    B = out.shape[1]
-    buffer = np.empty((B, steps * d))
-    sqrt_dt = math.sqrt(config.grid.dt)
-    s = 0
-    for window in noise:
-        width = window.shape[1]
         for a in range(0, width, steps):
             w = min(steps, width - a)
             drawn = buffer[:, :w * d]
             np.multiply(window[:, a:a + w].reshape(B, w * d), sqrt_dt, out=drawn)
             np.copyto(out[:w * d], drawn.T)
             yield s + a, w
-        s += width
 
 
 def _run_chunks(config: SimConfig, d: int, run_chunk, first: int = 0) -> None:
-    """Call ``run_chunk(start, stop, noise)`` on fixed chunks, in index order.
+    """Call ``run_chunk(start, stop, blocks)`` on fixed chunks, in index order.
 
     The one chunk loop of every Monte Carlo simulator.  Chunks of up to
     ``_CHUNK`` trajectories cover the indices ``first`` to
-    ``first + n_traj - 1``; ``noise`` is the chunk's :func:`_increments`,
-    which the simulator walks through :func:`_noise_blocks`, so no buffer
+    ``first + n_traj - 1``; ``blocks(out, steps)`` is the chunk's
+    :func:`_noise_blocks`, the walker that fills ``out`` with up to
+    ``steps`` steps of its Wiener increments at a time, so no buffer
     grows with ``n_steps``.
 
     B = ``_chunk_width(stop - start)`` is the chunk's trajectory count
@@ -253,4 +243,5 @@ def _run_chunks(config: SimConfig, d: int, run_chunk, first: int = 0) -> None:
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for start in range(first, first + config.n_traj, _CHUNK):
             stop = min(start + _CHUNK, first + config.n_traj)
-            run_chunk(start, stop, _increments(config, start, stop, d))
+            run_chunk(start, stop,
+                      functools.partial(_noise_blocks, config, start, stop, d))

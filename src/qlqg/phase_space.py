@@ -96,7 +96,7 @@ class PhaseSpaceModel:
         m = J.shape[0]
         if m % 2 != 0:
             raise InvalidParameter(f"phase-space dimension must be even, got {m}")
-        if _asymmetric(J + J.T, J):
+        if _asymmetric(J, sign=1.0):
             raise ValidationError("J must be antisymmetric")
         if abs(np.linalg.det(J)) <= _DET_TOL:
             raise ValidationError("J must be nondegenerate")

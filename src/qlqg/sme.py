@@ -42,7 +42,7 @@ its exact Hermitian part.
 Both flows check every state they step through one routine, a block of
 steps at a time: up to 256 master-flow steps, or as many ensemble steps
 as fit in 2^16 coordinates.  An ensemble's check block is also the block
-of noise it copies out of its window, so a block is copied, stepped and
+of noise its chunk's walker copies out, so a block is copied, stepped and
 checked as a unit.  A failure names the earliest failing
 column: the lowest-index failing trajectory at the first failing step,
 or the first failing step of the master flow, as a check after every
@@ -77,7 +77,7 @@ from ._readers import (
     _stack_operators,
     _symmetrize,
 )
-from .ensemble import _at, _BLOCK, _chunk_width, _noise_blocks, _run_chunks, SimConfig
+from .ensemble import _at, _BLOCK, _chunk_width, _run_chunks, SimConfig
 from .errors import (
     DimensionMismatch,
     InvalidParameter,
@@ -662,7 +662,7 @@ def simulate_sme_ensemble(
     low = float(_min_eigenvalues(start_coords, _trace(start_coords)).min())
     trace_dev = 0.0
 
-    def run_chunk(start: int, stop: int, noise) -> None:
+    def run_chunk(start: int, stop: int, blocks) -> None:
         nonlocal low, trace_dev
         rows, B = stop - start, _chunk_width(stop - start)
         # pad columns are copies of the start driven by zero noise: a zero
@@ -690,7 +690,7 @@ def simulate_sme_ensemble(
         K = max(1, min(_BLOCK, _CHECK_COORDS // (n * n * rows)))
         noise_rows = np.empty((K, d, B))
         stepped = np.empty((n * n, K, rows))
-        for s0, w in _noise_blocks(config, noise, noise_rows.reshape(-1, B), d, K):
+        for s0, w in blocks(noise_rows.reshape(-1, B), K):
             for j, dW in enumerate(noise_rows[:w]):
                 step = s0 + j
                 h = _sme_update(h, stack, dW, products[step % 2], e_sum, gain)
@@ -740,7 +740,7 @@ def _check_projector_family(projectors, dim: int) -> np.ndarray:
     if arr.shape[0] == 0:
         raise NotAProjectorFamily("family is empty")
     for i, P in enumerate(arr):
-        if _asymmetric(P - P.conj().T, P):
+        if _asymmetric(P):
             raise NotAProjectorFamily(f"projector {i} is not Hermitian")
         if np.abs(P @ P - P).max() > 1e-10:
             raise NotAProjectorFamily(f"projector {i} is not idempotent")

@@ -646,9 +646,29 @@ class TestFiniteExtremes:
         ("sme", ("finite_model", "H0"),
          {"re": [[1e308, 0.0], [0.0, -1e308]], "im": [[0.0, 0.0], [0.0, 0.0]]}, 3),
     ]
+    # a self-adjointness check whose arr -/+ arr' would leave the float
+    # range rejects the input (exit 2) without an overflow warning; each id
+    # names the matrix and what it is not
+    ADJOINT_CASES = {
+        "simulate-cost.F-asymmetric": (
+            "simulate", ("cost",), {"F": [[0.0, 1e308], [-1e308, 0.0]], "G": [[0.0, 0.0]],
+                                    "Omega_T": [[1.0, 0.0], [0.0, 1.0]]}, 2),
+        "sme-finite_model.H0-asymmetric": (
+            "sme", ("finite_model", "H0"),
+            {"re": [[0.0, 1e308], [-1e308, 0.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}, 2),
+        # finite parts whose modulus passes the range
+        "sme-finite_model.H0-modulus-asymmetric": (
+            "sme", ("finite_model", "H0"),
+            {"re": [[0.0, 1.5e308], [0.0, 0.0]], "im": [[0.0, 1.5e308], [0.0, 0.0]]}, 2),
+        "build-model.J-symmetric": (
+            "build", ("model",),
+            {**INLINE_FREE_PARTICLE, "J": [[0.0, 1e308], [1e308, 0.0]]}, 2),
+    }
 
-    @pytest.mark.parametrize("command, path, value, code", CASES,
-                             ids=[f"{c}-{'.'.join(p)}" for c, p, _, _ in CASES])
+    @pytest.mark.parametrize("command, path, value, code",
+                             CASES + list(ADJOINT_CASES.values()),
+                             ids=[f"{c}-{'.'.join(p)}" for c, p, _, _ in CASES]
+                             + list(ADJOINT_CASES))
     def test_exit_code_without_warnings(self, tmp_path, capsys, command, path, value,
                                         code):
         content = {

@@ -10,12 +10,12 @@ from oracles import trajectory_stream
 from scipy.integrate import solve_ivp
 from test_kalman import random_coefficients
 
-from qlqg import closed_loop, ensemble
+from qlqg import ensemble
 from qlqg.cli import trajectory_to_csv
 from qlqg.closed_loop import monte_carlo_expected_cost, simulate_closed_loop
 from qlqg.control import control_gain_path
 from qlqg.ensemble import (
-    _BLOCK, _CHUNK, SimConfig, _chunk_width, _increments, _key_type, _stream_keys,
+    _BLOCK, _CHUNK, SimConfig, _chunk_width, _key_type, _noise_blocks, _stream_keys,
 )
 from qlqg.errors import ConfigError, EmptyEnsemble, InvalidParameter, NonFinite
 from qlqg.kalman import filter_step
@@ -70,19 +70,19 @@ def random_problem(rng, m=4, d=2, k=2):
     return coeffs, cost, belief
 
 
-def record_noise_rows(monkeypatch, module) -> list:
-    """Patch the ``_noise_blocks`` that ``module`` imported so that every
-    block of step-major noise rows it yields is kept, in step order: the
-    rows of all its steps, pad columns included, are the list's blocks
-    stacked."""
+def record_noise_rows(monkeypatch) -> list:
+    """Patch ``ensemble._noise_blocks``, the walker every chunk is handed,
+    so that every block of step-major noise rows it yields is kept, in
+    step order: the rows of all its steps, pad columns included, are the
+    list's blocks stacked."""
     copied = []
 
-    def noise_blocks(config, noise, out, d, steps):
-        for s, w in ensemble._noise_blocks(config, noise, out, d, steps):
+    def noise_blocks(config, start, stop, d, out, steps):
+        for s, w in _noise_blocks(config, start, stop, d, out, steps):
             copied.append(out[:w * d].copy())
             yield s, w
 
-    monkeypatch.setattr(module, "_noise_blocks", noise_blocks)
+    monkeypatch.setattr(ensemble, "_noise_blocks", noise_blocks)
     return copied
 
 
@@ -455,7 +455,11 @@ class TestStreamIndependence:
     def test_neighbouring_streams_are_independent(self, seed, first):
         rows = 4096
         cfg = SimConfig(grid=TimeGrid(0.0, float(_BLOCK), _BLOCK), n_traj=rows, seed=seed)
-        x = next(_increments(cfg, first, first + rows, 1))[:rows, :, 0]
+        # dt = 1, so the walker's first block of _BLOCK steps is the
+        # streams' first window as drawn
+        out = np.empty((_BLOCK, _chunk_width(rows)))
+        assert next(_noise_blocks(cfg, first, first + rows, 1, out, _BLOCK)) == (0, _BLOCK)
+        x = out[:, :rows].T
         n = x.size
         assert abs(x.mean()) <= 5.0 / math.sqrt(n)
         assert abs(x.var() - 1.0) <= 5.0 * math.sqrt(2.0 / n)
@@ -474,7 +478,7 @@ class TestBlockNoise:
         # holds indices of one and of two 32-bit words
         coeffs, cost, belief = random_problem(np.random.default_rng(4), m=2)
         assert coeffs.d == 2
-        copied = record_noise_rows(monkeypatch, closed_loop)
+        copied = record_noise_rows(monkeypatch)
         for n_steps in (300, 1003):
             grid = TimeGrid(0.0, 1e-3 * n_steps, n_steps)
             for first, n_traj in ((0, 3), (2**32 - 2, 4)):
@@ -499,10 +503,12 @@ class TestBlockNoise:
 
     def test_chunk_holds_its_noise_once(self):
         # the streams of a full chunk draw straight into the one (B, _BLOCK,
-        # d) block the steps read: beside the streams themselves, the noise
-        # of 300 steps (two blocks) peaks at that block, 2 MB, and not at
-        # twice it, as a second, transposed copy would make it
-        B, d = _CHUNK, 1
+        # d) window the steps are copied from: beside the streams
+        # themselves, the walk of 300 steps (two windows) peaks at that
+        # window, 2 MB, and not at twice it, as a second, transposed copy
+        # would make it.  Blocks of 16 steps, the qubit ensemble's, add
+        # the caller's rows and one buffer of 128 kB each
+        B, d, steps = _CHUNK, 1, 16
         cfg = SimConfig(grid=TimeGrid(0.0, 0.3, 300), n_traj=B, seed=23)
         key, bit_generator = _key_type(), type(trajectory_stream(cfg.seed, 0).bit_generator)
         tracemalloc.start()
@@ -511,8 +517,9 @@ class TestBlockNoise:
                        for k in _stream_keys(cfg.seed, 0, B)]
             stream_bytes = tracemalloc.get_traced_memory()[0]
             del streams
+            out = np.empty((steps * d, B))
             tracemalloc.reset_peak()
-            for _ in _increments(cfg, 0, B, d):
+            for _ in _noise_blocks(cfg, 0, B, d, out, steps):
                 pass
             peak = tracemalloc.get_traced_memory()[1]
         finally:

@@ -973,7 +973,7 @@ class TestEnsemble:
         # sqrt(dt), with zero pad columns, and each replay copies its
         # ensemble column and ends in its state
         model = FiniteModel(H0=0.5 * SX, L_list=[np.zeros((2, 2))] * 2)
-        copied = record_noise_rows(monkeypatch, sme)
+        copied = record_noise_rows(monkeypatch)
         first = 2**32 - 3
         for n_steps in (300, 1003):
             grid = TimeGrid(0.0, 1e-3 * n_steps, n_steps)

@@ -85,6 +85,18 @@ def test_simulators_share_the_ensemble_module_not_each_other(module, other):
             assert f"qlqg.{other}" not in {alias.name for alias in node.names}
 
 
+@pytest.mark.parametrize("module", ["closed_loop", "sme"])
+def test_simulators_walk_the_noise_they_are_handed(module):
+    # a simulator walks the blocks(out, steps) its chunk is handed by
+    # ensemble._run_chunks, and names nothing of how streams become steps
+    tree = ast.parse(Path(qlqg.__file__).with_name(f"{module}.py").read_text())
+    names = ({alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+              for alias in node.names}
+             | {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+             | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)})
+    assert not names & {"_noise_blocks", "_increments", "_stream_keys", "_key_type"}
+
+
 def _tree(path: Path) -> ast.Module:
     return ast.parse(path.read_text())
 
