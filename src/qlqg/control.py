@@ -14,7 +14,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from ._readers import _asarray, _count, _symmetrize
-from .errors import DimensionMismatch, InvalidParameter
+from .errors import InvalidParameter
 from .phase_space import LinearCoefficients
 from .riccati import (
     CostSpec,
@@ -22,8 +22,7 @@ from .riccati import (
     ScalarPath,
     TimeGrid,
     _on_grid,
-    _require_matching_cost,
-    _require_same_grid,
+    _problem,
     integrate_filter_riccati,
 )
 
@@ -56,12 +55,9 @@ def control_gain_path(
     cost: CostSpec,
 ) -> ControlGainPath:
     """Feedback gain ``B' Omega_t + G`` at every grid point."""
-    if Omega_path.m != coeffs.m:
-        raise DimensionMismatch(
-            f"value path has dimension {Omega_path.m}, coefficients {coeffs.m}"
-        )
+    grid = _problem(coeffs, cost, Omega_path)
     gains = np.matmul(coeffs.B.T, Omega_path.values) + cost.G
-    return ControlGainPath(grid=Omega_path.grid, gains=gains)
+    return ControlGainPath(grid=grid, gains=gains)
 
 
 def duality_map(
@@ -79,7 +75,7 @@ def duality_map(
     result (index array, applied to every state axis), which some
     concrete pairs such as position/momentum interchange require.
     """
-    _require_matching_cost(coeffs, cost)
+    _problem(coeffs, cost)
     A, B, C, N, M = coeffs.A.T, coeffs.C.T, coeffs.B.T, cost.F, cost.G.T
     F, G, Omega_T = coeffs.N, coeffs.M.T, cost.Omega_T
     if permutation is not None:
@@ -108,14 +104,13 @@ def control_path_via_duality(
     """Solve the backward value flow through its dual forward flow.
 
     The dual's filter flow is integrated forward from its terminal
-    weight, read backward and relabelled back.  Its lift is the value
-    flow's lift, relabelled, so this reproduces
-    :func:`integrate_control_riccati`.  The two routes are one
-    computation, not two integrations: without a permutation the dual's
-    filter lift equals the control lift bit for bit, and the paths agree
-    exactly, so comparing them tests the duality map's algebra and the
-    permutation only.  An escape is the dual flow's, named by its own
-    step N and time ``t0 + N dt``: the value flow's time ``t1 - N dt``.
+    weight, read backward and relabelled back.
+    :func:`integrate_control_riccati` feeds the same dual data to the
+    same lift, so without a permutation the two routes are one
+    computation and agree bit for bit: comparing them tests the duality
+    map and the permutation only.  An escape is the dual flow's, named
+    by its own step N and time ``t0 + N dt``: the value flow's time
+    ``t1 - N dt``.
     """
     dual_coeffs, dual_cost = duality_map(coeffs, cost, permutation)
     sigma = integrate_filter_riccati(dual_coeffs, dual_cost.Omega_T, grid)
@@ -150,7 +145,7 @@ def hjb_residual(
     Returns the signed residual; an exact solution gives zero up to
     discretization error.
     """
-    grid = _require_same_grid(Omega_path.grid, alpha_path.grid)
+    grid = _problem(coeffs, cost, Omega_path, alpha_path)
     n = grid.n_steps
     index = _count(index, "index", 0)
     if index > n:

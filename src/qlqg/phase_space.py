@@ -34,7 +34,7 @@ from ._readers import (
     _square,
     _symmetrize,
 )
-from .errors import InvalidParameter, NonRealCoefficient, ValidationError
+from .errors import InvalidParameter, NonRealCoefficient
 
 __all__ = [
     "PhaseSpaceModel",
@@ -97,9 +97,9 @@ class PhaseSpaceModel:
         if m % 2 != 0:
             raise InvalidParameter(f"phase-space dimension must be even, got {m}")
         if _asymmetric(J, sign=1.0):
-            raise ValidationError("J must be antisymmetric")
+            raise InvalidParameter("J must be antisymmetric")
         if abs(np.linalg.det(J)) <= _DET_TOL:
-            raise ValidationError("J must be nondegenerate")
+            raise InvalidParameter("J must be nondegenerate")
         object.__setattr__(self, "hbar", _positive(self.hbar, "hbar"))
 
         R = _symmetrize(_asarray(self.R, float, (m, m), "R"), "R")

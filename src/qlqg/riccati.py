@@ -2,13 +2,16 @@
 
 Each matrix flow ``dS/dt = H21 + H22 S - S H11 - S H12 S`` is the image
 of the linear flow ``d[X; Y]/dt = H [X; Y]`` under ``S = Y X^-1``
-(Davison & Maki, IEEE TAC 18 (1973)); the filter, control (in reversed
-time) and Lyapunov flows differ only in their ``2m x 2m`` lift ``H``.
-One stepper serves them all: classical Runge-Kutta on the lift, i.e. the
-constant map ``Phi = sum_{k<=4} (dt H)^k / k!`` (order four), applied in
-blocks re-anchored at ``[I; S]`` (Kenney & Leipnik, IEEE TAC 30
-(1985)).  Precomputed powers ``Phi^j`` give a whole block from one
-GEMM, one batched determinant and one batched solve.  A block spans
+(Davison & Maki, IEEE TAC 18 (1973)).  One ``2m x 2m`` lift ``H``, that
+of ``S -> A S + S A' + N - (S C' + M)(S C' + M)'``, serves every flow:
+fed the model's ``(A, C, N, M)`` it is the filter flow, fed the dual
+data ``(A', B', F, G')`` the value flow in reversed time, and fed no
+output the Lyapunov flow.  One stepper serves them all: classical
+Runge-Kutta on the lift, i.e. the constant map
+``Phi = sum_{k<=4} (dt H)^k / k!`` (order four), applied in blocks
+re-anchored at ``[I; S]`` (Kenney & Leipnik, IEEE TAC 30 (1985)).
+Precomputed powers ``Phi^j`` give a whole block from one GEMM, one
+batched determinant and one batched solve.  A block spans
 ``ln 2 / ln rho`` steps for the spectral radius ``rho`` of ``Phi``, so
 it does not depend on units, and its powers hold at most ``2^12``
 entries (256 steps at m = 2, 113 at m = 3, 64 at m = 4).  A pole of ``S``
@@ -51,7 +54,6 @@ from .errors import (
     NoConvergence,
     NonFinite,
     UncertaintyViolation,
-    ValidationError,
 )
 from .phase_space import (
     UNCERTAINTY_TOL,
@@ -210,37 +212,26 @@ class ScalarPath:
         object.__setattr__(self, "values", _on_grid(self.grid, self.values, 1, "values"))
 
 
-def _require_same_grid(*grids: TimeGrid) -> TimeGrid:
-    first = grids[0]
-    for other in grids[1:]:
-        if (other.t0, other.t1, other.n_steps) != (first.t0, first.t1, first.n_steps):
-            raise GridMismatch(f"grids differ: {first} vs {other}")
-    return first
+def _problem(coeffs: LinearCoefficients, cost: CostSpec, *paths) -> TimeGrid | None:
+    """The grid that ``paths`` share (None without any): DimensionMismatch
+    unless ``cost`` and every :class:`MatrixPath` among them fit
+    ``coeffs``, GridMismatch unless they share one grid."""
+    if (cost.m, cost.k) != (coeffs.m, coeffs.k):
+        raise DimensionMismatch(f"cost is for {cost.m} states and {cost.k} controls, "
+                                f"coefficients for {coeffs.m} and {coeffs.k}")
+    grid = paths[0].grid if paths else None
+    for path in paths:
+        if path.grid != grid:
+            raise GridMismatch(f"grids differ: {grid} vs {path.grid}")
+        if isinstance(path, MatrixPath) and path.m != coeffs.m:
+            raise DimensionMismatch(f"path has dimension {path.m}, coefficients {coeffs.m}")
+    return grid
 
 
-def _require_matching_cost(coeffs: LinearCoefficients, cost: CostSpec) -> None:
-    if cost.m != coeffs.m:
-        raise DimensionMismatch(
-            f"cost is for dimension {cost.m}, coefficients for {coeffs.m}"
-        )
-    if cost.k != coeffs.k:
-        raise ValidationError(
-            f"cost expects {cost.k} controls, coefficients have {coeffs.k}"
-        )
-
-
-def _filter_lift(coeffs: LinearCoefficients) -> np.ndarray:
+def _lift(A: np.ndarray, C: np.ndarray, N: np.ndarray, M: np.ndarray) -> np.ndarray:
     """Lift of S -> A S + S A' + N - (S C' + M)(S C' + M)'."""
-    C, M = coeffs.C, coeffs.M
-    A = coeffs.A - M @ C
-    return np.block([[-A.T, C.T @ C], [coeffs.N - M @ M.T, A]])
-
-
-def _control_lift(coeffs: LinearCoefficients, cost: CostSpec) -> np.ndarray:
-    """Lift of the control Riccati flow in reversed time."""
-    B, G = coeffs.B, cost.G
-    A = coeffs.A - B @ G
-    return np.block([[-A, B @ B.T], [cost.F - G.T @ G, A.T]])
+    A = A - M @ C
+    return np.block([[-A.T, C.T @ C], [N - M @ M.T, A]])
 
 
 def _lift_drift(H: np.ndarray, S: np.ndarray) -> float:
@@ -392,7 +383,7 @@ def integrate_filter_riccati(
     if uncertainty is not None:
         J, hbar = uncertainty
         _require_heisenberg(Sigma0, J, hbar)
-    values = _lift_path(_filter_lift(coeffs), Sigma0, grid)
+    values = _lift_path(_lift(coeffs.A, coeffs.C, coeffs.N, coeffs.M), Sigma0, grid)
     if uncertainty is not None:
         # the same bound along the whole path, in one batched margin
         worst = _heisenberg_margin(values, J, hbar)
@@ -413,13 +404,15 @@ def integrate_control_riccati(
 ) -> MatrixPath:
     """Propagate the value matrix backward from its terminal weight.
 
-    The flow runs backward from ``cost.Omega_T`` at ``grid.t1``; the
-    returned path is indexed by forward time, so ``path.at(k)`` is the
-    value matrix at ``grid.times()[k]`` and ``path.final`` equals
-    ``Omega_T``.
+    The flow is the filter flow of the dual data ``(A', B', F, G')`` (see
+    :func:`qlqg.control.duality_map`), run from ``cost.Omega_T`` at
+    ``grid.t1`` and written backward into one path indexed by forward
+    time, so ``path.at(k)`` is the value matrix at ``grid.times()[k]``
+    and ``path.final`` equals ``Omega_T``.
     """
-    _require_matching_cost(coeffs, cost)
-    values = _lift_path(_control_lift(coeffs, cost), cost.Omega_T, grid, backward=True)
+    _problem(coeffs, cost)
+    H = _lift(coeffs.A.T, coeffs.B.T, cost.F, cost.G.T)
+    values = _lift_path(H, cost.Omega_T, grid, backward=True)
     return MatrixPath(grid=grid, values=values)
 
 
@@ -432,9 +425,8 @@ def lyapunov_unconditional(
     filter flow S -> A S + S A' + N of the same model with no output."""
     m = coeffs.m
     Sigma0 = _symmetrize(_asarray(Sigma0, float, (m, m), "Sigma0"), "Sigma0")
-    unmeasured = LinearCoefficients(A=coeffs.A, B=coeffs.B, C=np.zeros((0, m)),
-                                    N=coeffs.N, M=np.zeros((m, 0)))
-    values = _lift_path(_filter_lift(unmeasured), Sigma0, grid)
+    H = _lift(coeffs.A, np.zeros((0, m)), coeffs.N, np.zeros((m, 0)))
+    values = _lift_path(H, Sigma0, grid)
     return MatrixPath(grid=grid, values=values)
 
 
@@ -455,7 +447,7 @@ def stationary_filter_covariance(coeffs: LinearCoefficients) -> NDArray[np.float
         If ``X`` is singular or the limit passes ``ESCAPE_LIMIT`` (escape).
     """
     m = coeffs.m
-    H = _filter_lift(coeffs)
+    H = _lift(coeffs.A, coeffs.C, coeffs.N, coeffs.M)
     ev, vectors = np.linalg.eig(H)
     top = np.argsort(ev.real)[m:]
     if not ev.real[top].min() > 0:
@@ -487,9 +479,7 @@ def integrate_alpha(
     feedback gain ``B' Omega + G``; quadrature is trapezoidal on the
     shared grid, matching the convention used by the cost assembly.
     """
-    grid = _require_same_grid(Omega_path.grid, Sigma_path.grid)
-    if Omega_path.m != coeffs.m or Sigma_path.m != coeffs.m:
-        raise DimensionMismatch("paths and coefficients disagree on dimension")
+    grid = _problem(coeffs, cost, Omega_path, Sigma_path)
     f = _cost_integrands(Omega_path.values, Sigma_path.values, coeffs, cost)
     forward = _cumulative_trapezoid(f, grid.dt)
     return ScalarPath(grid=grid, values=forward[-1] - forward)
@@ -526,12 +516,12 @@ def total_minimal_cost(
     of the noise term and the feedback term (together the scalar value
     term of :func:`integrate_alpha` at ``t0``).
     """
-    grid = _require_same_grid(Omega_path.grid, Sigma_path.grid)
+    grid = _problem(coeffs, cost, Omega_path, Sigma_path)
     m = coeffs.m
     Xbar = _asarray(Xbar, float, (m,), "Xbar")
     Sigma0 = _symmetrize(_asarray(Sigma0, float, (m, m), "Sigma0"), "Sigma0")
     if not np.allclose(Sigma_path.at(0), Sigma0, rtol=0.0, atol=1e-12):
-        raise ValidationError("Sigma_path does not start from Sigma0")
+        raise InvalidParameter("Sigma_path does not start from Sigma0")
 
     Omega0 = Omega_path.at(0)
     static = float(Xbar @ Omega0 @ Xbar + np.trace(Omega0 @ Sigma0))

@@ -171,7 +171,18 @@ def _duality(seed: int, n_systems: int) -> str:
         v = control_path_via_duality(lc, cost4, grid4)
         worst = max(worst, float(np.abs(d.values - v.values).max()))
     assert worst < 1e-8, f"worst route mismatch {worst:.2e}"
-    return f"both routes agree to {worst:.1e} over {n_systems + 1} systems"
+
+    # the routes share one lift, so a witness outside it checks both: over
+    # a long horizon Omega at t0 settles on the closed-form fixed point
+    long, gap = TimeGrid(0.0, 20.0, 2000), 0.0
+    for beta in (0.25, 1.0, 4.0):
+        cost = fp.position_tracking_cost(beta)
+        for path in (integrate_control_riccati(coeffs, cost, long),
+                     control_path_via_duality(coeffs, cost, long, permutation=[1, 0])):
+            gap = max(gap, float(np.abs(path.at(0) - fp.stationary_value_matrix(beta)).max()))
+    assert gap < 1e-8, f"Omega(t0) off the stationary value matrix by {gap:.2e}"
+    return (f"both routes agree to {worst:.1e} over {n_systems + 1} systems, and reach "
+            f"the stationary value matrix to {gap:.1e} at beta 0.25, 1, 4")
 
 
 def _hjb_residual(seed: int, n_samples: int) -> str:

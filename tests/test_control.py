@@ -16,14 +16,16 @@ from qlqg.control import (
     duality_map,
     hjb_residual,
 )
-from qlqg.errors import DimensionMismatch, InvalidParameter, ValidationError
+from qlqg.errors import DimensionMismatch, GridMismatch, InvalidParameter, ValidationError
 from qlqg.riccati import (
     CostSpec,
     MatrixPath,
+    ScalarPath,
     TimeGrid,
     integrate_alpha,
     integrate_control_riccati,
     integrate_filter_riccati,
+    total_minimal_cost,
 )
 
 
@@ -191,6 +193,43 @@ class TestDualRoute:
         direct = integrate_control_riccati(coeffs, cost, grid)
         dual = control_path_via_duality(coeffs, cost, grid, permutation=[1, 0])
         assert np.abs(direct.values - dual.values).max() < 1e-8
+
+
+# Each entry point that takes a cost and paths checks them against the
+# coefficients before any arithmetic: (value path, second path) on the
+# one-control free particle, the second path a covariance or a scalar term
+ENTRY_POINTS = {
+    "integrate_alpha": lambda coeffs, cost, Om, Si: integrate_alpha(Om, Si, coeffs, cost),
+    "total_minimal_cost": lambda coeffs, cost, Om, Si: total_minimal_cost(
+        np.zeros(2), np.eye(2), Om, Si, coeffs, cost),
+    "control_gain_path": lambda coeffs, cost, Om, Si: control_gain_path(Om, coeffs, cost),
+    "hjb_residual": lambda coeffs, cost, Om, Si: hjb_residual(
+        Om, ScalarPath(Si.grid, np.zeros(Si.grid.n_points)), 1, np.zeros(2), np.eye(2),
+        coeffs, cost),
+}
+GRID = TimeGrid(0.0, 1.0, 10)
+TRACKING = CostSpec(F=np.eye(2), G=np.zeros((1, 2)), Omega_T=np.eye(2))
+# (cost, dimension of the value path, grid of the second path, error)
+MISFITS = {
+    "two-controls": (CostSpec(F=np.eye(2), G=np.zeros((2, 2)), Omega_T=np.eye(2)),
+                     2, GRID, DimensionMismatch),
+    "cost-3x3": (CostSpec(F=np.eye(3), G=np.zeros((1, 3)), Omega_T=np.eye(3)),
+                 2, GRID, DimensionMismatch),
+    "path-3x3": (TRACKING, 3, GRID, DimensionMismatch),
+    "other-grid": (TRACKING, 2, TimeGrid(0.0, 2.0, 10), GridMismatch),
+}
+
+
+# control_gain_path takes one path, so it has no second grid
+@pytest.mark.parametrize("entry, misfit", [
+    (entry, misfit) for entry in ENTRY_POINTS for misfit in MISFITS
+    if (entry, misfit) != ("control_gain_path", "other-grid")])
+def test_entry_point_rejects_a_misfit_cost_or_path(entry, misfit):
+    cost, m, grid, error = MISFITS[misfit]
+    Om = MatrixPath(GRID, np.tile(np.eye(m), (GRID.n_points, 1, 1)))
+    Si = MatrixPath(grid, np.tile(np.eye(2), (grid.n_points, 1, 1)))
+    with pytest.raises(error):
+        ENTRY_POINTS[entry](feedback_coefficients(), cost, Om, Si)
 
 
 class TestHjbResidual:

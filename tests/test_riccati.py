@@ -31,7 +31,7 @@ from qlqg.riccati import (
     lyapunov_unconditional,
     stationary_filter_covariance,
     total_minimal_cost,
-    _filter_lift,
+    _lift,
     _lift_powers,
 )
 from qlqg.phase_space import UNCERTAINTY_TOL
@@ -283,11 +283,13 @@ class TestBlockRule:
     def test_block_length_does_not_shrink_with_units(self, s, shortest):
         # the former rule, ending a block at the first entry of 2, gave
         # 64-, 6- and 1-step blocks here; dt rho(H) is 0.14 at s = 100
-        powers = _lift_powers(_filter_lift(scaled_particle(s)), 1e-3, 20000)
+        c = scaled_particle(s)
+        powers = _lift_powers(_lift(c.A, c.C, c.N, c.M), 1e-3, 20000)
         assert len(powers) >= shortest
 
     def test_block_never_longer_than_the_grid(self):
-        powers = _lift_powers(_filter_lift(tracking_coefficients()), 1e-3, 10)
+        c = tracking_coefficients()
+        powers = _lift_powers(_lift(c.A, c.C, c.N, c.M), 1e-3, 10)
         assert len(powers) == 10
 
     def test_powers_stack_stays_within_its_entries(self):
@@ -296,7 +298,7 @@ class TestBlockRule:
         coeffs = LinearCoefficients(A=np.zeros((8, 8)), B=np.zeros((8, 1)),
                                     C=1e-3 * rng.standard_normal((1, 8)),
                                     N=W @ W.T, M=np.zeros((8, 1)))
-        powers = _lift_powers(_filter_lift(coeffs), 1e-6, 20000)
+        powers = _lift_powers(_lift(coeffs.A, coeffs.C, coeffs.N, coeffs.M), 1e-6, 20000)
         assert powers.size <= riccati._POWER_ENTRIES
         assert len(powers) == riccati._POWER_ENTRIES // 16**2
 

@@ -163,6 +163,42 @@ def test_json_sections_are_checked_by_the_readers_only():
     assert not offenders
 
 
+def test_riccati_builds_one_lift():
+    # the filter, value and Lyapunov flows feed one lift builder the
+    # model, its dual data or no output
+    blocks = [node for node in ast.walk(_tree(PACKAGE_DIR / "riccati.py"))
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "block"]
+    assert len(blocks) == 1
+
+
+@pytest.mark.parametrize("module, name", [
+    ("riccati", "integrate_control_riccati"), ("riccati", "integrate_alpha"),
+    ("riccati", "total_minimal_cost"), ("control", "duality_map"),
+    ("control", "control_gain_path"), ("control", "hjb_residual")])
+def test_entry_point_fits_its_cost_and_paths_in_one_check(module, name):
+    # riccati._problem is the one check that a cost and its paths fit the
+    # coefficients and share a grid
+    function = next(node for node in _tree(PACKAGE_DIR / f"{module}.py").body
+                    if isinstance(node, ast.FunctionDef) and node.name == name)
+    assert "_problem" in {node.func.id for node in ast.walk(function)
+                          if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+
+
+def test_errors_are_raised_as_leaf_classes():
+    # a caller can tell a rejected input or a failed computation by its
+    # class, not only by its family
+    bases = {"QlqgError", "ValidationError", "NumericalError"}
+    offenders = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id in bases:
+                    offenders.append(f"{path.name}:{node.lineno}")
+    assert not offenders
+
+
 def test_sme_does_not_import_the_phase_space_layer():
     assert "phase_space" not in {source for source, _ in _imports(_tree(PACKAGE_DIR / "sme.py"))}
 
