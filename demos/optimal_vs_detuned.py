@@ -8,8 +8,8 @@ independent ensembles would.
 
 import numpy as np
 
-from qlqg import free_particle as fp
-from qlqg.closed_loop import SimConfig, simulate_closed_loop
+from qlqg import SimConfig, free_particle as fp
+from qlqg.closed_loop import simulate_closed_loop
 from qlqg.phase_space import GaussianBelief
 
 from qlqg.riccati import TimeGrid

@@ -7,8 +7,8 @@ flows the loop ran on.
 
 import numpy as np
 
-from qlqg import free_particle as fp
-from qlqg.closed_loop import SimConfig, monte_carlo_expected_cost, simulate_closed_loop
+from qlqg import SimConfig, free_particle as fp
+from qlqg.closed_loop import monte_carlo_expected_cost, simulate_closed_loop
 from qlqg.phase_space import GaussianBelief
 from qlqg.riccati import TimeGrid, total_minimal_cost
 

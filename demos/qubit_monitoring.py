@@ -8,7 +8,7 @@ plain exponential decoherence.
 
 import numpy as np
 
-from qlqg.closed_loop import SimConfig
+from qlqg import SimConfig
 from qlqg.riccati import TimeGrid
 from qlqg.sme import (
     DensityMatrix,

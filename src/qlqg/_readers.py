@@ -3,7 +3,8 @@
 Arrays come in through one function, :func:`_asarray`: it converts,
 checks the shape and then finiteness, so junk input (a string, a ragged
 list, a NaN) is a :class:`ValidationError` wherever it enters.  A real
-scalar is read by it as a 0-d array, an integer by :func:`_count`, and a
+scalar is read by it as a 0-d array, an integer by :func:`_count`, an
+object of a given class (a grid, a path) by :func:`_of_kind`, and a
 stack of operators by :func:`_stack_operators`; each caller keeps the
 value that was read.  A matrix that must equal its adjoint is kept as
 its exact Hermitian part by :func:`_symmetrize`.  Every JSON section
@@ -24,7 +25,7 @@ import os
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidParameter
+from .errors import ConfigError, DimensionMismatch, InvalidParameter
 
 #: asymmetry tolerated in a matrix that must equal its adjoint, relative to
 #: its largest entry once that is past 1
@@ -91,6 +92,13 @@ def _count(value, name: str, low: int) -> int:
     ):
         raise InvalidParameter(f"{name} must be an integer >= {low}, got {value!r}")
     return int(value)
+
+
+def _of_kind(value, kind: type, name: str):
+    """``value``; ConfigError naming ``name`` unless it is a ``kind``."""
+    if not isinstance(value, kind):
+        raise ConfigError(f"{name} must be a {kind.__name__}, got {value!r}")
+    return value
 
 
 @contextlib.contextmanager

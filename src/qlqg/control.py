@@ -55,7 +55,7 @@ def control_gain_path(
     cost: CostSpec,
 ) -> ControlGainPath:
     """Feedback gain ``B' Omega_t + G`` at every grid point."""
-    grid = _problem(coeffs, cost, Omega_path)
+    grid = _problem(coeffs, cost, Omega_path=Omega_path)
     gains = np.matmul(coeffs.B.T, Omega_path.values) + cost.G
     return ControlGainPath(grid=grid, gains=gains)
 
@@ -145,7 +145,7 @@ def hjb_residual(
     Returns the signed residual; an exact solution gives zero up to
     discretization error.
     """
-    grid = _problem(coeffs, cost, Omega_path, alpha_path)
+    grid = _problem(coeffs, cost, Omega_path=Omega_path, alpha_path=alpha_path)
     n = grid.n_steps
     index = _count(index, "index", 0)
     if index > n:

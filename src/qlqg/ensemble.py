@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
+from ._readers import _of_kind
 from .errors import ConfigError
 from .riccati import TimeGrid
 
@@ -48,8 +49,7 @@ class SimConfig:
     record_stride: int = 1
 
     def __post_init__(self) -> None:
-        if not isinstance(self.grid, TimeGrid):
-            raise ConfigError(f"grid must be a TimeGrid, got {self.grid!r}")
+        _of_kind(self.grid, TimeGrid, "grid")
         for name in ("n_traj", "seed", "record_stride"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
@@ -75,8 +75,7 @@ class SimConfig:
 
 def _at(config: SimConfig, index: int, step: int) -> str:
     """Where a failure happened, enough to replay it from (seed, index)."""
-    t = config.grid.t0 + step * config.grid.dt
-    return f"trajectory {index} of seed {config.seed} at step {step}, t={t:.6g}"
+    return f"trajectory {index} of seed {config.seed} at {config.grid._where(step)}"
 
 
 def _chunk_width(rows: int) -> int:

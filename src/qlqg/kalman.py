@@ -32,8 +32,8 @@ def filter_step(
     ``K = Sigma C' + M`` at the current covariance; under the model the
     innovation ``dY - C Xhat dt`` is a Wiener increment.  The record is
     read as :func:`qlqg.sme.sme_step` reads its own.  The closed loop
-    folds its feedback into one precomputed map per step instead, and is
-    checked against this step by replaying its record through it.
+    folds its feedback into block maps per 256-step noise window instead,
+    and is checked against this step by replaying its record through it.
 
     Parameters
     ----------

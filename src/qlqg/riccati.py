@@ -18,7 +18,7 @@ entries (256 steps at m = 2, 113 at m = 3, 64 at m = 4).  A pole of ``S``
 between grid points (``det X_j <= 0``, or, for a pair of poles in one
 step, an eigenvalue of that step's ``X`` part on the negative real
 axis) raises :class:`NonFinite`, as do entries beyond ``ESCAPE_LIMIT``;
-the error names the step and its grid time.
+the first failing step, whatever its fault, is named with its grid time.
 The stationary filter covariance is read from the same lift without
 stepping it: the flow's limit is ``Y X^-1`` on the invariant subspace of
 the lift's dominant eigenvalues.
@@ -41,13 +41,13 @@ from ._readers import (
     _count,
     _fits_in_memory,
     _frozen,
+    _of_kind,
     _positive,
     _semidefinite,
     _square,
     _symmetrize,
 )
 from .errors import (
-    ConfigError,
     DimensionMismatch,
     GridMismatch,
     InvalidParameter,
@@ -128,6 +128,11 @@ class TimeGrid:
     def n_points(self) -> int:
         return self.n_steps + 1
 
+    def _where(self, step: int, backward: bool = False) -> str:
+        """``step N, t=...``: step N of a flow from ``t0``, or back from ``t1``."""
+        t = self.t1 - step * self.dt if backward else self.t0 + step * self.dt
+        return f"step {step}, t={t:.6g}"
+
 
 @dataclass(frozen=True)
 class CostSpec:
@@ -165,8 +170,7 @@ class CostSpec:
 def _on_grid(grid: TimeGrid, values, rank: int, name: str) -> np.ndarray:
     """A path's ``values`` of the given rank, read in place and frozen;
     GridMismatch unless it has one entry per point of ``grid``."""
-    if not isinstance(grid, TimeGrid):
-        raise ConfigError(f"grid must be a TimeGrid, got {grid!r}")
+    _of_kind(grid, TimeGrid, "grid")
     vals = _asarray(values, float, (None,) * rank, name, copy=False)
     if len(vals) != grid.n_points:
         raise GridMismatch(
@@ -212,15 +216,22 @@ class ScalarPath:
         object.__setattr__(self, "values", _on_grid(self.grid, self.values, 1, "values"))
 
 
-def _problem(coeffs: LinearCoefficients, cost: CostSpec, *paths) -> TimeGrid | None:
-    """The grid that ``paths`` share (None without any): DimensionMismatch
+#: the kind of path each slot of an entry point takes
+_SLOTS = {"Omega_path": MatrixPath, "Sigma_path": MatrixPath, "alpha_path": ScalarPath}
+
+
+def _problem(coeffs: LinearCoefficients, cost: CostSpec, **paths) -> TimeGrid | None:
+    """The grid that ``paths``, given by slot, share (None without any):
+    ConfigError unless each is the kind its slot takes, DimensionMismatch
     unless ``cost`` and every :class:`MatrixPath` among them fit
     ``coeffs``, GridMismatch unless they share one grid."""
     if (cost.m, cost.k) != (coeffs.m, coeffs.k):
         raise DimensionMismatch(f"cost is for {cost.m} states and {cost.k} controls, "
                                 f"coefficients for {coeffs.m} and {coeffs.k}")
-    grid = paths[0].grid if paths else None
-    for path in paths:
+    grid = None
+    for slot, path in paths.items():
+        _of_kind(path, _SLOTS[slot], slot)
+        grid = grid or path.grid
         if path.grid != grid:
             raise GridMismatch(f"grids differ: {grid} vs {path.grid}")
         if isinstance(path, MatrixPath) and path.m != coeffs.m:
@@ -276,9 +287,10 @@ def _lift_block(powers: np.ndarray, S: np.ndarray, out: np.ndarray, at) -> None:
     """Flow at the ``len(powers)`` grid points after ``S``, written to ``out``.
 
     Each point is ``Y_j X_j^-1``, symmetrized, with
-    ``[X_j; Y_j] = Phi^j [I; S]``.  Raises NonFinite on an escape, naming
-    its point j (from 1) by ``at(j)``.  Each temporary is dropped once spent, so those alive at once take at
-    most three quarters of the powers' memory.
+    ``[X_j; Y_j] = Phi^j [I; S]``.  Raises NonFinite at the first failing
+    point j (from 1), named by ``at(j)`` (a pole before an escape there);
+    the points before a ``det X_j <= 0`` are checked as a block of their
+    own.  Temporaries alive at once take at most 3/4 of the powers' memory.
     """
     n, m = len(powers), S.shape[0]
     Z = (powers.reshape(-1, 2 * m) @ np.vstack([np.eye(m), S])).reshape(n, 2 * m, m)
@@ -286,8 +298,13 @@ def _lift_block(powers: np.ndarray, S: np.ndarray, out: np.ndarray, at) -> None:
     # the solve factorizes the same matrices as det, so a positive
     # determinant rules out a singular pivot there
     det = np.linalg.det(Xt)
-    _raise_first(~(np.isfinite(det) & (det > 0)), "crossed a pole", at)
+    ahead = np.isfinite(det) & (det > 0)
     del det
+    if not ahead.all():
+        pole = int(np.argmin(ahead))
+        if pole:
+            _lift_block(powers[:pole], S, out[:pole], at)
+        raise NonFinite(f"flow crossed a pole at {at(pole + 1)} (finite-time escape)")
     T = np.linalg.solve(Xt, Z[:, m:].transpose(0, 2, 1))
     del Z, Xt
     T += T.transpose(0, 2, 1)
@@ -302,18 +319,17 @@ def _lift_block(powers: np.ndarray, S: np.ndarray, out: np.ndarray, at) -> None:
     np.matmul(S, phi12_t, out=steps[0])
     np.matmul(T[:-1].reshape(-1, m), phi12_t, out=steps[1:].reshape(-1, m))
     steps += phi11_t
+    pairs = np.zeros(n, dtype=bool)
     if m * max(steps.max(), -steps.min()) >= 1:
         ev = np.linalg.eigvals(steps + np.eye(m))
-        _raise_first((np.abs(ev.imag) <= -ev.real).any(axis=1), "crossed a pole", at)
+        pairs = (np.abs(ev.imag) <= -ev.real).any(axis=1)
     size = np.maximum(T.max(axis=(1, 2)), -T.min(axis=(1, 2)))
-    _raise_first(~(size <= ESCAPE_LIMIT), f"passed {ESCAPE_LIMIT:.0e}", at)
+    bad = pairs | ~(size <= ESCAPE_LIMIT)
+    if bad.any():
+        j = int(np.argmax(bad))
+        what = "crossed a pole" if pairs[j] else f"passed {ESCAPE_LIMIT:.0e}"
+        raise NonFinite(f"flow {what} at {at(j + 1)} (finite-time escape)")
     out[...] = T
-
-
-def _raise_first(bad: np.ndarray, what: str, at) -> None:
-    hits = np.flatnonzero(bad)
-    if hits.size:
-        raise NonFinite(f"flow {what} at {at(int(hits[0]) + 1)} (finite-time escape)")
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -327,8 +343,7 @@ def _lift_path(H: np.ndarray, S0: np.ndarray, grid: TimeGrid,
     time, ``t0 + N dt``, or ``t1 - N dt`` backward; the overflow on the
     way there warns nothing.
     """
-    n_steps, dt = grid.n_steps, grid.dt
-    origin, step_dt = (grid.t1, -dt) if backward else (grid.t0, dt)
+    n_steps, dt = _of_kind(grid, TimeGrid, "grid").n_steps, grid.dt
     powers = _lift_powers(H, dt, n_steps)
     with _fits_in_memory(f"n_steps {n_steps} needs a path"):
         values = np.empty((n_steps + 1,) + S0.shape)
@@ -337,7 +352,7 @@ def _lift_path(H: np.ndarray, S0: np.ndarray, grid: TimeGrid,
     for i in range(0, n_steps, len(powers)):
         n = min(len(powers), n_steps - i)
         _lift_block(powers[:n], path[i], path[i + 1 : i + 1 + n],
-                    lambda j: f"step {i + j}, t={origin + (i + j) * step_dt:.6g}")
+                    lambda j: grid._where(i + j, backward))
     return values
 
 
@@ -370,7 +385,7 @@ def integrate_filter_riccati(
         When given, ``Sigma0`` and every point of the computed path are
         checked against the Heisenberg bound: a ``Sigma0`` below it raises
         :class:`InvalidParameter`, a computed point below it
-        :class:`UncertaintyViolation` naming the first failing time.
+        :class:`UncertaintyViolation` naming the first failing step.
         Without it the flow is treated as a classical Riccati equation
         and no bound is enforced.
 
@@ -391,7 +406,7 @@ def integrate_filter_riccati(
         if bad.size:
             k = int(bad[0])
             raise UncertaintyViolation(
-                f"covariance broke the Heisenberg bound at t={grid.times()[k]:.6g} "
+                f"covariance broke the Heisenberg bound at {grid._where(k)} "
                 f"(min eigenvalue {worst[k]:.3e})"
             )
     return MatrixPath(grid=grid, values=values)
@@ -479,7 +494,7 @@ def integrate_alpha(
     feedback gain ``B' Omega + G``; quadrature is trapezoidal on the
     shared grid, matching the convention used by the cost assembly.
     """
-    grid = _problem(coeffs, cost, Omega_path, Sigma_path)
+    grid = _problem(coeffs, cost, Omega_path=Omega_path, Sigma_path=Sigma_path)
     f = _cost_integrands(Omega_path.values, Sigma_path.values, coeffs, cost)
     forward = _cumulative_trapezoid(f, grid.dt)
     return ScalarPath(grid=grid, values=forward[-1] - forward)
@@ -516,7 +531,7 @@ def total_minimal_cost(
     of the noise term and the feedback term (together the scalar value
     term of :func:`integrate_alpha` at ``t0``).
     """
-    grid = _problem(coeffs, cost, Omega_path, Sigma_path)
+    grid = _problem(coeffs, cost, Omega_path=Omega_path, Sigma_path=Sigma_path)
     m = coeffs.m
     Xbar = _asarray(Xbar, float, (m,), "Xbar")
     Sigma0 = _symmetrize(_asarray(Sigma0, float, (m, m), "Sigma0"), "Sigma0")

@@ -72,6 +72,7 @@ from ._readers import (
     _json_count,
     _json_list,
     _json_object,
+    _of_kind,
     _positive,
     _square,
     _stack_operators,
@@ -86,7 +87,7 @@ from .errors import (
     NotUnitary,
     PositivityLoss,
 )
-from .riccati import _rk4_map
+from .riccati import TimeGrid, _rk4_map
 
 __all__ = [
     "DensityMatrix",
@@ -380,10 +381,6 @@ def _require_dim(rho: DensityMatrix, model: FiniteModel) -> None:
         )
 
 
-def _master_at(grid, step: int) -> str:
-    return f"master flow at step {step}, t={grid.t0 + step * grid.dt:.6g}"
-
-
 def evolve_master(
     rho0: DensityMatrix,
     model: FiniteModel,
@@ -405,6 +402,7 @@ def evolve_master(
     :func:`_check_states`, unit trace included, and a failure names the
     first failing step and its time.
     """
+    _of_kind(grid, TimeGrid, "grid")
     record_stride = _count(record_stride, "record_stride", 1)
     if grid.n_steps % record_stride != 0:
         raise InvalidParameter(
@@ -426,7 +424,7 @@ def evolve_master(
             for k in range(width):
                 np.dot(step_map, block[k], out=block[k + 1])
             _check_states(block[1:width + 1].T,
-                          lambda b: _master_at(grid, start + b + 1), TRACE_TOL)
+                          lambda b: f"master flow at {grid._where(start + b + 1)}", TRACE_TOL)
             # block[k] is the state after step start + k
             recorded = block[record_stride - start % record_stride:width + 1:record_stride]
             path[row:row + len(recorded)] = recorded

@@ -16,7 +16,9 @@ from qlqg.control import (
     duality_map,
     hjb_residual,
 )
-from qlqg.errors import DimensionMismatch, GridMismatch, InvalidParameter, ValidationError
+from qlqg.errors import (
+    ConfigError, DimensionMismatch, GridMismatch, InvalidParameter, ValidationError,
+)
 from qlqg.riccati import (
     CostSpec,
     MatrixPath,
@@ -196,16 +198,18 @@ class TestDualRoute:
 
 
 # Each entry point that takes a cost and paths checks them against the
-# coefficients before any arithmetic: (value path, second path) on the
-# one-control free particle, the second path a covariance or a scalar term
+# coefficients before any arithmetic: (call on a value path and a second
+# path, kind of the second path) on the one-control free particle, the
+# second path a covariance or a scalar term
 ENTRY_POINTS = {
-    "integrate_alpha": lambda coeffs, cost, Om, Si: integrate_alpha(Om, Si, coeffs, cost),
-    "total_minimal_cost": lambda coeffs, cost, Om, Si: total_minimal_cost(
-        np.zeros(2), np.eye(2), Om, Si, coeffs, cost),
-    "control_gain_path": lambda coeffs, cost, Om, Si: control_gain_path(Om, coeffs, cost),
-    "hjb_residual": lambda coeffs, cost, Om, Si: hjb_residual(
-        Om, ScalarPath(Si.grid, np.zeros(Si.grid.n_points)), 1, np.zeros(2), np.eye(2),
-        coeffs, cost),
+    "integrate_alpha": (lambda coeffs, cost, Om, second: integrate_alpha(
+        Om, second, coeffs, cost), MatrixPath),
+    "total_minimal_cost": (lambda coeffs, cost, Om, second: total_minimal_cost(
+        np.zeros(2), np.eye(2), Om, second, coeffs, cost), MatrixPath),
+    "control_gain_path": (lambda coeffs, cost, Om, second: control_gain_path(
+        Om, coeffs, cost), None),
+    "hjb_residual": (lambda coeffs, cost, Om, second: hjb_residual(
+        Om, second, 1, np.zeros(2), np.eye(2), coeffs, cost), ScalarPath),
 }
 GRID = TimeGrid(0.0, 1.0, 10)
 TRACKING = CostSpec(F=np.eye(2), G=np.zeros((1, 2)), Omega_T=np.eye(2))
@@ -217,19 +221,35 @@ MISFITS = {
                  2, GRID, DimensionMismatch),
     "path-3x3": (TRACKING, 3, GRID, DimensionMismatch),
     "other-grid": (TRACKING, 2, TimeGrid(0.0, 2.0, 10), GridMismatch),
+    # the value path's bare array, or a second path of the other kind
+    "value-array": (TRACKING, 2, GRID, ConfigError),
+    "other-kind": (TRACKING, 2, GRID, ConfigError),
 }
 
 
-# control_gain_path takes one path, so it has no second grid
+def _path(kind, grid, m=2):
+    """A path of ``kind`` on ``grid``: identities of size m, or zeros."""
+    if kind is ScalarPath:
+        return ScalarPath(grid, np.zeros(grid.n_points))
+    return MatrixPath(grid, np.tile(np.eye(m), (grid.n_points, 1, 1)))
+
+
+# control_gain_path takes one path, so it has no second grid or kind
 @pytest.mark.parametrize("entry, misfit", [
     (entry, misfit) for entry in ENTRY_POINTS for misfit in MISFITS
-    if (entry, misfit) != ("control_gain_path", "other-grid")])
+    if entry != "control_gain_path" or misfit not in ("other-grid", "other-kind")])
 def test_entry_point_rejects_a_misfit_cost_or_path(entry, misfit):
     cost, m, grid, error = MISFITS[misfit]
-    Om = MatrixPath(GRID, np.tile(np.eye(m), (GRID.n_points, 1, 1)))
-    Si = MatrixPath(grid, np.tile(np.eye(2), (grid.n_points, 1, 1)))
-    with pytest.raises(error):
-        ENTRY_POINTS[entry](feedback_coefficients(), cost, Om, Si)
+    call, kind = ENTRY_POINTS[entry]
+    Om, match = _path(MatrixPath, GRID, m), None
+    # a misfit of kind names the slot it came in and the kind it takes
+    if misfit == "value-array":
+        Om, match = Om.values, "^Omega_path must be a MatrixPath, got "
+    if misfit == "other-kind":
+        match = rf"^\w+_path must be a {kind.__name__}, got "
+        kind = ScalarPath if kind is MatrixPath else MatrixPath
+    with pytest.raises(error, match=match):
+        call(feedback_coefficients(), cost, Om, kind and _path(kind, grid))
 
 
 class TestHjbResidual:

@@ -7,7 +7,10 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from qlqg import LinearCoefficients, build_coefficients, free_particle_model, riccati
+from qlqg import (
+    DensityMatrix, FiniteModel, LinearCoefficients, build_coefficients, evolve_master,
+    free_particle_model, riccati,
+)
 from qlqg.cli import matrix_path_to_csv
 from qlqg.control import ControlGainPath, control_path_via_duality
 from qlqg.errors import (
@@ -173,7 +176,7 @@ class TestFilterRiccati:
         coeffs = LinearCoefficients(A=np.zeros((2, 2)), B=np.zeros((2, 1)),
                                     C=2.0 * np.eye(2), N=np.zeros((2, 2)),
                                     M=np.zeros((2, 2)))
-        with pytest.raises(UncertaintyViolation, match="at t="):
+        with pytest.raises(UncertaintyViolation, match=r"at step \d+, t="):
             integrate_filter_riccati(coeffs, np.eye(2), TimeGrid(0.0, 2.0, 2000),
                                      uncertainty=(J2, 1.0))
 
@@ -187,7 +190,7 @@ class TestFilterRiccati:
         low = np.linalg.eigvalsh(path.values + 0.5j * J2)[:, 0]
         first = int(np.argmax(low < UNCERTAINTY_TOL))
         with pytest.raises(UncertaintyViolation,
-                           match=f"at t={grid.times()[first]:.6g} "):
+                           match=f"at step {first}, t={grid.times()[first]:.6g} "):
             integrate_filter_riccati(coeffs, np.eye(2), grid, uncertainty=(J2, 1.0))
 
     def test_bound_reads_j_and_hbar_once(self):
@@ -397,6 +400,17 @@ class TestControlRiccati:
         with pytest.raises(NonFinite, match=r"at step 676, t=0\.676 "):
             control_path_via_duality(coeffs, cost, grid)
 
+    @pytest.mark.parametrize("grid", [TimeGrid(1.0, 2.0, 1000), TimeGrid(0.5, 2.0, 1500),
+                                      TimeGrid(0.0, 2.0, 2000)])
+    def test_backward_escape_names_its_first_failing_step(self, grid):
+        # Omega + G solves P' = -P^2 backward from G = -1/(1 + 5e-13): it
+        # passes the escape limit at step 1000, t = t1 - 1, and meets its
+        # pole just after, within the same block however long the grid
+        coeffs = LinearCoefficients(A=[[0.0]], B=[[1.0]], C=[[1.0]], N=[[0.0]], M=[[0.0]])
+        cost = CostSpec(F=[[0.0]], G=[[-1.0 / (1.0 + 5e-13)]], Omega_T=[[0.0]])
+        with pytest.raises(NonFinite, match=r"^flow passed 1e\+12 at step 1000, t=1 "):
+            integrate_control_riccati(coeffs, cost, grid)
+
     def test_dimension_checks(self):
         coeffs = feedback_coefficients()
         bad_cost = CostSpec(F=np.eye(4), G=np.zeros((1, 4)), Omega_T=np.eye(4))
@@ -405,6 +419,27 @@ class TestControlRiccati:
         wrong_k = CostSpec(F=np.eye(2), G=np.zeros((2, 2)), Omega_T=np.eye(2))
         with pytest.raises(ValidationError):
             integrate_control_riccati(coeffs, wrong_k, TimeGrid(0.0, 1.0, 10))
+
+
+class TestFirstFailingStep:
+    @pytest.mark.parametrize("grid", [TimeGrid(0.0, 1.0, 1000), TimeGrid(0.0, 1.5, 1500),
+                                      TimeGrid(0.0, 2.0, 2000)])
+    def test_escape_before_a_pole_in_its_block_is_named(self, grid):
+        # S' = -S^2 from -1/(1 + 5e-13) passes the escape limit at step
+        # 1000 and crosses its pole at step 1001: the first failing step
+        # is named on every grid, not the pole found later in its block
+        coeffs = LinearCoefficients(A=[[0.0]], B=[[0.0]], C=[[1.0]], N=[[0.0]], M=[[0.0]])
+        with pytest.raises(NonFinite, match=r"^flow passed 1e\+12 at step 1000, t=1 "
+                                            r"\(finite-time escape\)$"):
+            integrate_filter_riccati(coeffs, [[-1.0 / (1.0 + 5e-13)]], grid)
+
+    def test_pole_is_named_at_its_own_step(self):
+        # from -1/(1 - 5e-4) the pole lies between steps 999 and 1000,
+        # and the flow stays below the escape limit before it
+        coeffs = LinearCoefficients(A=[[0.0]], B=[[0.0]], C=[[1.0]], N=[[0.0]], M=[[0.0]])
+        with pytest.raises(NonFinite, match=r"^flow crossed a pole at step 1000, t=1 "):
+            integrate_filter_riccati(coeffs, [[-1.0 / (1.0 - 5e-4)]],
+                                     TimeGrid(0.0, 2.0, 2000))
 
 
 class TestLyapunov:
@@ -634,3 +669,27 @@ class TestCsvExport:
             path(None, values)
         with pytest.raises(ConfigError, match="got 'x'"):
             path("x", values)
+
+
+# every flow that takes a grid, called with the grid last
+FLOWS = {
+    "integrate_filter_riccati": lambda grid: integrate_filter_riccati(
+        tracking_coefficients(), np.eye(2), grid),
+    "integrate_control_riccati": lambda grid: integrate_control_riccati(
+        tracking_coefficients(), CostSpec(np.eye(2), np.zeros((1, 2)), np.eye(2)), grid),
+    "lyapunov_unconditional": lambda grid: lyapunov_unconditional(
+        tracking_coefficients(), np.eye(2), grid),
+    "control_path_via_duality": lambda grid: control_path_via_duality(
+        tracking_coefficients(), CostSpec(np.eye(2), np.zeros((1, 2)), np.eye(2)), grid),
+    "evolve_master": lambda grid: evolve_master(
+        DensityMatrix.pure([1.0, 0.0]), FiniteModel(H0=np.eye(2), L_list=[np.eye(2)]), grid),
+}
+
+
+@pytest.mark.parametrize("flow", FLOWS)
+def test_flow_needs_a_time_grid(flow):
+    # the one grid check of SimConfig and the paths, not an AttributeError
+    # on the grid's n_steps
+    FLOWS[flow](TimeGrid(0.0, 1.0, 10))
+    with pytest.raises(ConfigError, match="grid must be a TimeGrid, got None"):
+        FLOWS[flow](None)

@@ -185,6 +185,25 @@ def test_entry_point_fits_its_cost_and_paths_in_one_check(module, name):
                           if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
 
 
+def test_a_step_is_named_by_the_time_grid_only():
+    # "step N, t=..." is formatted by TimeGrid._where alone, so every
+    # failure names its step and time alike
+    offenders = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = _tree(path)
+        namer = {id(node) for function in ast.walk(tree)
+                 if isinstance(function, ast.FunctionDef) and function.name == "_where"
+                 for node in ast.walk(function)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.JoinedStr) and id(node) not in namer:
+                offenders += [f"{path.name}:{node.lineno}"
+                              for text, value in zip(node.values, node.values[1:])
+                              if isinstance(text, ast.Constant)
+                              and isinstance(value, ast.FormattedValue)
+                              and text.value.endswith(("step ", "t="))]
+    assert not offenders
+
+
 def test_errors_are_raised_as_leaf_classes():
     # a caller can tell a rejected input or a failed computation by its
     # class, not only by its family
