@@ -33,4 +33,4 @@ __all__ = [
     "free_particle",
 ]
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

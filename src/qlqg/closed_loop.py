@@ -3,9 +3,9 @@
 The loop is simulated in innovations representation: the innovation
 increments are exogenous Wiener draws, which is exact for the
 conditional dynamics and sidesteps any notion of a hidden point state.
-Trajectories run through :mod:`qlqg.ensemble`'s chunk loop: each owns
-the SFC64 stream of ``(seed, trajectory index)``, and a chunk is
-held one trajectory per column in a multiple of 8 columns, so a
+Trajectories run through :mod:`qlqg.ensemble`'s chunk loop: trajectory
+i reads column i % 8 of the SFC64 stream of ``(seed, i // 8)``, and a
+chunk is held one trajectory per column in a multiple of 8 columns, so a
 trajectory's results do not depend on ``n_traj`` or on the chunk that
 carries it.
 
@@ -197,11 +197,12 @@ def simulate_closed_loop(
     only at recorded steps.
 
     Trajectories are processed in fixed-size chunks, one after another.
-    Every trajectory owns its own SFC64 stream, seeded by ``(seed,
-    index)``, and lands in a preallocated slot, and its arithmetic does
-    not depend on the chunk it shares, so results are bit-identical for
-    any ``n_traj``: trajectory i is the same in every ensemble of the
-    seed that holds it.
+    Every trajectory reads its own column of the SFC64 stream that its
+    block of 8 shares, seeded by ``(seed, index // 8)``, and lands in a
+    preallocated slot, and its arithmetic does not depend on the chunk
+    it shares, so results are bit-identical for any ``n_traj``:
+    trajectory i is the same in every ensemble of the seed that holds
+    it.
     """
     first = _count(first, "first", 0)
     n_traj = config.n_traj

@@ -1,8 +1,9 @@
 """The ensemble plumbing both Monte Carlo simulators share.
 
-A trajectory is named by ``(seed, index)`` and owns an SFC64 stream
-seeded by ``SeedSequence(seed, spawn_key=(index,))``, so an ensemble is
-reproducible and independent of batch layout.
+A trajectory is named by ``(seed, index)``.  Trajectories 8b..8b+7 share
+one SFC64 stream, seeded by ``SeedSequence(seed, spawn_key=(b,))``, and
+trajectory i reads column i % 8 of it, so an ensemble is reproducible
+and independent of batch layout.
 :func:`_run_chunks` is the one chunk loop: it hands a simulator fixed
 chunks of up to ``_CHUNK`` trajectories, each held in a multiple of
 ``_COLUMN_BLOCK`` columns, together with the chunk's noise walker.  Only
@@ -35,7 +36,8 @@ _CHUNK = 1024
 _BLOCK = 256
 #: a chunk has a multiple of this many columns: OpenBLAS rounds the
 #: columns of a last, partial block of 8 apart from those of full blocks,
-#: and a one-row or one-column product goes to GEMV
+#: and a one-row or one-column product goes to GEMV.  It is also the
+#: number of trajectories that share one noise stream
 _COLUMN_BLOCK = 8
 
 
@@ -113,9 +115,10 @@ def _mix(x, y):
 
 
 def _stream_keys(seed: int, start: int, stop: int) -> NDArray[np.uint64]:
-    """SFC64 seeds of the streams of trajectories ``start..stop-1``, one
+    """SFC64 seeds of the noise streams ``start..stop-1`` of ``seed``, one
     row each: row i is ``np.random.SeedSequence(seed, spawn_key=(start +
-    i,)).generate_state(3, np.uint64)``, for every row at once.
+    i,)).generate_state(3, np.uint64)``, for every row at once.  Stream b
+    is that of trajectories 8b..8b+7.
 
     It is numpy's SeedSequence hash in uint32 arithmetic.  The entropy
     is the seed's 32-bit words, padded to the pool size because a spawn
@@ -182,40 +185,46 @@ def _noise_blocks(config: SimConfig, start: int, stop: int, d: int,
     The one function from a chunk's streams to its steps.  ``out`` is a
     caller-owned (>= ``steps`` d, B) array, B = ``_chunk_width(stop -
     start)``: row j d + c is channel c of step s + j times sqrt(dt), one
-    trajectory per column, valid until the next block.  Pad columns stay
-    zero.
+    trajectory per column, valid until the next block.  Pad columns are
+    zeroed once and stay zero.
 
-    Column i comes from numpy's SFC64 stream seeded by
-    ``SeedSequence(seed, spawn_key=(start + i,))``; the chunk's seeds are
-    computed together by :func:`_stream_keys`, with no SeedSequence
-    object per trajectory.  The streams stay alive and draw a window of
-    up to ``_BLOCK`` steps at a time, each straight into its own row of
-    one (B, ``_BLOCK``, d) window.  Each stream is drawn in order, and
-    numpy's ``standard_normal`` yields the same numbers however the draws
-    of a stream are split, so the bytes are those of one bulk draw.  No
-    block straddles two windows.  The window's rows are strided, so a
-    block goes through one trajectory-major (B, ``steps`` d) buffer,
-    scaled as it is filled, and is then transposed into ``out``: a
-    transposing copy straight from the strided rows is slower, and so is
-    a per-step gather.
+    Trajectory i is column i % 8 of the stream of its tile b = i // 8,
+    numpy's SFC64 seeded by ``SeedSequence(seed, spawn_key=(b,))``, which
+    draws its tile's noise step-major, then by channel, then by column:
+    trajectory i's increments are ``standard_normal((n_steps, d, 8))[:,
+    :, i % 8]`` of that stream, times sqrt(dt).  The chunk's tiles
+    ``start // 8 .. (stop - 1) // 8`` are keyed together by
+    :func:`_stream_keys`, with no SeedSequence object per tile.  The
+    streams stay alive and draw a window of up to ``_BLOCK`` steps at a
+    time, each straight into its own (``_BLOCK``, d, 8) slab of one
+    window.  Each stream is drawn in order, and numpy's
+    ``standard_normal`` yields the same numbers however the draws of a
+    stream are split, so the bytes are those of one bulk draw.  No block
+    straddles two windows.  A block is scaled into a step-major staging
+    array, tiles side by side, by one transposing multiply, and the
+    chunk's columns, from ``start % 8`` on, are then copied into ``out``:
+    aligned and unaligned chunks take the same path.
     """
     rows, n_steps = stop - start, config.grid.n_steps
-    B = _chunk_width(rows)
-    buffer = np.empty((B, steps * d))
+    first_tile, lead = divmod(start, _COLUMN_BLOCK)
+    n_tiles = (stop - 1) // _COLUMN_BLOCK - first_tile + 1
     sqrt_dt = math.sqrt(config.grid.dt)
     key = _key_type()
     streams = [np.random.Generator(np.random.SFC64(key(k)))
-               for k in _stream_keys(config.seed, start, stop)]
-    window = np.zeros((B, _BLOCK, d))
+               for k in _stream_keys(config.seed, first_tile, first_tile + n_tiles)]
+    window = np.empty((n_tiles, _BLOCK, d, _COLUMN_BLOCK))
+    staging = np.empty((steps, d, n_tiles, _COLUMN_BLOCK))
+    columns = staging.reshape(steps * d, n_tiles * _COLUMN_BLOCK)[:, lead:lead + rows]
+    out[:, rows:] = 0.0
     for s in range(0, n_steps, _BLOCK):
         width = min(_BLOCK, n_steps - s)
-        for stream, draws in zip(streams, window[:rows, :width]):
-            stream.standard_normal(out=draws)
+        for stream, tile in zip(streams, window[:, :width]):
+            stream.standard_normal(out=tile)
         for a in range(0, width, steps):
             w = min(steps, width - a)
-            drawn = buffer[:, :w * d]
-            np.multiply(window[:, a:a + w].reshape(B, w * d), sqrt_dt, out=drawn)
-            np.copyto(out[:w * d], drawn.T)
+            np.multiply(window[:, a:a + w].transpose(1, 2, 0, 3), sqrt_dt,
+                        out=staging[:w])
+            np.copyto(out[:w * d, :rows], columns[:w * d])
             yield s + a, w
 
 

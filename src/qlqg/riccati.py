@@ -222,9 +222,12 @@ _SLOTS = {"Omega_path": MatrixPath, "Sigma_path": MatrixPath, "alpha_path": Scal
 
 def _problem(coeffs: LinearCoefficients, cost: CostSpec, **paths) -> TimeGrid | None:
     """The grid that ``paths``, given by slot, share (None without any):
-    ConfigError unless each is the kind its slot takes, DimensionMismatch
-    unless ``cost`` and every :class:`MatrixPath` among them fit
-    ``coeffs``, GridMismatch unless they share one grid."""
+    ConfigError unless ``coeffs``, ``cost`` and each path are the kinds
+    their slots take, DimensionMismatch unless ``cost`` and every
+    :class:`MatrixPath` among the paths fit ``coeffs``, GridMismatch
+    unless they share one grid."""
+    _of_kind(coeffs, LinearCoefficients, "coeffs")
+    _of_kind(cost, CostSpec, "cost")
     if (cost.m, cost.k) != (coeffs.m, coeffs.k):
         raise DimensionMismatch(f"cost is for {cost.m} states and {cost.k} controls, "
                                 f"coefficients for {coeffs.m} and {coeffs.k}")
@@ -394,7 +397,8 @@ def integrate_filter_riccati(
     MatrixPath
         Covariance at every grid point, ``Sigma0`` included.
     """
-    Sigma0 = _symmetrize(_asarray(Sigma0, float, (coeffs.m, coeffs.m), "Sigma0"), "Sigma0")
+    m = _of_kind(coeffs, LinearCoefficients, "coeffs").m
+    Sigma0 = _symmetrize(_asarray(Sigma0, float, (m, m), "Sigma0"), "Sigma0")
     if uncertainty is not None:
         J, hbar = uncertainty
         _require_heisenberg(Sigma0, J, hbar)
@@ -438,7 +442,7 @@ def lyapunov_unconditional(
 ) -> MatrixPath:
     """Second moments without measurement conditioning (linear flow): the
     filter flow S -> A S + S A' + N of the same model with no output."""
-    m = coeffs.m
+    m = _of_kind(coeffs, LinearCoefficients, "coeffs").m
     Sigma0 = _symmetrize(_asarray(Sigma0, float, (m, m), "Sigma0"), "Sigma0")
     H = _lift(coeffs.A, np.zeros((0, m)), coeffs.N, np.zeros((m, 0)))
     values = _lift_path(H, Sigma0, grid)
@@ -461,7 +465,7 @@ def stationary_filter_covariance(coeffs: LinearCoefficients) -> NDArray[np.float
     NonFinite
         If ``X`` is singular or the limit passes ``ESCAPE_LIMIT`` (escape).
     """
-    m = coeffs.m
+    m = _of_kind(coeffs, LinearCoefficients, "coeffs").m
     H = _lift(coeffs.A, coeffs.C, coeffs.N, coeffs.M)
     ev, vectors = np.linalg.eig(H)
     top = np.argsort(ev.real)[m:]

@@ -605,8 +605,9 @@ def simulate_sme_ensemble(
 ) -> SmeEnsemble:
     """Filtering trajectories ``first`` to ``first + n_traj - 1`` of a seed.
 
-    Each trajectory's record is dY = <L+L'> dt + dW, with dW from its own
-    SFC64 noise stream, that of ``(config.seed, index)``.  The
+    Each trajectory's record is dY = <L+L'> dt + dW, with dW its own
+    column, ``index % 8``, of the SFC64 noise stream that its block of 8
+    trajectories shares, that of ``(config.seed, index // 8)``.  The
     control is ``u`` (``None`` keeps every control off), and under
     ``feedback=(observables, gain)`` it is u - gain r at every grid time,
     with the readouts r_j = tr(rho O_j) of the trajectory's own filter

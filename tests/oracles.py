@@ -3,8 +3,9 @@
 Each is written the plain way, independent of the coordinate maps the
 package steps with: the Lindblad generators in commutator form on
 complex matrices, one master-flow step taken through the public
-:func:`qlqg.sme.evolve_master` on a one-step grid, and the closed loop
-one Euler step at a time.
+:func:`qlqg.sme.evolve_master` on a one-step grid, a trajectory's noise
+as one plain numpy draw of its stream, and the closed loop one Euler
+step at a time.
 """
 
 from __future__ import annotations
@@ -67,11 +68,16 @@ def master_step(rho: DensityMatrix, model: FiniteModel, u, dt: float) -> Density
     return DensityMatrix(evolve_master(rho, model, grid, u)[1][-1])
 
 
-def trajectory_stream(seed: int, index: int) -> np.random.Generator:
-    """The noise stream of trajectory ``index`` of ``seed``: numpy's SFC64
-    seeded by ``SeedSequence(seed, spawn_key=(index,))``."""
-    return np.random.Generator(np.random.SFC64(
-        np.random.SeedSequence(seed, spawn_key=(index,))))
+def trajectory_noise(seed: int, index: int, n_steps: int, d: int,
+                     dt: float) -> np.ndarray:
+    """The (n_steps, d) Wiener increments of trajectory ``index`` of
+    ``seed``: column ``index % 8`` of one bulk draw of shape (n_steps, d,
+    8) from numpy's SFC64 seeded by ``SeedSequence(seed,
+    spawn_key=(index // 8,))``, the stream its block of 8 trajectories
+    shares, times sqrt(dt)."""
+    stream = np.random.Generator(np.random.SFC64(
+        np.random.SeedSequence(seed, spawn_key=(index // 8,))))
+    return stream.standard_normal((n_steps, d, 8))[:, :, index % 8] * math.sqrt(dt)
 
 
 def closed_loop_steps(coeffs, cost, config, initial) -> dict:
@@ -79,8 +85,8 @@ def closed_loop_steps(coeffs, cost, config, initial) -> dict:
     one step at a time, for the trajectories of ``config``.
 
     Each step is ``Xhat <- [Phi_n | K_n] @ [Xhat; dW]`` with
-    ``Phi_n = I + (A - B L_n) dt`` and ``K_n = Sigma_n C' + M``, on the
-    bulk draw of each trajectory's stream; the running cost
+    ``Phi_n = I + (A - B L_n) dt`` and ``K_n = Sigma_n C' + M``, on each
+    trajectory's :func:`trajectory_noise`; the running cost
     ``Xhat' Q_n Xhat + tr(F Sigma_n)`` is summed by trapezoid step by
     step, and increments are summed over each record interval.  Returns
     the ensemble's fields by name, trajectory first.
@@ -90,8 +96,8 @@ def closed_loop_steps(coeffs, cost, config, initial) -> dict:
     Sigma = integrate_filter_riccati(coeffs, initial.cov, grid)
     Omega = integrate_control_riccati(coeffs, cost, grid)
     gains = control_gain_path(Omega, coeffs, cost).gains
-    dW = np.stack([trajectory_stream(config.seed, i).standard_normal((n, d))
-                   for i in range(config.n_traj)], axis=-1) * math.sqrt(dt)
+    dW = np.stack([trajectory_noise(config.seed, i, n, d, dt)
+                   for i in range(config.n_traj)], axis=-1)
 
     def rate(X, step):
         Ln = gains[step]

@@ -73,14 +73,14 @@ class TestEscapeInsideABlock:
         return str(info.value)
 
     def test_names_the_earlier_step_not_the_lower_index(self):
-        # of the 4 trajectories of seed 7, trajectory 2 escapes first, at
-        # step 335; trajectory 1 escapes at step 336, in the same block of
-        # 8 steps.  The check names trajectory 2, and it fails alone with
+        # of the 4 trajectories of seed 12, trajectory 1 escapes first, at
+        # step 335; trajectory 0 escapes at step 336, in the same block of
+        # 8 steps.  The check names trajectory 1, and it fails alone with
         # the same message
         assert _steps_per_product(2, 1) == 8
-        seed, late, early = 7, 1, 2
+        seed, late, early = 12, 0, 1
         message = self.escape(4, 0, seed)
-        assert message == ("posterior mean passed 1e+12 in trajectory 2 of seed 7 "
+        assert message == ("posterior mean passed 1e+12 in trajectory 1 of seed 12 "
                            "at step 335, t=0.335")
         assert self.escape(1, early, seed) == message
         alone = self.escape(1, late, seed)
@@ -90,7 +90,7 @@ class TestEscapeInsideABlock:
         assert (step_early - 1) // 8 == (step_late - 1) // 8
 
     @pytest.mark.parametrize("offset, message", [
-        ([[0.0, -50.0]], "trajectory 1 of seed 11 at step 335, t=0.335"),
+        ([[0.0, -50.0]], "trajectory 8 of seed 11 at step 334, t=0.334"),
         # the block maps and the states after the failing one overflow
         ([[0.0, -1e53]], "trajectory 0 of seed 11 at step 2, t=0.002"),
     ])

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import trajectory_stream
+from oracles import trajectory_noise
 from scipy.integrate import solve_ivp
 from test_kalman import random_coefficients
 
@@ -15,7 +15,8 @@ from qlqg.cli import trajectory_to_csv
 from qlqg.closed_loop import monte_carlo_expected_cost, simulate_closed_loop
 from qlqg.control import control_gain_path
 from qlqg.ensemble import (
-    _BLOCK, _CHUNK, SimConfig, _chunk_width, _key_type, _noise_blocks, _stream_keys,
+    _BLOCK, _CHUNK, _COLUMN_BLOCK, SimConfig, _chunk_width, _key_type, _noise_blocks,
+    _stream_keys,
 )
 from qlqg.errors import ConfigError, EmptyEnsemble, InvalidParameter, NonFinite
 from qlqg.kalman import filter_step
@@ -410,9 +411,9 @@ def numpy_keys(seed, start, stop):
 
 
 class TestStreamKeys:
-    # every trajectory's stream is numpy's SFC64 seeded by
-    # SeedSequence(seed, spawn_key=(index,)), whatever the size of the
-    # seed and the index; the windows cross one, two and three words
+    # stream b, that of trajectories 8b..8b+7, is numpy's SFC64 seeded by
+    # SeedSequence(seed, spawn_key=(b,)), whatever the size of the seed
+    # and of b; the windows cross one, two and three words
 
     @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
     @pytest.mark.parametrize("start, stop", [
@@ -446,8 +447,9 @@ class TestStreamKeys:
 
 
 class TestStreamIndependence:
-    # the first window of 4096 consecutive streams, pooled: N(0, 1) draws
-    # with no correlation between neighbouring indices and no two streams
+    # the first window of 4096 consecutive trajectories, 512 streams,
+    # pooled: N(0, 1) draws with no correlation between neighbouring
+    # indices, in one block of 8 or across two, and no two trajectories
     # alike; the windows cross the index's first and second 32-bit words
     @pytest.mark.parametrize("seed, first", [
         (0, 0), (2**32 + 7, 2**32 - 2048), (2**64 - 1, 2**64 - 2048),
@@ -471,11 +473,12 @@ class TestStreamIndependence:
 class TestBlockNoise:
     def test_innovations_are_the_bulk_draws(self, monkeypatch):
         # drawn in windows of steps and copied out of them a block at a
-        # time, each stream still gives the bytes of one draw of all its
-        # steps, times sqrt(dt), and the pad columns' rows stay zero.  With
-        # d = 2 a block is 4 steps: 300 steps end inside a block, and 1003
-        # in a window of 235 whose last block is partial.  The second chunk
-        # holds indices of one and of two 32-bit words
+        # time, each trajectory still gets its column of one draw of all
+        # its stream's steps, times sqrt(dt), and the pad columns' rows
+        # stay zero.  With d = 2 a block is 4 steps: 300 steps end inside
+        # a block, and 1003 in a window of 235 whose last block is
+        # partial.  The second chunk holds indices of one and of two
+        # 32-bit words
         coeffs, cost, belief = random_problem(np.random.default_rng(4), m=2)
         assert coeffs.d == 2
         copied = record_noise_rows(monkeypatch)
@@ -489,8 +492,7 @@ class TestBlockNoise:
                 assert rows.shape[2] == _chunk_width(n_traj)
                 assert not rows[:, :, n_traj:].any()
                 for i in range(cfg.n_traj):
-                    draws = trajectory_stream(cfg.seed, first + i).standard_normal(
-                        (n_steps, 2)) * math.sqrt(grid.dt)
+                    draws = trajectory_noise(cfg.seed, first + i, n_steps, 2, grid.dt)
                     np.testing.assert_array_equal(rows[:, :, i], draws)
                     np.testing.assert_array_equal(ens.innovations[i, 1:], draws)
                     alone = simulate_closed_loop(
@@ -501,20 +503,59 @@ class TestBlockNoise:
                         np.testing.assert_array_equal(getattr(alone, field)[0],
                                                       getattr(ens, field)[i])
 
+    def test_chunk_starting_mid_tile_is_the_oracle(self):
+        # trajectories 8b..8b+7 share the stream of tile b: a chunk from
+        # index 8b + 3 straddles three tiles, takes its columns from the
+        # fourth column of the first on, and leaves its pad columns zero.
+        # With d = 2 and blocks of 4 steps, 1003 steps end in a window of
+        # 235 whose last block is partial
+        d, steps, first, rows = 2, 4, 8 * 5 + 3, 18
+        assert first % _COLUMN_BLOCK == 3
+        assert (first + rows - 1) // _COLUMN_BLOCK - first // _COLUMN_BLOCK == 2
+        cfg = SimConfig(grid=TimeGrid(0.0, 1.003, 1003), n_traj=rows, seed=31)
+        B = _chunk_width(rows)
+        out = np.full((steps * d, B), np.nan)
+        blocks = []
+        for s, w in _noise_blocks(cfg, first, first + rows, d, out, steps):
+            assert s == steps * len(blocks)
+            blocks.append(out[:w * d].copy())
+        assert (s, w) == (1000, 3)
+        noise = np.concatenate(blocks).reshape(1003, d, B)
+        assert not noise[:, :, rows:].any()
+        for i in range(rows):
+            np.testing.assert_array_equal(
+                noise[:, :, i], trajectory_noise(cfg.seed, first + i, 1003, d, cfg.grid.dt))
+
+    def test_full_chunk_builds_one_stream_per_tile(self, monkeypatch):
+        # the 1024 trajectories of a full chunk draw from 128 streams, one
+        # per tile of 8, not one each
+        built = []
+        sfc64 = np.random.SFC64
+
+        def counting(seed):
+            built.append(seed)
+            return sfc64(seed)
+        monkeypatch.setattr(np.random, "SFC64", counting)
+        simulate_closed_loop(feedback_coefficients(), tracking_cost(),
+                             small_config(n_traj=_CHUNK, n_steps=20, t1=0.02),
+                             default_belief())
+        assert len(built) == _CHUNK // _COLUMN_BLOCK == 128
+
     def test_chunk_holds_its_noise_once(self):
-        # the streams of a full chunk draw straight into the one (B, _BLOCK,
-        # d) window the steps are copied from: beside the streams
-        # themselves, the walk of 300 steps (two windows) peaks at that
-        # window, 2 MB, and not at twice it, as a second, transposed copy
-        # would make it.  Blocks of 16 steps, the qubit ensemble's, add
-        # the caller's rows and one buffer of 128 kB each
+        # the tile streams of a full chunk draw straight into the one
+        # (B / 8, _BLOCK, d, 8) window the steps are copied from: beside
+        # the streams themselves, the walk of 300 steps (two windows)
+        # peaks at that window, 2 MB, and not at twice it, as a second,
+        # transposed copy would make it.  Blocks of 16 steps, the qubit
+        # ensemble's, add the caller's rows and one staging array of
+        # 128 kB each
         B, d, steps = _CHUNK, 1, 16
         cfg = SimConfig(grid=TimeGrid(0.0, 0.3, 300), n_traj=B, seed=23)
-        key, bit_generator = _key_type(), type(trajectory_stream(cfg.seed, 0).bit_generator)
+        key = _key_type()
         tracemalloc.start()
         try:
-            streams = [np.random.Generator(bit_generator(key(k)))
-                       for k in _stream_keys(cfg.seed, 0, B)]
+            streams = [np.random.Generator(np.random.SFC64(key(k)))
+                       for k in _stream_keys(cfg.seed, 0, B // _COLUMN_BLOCK)]
             stream_bytes = tracemalloc.get_traced_memory()[0]
             del streams
             out = np.empty((steps * d, B))
@@ -656,10 +697,11 @@ class TestCostEstimates:
         for n_traj, first in ((16, 0), (1, 1)):
             with pytest.raises(NonFinite) as info:
                 simulate_closed_loop(
-                    coeffs, tracking_cost(), small_config(n_traj=n_traj, n_steps=1000, t1=1.0),
+                    coeffs, tracking_cost(),
+                    small_config(n_traj=n_traj, seed=24, n_steps=1000, t1=1.0),
                     default_belief(), gain_offset=offset, first=first)
             messages.append(str(info.value))
-        assert messages[0] == ("posterior mean passed 1e+12 in trajectory 1 of seed 11 "
+        assert messages[0] == ("posterior mean passed 1e+12 in trajectory 1 of seed 24 "
                                "at step 335, t=0.335")
         assert messages[1] == messages[0]
 

@@ -27,6 +27,8 @@ from qlqg.riccati import (
     integrate_alpha,
     integrate_control_riccati,
     integrate_filter_riccati,
+    lyapunov_unconditional,
+    stationary_filter_covariance,
     total_minimal_cost,
 )
 
@@ -197,19 +199,33 @@ class TestDualRoute:
         assert np.abs(direct.values - dual.values).max() < 1e-8
 
 
-# Each entry point that takes a cost and paths checks them against the
-# coefficients before any arithmetic: (call on a value path and a second
-# path, kind of the second path) on the one-control free particle, the
-# second path a covariance or a scalar term
+# the misfits of a cost, of a value path and of a second path beside it
+COST = ("two-controls", "cost-3x3", "no-cost")
+PATH = ("path-3x3", "value-array")
+SECOND = ("other-grid", "other-kind")
+# Each entry point of the Riccati layer checks its coefficients, and the
+# cost and paths it takes, against each other before any arithmetic:
+# (call on coefficients, a cost, a value path and a second path, kind of
+# the second path, the misfits besides "no-coeffs" it can meet) on the
+# one-control free particle, the second path a covariance or a scalar
+# term
 ENTRY_POINTS = {
     "integrate_alpha": (lambda coeffs, cost, Om, second: integrate_alpha(
-        Om, second, coeffs, cost), MatrixPath),
+        Om, second, coeffs, cost), MatrixPath, COST + PATH + SECOND),
     "total_minimal_cost": (lambda coeffs, cost, Om, second: total_minimal_cost(
-        np.zeros(2), np.eye(2), Om, second, coeffs, cost), MatrixPath),
+        np.zeros(2), np.eye(2), Om, second, coeffs, cost), MatrixPath, COST + PATH + SECOND),
     "control_gain_path": (lambda coeffs, cost, Om, second: control_gain_path(
-        Om, coeffs, cost), None),
+        Om, coeffs, cost), None, COST + PATH),
     "hjb_residual": (lambda coeffs, cost, Om, second: hjb_residual(
-        Om, second, 1, np.zeros(2), np.eye(2), coeffs, cost), ScalarPath),
+        Om, second, 1, np.zeros(2), np.eye(2), coeffs, cost), ScalarPath, COST + PATH + SECOND),
+    "integrate_control_riccati": (lambda coeffs, cost, Om, second: integrate_control_riccati(
+        coeffs, cost, GRID), None, COST),
+    "integrate_filter_riccati": (lambda coeffs, cost, Om, second: integrate_filter_riccati(
+        coeffs, np.eye(2), GRID), None, ()),
+    "lyapunov_unconditional": (lambda coeffs, cost, Om, second: lyapunov_unconditional(
+        coeffs, np.eye(2), GRID), None, ()),
+    "stationary_filter_covariance": (lambda coeffs, cost, Om, second:
+                                     stationary_filter_covariance(coeffs), None, ()),
 }
 GRID = TimeGrid(0.0, 1.0, 10)
 TRACKING = CostSpec(F=np.eye(2), G=np.zeros((1, 2)), Omega_T=np.eye(2))
@@ -224,6 +240,9 @@ MISFITS = {
     # the value path's bare array, or a second path of the other kind
     "value-array": (TRACKING, 2, GRID, ConfigError),
     "other-kind": (TRACKING, 2, GRID, ConfigError),
+    # no cost, or no coefficients
+    "no-cost": (None, 2, GRID, ConfigError),
+    "no-coeffs": (TRACKING, 2, GRID, ConfigError),
 }
 
 
@@ -234,22 +253,25 @@ def _path(kind, grid, m=2):
     return MatrixPath(grid, np.tile(np.eye(m), (grid.n_points, 1, 1)))
 
 
-# control_gain_path takes one path, so it has no second grid or kind
 @pytest.mark.parametrize("entry, misfit", [
-    (entry, misfit) for entry in ENTRY_POINTS for misfit in MISFITS
-    if entry != "control_gain_path" or misfit not in ("other-grid", "other-kind")])
+    (entry, misfit) for entry, (_, _, meets) in ENTRY_POINTS.items() for misfit in MISFITS
+    if misfit in meets + ("no-coeffs",)])
 def test_entry_point_rejects_a_misfit_cost_or_path(entry, misfit):
     cost, m, grid, error = MISFITS[misfit]
-    call, kind = ENTRY_POINTS[entry]
-    Om, match = _path(MatrixPath, GRID, m), None
+    call, kind, _ = ENTRY_POINTS[entry]
+    coeffs, Om, match = feedback_coefficients(), _path(MatrixPath, GRID, m), None
     # a misfit of kind names the slot it came in and the kind it takes
     if misfit == "value-array":
         Om, match = Om.values, "^Omega_path must be a MatrixPath, got "
     if misfit == "other-kind":
         match = rf"^\w+_path must be a {kind.__name__}, got "
         kind = ScalarPath if kind is MatrixPath else MatrixPath
+    if misfit == "no-cost":
+        match = "^cost must be a CostSpec, got None$"
+    if misfit == "no-coeffs":
+        coeffs, match = None, "^coeffs must be a LinearCoefficients, got None$"
     with pytest.raises(error, match=match):
-        call(feedback_coefficients(), cost, Om, kind and _path(kind, grid))
+        call(coeffs, cost, Om, kind and _path(kind, grid))
 
 
 class TestHjbResidual:

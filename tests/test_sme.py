@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from oracles import lindblad_heisenberg, lindblad_schrodinger, master_step, trajectory_stream
+from oracles import lindblad_heisenberg, lindblad_schrodinger, master_step, trajectory_noise
 from test_closed_loop import record_noise_rows
 
 from qlqg import sme
@@ -962,10 +962,10 @@ class TestEnsemble:
 
     def test_outputs_are_the_bulk_draws(self, monkeypatch):
         # with every L_c = 0 the record is dY = dW, so a replay of trajectory
-        # i records its stream's bytes, channel by channel, as one bulk draw
-        # of its steps gives them.  The noise is copied out of its window a
-        # check block of K steps at a time, and no block straddles two
-        # windows.  At 5 trajectories (and alone) K is the whole window of
+        # i records its noise, channel by channel, as its column of one
+        # bulk draw of its stream's steps gives it.  The noise is copied
+        # out of its window a check block of K steps at a time, and no
+        # block straddles two windows.  At 5 trajectories (and alone) K is the whole window of
         # 256 steps: 300 steps end inside the second, and 1003 in a window
         # of 235.  At 100, K is 163, which does not divide 256, so every
         # window ends in a shorter block: 93 steps, 44 of the 300, 72 of
@@ -979,8 +979,7 @@ class TestEnsemble:
             grid = TimeGrid(0.0, 1e-3 * n_steps, n_steps)
 
             def draws(i):
-                return trajectory_stream(29, i).standard_normal(
-                    (n_steps, 2)) * math.sqrt(grid.dt)
+                return trajectory_noise(29, i, n_steps, 2, grid.dt)
 
             def rows():
                 return np.concatenate(copied).reshape(n_steps, 2, -1)
@@ -1068,12 +1067,12 @@ class TestEnsemble:
             with pytest.raises(PositivityLoss) as info:
                 simulate_sme_ensemble(rho0, model, cfg)
             messages.append(str(info.value))
-        assert "trajectory 1 of seed 305 at step 554, t=" in messages[0]
+        assert "trajectory 1 of seed 305 at step 279, t=" in messages[0]
         assert messages[1] == messages[0]
 
     def test_positivity_loss_names_the_lowest_failing_index(self):
-        # a coarse step: at step 1 trajectories 1, 2, 3, ... all cross the
-        # floor, and 2 has the lower eigenvalue, but the ensemble names 1,
+        # a coarse step: at step 1 trajectories 3, 5, 6, ... all cross the
+        # floor, and 5 has the lower eigenvalue, but the ensemble names 3,
         # with the message its replay gives
         model = FiniteModel(H0=0.5 * SX, L_list=[SZ])
         rho0 = DensityMatrix([[0.6, 0.2], [0.2, 0.4]])
@@ -1087,10 +1086,10 @@ class TestEnsemble:
             except PositivityLoss as exc:
                 replays[index] = str(exc)
         at_step_1 = [i for i, message in replays.items() if "at step 1," in message]
-        assert at_step_1[:3] == [1, 2, 3]
-        assert str(info.value) == replays[1]
+        assert at_step_1[:3] == [3, 5, 6]
+        assert str(info.value) == replays[3]
         low = {i: float(replays[i].split()[1]) for i in at_step_1}
-        assert low[2] < low[1]
+        assert low[5] < low[3]
 
     @pytest.mark.parametrize("case", ["positivity", "non-finite", "short block"])
     def test_failure_inside_a_check_block_is_located_as_before(self, case):
@@ -1101,23 +1100,23 @@ class TestEnsemble:
         if case == "short block":
             # the positivity model at a finer step: at 100 rows a block is
             # 163 steps, which does not divide the 256-step noise window,
-            # so the window ends in a block of steps 164-256, and step 169
-            # is its sixth
+            # so the window ends in a block of steps 164-256, and step 187
+            # is its 24th
             model = FiniteModel(H0=0.5 * SX, L_list=[0.5 * SZ])
             rho0, feedback, n_traj, grid, seed = (
                 DensityMatrix.pure([1.0, 0.0]), None, 100, TimeGrid(0.0, 0.03, 300), 1)
-            error, step, message = PositivityLoss, 169, (
-                "eigenvalue -1.004e-06 below floor in trajectory 83 of seed 1 "
-                "at step 169, t=0.0169")
+            error, step, message = PositivityLoss, 187, (
+                "eigenvalue -1.005e-06 below floor in trajectory 39 of seed 1 "
+                "at step 187, t=0.0187")
         elif case == "positivity":
             # Euler steps from a pure state cross the floor; at 1024 rows a
-            # block is 16 steps, so step 35 is the third of steps 33-48
+            # block is 16 steps, so step 36 is the fourth of steps 33-48
             model = FiniteModel(H0=0.5 * SX, L_list=[0.5 * SZ])
             rho0, feedback, n_traj, grid, seed = (
                 DensityMatrix.pure([1.0, 0.0]), None, 1024, TimeGrid(0.0, 0.025, 100), 300)
-            error, step, message = PositivityLoss, 35, (
-                "eigenvalue -1.026e-06 below floor in trajectory 8 of seed 300 "
-                "at step 35, t=0.00875")
+            error, step, message = PositivityLoss, 36, (
+                "eigenvalue -1.049e-06 below floor in trajectory 229 of seed 300 "
+                "at step 36, t=0.009")
         else:
             # a chain 0 - 1 - ... - 5 from |0><0|: an Euler step reaches one
             # level further, so rho_50 is exactly 0 until step 5, and so is

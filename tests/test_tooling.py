@@ -1,7 +1,7 @@
 """The demos, the benchmark's span table, the exports and the version,
-the imports between the simulators and of the readers, and the input
-checks of the public dataclasses and of the Kalman step's record against
-the package."""
+the README's stream recipe, the imports between the simulators and of
+the readers, and the input checks of the public dataclasses and of the
+Kalman step's record against the package."""
 
 import ast
 import dataclasses
@@ -70,6 +70,29 @@ def test_package_version_is_the_projects():
     with open(ROOT / "pyproject.toml", "rb") as fh:
         project = tomllib.load(fh)["project"]
     assert qlqg.__version__ == project["version"]
+
+
+def test_readme_stream_recipe_is_a_replay():
+    # the README states the stream contract as a plain-numpy recipe for a
+    # trajectory's Wiener increments; evaluated for one (seed, i), in the
+    # middle of its block of 8, it gives bit for bit the innovations of
+    # that trajectory's replay
+    section = (ROOT / "README.md").read_text().split("## Reproducibility\n")[1]
+    recipe = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    seed, i, n_steps, d = 41, 8 * 3 + 5, 300, 2
+    grid = qlqg.TimeGrid(0.0, 0.3, n_steps)
+    scope = {"np": np, "seed": seed, "i": i, "n_steps": n_steps, "d": d, "dt": grid.dt}
+    exec(recipe, scope)
+    rng = np.random.default_rng(3)
+    coeffs = qlqg.LinearCoefficients(
+        A=rng.standard_normal((2, 2)), B=rng.standard_normal((2, 1)),
+        C=rng.standard_normal((d, 2)), N=np.eye(2), M=np.zeros((2, d)))
+    cost = qlqg.CostSpec(F=np.eye(2), G=np.zeros((1, 2)), Omega_T=np.eye(2))
+    replay = qlqg.simulate_closed_loop(
+        coeffs, cost, qlqg.SimConfig(grid=grid, n_traj=1, seed=seed),
+        qlqg.GaussianBelief(mean=np.ones(2), cov=np.eye(2)), first=i)
+    assert scope["dW"].shape == (n_steps, d)
+    np.testing.assert_array_equal(replay.innovations[0, 1:], scope["dW"])
 
 
 @pytest.mark.parametrize("module, other", [("sme", "closed_loop"), ("closed_loop", "sme")])
