@@ -4,7 +4,8 @@ Arrays come in through one function, :func:`_asarray`: it converts,
 checks the shape and then finiteness, so junk input (a string, a ragged
 list, a NaN) is a :class:`ValidationError` wherever it enters.  A real
 scalar is read by it as a 0-d array, an integer by :func:`_count`, an
-object of a given class (a grid, a path) by :func:`_of_kind`, and a
+object of a given class (a grid, a path, a model, a config, a belief or
+an ensemble) by :func:`_of_kind`, and a
 stack of operators by :func:`_stack_operators`; each caller keeps the
 value that was read.  A matrix that must equal its adjoint is kept as
 its exact Hermitian part by :func:`_symmetrize`.  Every JSON section

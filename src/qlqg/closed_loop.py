@@ -12,10 +12,11 @@ carries it.
 Under certainty-equivalent feedback the Euler step is linear, so the
 states after L consecutive steps are one product of a block map with
 the state before them and the L steps' increments.  The block maps of a
-256-step noise window are built when the window is drawn, and one GEMM
-steps a whole chunk L steps; running costs, the trapezoid sum and the
-escape check then run once per block.  Memory does not grow with
-``n_steps`` beyond the per-step covariance and gain paths.
+256-step noise window are assembled when it is drawn, from the per-step
+maps of :func:`_scheme_maps`, and one GEMM steps a whole chunk L steps;
+running costs, the trapezoid sum and the escape check then run once per
+block.  Memory does not grow with ``n_steps`` beyond the per-step
+covariance and gain paths.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from ._readers import _asarray, _count, _fits_in_memory, _frozen
+from ._readers import _asarray, _count, _fits_in_memory, _frozen, _of_kind
 from .control import control_gain_path
 from .ensemble import _BLOCK, _at, _chunk_width, _run_chunks, SimConfig
 from .errors import EmptyEnsemble, InvalidParameter, NonFinite
@@ -35,6 +36,7 @@ from .riccati import (
     ESCAPE_LIMIT,
     CostSpec,
     MatrixPath,
+    TimeGrid,
     _cumulative_trapezoid,
     integrate_control_riccati,
     integrate_filter_riccati,
@@ -70,6 +72,27 @@ def _steps_per_product(m: int, d: int) -> int:
     while 2 * L <= _BLOCK and 2 * L * m * (m + 2 * L * d) <= _MAP_ENTRIES:
         L *= 2
     return L
+
+
+def _scheme_maps(coeffs: LinearCoefficients, cost: CostSpec, gains: NDArray[np.float64],
+                 Sigma_path: MatrixPath, grid: TimeGrid):
+    """The closed loop's Euler scheme ``Xhat_{n+1} = Phi_n Xhat_n + K_n dW_n``,
+    running cost ``Xhat_n' Q_n Xhat_n + tr(F Sigma_n)``, a window at a time.
+
+    For each noise window of at most ``_BLOCK`` steps from ``s0``, yield
+    ``(s0, Phi, K, Q)``: ``Phi[j] = I + (A - B L_n) dt`` and ``K[j] =
+    Sigma_n C' + M`` at its w steps n = s0 + j, and ``Q[j] = F - L_n'G -
+    G'L_n + L_n'L_n`` at its w + 1 points, both trapezoid ends of every
+    step.  ``gains`` is the path ``L_n`` the loop feeds back, any offset
+    included.
+    """
+    for s0 in range(0, grid.n_steps, _BLOCK):
+        w = min(_BLOCK, grid.n_steps - s0)
+        Phi = np.eye(coeffs.m) + (coeffs.A - coeffs.B @ gains[s0:s0 + w]) * grid.dt
+        K = np.matmul(Sigma_path.values[s0:s0 + w], coeffs.C.T) + coeffs.M
+        Ln = gains[s0:s0 + w + 1]
+        LtG = Ln.swapaxes(1, 2) @ cost.G
+        yield s0, Phi, K, cost.F - LtG - LtG.swapaxes(1, 2) + Ln.swapaxes(1, 2) @ Ln
 
 
 @dataclass(frozen=True)
@@ -185,8 +208,9 @@ def simulate_closed_loop(
     ``Phi_{s+j}...Phi_s`` against ``Xhat_s`` and
     ``Phi_{s+j}...Phi_{i+1} K_i`` against ``dW_i``.  L is set by the
     model's dimensions alone (:func:`_steps_per_product`) and divides
-    the 256-step noise window; a window's T_s and Q_n are built when it
-    is drawn, its short last block padded with identity steps.  A block
+    the 256-step noise window; a window's T_s are assembled when it is
+    drawn from the Phi_n, K_n and Q_n of :func:`_scheme_maps`, its short
+    last block padded with identity steps.  A block
     of L steps is then one GEMM on the chunk, one max/min check of every
     state it made against the escape limit, which looks back to name
     the first failing step and the lowest failing trajectory in it, as
@@ -204,6 +228,10 @@ def simulate_closed_loop(
     trajectory i is the same in every ensemble of the seed that holds
     it.
     """
+    _of_kind(coeffs, LinearCoefficients, "coeffs")
+    _of_kind(cost, CostSpec, "cost")
+    _of_kind(config, SimConfig, "config")
+    _of_kind(initial, GaussianBelief, "initial")
     first = _count(first, "first", 0)
     n_traj = config.n_traj
     n_kept = n_traj if record is None else min(_count(record, "record", 0), n_traj)
@@ -225,35 +253,13 @@ def simulate_closed_loop(
     L = _steps_per_product(m, d)
     # a block's noise rows, then its start state: the columns of T_s
     Ld = L * d
-
-    def running_weights(G):
-        # Q_n of the gains G_n, one per row
-        LtG = G.swapaxes(1, 2) @ cost.G
-        return cost.F - LtG - LtG.swapaxes(1, 2) + G.swapaxes(1, 2) @ G
-
-    # the maps of one noise window's blocks, rebuilt when a window is
-    # drawn: T_s, and Q_n of the states after each step
+    # a noise window's steps, rebuilt when it is drawn: Phi_n, K_n and
+    # Q_n of the state after each step; the steps that pad its last block
+    # are identity steps with no noise and no cost.  Then its blocks' T_s
     n_blocks = _BLOCK // L
+    Phi, K, Q = np.zeros((_BLOCK, m, m)), np.zeros((_BLOCK, m, d)), np.zeros((_BLOCK, m, m))
     T = np.zeros((n_blocks, L, m, Ld + m))
-    Q = np.zeros((_BLOCK, m, m))
-
-    def window_maps(s0: int, width: int) -> None:
-        # steps s0..s0+width-1; the steps that pad the last block are
-        # identity steps with no noise and no cost
-        Phi = np.tile(np.eye(m), (_BLOCK, 1, 1))
-        K = np.zeros((_BLOCK, m, d))
-        span, after = slice(s0, s0 + width), slice(s0 + 1, s0 + width + 1)
-        Phi[:width] += (coeffs.A - coeffs.B @ gains[span]) * dt
-        K[:width] = np.matmul(Sigma_path.values[span], coeffs.C.T) + coeffs.M
-        Q[:width] = running_weights(gains[after])
-        Q[width:] = 0.0
-        Phi, K = Phi.reshape(n_blocks, L, m, m), K.reshape(n_blocks, L, m, d)
-        T[:, 0, :, :d] = K[:, 0]
-        T[:, 0, :, Ld:] = Phi[:, 0]
-        for j in range(1, L):
-            np.matmul(Phi[:, j], T[:, j - 1], out=T[:, j])
-            T[:, j, :, j * d:(j + 1) * d] = K[:, j]
-
+    Phi_blocks, K_blocks = Phi.reshape(n_blocks, L, m, m), K.reshape(n_blocks, L, m, d)
     T_blocks = T.reshape(n_blocks, L * m, Ld + m)
     Q_blocks = Q.reshape(n_blocks, L, m, m)
     # the running cost's tr(F Sigma_n) is the same in every trajectory:
@@ -262,7 +268,6 @@ def simulate_closed_loop(
     trace_F = np.einsum("ab,tba->t", cost.F, Sigma_path.values)
     trace_integral = _cumulative_trapezoid(trace_F, dt)
     terminal_trace = float(np.trace(cost.Omega_T @ Sigma_path.final))
-    Q0 = running_weights(gains[:1])[0]
     # row j: the trapezoid weights over the first j steps of a block of
     # the rows of Q_n Xhat * Xhat at its start and after each step, whose
     # sum over a state's m rows is the state's quadratic cost
@@ -329,14 +334,25 @@ def simulate_closed_loop(
                 sums[:m] += states[a * m:b * m].reshape(b - a, m, B).sum(axis=0)
                 sums[m:] += U[a * d:b * d].reshape(b - a, d, B).sum(axis=0)
 
-        weighted(Q0, Z[Ld:], QY[0])
         if kept:
             record_row(0, 0, 0, acc)
         row = 1
+        maps = _scheme_maps(coeffs, cost, gains, Sigma_path, grid)
         # a block's noise rows go step-major into the first rows of U
         for s, w in blocks(U, L):
             if s % _BLOCK == 0:
-                window_maps(s, min(_BLOCK, grid.n_steps - s))
+                _, Phi_w, K_w, Q_w = next(maps)
+                width = len(Phi_w)
+                Phi[:width], Phi[width:] = Phi_w, np.eye(m)
+                K[:width], K[width:] = K_w, 0.0
+                Q[:width], Q[width:] = Q_w[1:], 0.0
+                if s == 0:  # QY[0] at the start state, by Q_0
+                    weighted(Q_w[0], Z[Ld:], QY[0])
+                T[:, 0, :, :d] = K_blocks[:, 0]
+                T[:, 0, :, Ld:] = Phi_blocks[:, 0]
+                for j in range(1, L):
+                    np.matmul(Phi_blocks[:, j], T[:, j - 1], out=T[:, j])
+                    T[:, j, :, j * d:(j + 1) * d] = K_blocks[:, j]
             b = s % _BLOCK // L
             if w < L:
                 U[w * d:Ld] = 0.0
@@ -388,7 +404,7 @@ def monte_carlo_expected_cost(ensemble: ClosedLoopEnsemble) -> tuple[float, floa
 
     With one trajectory the standard error is NaN.
     """
-    totals = ensemble.total_costs
+    totals = _of_kind(ensemble, ClosedLoopEnsemble, "ensemble").total_costs
     n = totals.shape[0]
     if n == 0:
         raise EmptyEnsemble("ensemble holds no trajectories")
@@ -418,6 +434,8 @@ def expected_cost_z(
     :func:`monte_carlo_expected_cost`'s, and ``z = (mean - analytic) /
     stderr``, NaN when the standard error is zero or NaN.
     """
+    _of_kind(ensemble, ClosedLoopEnsemble, "ensemble")
+    _of_kind(initial, GaussianBelief, "initial")
     analytic = total_minimal_cost(initial.mean, initial.cov, ensemble.Omega_path,
                                   ensemble.Sigma_path, coeffs, cost)
     mean, stderr = monte_carlo_expected_cost(ensemble)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.typing import NDArray
 
-from ._readers import _asarray, _positive
+from ._readers import _asarray, _of_kind, _positive
 from .errors import DimensionMismatch
 from .phase_space import GaussianBelief, LinearCoefficients
 
@@ -55,6 +55,8 @@ def filter_step(
     GaussianBelief
         Updated mean with ``Sigma_next`` attached.
     """
+    _of_kind(belief, GaussianBelief, "belief")
+    _of_kind(coeffs, LinearCoefficients, "coeffs")
     dt = _positive(dt, "dt")
     dY = _asarray(dY, float, (coeffs.d,), "dY")
     if belief.m != coeffs.m:

@@ -374,7 +374,12 @@ def _master_map(model: FiniteModel, u, dt: float) -> np.ndarray:
         return _rk4_map(dt * _lindblad_map(model, u))
 
 
-def _require_dim(rho: DensityMatrix, model: FiniteModel) -> None:
+def _require_dim(rho: DensityMatrix, model: FiniteModel, name: str) -> None:
+    """ConfigError unless ``rho``, named ``name``, is a DensityMatrix and
+    ``model`` a FiniteModel; DimensionMismatch unless their dimensions
+    agree."""
+    _of_kind(rho, DensityMatrix, name)
+    _of_kind(model, FiniteModel, "model")
     if rho.dim != model.dim:
         raise DimensionMismatch(
             f"state dim {rho.dim} does not match model dim {model.dim}"
@@ -408,7 +413,7 @@ def evolve_master(
         raise InvalidParameter(
             f"record_stride {record_stride} does not divide {grid.n_steps}"
         )
-    _require_dim(rho0, model)
+    _require_dim(rho0, model, "rho0")
     step_map = _master_map(model, u, grid.dt)
     block = np.empty((_BLOCK + 1, len(step_map)))
     block[0] = _coords(rho0.entries[None])[:, 0]
@@ -555,9 +560,9 @@ def sme_step(
     The record enters through the innovation dY_i - <Li+Li'> dt, which
     drives the ensemble's step on a batch of one state.
     """
+    _require_dim(rho, model, "rho")
     dt = _positive(dt, "dt")
     dY = _asarray(dY, float, (model.n_channels,), "record dY")
-    _require_dim(rho, model)
     stack = _sme_stack(model, u, dt)
     h = np.repeat(_coords(rho.entries[None]), _chunk_width(1), axis=1)
     n2, B = h.shape
@@ -628,7 +633,8 @@ def simulate_sme_ensemble(
     lowest failing trajectory in it, as a check after every step would.
     The worst eigenvalue and |Tr - 1| are reported on the ensemble.
     """
-    _require_dim(rho0, model)
+    _require_dim(rho0, model, "rho0")
+    _of_kind(config, SimConfig, "config")
     first = _count(first, "first", 0)
     n, d, grid = model.dim, model.n_channels, config.grid
     gain = readouts = None

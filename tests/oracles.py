@@ -4,8 +4,8 @@ Each is written the plain way, independent of the coordinate maps the
 package steps with: the Lindblad generators in commutator form on
 complex matrices, one master-flow step taken through the public
 :func:`qlqg.sme.evolve_master` on a one-step grid, a trajectory's noise
-as one plain numpy draw of its stream, and the closed loop one Euler
-step at a time.
+as one plain numpy draw of its stream, and the closed loop's Euler
+scheme and the loop run on it, one step at a time.
 """
 
 from __future__ import annotations
@@ -80,18 +80,31 @@ def trajectory_noise(seed: int, index: int, n_steps: int, d: int,
     return stream.standard_normal((n_steps, d, 8))[:, :, index % 8] * math.sqrt(dt)
 
 
+def scheme_step(coeffs, cost, gains, Sigma, n: int):
+    """``(Phi_n, K_n, Q_n)`` of the closed loop's Euler scheme at step
+    ``n``: ``Phi_n = I + (A - B L_n) dt`` and ``K_n = Sigma_n C' + M``
+    move ``Xhat_n`` to ``Xhat_{n+1} = Phi_n Xhat_n + K_n dW_n``, and
+    ``Q_n = F - L_n'G - G'L_n + L_n'L_n`` weighs ``Xhat_n`` in the running
+    cost, for the (n_points, k, m) gains ``L_n`` and the covariance path
+    ``Sigma`` on the loop's grid."""
+    Ln = gains[n]
+    Phi = np.eye(coeffs.m) + (coeffs.A - coeffs.B @ Ln) * Sigma.grid.dt
+    K = Sigma.values[n] @ coeffs.C.T + coeffs.M
+    Q = cost.F - Ln.T @ cost.G - cost.G.T @ Ln + Ln.T @ Ln
+    return Phi, K, Q
+
+
 def closed_loop_steps(coeffs, cost, config, initial) -> dict:
     """The closed loop of :func:`qlqg.closed_loop.simulate_closed_loop`,
     one step at a time, for the trajectories of ``config``.
 
-    Each step is ``Xhat <- [Phi_n | K_n] @ [Xhat; dW]`` with
-    ``Phi_n = I + (A - B L_n) dt`` and ``K_n = Sigma_n C' + M``, on each
-    trajectory's :func:`trajectory_noise`; the running cost
-    ``Xhat' Q_n Xhat + tr(F Sigma_n)`` is summed by trapezoid step by
-    step, and increments are summed over each record interval.  Returns
-    the ensemble's fields by name, trajectory first.
+    Each step is ``Xhat <- [Phi_n | K_n] @ [Xhat; dW]`` with the maps of
+    :func:`scheme_step`, on each trajectory's :func:`trajectory_noise`;
+    the running cost ``Xhat' Q_n Xhat + tr(F Sigma_n)`` is summed by
+    trapezoid step by step, and increments are summed over each record
+    interval.  Returns the ensemble's fields by name, trajectory first.
     """
-    grid, m, d = config.grid, coeffs.m, coeffs.d
+    grid, d = config.grid, coeffs.d
     n, dt, stride = grid.n_steps, grid.dt, config.record_stride
     Sigma = integrate_filter_riccati(coeffs, initial.cov, grid)
     Omega = integrate_control_riccati(coeffs, cost, grid)
@@ -100,8 +113,7 @@ def closed_loop_steps(coeffs, cost, config, initial) -> dict:
                    for i in range(config.n_traj)], axis=-1)
 
     def rate(X, step):
-        Ln = gains[step]
-        Q = cost.F - Ln.T @ cost.G - cost.G.T @ Ln + Ln.T @ Ln
+        Q = scheme_step(coeffs, cost, gains, Sigma, step)[2]
         return np.einsum("it,ij,jt->t", X, Q, X) + np.trace(cost.F @ Sigma.values[step])
 
     X = np.repeat(initial.mean[:, None], config.n_traj, axis=1)
@@ -111,8 +123,7 @@ def closed_loop_steps(coeffs, cost, config, initial) -> dict:
            "innovations": [np.zeros((d, config.n_traj))]}
     Xsum, Wsum = np.zeros_like(X), np.zeros((d, config.n_traj))
     for step in range(n):
-        Phi = np.eye(m) + (coeffs.A - coeffs.B @ gains[step]) * dt
-        K = Sigma.values[step] @ coeffs.C.T + coeffs.M
+        Phi, K, _ = scheme_step(coeffs, cost, gains, Sigma, step)
         Xsum, Wsum = Xsum + X, Wsum + dW[step]
         X = np.hstack([Phi, K]) @ np.vstack([X, dW[step]])
         c_next = rate(X, step + 1)

@@ -6,18 +6,21 @@ import warnings
 
 import numpy as np
 import pytest
-from oracles import closed_loop_steps
+from oracles import closed_loop_steps, scheme_step
 from test_closed_loop import (
     default_belief, feedback_coefficients, random_problem, small_config, tracking_cost,
 )
 
 from qlqg.closed_loop import (
-    _MAP_ENTRIES, _steps_per_product, expected_cost_z, monte_carlo_expected_cost,
-    simulate_closed_loop,
+    _MAP_ENTRIES, _scheme_maps, _steps_per_product, expected_cost_z,
+    monte_carlo_expected_cost, simulate_closed_loop,
 )
+from qlqg.control import control_gain_path
 from qlqg.ensemble import _BLOCK, SimConfig
 from qlqg.errors import NonFinite
-from qlqg.riccati import TimeGrid, total_minimal_cost
+from qlqg.riccati import (
+    TimeGrid, integrate_control_riccati, integrate_filter_riccati, total_minimal_cost,
+)
 
 FIELDS = ("means", "controls", "outputs", "innovations", "running_costs", "total_costs")
 
@@ -39,14 +42,14 @@ def unaligned_strides(n_steps, L):
                          if n_steps % s == 0 and not aligned(s)), n_steps), n_steps})
 
 
-@pytest.mark.parametrize("m, d, k", [(2, 1, 1), (4, 2, 2), (3, 1, 2)])
+@pytest.mark.parametrize("m, d, k", [(2, 1, 1), (4, 2, 2), (3, 1, 2), (16, 1, 1), (14, 2, 2)])
 def test_block_steps_match_the_per_step_recursion(m, d, k):
     # one step, a block less one, a block plus one, a noise window plus
     # one and a window plus 44 steps, recorded at strides that cut blocks
-    # and windows anywhere
+    # and windows anywhere; blocks of 8, 4, 8, 1 and 2 steps
     coeffs, cost, belief = random_problem(np.random.default_rng(7 * m + d), m, d, k)
     L = _steps_per_product(m, d)
-    for n_steps in (1, L - 1, L + 1, 257, 300):
+    for n_steps in (n for n in (1, L - 1, L + 1, 257, 300) if n > 0):
         for stride in unaligned_strides(n_steps, L) if n_steps > 1 else [1]:
             cfg = SimConfig(grid=TimeGrid(0.0, 1e-3 * n_steps, n_steps), n_traj=3,
                             seed=n_steps, record_stride=stride)
@@ -57,6 +60,29 @@ def test_block_steps_match_the_per_step_recursion(m, d, k):
                 assert got.shape == ref.shape, field
                 scale = max(np.abs(ref).max(), 1e-300)
                 assert np.abs(got - ref).max() <= 1e-13 * scale, (field, n_steps, stride)
+
+
+@pytest.mark.parametrize("offset", [0.0, 0.3])
+def test_scheme_maps_are_the_per_step_maps(offset):
+    # a full noise window and a short one: each window's Phi_n and K_n at
+    # its steps and Q_n at its points, both ends included, against the
+    # per-step oracle; the windows tile the steps, and the Q_n of
+    # neighbouring windows share their one common point
+    coeffs, cost, belief = random_problem(np.random.default_rng(5), 4, 2, 2)
+    grid = TimeGrid(0.0, 0.3, 300)
+    Sigma = integrate_filter_riccati(coeffs, belief.cov, grid)
+    gains = control_gain_path(integrate_control_riccati(coeffs, cost, grid),
+                              coeffs, cost).gains + offset
+    windows = list(_scheme_maps(coeffs, cost, gains, Sigma, grid))
+    assert [(s0, len(Phi), len(K), len(Q)) for s0, Phi, K, Q in windows] == [
+        (0, _BLOCK, _BLOCK, _BLOCK + 1), (_BLOCK, 300 - _BLOCK, 300 - _BLOCK, 301 - _BLOCK)]
+    for s0, Phi, K, Q in windows:
+        for j, maps in enumerate(zip(Phi, K, Q)):
+            for got, want in zip(maps, scheme_step(coeffs, cost, gains, Sigma, s0 + j)):
+                assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), (s0, j)
+        want = scheme_step(coeffs, cost, gains, Sigma, s0 + len(Phi))[2]
+        assert np.abs(Q[-1] - want).max() <= 1e-14 * np.abs(want).max(), s0
+    assert np.array_equal(windows[0][3][-1], windows[1][3][0])
 
 
 class TestEscapeInsideABlock:

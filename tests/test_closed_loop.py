@@ -740,6 +740,27 @@ class TestKalmanStep:
             assert gap <= 1e-12 * np.abs(rec.means).max(), step
 
 
+    @pytest.mark.parametrize("problem", ["tracking", "random"])
+    def test_every_recorded_step_is_one_filter_step(self, problem):
+        # restarted from each step's recorded mean, filter_step on the
+        # recorded control and output gives the next recorded mean, for
+        # every trajectory and across a noise window's end
+        if problem == "tracking":
+            coeffs, cost, belief = feedback_coefficients(), tracking_cost(), default_belief()
+        else:
+            coeffs, cost, belief = random_problem(np.random.default_rng(3), 4, 2, 2)
+        cfg = SimConfig(grid=TimeGrid(0.0, 0.3, 300), n_traj=3, seed=9, record_stride=1)
+        ens = simulate_closed_loop(coeffs, cost, cfg, belief)
+        Sigma = ens.Sigma_path
+        for rec in map(ens.__getitem__, range(len(ens))):
+            scale = np.abs(rec.means).max()
+            for s in range(cfg.grid.n_steps):
+                step = filter_step(GaussianBelief(mean=rec.means[s], cov=Sigma.at(s)),
+                                   rec.controls[s], rec.outputs[s + 1], cfg.grid.dt,
+                                   coeffs, Sigma.at(s + 1))
+                assert np.abs(step.mean - rec.means[s + 1]).max() <= 1e-14 * scale, s
+
+
 class TestCsv:
     def test_round_trip(self):
         coeffs = feedback_coefficients()

@@ -1,7 +1,8 @@
 """The demos, the benchmark's span table, the exports and the version,
 the README's stream recipe, the imports between the simulators and of
-the readers, and the input checks of the public dataclasses and of the
-Kalman step's record against the package."""
+the readers, the one builder of the closed loop's scheme, and the input
+checks of the public dataclasses, of the Kalman step's record and of
+the kinds of the entry points' arguments against the package."""
 
 import ast
 import dataclasses
@@ -195,6 +196,22 @@ def test_riccati_builds_one_lift():
     assert len(blocks) == 1
 
 
+def test_closed_loop_builds_its_scheme_in_one_place():
+    # Phi_n = I + (A - B L_n) dt, K_n = Sigma_n C' + M and the running
+    # weight Q_n = F - L_n'G - G'L_n + L_n'L_n are formed by _scheme_maps
+    # alone: no other code of the module reads A, B, M or G, and the
+    # simulator keeps no closure of its own that forms them
+    tree = _tree(PACKAGE_DIR / "closed_loop.py")
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    builder = {id(node) for node in ast.walk(functions["_scheme_maps"])}
+    readers = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+               and node.attr in {"A", "B", "M", "G"} and id(node) not in builder]
+    assert not readers
+    nested = {node.name for node in ast.walk(functions["simulate_closed_loop"])
+              if isinstance(node, ast.FunctionDef)}
+    assert not nested & {"window_maps", "running_weights"}
+
+
 @pytest.mark.parametrize("module, name", [
     ("riccati", "integrate_control_riccati"), ("riccati", "integrate_alpha"),
     ("riccati", "total_minimal_cost"), ("control", "duality_map"),
@@ -352,6 +369,44 @@ def test_junk_in_the_filter_step_record_is_a_validation_error(name):
 def test_filter_step_steps_dt_as_the_float_it_read():
     for dt in ("1", np.int8(1)):
         np.testing.assert_array_equal(_filter_step([0.1], dt), _filter_step([0.1], 1.0))
+
+
+def _valid(name):
+    """A valid argument of an entry point, by parameter name."""
+    if name == "ensemble":
+        return qlqg.simulate_closed_loop(*map(_valid, ("coeffs", "cost", "config", "initial")))
+    cls = {"coeffs": "LinearCoefficients", "cost": "CostSpec", "config": "SimConfig",
+           "initial": "GaussianBelief", "belief": "GaussianBelief", "grid": "TimeGrid",
+           "rho0": "DensityMatrix", "rho": "DensityMatrix", "model": "FiniteModel"}[name]
+    return getattr(qlqg, cls)(**VALID[cls])
+
+
+# every simulator, the Kalman step and the cost estimates: the arguments
+# that must be of a kind, and the record each takes besides them
+ENTRY_ARGS = {
+    "simulate_closed_loop": (("coeffs", "cost", "config", "initial"), {}),
+    "simulate_sme_ensemble": (("rho0", "model", "config"), {}),
+    "evolve_master": (("rho0", "model", "grid"), {}),
+    "sme_step": (("rho", "model"), {"u": None, "dY": [0.1], "dt": 1e-3}),
+    "filter_step": (("belief", "coeffs"),
+                    {"u": [0.0], "dY": [0.1], "dt": 1e-3, "Sigma_next": np.eye(2)}),
+    "monte_carlo_expected_cost": (("ensemble",), {}),
+    "expected_cost_z": (("ensemble", "initial", "coeffs", "cost"), {}),
+}
+KIND_ARGS = [(entry, name) for entry, (names, _) in ENTRY_ARGS.items() for name in names]
+
+
+@pytest.mark.parametrize("entry, name", KIND_ARGS, ids=[f"{e}.{n}" for e, n in KIND_ARGS])
+def test_wrong_kind_of_argument_is_a_config_error(entry, name):
+    # None where a model, config, belief or ensemble belongs is named, not
+    # left to surface as an AttributeError deep inside the call; the valid
+    # call first, which fails if the table misses a required argument
+    call = getattr(qlqg, entry)
+    names, record = ENTRY_ARGS[entry]
+    kwargs = dict(record, **{arg: _valid(arg) for arg in names})
+    call(**kwargs)
+    with pytest.raises(qlqg.ConfigError, match=rf"^{name} must be a \w+, got None$"):
+        call(**dict(kwargs, **{name: None}))
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
